@@ -32,6 +32,8 @@ KILLED_QUERIERS = 2
 KILL_AT_S = 0.4
 RECOVERED_QPS_FLOOR_RATIO = 0.2     # recovered >= 20% of clean q/s
 MIN_CPUS_FOR_RATIO = 4
+SUPERSEDED_BY = ("live-recovery/qps in BENCHMARK.json "
+                 "(python3 bench/run.py --workload live-recovery)")
 
 
 def _trace():
@@ -96,6 +98,9 @@ def test_crash_recovery_conserves_and_stays_fast(benchmark,
         queriers_per_distributor=QUERIERS_PER,
         killed_queriers=KILLED_QUERIERS,
         clean_qps=clean["qps"],
+        # Kept for the regression guard; the figure to quote for a
+        # clean recovery-mode run is the benchmark's, at 20x the N.
+        clean_qps_superseded_by=SUPERSEDED_BY,
         recovered_qps=killed["qps"],
         recovered_ratio=ratio,
         recovered_ratio_floor=RECOVERED_QPS_FLOOR_RATIO,

@@ -35,6 +35,7 @@ from ..telemetry.tracing import wire_question_key
 from ..trace import QueryRecord, Trace
 from ..trace.stream import DEFAULT_READ_AHEAD, iter_shard_file
 from .distributor import StickyAssigner
+from .live import grow_receive_buffer
 from .protocol import (MSG_END, MSG_RECORD, MSG_RECORD_SEQ, MSG_SHUTDOWN,
                        MSG_TIME_SYNC, MessageSocket, ProtocolError,
                        connected_pair)
@@ -124,6 +125,7 @@ class _LiveQuerier(threading.Thread):
         self._pending_entries = 0
         self._answered: Set[MatchKey] = set()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        grow_receive_buffer(self._sock)
         self._sock.connect(server)
         self._sock.setblocking(False)
         self._trace_start: Optional[float] = None
@@ -140,9 +142,13 @@ class _LiveQuerier(threading.Thread):
         self.checkpoint_sink: Optional[Callable[[dict], None]] = None
         self.reconnect: Optional[Callable[[], Optional[MessageSocket]]] \
             = None                          # inbound re-dial after a drop
-        self._seen_indices: Set[int] = set()  # redelivery dedup (global)
+        # Redelivery dedup by global index: None while the record is
+        # queued, its SentQuery once sent.
+        self._seen_indices: Dict[int, Optional[SentQuery]] = {}
         self.redundant_records = 0          # redelivered dups dropped here
-        self._last_checkpoint_sent = 0
+        # Entries the next CHECKPOINT frame carries, by index: first
+        # sends, answers to entries already shipped, and re-reports.
+        self._news: Dict[int, SentQuery] = {}
         self._last_checkpoint_time = time.monotonic()
         # Supervision surface: the watchdog reads heartbeat/has_work,
         # the deadline handler sets shed_event.
@@ -233,10 +239,15 @@ class _LiveQuerier(threading.Thread):
                     index, record = message[1]
                     if index in self._seen_indices:
                         # Redelivered copy of a record already queued or
-                        # sent here: exactly-once, drop it locally.
+                        # sent here: exactly-once, drop it locally.  If
+                        # it was sent, the controller lost the frame
+                        # that said so — report the entry again.
                         self.redundant_records += 1
+                        entry = self._seen_indices[index]
+                        if entry is not None:
+                            self._report(entry)
                     else:
-                        self._seen_indices.add(index)
+                        self._seen_indices[index] = None
                         self.records_received += 1
                         self._enqueue(record, index)
             if self.shed_event.is_set():
@@ -269,19 +280,23 @@ class _LiveQuerier(threading.Thread):
             self.result.reconnects += 1
         return True
 
-    def _maybe_checkpoint(self, force: bool = False) -> None:
-        """Emit a cumulative result snapshot if the cadence says so."""
+    def _report(self, entry: SentQuery) -> None:
+        """Put an entry in the next CHECKPOINT frame (recovery mode)."""
+        if self.checkpoint_sink is not None:
+            self._news[entry.index] = entry
+
+    def _maybe_checkpoint(self) -> None:
+        """Emit a delta frame if the cadence says so: the entries with
+        news since the last frame under the cumulative header."""
         if self.checkpoint_sink is None or self.checkpoint_policy is None:
             return
-        new_records = self.records_sent - self._last_checkpoint_sent
         since = time.monotonic() - self._last_checkpoint_time
-        if not (force and new_records > 0) \
-                and not self.checkpoint_policy.due(new_records, since):
+        if not self.checkpoint_policy.due(len(self._news), since):
             return
+        news, self._news = self._news, {}
         with self.lock:
-            snapshot = self.result.to_dict()
-        self.checkpoint_sink(snapshot)
-        self._last_checkpoint_sent = self.records_sent
+            frame = self.result.to_dict(news.values())
+        self.checkpoint_sink(frame)
         self._last_checkpoint_time = time.monotonic()
 
     def shutdown(self) -> None:
@@ -331,8 +346,12 @@ class _LiveQuerier(threading.Thread):
             self.heartbeat = now
             if target > now:
                 if self._done_receiving:
-                    # Nothing else is coming: sleep until the next send.
+                    # Nothing else is coming: sleep until the next
+                    # send, then read the answers that came meanwhile —
+                    # _run does not get to while the queue drains, and
+                    # unread they overflow the socket buffer.
                     time.sleep(min(target - now, 0.01))
+                    self._drain_responses()
                     continue
                 return
             heapq.heappop(self._queue)
@@ -358,6 +377,9 @@ class _LiveQuerier(threading.Thread):
             querier_id=self.querier_id)
         self._pending.setdefault(key, []).append(entry)
         self._answered.discard(key)
+        if index is not None:
+            self._seen_indices[index] = entry
+        self._report(entry)
         with self.lock:
             self.result.add(entry)
             if self.telemetry is not None:
@@ -414,6 +436,7 @@ class _LiveQuerier(threading.Thread):
                         self.result.count_answer(answered_at - entry)
                     continue
                 entry.answered_at = answered_at
+                self._report(entry)
                 if self.telemetry is not None:
                     with self.lock:
                         self.telemetry.on_answer(entry)

@@ -27,6 +27,19 @@ from .result import ReplayResult, SentQuery
 
 LOOPBACK = "127.0.0.1"
 
+# Asked of the kernel for every UDP socket that receives a replay's
+# queries or echoes, best effort (the kernel clamps to ``rmem_max``): a
+# burst must survive its reader being descheduled for a few
+# milliseconds, and a redelivery burst must not outrun the echo thread.
+UDP_RCVBUF = 1 << 22
+
+
+def grow_receive_buffer(sock: socket.socket) -> None:
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, UDP_RCVBUF)
+    except OSError:
+        pass
+
 
 class LiveUdpEchoServer:
     """A minimal UDP DNS responder: flips QR and echoes the message.
@@ -39,6 +52,7 @@ class LiveUdpEchoServer:
 
     def __init__(self, address: str = LOOPBACK, port: int = 0):
         self._socket = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        grow_receive_buffer(self._socket)
         self._socket.bind((address, port))
         self._socket.settimeout(0.2)
         self.address, self.port = self._socket.getsockname()

@@ -301,12 +301,12 @@ class _CheckpointPump:
                     return False
         return False
 
-    def __call__(self, snapshot: dict) -> None:
-        """The querier's checkpoint_sink: emit one cumulative snapshot."""
+    def __call__(self, delta: dict) -> None:
+        """The querier's checkpoint_sink: emit one delta frame."""
         self._seq += 1
         seq = self._seq
         self._deliver(lambda: self.control.send_checkpoint(
-            self._querier_id, self._incarnation, seq, snapshot))
+            self._querier_id, self._incarnation, seq, delta))
 
     def send_final(self, result: dict, metrics: dict) -> None:
         self._deliver(lambda: self.control.send_result(result))
@@ -393,8 +393,7 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
                 "records_received": querier.records_received,
                 "records_sent": querier.records_sent,
                 "queue_depth": len(querier._queue),
-                "checkpoint_lag": (querier.records_sent
-                                   - querier._last_checkpoint_sent)},
+                "checkpoint_lag": len(querier._news)},
             tracer=hub.tracer,
             recorder=recorder,
             sync_mono=lambda: querier._clock_start)
@@ -717,6 +716,10 @@ class ProcessTopology:
         self.cluster: Optional[ClusterAggregator] = None
         self._deadline_hit = False
         self._lock = threading.Lock()
+        # Recovery mode: notified (under _lock) whenever a reader folds
+        # a frame in or a worker's fate changes, so the drain wakes on
+        # progress instead of polling.
+        self._progress = threading.Condition(self._lock)
 
     def server_for(self, querier_id: int) -> ServerAddress:
         return self.servers[querier_id % len(self.servers)]
@@ -1282,15 +1285,17 @@ class ProcessTopology:
 
         final_deadline = min(drain_deadline,
                              time.monotonic() + config.settle_time + 8.0)
-        while time.monotonic() < final_deadline:
-            with self._lock:
-                pending = [h for h in (self.querier_handles
-                                       + self.distributor_handles)
-                           if h.shard is None and not h.failed
-                           and h.is_alive()]
-            if not pending:
-                break
-            time.sleep(0.05)
+        with self._progress:
+            while time.monotonic() < final_deadline:
+                # RESULT and METRICS travel as a pair; waking on the
+                # first must not leave the second unread.
+                if not any((h.shard is None or h.metrics_state is None)
+                           and not h.failed and h.is_alive()
+                           for h in (self.querier_handles
+                                     + self.distributor_handles)):
+                    break
+                # Bounded: a worker dying silently notifies nobody.
+                self._progress.wait(0.25)
 
         if self.watchdog is not None:
             self.watchdog.stop()
@@ -1353,58 +1358,56 @@ class ProcessTopology:
     def _drain_exactly_once(self, records, streamed: int,
                             drain_deadline: float) -> None:
         recovery = self.config.recovery
-        expected = set(range(streamed))
+        store = self._store
         rounds = 0
-        last_size = -1
+        last_seen = None
         last_progress = time.monotonic()
         while time.monotonic() < drain_deadline:
-            with self._lock:
-                sent = self._store.sent_indices()
-            if expected <= sent:
-                # Every index has a recorded send; also wait out any
-                # still-unanswered sends owned by dead incarnations via
-                # the redelivery below only if they never got answered.
-                missing_answers = self._stale_unanswered(expected)
-                if not missing_answers:
+            with self._progress:
+                # Done when every index has a recorded send and none of
+                # them is an unanswered send stranded in a dead
+                # incarnation (those get one more chance below).
+                if store.covers(streamed) \
+                        and not self._stale_unanswered(streamed):
                     return
-            if len(sent) != last_size:
-                last_size = len(sent)
-                last_progress = time.monotonic()
-                time.sleep(0.05)
-                continue
-            if time.monotonic() - last_progress < recovery.redelivery_grace:
-                time.sleep(0.05)
-                continue
-            with self._lock:
+                now = time.monotonic()
+                seen = store.progress()
+                if seen != last_seen:
+                    last_seen = seen
+                    last_progress = now
+                quiet = now - last_progress
+                if quiet < recovery.redelivery_grace:
+                    self._progress.wait(
+                        min(recovery.redelivery_grace - quiet,
+                            max(drain_deadline - now, 0.0)))
+                    continue
                 live_queriers = any(h.is_alive() and not h.failed
                                     for h in self.querier_handles)
-            if not self._assigner.entities or not live_queriers:
-                # No live routing path: a respawn is (hopefully) in
-                # flight — don't burn redelivery rounds into the void.
-                time.sleep(0.05)
-                continue
-            if rounds >= recovery.redelivery_rounds:
-                return
+                if not self._assigner.entities or not live_queriers:
+                    # No live routing path: a respawn is (hopefully) in
+                    # flight — don't burn redelivery rounds into the void.
+                    self._progress.wait(0.05)
+                    continue
+                if rounds >= recovery.redelivery_rounds:
+                    return
+                redeliver = sorted(set(store.missing(streamed))
+                                   | self._stale_unanswered(streamed))
             rounds += 1
-            redeliver = sorted((expected - sent)
-                               | self._stale_unanswered(expected))
             for index in redeliver:
                 self._send_record_seq(index, records[index])
             with self._lock:
                 self.result.redelivered_records += len(redeliver)
             last_progress = time.monotonic()
 
-    def _stale_unanswered(self, expected) -> set:
+    def _stale_unanswered(self, streamed: int) -> set:
         """Indices whose only sends belong to dead incarnations and
-        were never answered — rescue candidates for redelivery."""
-        with self._lock:
-            live_keys = [((h.role, h.worker_id), h.incarnation)
-                         for h in self.querier_handles
-                         if h.is_alive() and not h.failed]
-            answered = self._store.answered_indices()
-            live_sent = self._store.sent_indices(live_keys)
-            sent = self._store.sent_indices()
-        return (sent & expected) - answered - live_sent
+        were never answered — rescue candidates for redelivery.
+        Call with the lock held."""
+        live_keys = [((h.role, h.worker_id), h.incarnation)
+                     for h in self.querier_handles
+                     if h.is_alive() and not h.failed]
+        return {index for index in self._store.stale_unanswered(live_keys)
+                if index < streamed}
 
     def _send_record_seq(self, index: int, record) -> bool:
         while self._assigner.entities:
@@ -1445,17 +1448,21 @@ class ProcessTopology:
                 if self.cluster is not None:
                     self.cluster.ingest(payload)
                 continue
-            with self._lock:
+            with self._progress:
                 if kind == MSG_CHECKPOINT:
                     self._store.offer_frame(key, payload)
                 elif kind == MSG_RESULT:
-                    handle.shard = ReplayResult.from_dict(payload)
-                    # The final RESULT outranks every checkpoint of the
-                    # same incarnation regardless of arrival order.
+                    # The store keeps the entries; the handle only
+                    # needs to read as reported.  The final RESULT is
+                    # cumulative and its header outranks every
+                    # checkpoint of the same incarnation, whatever the
+                    # arrival order.
+                    handle.shard = _DRAINED
                     self._store.offer(key, handle.incarnation, 0,
                                       payload, final=True)
                 elif kind == MSG_METRICS:
                     handle.metrics_state = payload
+                self._progress.notify_all()
         # Reader gone: either this socket was replaced by a reconnect
         # (handle.control moved on — not our problem) or the worker
         # died and the self-healing path takes over.
@@ -1505,6 +1512,7 @@ class ProcessTopology:
             else:
                 newcomer.control.close()
                 return
+            self._progress.notify_all()
         if handle is newcomer and newcomer.role == ROLE_DISTRIBUTOR:
             attach_chaos(newcomer.control, self.config.recovery.chaos,
                          newcomer.role, newcomer.worker_id,
@@ -1530,6 +1538,7 @@ class ProcessTopology:
                     or handle.shard is not None):
                 return
             handle.failed = True
+            self._progress.notify_all()
             attempts = self._respawn_counts.get(key, 0)
             budget_left = (
                 attempts < recovery.respawn.max_per_worker

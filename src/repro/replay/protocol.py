@@ -17,7 +17,7 @@ multi-process deployment need:
             | RESULT      (JSON ReplayResult shard)
             | METRICS     (JSON MetricsRegistry state)
             | SHUTDOWN    (no payload; stop now, shed queued work)
-            | CHECKPOINT  (JSON incremental result snapshot, seq-numbered)
+            | CHECKPOINT  (JSON delta of a result shard, seq-numbered)
             | RECORD_SEQ  (u32 global trace index + binary record body)
             | TELEMETRY   (JSON streamed metrics/health/span window)
 
@@ -52,7 +52,7 @@ MSG_HELLO = 4
 MSG_RESULT = 5
 MSG_METRICS = 6
 MSG_SHUTDOWN = 7
-MSG_CHECKPOINT = 8   # incremental RESULT snapshot (recovery mode)
+MSG_CHECKPOINT = 8   # delta of a RESULT shard (recovery mode)
 MSG_RECORD_SEQ = 9   # RECORD tagged with its global trace index
 MSG_TELEMETRY = 10   # streamed metrics/health/span window (live observability)
 
@@ -242,7 +242,12 @@ def _check_worker_identity(payload: dict, label: str) -> None:
 
 
 def validate_checkpoint_payload(payload: object) -> dict:
-    """Check a CHECKPOINT frame: seq-numbered cumulative result snapshot."""
+    """Check a CHECKPOINT frame: a seq-numbered delta of a result shard.
+
+    ``result`` has the RESULT shape — the cumulative header (counters,
+    clocks) over only the entries with news since the worker's previous
+    frame — so every entry of every frame is checked as in a RESULT.
+    """
     _require(isinstance(payload, dict),
              "CHECKPOINT payload must be an object")
     _check_fields(payload,

@@ -10,10 +10,12 @@ from fail-fast into fault-tolerant:
   :class:`RecoveryConfig` — the knobs: bounded respawn budget with
   exponential backoff, checkpoint cadence, redelivery rounds,
   handshake/reconnect deadlines.
-* :class:`CheckpointStore` — latest-wins store of cumulative
-  ``CHECKPOINT``/``RESULT`` snapshots keyed by (worker, incarnation).
-  Offering a frame is idempotent: duplicates and reorders of
-  sequence-numbered snapshots can never regress the stored state.
+* :class:`CheckpointStore` — accumulator of delta ``CHECKPOINT`` and
+  final ``RESULT`` frames keyed by (worker, incarnation).  Offering a
+  frame is idempotent *and commutative*: entries upsert by global
+  trace index (answered beats unanswered), the header goes to the
+  highest sequence number, so duplicated, reordered and re-reported
+  frames can never regress the stored state.
 * :func:`merge_recovered` — exactly-once merge over the store's
   snapshots: sent entries are deduplicated by *global trace index*
   with a deterministic, order-independent preference (answered beats
@@ -71,14 +73,18 @@ class RespawnPolicy:
 
 @dataclass(frozen=True)
 class CheckpointPolicy:
-    """How often a querier emits cumulative CHECKPOINT snapshots."""
+    """How often a querier emits delta CHECKPOINT frames."""
 
-    every_records: int = 64     # checkpoint after this many new sends
+    every_records: int = 64     # checkpoint after this many entries of news
     interval_s: float = 0.2     # ... or this much wall time with news
 
-    def due(self, new_records: int, since_last: float) -> bool:
-        return new_records > 0 and (new_records >= self.every_records
-                                    or since_last >= self.interval_s)
+    def due(self, news: int, since_last: float) -> bool:
+        """``news`` counts every entry the next frame would carry: new
+        sends, answers to entries already shipped, and re-reports — so
+        a quiet tail of late answers still flushes within
+        ``interval_s``."""
+        return news > 0 and (news >= self.every_records
+                             or since_last >= self.interval_s)
 
 
 @dataclass(frozen=True)
@@ -226,36 +232,78 @@ def attach_chaos(msocket: MessageSocket, config: Optional[ChaosConfig],
 
 # -- checkpoint store -------------------------------------------------------
 
-class CheckpointStore:
-    """Latest-wins snapshots per (worker, incarnation); offer() is
-    idempotent under duplicated and reordered frames.
+def _prefer_key(entry: dict) -> Tuple[int, float, int]:
+    """Deterministic, order-independent duplicate preference over
+    RESULT ``sent`` entries: lower wins."""
+    return (0 if entry.get("answered_at") is not None else 1,
+            entry["sent_at"], entry.get("querier_id", -1))
 
-    Snapshots are *cumulative*: checkpoint seq N contains everything
-    seq N−1 did, and the final RESULT contains everything any
-    checkpoint of the same incarnation did.  So keeping only the
-    highest-ranked snapshot per incarnation — rank = (final?, seq) —
-    both deduplicates and avoids double-counting counters.
+
+class CheckpointStore:
+    """Accumulated result entries per (worker, incarnation).
+
+    A ``CHECKPOINT`` frame is a *delta*: the entries first sent since
+    the worker's previous frame, the entries whose fate changed since
+    they were last reported (answered after shipping, or re-reported
+    because the controller redelivered their record), and the small
+    cumulative header (counters, clocks).  The final ``RESULT`` is
+    cumulative.  Both fold in by the same two rules:
+
+    * entries upsert by global trace index, an answered copy beating an
+      unanswered one (then earliest ``sent_at``, lowest ``querier_id``
+      — :func:`merge_recovered`'s preference);
+    * the header goes to the highest rank ``(final?, seq)``.
+
+    Each rule is a join, so ``offer`` is idempotent and commutative:
+    any permutation of a frame set, with duplicates, leaves the same
+    state, and a lost delta is healed by whichever later frame carries
+    its entries again (a re-report or the final RESULT).
+
+    The index sets the controller's drain loop asks about are kept up
+    to date on offer, so a query costs nothing per stored entry.
     """
 
     def __init__(self) -> None:
-        self._best: Dict[StoreKey, Tuple[int, bool, dict]] = {}
+        self._entries: Dict[StoreKey, Dict[int, dict]] = {}
+        self._headers: Dict[StoreKey, Tuple[Tuple[int, int], dict]] = {}
+        self._sent: Set[int] = set()        # indices sent by anyone
+        self._unanswered: Set[int] = set()  # ... and answered by no one
+        self._watermark = 0                 # every index below is sent
         self.frames_offered = 0
-        self.frames_stale = 0
+        self.frames_stale = 0       # offers that changed nothing
+        self.entries_offered = 0    # entries folded, over all offers
 
     def offer(self, worker: Hashable, incarnation: int, seq: int,
               result: dict, final: bool = False) -> bool:
-        """Fold one snapshot in; True if it advanced the store."""
+        """Fold one frame in; True if it advanced the store."""
         self.frames_offered += 1
         key = (worker, incarnation)
         rank = (1 if final else 0, seq)
-        current = self._best.get(key)
-        if current is not None:
-            current_rank = (1 if current[1] else 0, current[0])
-            if rank <= current_rank:
-                self.frames_stale += 1
-                return False
-        self._best[key] = (seq, final, result)
-        return True
+        held = self._headers.get(key)
+        advanced = held is None or rank > held[0]
+        if advanced:
+            self._headers[key] = (rank, {name: value
+                                         for name, value in result.items()
+                                         if name != "sent"})
+        entries = self._entries.setdefault(key, {})
+        for entry in result.get("sent", ()):
+            self.entries_offered += 1
+            index = entry["index"]
+            current = entries.get(index)
+            if current is not None \
+                    and _prefer_key(entry) >= _prefer_key(current):
+                continue
+            entries[index] = entry
+            advanced = True
+            if index not in self._sent:
+                self._sent.add(index)
+                if entry.get("answered_at") is None:
+                    self._unanswered.add(index)
+            elif entry.get("answered_at") is not None:
+                self._unanswered.discard(index)
+        if not advanced:
+            self.frames_stale += 1
+        return advanced
 
     def offer_frame(self, worker: Hashable, payload: dict,
                     final: bool = False) -> bool:
@@ -265,46 +313,78 @@ class CheckpointStore:
                           final=final or bool(payload.get("final")))
 
     def keys(self) -> List[StoreKey]:
-        return sorted(self._best, key=repr)
+        return sorted(self._headers, key=repr)
 
     def snapshots(self) -> List[dict]:
-        """Best snapshot per incarnation, in a deterministic order."""
-        return [self._best[key][2] for key in self.keys()]
+        """One RESULT-shaped dict per incarnation, in a deterministic
+        order: its best header over its accumulated entries."""
+        out = []
+        for key in self.keys():
+            snapshot = dict(self._headers[key][1])
+            if "aggregate" not in snapshot:
+                entries = self._entries[key]
+                snapshot["sent"] = [entries[index]
+                                    for index in sorted(entries)]
+            out.append(snapshot)
+        return out
 
     def has_final(self, worker: Hashable, incarnation: int) -> bool:
-        entry = self._best.get((worker, incarnation))
-        return entry is not None and entry[1]
+        held = self._headers.get((worker, incarnation))
+        return held is not None and held[0][0] == 1
 
     def sent_indices(self,
                      keys: Optional[Iterable[StoreKey]] = None) -> Set[int]:
         """Global trace indices with at least one recorded send."""
-        return self._indices(keys, answered_only=False)
-
-    def answered_indices(
-            self, keys: Optional[Iterable[StoreKey]] = None) -> Set[int]:
-        """Global trace indices with at least one recorded answer."""
-        return self._indices(keys, answered_only=True)
-
-    def _indices(self, keys: Optional[Iterable[StoreKey]],
-                 answered_only: bool) -> Set[int]:
-        chosen = self._best if keys is None \
-            else {key: self._best[key] for key in keys if key in self._best}
+        if keys is None:
+            return set(self._sent)
         found: Set[int] = set()
-        for _seq, _final, result in chosen.values():
-            for entry in result.get("sent", ()):
-                if answered_only and entry.get("answered_at") is None:
-                    continue
-                found.add(entry["index"])
+        for key in keys:
+            found.update(self._entries.get(key, ()))
         return found
+
+    def answered_indices(self) -> Set[int]:
+        """Global trace indices with at least one recorded answer."""
+        return self._sent - self._unanswered
+
+    def progress(self) -> Tuple[int, int]:
+        """(indices sent, indices still unanswered): moves whenever a
+        frame brings the drain closer to done."""
+        return len(self._sent), len(self._unanswered)
+
+    def covers(self, expected: int) -> bool:
+        """True when every index of ``range(expected)`` has a recorded
+        send.  The watermark only ever advances, so a drain's worth of
+        calls costs one pass over the indices in total."""
+        while self._watermark in self._sent:
+            self._watermark += 1
+        return self._watermark >= expected
+
+    def missing(self, expected: int) -> List[int]:
+        """Indices of ``range(expected)`` no frame has reported sent."""
+        if self.covers(expected):
+            return []
+        return [index for index in range(self._watermark, expected)
+                if index not in self._sent]
+
+    def stale_unanswered(self, live: Iterable[StoreKey]) -> Set[int]:
+        """Unanswered indices none of the ``live`` incarnations sent:
+        their only sends died with their worker."""
+        live_entries = [self._entries[key] for key in live
+                        if key in self._entries]
+        return {index for index in self._unanswered
+                if not any(index in entries for entries in live_entries)}
+
+    def fingerprint(self) -> tuple:
+        """Hashable digest of everything a merge can see (the state
+        explorer's notion of "same store")."""
+        return tuple(
+            (repr(key), self._headers[key][0],
+             tuple((index, entry.get("answered_at") is not None)
+                   for index, entry in sorted(self._entries[key].items())))
+            for key in self.keys())
 
 
 # -- exactly-once merge -----------------------------------------------------
-
-def _prefer_key(query: SentQuery) -> Tuple[int, float, int]:
-    """Deterministic, order-independent duplicate preference."""
-    return (0 if query.answered_at is not None else 1,
-            query.sent_at, query.querier_id)
-
 
 def merge_recovered(snapshots: Iterable[dict],
                     name: str = "recovered") -> ReplayResult:
@@ -315,33 +395,34 @@ def merge_recovered(snapshots: Iterable[dict],
     same record sent twice — once by a crashed incarnation, once by
     its redelivery — collapses to one entry, preferring the answered
     copy, then the earliest send.  Dropped copies are counted in
-    ``duplicate_merged``.  Counters sum across snapshots; within one
-    incarnation the store already kept only the best snapshot, so
-    nothing is double-counted.
+    ``duplicate_merged``.  Counters sum across snapshots; the store
+    hands over one snapshot per incarnation, under that incarnation's
+    latest cumulative header, so nothing is double-counted.
     """
     merged = ReplayResult(name)
-    best: Dict[int, SentQuery] = {}
+    best: Dict[int, dict] = {}
     duplicates = 0
-    for shard_dict in snapshots:
-        shard = ReplayResult.from_dict(shard_dict)
+    for shard in snapshots:
+        counters = shard.get("counters", {})
         for counter in _COUNTER_FIELDS:
             setattr(merged, counter,
-                    getattr(merged, counter) + getattr(shard, counter))
+                    getattr(merged, counter) + counters.get(counter, 0))
         for clock in ("start_clock", "trace_start"):
-            theirs = getattr(shard, clock)
+            theirs = shard.get(clock)
             if theirs is not None:
                 ours = getattr(merged, clock)
                 setattr(merged, clock,
                         theirs if ours is None else min(ours, theirs))
-        for query in shard.sent:
-            current = best.get(query.index)
+        for entry in shard.get("sent", ()):
+            current = best.get(entry["index"])
             if current is None:
-                best[query.index] = query
+                best[entry["index"]] = entry
                 continue
             duplicates += 1
-            if _prefer_key(query) < _prefer_key(current):
-                best[query.index] = query
-    merged.sent = [best[index] for index in sorted(best)]
+            if _prefer_key(entry) < _prefer_key(current):
+                best[entry["index"]] = entry
+    merged.sent = [SentQuery.from_dict(best[index])
+                   for index in sorted(best)]
     merged.duplicate_merged += duplicates
     return merged
 

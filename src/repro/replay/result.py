@@ -20,8 +20,8 @@ RESULT frame on arrival instead of buffering all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..trace.stats import quartile_summary
 
@@ -53,8 +53,23 @@ class SentQuery:
         return self.answered_at - self.sent_at
 
     def to_dict(self) -> Dict:
-        """A JSON-safe mapping (the inter-process RESULT frame)."""
-        return asdict(self)
+        """A JSON-safe mapping (the inter-process RESULT frame).
+
+        Built field by field, in declaration order: every field is a
+        scalar, and ``dataclasses.asdict`` would deep-copy its way
+        through each one on the final-RESULT path of both planes.
+        """
+        return {
+            "index": self.index, "source": self.source,
+            "trace_time": self.trace_time,
+            "scheduled_at": self.scheduled_at, "sent_at": self.sent_at,
+            "protocol": self.protocol, "qname": self.qname,
+            "answered_at": self.answered_at,
+            "fresh_connection": self.fresh_connection,
+            "querier_id": self.querier_id, "retries": self.retries,
+            "timeouts": self.timeouts, "tcp_fallback": self.tcp_fallback,
+            "gave_up": self.gave_up,
+        }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SentQuery":
@@ -396,12 +411,15 @@ class ReplayResult:
                 setattr(self, mine,
                         theirs if current is None else fold(current, theirs))
 
-    def to_dict(self) -> Dict:
+    def to_dict(self, entries: Optional[Iterable[SentQuery]] = None
+                ) -> Dict:
         """A JSON-safe mapping (the inter-process RESULT frame).
 
         An aggregate result serializes its accumulators — a few KB no
         matter how many queries it covers — where a list-mode result's
-        frame grows with every sent entry.
+        frame grows with every sent entry.  ``entries`` restricts a
+        list-mode frame to those entries under the same cumulative
+        header (counters, clocks): the shape of a delta CHECKPOINT.
         """
         data = {
             "name": self.name,
@@ -432,7 +450,8 @@ class ReplayResult:
                                  in self.rate_buckets.items()},
             }
         else:
-            data["sent"] = [query.to_dict() for query in self.sent]
+            data["sent"] = [query.to_dict() for query in
+                            (self.sent if entries is None else entries)]
         return data
 
     @classmethod

@@ -474,34 +474,53 @@ class AdmissionScenarioModel:
 # -- crash-recovery scenarios -----------------------------------------------
 
 class RecoveryScenarioModel:
-    """Worker crash × checkpoint-frame reorder against the *production*
-    recovery code (:class:`repro.replay.recovery.CheckpointStore` /
+    """Worker crash × checkpoint-frame reorder, duplication and loss
+    against the *production* recovery code
+    (:class:`repro.replay.recovery.CheckpointStore` /
     :func:`repro.replay.recovery.merge_recovered`).
 
     The model abstracts the process tree to its accounting skeleton:
     records are routed round-robin to workers, workers execute them and
-    emit cumulative sequence-numbered checkpoint frames, the controller
-    folds delivered frames into a real ``CheckpointStore``.  The
-    explorer owns every source of nondeterminism the real control plane
-    has: frame delivery order (reorder), bounded duplicate delivery,
-    and bounded worker crashes (a crash wipes the worker's
-    un-checkpointed state; the controller redelivers everything the
-    store cannot account for to the respawned incarnation — and stale
-    frames from the dead incarnation may still arrive afterwards).
+    emit sequence-numbered *delta* checkpoint frames (the entries with
+    news since the previous frame: first sends, answers that landed
+    after shipping, re-reports) and one cumulative final frame; the
+    controller folds delivered frames into a real ``CheckpointStore``.
+    The explorer owns every source of nondeterminism the real control
+    plane has: frame delivery order (reorder), bounded duplicate
+    delivery, bounded frame loss, and bounded worker crashes (a crash
+    wipes the worker's un-checkpointed state; the controller redelivers
+    everything the store cannot account for to the respawned
+    incarnation — and stale frames from the dead incarnation may still
+    arrive afterwards).
+
+    A lost delta leaves a hole no later delta fills by itself.  While
+    it has redelivery rounds left the controller withholds END — no
+    worker may send its final frame — and may instead redeliver the
+    records the store is missing; a live worker that already executed
+    one drops it and puts the entry back into its next frame.  With the
+    rounds spent END goes out regardless and the cumulative finals
+    close the hole.
 
     ``scenario`` is one of:
 
     * ``"crash-reorder"`` — 2 workers, 4 records, one crash allowed,
-      frames deliverable in any order (the ISSUE's worker-crash ×
-      frame-reorder grid);
-    * ``"dup-reorder"`` — no crashes, 2 duplicate deliveries allowed:
-      pure idempotence under at-least-once frame transport;
-    * ``"double-crash"`` — both workers may crash once each.
+      frames deliverable in any order (the worker-crash × frame-reorder
+      grid);
+    * ``"dup-reorder"`` — no crashes, 2 duplicate deliveries allowed,
+      record 1 answered only after its first frame left: pure
+      idempotence and commutativity under at-least-once transport, a
+      stale unanswered copy arriving after the answered one;
+    * ``"double-crash"`` — both workers may crash once each (3
+      records);
+    * ``"drop-heal"`` — no crashes, 3 records, 2 checkpoint frames may
+      be lost, one redelivery round: healing by re-report, and by the
+      final frames when the re-report is lost too.
 
-    Terminal invariant: ``merge_recovered`` over the store's snapshots
-    accounts for every record exactly once
-    (:func:`repro.replay.recovery.conservation_violations`), and the
-    store never regresses (stale frames stay stale).
+    Invariants: at every state ``merge_recovered`` over the store's
+    snapshots holds no duplicate and no never-routed index, and no
+    index the store reported answered ever reads unanswered again; at
+    quiescence it accounts for every record exactly once
+    (:func:`repro.replay.recovery.conservation_violations`), answered.
     """
 
     def __init__(self, scenario: str = "crash-reorder",
@@ -511,59 +530,71 @@ class RecoveryScenarioModel:
         self.scenario = scenario
         self.workers = workers
         self.total = total
+        self.crash_budget = [0] * workers
+        self.crashes_max = 0
+        self.dup_budget = 0
+        self.drop_budget = 0
+        self.redeliver_budget = 0
+        self.late: Tuple[int, ...] = ()   # records answered after shipping
         if scenario == "crash-reorder":
             self.crash_budget = [1] * workers
             self.crashes_max = 1
-            self.dup_budget = 0
         elif scenario == "dup-reorder":
-            self.crash_budget = [0] * workers
-            self.crashes_max = 0
             self.dup_budget = 2
+            self.late = (1,)
         elif scenario == "double-crash":
             self.crash_budget = [1] * workers
             self.crashes_max = workers
-            self.dup_budget = 0
-            self.total = total = min(total, 3)
+            self.total = min(total, 3)
+        elif scenario == "drop-heal":
+            self.drop_budget = 2
+            self.redeliver_budget = 1
+            self.total = min(total, 3)
         else:
             raise ValueError(f"unknown recovery scenario {scenario!r}")
         self.store = CheckpointStore()
         self.routed = 0
         self.crashes = 0
         self.dups = 0
+        self.drops = 0
         # Per-worker state, current incarnation only (a crash resets it).
         self.incarnation = [0] * workers
         self.assigned: List[List[int]] = [[] for _ in range(workers)]
         self.executed: List[List[int]] = [[] for _ in range(workers)]
+        self.answered: List[set] = [set() for _ in range(workers)]
+        self.news: List[List[int]] = [[] for _ in range(workers)]
         self.seq = [0] * workers
-        self.emitted = [0] * workers    # executed count at last emission
         self.finalized = [False] * workers
         # In-flight frames: (worker, payload) — delivery order is the
         # explorer's to choose, and dead incarnations' frames linger.
         self.pending: List[Tuple[int, dict]] = []
+        self._answered_seen: set = set()
+        self._regressions: List[Tuple[str, str]] = []
 
     # -- plumbing --------------------------------------------------------
 
     def _owner(self, index: int) -> int:
         return index % self.workers
 
-    def _snapshot(self, worker: int) -> dict:
+    def _frame(self, worker: int, indices: List[int],
+               final: bool = False) -> dict:
+        self.seq[worker] += 1
         sent = [{"index": index, "source": f"c{self._owner(index)}",
                  "trace_time": float(index), "scheduled_at": float(index),
                  "sent_at": float(index), "protocol": "udp",
-                 "qname": "q.example.com.", "answered_at": float(index) + 1,
+                 "qname": "q.example.com.",
+                 "answered_at": (float(index) + 1
+                                 if index in self.answered[worker]
+                                 else None),
                  "querier_id": worker}
-                for index in self.executed[worker]]
-        return {"name": f"querier-{worker}", "sent": sent}
-
-    def _frame(self, worker: int, final: bool = False) -> dict:
-        self.seq[worker] += 1
+                for index in indices]
         return {"worker": worker,
                 "incarnation": self.incarnation[worker],
                 "seq": self.seq[worker], "final": final,
-                "result": self._snapshot(worker)}
+                "result": {"name": f"querier-{worker}", "sent": sent}}
 
-    def _accounted(self) -> set:
-        return self.store.sent_indices()
+    def _covered(self) -> bool:
+        return self.store.covers(self.total)
 
     # -- the explorer interface ------------------------------------------
 
@@ -571,23 +602,30 @@ class RecoveryScenarioModel:
         out: List[str] = []
         if self.routed < self.total:
             out.append(f"route[{self.routed}]")
+        end_sent = (self.routed == self.total
+                    and (self.redeliver_budget == 0 or self._covered()))
         for worker in range(self.workers):
             if self.finalized[worker]:
                 continue
             if self.assigned[worker]:
                 out.append(f"exec[w{worker}]")
-            if len(self.executed[worker]) > self.emitted[worker]:
+            if self.news[worker]:
                 out.append(f"ckpt[w{worker}]")
-            if (self.routed == self.total and not self.assigned[worker]):
+            if end_sent and not self.assigned[worker]:
                 out.append(f"final[w{worker}]")
             if (self.crash_budget[worker] > 0
                     and self.crashes < self.crashes_max
                     and (self.assigned[worker] or self.executed[worker])):
                 out.append(f"crash[w{worker}]")
-        for slot in range(len(self.pending)):
+        if (self.routed == self.total and self.redeliver_budget > 0
+                and not self._covered()):
+            out.append("redeliver[]")
+        for slot, (_worker, payload) in enumerate(self.pending):
             out.append(f"deliver[{slot}]")
             if self.dups < self.dup_budget:
                 out.append(f"dup[{slot}]")
+            if self.drops < self.drop_budget and not payload["final"]:
+                out.append(f"drop[{slot}]")
         return out
 
     def apply(self, index: int) -> None:
@@ -600,42 +638,83 @@ class RecoveryScenarioModel:
             self.assigned[self._owner(record)].append(record)
         elif action == "exec":
             worker = int(arg[1:])
-            self.executed[worker].append(self.assigned[worker].pop(0))
+            record = self.assigned[worker].pop(0)
+            self.executed[worker].append(record)
+            self.news[worker].append(record)
+            if record not in self.late:
+                self.answered[worker].add(record)
         elif action == "ckpt":
             worker = int(arg[1:])
-            self.pending.append((worker, self._frame(worker)))
-            self.emitted[worker] = len(self.executed[worker])
+            shipped = self.news[worker]
+            self.pending.append((worker, self._frame(worker, shipped)))
+            # Answers to entries that left unanswered land now: their
+            # fate changed after shipping, so they are news again.
+            self.news[worker] = [record for record in shipped
+                                 if record not in self.answered[worker]]
+            self.answered[worker].update(shipped)
         elif action == "final":
             worker = int(arg[1:])
-            self.pending.append((worker, self._frame(worker, final=True)))
+            self.answered[worker].update(self.executed[worker])
+            self.pending.append((worker, self._frame(
+                worker, self.executed[worker], final=True)))
             self.finalized[worker] = True
         elif action == "crash":
             worker = int(arg[1:])
             self.crash_budget[worker] -= 1
             self.crashes += 1
+            # Respawn: fresh incarnation, redeliver what the store
+            # cannot account for — never reported, or reported
+            # unanswered by an incarnation that is now dead.  Frames of
+            # the dead incarnation stay in flight — late arrivals must
+            # stay harmless.
+            self.incarnation[worker] += 1
+            accounted = self.store.sent_indices()
+            stranded = self.store.stale_unanswered(
+                ((1, live), self.incarnation[live])
+                for live in range(self.workers))
             lost = [record for record in range(self.routed)
                     if self._owner(record) == worker
-                    and record not in self._accounted()]
-            # Respawn: fresh incarnation, redeliver what the store
-            # cannot account for.  Frames of the dead incarnation stay
-            # in flight — late arrivals must stay harmless.
-            self.incarnation[worker] += 1
+                    and (record not in accounted or record in stranded)]
             self.assigned[worker] = lost
             self.executed[worker] = []
+            self.answered[worker] = set()
+            self.news[worker] = []
             self.seq[worker] = 0
-            self.emitted[worker] = 0
-        elif action == "dup":
-            self.dups += 1
-            worker, payload = self.pending[int(arg)]
+        elif action == "redeliver":
+            self.redeliver_budget -= 1
+            for record in self.store.missing(self.total):
+                worker = self._owner(record)
+                if self.finalized[worker] \
+                        or record in self.assigned[worker]:
+                    continue
+                if record not in self.executed[worker]:
+                    self.assigned[worker].append(record)
+                elif record not in self.news[worker]:
+                    # Already sent by the live incarnation: drop the
+                    # copy, report the entry again.
+                    self.news[worker].append(record)
+        elif action == "drop":
+            self.drops += 1
+            self.pending.pop(int(arg))
+        else:   # deliver | dup
+            if action == "dup":
+                self.dups += 1
+                worker, payload = self.pending[int(arg)]
+            else:
+                worker, payload = self.pending.pop(int(arg))
             self.store.offer_frame((1, worker), payload)
-        else:   # deliver
-            worker, payload = self.pending.pop(int(arg))
-            self.store.offer_frame((1, worker), payload)
+            answered = self.store.answered_indices()
+            if not self._answered_seen <= answered:
+                self._regressions.append(
+                    ("answer-regressed",
+                     f"{sorted(self._answered_seen - answered)} read "
+                     f"unanswered again after {label}"))
+            self._answered_seen |= answered
 
     def check(self) -> List[Tuple[str, str]]:
         from ..replay.recovery import merge_recovered
 
-        bad: List[Tuple[str, str]] = []
+        bad = list(self._regressions)
         # The merge must never invent records or duplicate an index, at
         # *every* intermediate state, not just at quiescence.
         merged = merge_recovered(self.store.snapshots())
@@ -658,32 +737,39 @@ class RecoveryScenarioModel:
             merge_recovered
 
         merged = merge_recovered(self.store.snapshots())
-        return [("conservation", problem)
-                for problem in conservation_violations(merged, self.total)]
+        bad = [("conservation", problem)
+               for problem in conservation_violations(merged, self.total)]
+        unanswered = [query.index for query in merged.unanswered_queries()]
+        if unanswered:
+            bad.append(("answers-lost",
+                        f"{unanswered} merged unanswered although every "
+                        f"final frame reported them answered"))
+        return bad
 
     def fingerprint(self):
         frames = tuple(sorted(
             (worker, payload["incarnation"], payload["seq"],
-             payload["final"], tuple(q["index"]
-                                     for q in payload["result"]["sent"]))
+             payload["final"],
+             tuple((q["index"], q["answered_at"] is not None)
+                   for q in payload["result"]["sent"]))
             for worker, payload in self.pending))
-        store = tuple(
-            (repr(key), self.store._best[key][0], self.store._best[key][1],
-             tuple(q["index"] for q in self.store._best[key][2]["sent"]))
-            for key in self.store.keys())
-        return (self.routed, self.crashes, self.dups,
-                tuple(self.incarnation),
+        return (self.routed, self.crashes, self.dups, self.drops,
+                self.redeliver_budget, tuple(self.incarnation),
                 tuple(tuple(a) for a in self.assigned),
                 tuple(tuple(e) for e in self.executed),
-                tuple(self.emitted), tuple(self.finalized),
-                frames, store)
+                tuple(tuple(sorted(a)) for a in self.answered),
+                tuple(tuple(n) for n in self.news),
+                tuple(self.finalized), frames,
+                tuple(sorted(self._answered_seen)),
+                self.store.fingerprint())
 
 
 # -- canned sweeps ----------------------------------------------------------
 
 TCP_SCENARIOS = ("two-close", "simultaneous-close", "refuse-when-full")
 ADMISSION_POLICIES = ("drop-oldest", "drop-newest", "servfail-shed")
-RECOVERY_SCENARIOS = ("crash-reorder", "dup-reorder", "double-crash")
+RECOVERY_SCENARIOS = ("crash-reorder", "dup-reorder", "double-crash",
+                      "drop-heal")
 
 
 def explore_tcp(scenario: str, max_depth: int = 60) -> ExplorationResult:

@@ -26,10 +26,10 @@ Targets:
   that arrives must decode, and the stacks' counters stay sane;
 * ``fault-replay``    — seeded fault plans under a small replay; every
   trace record must be accounted for in the ``ReplayResult``;
-* ``recovery-schedule`` — random walks over the crash/checkpoint/
+* ``recovery-schedule`` — random walks over the crash/delta-checkpoint/
   redelivery state machine (worker crashes, frame reorder, duplicate
-  delivery); the checkpoint-store merge must conserve every record
-  exactly once at quiescence.
+  delivery, frame loss, late answers); the checkpoint-store merge
+  must conserve every record exactly once at quiescence.
 """
 
 from __future__ import annotations
@@ -299,6 +299,9 @@ def _run_recovery_schedule(seed: int) -> None:
     model.crash_budget = [2] * model.workers
     model.crashes_max = 4
     model.dup_budget = 3
+    model.drop_budget = 3
+    model.redeliver_budget = 2
+    model.late = tuple(range(1, model.total, 2))
     rng = random.Random(seed)
     for step in range(1000):
         choices = model.choices()

@@ -232,8 +232,14 @@ def _frame(kind: int, payload: bytes) -> bytes:
 def frame_seed_corpus() -> List[bytes]:
     record = struct.pack("!dIHIHBBH", 1.5, 0x0A000001, 1234, 0x0A000002,
                          53, 0, 0, 4) + b"\x00" * 4
+    # A delta frame: cumulative header, only the entries with news.
     checkpoint = (b'{"worker": 1, "incarnation": 0, "seq": 2, '
-                  b'"result": {"name": "q", "sent": []}}')
+                  b'"result": {"name": "q", "counters": {"retries": 0}, '
+                  b'"sent": [{"index": 7, "source": "10.0.0.1", '
+                  b'"trace_time": 1.5, "scheduled_at": 2.0, '
+                  b'"sent_at": 2.0, "protocol": "udp", '
+                  b'"qname": "q.example.com.", "answered_at": null, '
+                  b'"querier_id": 1}]}}')
     return [
         _frame(1, struct.pack("!d", 0.0)),          # valid TIME_SYNC
         _frame(1, b"\x00" * 4),                     # short TIME_SYNC
@@ -341,11 +347,12 @@ def tcp_schedules(seed: int,
 
 # -- checkpoint emission histories ------------------------------------------
 
-def _sent_entry(index: int, worker: int) -> dict:
+def _sent_entry(index: int, worker: int, answered: bool) -> dict:
     return {"index": index, "source": f"c{index % 4}",
             "trace_time": float(index), "scheduled_at": float(index),
             "sent_at": float(index), "protocol": "udp",
-            "qname": "q.example.com.", "answered_at": float(index) + 0.5,
+            "qname": "q.example.com.",
+            "answered_at": float(index) + 0.5 if answered else None,
             "querier_id": worker}
 
 
@@ -354,32 +361,55 @@ def checkpoint_emission_history(rng: random.Random, workers: int = 2,
     """A legal crash-free emission history of CHECKPOINT/RESULT frames.
 
     Records are dealt randomly across workers; each worker executes its
-    records in order, emitting cumulative sequence-numbered checkpoint
-    snapshots at random cut points and a final (``final=True``) RESULT
-    snapshot at the end.  Delivering the frames in emission order with
-    no duplicates reproduces the clean run — which is exactly what any
-    *other* delivery order must merge to
-    (:func:`repro.replay.recovery.merge_recovered` idempotence)."""
+    records in order.  At random cut points it emits a sequence-numbered
+    *delta* frame — the entries first sent since its previous frame
+    (some still unanswered) plus the earlier entries answered since
+    they were last reported — and at the end a cumulative final
+    (``final=True``) RESULT frame; a few entries stay unanswered for
+    good.  Delivering the frames in emission order with no duplicates
+    reproduces the clean run, which is exactly what any *other*
+    delivery order, with duplicates, must merge to
+    (:class:`repro.replay.recovery.CheckpointStore` is commutative and
+    idempotent) — with or without the final frames."""
     assignment = [rng.randrange(workers) for _ in range(total)]
     frames: List[dict] = []
     for worker in range(workers):
-        executed: List[dict] = []
+        executed: List[int] = []
+        answered: set = set()
+        news: List[int] = []        # indices the next delta carries
+        waiting: List[int] = []     # shipped unanswered, may answer yet
         seq = 0
+
+        def frame(indices: List[int], final: bool) -> dict:
+            return {"worker": worker, "incarnation": 0, "seq": seq,
+                    "final": final,
+                    "result": {"name": f"querier-{worker}",
+                               # Stands for the cumulative header: it
+                               # differs from frame to frame.
+                               "counters": {"retries": len(executed)},
+                               "sent": [_sent_entry(index, worker,
+                                                    index in answered)
+                                        for index in indices]}}
+
         for index in range(total):
             if assignment[index] != worker:
                 continue
-            executed.append(_sent_entry(index, worker))
+            executed.append(index)
+            news.append(index)
+            if rng.random() < 0.5:
+                answered.add(index)
+            else:
+                waiting.append(index)
             if rng.random() < 0.4:
                 seq += 1
-                frames.append({"worker": worker, "incarnation": 0,
-                               "seq": seq, "final": False,
-                               "result": {"name": f"querier-{worker}",
-                                          "sent": list(executed)}})
+                frames.append(frame(news, final=False))
+                # Late answers to shipped entries are news again.
+                news = [late for late in waiting if rng.random() < 0.6]
+                answered.update(news)
+                waiting = [late for late in waiting
+                           if late not in answered]
         seq += 1
-        frames.append({"worker": worker, "incarnation": 0, "seq": seq,
-                       "final": True,
-                       "result": {"name": f"querier-{worker}",
-                                  "sent": list(executed)}})
+        frames.append(frame(executed, final=True))
     return frames
 
 
@@ -388,14 +418,14 @@ def checkpoint_deliveries(seed: int, workers: int = 2,
     """``(frames, delivery_order, total)`` — a pure function of the seed.
 
     ``delivery_order`` indexes into ``frames`` shuffled arbitrarily with
-    up to three duplicated deliveries appended: an adversarial but
-    at-least-once transport schedule for the checkpoint store."""
+    up to three duplicated deliveries inserted anywhere: an adversarial
+    but at-least-once transport schedule for the checkpoint store."""
     rng = random.Random(seed)
     frames = checkpoint_emission_history(rng, workers, total)
     order = list(range(len(frames)))
+    for _ in range(rng.randrange(0, 4)):
+        order.append(rng.randrange(len(frames)))
     rng.shuffle(order)
-    order += [rng.randrange(len(frames))
-              for _ in range(rng.randrange(0, 4))]
     return frames, order, total
 
 
@@ -441,10 +471,11 @@ if HAVE_HYPOTHESIS:
     def checkpoint_interleavings(workers: int = 2, total: int = 8):
         """Strategy producing ``(frames, delivery_order, total)`` tuples.
 
-        The frames are a legal crash-free checkpoint emission history;
-        the delivery order is an arbitrary permutation with duplicates.
-        Property under test: every delivery order merges to the same
-        conserved :class:`ReplayResult` as in-order delivery."""
+        The frames are a legal crash-free emission history of delta
+        checkpoints and cumulative finals; the delivery order is an
+        arbitrary permutation with duplicates.  Property under test:
+        every delivery order merges to the same conserved
+        :class:`ReplayResult` as in-order delivery."""
         return st.builds(
             lambda seed: checkpoint_deliveries(seed, workers, total),
             st.integers(min_value=0, max_value=1 << 30))

@@ -167,6 +167,18 @@ class TestMergeAndSerialization:
         restored = SentQuery.from_dict(original.to_dict())
         assert restored == original
 
+    def test_sent_query_wire_shape_is_the_dataclass_field_order(self):
+        """to_dict is written out by hand; the RESULT frame it feeds
+        must stay byte-identical to the dataclass's own field order."""
+        import dataclasses
+        import json
+        for original in (query(4, "10.0.0.9", 1.5, 101.5),
+                         query(7, "10.0.0.1", 2.5, 102.5, answered_at=102.6,
+                               protocol="tcp", fresh=True)):
+            original.retries, original.gave_up = 2, True
+            assert json.dumps(original.to_dict()) \
+                == json.dumps(dataclasses.asdict(original))
+
 
 class TestAggregateMode:
     """Aggregate (O(1)-per-query) accounting: the 10⁸-scale result."""

@@ -7,6 +7,8 @@ result, and — under the ``chaos`` marker — real process trees with
 deterministic crashes and SIGKILLs that must conserve every record.
 """
 
+import collections
+import json
 import os
 import signal
 import threading
@@ -16,12 +18,16 @@ import pytest
 
 from repro.replay import (ChaosConfig, ChaosEngine, CheckpointPolicy,
                           CheckpointStore, DistributedConfig,
-                          ProcessTopology, RecoveryConfig, RespawnPolicy,
+                          LiveUdpEchoServer, ProcessTopology,
+                          RecoveryConfig, RespawnPolicy,
                           ShardTopology, UdpEchoServerProcess,
                           conservation_violations, merge_recovered,
                           reconnect_with_backoff)
-from repro.replay.protocol import (MSG_END, MSG_RECORD, MSG_RESULT,
-                                   ROLE_QUERIER)
+from repro.replay.distributed import _LiveQuerier
+from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
+                                   MSG_RECORD_SEQ, MSG_RESULT, ROLE_QUERIER,
+                                   validate_checkpoint_payload)
+from repro.replay.result import ReplayResult
 from repro.trace import fixed_interval_trace
 from repro.verify.generators import (HAVE_HYPOTHESIS, checkpoint_deliveries,
                                      checkpoint_emission_history)
@@ -47,6 +53,77 @@ class TestCheckpointStore:
         assert store.frames_offered == 3
         assert store.frames_stale == 1
         assert store.sent_indices() == {0, 1, 2}
+
+    def test_deltas_accumulate_under_the_latest_header(self):
+        """Delta frames: disjoint entries add up; the header (counters)
+        is the one with the highest seq, whatever the arrival order."""
+        first = dict(_result_dict(0, [0, 1]), counters={"retries": 2})
+        second = dict(_result_dict(0, [2]), counters={"retries": 3})
+        for order in ((first, 1), (second, 2)), ((second, 2), (first, 1)):
+            store = CheckpointStore()
+            for result, seq in order:
+                assert store.offer("w0", 0, seq, result)
+            (snapshot,) = store.snapshots()
+            assert [q["index"] for q in snapshot["sent"]] == [0, 1, 2]
+            assert snapshot["counters"] == {"retries": 3}
+            assert store.covers(3) and not store.covers(4)
+            assert store.missing(5) == [3, 4]
+
+    def test_answered_copy_beats_unanswered_in_either_order(self):
+        unanswered = _result_dict(0, [0, 1], answered=False)
+        answered = _result_dict(0, [1])
+        forward, backward = CheckpointStore(), CheckpointStore()
+        forward.offer("w0", 0, 1, unanswered)
+        forward.offer("w0", 0, 2, answered)
+        backward.offer("w0", 0, 2, answered)
+        assert not backward.offer("w0", 0, 1,
+                                  _result_dict(0, [1], answered=False))
+        backward.offer("w0", 0, 1, unanswered)
+        assert forward.fingerprint() == backward.fingerprint()
+        assert forward.snapshots() == backward.snapshots()
+        assert forward.answered_indices() == {1}
+        assert forward.progress() == (2, 1)
+
+    def test_lost_delta_is_healed_by_a_re_report(self):
+        """Frame seq 2 never arrives; the entry it carried comes again
+        in seq 4 and the hole closes, exactly once."""
+        store = CheckpointStore()
+        store.offer("w0", 0, 1, _result_dict(0, [0]))
+        store.offer("w0", 0, 3, _result_dict(0, [2]))
+        assert store.missing(3) == [1]
+        assert store.offer("w0", 0, 4, _result_dict(0, [1]))
+        assert store.covers(3)
+        merged = merge_recovered(store.snapshots())
+        assert conservation_violations(merged, 3) == []
+        assert merged.duplicate_merged == 0
+
+    def test_stale_unanswered_ignores_live_incarnations(self):
+        store = CheckpointStore()
+        store.offer("w0", 0, 1, _result_dict(0, [0, 1], answered=False))
+        store.offer("w1", 0, 1, _result_dict(1, [2], answered=False))
+        store.offer("w0", 1, 1, _result_dict(0, [1], answered=False))
+        # w0's first incarnation is dead; its respawn re-sent index 1.
+        assert store.stale_unanswered([("w0", 1), ("w1", 0)]) == {0}
+        store.offer("w1", 0, 2, _result_dict(1, [0]))
+        assert store.stale_unanswered([("w0", 1), ("w1", 0)]) == set()
+
+    def test_index_queries_do_not_rescan_entries(self):
+        """Linearity: the store folds each offered entry exactly once;
+        asking about coverage afterwards touches no stored entry."""
+        store = CheckpointStore()
+        offered = 0
+        for seq in range(1, 101):
+            batch = list(range((seq - 1) * 10, seq * 10))
+            store.offer("w0", 0, seq, _result_dict(0, batch))
+            offered += len(batch)
+            assert store.entries_offered == offered
+            assert store.covers(offered)
+        for entries in store._entries.values():
+            entries.clear()     # any rescan would now come up empty
+        assert len(store.sent_indices()) == 1000
+        assert store.covers(1000) and store.missing(1001) == [1000]
+        assert store.progress() == (1000, 0)
+        assert store.entries_offered == 1000
 
     def test_duplicate_offer_is_idempotent(self):
         store = CheckpointStore()
@@ -226,19 +303,51 @@ class TestCheckpointInterleavings:
                 seed, workers=3, total=10)
             self._assert_interleaving_clean(frames, order, total)
 
+    def test_delta_only_interleavings_commute(self):
+        """The law does not lean on the cumulative finals: with them
+        lost (a crashed incarnation), the deltas alone still merge the
+        same in any order, with duplicates."""
+        for seed in range(150):
+            frames, order, _total = checkpoint_deliveries(
+                seed, workers=3, total=10)
+            deltas = [slot for slot, frame in enumerate(frames)
+                      if not frame["final"]]
+            clean = self._merge(frames, deltas)
+            adversarial = self._merge(
+                frames, [slot for slot in order if slot in deltas])
+            assert adversarial.to_dict() == clean.to_dict()
+
     def test_emission_history_shape(self):
         import random
         frames = checkpoint_emission_history(random.Random(0), workers=2,
-                                             total=6)
+                                             total=24)
         finals = [f for f in frames if f["final"]]
         assert sorted(f["worker"] for f in finals) == [0, 1]
-        # Snapshots are cumulative: within a worker, each frame's index
-        # set contains the previous frame's.
+        late_answers = 0
         for worker in (0, 1):
-            chain = [set(q["index"] for q in f["result"]["sent"])
-                     for f in frames if f["worker"] == worker]
-            for earlier, later in zip(chain, chain[1:]):
-                assert earlier <= later
+            (final,) = [f for f in finals if f["worker"] == worker]
+            deltas = [f for f in frames
+                      if f["worker"] == worker and not f["final"]]
+            assert [f["seq"] for f in deltas + [final]] \
+                == list(range(1, len(deltas) + 2))
+            # Deltas: an index first appears once; it only comes again
+            # as the answer to a copy that left unanswered.
+            shipped = {}
+            for frame in deltas:
+                for entry in frame["result"]["sent"]:
+                    if entry["index"] in shipped:
+                        assert shipped[entry["index"]] is None
+                        assert entry["answered_at"] is not None
+                        late_answers += 1
+                    shipped[entry["index"]] = entry["answered_at"]
+            # The final is cumulative and carries every latest fate.
+            fates = {entry["index"]: entry["answered_at"]
+                     for entry in final["result"]["sent"]}
+            assert set(shipped) <= set(fates)
+            for index, answered_at in shipped.items():
+                if answered_at is not None:
+                    assert fates[index] == answered_at
+        assert late_answers > 0
 
     if HAVE_HYPOTHESIS:
         from hypothesis import given, settings
@@ -249,6 +358,144 @@ class TestCheckpointInterleavings:
         def test_hypothesis_interleavings_match_clean_run(self, case):
             frames, order, total = case
             self._assert_interleaving_clean(frames, order, total)
+
+
+# -- delta checkpoints at the querier (no process tree, no real sockets) -----
+
+class _ScriptedInbound:
+    """Stands in for the distributor link: hands out scripted frames;
+    the string ``"quiet"`` is one bounded poll that saw nothing."""
+
+    def __init__(self, script):
+        self._script = iter(script)
+
+    def receive(self):
+        message = next(self._script, None)
+        if message == "quiet":
+            time.sleep(0.01)
+            raise TimeoutError
+        return message
+
+    def settimeout(self, timeout):
+        pass
+
+    def close(self):
+        pass
+
+
+class _LoopbackSocket:
+    """Stands in for the UDP socket: echoes every query, readable once
+    ``lag`` further queries have been sent."""
+
+    def __init__(self, lag):
+        self.lag = lag
+        self.sent = 0
+        self._echoes = collections.deque()
+
+    def send(self, wire):
+        self.sent += 1
+        reply = bytearray(wire)
+        reply[2] |= 0x80
+        self._echoes.append((self.sent + self.lag, bytes(reply)))
+
+    def recv(self, _size):
+        if not self._echoes or self._echoes[0][0] > self.sent:
+            raise BlockingIOError
+        return self._echoes.popleft()[1]
+
+    def close(self):
+        pass
+
+
+def _seq_frames(trace, indices=None):
+    records = sorted(trace.records, key=lambda r: r.timestamp)
+    chosen = range(len(records)) if indices is None else indices
+    return [(MSG_RECORD_SEQ, (index, records[index])) for index in chosen]
+
+
+def _drive_querier(script, policy, lag=0):
+    """Run a _LiveQuerier over a script; returns it, its fake UDP
+    socket and the CHECKPOINT ``result`` members it emitted."""
+    result = ReplayResult("querier-0")
+    querier = _LiveQuerier(0, _ScriptedInbound(script), ("127.0.0.1", 9),
+                           result, threading.Lock())
+    querier._sock.close()
+    querier._sock = wire = _LoopbackSocket(lag)
+    frames = []
+    querier.checkpoint_policy = policy
+    querier.checkpoint_sink = frames.append
+    querier.run()
+    return querier, wire, frames
+
+
+class TestDeltaCheckpoints:
+    COUNT_ONLY = CheckpointPolicy(every_records=64, interval_s=3600.0)
+
+    def _measure(self, count, lag):
+        trace = fixed_interval_trace(interval=0.001, duration=count / 1000,
+                                     client_count=16)
+        assert len(trace.records) == count
+        querier, wire, frames = _drive_querier(
+            _seq_frames(trace) + [(MSG_END, None)], self.COUNT_ONLY, lag)
+        assert wire.sent == count
+        for frame in frames:
+            validate_checkpoint_payload(
+                {"worker": 0, "incarnation": 0, "seq": 1, "result": frame})
+        entries = sum(len(frame["sent"]) for frame in frames)
+        payload = sum(len(json.dumps(frame)) for frame in frames)
+        # The deltas plus the cumulative final account for every record.
+        store = CheckpointStore()
+        for seq, frame in enumerate(frames, start=1):
+            store.offer("w0", 0, seq, frame)
+        store.offer("w0", 0, 0, querier.result.to_dict(), final=True)
+        merged = merge_recovered(store.snapshots())
+        assert conservation_violations(merged, count) == []
+        return entries, payload
+
+    def test_frames_are_linear_in_records(self):
+        """Count-based, no wall clock: every entry is serialised at
+        most twice (first send, late answer) whatever N is, and the
+        bytes shipped per record do not grow with N."""
+        per_record = {}
+        for count in (1000, 8000):
+            # Echoes readable at once: each entry ships exactly once.
+            prompt, _ = self._measure(count, lag=0)
+            assert count - 64 <= prompt <= count
+            # Echoes 100 sends late: every entry ships unanswered, then
+            # again as an answer update.
+            late, payload = self._measure(count, lag=100)
+            assert count < late <= 2 * count + 64
+            per_record[count] = payload / count
+        assert per_record[8000] == pytest.approx(per_record[1000], rel=0.10)
+
+    def test_redelivered_record_is_dropped_and_re_reported(self):
+        trace = fixed_interval_trace(interval=0.001, duration=0.01,
+                                     client_count=4)
+        script = (_seq_frames(trace) + _seq_frames(trace, [3])
+                  + [(MSG_END, None)])
+        querier, wire, frames = _drive_querier(
+            script, CheckpointPolicy(every_records=1, interval_s=3600.0))
+        assert wire.sent == 10              # no second query on the wire
+        assert querier.redundant_records == 1
+        assert len(querier.result.sent) == 10
+        reported = [entry["index"] for frame in frames
+                    for entry in frame["sent"]]
+        assert sorted(reported) == sorted(list(range(10)) + [3])
+
+    def test_quiet_tail_flushes_re_reports_within_the_interval(self):
+        """No new send ever comes, yet the re-report must not wait for
+        the final RESULT: pending news alone makes a frame due."""
+        trace = fixed_interval_trace(interval=0.001, duration=0.006,
+                                     client_count=4)
+        script = (_seq_frames(trace) + ["quiet"] * 10
+                  + _seq_frames(trace, [2]) + ["quiet"] * 10
+                  + [(MSG_END, None)])
+        _querier, wire, frames = _drive_querier(
+            script, CheckpointPolicy(every_records=64, interval_s=0.03))
+        assert wire.sent == 6
+        assert [entry["index"] for entry in frames[-1]["sent"]] == [2]
+        assert sorted(entry["index"] for frame in frames[:-1]
+                      for entry in frame["sent"]) == list(range(6))
 
 
 # -- end-to-end crash recovery (real process trees) --------------------------
@@ -289,6 +536,27 @@ class TestCrashRecoveryEndToEnd:
         assert conservation_violations(result, len(trace.records)) == []
         assert result.respawns >= 1
         assert result.redelivered_records > 0
+
+    def test_dropped_checkpoint_frames_heal_without_a_second_query(self):
+        """A quarter of the CHECKPOINT frames never arrive.  The holes
+        close by redelivery + re-report (or the final RESULT), and the
+        server sees every query exactly once: the live queriers drop
+        the redelivered copies instead of sending them again."""
+        trace = fixed_interval_trace(interval=0.001, duration=1.0,
+                                     client_count=16)
+        chaos = ChaosConfig(seed=5, drop_rate=0.25, kinds=(MSG_CHECKPOINT,))
+        with LiveUdpEchoServer() as echo:
+            topology = ProcessTopology((echo.address, echo.port),
+                                       _recovering_config(chaos=chaos))
+            result = topology.replay(trace)
+            queries_seen = echo.responses_sent
+        assert conservation_violations(result, len(trace.records)) == []
+        assert result.respawns == 0 and result.duplicate_merged == 0
+        assert result.redelivered_records > 0
+        assert queries_seen == len(trace.records)
+        assert all(q.answered_at is not None for q in result.sent)
+        assert topology.metrics.count("replay.redundant_records") \
+            == result.redelivered_records
 
     def test_sigkill_two_of_four_queriers_conserves(self):
         """ISSUE acceptance: a 4-querier process replay with 2 workers

@@ -118,6 +118,22 @@ class TestShardFileTopology:
         assert len(topology.distributor_handles) == 3
         assert result.sent_count == len(trace)
 
+    def test_paced_tail_answers_are_not_lost(self, tmp_path):
+        """Once END has arrived a querier waits out the time to each
+        remaining send; it must keep reading answers meanwhile.  The
+        last pace_lead x rate queries (1 000 here) are sent in that
+        state, and their echoes used to overflow the socket buffer."""
+        trace = fixed_interval_trace(0.0005, 1.5, client_count=64,
+                                     name="paced-tail")
+        with LiveUdpEchoServer() as server:
+            topology = ProcessTopology(
+                (server.address, server.port),
+                streaming_config(distributors=1))
+            directory, _ = shard_directory(tmp_path, trace, 1)
+            result = topology.replay_shard_files(directory, pace_lead=0.5)
+        assert result.sent_count == len(trace) == 3000
+        assert result.answered_count == len(trace)
+
     def test_recovery_mode_rejected(self, tmp_path):
         from repro.replay.recovery import RecoveryConfig
         topology = ProcessTopology(

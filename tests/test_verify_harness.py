@@ -214,8 +214,9 @@ class TestExplorer:
     @pytest.mark.fuzz
     @pytest.mark.parametrize("scenario", RECOVERY_SCENARIOS)
     def test_recovery_scenarios_exhaust_clean(self, scenario):
-        """ISSUE acceptance: worker-crash × frame-reorder (and its dup
-        and double-crash variants) exhaust with zero violations."""
+        """Worker-crash × frame-reorder and its dup, double-crash and
+        frame-loss variants, over delta frames, exhaust with zero
+        violations against the production store and merge."""
         result = explore_recovery(scenario)
         assert result.exhausted, result.summary()
         assert result.ok, "\n".join(str(v) for v in result.violations)
