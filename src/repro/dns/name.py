@@ -105,6 +105,11 @@ class Name:
     def labels(self) -> Tuple[bytes, ...]:
         return self._labels
 
+    @property
+    def key(self) -> Tuple[bytes, ...]:
+        """The lowercased labels: what names compare and hash by."""
+        return self._key
+
     def is_root(self) -> bool:
         return not self._labels
 

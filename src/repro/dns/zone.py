@@ -11,12 +11,23 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from . import rdata as rd
 from .constants import RRClass, RRType
 from .name import Name
 from .rrset import RR, RRset
+
+
+NameKey = Tuple[bytes, ...]  # a name's lowercased labels (``Name.key``)
+
+
+class NameIndex(NamedTuple):
+    """Which names a zone has, for O(qname depth) lookups by set probe."""
+
+    existing: Set[NameKey]  # owner names and the empty non-terminals above
+    cuts: Set[NameKey]      # delegation points
+    signed: bool            # some node carries an NSEC
 
 
 class ZoneError(ValueError):
@@ -55,6 +66,8 @@ class Zone:
         # Bumped on every mutation; response-wire cache entries record the
         # generation they were built against and are invalid once it moves.
         self.generation = 0
+        self._index = NameIndex(set(), set(), False)
+        self._index_generation = 0
 
     # -- construction ----------------------------------------------------
 
@@ -142,22 +155,73 @@ class Zone:
 
     # -- delegation and lookup ---------------------------------------------
 
+    def name_index(self) -> NameIndex:
+        """The :class:`NameIndex`, rebuilt on first use after a mutation."""
+        if self._index_generation != self.generation:
+            existing: Set[NameKey] = set()
+            cuts: Set[NameKey] = set()
+            signed = False
+            apex_depth = len(self.origin)
+            for name, node in self._nodes.items():
+                key = name.key
+                for start in range(len(key) - apex_depth + 1):
+                    if key[start:] in existing:
+                        break  # so are all of its ancestors
+                    existing.add(key[start:])
+                if RRType.NS in node and len(key) > apex_depth:
+                    cuts.add(key)
+                signed = signed or RRType.NSEC in node
+            self._index = NameIndex(existing, cuts, signed)
+            self._index_generation = self.generation
+        return self._index
+
+    def _cut_start(self, key: NameKey) -> Optional[int]:
+        """Where in ``key`` the deepest cut at-or-above it starts."""
+        cuts = self.name_index().cuts
+        for start in range(len(key) - len(self.origin) if cuts else 0):
+            if key[start:] in cuts:
+                return start
+        return None
+
+    def _encloser_start(self, key: NameKey) -> Optional[int]:
+        """Where in ``key`` its closest existing proper ancestor starts."""
+        existing = self.name_index().existing
+        for start in range(1, len(key) - len(self.origin) + 1):
+            if key[start:] in existing:
+                return start
+        return None
+
     def delegation_for(self, name: Name) -> Optional[Name]:
-        """The nearest zone cut at-or-above ``name``, excluding the apex."""
-        candidates = [
-            ancestor for ancestor in name.ancestors()
-            if ancestor != self.origin
-            and ancestor.is_subdomain_of(self.origin)
-            and RRType.NS in self._nodes.get(ancestor, {})
-        ]
-        if not candidates:
+        """The deepest zone cut at-or-above ``name``, excluding the apex."""
+        start = self._cut_start(name.key)
+        if start is None:
             return None
-        # The deepest cut above the name is authoritative for it.
-        return max(candidates, key=len)
+        return Name._trusted(name.labels[start:], name.key[start:])
 
     def is_delegation(self, name: Name) -> bool:
-        return (name != self.origin
-                and RRType.NS in self._nodes.get(name, {}))
+        return name.key in self.name_index().cuts
+
+    def cut_or_encloser(self, key: NameKey, ds: bool
+                        ) -> Optional[Tuple[AnswerKind, NameKey]]:
+        """The node a referral or NXDOMAIN for ``key`` is determined by.
+
+        ``key`` is the lowercased label tuple of a qname under the
+        origin.  Returns ``(REFERRAL, cut)`` or ``(NXDOMAIN, closest
+        encloser)`` when :meth:`lookup` depends on the qname only through
+        that node, else None: the name exists, a wildcard sits at the
+        closest encloser, or it is the parent-side DS query at a cut
+        (``ds``).  Builds no :class:`Name` (decode-free serving path).
+        """
+        start = self._cut_start(key)
+        if start is not None:
+            if start == 0 and ds:
+                return None
+            return AnswerKind.REFERRAL, key[start:]
+        existing = self.name_index().existing
+        start = None if key in existing else self._encloser_start(key)
+        if start is None or (b"*",) + key[start:] in existing:
+            return None
+        return AnswerKind.NXDOMAIN, key[start:]
 
     def glue_for(self, ns_rrset: RRset) -> List[RRset]:
         """In-zone A/AAAA records for nameservers in an NS rrset."""
@@ -197,7 +261,7 @@ class Zone:
                 return LookupResult(AnswerKind.CNAME, [cname], node=qname)
             return LookupResult(AnswerKind.NODATA, node=qname)
 
-        if self._has_names_below(qname):
+        if qname.key in self.name_index().existing:
             # An "empty non-terminal": the name exists implicitly.
             return LookupResult(AnswerKind.NODATA, node=qname)
 
@@ -241,29 +305,18 @@ class Zone:
             return names[-1]  # the chain wraps around
         return names[index - 1]
 
-    def _has_names_below(self, qname: Name) -> bool:
-        return any(name != qname and name.is_subdomain_of(qname)
-                   for name in self._nodes)
-
     def _match_wildcard(self, qname: Name) -> Optional[Name]:
         """Find the wildcard owner covering ``qname`` per RFC 4592.
 
         The closest encloser is the longest existing ancestor; the source
         of synthesis is ``*.<closest encloser>``.
         """
-        for ancestor in qname.ancestors():
-            if ancestor == qname:
-                continue
-            if not ancestor.is_subdomain_of(self.origin):
-                break
-            exists = (ancestor in self._nodes
-                      or self._has_names_below(ancestor))
-            if exists:
-                candidate = Name((b"*",) + ancestor.labels)
-                if candidate in self._nodes:
-                    return candidate
-                return None
-        return None
+        start = self._encloser_start(qname.key)
+        if start is None:
+            return None
+        candidate = Name._trusted((b"*",) + qname.labels[start:],
+                                  (b"*",) + qname.key[start:])
+        return candidate if candidate in self._nodes else None
 
     def __contains__(self, name: Name) -> bool:
         return name in self._nodes

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import importlib
 import multiprocessing
+import os
 import socket
 import threading
 import time
@@ -321,6 +322,15 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
                   incarnation: int = 0,
                   telemetry: Optional[TelemetryConfig] = None,
                   aggregate: bool = False) -> None:
+    try:
+        # One allowed CPU per querier, round-robin from a per-tree offset:
+        # wake-affine placement stacks a loopback process chain on one
+        # core and a short replay is over before the balancer undoes it.
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(
+            0, {cpus[(control_addr[1] + querier_id) % len(cpus)]})
+    except (AttributeError, OSError):
+        pass  # no such call on this platform, or not permitted: unpinned
     control = connect(control_addr)
     attach_chaos(control, recovery.chaos if recovery else None,
                  ROLE_QUERIER, querier_id, incarnation)

@@ -18,12 +18,14 @@ addressing to a response ``Message``.  Socket bindings live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..dns import (AnswerKind, Edns, Flag, Message, Name, Opcode, Question,
                    RRClass, RRType, RRset, Rcode, UDP_PAYLOAD_LIMIT, Zone)
 from ..netsim.packet import WireView
 from ..perf import PerfCounters
+from ..dns.zone import NameKey
 from .wirecache import ResponseWireCache, WireCacheEntry
 
 
@@ -59,15 +61,15 @@ class ZoneSet:
     """
 
     def __init__(self, zones: Iterable[Zone] = ()):
-        self._zones: Dict[Name, Zone] = {}
+        self._zones: Dict[NameKey, Zone] = {}  # by origin.key
         self.version = 0
         for zone in zones:
             self.add(zone)
 
     def add(self, zone: Zone) -> None:
-        if zone.origin in self._zones:
+        if zone.origin.key in self._zones:
             raise ConfigError(f"duplicate zone {zone.origin}")
-        self._zones[zone.origin] = zone
+        self._zones[zone.origin.key] = zone
         self.version += 1
 
     def replace(self, zone: Zone) -> Optional[Zone]:
@@ -75,33 +77,36 @@ class ZoneSet:
 
         Returns the previous zone with the same origin, if any.
         """
-        previous = self._zones.get(zone.origin)
-        self._zones[zone.origin] = zone
+        previous = self._zones.get(zone.origin.key)
+        self._zones[zone.origin.key] = zone
         self.version += 1
         return previous
 
     def find(self, qname: Name) -> Optional[Zone]:
         """The zone with the longest origin that encloses ``qname``."""
-        best: Optional[Zone] = None
-        for ancestor in qname.ancestors():
-            zone = self._zones.get(ancestor)
+        return self.find_key(qname.key)
+
+    def find_key(self, key: NameKey) -> Optional[Zone]:
+        """:meth:`find` on a lowercased label tuple (no :class:`Name`)."""
+        zones = self._zones
+        for start in range(len(key) + 1):  # deepest first: first hit wins
+            zone = zones.get(key[start:])
             if zone is not None:
-                best = zone
-                break  # ancestors() goes from deepest to root: first hit wins
-        return best
+                return zone
+        return None
 
     def zones(self) -> List[Zone]:
         return list(self._zones.values())
 
     def zone_at(self, origin: Name) -> Optional[Zone]:
         """The zone with exactly this origin, if hosted."""
-        return self._zones.get(origin)
+        return self._zones.get(origin.key)
 
     def __len__(self) -> int:
         return len(self._zones)
 
     def __contains__(self, origin: Name) -> bool:
-        return origin in self._zones
+        return origin.key in self._zones
 
 
 @dataclass
@@ -367,7 +372,9 @@ class AuthoritativeServer:
         """Answer ``query`` as encoded bytes via the response-wire cache.
 
         On a hit, the stored wire is returned with only the 2-byte
-        message ID patched; lookup and encoding are skipped entirely.
+        message ID patched — or, for a referral or NXDOMAIN, a per-node
+        template with the query's question spliced in — and lookup and
+        encoding are skipped entirely.
         Responses are byte-identical to the uncached
         ``handle_query`` + ``encode_response`` path modulo the message ID.
         Queries the cache cannot key safely (non-QUERY opcodes, non-IN
@@ -392,43 +399,53 @@ class AuthoritativeServer:
             return self.encode_response(query, response, transport)
 
         edns = query.edns
-        key = (id(view), question.name.labels, int(question.rrtype),
-               int(question.rrclass), bool(query.flags & Flag.RD),
-               edns is not None,
-               edns.dnssec_ok if edns is not None else False,
-               self.udp_limit(query) if transport == "udp" else None)
+        qname, qtype = question.name, int(question.rrtype)
+        flags = (bool(query.flags & Flag.RD), edns is not None,
+                 edns.dnssec_ok if edns is not None else False,
+                 self.udp_limit(query) if transport == "udp" else None)
+        key = (id(view), qname.labels, qtype, int(question.rrclass)) + flags
         evictions_before = cache.evictions
         invalidations_before = cache.invalidations
-        entry = cache.get(key, view.zones.version)
-        stats = self.stats
+        ident = query.msg_id.to_bytes(2, "big")
+        entry = cache.get_if_hit(key, view.zones.version)
+        template_key = None
         if entry is not None:
-            stats.queries += 1
-            stats.responses += 1
-            stats.note_transport(transport)
-            deltas = entry.stat_deltas
-            stats.refused += deltas[0]
-            stats.nxdomain += deltas[1]
-            stats.referrals += deltas[2]
-            stats.truncated += deltas[3]
-            stats.response_bytes += deltas[4]
-            if self.perf is not None:
-                self.perf.incr("server.wire_cache_hits")
+            self._book_hit(entry, transport, entry.stat_deltas[4])
+            wire = ident + entry.wire[2:]
+        else:
+            wire, template_key = self._serve_template(
+                cache, view, qname.labels, qname.key, qtype, flags, ident,
+                qname.to_wire() + qtype.to_bytes(2, "big") + b"\x00\x01",
+                transport)
+        if wire is not None:
             if self.telemetry is not None:
                 self.telemetry.server_event(query, "server.cache_hit")
-            return query.msg_id.to_bytes(2, "big") + entry.wire[2:]
+            return wire
 
+        cache.misses += 1
+        stats = self.stats
         before = (stats.refused, stats.nxdomain, stats.referrals,
                   stats.truncated, stats.response_bytes)
-        zone = view.zones.find(question.name)
+        zone = view.zones.find(qname)
         zone_generation = zone.generation if zone is not None else -1
         response = self.handle_query(query, source, transport)
         wire = self.encode_response(query, response, transport)
-        cache.put(key, WireCacheEntry(
+        entry = WireCacheEntry(
             b"\x00\x00" + wire[2:], view.zones.version, zone,
             zone_generation,
             (stats.refused - before[0], stats.nxdomain - before[1],
              stats.referrals - before[2], stats.truncated - before[3],
-             stats.response_bytes - before[4])))
+             stats.response_bytes - before[4]))
+        # A response a template can serve is stored once under its node,
+        # never under its (often single-use) qname.
+        if template_key is not None and entry.as_template(
+                qname.key, template_key[2], 16 + len(qname.to_wire()),
+                [rr.name.key for section in (response.answer,
+                                             response.authority,
+                                             response.additional)
+                 for rr in section]):
+            key = template_key
+        cache.put(key, entry)
         if self.perf is not None:
             self.perf.incr("server.wire_cache_misses")
             # Mirror the cache's own eviction/invalidation tallies into
@@ -445,31 +462,92 @@ class AuthoritativeServer:
             self.telemetry.server_event(query, "server.cache_miss")
         return wire
 
+    def _book_hit(self, entry: WireCacheEntry, transport: str,
+                  response_bytes: int, counter: str = "") -> None:
+        """Leave :class:`ServerStats` where the uncached engine would."""
+        stats = self.stats
+        stats.queries += 1
+        stats.responses += 1
+        stats.note_transport(transport)
+        deltas = entry.stat_deltas
+        stats.refused += deltas[0]
+        stats.nxdomain += deltas[1]
+        stats.referrals += deltas[2]
+        stats.truncated += deltas[3]
+        stats.response_bytes += response_bytes
+        if self.perf is not None:
+            self.perf.incr("server.wire_cache_hits")
+            if counter:
+                self.perf.incr(counter)
+
+    def _serve_template(self, cache: ResponseWireCache, view: View,
+                        labels: NameKey, lowered: NameKey, qtype: int,
+                        flags: Tuple, ident: bytes, question: bytes,
+                        transport: str
+                        ) -> Tuple[Optional[bytes], Optional[Tuple]]:
+        """Probe the wire cache's second key shape (see wirecache.py).
+
+        ``flags`` is the exact key's ``(rd, edns, do, limit)`` tail and
+        ``question`` the query's question section.  Returns ``(response,
+        None)`` on a hit, which is booked here; ``(None, key)`` when the
+        slow path's response may become the template under ``key``; and
+        ``(None, None)`` when the key cannot prove that the answer
+        depends on the qname only through a zone cut or closest encloser
+        (a dynamic overlay, a name that exists, a wildcard, DS at a cut)
+        or the stored template declines this qname (see
+        :meth:`WireCacheEntry.splice`).  The slow path then answers, and
+        stays the reference the differential suite compares against.
+        """
+        if self.dynamic is not None:
+            return None, None
+        zone = view.zones.find_key(lowered)
+        located = zone.cut_or_encloser(lowered, qtype == RRType.DS) \
+            if zone is not None else None
+        if located is None:
+            return None, None
+        kind, node = located
+        covering = None
+        if kind is AnswerKind.NXDOMAIN and flags[2] and zone.name_index().signed:
+            # Signed denial: the NSEC chosen depends on the qname too.
+            covering = zone.covering_name(Name._trusted(labels, lowered)).key
+        key = (id(view), kind, node, covering) + flags
+        entry = cache.peek(key, view.zones.version)
+        if entry is None:
+            return None, key
+        wire = entry.splice(ident, question, lowered, flags[3])
+        if wire is None:
+            return None, None
+        cache.hit_template(key)
+        self._book_hit(entry, transport, len(wire) if flags[3] else 0,
+                       "server.wire_cache_template_hits")
+        return wire, None
+
     def serve_wire_fast(self, wire_query: bytes, source: str = "0.0.0.0",
-                        transport: str = "udp") -> Optional[WireView]:
+                        transport: str = "udp"
+                        ) -> Union[WireView, bytes, None]:
         """Zero-copy cache probe straight off the encoded query.
 
         The hot-loop complement to :meth:`serve_wire`: the cache key is
         parsed out of the wire with :func:`_parse_query_key` — no
         :meth:`Message.from_wire`, which dominates the per-query cost —
-        and a hit is served as a :class:`WireView` pairing the query's
-        own 2-byte message ID with the entry's shared readonly body
-        view: no ``bytes`` copy of the response, ever.
+        and an exact-qname hit is served as a :class:`WireView` pairing
+        the query's own 2-byte message ID with the entry's shared
+        readonly body view: no ``bytes`` copy of the response, ever.
+        When that probe misses, the per-node template is tried
+        (:meth:`_serve_template`); its hit is a freshly spliced ``bytes``.
 
         Returns None whenever the full path must run: cache disabled, a
         dynamic overlay installed (its per-name policies are invisible
         to the wire-level key), a query shape the key parser does not
         cover, no matching view, or simply a cache miss.  Misses are
-        *not* counted here — the slow path's own ``cache.get`` books
-        them — so hit/miss accounting stays single-entry.
+        *not* counted here — the slow path books them — so hit/miss
+        accounting stays single-entry.
 
-        Safety: a fast hit requires an entry under the identical key a
-        previous *fully decoded* query populated, and the parser only
-        produces a key after validating the query's complete structure
-        (header counts, label lengths, exact wire consumption).  A wire
-        the hardened decoder would reject therefore cannot be answered
-        here — there is no entry for it to hit — and falls through to
-        the decode path to fail exactly as before.
+        Safety: the parser only produces a key after validating the
+        query's complete structure (header counts and RCODE, label
+        lengths, EDNS options, exact wire consumption), so a wire the
+        hardened decoder would reject is declined here too and falls
+        through to the decode path to fail exactly as before.
         """
         cache = self.wire_cache
         if cache is None or self.dynamic is not None:
@@ -482,21 +560,14 @@ class AuthoritativeServer:
             return None
         entry = cache.get_if_hit((id(view),) + parsed, view.zones.version)
         if entry is None:
-            return None
-        stats = self.stats
-        stats.queries += 1
-        stats.responses += 1
-        stats.note_transport(transport)
-        deltas = entry.stat_deltas
-        stats.refused += deltas[0]
-        stats.nxdomain += deltas[1]
-        stats.referrals += deltas[2]
-        stats.truncated += deltas[3]
-        stats.response_bytes += deltas[4]
-        perf = self.perf
-        if perf is not None:
-            perf.incr("server.wire_cache_hits")
-            perf.incr("server.zero_copy_hits")
+            labels = parsed[0]
+            question_end = 17 + len(labels) + sum(map(len, labels))
+            return self._serve_template(
+                cache, view, labels, tuple([label.lower() for label in labels]),
+                parsed[1], parsed[3:], wire_query[:2],
+                wire_query[12:question_end], transport)[0]
+        self._book_hit(entry, transport, entry.stat_deltas[4],
+                       "server.zero_copy_hits")
         return WireView(wire_query[:2], entry.body_view)
 
 
@@ -509,15 +580,17 @@ def _parse_query_key(wire: bytes, is_udp: bool) -> Optional[Tuple]:
     fast path does not handle: responses, non-QUERY opcodes, anything
     but exactly one question, answer/authority records in a query,
     compressed or oversized labels, more than a lone well-formed OPT in
-    additional, non-IN classes, or trailing bytes (the hardened decoder
-    rejects those, so the fast path must not accept them either).
+    additional, non-IN classes, an undefined RCODE, ragged EDNS options or
+    trailing bytes.  The decoder rejects the last three, so the fast path
+    must not accept them either: a template hit, unlike an exact-qname
+    hit, needs no earlier decoded query to have vouched for the name.
     """
     n = len(wire)
     if n < 16:  # header + root qname + qtype + qclass
         return None
     flags = (wire[2] << 8) | wire[3]
-    if flags & 0x8000 or flags & 0x7800:  # QR set, or opcode != QUERY
-        return None
+    if flags & 0xF800 or flags & 0x000F > 5:  # QR, opcode != QUERY, RCODE
+        return None  # (an undefined RCODE fails the decoder's enum)
     if wire[4] or wire[5] != 1:  # QDCOUNT != 1
         return None
     if wire[6] or wire[7] or wire[8] or wire[9]:  # ANCOUNT/NSCOUNT != 0
@@ -558,8 +631,11 @@ def _parse_query_key(wire: bytes, is_udp: bool) -> Optional[Tuple]:
         edns_present = True
         payload_size = (wire[pos + 3] << 8) | wire[pos + 4]
         dnssec_ok = bool(wire[pos + 7] & 0x80)
-        rdlen = (wire[pos + 9] << 8) | wire[pos + 10]
-        pos += 11 + rdlen
+        if pos + 11 + ((wire[pos + 9] << 8) | wire[pos + 10]) != n:
+            return None
+        pos += 11
+        while pos + 4 <= n:  # options: the decoder rejects a ragged tail
+            pos += 4 + ((wire[pos + 2] << 8) | wire[pos + 3])
     if pos != n:  # trailing bytes: the decode path rejects these
         return None
     if is_udp:

@@ -19,16 +19,20 @@ synthetic traces (Table 1).  The real captures are proprietary
 * :func:`make_root_zone` / :func:`make_hierarchy_zones` — matching zone
   data so generated queries are answerable.
 
-Everything is seeded and deterministic: replaying the same spec twice
-yields byte-identical traces (§2.1 repeatability).
+Everything is seeded and deterministic: replaying the same spec twice,
+in any process, yields byte-identical traces (§2.1 repeatability).
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
 import ipaddress
 import math
 import random
+import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -310,14 +314,38 @@ class BRootWorkload:
     )
 
     def generate(self) -> Trace:
+        return Trace(self.generate_stream(), name=self.name)
+
+    def generate_stream(self) -> Iterator[QueryRecord]:
+        """Yield the workload in timestamp order with bounded memory.
+
+        A 10⁸-query trace streams through a small reorder buffer instead
+        of existing as a list: records are generated in arrival order
+        and pass through a heap keyed ``(timestamp, generation order)``,
+        the total order a stable sort by timestamp would produce.
+
+        Companion (burst) queries are generated up to one burst span
+        ahead of the arrival process, so the heap can only flush
+        records older than the newest arrival: every future record is
+        stamped after it (companions clamp at ``duration - 1e-6``,
+        hence the threshold).  Heap occupancy is roughly
+        ``mean_rate × burst span`` — thousands of records at B-Root
+        rates, never the trace.
+
+        Query wires are assembled directly — 2-byte ID, the EDNS
+        variant's header, the qname's labels, the variant's
+        qtype/class/OPT tail (:func:`_query_frame`) — and are byte for
+        byte what ``Message.make_query(...).to_wire()`` would encode.
+        """
         rng = random.Random(self.seed)
         clients, weights = self._client_population(rng)
         cumulative = _cumulative(weights)
-        tlds = _tld_names(self.tld_count)
+        tlds = [_label(tld) + b"\x00" for tld in _tld_names(self.tld_count)]
         qtypes = [qtype for qtype, _weight in self.QTYPE_MIX]
         qtype_cum = _cumulative([weight for _qtype, weight in self.QTYPE_MIX])
+        pack_id = struct.Struct("!H").pack
 
-        records: List[QueryRecord] = []
+        heap: List[Tuple[float, int, QueryRecord]] = []
         now = 0.0
         index = 0
         # Thin the arrival process so initial + companion queries total
@@ -337,109 +365,24 @@ class BRootWorkload:
             qtype = qtypes[_pick(qtype_cum, rng.random())]
             dnssec = rng.random() < self.do_fraction
             protocol = "tcp" if rng.random() < self.tcp_fraction else "udp"
-            message = Message.make_query(
-                Name.from_text(qname), qtype,
-                msg_id=(index % 0xFFFF) + 1, recursion_desired=False,
-                edns=Edns(dnssec_ok=dnssec) if dnssec or rng.random() < 0.9
-                else None)
-            sport = 1024 + (hash(client) + index) % 60000
-            records.append(QueryRecord(
+            header, tail = _query_frame(
+                qtype, dnssec if dnssec or rng.random() < 0.9 else None)
+            sport = 1024 + (zlib.crc32(client.encode()) + index) % 60000
+            heapq.heappush(heap, (now, index, QueryRecord(
                 now, client, sport, self.server, DNS_PORT, protocol,
-                message.to_wire()))
+                pack_id(index % 0xFFFF + 1) + header + qname + tail)))
             index += 1
             companion_time = now
             continue_probability = self.burst_fraction
             while rng.random() < continue_probability:
                 # Companion query (e.g. the AAAA of an A+AAAA pair).
                 companion_time += rng.uniform(*self.burst_gap_range)
-                companion_type = (RRType.AAAA if qtype == RRType.A
-                                  else RRType.A)
-                companion = Message.make_query(
-                    Name.from_text(qname), companion_type,
-                    msg_id=(index % 0xFFFF) + 1, recursion_desired=False,
-                    edns=Edns(dnssec_ok=dnssec))
-                records.append(QueryRecord(
-                    min(companion_time, self.duration - 1e-6), client,
-                    sport, self.server, DNS_PORT, protocol,
-                    companion.to_wire()))
-                index += 1
-                continue_probability = self.burst_continue
-        trace = Trace(records, name=self.name)
-        trace.sort()
-        return trace
-
-    def generate_stream(self) -> Iterator[QueryRecord]:
-        """Yield the workload in timestamp order with bounded memory.
-
-        Record-for-record identical to :meth:`generate` — the same seed
-        produces the same records in the same order — but a 10⁸-query
-        trace streams through a small reorder buffer instead of
-        existing as a list.  The RNG call sequence is kept exactly in
-        step with :meth:`generate`, so the only difference is ordering
-        machinery: :meth:`generate` appends then stable-sorts, while
-        this keeps a heap keyed ``(timestamp, generation order)`` —
-        the same total order a stable sort produces.
-
-        Companion (burst) queries are generated up to one burst span
-        ahead of the arrival process, so the heap can only flush
-        records older than the newest arrival: every future record is
-        stamped after it (companions clamp at ``duration - 1e-6``,
-        hence the threshold).  Heap occupancy is roughly
-        ``mean_rate × burst span`` — thousands of records at B-Root
-        rates, never the trace.
-        """
-        rng = random.Random(self.seed)
-        clients, weights = self._client_population(rng)
-        cumulative = _cumulative(weights)
-        tlds = _tld_names(self.tld_count)
-        qtypes = [qtype for qtype, _weight in self.QTYPE_MIX]
-        qtype_cum = _cumulative([weight for _qtype, weight in self.QTYPE_MIX])
-
-        heap: List[Tuple[float, int, QueryRecord]] = []
-        seq = 0
-        now = 0.0
-        index = 0
-        expected_companions = (self.burst_fraction
-                               / max(1.0 - self.burst_continue, 1e-6))
-        base_rate_fraction = 1.0 / (1.0 + expected_companions)
-        while now < self.duration:
-            rate = base_rate_fraction * self.mean_rate * (
-                1.0 + self.rate_swing
-                * math.sin(2 * math.pi * now / self.swing_period))
-            now += rng.expovariate(max(rate, 1e-9))
-            if now >= self.duration:
-                break
-            client = clients[_pick(cumulative, rng.random())]
-            qname = self._qname(rng, tlds, index)
-            qtype = qtypes[_pick(qtype_cum, rng.random())]
-            dnssec = rng.random() < self.do_fraction
-            protocol = "tcp" if rng.random() < self.tcp_fraction else "udp"
-            message = Message.make_query(
-                Name.from_text(qname), qtype,
-                msg_id=(index % 0xFFFF) + 1, recursion_desired=False,
-                edns=Edns(dnssec_ok=dnssec) if dnssec or rng.random() < 0.9
-                else None)
-            sport = 1024 + (hash(client) + index) % 60000
-            heapq.heappush(heap, (now, seq, QueryRecord(
-                now, client, sport, self.server, DNS_PORT, protocol,
-                message.to_wire())))
-            seq += 1
-            index += 1
-            companion_time = now
-            continue_probability = self.burst_fraction
-            while rng.random() < continue_probability:
-                companion_time += rng.uniform(*self.burst_gap_range)
-                companion_type = (RRType.AAAA if qtype == RRType.A
-                                  else RRType.A)
-                companion = Message.make_query(
-                    Name.from_text(qname), companion_type,
-                    msg_id=(index % 0xFFFF) + 1, recursion_desired=False,
-                    edns=Edns(dnssec_ok=dnssec))
+                header, tail = _query_frame(
+                    RRType.AAAA if qtype == RRType.A else RRType.A, dnssec)
                 stamped = min(companion_time, self.duration - 1e-6)
-                heapq.heappush(heap, (stamped, seq, QueryRecord(
+                heapq.heappush(heap, (stamped, index, QueryRecord(
                     stamped, client, sport, self.server, DNS_PORT, protocol,
-                    companion.to_wire())))
-                seq += 1
+                    pack_id(index % 0xFFFF + 1) + header + qname + tail)))
                 index += 1
                 continue_probability = self.burst_continue
             # Safe to emit anything older than every record still to
@@ -472,16 +415,34 @@ class BRootWorkload:
             weights.append(0.0)
         return clients, weights
 
-    def _qname(self, rng: random.Random, tlds: Sequence[str],
-               index: int) -> str:
+    def _qname(self, rng: random.Random, tlds: Sequence[bytes],
+               index: int) -> bytes:
+        """The next qname in wire form; ``tlds`` are ``<tld>.`` wires."""
         roll = rng.random()
         if roll < self.junk_fraction:
             # Chromium-style junk / typos: unique nonexistent TLDs.
-            return f"junk-{rng.randrange(10 ** 9):09d}.invalid{index % 97}."
+            return (b"\x0ejunk-%09d" % rng.randrange(10 ** 9)
+                    + _label("invalid%d" % (index % 97)) + b"\x00")
         tld = tlds[min(int(rng.paretovariate(1.2)) - 1, len(tlds) - 1)]
         if roll < self.junk_fraction + 0.4:
-            return f"{tld}."
-        return f"example{rng.randrange(1000):03d}.{tld}."
+            return tld
+        return b"\x0aexample%03d" % rng.randrange(1000) + tld
+
+
+def _label(text: str) -> bytes:
+    return bytes((len(text),)) + text.encode()
+
+
+@functools.lru_cache(maxsize=None)
+def _query_frame(qtype: RRType, dnssec_ok: Optional[bool]
+                 ) -> Tuple[bytes, bytes]:
+    """What surrounds the qname in an RD=0 query wire: header bytes 2–12
+    and the qtype/class/OPT tail (no OPT when ``dnssec_ok`` is None)."""
+    wire = Message.make_query(
+        Name(()), qtype, recursion_desired=False,
+        edns=None if dnssec_ok is None else Edns(dnssec_ok=dnssec_ok)
+    ).to_wire()
+    return wire[2:12], wire[13:]
 
 
 def scale_stream(query_count: int, mean_rate: float = 100_000.0,
@@ -602,11 +563,4 @@ def _cumulative(weights: Sequence[float]) -> List[float]:
 
 def _pick(cumulative: Sequence[float], roll: float) -> int:
     """Binary search a cumulative weight table."""
-    low, high = 0, len(cumulative) - 1
-    while low < high:
-        mid = (low + high) // 2
-        if cumulative[mid] < roll:
-            low = mid + 1
-        else:
-            high = mid
-    return low
+    return min(bisect.bisect_left(cumulative, roll), len(cumulative) - 1)

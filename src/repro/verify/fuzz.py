@@ -18,9 +18,10 @@ Targets:
   and re-decode cleanly (codec closure);
 * ``protocol-frames`` — hostile byte streams into
   ``MessageSocket.receive``; only ``ProtocolError`` may escape;
-* ``wire-cache``      — decoded fuzz queries through the cached and
-  uncached authoritative servers; outcomes must match byte-for-byte
-  (the generated-workload version of the wire-cache oracle);
+* ``wire-cache``      — fuzz queries through the cached (decoded and
+  decode-free paths) and uncached authoritative servers over a hostile
+  root zone; bytes and ``ServerStats`` must match (the
+  generated-workload version of the wire-cache oracle);
 * ``tcp-schedule``    — seeded client action scripts + fault plans
   against a hosted server over the simulated network; every response
   that arrives must decode, and the stacks' counters stay sane;
@@ -136,53 +137,51 @@ def _run_protocol_frames(data: bytes) -> None:
         pass
 
 
-_WIRE_CACHE_PAIR = None
-
-
-def _wire_cache_outcome(server, query, transport: str):
-    try:
-        wire = server.serve_wire(query, transport=transport)
-    except Exception as exc:                 # noqa: BLE001 - differential
-        return ("raise", type(exc).__name__, str(exc))
-    return ("wire", b"\x00\x00" + wire[2:])
+_WIRE_CACHE_SERVERS = None
 
 
 def _run_wire_cache(data: bytes) -> None:
-    global _WIRE_CACHE_PAIR
-    from ..dns import Message, Name, WireError, read_zone
+    """Cached == uncached, per transport, over three engines on
+    :func:`generators.hostile_root_zone`: the reference without a cache,
+    one driven through ``serve_wire`` and one the way the hosting layer
+    drives it (``serve_wire_fast``, decoding only when that declines).
+    A wire the decoder rejects must be declined by the fast path too."""
+    global _WIRE_CACHE_SERVERS
+    from ..dns import Message, WireError
     from ..server import AuthoritativeServer
+    if _WIRE_CACHE_SERVERS is None:
+        _WIRE_CACHE_SERVERS = tuple(
+            AuthoritativeServer.single_view([generators.hostile_root_zone()])
+            for _engine in range(3))
+        _WIRE_CACHE_SERVERS[0].wire_cache = None
+    reference, cached, hosted = _WIRE_CACHE_SERVERS
     try:
         query = Message.from_wire(data)
     except WireError:
+        query = None
+    if query is not None and (query.is_response or len(query.question) != 1):
         return
-    if query.is_response or len(query.question) != 1:
-        return
-    if _WIRE_CACHE_PAIR is None:
-        zone_text = """
-$ORIGIN example.com.
-@ 3600 IN SOA ns1 h. 1 1800 900 604800 86400
-@ 3600 IN NS ns1
-ns1 IN A 192.0.2.53
-www 300 IN A 192.0.2.80
-alias 300 IN CNAME www
-*.wild 60 IN A 192.0.2.99
-"""
-        def build():
-            zone = read_zone(zone_text,
-                             origin=Name.from_text("example.com."))
-            return AuthoritativeServer.single_view([zone])
-        cached = build()
-        reference = build()
-        reference.wire_cache = None
-        _WIRE_CACHE_PAIR = (cached, reference)
-    cached, reference = _WIRE_CACHE_PAIR
+
+    def outcome(server, fast: bool, transport: str):
+        try:
+            wire = server.serve_wire_fast(data, transport=transport) \
+                if fast else None
+            if wire is None and query is not None:
+                wire = server.serve_wire(query, transport=transport)
+        except Exception as exc:             # noqa: BLE001 - differential
+            return ("raise", type(exc).__name__, str(exc))
+        return wire if wire is None else (
+            bytes(wire[:2]) == data[:2], bytes(wire)[2:],
+            dict(vars(server.stats)))
+
     for transport in ("udp", "tcp"):
-        got = _wire_cache_outcome(cached, query, transport)
-        want = _wire_cache_outcome(reference, query, transport)
-        if got != want:
-            raise AssertionError(
-                f"wire-cache divergence ({transport}): "
-                f"cached={got!r} uncached={want!r}")
+        want = outcome(reference, False, transport)
+        for server, fast in ((cached, False), (hosted, True)):
+            got = outcome(server, fast, transport)
+            if got != want:
+                raise AssertionError(
+                    f"wire-cache divergence ({transport}, fast={fast}): "
+                    f"cached={got!r} uncached={want!r}")
 
 
 def _run_tcp_schedule(schedule: "generators.TcpSchedule") -> None:
@@ -337,7 +336,7 @@ TARGETS: Dict[str, FuzzTarget] = {
         "protocol-frames", generators.hostile_frames, _run_protocol_frames,
         True, 1000),
     "wire-cache": FuzzTarget(
-        "wire-cache", generators.hostile_wires, _run_wire_cache,
+        "wire-cache", generators.hostile_queries, _run_wire_cache,
         True, 1000),
     "tcp-schedule": FuzzTarget(
         "tcp-schedule", generators.tcp_schedules, _run_tcp_schedule,

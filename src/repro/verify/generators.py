@@ -112,7 +112,7 @@ def _truncate(rng: random.Random, wire: bytes) -> bytes:
 
 def _flip_bits(rng: random.Random, wire: bytes) -> bytes:
     data = bytearray(wire)
-    for _ in range(rng.randrange(1, 4)):
+    for _ in range(rng.randrange(1, 4) if data else 0):
         data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
     return bytes(data)
 
@@ -218,6 +218,64 @@ def hostile_wires(seed: int, count: Optional[int] = None) -> Iterator[bytes]:
             wire = rng.choice(WIRE_MUTATIONS)(rng, wire)
         yield wire
         produced += 1
+
+
+# -- hostile query names against a root-like zone -----------------------------
+
+def hostile_root_zone():
+    """A signed root zone built to defeat per-cut response templates.
+
+    Three delegations whose glue sits under the cut (``ns1.nic.<tld>``),
+    one of them with a DS, a wildcard (``*.wild.``) and an empty
+    non-terminal (``ent.`` above ``deep.ent.``).
+    """
+    from ..dns.dnssec import sign_zone
+    from ..trace.synthetic import make_root_zone
+    zone = make_root_zone(tld_count=3)
+    zone.add_rr(_rr("*.wild.", TXT((b"synthesized",))))
+    zone.add_rr(_rr("deep.ent.", A("192.0.2.7")))
+    zone.add_rr(_rr("com.", DS(4711, 8, 2, b"\x5a" * 32)))
+    return sign_zone(zone)
+
+
+_HOSTILE_STEMS = (".", "com.", "net.", "org.", "nic.com.", "ns1.nic.com.",
+                  "wild.", "ent.", "deep.ent.", "invalid.",
+                  "fake-soa.invalid.", "root-servers.net.")
+_HOSTILE_LABELS = (b"nic", b"ns1", b"ns2", b"*", b"a", b"wild", b"deep",
+                   b"ent", b"fake-soa", b"hostmaster", b"x" * 63)
+
+
+def hostile_qname(rng: random.Random) -> Name:
+    """A name around :func:`hostile_root_zone`'s cuts, glue, SOA names,
+    wildcard and empty non-terminal: labels that also occur in the
+    response, mixed case, up to 127 labels and 255 octets."""
+    labels = list(Name.from_text(rng.choice(_HOSTILE_STEMS)).labels)
+    room = 254 - sum(len(label) + 1 for label in labels)  # octets left
+    for _ in range(rng.choice((0, 1, 1, 2, 3, 127))):
+        label = rng.choice(_HOSTILE_LABELS + (b"j%d" % rng.randrange(99),))
+        label = label[:max(0, room - 1)]   # the last one fills 255 exactly
+        if not label:
+            break
+        labels.insert(0, label)
+        room -= len(label) + 1
+    return Name(tuple(bytes(rng.choice((c, c ^ 0x20)) if chr(c).isalpha()
+                            else c for c in label) for label in labels))
+
+
+def hostile_queries(seed: int, count: Optional[int] = None) -> Iterator[bytes]:
+    """:func:`hostile_wires` interleaved with well-formed queries for
+    :func:`hostile_qname` names (the wire-cache fuzz input stream)."""
+    rng = random.Random(seed ^ 0x5EED)
+    for index, wire in enumerate(hostile_wires(seed, count)):
+        if index % 2:
+            edns = rng.choice((None, Edns(dnssec_ok=True), Edns(),
+                               Edns(payload_size=rng.choice((0, 600, 1232)),
+                                    dnssec_ok=rng.random() < 0.5)))
+            wire = Message.make_query(
+                hostile_qname(rng), rng.choice(QTYPES),
+                msg_id=rng.randrange(1 << 16),
+                recursion_desired=rng.random() < 0.5, edns=edns).to_wire()
+        yield wire
 
 
 # -- replay-protocol control frames -----------------------------------------

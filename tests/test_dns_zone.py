@@ -189,3 +189,73 @@ class TestAccessors:
         rr = make_soa(Name.from_text("test."))
         assert rr.rrtype == RRType.SOA
         assert rr.rdata.serial == 1
+
+
+class TestNameIndex:
+    """Lookups cost O(qname depth), not O(|zone|)."""
+
+    def test_nxdomain_in_a_big_zone_compares_few_names(self, monkeypatch):
+        zone = Zone(Name.from_text("example."))
+        zone.add_rr(make_soa(zone.origin))
+        for index in range(5000):
+            zone.add_rr(RR(Name.from_text(f"host{index}.d{index % 50}.example."),
+                           300, RRClass.IN, rd.A("192.0.2.1")))
+        qname = Name.from_text("a.b.c.nope.example.")
+        zone.lookup(qname, RRType.A)             # builds the index once
+        calls = [0]
+        for method in ("__eq__", "__hash__", "is_subdomain_of", "__lt__"):
+            original = getattr(Name, method)
+
+            def counted(self, *args, _original=original):
+                calls[0] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(Name, method, counted)
+        for name in ("a.b.c.nope.example.", "x.y.d7.example."):
+            calls[0] = 0
+            result = zone.lookup(Name.from_text(name), RRType.A)
+            assert result.kind == AnswerKind.NXDOMAIN
+            assert calls[0] <= 4 * len(qname)
+        assert zone.delegation_for(qname) is None
+
+    def test_empty_non_terminal_follows_the_nodes_below_it(self):
+        zone = read_zone(ZONE_TEXT)
+        below = RR(Name.from_text("x.y.ent.example.com."), 300, RRClass.IN,
+                   rd.A("192.0.2.9"))
+        for name in ("ent.example.com.", "y.ent.example.com."):
+            assert q(zone, name, RRType.A).kind == AnswerKind.NXDOMAIN
+        zone.add_rr(below)
+        for name in ("ent.example.com.", "y.ent.example.com."):
+            assert q(zone, name, RRType.A).kind == AnswerKind.NODATA
+        assert q(zone, "z.ent.example.com.", RRType.A).kind \
+            == AnswerKind.NXDOMAIN
+        zone.remove(below.name)
+        for name in ("ent.example.com.", "y.ent.example.com."):
+            assert q(zone, name, RRType.A).kind == AnswerKind.NXDOMAIN
+
+    def test_index_is_not_built_at_load(self):
+        zone = read_zone(ZONE_TEXT)
+        assert zone._index == (set(), set(), False)
+        assert zone.is_delegation(Name.from_text("sub.example.com."))
+        existing, cuts, signed = zone.name_index()
+        assert Name.from_text("b.deep.example.com.").key in existing   # ENT
+        assert cuts == {Name.from_text("sub.example.com.").key}
+        assert not signed
+
+    def test_cut_or_encloser(self):
+        zone = read_zone(ZONE_TEXT)
+
+        def locate(name, ds=False):
+            found = zone.cut_or_encloser(Name.from_text(name).key, ds)
+            return found and (found[0], Name(found[1]).to_text())
+        assert locate("x.y.sub.example.com.") == (AnswerKind.REFERRAL,
+                                                  "sub.example.com.")
+        assert locate("sub.example.com.") == (AnswerKind.REFERRAL,
+                                              "sub.example.com.")
+        assert locate("sub.example.com.", ds=True) is None
+        assert locate("nope.example.com.") == (AnswerKind.NXDOMAIN,
+                                               "example.com.")
+        assert locate("x.deep.example.com.") == (AnswerKind.NXDOMAIN,
+                                                 "deep.example.com.")
+        assert locate("www.example.com.") is None         # exists
+        assert locate("deep.example.com.") is None        # empty non-terminal
+        assert locate("x.wild.example.com.") is None      # wildcard

@@ -80,6 +80,37 @@ class TestProcessTopology:
         with pytest.raises(ValueError):
             replay.replay(fixed_interval_trace(0.5, 1.0))
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_queriers_pin_to_distinct_allowed_cpus(self, tmp_path,
+                                                   monkeypatch):
+        """Each querier process pins itself to one allowed CPU, its
+        neighbour to the next; the controller's own mask is untouched.
+        (Fork start: the recording wrapper runs inside the workers.)"""
+        allowed = os.sched_getaffinity(0)
+        log = tmp_path / "pins"
+        real = os.sched_setaffinity
+
+        def recording(pid, cpus):
+            with open(log, "a") as handle:
+                handle.write(" ".join(map(str, sorted(cpus))) + "\n")
+            real(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+        trace = fixed_interval_trace(0.02, 0.5, client_count=8,
+                                     name="mp-pins")
+        with LiveUdpEchoServer() as server:
+            replay = LiveDistributedReplay(
+                (server.address, server.port),
+                process_config(distributors=1, start_method="fork"))
+            result = replay.replay(trace)
+        assert len(result) == len(trace)
+        pins = [line.split() for line in log.read_text().splitlines()]
+        assert len(pins) == 2 and all(len(pin) == 1 for pin in pins)
+        chosen = {int(pin[0]) for pin in pins}
+        assert chosen <= allowed and len(chosen) == min(2, len(allowed))
+        assert os.sched_getaffinity(0) == allowed
+
 
 class TestDifferentialThreadsVsProcesses:
     def test_syn1_aggregates_match(self):

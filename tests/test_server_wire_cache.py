@@ -8,13 +8,22 @@ would have sent.  The comparison runs on the shared
 :class:`repro.verify.Oracle` library.
 """
 
-import pytest
+import random
 
-from repro.dns import Edns, Flag, Message, Name, RRType, Rcode, read_zone
-from repro.server import (AuthoritativeServer, ResponseWireCache, View,
-                          WireCacheEntry, ZoneSet)
-from repro.trace import zipf_trace
-from repro.verify import Observation, Oracle, zero_msg_id
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.dns import (Edns, Flag, Message, Name, RRClass, RRType, Rcode,
+                       read_zone)
+from repro.dns import rdata as rd
+from repro.dns.dnssec import sign_zone
+from repro.dns.rrset import RR
+from repro.experiments.report import render_perf_counters
+from repro.perf import PerfCounters
+from repro.server import (AuthoritativeServer, CdnPolicy, DynamicOverlay,
+                          ResponseWireCache, View, WireCacheEntry, ZoneSet)
+from repro.trace import make_hierarchy_zones, make_root_zone, zipf_trace
+from repro.verify import Observation, Oracle, generators, zero_msg_id
 
 ZONE_TEXT = """
 $ORIGIN example.com.
@@ -185,9 +194,6 @@ class TestInvalidation:
         before = server.serve_wire(query)
         zone = server.views[0].zones.find(Name.from_text("www.example.com."))
         zone.remove(Name.from_text("www.example.com."), RRType.A)
-        from repro.dns.rrset import RR
-        from repro.dns import rdata as rd
-        from repro.dns.constants import RRClass
         zone.add_rr(RR(Name.from_text("www.example.com."), 300, RRClass.IN,
                        rd.A("192.0.2.81")))
         after = server.serve_wire(query)
@@ -248,5 +254,302 @@ class TestResponseWireCacheUnit:
         cache.put("a", self.entry())
         cache.get("a", 1)
         cache.get("missing", 1)
-        assert cache.counters() == {"entries": 1, "hits": 1, "misses": 1,
+        assert cache.counters() == {"entries": 1, "hits": 1,
+                                    "template_hits": 0, "misses": 1,
                                     "evictions": 0, "invalidations": 0}
+
+
+# ---------------------------------------------------------------------------
+# The template tier: responses keyed by zone cut / closest encloser
+# ---------------------------------------------------------------------------
+
+DO = Edns(dnssec_ok=True)
+
+
+def root_zone(servers_per_tld=2):
+    """Four cuts with in-cut glue, a DS, a wildcard, an empty non-terminal."""
+    zone = make_root_zone(tld_count=4, servers_per_tld=servers_per_tld)
+    for name, rdata in (("*.wild.", rd.TXT((b"synthesized",))),
+                        ("deep.ent.", rd.A("192.0.2.7")),
+                        ("com.", rd.DS(4711, 8, 2, b"\x5a" * 32))):
+        zone.add_rr(RR(Name.from_text(name), 300, RRClass.IN, rdata))
+    return zone
+
+
+def signed_root_zone():
+    return sign_zone(root_zone())
+
+
+class Engines:
+    """Two cached ≡ uncached oracles over equal zone data: one drives the
+    cached engine through ``serve_wire``, the other the way the hosting
+    layer does — ``serve_wire_fast`` first, decode + ``serve_wire`` when
+    it declines.  Bytes must be equal modulo message ID, and
+    ``ServerStats`` identical."""
+
+    def __init__(self, build_zones, **server_args):
+        def engine(cache=True):
+            server = AuthoritativeServer(
+                [View("default", ZoneSet(build_zones()))], **server_args)
+            if not cache:
+                server.wire_cache = None
+            return server
+        self.cached, self.hosted = engine(), engine()
+        self.references = [engine(cache=False), engine(cache=False)]
+        self.servers = [self.cached, self.hosted] + self.references
+        self.oracles = [
+            Oracle("wire-cache-template",
+                   baseline=self.runner(reference, False),
+                   candidate=self.runner(candidate, fast),
+                   normalize_wire=zero_msg_id)
+            for reference, candidate, fast in (
+                (self.references[0], self.cached, False),
+                (self.references[1], self.hosted, True))]
+
+    @staticmethod
+    def runner(server, fast):
+        def serve(wire, transport):
+            response = server.serve_wire_fast(wire, transport=transport) \
+                if fast else None
+            if response is None:
+                response = server.serve_wire(Message.from_wire(wire),
+                                             transport=transport)
+            assert bytes(response[:2]) == wire[:2]   # the client's own ID
+            return bytes(response)
+        return lambda workload: Observation.capture(
+            [serve(wire, transport) for wire, transport in workload],
+            facts=dict(vars(server.stats)))
+
+    def check(self, workload):
+        """``workload``: ``(query wire, transport)`` pairs; returns the
+        responses (decoded) once all engines agree on them."""
+        reports = [oracle.check(workload) for oracle in self.oracles]
+        return [Message.from_wire(wire) for wire in reports[-1].candidate.wires]
+
+    def check_slow(self, wire, transport="udp"):
+        """``wire`` matches the reference *and* no template served it."""
+        before = [(s.wire_cache.template_hits, s.wire_cache.misses)
+                  for s in (self.cached, self.hosted)]
+        self.check([(wire, transport)])
+        after = [(s.wire_cache.template_hits, s.wire_cache.misses)
+                 for s in (self.cached, self.hosted)]
+        assert after == [(hits, misses + 1) for hits, misses in before]
+
+    def check_templated(self, wire, transport="udp"):
+        before = [s.wire_cache.template_hits
+                  for s in (self.cached, self.hosted)]
+        self.check([(wire, transport)])
+        assert [s.wire_cache.template_hits
+                for s in (self.cached, self.hosted)] \
+            == [hits + 1 for hits in before]
+
+
+def wire_for(qname, qtype=RRType.A, edns=None, msg_id=0x1234, rd_bit=False):
+    name = qname if isinstance(qname, Name) else Name.from_text(qname)
+    return Message.make_query(name, qtype, msg_id=msg_id, edns=edns,
+                              recursion_desired=rd_bit).to_wire()
+
+
+ROOT_QNAMES = [
+    "com.", "example.com.", "example-longer-77.com.", "a.b.c.com.",
+    "x.nic.com.", "ns1.nic.com.", "nic.com.", "NIC.CoM.", "eXaMpLe.CoM.",
+    "net.", "www.example.net.", "org.", "x.org.", "edu.", "ns2.nic.edu.",
+    "junk-000000001.invalid7.", "invalid.", "x.fake-soa.invalid.",
+    "hostmaster.fake-soa.invalid.", "ns.fake-soa.invalid.", "JUNK.",
+    "wild.", "foo.wild.", "a.b.wild.", "*.wild.", "ent.", "deep.ent.",
+    "x.ent.", "x.deep.ent.", "a.root-servers.net.", "root-servers.net.",
+    ".", "x." * 126, "y." * 127, ("x" * 63 + ".") * 3 + "x" * 57 + ".com.",
+    ("x" * 63 + ".") * 3 + "x" * 61 + ".",
+]
+
+
+class TestTemplateDifferential:
+    @pytest.mark.parametrize("build", [root_zone, signed_root_zone])
+    def test_root_sweep_matches_uncached(self, build):
+        engines = Engines(lambda: [build()])
+        workload = [
+            (wire_for(qname, qtype, edns, msg_id=index, rd_bit=index % 3 == 0),
+             transport)
+            for _pass in range(2)
+            for index, (qname, qtype, edns, transport) in enumerate(
+                (qname, qtype, edns, transport)
+                for qname in ROOT_QNAMES
+                for qtype in (RRType.A, RRType.DS, RRType.NS, RRType.ANY)
+                for edns in (None, Edns(), DO, Edns(payload_size=600))
+                for transport in ("udp", "tcp"))]
+        engines.check(workload)
+        for server in (engines.cached, engines.hosted):
+            cache = server.wire_cache
+            assert 0 < cache.template_hits < cache.hits
+            assert cache.hits + cache.misses == len(workload)
+
+    def test_templates_are_shared_across_names_not_stored_per_name(self):
+        engines = Engines(lambda: [root_zone()])
+        engines.check([(wire_for(f"example{i:03d}.com.", edns=DO), "udp")
+                       for i in range(50)]
+                      + [(wire_for(f"junk-{i}.invalid{i % 7}.", edns=DO),
+                          "udp") for i in range(50)])
+        for server in (engines.cached, engines.hosted):
+            assert len(server.wire_cache) == 2       # one per node
+            assert server.wire_cache.template_hits == 98
+
+    def test_two_zones_in_one_view_answer_from_the_deeper_origin(self):
+        engines = Engines(lambda: make_hierarchy_zones(tld_count=2))
+        names = ["x.com.", "y.com.", "com.", "domain000.com.",
+                 "x.domain000.com.", "y.domain000.com.", "x.net.", "junk.",
+                 "other."]
+        engines.check([(wire_for(qname, edns=DO), transport)
+                       for _pass in range(2) for qname in names
+                       for transport in ("udp", "tcp")])
+        response = engines.check([(wire_for("z.com.", edns=DO), "udp")])[0]
+        assert response.rcode == Rcode.NXDOMAIN          # from com., not a
+        assert response.authority[0].rrtype == RRType.SOA     # root referral
+
+    @given(st.integers(min_value=0, max_value=1 << 30))
+    @settings(max_examples=25, deadline=None)
+    def test_hostile_names_property(self, seed):
+        rng = random.Random(seed)
+        engines = Engines(lambda: [generators.hostile_root_zone()])
+        engines.check([
+            (wire_for(generators.hostile_qname(rng),
+                      rng.choice(generators.QTYPES),
+                      rng.choice((None, DO, Edns(), Edns(payload_size=700))),
+                      msg_id=rng.randrange(1 << 16),
+                      rd_bit=rng.random() < 0.5),
+             rng.choice(("udp", "udp", "tcp")))
+            for _query in range(60)])
+
+
+class TestTemplateGuards:
+    """Every fall-through takes the slow path and still matches."""
+
+    def warmed(self):
+        engines = Engines(lambda: [root_zone()])
+        for qname in ("example.com.", "junk."):
+            engines.check([(wire_for(qname, edns=DO), "udp")])   # builds
+            engines.check_templated(wire_for("other-" + qname, edns=DO))
+        return engines
+
+    def test_label_below_the_cut_shared_with_glue(self):
+        engines = self.warmed()
+        engines.check_slow(wire_for("x.nic.com.", edns=DO))
+        engines.check_slow(wire_for("x.NIC.com.", edns=DO))
+        engines.check_templated(wire_for("x.nic2.com.", edns=DO))
+        # ...and such a name never *builds* the template either.
+        fresh = Engines(lambda: [root_zone()])
+        fresh.check_slow(wire_for("y.nic.net.", edns=DO))
+        fresh.check_slow(wire_for("example.net.", edns=DO))    # builds now
+        fresh.check_templated(wire_for("example2.net.", edns=DO))
+
+    def test_wildcard_at_the_closest_encloser(self):
+        engines = self.warmed()
+        engines.check_slow(wire_for("foo.wild.", RRType.TXT, edns=DO))
+        engines.check_slow(wire_for("foo.wild.", RRType.A, edns=DO))
+
+    def test_empty_non_terminal_and_its_neighbours(self):
+        engines = self.warmed()
+        engines.check_slow(wire_for("ent.", edns=DO))            # NODATA
+        engines.check([(wire_for("x.ent.", edns=DO), "udp")])    # new node
+        engines.check_templated(wire_for("y.ent.", edns=DO))
+
+    def test_ds_at_the_cut_is_answered_by_the_parent(self):
+        engines = self.warmed()
+        engines.check_slow(wire_for("com.", RRType.DS, edns=DO))
+        engines.check_templated(wire_for("com.", RRType.A, edns=DO))
+        engines.check_templated(wire_for("x.com.", RRType.DS, edns=DO))
+
+    def test_spliced_response_over_the_payload_limit_truncates(self):
+        engines = Engines(lambda: [root_zone(servers_per_tld=8)])
+        engines.check([(wire_for("example.com."), "udp")])
+        engines.check_templated(wire_for("example2.com."))
+        long_name = ("x" * 63 + ".") * 3 + "x" * 57 + ".com."
+        engines.check_slow(wire_for(long_name))
+        assert engines.check([(wire_for(long_name), "udp")])[0].flags & Flag.TC
+        engines.check([(wire_for("example.com."), "tcp")])
+        engines.check_templated(wire_for(long_name), "tcp")
+
+    def test_spliced_response_over_the_pointer_range(self):
+        # ~16 KiB of NS + glue under one cut: whether a name lands below
+        # 0x3FFF, and so becomes a compression target, depends on the
+        # qname's length.
+        engines = Engines(lambda: [make_root_zone(1, servers_per_tld=335)])
+        engines.check([(wire_for("a.com."), "tcp")])
+        engines.check_templated(wire_for("b.com."), "tcp")
+        long_name = ("x" * 63 + ".") * 3 + "x" * 57 + ".com."
+        engines.check_slow(wire_for(long_name), "tcp")
+        short, long = (len(engines.cached.serve_wire(
+            Message.from_wire(wire_for(qname)), transport="tcp"))
+            for qname in ("b.com.", long_name))
+        assert short <= 0x3FFF < long
+
+    def test_dynamic_overlay_disables_templates(self):
+        def overlay():
+            dynamic = DynamicOverlay()
+            dynamic.add(Name.from_text("cdn.junk."), CdnPolicy(["192.0.2.1"]))
+            return dynamic
+        engines = Engines(lambda: [root_zone()], dynamic=overlay())
+        engines.check([(wire_for(qname, edns=DO), "udp")
+                       for _pass in range(2)
+                       for qname in ("a.junk.", "cdn.junk.", "b.junk.",
+                                     "x.com.", "y.com.")])
+        for server in (engines.cached, engines.hosted):
+            assert server.wire_cache.template_hits == 0
+            assert server.wire_cache.hits == 4     # exact-qname repeats
+
+    def test_wires_the_decoder_rejects_are_never_served(self):
+        engines = self.warmed()
+        good = wire_for("whatever.com.", edns=DO)
+        engines.check_templated(good)
+        undefined_rcode = good[:3] + b"\x0b" + good[4:]
+        ragged_option = good[:-2] + b"\x00\x03" + b"\x00\x08\x00"
+        for wire in (undefined_rcode, ragged_option):
+            with pytest.raises(Exception):
+                Message.from_wire(wire)
+            assert engines.hosted.serve_wire_fast(wire) is None
+
+
+class TestTemplateInvalidation:
+    def test_nxdomain_tld_becomes_a_delegation_and_back(self):
+        engines = Engines(lambda: [root_zone()])
+        servers = engines.servers
+        queries = [(wire_for(qname, edns=DO), "udp")
+                   for qname in ("a.newtld.", "b.newtld.", "newtld.")]
+
+        def rcodes():
+            return {response.rcode for response in engines.check(queries)}
+
+        assert rcodes() == {Rcode.NXDOMAIN}
+        ns = RR(Name.from_text("newtld."), 172800, RRClass.IN,
+                rd.NS(Name.from_text("ns.elsewhere.")))
+        for server in servers:
+            server.views[0].zones.find(Name.from_text(".")).add_rr(ns)
+        assert rcodes() == {Rcode.NOERROR}                   # referrals
+        assert engines.hosted.stats.referrals \
+            == engines.cached.stats.referrals > 0
+        for server in servers:
+            server.views[0].zones.find(Name.from_text(".")).remove(ns.name)
+        assert rcodes() == {Rcode.NXDOMAIN}
+        for server in servers:                               # AXFR reload
+            server.views[0].zones.replace(root_zone(servers_per_tld=3))
+        engines.check([(wire_for("x.com.", edns=DO), "udp")] * 2)
+        assert engines.hosted.wire_cache.invalidations > 0
+
+
+class TestTemplateObservability:
+    def test_template_hits_are_counted_mirrored_and_rendered(self):
+        perf = PerfCounters()
+        server = AuthoritativeServer.single_view([root_zone()])
+        server.perf = perf
+        for index in range(10):
+            wire = wire_for(f"name{index}.com.", edns=DO)
+            if server.serve_wire_fast(wire) is None:
+                server.serve_wire(Message.from_wire(wire))
+        server.serve_wire(Message.from_wire(wire_for("com.", RRType.DS)))
+        server.serve_wire(Message.from_wire(wire_for("com.", RRType.DS)))
+        counters = server.wire_cache.counters()
+        assert counters["template_hits"] == 9
+        assert counters["hits"] == 10 and counters["misses"] == 2
+        assert perf.count("server.wire_cache_template_hits") == 9
+        assert perf.count("server.wire_cache_hits") == 10
+        assert "server.wire_cache_template_hits  9" in \
+            render_perf_counters(perf)
