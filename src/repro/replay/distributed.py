@@ -23,30 +23,27 @@ throughput scales with cores (Fig. 9).
 from __future__ import annotations
 
 import heapq
+import select
 import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..dns import WireError
-from ..telemetry.tracing import wire_question_key
 from ..trace import QueryRecord, Trace
 from ..trace.stream import DEFAULT_READ_AHEAD, iter_shard_file
 from .distributor import StickyAssigner
 from .live import grow_receive_buffer
 from .protocol import (MSG_END, MSG_RECORD, MSG_RECORD_SEQ, MSG_SHUTDOWN,
-                       MSG_TIME_SYNC, MessageSocket, ProtocolError,
+                       MSG_TIME_SYNC, Message, MessageSocket, ProtocolError,
                        connected_pair)
+from .querier import MatchKey, match_key
 from .recovery import RecoveryConfig
 from .result import ReplayResult, SentQuery
 from .supervision import ReplayWatchdog, SupervisionConfig
-
-# Response-matching key, same shape as the sim querier's: matching on
-# the message id alone credits a duplicated/stale datagram with a
-# colliding id to the wrong query; the question section disambiguates.
-MatchKey = Tuple[int, str, int]
 
 ServerAddress = Tuple[str, int]
 
@@ -57,24 +54,24 @@ ServerAddress = Tuple[str, int]
 # already has.
 _AGGREGATE_PENDING_CAP = 1 << 16
 
-
-def _sent_key(message_id: int, record: QueryRecord) -> MatchKey:
-    try:
-        question = record.question()
-    except WireError:
-        question = None
-    if question is None:
-        return (message_id, "-", 0)
-    return (message_id, question[0].to_text().lower(), int(question[1]))
-
-
-def _response_key(data: bytes) -> Optional[MatchKey]:
-    key = wire_question_key(data)
-    if key is not None:
-        return key
-    if len(data) < 2:
-        return None
-    return (int.from_bytes(data[:2], "big"), "-", 0)
+# The querier works a block at a time (DESIGN.md "Live data plane").
+# These are sizes of the mechanism, not settings of a run.
+_FRAME_BLOCK = 256      # frames taken off the link per wake
+_READ_EVERY = 32        # sends between reads of the UDP socket
+_IDLE_POLL = 0.05       # longest wait: shed_event and heartbeat latency
+# Catching up on a backlog is answer-clocked: dumped at line rate it is
+# a burst the trace never held, and what overruns a server once the
+# querier is fast.  While sends run more than _OVERDUE late, at most
+# _WINDOW of them are ahead of the datagrams read back (two windows fit
+# the 256 small datagrams of a default 212 992-byte server buffer); an
+# answer slower than _PATIENCE is written off, so a silent server still
+# sees _WINDOW / _PATIENCE q/s and nothing stalls.  A send within
+# _OVERDUE of its time is never held and reopens the window: a replay
+# on its schedule stays open loop.  _OVERDUE is also what a flood sends
+# unheld at first: 1 ms at ~100 k q/s plus a window is 164 datagrams.
+_CATCHUP_OVERDUE = 0.001
+_CATCHUP_WINDOW = 64
+_CATCHUP_PATIENCE = 0.002
 
 
 @dataclass
@@ -108,7 +105,15 @@ class DistributedConfig:
 
 
 class _LiveQuerier(threading.Thread):
-    """Receives records over a MessageSocket; sends real UDP queries."""
+    """Receives records over a MessageSocket; sends real UDP queries.
+
+    One loop, one blocking call: ``select`` on the distributor link and
+    the UDP socket, for no longer than the next due send, the next
+    checkpoint flush or ``_IDLE_POLL``.  Each wake takes up to
+    ``_FRAME_BLOCK`` frames already off the wire, sends everything due
+    (reading answers every ``_READ_EVERY`` sends), then reads answers
+    and checkpoints once.
+    """
 
     def __init__(self, querier_id: int, inbound: MessageSocket,
                  server: ServerAddress, result: ReplayResult,
@@ -135,9 +140,14 @@ class _LiveQuerier(threading.Thread):
         self._sequence = 0
         self._done_receiving = False
         self._closed = threading.Event()
+        self._unread = 0        # sends since the UDP socket was last read
+        # Catch-up window: overdue sends not yet matched by a datagram
+        # read back (see _CATCHUP_*).
+        self._ahead = 0
+        self.catchup_waits = 0          # times the window held a send
+        self.catchup_forgiven = 0       # windows written off unanswered
         # Recovery hooks (multiproc recovery mode; all None in thread
         # mode so the historical behavior is untouched).
-        self.poll_timeout: Optional[float] = None   # bounded receive
         self.checkpoint_policy = None       # recovery.CheckpointPolicy
         self.checkpoint_sink: Optional[Callable[[dict], None]] = None
         self.reconnect: Optional[Callable[[], Optional[MessageSocket]]] \
@@ -178,92 +188,123 @@ class _LiveQuerier(threading.Thread):
             self.shutdown()
 
     def _run(self) -> None:
-        if self.poll_timeout is not None:
-            self.inbound.settimeout(self.poll_timeout)
-        while True:
-            self.heartbeat = time.monotonic()
-            if not self._done_receiving:
-                stalled_receive = False
-                try:
-                    message = self.inbound.receive()
-                except TimeoutError:
-                    # Bounded poll (recovery mode): no frame this round;
-                    # fall through to the send/receive drains below.
-                    message = None
-                    stalled_receive = True
-                except ProtocolError:
-                    # A corrupt or torn-down control channel ends the
-                    # stream; queued records still drain below.
-                    message = None
-                if stalled_receive:
-                    pass
-                elif message is None:
-                    # EOF without END: the distributor died.  In
-                    # recovery mode its respawn rebinds the same port —
-                    # re-dial with backoff before giving up the stream.
-                    if not self._reconnect_inbound():
-                        self._done_receiving = True
-                elif message[0] == MSG_END:
-                    self._done_receiving = True
-                elif message[0] == MSG_SHUTDOWN:
-                    # Controller-ordered stop (deadline shedding in the
-                    # process topology): drop queued work, finish.
-                    self.shed_event.set()
-                    self._done_receiving = True
-                elif message[0] == MSG_TIME_SYNC:
-                    # Keep the first anchor: a re-sent TIME_SYNC after a
-                    # reconnect must not skew already-scheduled sends.
-                    if self._trace_start is None:
-                        self._trace_start = message[1]
-                        self._clock_start = time.monotonic()
-                        if self.result.aggregate:
-                            # Aggregate accounting folds §2.6 time
-                            # errors at send time, so the anchors must
-                            # be in place before the first count_send.
-                            with self.lock:
-                                if self.result.trace_start is None:
-                                    self.result.trace_start = \
-                                        self._trace_start
-                                    self.result.start_clock = \
-                                        self._clock_start
-                    if self.deadline is not None \
-                            and self._deadline_timer is None:
-                        self._deadline_timer = threading.Timer(
-                            self.deadline, self.shed_event.set)
-                        self._deadline_timer.daemon = True
-                        self._deadline_timer.start()
-                elif message[0] == MSG_RECORD:
-                    self.records_received += 1
-                    self._enqueue(message[1])
-                elif message[0] == MSG_RECORD_SEQ:
-                    index, record = message[1]
-                    if index in self._seen_indices:
-                        # Redelivered copy of a record already queued or
-                        # sent here: exactly-once, drop it locally.  If
-                        # it was sent, the controller lost the frame
-                        # that said so — report the entry again.
-                        self.redundant_records += 1
-                        entry = self._seen_indices[index]
-                        if entry is not None:
-                            self._report(entry)
-                    else:
-                        self._seen_indices[index] = None
-                        self.records_received += 1
-                        self._enqueue(record, index)
-            if self.shed_event.is_set():
-                self._shed_queue()
-            self._drain_due()
-            self._drain_responses()
+        while not (self._done_receiving and not self._queue):
+            now = time.monotonic()
+            self.heartbeat = now
+            # Whole frames the last read left behind: look, don't sleep.
+            buffered = not self._done_receiving and self.inbound.has_frame()
+            frames, answers = self._wait(
+                0.0 if buffered else self._idle_time(now))
+            if self._closed.is_set():
+                return      # shutdown() from outside took the sockets
+            if frames or buffered:
+                self._read_frames()
+            self._send_due()
+            if answers or self._unread:
+                self._drain_responses()
             self._maybe_checkpoint()
-            if self._done_receiving and not self._queue:
-                break
         # Settle: catch responses still in flight.
         deadline = time.monotonic() + 0.2
-        while time.monotonic() < deadline:
-            self.heartbeat = time.monotonic()
-            self._drain_responses()
-            time.sleep(0.005)
+        while (now := time.monotonic()) < deadline \
+                and not self._closed.is_set():
+            self.heartbeat = now
+            if self._wait(deadline - now, answers_only=True)[1]:
+                self._drain_responses()
         self._maybe_checkpoint()
+
+    def _idle_time(self, now: float) -> float:
+        """How long the loop may sleep when no socket turns readable."""
+        wake = now + _IDLE_POLL
+        if self._queue:
+            wake = min(wake, self._queue[0][0])
+        if self._news and self.checkpoint_policy is not None:
+            wake = min(wake, self._last_checkpoint_time
+                       + self.checkpoint_policy.interval_s)
+        return max(wake - now, 0.0)
+
+    def _wait(self, timeout: float,
+              answers_only: bool = False) -> Tuple[bool, bool]:
+        """The loop's one blocking call: sleep until the distributor
+        link (unless ``answers_only``) or the UDP socket is readable, at
+        most ``timeout``.  Returns (frames to read, answers to read).
+        Tests drive the loop over fakes by replacing this method."""
+        link = not (answers_only or self._done_receiving)
+        watched = [self._sock, self.inbound] if link else [self._sock]
+        try:
+            readable = select.select(watched, (), (), timeout)[0]
+        except (OSError, ValueError):
+            # A socket was closed under the wait; the reads say which.
+            return link, True
+        return self.inbound in readable, self._sock in readable
+
+    def _read_frames(self) -> None:
+        """Take the frames already off the wire, at most a block: a due
+        send waits for one block of decoding and never for the link
+        (``receive`` blocks only for the tail of a frame in flight)."""
+        for _ in range(_FRAME_BLOCK):
+            try:
+                message = self.inbound.receive()
+            except ProtocolError:
+                # A corrupt or torn-down control channel ends the
+                # stream; queued records still drain.
+                message = None
+            if message is None:
+                # EOF without END: the distributor died.  In recovery
+                # mode its respawn rebinds the same port — re-dial with
+                # backoff before giving up the stream.
+                if not self._reconnect_inbound():
+                    self._done_receiving = True
+            else:
+                self._handle(message)
+            if self._done_receiving or not self.inbound.has_frame():
+                return
+
+    def _handle(self, message: Message) -> None:
+        kind, payload = message
+        if kind == MSG_RECORD:
+            self.records_received += 1
+            self._enqueue(payload)
+        elif kind == MSG_RECORD_SEQ:
+            index, record = payload
+            if index in self._seen_indices:
+                # Redelivered copy of a record already queued or sent
+                # here: exactly-once, drop it locally.  If it was sent,
+                # the controller lost the frame that said so — report
+                # the entry again.
+                self.redundant_records += 1
+                entry = self._seen_indices[index]
+                if entry is not None:
+                    self._report(entry)
+            else:
+                self._seen_indices[index] = None
+                self.records_received += 1
+                self._enqueue(record, index)
+        elif kind == MSG_END:
+            self._done_receiving = True
+        elif kind == MSG_SHUTDOWN:
+            # Controller-ordered stop (deadline shedding in the process
+            # topology): drop queued work, finish.
+            self.shed_event.set()
+            self._done_receiving = True
+        elif kind == MSG_TIME_SYNC:
+            # Keep the first anchor: a re-sent TIME_SYNC after a
+            # reconnect must not skew already-scheduled sends.
+            if self._trace_start is None:
+                self._trace_start = payload
+                self._clock_start = time.monotonic()
+                if self.result.aggregate:
+                    # Aggregate accounting folds §2.6 time errors at
+                    # send time, so the anchors must be in place before
+                    # the first count_send.
+                    with self.lock:
+                        if self.result.trace_start is None:
+                            self.result.trace_start = self._trace_start
+                            self.result.start_clock = self._clock_start
+            if self.deadline is not None and self._deadline_timer is None:
+                self._deadline_timer = threading.Timer(
+                    self.deadline, self.shed_event.set)
+                self._deadline_timer.daemon = True
+                self._deadline_timer.start()
 
     def _reconnect_inbound(self) -> bool:
         """Re-dial a dropped distributor link (recovery mode only)."""
@@ -274,8 +315,6 @@ class _LiveQuerier(threading.Thread):
             return False
         self.inbound.close()
         self.inbound = replacement
-        if self.poll_timeout is not None:
-            self.inbound.settimeout(self.poll_timeout)
         with self.lock:
             self.result.reconnects += 1
         return True
@@ -288,7 +327,7 @@ class _LiveQuerier(threading.Thread):
     def _maybe_checkpoint(self) -> None:
         """Emit a delta frame if the cadence says so: the entries with
         news since the last frame under the cumulative header."""
-        if self.checkpoint_sink is None or self.checkpoint_policy is None:
+        if not self._news or self.checkpoint_policy is None:
             return
         since = time.monotonic() - self._last_checkpoint_time
         if not self.checkpoint_policy.due(len(self._news), since):
@@ -327,128 +366,146 @@ class _LiveQuerier(threading.Thread):
 
     def _enqueue(self, record: QueryRecord,
                  index: Optional[int] = None) -> None:
-        target = self._target_time(record)
+        if self._trace_start is None:
+            target = time.monotonic()       # no anchor yet: due at once
+        else:
+            target = self._clock_start \
+                + (record.timestamp - self._trace_start)
         heapq.heappush(self._queue, (target, self._sequence, record, index))
         self._sequence += 1
 
-    def _target_time(self, record: QueryRecord) -> float:
-        if self._trace_start is None or self._clock_start is None:
-            return time.monotonic()
-        return self._clock_start + (record.timestamp - self._trace_start)
+    def _send_due(self) -> None:
+        """Send every queued record whose time has come.
 
-    def _drain_due(self) -> None:
-        while self._queue:
-            if self.shed_event.is_set():
-                self._shed_queue()
-                return
-            target, _seq, record, index = self._queue[0]
-            now = time.monotonic()
-            self.heartbeat = now
-            if target > now:
-                if self._done_receiving:
-                    # Nothing else is coming: sleep until the next
-                    # send, then read the answers that came meanwhile —
-                    # _run does not get to while the queue drains, and
-                    # unread they overflow the socket buffer.
-                    time.sleep(min(target - now, 0.01))
-                    self._drain_responses()
-                    continue
-                return
-            heapq.heappop(self._queue)
-            self._send(record, target, index)
+        On schedule this is open loop: a due send is never held.  A send
+        more than ``_CATCHUP_OVERDUE`` late is answer-clocked instead.
+        """
+        queue, shed = self._queue, self.shed_event.is_set
+        now = time.monotonic()
+        while queue and queue[0][0] <= now and not shed():
+            target = queue[0][0]
+            if now - target <= _CATCHUP_OVERDUE:
+                self._ahead = 0
+            elif self._ahead >= _CATCHUP_WINDOW:
+                self._await_answers()
+                self.heartbeat = now = time.monotonic()
+                continue
+            else:
+                self._ahead += 1
+            _target, _seq, record, index = heapq.heappop(queue)
+            self.heartbeat = now = self._send(record, target, index)
+            if self._unread >= _READ_EVERY:
+                self._drain_responses()
+        if shed():
+            self._shed_queue()
+
+    def _await_answers(self) -> None:
+        """The catch-up window is full: wait for a datagram to read, or
+        write the window off when none comes in ``_CATCHUP_PATIENCE``."""
+        self.catchup_waits += 1
+        if self._wait(_CATCHUP_PATIENCE, answers_only=True)[1]:
+            self._drain_responses()
+        if self._ahead >= _CATCHUP_WINDOW:
+            self._ahead = 0
+            self.catchup_forgiven += 1
 
     def _send(self, record: QueryRecord, scheduled_at: float,
-              index: Optional[int] = None) -> None:
+              index: Optional[int] = None) -> float:
+        """Put one query on the wire; returns the instant it left."""
         message_id = self._sequence * 31 % 0xFFFF or 1
         self._sequence += 1
         wire = struct.pack("!H", message_id) + record.wire[2:]
-        key = _sent_key(message_id, record)
-        if self.result.aggregate:
-            self._send_aggregate(record, key, wire)
-            return
-        entry = SentQuery(
-            # Recovery mode carries the global trace index so the
-            # controller's merge can dedup across respawns; classic mode
-            # numbers the local shard and lets merge() re-index.
-            index=index if index is not None else len(self.result.sent),
-            source=record.src,
-            trace_time=record.timestamp, scheduled_at=scheduled_at,
-            sent_at=time.monotonic(), protocol="udp", qname=key[1],
-            querier_id=self.querier_id)
-        self._pending.setdefault(key, []).append(entry)
-        self._answered.discard(key)
-        if index is not None:
-            self._seen_indices[index] = entry
-        self._report(entry)
-        with self.lock:
-            self.result.add(entry)
-            if self.telemetry is not None:
-                self.telemetry.on_send(entry, wire)
-        try:
-            self._sock.send(wire)
-            self.records_sent += 1
-        except OSError:
-            self.result.send_failures += 1
-
-    def _send_aggregate(self, record: QueryRecord, key: MatchKey,
-                        wire: bytes) -> None:
-        """O(1)-memory send: fold into counters, keep only sent_at."""
+        key = match_key(wire)
         sent_at = time.monotonic()
-        self._pending.setdefault(key, []).append(sent_at)
-        self._pending_entries += 1
+        if self.result.aggregate:
+            # O(1) memory: fold into counters, keep only sent_at.
+            self._pending.setdefault(key, []).append(sent_at)
+            self._pending_entries += 1
+            with self.lock:
+                self.result.count_send("udp", record.timestamp, sent_at)
+            if self._pending_entries > _AGGREGATE_PENDING_CAP:
+                # Evict the older half of the keys (dict order is
+                # insertion order) in one pass: the dropped sends are
+                # already counted and simply stay unanswered if a late
+                # response does arrive.
+                for evicted in list(islice(self._pending,
+                                           len(self._pending) // 2)):
+                    self._pending_entries -= len(self._pending.pop(evicted))
+            if len(self._answered) > _AGGREGATE_PENDING_CAP:
+                self._answered.clear()
+        else:
+            try:
+                question = record.question()
+            except WireError:
+                question = None
+            entry = SentQuery(
+                # Recovery mode carries the global trace index so the
+                # controller's merge can dedup across respawns; classic
+                # mode numbers the local shard and lets merge() re-index.
+                index=index if index is not None else len(self.result.sent),
+                source=record.src,
+                trace_time=record.timestamp, scheduled_at=scheduled_at,
+                sent_at=sent_at, protocol="udp",
+                qname=question[0].to_text().lower() if question else "-",
+                querier_id=self.querier_id)
+            self._pending.setdefault(key, []).append(entry)
+            if index is not None:
+                self._seen_indices[index] = entry
+            self._report(entry)
+            with self.lock:
+                self.result.add(entry)
+                if self.telemetry is not None:
+                    self.telemetry.on_send(entry, wire)
         self._answered.discard(key)
-        with self.lock:
-            self.result.count_send("udp", record.timestamp, sent_at)
         try:
             self._sock.send(wire)
             self.records_sent += 1
         except OSError:
             self.result.send_failures += 1
-        if self._pending_entries > _AGGREGATE_PENDING_CAP:
-            # Evict oldest keys (dict order ≈ insertion order): the
-            # dropped sends are already counted and simply stay
-            # unanswered if a late response does arrive.
-            while self._pending_entries > _AGGREGATE_PENDING_CAP // 2:
-                evicted, waiting = next(iter(self._pending.items()))
-                self._pending_entries -= len(waiting)
-                del self._pending[evicted]
-        if len(self._answered) > _AGGREGATE_PENDING_CAP:
-            self._answered.clear()
+        self._unread += 1
+        return sent_at
 
     def _drain_responses(self) -> None:
+        """Read the UDP socket dry, crediting each answer to its query."""
+        self._unread = 0
+        receive, pending, answered = (self._sock.recv, self._pending,
+                                      self._answered)
+        result, lock, clock = self.result, self.lock, time.monotonic
         while True:
             try:
-                data = self._sock.recv(65535)
-            except (BlockingIOError, OSError):
+                data = receive(65535)
+            except OSError:     # BlockingIOError: dry (or closed)
                 return
-            key = _response_key(data)
-            waiting = self._pending.get(key) if key is not None else None
+            if self._ahead:
+                self._ahead -= 1
+            key = match_key(data)
+            waiting = pending.get(key)
             if waiting:
                 entry = waiting.pop(0)
-                answered_at = time.monotonic()
+                answered_at = clock()
                 if not waiting:
-                    del self._pending[key]
-                    self._answered.add(key)
-                if self.result.aggregate:
+                    del pending[key]
+                    answered.add(key)
+                if result.aggregate:
                     # ``entry`` is the sent_at float; fold the latency.
                     self._pending_entries -= 1
-                    with self.lock:
-                        self.result.count_answer(answered_at - entry)
+                    with lock:
+                        result.count_answer(answered_at - entry)
                     continue
                 entry.answered_at = answered_at
                 self._report(entry)
                 if self.telemetry is not None:
-                    with self.lock:
+                    with lock:
                         self.telemetry.on_answer(entry)
-            elif key is not None and key in self._answered:
+            elif key in answered:
                 # A duplicated/stale datagram re-answering a completed
                 # query; before full-key matching this could be credited
                 # to a different in-flight query with a colliding id.
-                with self.lock:
-                    self.result.duplicate_responses += 1
+                with lock:
+                    result.duplicate_responses += 1
             else:
-                with self.lock:
-                    self.result.unmatched_responses += 1
+                with lock:
+                    result.unmatched_responses += 1
 
 
 class _LiveDistributor(threading.Thread):
@@ -479,6 +536,11 @@ class _LiveDistributor(threading.Thread):
         # Monotonic instant the first TIME_SYNC arrived: the clock
         # offset the cluster telemetry stream reports for alignment.
         self.sync_mono: Optional[float] = None
+
+    @property
+    def record_batches(self) -> int:
+        """Buffered record blocks written to the queriers so far."""
+        return sum(outbound.blocks_sent for outbound in self.querier_sockets)
 
     def add_querier(self, outbound: MessageSocket) -> None:
         """Attach a (re)connected querier mid-run (recovery accept loop).
@@ -520,6 +582,8 @@ class _LiveDistributor(threading.Thread):
                         except OSError:
                             pass
                     return
+                if not self.inbound.has_frame():
+                    self._flush()   # the next receive will block
         except ProtocolError:
             pass  # torn-down control channel: flush END downstream
         finally:
@@ -567,6 +631,7 @@ class _LiveDistributor(threading.Thread):
                             - (time.monotonic() - self.sync_mono)
                             - pace_lead)
                     while lead > 0:
+                        self._flush()
                         time.sleep(min(lead, 0.25))
                         lead = ((record.timestamp - self._trace_start)
                                 - (time.monotonic() - self.sync_mono)
@@ -595,9 +660,9 @@ class _LiveDistributor(threading.Thread):
             outbound = self.assigner.assign(record.src)
             try:
                 if index is None:
-                    outbound.send_record(record)
+                    outbound.write_record(record)
                 else:
-                    outbound.send_record_seq(index, record)
+                    outbound.write_record_seq(index, record)
                 self.routed_per_socket[id(outbound)] = \
                     self.routed_per_socket.get(id(outbound), 0) + 1
             except OSError:
@@ -611,6 +676,16 @@ class _LiveDistributor(threading.Thread):
         if self.result is not None:
             with self.lock:
                 self.result.send_failures += 1
+
+    def _flush(self) -> None:
+        """Write out what ``_route`` buffered; called before this thread
+        blocks.  A link that fails here is dropped like one that fails
+        in ``_route``: its sources fail over on their next record."""
+        for outbound in self.assigner.entities:
+            try:
+                outbound.flush()
+            except OSError:
+                self.assigner.remove(outbound)
 
 
 class LiveDistributedReplay:
@@ -767,7 +842,7 @@ class LiveDistributedReplay:
             while assigner.entities:
                 outbound = assigner.assign(record.src)
                 try:
-                    outbound.send_record(record)
+                    outbound.write_record(record)
                     break
                 except OSError:   # distributor died: fail its sources over
                     assigner.remove(outbound)

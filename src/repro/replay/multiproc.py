@@ -174,6 +174,7 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
     def metrics_snapshot() -> dict:
         registry = MetricsRegistry()
         registry.incr("replay.records_routed", distributor.records_routed)
+        registry.incr("replay.record_batches", distributor.record_batches)
         return registry.to_state()
 
     streamer: Optional[TelemetryStreamer] = None
@@ -348,7 +349,6 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
     if recovery is not None:
         pump = _CheckpointPump(control, control_addr, querier_id,
                                incarnation, recovery)
-        querier.poll_timeout = 0.05
         querier.checkpoint_policy = recovery.checkpoint
         querier.checkpoint_sink = pump
         querier.reconnect = lambda: reconnect_with_backoff(
@@ -360,6 +360,8 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
         registry = MetricsRegistry()
         registry.incr("replay.records_received", querier.records_received)
         registry.incr("replay.records_sent", querier.records_sent)
+        registry.incr("replay.catchup_waits", querier.catchup_waits)
+        registry.incr("replay.catchup_forgiven", querier.catchup_forgiven)
         if querier.redundant_records:
             registry.incr("replay.redundant_records",
                           querier.redundant_records)
@@ -900,7 +902,7 @@ class ProcessTopology:
             while assigner.entities:
                 handle = assigner.assign(record.src)
                 try:
-                    handle.control.send_record(record)
+                    handle.control.write_record(record)
                     streamed += 1
                     break
                 except OSError:   # distributor died: fail its sources over
@@ -912,7 +914,7 @@ class ProcessTopology:
                     self.result.send_failures += 1
         for handle in self.distributor_handles:
             try:
-                handle.control.send_end()
+                handle.control.send_end()   # behind the last record block
             except OSError:
                 pass
 
@@ -1273,6 +1275,7 @@ class ProcessTopology:
                 break
             self._send_record_seq(index, record)
             streamed += 1
+        self._flush_records()
 
         # Exactly-once drain: withhold END until the checkpoint store
         # accounts for every streamed index, re-streaming lost records
@@ -1405,6 +1408,7 @@ class ProcessTopology:
             rounds += 1
             for index in redeliver:
                 self._send_record_seq(index, records[index])
+            self._flush_records()
             with self._lock:
                 self.result.redelivered_records += len(redeliver)
             last_progress = time.monotonic()
@@ -1423,7 +1427,7 @@ class ProcessTopology:
         while self._assigner.entities:
             handle = self._assigner.assign(record.src)
             try:
-                handle.control.send_record_seq(index, record)
+                handle.control.write_record_seq(index, record)
                 return True
             except OSError:
                 self._assigner.remove(handle)
@@ -1432,6 +1436,16 @@ class ProcessTopology:
         with self._lock:
             self.result.send_failures += 1
         return False
+
+    def _flush_records(self) -> None:
+        """Write out the buffered RECORD_SEQ blocks before waiting on
+        the store.  What a dead link's block held comes back as missing
+        indices in the next redelivery round."""
+        for handle in self._assigner.entities:
+            try:
+                handle.control.flush()
+            except OSError:
+                self._assigner.remove(handle)
 
     # -- reader / adoption / respawn ---------------------------------------
 

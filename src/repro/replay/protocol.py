@@ -74,6 +74,11 @@ ROLE_SHARD = 3      # self-sourcing simulation shard (ShardTopology)
 # longer make the receiver buffer arbitrary memory.
 MAX_FRAME = 64 * 1024 * 1024
 
+# Buffered RECORD frames (``write_record*``) go out in one ``sendall``
+# once this many bytes have collected: a few hundred records per system
+# call instead of one.
+BLOCK_BYTES = 32 * 1024
+
 _FRAME_HEADER = struct.Struct("!IB")
 _HELLO = struct.Struct("!BHH")          # legacy: role, worker id, port
 _HELLO_V2 = struct.Struct("!BHHH")      # + u16 incarnation (respawn count)
@@ -332,15 +337,26 @@ def _is_int_key(text: str) -> bool:
 
 
 class MessageSocket:
-    """Framed messages over one connected TCP socket."""
+    """Framed messages over one connected TCP socket.
+
+    Every ``send_*`` is write-through.  The record stream, the one
+    high-rate direction, also has a buffered writer: ``write_record`` /
+    ``write_record_seq`` append the same frame ``send_record*`` would
+    have written and put a block on the wire per :data:`BLOCK_BYTES`,
+    on :meth:`flush`, or ahead of any ``send_*`` (so frame order is the
+    call order).  The peer reads one byte stream either way.  Whoever
+    writes buffered flushes before it blocks.
+    """
 
     def __init__(self, sock: socket.socket):
         self._socket = sock
         self._buffer = bytearray()
+        self._out = bytearray()     # frames appended, not yet written
         self._send_lock = threading.Lock()
         self._pending_header: Optional[Tuple[int, int]] = None
         self.messages_sent = 0
         self.messages_received = 0
+        self.blocks_sent = 0        # buffered record blocks written
         # Optional fault injector (recovery.ChaosEngine): maps one
         # outgoing frame to zero or more frames actually written.
         self.chaos = None
@@ -383,23 +399,56 @@ class MessageSocket:
     def send_telemetry(self, report: dict) -> None:
         self._send(MSG_TELEMETRY, json.dumps(report).encode("utf-8"))
 
-    def _send(self, kind: int, payload: bytes) -> None:
+    def write_record(self, record: QueryRecord) -> None:
+        """:meth:`send_record` into the block buffer."""
+        self._send(MSG_RECORD, pack_record_body(record), buffered=True)
+
+    def write_record_seq(self, index: int, record: QueryRecord) -> None:
+        """:meth:`send_record_seq` into the block buffer."""
+        self._send(MSG_RECORD_SEQ,
+                   _RECORD_SEQ.pack(index) + pack_record_body(record),
+                   buffered=True)
+
+    def flush(self) -> None:
+        """Put the buffered record frames on the wire (no-op when none)."""
+        with self._send_lock:
+            if self._out:
+                self.blocks_sent += 1
+                self._write_out(MSG_RECORD)
+
+    def _send(self, kind: int, payload: bytes, buffered: bool = False) -> None:
         chaos = self.chaos
         frames = ([(kind, payload)] if chaos is None
                   else chaos.process(kind, payload))
-        # One frame per sendall, serialized: the control channel is
-        # written by both the streaming loop and the watchdog thread
-        # (deadline SHUTDOWN), and interleaved frames would corrupt it.
-        try:
-            with self._send_lock:
-                for each_kind, each_payload in frames:
-                    header = _FRAME_HEADER.pack(1 + len(each_payload),
+        # Serialized: the control channel is written by both the
+        # streaming loop and the watchdog thread (deadline SHUTDOWN),
+        # and interleaved frames would corrupt it.
+        with self._send_lock:
+            for each_kind, each_payload in frames:
+                self._out += _FRAME_HEADER.pack(1 + len(each_payload),
                                                 each_kind)
-                    self._socket.sendall(header + each_payload)
-                    self.messages_sent += 1
+                self._out += each_payload
+                self.messages_sent += 1
+            # ChaosEngine.process drops, delays and reorders single
+            # frames: a link under chaos stays write-through.
+            if buffered and chaos is None:
+                if len(self._out) < BLOCK_BYTES:
+                    return
+                self.blocks_sent += 1
+            if self._out:
+                self._write_out(kind)
+
+    def _write_out(self, kind: int) -> None:
+        """One ``sendall`` of everything appended; send lock held."""
+        try:
+            self._socket.sendall(self._out)
         except OSError as exc:
             name = KIND_NAMES.get(kind, str(kind))
             raise SendError(f"send of {name} frame failed: {exc}") from exc
+        finally:
+            # Also after a failure: the stream is broken mid-frame, and
+            # the caller's failover must find nothing left to re-send.
+            self._out.clear()
 
     # -- receiving ----------------------------------------------------------
 
@@ -483,6 +532,20 @@ class MessageSocket:
             _require(not payload, "SHUTDOWN frame must carry no payload")
             return (MSG_SHUTDOWN, None)
         raise ProtocolError(f"unknown message kind {kind}")
+
+    def has_frame(self) -> bool:
+        """True when :meth:`receive` would return (or raise) without
+        reading the socket: a whole frame is already buffered."""
+        buffered = len(self._buffer)
+        if self._pending_header is not None:
+            return buffered >= self._pending_header[0] - 1
+        if buffered < _FRAME_HEADER.size:
+            return False
+        return buffered >= 4 + int.from_bytes(self._buffer[:4], "big")
+
+    def fileno(self) -> int:
+        """The socket's descriptor, so ``select`` takes the link itself."""
+        return self._socket.fileno()
 
     def messages(self) -> Iterator[Message]:
         """Iterate until END or EOF."""

@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Message, Rcode, WireError
+from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Rcode
 from ..netsim import (EventLoop, Host, NetworkError, RetryPolicy,
                       SessionCache, TcpConnection, TcpOptions, TcpStack,
                       Timer, TlsEndpoint, UdpSocket)
 from ..netsim.packet import IpPacket, UdpSegment, packet_checksum
 from ..server.dnsio import StreamFramer, frame_message
+from ..telemetry.tracing import QueryKey, wire_question_key
 from ..trace import QueryRecord
 from .result import ReplayResult, SentQuery
 from .supervision import AimdPacer, PacingConfig
@@ -33,7 +34,7 @@ from .supervision import AimdPacer, PacingConfig
 # Response-matching key: (message id, qname, qtype).  Matching on the id
 # alone mismatches when two in-flight queries share an id on one
 # connection; the question section disambiguates, as a real stub does.
-MatchKey = Tuple[int, str, int]
+MatchKey = QueryKey
 
 # Presentation-format qnames memoized on question-section bytes, shared
 # across queriers (the distributor spreads the same sources over many).
@@ -42,27 +43,16 @@ _QNAME_MEMO: Dict[bytes, str] = {}
 _QNAME_MEMO_LIMIT = 1 << 16
 
 
-def _record_key(record: QueryRecord) -> MatchKey:
-    message_id = int.from_bytes(record.wire[:2], "big")
-    question = record.question()
-    if question is None:
-        return (message_id, "-", 0)
-    return (message_id, question[0].to_text().lower(), int(question[1]))
+def match_key(wire: bytes) -> MatchKey:
+    """The key a query is filed under and its response looked up by.
 
-
-def _response_key(wire: bytes) -> Optional[MatchKey]:
-    if len(wire) < 2:
-        return None
-    message_id = int.from_bytes(wire[:2], "big")
-    try:
-        message = Message.from_wire(wire)
-    except WireError:
-        return None
-    if not message.question:
-        return (message_id, "-", 0)
-    question = message.question[0]
-    return (message_id, question.name.to_text().lower(),
-            int(question.rrtype))
+    Sim and live queriers, send side and answer side, all call this on
+    the bytes they put on or took off the wire, so the two sides cannot
+    disagree on a name.  A message with no readable question pairs on
+    its id alone (an echo of junk still answers the junk).
+    """
+    return wire_question_key(wire) \
+        or (int.from_bytes(wire[:2], "big"), b"", 0)
 
 
 @dataclass
@@ -136,7 +126,7 @@ class _StreamChannel:
 
     def send(self, record: QueryRecord, entry: SentQuery) -> None:
         self.ever_used = True
-        key = _record_key(record)
+        key = match_key(record.wire)
         self.pending.setdefault(key, []).append((entry, record))
         self._answered.discard(key)
         if self.querier.config.send_highwater is not None \
@@ -167,8 +157,8 @@ class _StreamChannel:
 
     def _on_bytes(self, data: bytes) -> None:
         for wire in self.framer.feed(data):
-            key = _response_key(wire)
-            waiting = self.pending.get(key) if key is not None else None
+            key = match_key(wire)
+            waiting = self.pending.get(key)
             if waiting:
                 entry, _record = waiting.pop(0)
                 entry.answered_at = self.querier.loop.now
@@ -178,7 +168,7 @@ class _StreamChannel:
                 if not waiting:
                     del self.pending[key]
                     self._answered.add(key)
-            elif key is not None and key in self._answered:
+            elif key in self._answered:
                 self.querier.result.duplicate_responses += 1
             else:
                 self.querier.result.unmatched_responses += 1

@@ -8,8 +8,8 @@ every later layer attaches instant events (transmit, fault verdict,
 admission decision, cache hit, response), and the querier closes the
 span on receive/giveup.
 
-Correlation uses the same key the querier already matches responses
-with: ``(message id, lowercase qname text, qtype)``.  The querier
+Correlation uses the same key the queriers match responses with:
+``(message id, lowercased qname wire bytes, qtype)``.  The querier
 registers ``key -> qid`` at send time; the server and network derive the
 identical key from the wire they see.  ``qid`` is the trace record
 index, stable across runs of the same trace.
@@ -22,7 +22,6 @@ here is ever constructed.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -69,7 +68,7 @@ class TelemetryConfig:
 # track names the actor lane ("querier:3", "server", "net").
 TraceEvent = Tuple[float, str, Optional[int], str, str, Optional[dict]]
 
-QueryKey = Tuple[int, str, int]
+QueryKey = Tuple[int, bytes, int]
 
 
 def message_key(message) -> Optional[QueryKey]:
@@ -77,41 +76,35 @@ def message_key(message) -> Optional[QueryKey]:
     if not message.question:
         return None
     question = message.question[0]
-    return (message.msg_id, question.name.to_text().lower(),
+    return (message.msg_id, question.name.to_wire().lower(),
             int(question.rrtype))
 
 
 def wire_question_key(wire: bytes) -> Optional[QueryKey]:
     """The correlation key straight from wire bytes, without a Message.
 
-    Parses only the header id and the first question (no decompression —
-    question names are never compressed), so the network layer can tag
-    packets without paying for a full decode.  Returns None for
-    malformed or question-less packets.
+    ``(message id, question name, qtype)``, the name as its uncompressed
+    wire bytes lowercased (length octets are below ``A`` and survive
+    ``lower()``): one slice after a walk over the label lengths, so
+    any octet a label may hold compares exactly.  Question names are
+    never compressed; a pointer, a truncated or a question-less packet
+    returns None.
     """
-    if len(wire) < 12:
+    if len(wire) < 12 or not (wire[4] or wire[5]):
         return None
-    msg_id, _flags, qdcount = struct.unpack_from("!HHH", wire, 0)
-    if qdcount < 1:
-        return None
-    labels: List[str] = []
-    offset = 12
+    end = 12
     try:
-        while True:
-            length = wire[offset]
-            offset += 1
-            if length == 0:
-                break
+        length = wire[end]
+        while length:
             if length > 63:  # compression pointer: not a plain question
                 return None
-            labels.append(
-                wire[offset:offset + length].decode("ascii", "replace"))
-            offset += length
-        (qtype,) = struct.unpack_from("!H", wire, offset)
-    except (IndexError, struct.error):
+            end += length + 1
+            length = wire[end]
+        end += 1
+        qtype = (wire[end] << 8) | wire[end + 1]
+    except IndexError:
         return None
-    name = ".".join(labels).lower() + "." if labels else "."
-    return (msg_id, name, qtype)
+    return ((wire[0] << 8) | wire[1], wire[12:end].lower(), qtype)
 
 
 class QueryTracer:

@@ -65,6 +65,12 @@ class TestProcessTopology:
         state = replay.metrics.to_state()
         assert state["counts"]["replay.records_sent"] == len(result.sent)
         assert state["counts"]["replay.records_routed"] == len(trace)
+        # The data plane's own counts merge the same way: 2 distributors
+        # wrote at least a block each; a 50 q/s schedule at an echo is
+        # never overdue, so the catch-up window never held a send.
+        assert 2 <= state["counts"]["replay.record_batches"] <= len(trace)
+        assert state["counts"]["replay.catchup_waits"] == 0
+        assert state["counts"]["replay.catchup_forgiven"] == 0
         latency = state["histograms"]["query.latency_s"]
         answered = sum(1 for q in result.sent if q.answered_at is not None)
         assert latency["count"] == answered

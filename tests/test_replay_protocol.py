@@ -1,8 +1,11 @@
 """Tests for the inter-node replay protocol and distributed live replay."""
 
 import json
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -16,8 +19,8 @@ from repro.replay import (DistributedConfig, LiveDistributedReplay,
                           ProtocolError, ROLE_QUERIER, SendError, connect,
                           connected_pair)
 from repro.replay.distributed import _LiveQuerier
-from repro.trace import BRootWorkload, fixed_interval_trace, \
-    make_query_record
+from repro.trace import BRootWorkload, burst_trace, \
+    fixed_interval_trace, make_query_record
 
 _HEADER = struct.Struct("!IB")
 
@@ -79,6 +82,129 @@ class TestMessageSocket:
         assert [r.wire for r in received] == [r.wire for r in records]
         assert receiver.messages_received == 51
         sender.close(), receiver.close()
+
+
+class _TapeSocket:
+    """Takes the place of the TCP socket: one entry per ``sendall``."""
+
+    def __init__(self):
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def close(self):
+        pass
+
+
+class TestBufferedRecordWriter:
+    """``write_record*`` puts the frames ``send_record*`` would have
+    written on the wire, a block at a time (count-based: no clock)."""
+
+    RECORDS = [make_query_record(i * 0.001, f"10.0.{i % 7}.1",
+                                 f"q{i}.example.com.", msg_id=i % 65535 + 1)
+               for i in range(2000)]
+
+    def _stream(self, buffered):
+        """TIME_SYNC, 2 000 alternating RECORD / RECORD_SEQ frames with a
+        second TIME_SYNC in their middle, END, SHUTDOWN."""
+        tape = _TapeSocket()
+        link = MessageSocket(tape)
+        record = link.write_record if buffered else link.send_record
+        record_seq = (link.write_record_seq if buffered
+                      else link.send_record_seq)
+        link.send_time_sync(5.0)
+        for index, each in enumerate(self.RECORDS):
+            if index == 1001:
+                link.send_time_sync(6.0)
+            if index % 2:
+                record_seq(index, each)
+            else:
+                record(each)
+        link.send_end()
+        link.send_shutdown()
+        return link, tape
+
+    def test_buffered_bytes_equal_write_through(self):
+        _link, through = self._stream(buffered=False)
+        link, buffered = self._stream(buffered=True)
+        assert len(through.writes) == len(self.RECORDS) + 4
+        # Same byte stream, so same frames in the same order (the two
+        # TIME_SYNCs, END and SHUTDOWN included) ...
+        assert b"".join(buffered.writes) == b"".join(through.writes)
+        # ... in a sixtieth of the writes: one per 32 KiB block plus
+        # the four control frames, which each take the block before
+        # them along.
+        assert len(buffered.writes) <= len(self.RECORDS) // 64 + 4
+        assert link.blocks_sent == len(buffered.writes) - 4
+        assert link.messages_sent == len(self.RECORDS) + 4
+
+    def test_flush_writes_the_partial_block_once(self):
+        tape = _TapeSocket()
+        link = MessageSocket(tape)
+        link.flush()
+        assert tape.writes == []            # nothing buffered: no write
+        for each in self.RECORDS[:10]:
+            link.write_record(each)
+        assert tape.writes == []
+        link.flush()
+        link.flush()
+        assert len(tape.writes) == 1 and link.blocks_sent == 1
+        through = _TapeSocket()
+        for each in self.RECORDS[:10]:
+            MessageSocket(through).send_record(each)
+        assert tape.writes[0] == b"".join(through.writes)
+
+    def test_buffered_frames_parse_in_order(self):
+        sender, receiver = connected_pair()
+        sender.send_time_sync(1.0)
+        for index, each in enumerate(self.RECORDS[:300]):
+            sender.write_record_seq(index, each)
+        assert not receiver.has_frame()     # nothing read off the wire
+        sender.send_end()
+        kinds = [kind for kind, _payload in receiver.messages()]
+        assert kinds == [MSG_TIME_SYNC] + [MSG_RECORD_SEQ] * 300 + [MSG_END]
+        assert not receiver.has_frame()
+        sender.close(), receiver.close()
+
+    def test_has_frame_tracks_whole_frames_only(self):
+        sender, receiver = connected_pair()
+        for each in self.RECORDS[:3]:
+            sender.write_record(each)
+        sender.flush()
+        assert not receiver.has_frame()     # has_frame never reads
+        assert receiver.receive()[0] == MSG_RECORD
+        assert receiver.has_frame()         # the other two came along
+        receiver.receive(), receiver.receive()
+        assert not receiver.has_frame()
+        frame = _HEADER.pack(1 + 8, MSG_TIME_SYNC) + struct.pack("!d", 2.0)
+        sender._socket.sendall(frame[:9])
+        receiver._buffer += receiver._socket.recv(9)
+        assert not receiver.has_frame()     # header and half a payload
+        sender._socket.sendall(frame[9:])
+        receiver._buffer += receiver._socket.recv(4)
+        assert receiver.has_frame()
+        assert receiver.receive() == (MSG_TIME_SYNC, 2.0)
+        sender.close(), receiver.close()
+
+    def test_chaos_link_stays_frame_by_frame(self):
+        """ChaosEngine.process rules on single frames; with every frame
+        held for a swap the peer must see adjacent pairs exchanged,
+        written as they are released and not at a block boundary."""
+        from repro.replay import ChaosConfig, ChaosEngine
+        tape = _TapeSocket()
+        link = MessageSocket(tape)
+        link.chaos = ChaosEngine(ChaosConfig(seed=3, reorder_rate=1.0),
+                                 ROLE_QUERIER, 0)
+        for index, each in enumerate(self.RECORDS[:6]):
+            link.write_record_seq(index, each)
+            assert len(tape.writes) == (index + 1) // 2
+        assert link.chaos.reordered == 3 and link.blocks_sent == 0
+        reference = _TapeSocket()
+        for index in (1, 0, 3, 2, 5, 4):
+            MessageSocket(reference).send_record_seq(index,
+                                                     self.RECORDS[index])
+        assert b"".join(tape.writes) == b"".join(reference.writes)
 
 
 class TestControlFrames:
@@ -605,6 +731,163 @@ class TestResponseMatching:
         # Pre-fix: answered_fraction == 1.0 (forged responses credited).
         assert result.answered_fraction() == 0.0
         assert result.unmatched_responses >= 1
+
+    def test_escaped_and_mixed_case_qnames_are_credited(self):
+        """ISSUE 19 bugfix: the send key was built from ``to_text()``
+        (``a\\032b.example.com.``) and the answer key from the wire
+        labels (``a b.example.com.``), so a qname holding a space, a dot
+        inside a label or a non-printable octet was never credited with
+        its answer.  Both sides now key on the wire bytes."""
+        from repro.trace import Trace
+        qnames = ["a b.example.com.", "a\\.b.example.com.",
+                  "\\255\\001.com.", "WWW.Example.COM."]
+        trace = Trace([make_query_record(index * 0.02, "10.0.0.1", qname,
+                                         msg_id=index + 1)
+                       for index, qname in enumerate(qnames)])
+        with LiveUdpEchoServer() as server:
+            replay = LiveDistributedReplay(
+                (server.address, server.port),
+                DistributedConfig(distributors=1,
+                                  queriers_per_distributor=1))
+            result = replay.replay(trace)
+        assert len(result) == 4
+        # Pre-fix: only WWW.Example.COM. was answered.
+        assert all(query.answered_at is not None for query in result.sent)
+        assert result.unmatched_responses == 0
+        # List-mode entries keep the presentation text.
+        assert [query.qname for query in result.sent] == [
+            "a\\032b.example.com.", "a\\.b.example.com.",
+            "\\255\\001.com.", "www.example.com."]
+
+
+_SLOW_ECHO = """
+import signal, socket, sys, time
+sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+sock.bind(("127.0.0.1", 0))
+sock.settimeout(0.1)
+stopping = []
+signal.signal(signal.SIGTERM, lambda *_: stopping.append(1))
+print(sock.getsockname()[1], flush=True)
+received = 0
+while not stopping:
+    try:
+        data, peer = sock.recvfrom(65535)
+    except socket.timeout:
+        continue
+    received += 1
+    reply = bytearray(data)
+    reply[2] |= 0x80
+    sock.sendto(reply, peer)
+    if received % 8 == 0:
+        time.sleep(0.0005)
+print(received, flush=True)
+"""
+
+
+class _SlowEchoServer:
+    """A UDP echo that cannot keep up with a querier at line rate: it
+    naps half a millisecond after every 8 answers (≈ 13 k q/s), and its
+    receive buffer is the kernel's default — 256 small datagrams — not
+    the 4 MiB the replay's own servers ask for.  Its own process, so
+    that no interpreter lock couples it to the querier under test."""
+
+    def __enter__(self):
+        self._process = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_ECHO], stdout=subprocess.PIPE,
+            text=True)
+        self.address = ("127.0.0.1", int(self._process.stdout.readline()))
+        return self
+
+    def stop(self):
+        """Stop the server; returns how many datagrams reached it."""
+        self._process.send_signal(signal.SIGTERM)
+        received = int(self._process.stdout.readline())
+        self._process.wait(timeout=10)
+        self._process.stdout.close()
+        return received
+
+    def __exit__(self, *exc):
+        if self._process.poll() is None:
+            self._process.kill()
+            self._process.wait()
+            self._process.stdout.close()
+
+
+def _run_querier(server, records, aggregate=True):
+    """One querier fed ``records`` over a real link, run to its end."""
+    from repro.replay import ReplayResult
+    feed, link = connected_pair()
+    querier = _LiveQuerier(0, link, server,
+                           ReplayResult("querier-0", aggregate=aggregate),
+                           threading.Lock())
+    querier.start()
+    feed.send_time_sync(records[0].timestamp)
+    for record in records:
+        feed.write_record(record)
+    feed.send_end()
+    querier.join(timeout=60.0)
+    assert not querier.is_alive()
+    feed.close()
+    return querier
+
+
+class TestCatchUpWindow:
+    """ISSUE 19: a backlog is sent answer-clocked (at most 64 overdue
+    sends ahead of the datagrams read back, 2 ms of patience), a
+    schedule is sent open loop.  Every bound is a count the mechanism
+    implies, so a loaded host changes the numbers but not the verdict."""
+
+    WINDOW = 64
+
+    def test_flood_does_not_overrun_a_slow_server(self):
+        """Dumped at line rate, 20 000 queries overrun a default-sized
+        server buffer many times over; nothing but the querier's own
+        slowness used to prevent that.  Now only a window written off
+        after 2 ms without one answer can be lost — on a quiet host
+        there is none, and the server counts N of N."""
+        records = burst_trace(20000).records
+        with _SlowEchoServer() as server:
+            querier = _run_querier(server.address, records)
+            received = server.stop()
+        assert querier.result.sent_count == len(records)
+        assert querier.catchup_waits > 0
+        assert len(records) - received \
+            <= self.WINDOW * querier.catchup_forgiven
+        assert querier.result.unmatched_responses == 0
+
+    def test_flood_at_a_silent_server_still_finishes(self, monkeypatch):
+        from repro.replay import distributed
+        monkeypatch.setattr(distributed, "_AGGREGATE_PENDING_CAP", 512)
+        records = burst_trace(2000).records
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+            silent.bind(("127.0.0.1", 0))
+            querier = _run_querier(silent.getsockname(), records)
+        assert querier.records_sent == querier.result.sent_count == 2000
+        assert querier.result.answered_count == 0
+        # Every full window was waited for once and then written off.
+        assert querier.catchup_forgiven >= 2000 // self.WINDOW - 2
+        assert querier.catchup_waits == querier.catchup_forgiven
+        # Unanswered sends are remembered up to the cap, oldest dropped.
+        assert 256 <= querier._pending_entries <= 512
+        assert querier._pending_entries == sum(
+            len(waiting) for waiting in querier._pending.values())
+
+    def test_on_schedule_sends_are_never_held(self):
+        """80 queries 10 ms apart at a server that never answers: more
+        than a window goes unanswered, and no send is held for it.  A
+        hold takes 64 sends in a row each more than a millisecond late;
+        on a quiet host none is, and the count is zero."""
+        records = fixed_interval_trace(0.01, 0.8).records
+        assert len(records) == 80
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+            silent.bind(("127.0.0.1", 0))
+            querier = _run_querier(silent.getsockname(), records,
+                                   aggregate=False)
+        assert querier.records_sent == 80
+        late = sum(1 for query in querier.result.sent
+                   if query.sent_at - query.scheduled_at > 0.001)
+        assert querier.catchup_waits <= late // self.WINDOW
+        assert querier.catchup_forgiven == querier.catchup_waits
 
 
 class _WedgedQuerier(_LiveQuerier):

@@ -16,7 +16,8 @@ from repro.experiments import build_evaluation_topology
 from repro.experiments.fig6_timing import wildcard_example_zone
 from repro.server import (AuthoritativeServer, HostedDnsServer,
                           TransportConfig)
-from repro.trace import (BRootWorkload, QueryMutator, fixed_interval_trace,
+from repro.trace import (BRootWorkload, QueryMutator, Trace,
+                         fixed_interval_trace, make_query_record,
                          make_root_zone, retarget, scale_time, split_shards)
 
 
@@ -133,6 +134,28 @@ class TestShardFileTopology:
             result = topology.replay_shard_files(directory, pace_lead=0.5)
         assert result.sent_count == len(trace) == 3000
         assert result.answered_count == len(trace)
+
+    def test_due_send_does_not_wait_for_the_next_frame(self, tmp_path):
+        """A querier used to block on the distributor link with no
+        timeout.  With records at t = 0, 0.5, 3.0 and 3.2 and a 2 s
+        pacing lead, the t = 0.5 query sat queued until the t = 3.0
+        frame arrived at 1.0 s and left 0.5 s late; a due send now
+        wakes the loop by itself.  The bound is half the defect, not
+        the on-time tolerance: ROADMAP 5a records a 116 ms scheduling
+        hiccup on this class of host."""
+        trace = Trace([make_query_record(at, "10.0.0.1",
+                                         f"q{index}.example.com.",
+                                         msg_id=index + 1)
+                       for index, at in enumerate((0.0, 0.5, 3.0, 3.2))])
+        with LiveUdpEchoServer() as server:
+            topology = ProcessTopology(
+                (server.address, server.port),
+                streaming_config(distributors=1,
+                                 queriers_per_distributor=1))
+            directory, _ = shard_directory(tmp_path, trace, 1)
+            result = topology.replay_shard_files(directory, pace_lead=2.0)
+        assert result.sent_count == result.answered_count == 4
+        assert result.error_max < 0.25      # parent: 0.50
 
     def test_recovery_mode_rejected(self, tmp_path):
         from repro.replay.recovery import RecoveryConfig

@@ -170,18 +170,39 @@ class TestQueryKeys:
         ("www.example.com.", RRType.A),
         ("MiXeD.Example.COM.", RRType.AAAA),
         (".", RRType.NS),
+        # Names to_text() has to escape: the two keys used to part here.
+        ("a b.example.com.", RRType.A),
+        ("a\\.b.example.com.", RRType.A),
+        ("\\255\\001.com.", RRType.A),
     ])
     def test_wire_key_matches_message_key(self, qname, qtype):
         message = Message.make_query(Name.from_text(qname), qtype,
                                      msg_id=77, edns=Edns())
         wire = message.to_wire()
-        assert wire_question_key(wire) == \
-            message_key(Message.from_wire(wire))
+        key = wire_question_key(wire)
+        assert key == message_key(Message.from_wire(wire))
+        assert key == (77, Name.from_text(qname.lower()).to_wire(),
+                       int(qtype))
+
+    def test_only_the_name_is_lowercased(self):
+        """Message id 0x4142 and qtype 65 (HTTPS) are ASCII capitals."""
+        wire = bytearray(Message.make_query(
+            Name.from_text("SVC.example.com."), RRType.A,
+            msg_id=0x4142).to_wire())
+        wire[12 + 17:12 + 19] = b"\x00\x41"
+        assert wire_question_key(bytes(wire)) == (
+            0x4142, b"\x03svc\x07example\x03com\x00", 65)
 
     def test_malformed_wire(self):
         assert wire_question_key(b"") is None
         assert wire_question_key(b"\x00" * 12) is None  # qdcount 0
         assert wire_question_key(b"\x00" * 11) is None  # short header
+        query = Message.make_query(Name.from_text("a.test."),
+                                   RRType.A).to_wire()
+        assert wire_question_key(query[:17]) is None    # name cut short
+        assert wire_question_key(query[:21]) is None    # half a qtype
+        assert wire_question_key(
+            query[:12] + b"\xc0\x0c" + query[20:]) is None  # pointer
 
     def test_questionless_message(self):
         message = Message.make_query(Name.from_text("a.test."), RRType.A)
