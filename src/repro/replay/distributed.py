@@ -33,6 +33,7 @@ from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..dns import WireError
+from ..telemetry.metrics import MetricsRegistry
 from ..trace import QueryRecord, Trace
 from ..trace.stream import DEFAULT_READ_AHEAD, iter_shard_file
 from .distributor import StickyAssigner
@@ -714,6 +715,9 @@ class LiveDistributedReplay:
         self._wiring: Dict[object, Tuple["_LiveDistributor",
                                          MessageSocket, MessageSocket]] = {}
         self.watchdog: Optional[ReplayWatchdog] = None
+        # Merged worker metrics of a topology="processes" run; the
+        # thread topology shares the caller's hub and leaves it empty.
+        self.metrics = MetricsRegistry()
 
     def server_for(self, querier_id: int) -> ServerAddress:
         return self.servers[querier_id % len(self.servers)]

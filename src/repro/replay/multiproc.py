@@ -11,33 +11,40 @@ already crosses process boundaries by construction, so the tiers
 themselves (:class:`_LiveDistributor`, :class:`_LiveQuerier`) run
 unmodified inside the workers.
 
-Life of a run:
+Life of a run — one lifecycle (:class:`_Controller`) that the classic,
+shard-file, recovering and sharded-sim runs parameterise:
 
-1. the controller binds a loopback control listener and spawns one
-   process per distributor; each distributor binds its own querier
-   listener and reports the port in a HELLO frame;
-2. the controller spawns one process per querier, wired to its
-   distributor's port; queriers HELLO back over the control channel;
-3. the trace is streamed exactly as in thread mode — time-sync first,
-   then records sharded sticky-by-source over the distributors, each of
-   which re-shards sticky-by-source over its queriers;
-4. when a querier finishes (END received, queue drained, settle
-   elapsed) it serializes its local :class:`ReplayResult` shard and
-   :class:`MetricsRegistry` snapshot back over the control channel
-   (RESULT + METRICS frames); distributors do the same for their
-   routing counters;
-5. the controller merges every shard (``ReplayResult.merge``) and every
-   metrics snapshot (``MetricsRegistry.merge_state``) into one
-   aggregate, sends SHUTDOWN, and reaps the processes.
+1. **spawn** — bind a loopback control listener and start one tier of
+   workers at a time: distributors, whose HELLO frames carry their
+   querier-listener ports, then queriers wired to those ports (or the
+   sim shards).  Every worker HELLOs back and gets one reader thread.
+   With recovery on the listener stays open for respawned or
+   re-dialing workers;
+2. **anchor** — ``start_delay``, then the run's zero point
+   (``start_clock``) is taken and broadcast as TIME_SYNC;
+3. **stream** — records go out sharded sticky-by-source over the
+   distributors, each re-sharding over its queriers: RECORD frames,
+   RECORD_SEQ (global trace index) in recovery mode, or nothing at all
+   when distributors self-source shard files;
+4. **drain** (recovery mode) — END is withheld until the checkpoint
+   store accounts for every index, lost ones being re-streamed;
+5. **collect** — END, then one wait (``_await_reports``) until every
+   worker has reported its RESULT + METRICS pair or is failed: at once
+   when its process is seen dead, else only ``settle_time`` + slack
+   after the distributors reported and the schedule ran out;
+6. **merge** — ``ReplayResult.merge`` in slot order (exactly-once
+   ``merge_recovered`` over the store in recovery mode) plus
+   ``MetricsRegistry.merge_state``, into one aggregate;
+7. **teardown** — SHUTDOWN, close, join, terminate.
 
-Supervision: each worker is watched through a :class:`_WorkerHandle`
-(``is_alive`` = the OS process) by the same
-:class:`~repro.replay.supervision.ReplayWatchdog`; a dead process with
-its shard outstanding is flagged immediately, its routes fail over via
-``StickyAssigner.remove`` (the distributor's broken-pipe path), and the
-collection phase skips it instead of hanging.  A wall-clock deadline
-propagates as SHUTDOWN frames down the tree so queriers shed their
-queues and report truthful ``deadline_shed`` counts.
+Supervision: the same :class:`~repro.replay.supervision.ReplayWatchdog`
+watches each worker through its :class:`_WorkerHandle` (``is_alive`` =
+the OS process); its verdict closes the worker's control link, and the
+reader's EOF path decides between a respawn (recovery mode, within
+budget) and a failed handle whose routes fail over via
+``StickyAssigner.remove``.  ``supervision.deadline`` — the only
+wall-clock budget — propagates as SHUTDOWN frames down the tree so
+queriers shed their queues and report truthful ``deadline_shed`` counts.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..netsim.shard import shard_of
 from ..perf import PerfCounters
@@ -90,21 +97,110 @@ def _make_aggregator(telemetry: TelemetryConfig) -> ClusterAggregator:
     return ClusterAggregator(window=max(1.0, 4.0 * telemetry.stream_period))
 
 
-def _await_shutdown(control: MessageSocket, timeout: float = 10.0) -> None:
-    """Block until the controller says SHUTDOWN (or gives up)."""
-    control.settimeout(timeout)
-    try:
-        while True:
-            message = control.receive()
-            if message is None or message[0] == MSG_SHUTDOWN:
-                return
-    except (ProtocolError, OSError):
-        return
-
-
 # ---------------------------------------------------------------------------
 # Worker process entry points (top-level: importable under spawn)
 # ---------------------------------------------------------------------------
+#
+# Every role shares one prologue (_ControlLink(): connect, attach chaos,
+# HELLO) and one epilogue (_ControlLink.finish: RESULT + METRICS, wait
+# for SHUTDOWN, close).
+
+class _ControlLink:
+    """A worker's end of its control connection; owns the socket.
+
+    Streamed telemetry, checkpoints and the final RESULT/METRICS pair
+    all flow through it.  With ``redial`` (recovering queriers) a broken
+    link is re-dialed (connect + re-HELLO with the same incarnation)
+    with backoff before any frame is declared lost; without it the
+    frame is simply lost and the controller settles the worker's fate.
+    """
+
+    def __init__(self, control_addr: Tuple[str, int], role: int,
+                 worker_id: int, incarnation: int,
+                 recovery: Optional[RecoveryConfig], listen_port: int = 0,
+                 redial: bool = False):
+        self._control_addr = control_addr
+        self._role = role
+        self._worker_id = worker_id
+        self._incarnation = incarnation
+        self._recovery = recovery
+        self._listen_port = listen_port
+        self._redial_allowed = redial
+        self._seq = 0
+        self._broken = False
+        self.control = self._dial(timeout=10.0)
+
+    def _dial(self, timeout: float) -> MessageSocket:
+        control = connect(self._control_addr, timeout=timeout)
+        attach_chaos(control,
+                     self._recovery.chaos if self._recovery else None,
+                     self._role, self._worker_id, self._incarnation)
+        control.send_hello(self._role, self._worker_id, self._listen_port,
+                           self._incarnation)
+        return control
+
+    def _redial(self) -> bool:
+        replacement = None
+        if self._redial_allowed:
+            replacement = reconnect_with_backoff(
+                lambda: self._dial(timeout=2.0),
+                self._recovery.reconnect_attempts,
+                self._recovery.reconnect_backoff)
+        if replacement is None:
+            self._broken = True
+            return False
+        self.control.close()
+        self.control = replacement
+        return True
+
+    def _deliver(self, send) -> bool:
+        if self._broken:
+            return False
+        for _attempt in range(2):
+            try:
+                send()
+                return True
+            except (ProtocolError, OSError):
+                if not self._redial():
+                    return False
+        return False
+
+    def __call__(self, delta: dict) -> None:
+        """The querier's checkpoint_sink: emit one delta frame."""
+        self._seq += 1
+        seq = self._seq
+        self._deliver(lambda: self.control.send_checkpoint(
+            self._worker_id, self._incarnation, seq, delta))
+
+    def send_telemetry(self, report: dict) -> None:
+        # A re-dial may have replaced the socket; resolve the live one
+        # at send time so streamed frames follow it.
+        self.control.send_telemetry(report)
+
+    def finish(self, result: ReplayResult, metrics_snapshot,
+               streamer: Optional[TelemetryStreamer]) -> None:
+        """Report, wait out the controller's SHUTDOWN, close."""
+        if streamer is not None:
+            # The definitive frame: cumulative metrics are frozen now,
+            # so this matches the METRICS sent below.  The periodic
+            # loop keeps reporting health while we wait for SHUTDOWN.
+            streamer.flush(final=True)
+        # RESULT and METRICS travel as a pair, in this order.
+        metrics = metrics_snapshot()
+        self._deliver(lambda: self.control.send_result(result.to_dict()))
+        self._deliver(lambda: self.control.send_metrics(metrics))
+        self.control.settimeout(10.0)
+        try:   # until the controller says SHUTDOWN (or gives up)
+            while True:
+                message = self.control.receive()
+                if message is None or message[0] == MSG_SHUTDOWN:
+                    break
+        except (ProtocolError, OSError):
+            pass
+        if streamer is not None:
+            streamer.stop(final=False)
+        self.control.close()
+
 
 def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
                       querier_count: int,
@@ -138,11 +234,11 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
     listener.listen(querier_count + 4)
     listener.settimeout(_SETUP_TIMEOUT if recovery is None
                         else recovery.hello_timeout)
-    control = connect(control_addr)
-    attach_chaos(control, recovery.chaos if recovery else None,
-                 ROLE_DISTRIBUTOR, distributor_id, incarnation)
-    control.send_hello(ROLE_DISTRIBUTOR, distributor_id,
-                       listener.getsockname()[1], incarnation)
+    # No re-dial: a distributor that lost its control link has lost its
+    # record stream, and the controller respawns it.
+    link = _ControlLink(control_addr, ROLE_DISTRIBUTOR, distributor_id,
+                        incarnation, recovery, listener.getsockname()[1])
+    control = link.control
     querier_sockets: List[MessageSocket] = []
     accept_stop = threading.Event()
     try:
@@ -180,7 +276,7 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
     streamer: Optional[TelemetryStreamer] = None
     if _streaming(telemetry):
         streamer = TelemetryStreamer(
-            control.send_telemetry, ROLE_DISTRIBUTOR, distributor_id,
+            link.send_telemetry, ROLE_DISTRIBUTOR, distributor_id,
             incarnation, telemetry.stream_period,
             metrics_snapshot=metrics_snapshot,
             health=lambda: {
@@ -207,23 +303,9 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
     if recovery is not None:
         accept_stop.set()
         listener.close()
-    if streamer is not None:
-        # The definitive frame: cumulative metrics are frozen now, so
-        # this matches the METRICS sent below.  The periodic loop keeps
-        # reporting health while we wait out the controller's SHUTDOWN.
-        streamer.flush(final=True)
-
-    try:
-        control.send_result(result.to_dict())
-        control.send_metrics(metrics_snapshot())
-        _await_shutdown(control)
-    except OSError:
-        pass
-    if streamer is not None:
-        streamer.stop(final=False)
+    link.finish(result, metrics_snapshot, streamer)
     for outbound in distributor.querier_sockets:
         outbound.close()
-    control.close()
 
 
 def _chaos_socket(accepted: socket.socket, recovery: RecoveryConfig,
@@ -253,68 +335,6 @@ def _accept_late_queriers(listener: socket.socket,
                                               distributor_id, incarnation))
 
 
-class _CheckpointPump:
-    """Sequence-numbered checkpoint emitter with control-link self-heal.
-
-    Owns the querier's control socket: checkpoints and the final
-    RESULT/METRICS pair all flow through it, and a broken link is
-    re-dialed (connect + re-HELLO with the same incarnation) with
-    backoff before any frame is declared lost.
-    """
-
-    def __init__(self, control: MessageSocket,
-                 control_addr: Tuple[str, int], querier_id: int,
-                 incarnation: int, recovery: RecoveryConfig):
-        self.control = control
-        self._control_addr = control_addr
-        self._querier_id = querier_id
-        self._incarnation = incarnation
-        self._recovery = recovery
-        self._seq = 0
-        self._broken = False
-
-    def _redial(self) -> bool:
-        def factory() -> MessageSocket:
-            replacement = connect(self._control_addr, timeout=2.0)
-            attach_chaos(replacement, self._recovery.chaos, ROLE_QUERIER,
-                         self._querier_id, self._incarnation)
-            replacement.send_hello(ROLE_QUERIER, self._querier_id, 0,
-                                   self._incarnation)
-            return replacement
-        replacement = reconnect_with_backoff(
-            factory, self._recovery.reconnect_attempts,
-            self._recovery.reconnect_backoff)
-        if replacement is None:
-            self._broken = True
-            return False
-        self.control.close()
-        self.control = replacement
-        return True
-
-    def _deliver(self, send) -> bool:
-        if self._broken:
-            return False
-        for _attempt in range(2):
-            try:
-                send()
-                return True
-            except (ProtocolError, OSError):
-                if not self._redial():
-                    return False
-        return False
-
-    def __call__(self, delta: dict) -> None:
-        """The querier's checkpoint_sink: emit one delta frame."""
-        self._seq += 1
-        seq = self._seq
-        self._deliver(lambda: self.control.send_checkpoint(
-            self._querier_id, self._incarnation, seq, delta))
-
-    def send_final(self, result: dict, metrics: dict) -> None:
-        self._deliver(lambda: self.control.send_result(result))
-        self._deliver(lambda: self.control.send_metrics(metrics))
-
-
 def _querier_main(control_addr: Tuple[str, int], querier_id: int,
                   distributor_addr: Tuple[str, int],
                   server: ServerAddress,
@@ -332,10 +352,8 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
             0, {cpus[(control_addr[1] + querier_id) % len(cpus)]})
     except (AttributeError, OSError):
         pass  # no such call on this platform, or not permitted: unpinned
-    control = connect(control_addr)
-    attach_chaos(control, recovery.chaos if recovery else None,
-                 ROLE_QUERIER, querier_id, incarnation)
-    control.send_hello(ROLE_QUERIER, querier_id, 0, incarnation)
+    link = _ControlLink(control_addr, ROLE_QUERIER, querier_id, incarnation,
+                        recovery, redial=recovery is not None)
     inbound = connect(distributor_addr)
     result = ReplayResult(f"querier-{querier_id}", aggregate=aggregate)
     querier = _LiveQuerier(querier_id, inbound, tuple(server), result,
@@ -345,12 +363,9 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
     # wall-clock budget is enforced locally, anchored at TIME_SYNC —
     # the same zero point thread-mode deadlines use.
     querier.deadline = deadline
-    pump: Optional[_CheckpointPump] = None
     if recovery is not None:
-        pump = _CheckpointPump(control, control_addr, querier_id,
-                               incarnation, recovery)
         querier.checkpoint_policy = recovery.checkpoint
-        querier.checkpoint_sink = pump
+        querier.checkpoint_sink = link
         querier.reconnect = lambda: reconnect_with_backoff(
             lambda: connect(distributor_addr, timeout=1.0),
             recovery.reconnect_attempts, recovery.reconnect_backoff,
@@ -391,14 +406,8 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
 
             hub.tracer._record = recording
         recorder.log(f"querier-{querier_id} inc{incarnation} up")
-        # The pump may replace its control socket on redial; resolve
-        # the live socket at send time so streamed frames follow it.
-        if pump is not None:
-            send = lambda report: pump.control.send_telemetry(report)
-        else:
-            send = control.send_telemetry
         streamer = TelemetryStreamer(
-            send, ROLE_QUERIER, querier_id, incarnation,
+            link.send_telemetry, ROLE_QUERIER, querier_id, incarnation,
             telemetry.stream_period,
             metrics_snapshot=metrics_snapshot,
             health=lambda: {
@@ -412,29 +421,9 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
         streamer.start()
 
     querier.run()   # synchronous; closes its own sockets on exit
-    if streamer is not None:
+    if recorder is not None:
         recorder.log(f"querier-{querier_id} inc{incarnation} replay done")
-        # Definitive frame (cumulative metrics frozen); the periodic
-        # loop keeps the health view live until SHUTDOWN arrives.
-        streamer.flush(final=True)
-
-    metrics_state = metrics_snapshot()
-    if pump is not None:
-        pump.send_final(result.to_dict(), metrics_state)
-        _await_shutdown(pump.control)
-        if streamer is not None:
-            streamer.stop(final=False)
-        pump.control.close()
-        return
-    try:
-        control.send_result(result.to_dict())
-        control.send_metrics(metrics_state)
-        _await_shutdown(control)
-    except OSError:
-        pass
-    if streamer is not None:
-        streamer.stop(final=False)
-    control.close()
+    link.finish(result, metrics_snapshot, streamer)
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +510,10 @@ def _shard_main(control_addr: Tuple[str, int], shard_index: int,
                 recovery: Optional[RecoveryConfig] = None,
                 incarnation: int = 0,
                 telemetry: Optional[TelemetryConfig] = None) -> None:
-    control = connect(control_addr)
-    attach_chaos(control, recovery.chaos if recovery else None,
-                 ROLE_SHARD, shard_index, incarnation)
-    control.send_hello(ROLE_SHARD, shard_index, 0, incarnation)
+    # No re-dial: a shard reruns deterministically, so a broken link is
+    # healed by the controller respawning the whole shard.
+    link = _ControlLink(control_addr, ROLE_SHARD, shard_index, incarnation,
+                        recovery)
     perf = PerfCounters()
     streamer: Optional[TelemetryStreamer] = None
     if _streaming(telemetry):
@@ -532,34 +521,21 @@ def _shard_main(control_addr: Tuple[str, int], shard_index: int,
         # falls back to min-skew alignment.  Spans are omitted — shard
         # timestamps are sim-clock, not monotonic, and cannot rebase.
         streamer = TelemetryStreamer(
-            control.send_telemetry, ROLE_SHARD, shard_index, incarnation,
+            link.send_telemetry, ROLE_SHARD, shard_index, incarnation,
             telemetry.stream_period, metrics_snapshot=perf.to_state)
         streamer.start()
-    try:
-        trace = _resolve_factory(trace_spec)(**trace_spec[2])
-        slice_ = shard_slice(trace, shard_index, num_shards)
-        engine = _resolve_factory(scenario_spec)(perf=perf,
-                                                 **scenario_spec[2])
-        started = time.perf_counter()
-        result = engine.replay(slice_)
-        wall = time.perf_counter() - started
-        result.name = f"shard-{shard_index}"
-        perf.incr("shard.records", len(slice_.records))
-        perf.set_gauge(f"shard.{shard_index}.wall_s", wall)
-        perf.set_gauge(f"shard.{shard_index}.qps",
-                       len(slice_.records) / wall if wall > 0 else 0.0)
-        if streamer is not None:
-            streamer.stop(final=True)
-            streamer = None
-        control.send_result(result.to_dict())
-        control.send_metrics(perf.to_state())
-        _await_shutdown(control)
-    except OSError:
-        pass
-    finally:
-        if streamer is not None:
-            streamer.stop(final=False)
-        control.close()
+    trace = _resolve_factory(trace_spec)(**trace_spec[2])
+    slice_ = shard_slice(trace, shard_index, num_shards)
+    engine = _resolve_factory(scenario_spec)(perf=perf, **scenario_spec[2])
+    started = time.perf_counter()
+    result = engine.replay(slice_)
+    wall = time.perf_counter() - started
+    result.name = f"shard-{shard_index}"
+    perf.incr("shard.records", len(slice_.records))
+    perf.set_gauge(f"shard.{shard_index}.wall_s", wall)
+    perf.set_gauge(f"shard.{shard_index}.qps",
+                   len(slice_.records) / wall if wall > 0 else 0.0)
+    link.finish(result, perf.to_state, streamer)
 
 
 def _udp_echo_main(conn) -> None:
@@ -627,10 +603,20 @@ class UdpEchoServerProcess:
 # Controller
 # ---------------------------------------------------------------------------
 
-# Stands in for a shard already folded into the controller result
-# (streaming merge): non-None, so has_work()/collection see the worker
-# as reported, without keeping the per-worker frame alive.
+# Stands in for a shard the checkpoint store already holds (recovery
+# mode): non-None, so has_work()/collection see the worker as reported,
+# without keeping a second copy of its entries alive.
 _DRAINED = ReplayResult("drained", aggregate=True)
+
+# How long past ``settle_time`` a live worker whose upstream has ended
+# may stay unreported before collection gives up on it: scheduling and
+# serialisation slack, not a budget (``supervision.deadline`` is that).
+_COLLECT_SLACK = 10.0
+
+
+def _role_name(role: int) -> str:
+    return {ROLE_DISTRIBUTOR: "distributor", ROLE_QUERIER: "querier",
+            ROLE_SHARD: "shard"}.get(role, f"role{role}")
 
 
 class _WorkerHandle:
@@ -645,6 +631,7 @@ class _WorkerHandle:
         self.listen_port = listen_port
         self.incarnation = incarnation   # respawn generation (0 = first)
         self.process = None           # attached after the HELLO matches
+        self.reader: Optional[threading.Thread] = None
         self.shard: Optional[ReplayResult] = None
         self.metrics_state: Optional[dict] = None
         self.failed = False
@@ -664,10 +651,7 @@ class _WorkerHandle:
 
     @property
     def name(self) -> str:
-        kind = {ROLE_DISTRIBUTOR: "distributor",
-                ROLE_QUERIER: "querier",
-                ROLE_SHARD: "shard"}.get(self.role, f"role{self.role}")
-        return f"{kind}-{self.worker_id}"
+        return f"{_role_name(self.role)}-{self.worker_id}"
 
 
 def _accept_hello(listener: socket.socket, expected_role: Optional[int],
@@ -696,7 +680,481 @@ def _accept_hello(listener: socket.socket, expected_role: Optional[int],
     return _WorkerHandle(role, worker_id, control, listen_port, incarnation)
 
 
-class ProcessTopology:
+class _Controller:
+    """The one controller lifecycle both topologies run.
+
+    ``_spawn_tree`` → the run's own stages → ``_await_reports`` →
+    ``_merge`` → ``_teardown``, plus the self-healing side path
+    (``_accept_loop`` → ``_adopt``, ``_maybe_respawn`` →
+    ``_respawn_worker``) that is live whenever a
+    :class:`RecoveryConfig` is given.  Subclasses supply the slots
+    (``_tiers``), a worker's argv (``_worker_argv``) and what a
+    re-admitted worker needs (``_resync``).
+
+    Only two places mark a handle failed: the reader's EOF path
+    (``_maybe_respawn``, once the process is seen dead) and
+    ``_await_reports`` (clock expired, or dead with no reader left).
+    The watchdog only closes links.
+    """
+
+    def __init__(self, result: ReplayResult,
+                 recovery: Optional[RecoveryConfig],
+                 tconfig: Optional[TelemetryConfig],
+                 start_method: Optional[str]):
+        self.result = result
+        # Cross-process telemetry: per-worker metrics snapshots merged
+        # into one registry.
+        self.metrics = MetricsRegistry()
+        self.watchdog: Optional[ReplayWatchdog] = None
+        # Live cluster view, populated only when the telemetry config
+        # asks for streaming (stream_period set); None otherwise so the
+        # run stays byte-identical to a telemetry-free one.
+        self.cluster: Optional[ClusterAggregator] = (
+            _make_aggregator(tconfig) if tconfig is not None else None)
+        self._recovery = recovery
+        self._tconfig = tconfig
+        self._ctx = _mp_context(start_method)
+        # role -> slots (handles by worker id), in merge order.
+        self._tiers: Dict[int, List[_WorkerHandle]] = {}
+        self._lock = threading.Lock()
+        # Notified (under _lock) whenever a reader folds a frame in or a
+        # worker's fate changes, so every wait wakes on progress instead
+        # of polling.
+        self._progress = threading.Condition(self._lock)
+        # Recovery mode of the tree: CHECKPOINT / RESULT frames land
+        # here and the merge is exactly-once over it.
+        self._store: Optional[CheckpointStore] = None
+        self._assigner: StickyAssigner = StickyAssigner([], allow_empty=True)
+        self._control_addr: Optional[Tuple[str, int]] = None
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        self._processes: List = []
+        self._pending_processes: Dict[Tuple[int, int, int], object] = {}
+        self._respawn_counts: Dict[Tuple[int, int], int] = {}
+        self._respawning: Set[Tuple[int, int]] = set()
+        self._respawns_total = 0
+        self._retired_handles: List[_WorkerHandle] = []
+        # Set once worker death stops being recoverable work loss: no
+        # more respawns, the accept loop ends, EOFs are not crashes.
+        self._closing = threading.Event()
+        self._deadline_hit = False
+
+    def _handles(self) -> List[_WorkerHandle]:
+        return [handle for slots in self._tiers.values() for handle in slots]
+
+    def _worker_argv(self, role: int, worker_id: int, incarnation: int,
+                     listen_port: int) -> Tuple[object, tuple]:
+        """``(target, args)`` of one worker process."""
+        raise NotImplementedError
+
+    def _resync(self, handle: _WorkerHandle) -> None:
+        """A respawned worker took over its slot: bring it up to date."""
+
+    # -- supervision callbacks --------------------------------------------
+
+    def _handle_stall(self, handle: _WorkerHandle) -> None:
+        """Watchdog verdict: dead or wedged.  Make death unambiguous
+        (terminate a wedged process) and close the control link so the
+        reader exits into ``_maybe_respawn``, which alone decides
+        between a respawn and a failed handle."""
+        with self._lock:
+            self.result.watchdog_stalls += 1
+        if handle.is_alive():
+            handle.process.terminate()
+        handle.control.close()
+
+    def _handle_deadline(self) -> None:
+        """Propagate the wall-clock budget down the tree as SHUTDOWN."""
+        self._deadline_hit = True
+        for handle in self._tiers.get(ROLE_DISTRIBUTOR, ()):
+            try:
+                handle.control.send_shutdown()
+            except OSError:
+                pass
+
+    # -- spawn -------------------------------------------------------------
+
+    def _worker_process(self, role: int, worker_id: int,
+                        incarnation: int = 0, listen_port: int = 0):
+        target, args = self._worker_argv(role, worker_id, incarnation,
+                                         listen_port)
+        return self._ctx.Process(
+            target=target, args=args, daemon=True,
+            name=f"replay-{_role_name(role)}-{worker_id}"
+                 + (f"r{incarnation}" if incarnation else ""))
+
+    def _spawn_tree(self, tiers: Sequence[Tuple[int, int]]) -> None:
+        """Bind the control listener, then start and HELLO in one tier
+        of ``(role, count)`` at a time — a querier's argv names its
+        distributor's port, which only that distributor's HELLO tells.
+
+        Every handle gets its reader thread.  Without recovery the
+        listener is closed; with it the accept loop keeps it open so
+        respawned and re-dialing workers can HELLO back in.
+        """
+        recovery = self._recovery
+        hello_timeout = (_SETUP_TIMEOUT if recovery is None
+                         else recovery.hello_timeout)
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(sum(count for _role, count in tiers) + 4)
+            listener.settimeout(hello_timeout)
+            self._control_addr = listener.getsockname()
+            for role, count in tiers:
+                started = [self._worker_process(role, worker_id)
+                           for worker_id in range(count)]
+                self._processes.extend(started)
+                for process in started:
+                    process.start()
+                by_id: Dict[int, _WorkerHandle] = {}
+                for _ in range(count):
+                    handle = _accept_hello(listener, role, hello_timeout)
+                    handle.process = started[handle.worker_id]
+                    by_id[handle.worker_id] = handle
+                self._tiers[role][:] = [by_id[i] for i in range(count)]
+        except Exception:
+            self._closing.set()
+            for process in self._processes:
+                if process.is_alive():
+                    process.terminate()
+            listener.close()
+            raise
+        for handle in self._handles():
+            self._start_reader(handle)
+        if recovery is None:
+            listener.close()
+            return
+        # Short accept timeout from here on: the accept loop must wake
+        # often enough to notice shutdown.
+        listener.settimeout(0.25)
+        self._listener = listener
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, daemon=True,
+            name="replay-recovery-accept")
+        self._accept_thread.start()
+
+    # -- the one frame reader ----------------------------------------------
+
+    def _start_reader(self, handle: _WorkerHandle) -> None:
+        handle.reader = threading.Thread(
+            target=self._reader_loop, args=(handle, handle.control),
+            daemon=True, name=f"reader-{handle.name}@{handle.incarnation}")
+        handle.reader.start()
+
+    def _reader_loop(self, handle: _WorkerHandle,
+                     control: MessageSocket) -> None:
+        key = (handle.role, handle.worker_id)
+        while True:
+            try:
+                message = control.receive()
+            except (ProtocolError, OSError):
+                break
+            if message is None:
+                break
+            kind, payload = message
+            if kind == MSG_TELEMETRY:
+                # Aggregation has its own lock; never holds self._lock,
+                # so the stream cannot stall checkpoint dispatch.
+                if self.cluster is not None:
+                    self.cluster.ingest(payload)
+                continue
+            if kind == MSG_RESULT and self._store is None:
+                payload = ReplayResult.from_dict(payload)
+            with self._progress:
+                if kind == MSG_CHECKPOINT and self._store is not None:
+                    self._store.offer_frame(key, payload)
+                elif kind == MSG_RESULT and self._store is not None:
+                    # The store keeps the entries; the handle only
+                    # needs to read as reported.  The final RESULT is
+                    # cumulative and its header outranks every
+                    # checkpoint of the same incarnation, whatever the
+                    # arrival order.
+                    handle.shard = _DRAINED
+                    self._store.offer(key, handle.incarnation, 0,
+                                      payload, final=True)
+                elif kind == MSG_RESULT:
+                    handle.shard = payload
+                elif kind == MSG_METRICS:
+                    handle.metrics_state = payload
+                self._progress.notify_all()
+        # Reader gone: either this socket was replaced by a reconnect
+        # (handle.control moved on — not our problem) or the worker
+        # died and _maybe_respawn settles its fate.
+        if handle.control is control:
+            self._maybe_respawn(handle)
+
+    # -- adoption / respawn (live while recovery is configured) ------------
+
+    def _accept_loop(self) -> None:
+        while not self._closing.is_set():
+            try:
+                newcomer = _accept_hello(self._listener, None,
+                                         self._recovery.hello_timeout)
+            except (TimeoutError, ProtocolError):
+                continue
+            except OSError:
+                return
+            self._adopt(newcomer)
+
+    def _adopt(self, newcomer: _WorkerHandle) -> None:
+        """Classify a late HELLO: reconnect of a live incarnation, or a
+        respawned worker taking over its slot."""
+        slots = self._tiers.get(newcomer.role, ())
+        with self._lock:
+            if not 0 <= newcomer.worker_id < len(slots):
+                newcomer.control.close()
+                return
+            current = slots[newcomer.worker_id]
+            if (newcomer.incarnation == current.incarnation
+                    and not current.failed):
+                # Same incarnation re-dialing after a dropped socket:
+                # swap the control link, keep every other field.
+                old = current.control
+                current.control = newcomer.control
+                old.close()
+                handle = current
+            elif newcomer.incarnation > current.incarnation:
+                newcomer.process = self._pending_processes.pop(
+                    (newcomer.role, newcomer.worker_id,
+                     newcomer.incarnation), None)
+                slots[newcomer.worker_id] = newcomer
+                self._retired_handles.append(current)
+                handle = newcomer
+                if self.watchdog is not None:
+                    self.watchdog.add_subject(newcomer)
+            else:
+                newcomer.control.close()
+                return
+            self._progress.notify_all()
+        if handle is newcomer:
+            self._resync(newcomer)
+        self._start_reader(handle)
+
+    def _take_respawn(self, key: Tuple[int, int]) -> Optional[int]:
+        """Book one respawn of worker ``key`` against the budget: its
+        attempt number, or None when recovery is off or the budget is
+        spent.  Call with the lock held."""
+        recovery = self._recovery
+        attempts = self._respawn_counts.get(key, 0)
+        if (recovery is None
+                or attempts >= recovery.respawn.max_per_worker
+                or self._respawns_total >= recovery.respawn.max_total):
+            return None
+        self._respawn_counts[key] = attempts + 1
+        self._respawns_total += 1
+        self.result.respawns += 1
+        return attempts
+
+    def _maybe_respawn(self, handle: _WorkerHandle) -> None:
+        """A worker's control link died.  Once the process is seen dead
+        with its report outstanding the handle is failed; it is
+        respawned when recovery is on and the budget allows."""
+        if handle.process is not None:
+            handle.process.join(timeout=1.5)
+            if handle.process.is_alive():
+                # Live worker with a dropped socket: in recovery mode it
+                # re-dials; otherwise the collection clock rules.
+                return
+        key = (handle.role, handle.worker_id)
+        with self._lock:
+            if handle.failed or handle.shard is not None:
+                return
+            handle.failed = True
+            self._progress.notify_all()
+            if self._closing.is_set():
+                return   # winding down: nothing left to lose or recover
+            attempt = self._take_respawn(key)
+            if attempt is None:
+                self.result.watchdog_stalls += 1
+            else:
+                self._respawning.add(key)
+        if self.cluster is not None:
+            self.cluster.record_crash(handle.role, handle.worker_id,
+                                      handle.incarnation,
+                                      reason="process died")
+        if handle.role == ROLE_DISTRIBUTOR:
+            # Its sticky routes fail over now, not at the next write
+            # error into the dead link's buffer.
+            self._assigner.remove(handle)
+        if attempt is not None:
+            threading.Thread(
+                target=self._respawn_worker, args=(handle, attempt),
+                daemon=True, name=f"respawn-{handle.name}").start()
+
+    def _respawn_worker(self, handle: _WorkerHandle, attempt: int) -> None:
+        """Start a fresh incarnation of ``handle``'s worker (own thread).
+
+        A respawn that dies before its HELLO is adopted would otherwise
+        vanish silently (no reader thread watches it yet) — babysit it
+        through the handshake and retry within the budget.
+        """
+        recovery = self._recovery
+        key = (handle.role, handle.worker_id)
+        incarnation = handle.incarnation
+        try:
+            while not self._closing.is_set():
+                incarnation += 1
+                time.sleep(recovery.respawn.backoff(attempt))
+                process = self._worker_process(
+                    handle.role, handle.worker_id, incarnation,
+                    handle.listen_port)
+                pending_key = key + (incarnation,)
+                with self._lock:
+                    if self._closing.is_set():
+                        return
+                    self._pending_processes[pending_key] = process
+                    self._processes.append(process)
+                process.start()
+                hello_deadline = time.monotonic() + recovery.hello_timeout
+                with self._progress:
+                    while (pending_key in self._pending_processes
+                           and process.is_alive()
+                           and not self._closing.is_set()
+                           and time.monotonic() < hello_deadline):
+                        self._progress.wait(0.05)
+                    if (process.is_alive() or self._closing.is_set()
+                            or pending_key not in self._pending_processes):
+                        # Adopted (the reader thread owns it now),
+                        # shutting down, or alive but mute past the
+                        # HELLO timeout.
+                        return
+                    del self._pending_processes[pending_key]
+                    attempt = self._take_respawn(key)
+                    if attempt is None:
+                        self.result.watchdog_stalls += 1
+                        return
+        finally:
+            with self._progress:
+                self._respawning.discard(key)
+                self._progress.notify_all()
+
+    # -- collect / merge / teardown ----------------------------------------
+
+    def _await_reports(self, cap: Optional[float] = None,
+                       floor: Optional[float] = None,
+                       grace: Optional[float] = None) -> None:
+        """The one completion wait: sleep on ``_progress`` until every
+        worker has its RESULT + METRICS pair or is failed.
+
+        A live, unreported worker is given up on (failed) at ``cap``, an
+        absolute monotonic time.  With ``grace`` the clock is event-
+        driven instead: it is armed only once every distributor has
+        reported or failed — the stream upstream of the queriers has
+        ended — and then runs to ``max(floor, that moment) + grace``
+        (still never past ``cap``).  So no clock derived from trace
+        timestamps declares a worker lost while its upstream is still
+        producing; a flood's duration is zero, its wall time is not.
+        """
+        upstream_at: Optional[float] = None
+        with self._progress:
+            while True:
+                waiting = []
+                for handle in self._handles():
+                    # RESULT and METRICS travel as a pair; waking on the
+                    # first must not leave the second unread.
+                    if (handle.shard is not None
+                            and handle.metrics_state is not None):
+                        continue
+                    if handle.failed:
+                        if (handle.role, handle.worker_id) \
+                                in self._respawning:
+                            waiting.append(handle)
+                    elif (handle.pid is not None and not handle.is_alive()
+                            and not (handle.reader is not None
+                                     and handle.reader.is_alive())):
+                        # Died with nobody reading its link any more
+                        # (the reader left on an earlier dropped socket,
+                        # or never ran): nothing further can arrive.
+                        handle.failed = True
+                    else:
+                        waiting.append(handle)
+                if not waiting:
+                    return
+                now = time.monotonic()
+                deadline = cap
+                if grace is not None:
+                    if upstream_at is None and not any(
+                            handle.role == ROLE_DISTRIBUTOR
+                            for handle in waiting):
+                        upstream_at = now
+                    if upstream_at is not None:
+                        clock = max(floor, upstream_at) + grace
+                        deadline = clock if cap is None else min(clock, cap)
+                if deadline is not None and now >= deadline:
+                    for handle in waiting:
+                        handle.failed = True
+                    return
+                # Bounded: a worker dying after its reader left
+                # notifies nobody.
+                self._progress.wait(
+                    1.0 if deadline is None else min(1.0, deadline - now))
+
+    def _merge(self, workers_counter: str) -> int:
+        """The one merge: every worker's report into ``result`` and
+        ``metrics``, in slot order.  Returns the number of lost shards."""
+        # Collection is over: nothing may change a worker's fate, or
+        # self.result, behind the merge's back.
+        self._closing.set()
+        if self.watchdog is not None:
+            self.watchdog.stop()
+            self.watchdog.join(timeout=1.0)
+        handles = self._handles()
+        if self._store is not None:
+            # Exactly-once over the store instead of the re-indexing
+            # ReplayResult.merge; then the controller-side accounting
+            # (respawns, redelivery, shedding, failover) that accrued on
+            # self.result during the run.
+            with self._lock:
+                snapshots = self._store.snapshots()
+            merged = merge_recovered(snapshots, name=self.result.name)
+            for counter in _COUNTER_FIELDS:
+                setattr(merged, counter, getattr(merged, counter)
+                        + getattr(self.result, counter))
+            merged.trace_start = self.result.trace_start
+            if self.result.start_clock is not None:
+                merged.start_clock = self.result.start_clock \
+                    if merged.start_clock is None \
+                    else min(merged.start_clock, self.result.start_clock)
+            self.result = merged
+        lost = 0
+        for handle in handles:
+            if handle.shard is None:
+                lost += 1
+            elif handle.shard is not _DRAINED:
+                self.result.merge(handle.shard)
+        for handle in handles + self._retired_handles:
+            if handle.metrics_state is not None:
+                self.metrics.merge_state(handle.metrics_state)
+        if lost:
+            self.metrics.incr("multiproc.lost_shards", lost)
+        self.metrics.incr(workers_counter, len(handles))
+        if self._respawns_total:
+            self.metrics.incr("multiproc.respawns", self._respawns_total)
+        return lost
+
+    def _teardown(self) -> None:
+        """The one teardown: SHUTDOWN, close, reap."""
+        if self._listener is not None:
+            self._listener.close()
+            self._accept_thread.join(timeout=2.0)
+        for handle in self._handles():
+            try:
+                handle.control.send_shutdown()
+            except OSError:
+                pass
+            handle.control.close()
+        for handle in self._retired_handles:
+            handle.control.close()
+        for process in self._processes:
+            process.join(timeout=2.0)
+        for process in self._processes:
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=2.0)
+
+
+class ProcessTopology(_Controller):
     """The controller of the multi-process replay tree.
 
     Usually reached through
@@ -713,260 +1171,81 @@ class ProcessTopology:
         self.servers = [tuple(address) for address in servers]
         self.config = config if config is not None else DistributedConfig()
         self.telemetry = telemetry
-        self.result = ReplayResult(
-            "distributed-process", aggregate=self.config.aggregate_results)
-        # Cross-process telemetry: per-worker MetricsRegistry snapshots
-        # merged into one registry (and into the telemetry hub's, when
-        # one is attached).
-        self.metrics = MetricsRegistry()
-        self.watchdog: Optional[ReplayWatchdog] = None
+        # The TelemetryConfig to ship to workers, or None when the run
+        # must be observation-free (the differential guarantee: workers
+        # only ever learn about telemetry when streaming is on).
+        tconfig = getattr(telemetry, "config", telemetry)
+        if not (isinstance(tconfig, TelemetryConfig)
+                and tconfig.streaming()):
+            tconfig = None
+        super().__init__(
+            ReplayResult("distributed-process",
+                         aggregate=self.config.aggregate_results),
+            self.config.recovery, tconfig, self.config.start_method)
         self.distributor_handles: List[_WorkerHandle] = []
         self.querier_handles: List[_WorkerHandle] = []
-        # Live cluster view, populated only when the telemetry config
-        # asks for streaming (stream_period set); None otherwise so the
-        # classic path stays byte-identical to a telemetry-free run.
-        self.cluster: Optional[ClusterAggregator] = None
-        self._deadline_hit = False
-        self._lock = threading.Lock()
-        # Recovery mode: notified (under _lock) whenever a reader folds
-        # a frame in or a worker's fate changes, so the drain wakes on
-        # progress instead of polling.
-        self._progress = threading.Condition(self._lock)
+        # Merge order: queriers in id order, then the distributors'
+        # routing counters.
+        self._tiers = {ROLE_QUERIER: self.querier_handles,
+                       ROLE_DISTRIBUTOR: self.distributor_handles}
+        # Distributor i's extra argv: empty, or what it self-sources in
+        # a shard-file run (path, read-ahead, pacing).
+        self._source_args = lambda index: ()
 
     def server_for(self, querier_id: int) -> ServerAddress:
         return self.servers[querier_id % len(self.servers)]
 
-    def _stream_config(self) -> Optional[TelemetryConfig]:
-        """The TelemetryConfig to ship to workers, or None when the run
-        must be observation-free (the differential guarantee: workers
-        only ever learn about telemetry when streaming is on)."""
-        config = getattr(self.telemetry, "config", self.telemetry)
-        if isinstance(config, TelemetryConfig) and config.streaming():
-            return config
-        return None
-
-    # -- supervision callbacks --------------------------------------------
-
-    def _handle_stall(self, handle: _WorkerHandle) -> None:
-        """A worker process died with its shard outstanding.
-
-        Mark it failed so collection skips it; its sticky routes already
-        fail over inside the tree (broken pipe → StickyAssigner.remove).
-        """
-        with self._lock:
-            handle.failed = True
-            self.result.watchdog_stalls += 1
-        if self.cluster is not None:
-            self.cluster.record_crash(handle.role, handle.worker_id,
-                                      handle.incarnation,
-                                      reason="watchdog stall")
-        handle.control.close()
-
-    def _handle_deadline(self) -> None:
-        """Propagate the wall-clock budget down the tree as SHUTDOWN."""
-        self._deadline_hit = True
-        for handle in self.distributor_handles:
-            try:
-                handle.control.send_shutdown()
-            except OSError:
-                pass
-
-    # -- setup helpers -----------------------------------------------------
-
-    def _accept_hello(self, listener: socket.socket,
-                      expected_role: int) -> _WorkerHandle:
-        return _accept_hello(listener, expected_role)
-
-    def _spawn_tree(self, num_distributors: int,
-                    distributor_extra=None,
-                    aggregate: bool = False) -> List:
-        """Spawn distributors + queriers and HELLO them in.
-
-        ``distributor_extra(i)`` appends streaming arguments (shard
-        file path, read-ahead, pacing) to distributor *i*'s argv;
-        ``aggregate`` switches the queriers to O(1) result accounting.
-        Returns the process list (distributors first, queriers after).
-        """
+    def _worker_argv(self, role: int, worker_id: int, incarnation: int,
+                     listen_port: int) -> Tuple[object, tuple]:
         config = self.config
-        tconfig = self._stream_config()
-        if tconfig is not None:
-            self.cluster = _make_aggregator(tconfig)
-        ctx = _mp_context(config.start_method)
-        querier_total = (num_distributors
-                         * config.queriers_per_distributor)
-        processes = []
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if role == ROLE_DISTRIBUTOR:
+            return _distributor_main, (
+                self._control_addr, worker_id,
+                config.queriers_per_distributor, config.recovery,
+                incarnation, listen_port, self._tconfig,
+                *self._source_args(worker_id))
+        distributor = self.distributor_handles[
+            worker_id // config.queriers_per_distributor]
+        deadline = (config.supervision.deadline
+                    if config.supervision is not None else None)
+        return _querier_main, (
+            self._control_addr, worker_id,
+            ("127.0.0.1", distributor.listen_port),
+            self.server_for(worker_id), deadline, config.recovery,
+            incarnation, self._tconfig,
+            self.result.aggregate and config.recovery is None)
+
+    def _resync(self, handle: _WorkerHandle) -> None:
+        """Bring a distributor, first incarnation or respawned, into the
+        run: chaos on its record stream, the anchor, a place in routing."""
+        if handle.role != ROLE_DISTRIBUTOR:
+            return
+        recovery = self.config.recovery
+        # Controller-side chaos acts on the record stream to the
+        # distributors; the controller itself never crash-faults.
+        attach_chaos(handle.control, recovery.chaos if recovery else None,
+                     handle.role, handle.worker_id, handle.incarnation,
+                     controller_side=True)
         try:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(num_distributors + querier_total)
-            listener.settimeout(_SETUP_TIMEOUT)
-            control_addr = listener.getsockname()
+            handle.control.send_time_sync(self.result.trace_start)
+        except OSError:
+            pass   # dead already: surfaces as a lost shard / respawn
+        self._assigner.add(handle)
 
-            # Tier 1: distributor processes; HELLO carries each one's
-            # querier-listener port.
-            for distributor_id in range(num_distributors):
-                args = (control_addr, distributor_id,
-                        config.queriers_per_distributor,
-                        None, 0, 0, tconfig)
-                if distributor_extra is not None:
-                    args = args + tuple(distributor_extra(distributor_id))
-                process = ctx.Process(
-                    target=_distributor_main, args=args,
-                    daemon=True, name=f"replay-distributor-{distributor_id}")
-                process.start()
-                processes.append(process)
-            by_id: Dict[int, _WorkerHandle] = {}
-            for _ in range(num_distributors):
-                handle = self._accept_hello(listener, ROLE_DISTRIBUTOR)
-                handle.process = processes[handle.worker_id]
-                by_id[handle.worker_id] = handle
-            self.distributor_handles = [by_id[i]
-                                        for i in range(num_distributors)]
-
-            # Tier 2: querier processes, each wired to its distributor.
-            deadline = (config.supervision.deadline
-                        if config.supervision is not None else None)
-            for querier_id in range(querier_total):
-                distributor_id = (querier_id
-                                  // config.queriers_per_distributor)
-                distributor_port = \
-                    self.distributor_handles[distributor_id].listen_port
-                process = ctx.Process(
-                    target=_querier_main,
-                    args=(control_addr, querier_id,
-                          ("127.0.0.1", distributor_port),
-                          self.server_for(querier_id), deadline,
-                          None, 0, tconfig, aggregate),
-                    daemon=True, name=f"replay-querier-{querier_id}")
-                process.start()
-                processes.append(process)
-            by_id = {}
-            for _ in range(querier_total):
-                handle = self._accept_hello(listener, ROLE_QUERIER)
-                handle.process = \
-                    processes[num_distributors + handle.worker_id]
-                by_id[handle.worker_id] = handle
-            self.querier_handles = [by_id[i] for i in range(querier_total)]
-        except Exception:
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            raise
-        finally:
-            listener.close()
-        return processes
-
-    # -- the run -----------------------------------------------------------
+    # -- the runs ----------------------------------------------------------
 
     def replay(self, trace: Trace) -> ReplayResult:
+        """Replay an in-memory trace: records cross the control links,
+        as RECORD frames, or as RECORD_SEQ when ``config.recovery`` is
+        set (every send attributable to a global trace index; END
+        withheld until the checkpoint store accounts for every index;
+        exactly-once merge)."""
         records = sorted(trace.records, key=lambda r: r.timestamp)
         if not records:
             return self.result
-        if self.config.recovery is not None:
-            return self._replay_recovering(records)
-        config = self.config
-        processes = self._spawn_tree(
-            config.distributors, aggregate=config.aggregate_results)
-
-        handles = self.querier_handles + self.distributor_handles
-        if self.cluster is not None:
-            # Streaming mode: frames arrive *during* the run, so every
-            # handle gets a dedicated reader thread and collection
-            # becomes a wait instead of a read (one reader per socket).
-            for handle in handles:
-                self._start_stream_reader(handle)
-        if config.supervision is not None:
-            self.watchdog = ReplayWatchdog(
-                config.supervision, handles,
-                on_stall=self._handle_stall,
-                on_deadline=self._handle_deadline)
-            self.watchdog.start()
-
-        # Reader + Postman: time-sync broadcast, then the sharded stream.
-        assigner = StickyAssigner(self.distributor_handles)
-        trace_start = records[0].timestamp
-        self.result.trace_start = trace_start
-        time.sleep(config.start_delay)
-        self.result.start_clock = time.monotonic()
-        if self.cluster is not None:
-            self.cluster.set_anchor(self.result.start_clock)
-        for handle in self.distributor_handles:
-            handle.control.send_time_sync(trace_start)
-        streamed = 0
-        for record in records:
-            if self._deadline_hit:
-                # Stop feeding the tree; everything not yet streamed is
-                # shed here (queued records shed inside the queriers).
-                self.result.deadline_shed += len(records) - streamed
-                break
-            while assigner.entities:
-                handle = assigner.assign(record.src)
-                try:
-                    handle.control.write_record(record)
-                    streamed += 1
-                    break
-                except OSError:   # distributor died: fail its sources over
-                    assigner.remove(handle)
-                    with self._lock:
-                        self.result.reassigned_queries += 1
-            else:
-                with self._lock:
-                    self.result.send_failures += 1
-        for handle in self.distributor_handles:
-            try:
-                handle.control.send_end()   # behind the last record block
-            except OSError:
-                pass
-
-        # Collection: every worker reports RESULT + METRICS when done.
-        duration = records[-1].timestamp - trace_start
-        deadline = time.monotonic() + duration \
-            + config.settle_time + 10.0
-        supervision = config.supervision
-        if supervision is not None and supervision.deadline is not None:
-            deadline = min(deadline, self.result.start_clock
-                           + supervision.deadline
-                           + supervision.stall_timeout + 10.0)
-        for handle in handles:
-            self._collect(handle, deadline)
-        if self.watchdog is not None:
-            self.watchdog.stop()
-            self.watchdog.join(timeout=1.0)
-
-        # Merge shards deterministically: queriers in id order, then
-        # distributor routing counters.
-        lost = 0
-        for handle in handles:
-            if handle.shard is not None:
-                self.result.merge(handle.shard)
-            else:
-                lost += 1
-            if handle.metrics_state is not None:
-                self.metrics.merge_state(handle.metrics_state)
-        if lost:
-            self.metrics.incr("multiproc.lost_shards", lost)
-        self.metrics.incr("multiproc.workers", len(handles))
-        telemetry = self.telemetry
-        if telemetry is not None:
-            # Per-query tracing cannot cross the process boundary; the
-            # merged counter/histogram snapshots are the process-mode
-            # telemetry surface.
-            telemetry.metrics.merge(self.metrics)
-
-        # Teardown: SHUTDOWN, close, reap.
-        for handle in handles:
-            try:
-                handle.control.send_shutdown()
-            except OSError:
-                pass
-            handle.control.close()
-        for process in processes:
-            process.join(timeout=2.0)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-        return self.result
+        return self._run(self.config.distributors, records[0].timestamp,
+                         records[-1].timestamp - records[0].timestamp,
+                         records)
 
     def replay_shard_files(self, directory: str, read_ahead: int = 2048,
                            pace_lead: float = 2.0) -> ReplayResult:
@@ -979,397 +1258,152 @@ class ProcessTopology:
         shard file (``config.distributors`` is ignored) and self-sources
         it lazily with ``read_ahead`` records of decode-ahead, pacing
         routing ``pace_lead`` seconds ahead of the replay clock so no
-        tier ever buffers the trace.  Queriers account in aggregate
-        mode, so RESULT frames stay a few KB at any scale and are
-        merged into the controller result the moment they arrive
-        instead of being buffered per worker.
+        tier ever buffers the trace.  The control links carry only
+        TIME_SYNC and END.  Queriers account in aggregate mode, so
+        RESULT frames stay a few KB at any scale.
         """
         if self.config.recovery is not None:
             raise ValueError(
                 "shard-file streaming does not support recovery mode")
         manifest = read_manifest(directory)
-        num_shards = manifest["num_shards"]
         self.result = ReplayResult("distributed-process", aggregate=True)
         if not manifest["total_records"]:
             return self.result
+        self._source_args = lambda index: (
+            shard_path(directory, index, manifest), read_ahead, pace_lead)
+        self.metrics.incr("multiproc.trace_records",
+                          manifest["total_records"])
+        trace_start = manifest["first_timestamp"]
+        return self._run(
+            manifest["num_shards"], trace_start,
+            manifest["last_timestamp"] - trace_start + pace_lead)
+
+    def _run(self, num_distributors: int, trace_start: float, span: float,
+             records: Sequence = ()) -> ReplayResult:
+        """The run skeleton: spawn → anchor → stream → drain → collect
+        → merge → teardown.  ``span`` is how long the schedule keeps
+        the tree busy after the anchor."""
         config = self.config
-
-        def streaming_args(index: int):
-            return (shard_path(directory, index, manifest),
-                    read_ahead, pace_lead)
-
-        processes = self._spawn_tree(num_shards,
-                                     distributor_extra=streaming_args,
-                                     aggregate=True)
-        handles = self.querier_handles + self.distributor_handles
-        if self.cluster is not None:
-            for handle in handles:
-                self._start_stream_reader(handle)
+        recovery = config.recovery
+        # Set before any worker exists: _resync may need it early.
+        self.result.trace_start = trace_start
+        if recovery is not None:
+            self._store = CheckpointStore()
+        self._spawn_tree([
+            (ROLE_DISTRIBUTOR, num_distributors),
+            (ROLE_QUERIER,
+             num_distributors * config.queriers_per_distributor)])
         if config.supervision is not None:
             self.watchdog = ReplayWatchdog(
-                config.supervision, handles,
+                config.supervision, self._handles(),
                 on_stall=self._handle_stall,
                 on_deadline=self._handle_deadline)
             self.watchdog.start()
+        self._anchor()
+        streamed = self._stream(records)
 
-        trace_start = manifest["first_timestamp"]
-        self.result.trace_start = trace_start
-        time.sleep(config.start_delay)
-        self.result.start_clock = time.monotonic()
-        if self.cluster is not None:
-            self.cluster.set_anchor(self.result.start_clock)
-        # The whole control stream: TIME_SYNC anchors the tree, END
-        # closes it.  Records never cross these sockets — each
-        # distributor reads its own shard file.  A dead distributor
-        # surfaces through lost-shard accounting below.
+        if recovery is not None:
+            # Exactly-once drain: withhold END until the checkpoint
+            # store accounts for every streamed index.
+            cap = time.monotonic() + span + config.settle_time \
+                + recovery.collect_timeout
+            if not self._deadline_hit:
+                self._drain_exactly_once(records, streamed, cap)
+            # From here on worker death is no longer recoverable work
+            # loss (everything is checkpointed), so stop respawning and
+            # let the tree wind down.
+            self._closing.set()
         for handle in self.distributor_handles:
             try:
-                handle.control.send_time_sync(trace_start)
-                handle.control.send_end()
+                handle.control.send_end()   # behind the last record block
             except OSError:
                 pass
 
-        duration = manifest["last_timestamp"] - trace_start
-        deadline = time.monotonic() + duration + pace_lead \
-            + config.settle_time + 10.0
-        supervision = config.supervision
-        if supervision is not None and supervision.deadline is not None:
-            deadline = min(deadline, self.result.start_clock
-                           + supervision.deadline
-                           + supervision.stall_timeout + 10.0)
-        # Streaming merge: fold each worker's aggregate frame into the
-        # controller result as it is collected, then drop it — the
-        # controller holds O(1) state however many workers report.
-        lost = 0
-        for handle in handles:
-            self._collect(handle, deadline)
-            with self._lock:
-                if handle.shard is not None:
-                    self.result.merge(handle.shard)
-                    handle.shard = _DRAINED
-                else:
-                    lost += 1
-                if handle.metrics_state is not None:
-                    self.metrics.merge_state(handle.metrics_state)
-                    handle.metrics_state = {}
-        if self.watchdog is not None:
-            self.watchdog.stop()
-            self.watchdog.join(timeout=1.0)
-        if lost:
-            self.metrics.incr("multiproc.lost_shards", lost)
-        self.metrics.incr("multiproc.workers", len(handles))
-        self.metrics.incr("multiproc.trace_records",
-                          manifest["total_records"])
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.metrics.merge(self.metrics)
+        # Collect: every worker reports RESULT + METRICS when done.
+        if recovery is not None:
+            self._await_reports(
+                min(cap, time.monotonic() + config.settle_time + 8.0))
+        else:
+            supervision = config.supervision
+            cap = None
+            if supervision is not None and supervision.deadline is not None:
+                # The user's wall-clock budget, and the only one.
+                cap = self.result.start_clock + supervision.deadline \
+                    + supervision.stall_timeout + _COLLECT_SLACK
+            self._await_reports(cap, self.result.start_clock + span,
+                                config.settle_time + _COLLECT_SLACK)
 
-        for handle in handles:
-            try:
-                handle.control.send_shutdown()
-            except OSError:
-                pass
-            handle.control.close()
-        for process in processes:
-            process.join(timeout=2.0)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
+        self._merge("multiproc.workers")
+        if isinstance(self.telemetry, Telemetry):
+            # Per-query tracing cannot cross the process boundary; the
+            # merged counter/histogram snapshots are the process-mode
+            # telemetry surface.  A bare TelemetryConfig has no registry
+            # to fold into.
+            self.telemetry.metrics.merge(self.metrics)
+        self._teardown()
         return self.result
 
-    def _collect(self, handle: _WorkerHandle, deadline: float) -> None:
-        if self.cluster is not None:
-            self._await_worker(handle, deadline)
-        else:
-            _collect_worker(handle, deadline)
-
-    # -- streaming-mode readers (classic path, cluster is not None) --------
-
-    def _start_stream_reader(self, handle: _WorkerHandle) -> None:
-        thread = threading.Thread(
-            target=self._stream_reader, args=(handle, handle.control),
-            daemon=True, name=f"stream-reader-{handle.name}")
-        thread.start()
-
-    def _stream_reader(self, handle: _WorkerHandle,
-                       control: MessageSocket) -> None:
-        """Per-worker reader: TELEMETRY feeds the aggregator live, the
-        final RESULT/METRICS pair lands on the handle for collection."""
-        while True:
-            try:
-                message = control.receive()
-            except (ProtocolError, OSError):
-                break
-            if message is None:
-                break
-            kind, payload = message
-            if kind == MSG_TELEMETRY:
-                self.cluster.ingest(payload)
-                continue
-            with self._lock:
-                if kind == MSG_RESULT:
-                    handle.shard = ReplayResult.from_dict(payload)
-                elif kind == MSG_METRICS:
-                    handle.metrics_state = payload
-        # Reader EOF with the shard outstanding: if the process is
-        # really dead this is a crash — freeze its flight recorder.
-        if handle.shard is not None:
-            return
-        process = handle.process
-        if process is not None:
-            process.join(timeout=1.0)
-            if process.is_alive():
-                return   # dropped socket on a live worker; deadline rules
-        with self._lock:
-            if handle.failed or handle.shard is not None:
-                return
-            handle.failed = True
-        self.cluster.record_crash(handle.role, handle.worker_id,
-                                  handle.incarnation)
-
-    def _await_worker(self, handle: _WorkerHandle,
-                      deadline: float) -> None:
-        """Streaming-mode collection: the reader thread owns the socket,
-        so wait for it to land the RESULT/METRICS pair (or fail)."""
-        while time.monotonic() < deadline:
-            with self._lock:
-                if handle.failed or (handle.shard is not None
-                                     and handle.metrics_state is not None):
-                    return
-            time.sleep(0.02)
-        with self._lock:
-            if handle.shard is None or handle.metrics_state is None:
-                handle.failed = True
-
-    # -- self-healing mode (config.recovery is set) ------------------------
-    #
-    # Differences from the classic run above: the control listener stays
-    # open for the whole run so respawned/reconnecting workers can
-    # re-HELLO; every worker gets a dedicated reader thread (CHECKPOINT
-    # frames arrive *during* the replay, not just at collection);
-    # records are streamed as RECORD_SEQ so every send is attributable
-    # to a global trace index; END is withheld until the checkpoint
-    # store accounts for every index (with bounded redelivery rounds
-    # re-streaming lost ones); and the final merge is the exactly-once
-    # merge_recovered over the store instead of the re-indexing
-    # ReplayResult.merge.
-
-    def _replay_recovering(self, records) -> ReplayResult:
-        config = self.config
-        recovery = config.recovery
-        self._tconfig = self._stream_config()
-        if self._tconfig is not None:
-            self.cluster = _make_aggregator(self._tconfig)
-        self._ctx = _mp_context(config.start_method)
-        querier_total = (config.distributors
-                         * config.queriers_per_distributor)
-        self._store = CheckpointStore()
-        self._processes: List = []
-        self._pending_processes: Dict[Tuple[int, int, int], object] = {}
-        self._respawn_counts: Dict[Tuple[int, int], int] = {}
-        self._respawns_total = 0
-        self._closing = threading.Event()
-        self._retired_handles: List[_WorkerHandle] = []
-        self._deadline_arg = (config.supervision.deadline
-                              if config.supervision is not None else None)
-
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener = listener
-        try:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(config.distributors + querier_total + 4)
-            listener.settimeout(recovery.hello_timeout)
-            self._control_addr = listener.getsockname()
-
-            for distributor_id in range(config.distributors):
-                process = self._ctx.Process(
-                    target=_distributor_main,
-                    args=(self._control_addr, distributor_id,
-                          config.queriers_per_distributor, recovery, 0, 0,
-                          self._tconfig),
-                    daemon=True, name=f"replay-distributor-{distributor_id}")
-                process.start()
-                self._processes.append(process)
-            by_id: Dict[int, _WorkerHandle] = {}
-            for _ in range(config.distributors):
-                handle = _accept_hello(listener, ROLE_DISTRIBUTOR,
-                                       recovery.hello_timeout)
-                handle.process = self._processes[handle.worker_id]
-                by_id[handle.worker_id] = handle
-            self.distributor_handles = [by_id[i]
-                                        for i in range(config.distributors)]
-
-            for querier_id in range(querier_total):
-                distributor_id = (querier_id
-                                  // config.queriers_per_distributor)
-                distributor_port = \
-                    self.distributor_handles[distributor_id].listen_port
-                process = self._ctx.Process(
-                    target=_querier_main,
-                    args=(self._control_addr, querier_id,
-                          ("127.0.0.1", distributor_port),
-                          self.server_for(querier_id), self._deadline_arg,
-                          recovery, 0, self._tconfig),
-                    daemon=True, name=f"replay-querier-{querier_id}")
-                process.start()
-                self._processes.append(process)
-            by_id = {}
-            for _ in range(querier_total):
-                handle = _accept_hello(listener, ROLE_QUERIER,
-                                       recovery.hello_timeout)
-                handle.process = \
-                    self._processes[config.distributors + handle.worker_id]
-                by_id[handle.worker_id] = handle
-            self.querier_handles = [by_id[i] for i in range(querier_total)]
-        except Exception:
-            self._closing.set()
-            for process in self._processes:
-                if process.is_alive():
-                    process.terminate()
-            listener.close()
-            raise
-
-        # Controller-side chaos acts on the record stream to the
-        # distributors; the controller itself never crash-faults.
-        for handle in self.distributor_handles:
-            attach_chaos(handle.control, recovery.chaos, handle.role,
-                         handle.worker_id, handle.incarnation,
-                         controller_side=True)
-        for handle in self.distributor_handles + self.querier_handles:
-            self._start_reader(handle)
-        # Short accept timeout from here on: the accept loop must wake
-        # often enough to notice shutdown.
-        listener.settimeout(0.25)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True,
-            name="replay-recovery-accept")
-        self._accept_thread.start()
-
-        if config.supervision is not None:
-            self.watchdog = ReplayWatchdog(
-                config.supervision,
-                self.querier_handles + self.distributor_handles,
-                on_stall=self._handle_stall_recovering,
-                on_deadline=self._handle_deadline)
-            self.watchdog.start()
-
-        # Reader + Postman with global indices.
-        self._assigner = StickyAssigner(self.distributor_handles)
-        trace_start = records[0].timestamp
-        self._trace_start_value = trace_start
-        self.result.trace_start = trace_start
-        time.sleep(config.start_delay)
+    def _anchor(self) -> None:
+        """Take the run's zero point and broadcast it as TIME_SYNC."""
+        time.sleep(self.config.start_delay)
         self.result.start_clock = time.monotonic()
         if self.cluster is not None:
             self.cluster.set_anchor(self.result.start_clock)
         for handle in self.distributor_handles:
-            try:
-                handle.control.send_time_sync(trace_start)
-            except OSError:
-                pass
+            self._resync(handle)
+
+    def _stream(self, records: Sequence) -> int:
+        """Reader + Postman: shard the records sticky-by-source over the
+        distributors, tagged with their global trace index when a store
+        accounts for them.  Returns how many were handed to the tree."""
+        sequenced = self._store is not None
         streamed = 0
         for index, record in enumerate(records):
             if self._deadline_hit:
+                # Stop feeding the tree; everything not yet streamed is
+                # shed here (queued records shed inside the queriers).
                 self.result.deadline_shed += len(records) - streamed
                 break
-            self._send_record_seq(index, record)
+            self._send_record(index if sequenced else None, record)
             streamed += 1
         self._flush_records()
+        return streamed
 
-        # Exactly-once drain: withhold END until the checkpoint store
-        # accounts for every streamed index, re-streaming lost records
-        # in bounded redelivery rounds.
-        duration = records[-1].timestamp - trace_start
-        drain_deadline = time.monotonic() + duration \
-            + config.settle_time + recovery.collect_timeout
-        if not self._deadline_hit:
-            self._drain_exactly_once(records, streamed, drain_deadline)
-
-        # From here on worker death is no longer recoverable work loss
-        # (everything is checkpointed), so stop respawning and let the
-        # tree wind down.
-        self._closing.set()
-        for handle in self.distributor_handles:
+    def _send_record(self, index: Optional[int], record) -> None:
+        """Route one record to its sticky distributor — RECORD when
+        ``index`` is None, RECORD_SEQ otherwise — failing a dead
+        distributor's sources over to the next live one."""
+        while self._assigner.entities:
+            handle = self._assigner.assign(record.src)
             try:
-                handle.control.send_end()
-            except OSError:
-                pass
-
-        final_deadline = min(drain_deadline,
-                             time.monotonic() + config.settle_time + 8.0)
-        with self._progress:
-            while time.monotonic() < final_deadline:
-                # RESULT and METRICS travel as a pair; waking on the
-                # first must not leave the second unread.
-                if not any((h.shard is None or h.metrics_state is None)
-                           and not h.failed and h.is_alive()
-                           for h in (self.querier_handles
-                                     + self.distributor_handles)):
-                    break
-                # Bounded: a worker dying silently notifies nobody.
-                self._progress.wait(0.25)
-
-        if self.watchdog is not None:
-            self.watchdog.stop()
-            self.watchdog.join(timeout=1.0)
-        listener.close()
-        self._accept_thread.join(timeout=2.0)
-
-        return self._finish_recovering()
-
-    def _finish_recovering(self) -> ReplayResult:
-        """Merge the store exactly-once, fold counters, tear down."""
-        handles = self.querier_handles + self.distributor_handles
+                if index is None:
+                    handle.control.write_record(record)
+                else:
+                    handle.control.write_record_seq(index, record)
+                return
+            except OSError:   # distributor died: fail its sources over
+                self._assigner.remove(handle)
+                with self._lock:
+                    self.result.reassigned_queries += 1
         with self._lock:
-            snapshots = self._store.snapshots()
-        merged = merge_recovered(snapshots, name=self.result.name)
-        # Controller-side accounting (respawns, redelivery, shedding,
-        # failover) accrued on self.result during the run.
-        for counter in _COUNTER_FIELDS:
-            setattr(merged, counter,
-                    getattr(merged, counter) + getattr(self.result, counter))
-        merged.trace_start = self.result.trace_start
-        if self.result.start_clock is not None:
-            merged.start_clock = self.result.start_clock \
-                if merged.start_clock is None \
-                else min(merged.start_clock, self.result.start_clock)
-        self.result = merged
+            self.result.send_failures += 1
 
-        lost = 0
-        for handle in handles + self._retired_handles:
-            if handle.metrics_state is not None:
-                self.metrics.merge_state(handle.metrics_state)
-        for handle in handles:
-            if handle.shard is None:
-                lost += 1
-        if lost:
-            self.metrics.incr("multiproc.lost_shards", lost)
-        self.metrics.incr("multiproc.workers", len(handles))
-        if self._respawns_total:
-            self.metrics.incr("multiproc.respawns", self._respawns_total)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.metrics.merge(self.metrics)
-
-        for handle in handles:
+    def _flush_records(self) -> None:
+        """Write out the buffered record blocks before waiting.  What a
+        dead link's block held comes back, in recovery mode, as missing
+        indices in the next redelivery round."""
+        for handle in self._assigner.entities:
             try:
-                handle.control.send_shutdown()
+                handle.control.flush()
             except OSError:
-                pass
-            handle.control.close()
-        for handle in self._retired_handles:
-            handle.control.close()
-        for process in self._processes:
-            process.join(timeout=2.0)
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-        return self.result
+                self._assigner.remove(handle)
+
+    # -- exactly-once drain (recovery mode) --------------------------------
 
     def _drain_exactly_once(self, records, streamed: int,
                             drain_deadline: float) -> None:
+        """Wait until the store covers every streamed index,
+        re-streaming lost records in bounded redelivery rounds."""
         recovery = self.config.recovery
         store = self._store
         rounds = 0
@@ -1407,7 +1441,7 @@ class ProcessTopology:
                                    | self._stale_unanswered(streamed))
             rounds += 1
             for index in redeliver:
-                self._send_record_seq(index, records[index])
+                self._send_record(index, records[index])
             self._flush_records()
             with self._lock:
                 self.result.redelivered_records += len(redeliver)
@@ -1423,297 +1457,27 @@ class ProcessTopology:
         return {index for index in self._store.stale_unanswered(live_keys)
                 if index < streamed}
 
-    def _send_record_seq(self, index: int, record) -> bool:
-        while self._assigner.entities:
-            handle = self._assigner.assign(record.src)
-            try:
-                handle.control.write_record_seq(index, record)
-                return True
-            except OSError:
-                self._assigner.remove(handle)
-                with self._lock:
-                    self.result.reassigned_queries += 1
-        with self._lock:
-            self.result.send_failures += 1
-        return False
-
-    def _flush_records(self) -> None:
-        """Write out the buffered RECORD_SEQ blocks before waiting on
-        the store.  What a dead link's block held comes back as missing
-        indices in the next redelivery round."""
-        for handle in self._assigner.entities:
-            try:
-                handle.control.flush()
-            except OSError:
-                self._assigner.remove(handle)
-
-    # -- reader / adoption / respawn ---------------------------------------
-
-    def _start_reader(self, handle: _WorkerHandle) -> None:
-        thread = threading.Thread(
-            target=self._reader_loop, args=(handle, handle.control),
-            daemon=True, name=f"reader-{handle.name}@{handle.incarnation}")
-        thread.start()
-
-    def _reader_loop(self, handle: _WorkerHandle,
-                     control: MessageSocket) -> None:
-        key = (handle.role, handle.worker_id)
-        while True:
-            try:
-                message = control.receive()
-            except (ProtocolError, OSError):
-                break
-            if message is None:
-                break
-            kind, payload = message
-            if kind == MSG_TELEMETRY:
-                # Aggregation has its own lock; never holds self._lock,
-                # so the stream cannot stall checkpoint dispatch.
-                if self.cluster is not None:
-                    self.cluster.ingest(payload)
-                continue
-            with self._progress:
-                if kind == MSG_CHECKPOINT:
-                    self._store.offer_frame(key, payload)
-                elif kind == MSG_RESULT:
-                    # The store keeps the entries; the handle only
-                    # needs to read as reported.  The final RESULT is
-                    # cumulative and its header outranks every
-                    # checkpoint of the same incarnation, whatever the
-                    # arrival order.
-                    handle.shard = _DRAINED
-                    self._store.offer(key, handle.incarnation, 0,
-                                      payload, final=True)
-                elif kind == MSG_METRICS:
-                    handle.metrics_state = payload
-                self._progress.notify_all()
-        # Reader gone: either this socket was replaced by a reconnect
-        # (handle.control moved on — not our problem) or the worker
-        # died and the self-healing path takes over.
-        if handle.control is control and not self._closing.is_set():
-            self._maybe_respawn(handle)
-
-    def _accept_loop(self) -> None:
-        recovery = self.config.recovery
-        while not self._closing.is_set():
-            try:
-                newcomer = _accept_hello(self._listener, None,
-                                         recovery.hello_timeout)
-            except (TimeoutError, ProtocolError):
-                continue
-            except OSError:
-                return
-            self._adopt(newcomer)
-
-    def _adopt(self, newcomer: _WorkerHandle) -> None:
-        """Classify a late HELLO: reconnect of a live incarnation, or a
-        respawned worker taking over its slot."""
-        slots = (self.distributor_handles
-                 if newcomer.role == ROLE_DISTRIBUTOR
-                 else self.querier_handles)
-        with self._lock:
-            if not 0 <= newcomer.worker_id < len(slots):
-                newcomer.control.close()
-                return
-            current = slots[newcomer.worker_id]
-            if (newcomer.incarnation == current.incarnation
-                    and not current.failed):
-                # Same incarnation re-dialing after a dropped socket:
-                # swap the control link, keep every other field.
-                old = current.control
-                current.control = newcomer.control
-                old.close()
-                handle = current
-            elif newcomer.incarnation > current.incarnation:
-                newcomer.process = self._pending_processes.pop(
-                    (newcomer.role, newcomer.worker_id,
-                     newcomer.incarnation), None)
-                slots[newcomer.worker_id] = newcomer
-                self._retired_handles.append(current)
-                handle = newcomer
-                if self.watchdog is not None:
-                    self.watchdog.add_subject(newcomer)
-            else:
-                newcomer.control.close()
-                return
-            self._progress.notify_all()
-        if handle is newcomer and newcomer.role == ROLE_DISTRIBUTOR:
-            attach_chaos(newcomer.control, self.config.recovery.chaos,
-                         newcomer.role, newcomer.worker_id,
-                         newcomer.incarnation, controller_side=True)
-            try:
-                newcomer.control.send_time_sync(self._trace_start_value)
-            except OSError:
-                pass
-            self._assigner.add(newcomer)
-        self._start_reader(handle)
-
-    def _maybe_respawn(self, handle: _WorkerHandle) -> None:
-        """A worker's control link died.  Respawn it if it is really
-        dead, its shard is outstanding, and the budget allows."""
-        if handle.process is not None:
-            handle.process.join(timeout=1.5)
-            if handle.process.is_alive():
-                return   # live worker with a dropped socket: it re-dials
-        recovery = self.config.recovery
-        key = (handle.role, handle.worker_id)
-        with self._lock:
-            if (self._closing.is_set() or handle.failed
-                    or handle.shard is not None):
-                return
-            handle.failed = True
-            self._progress.notify_all()
-            attempts = self._respawn_counts.get(key, 0)
-            budget_left = (
-                attempts < recovery.respawn.max_per_worker
-                and self._respawns_total < recovery.respawn.max_total)
-            if budget_left:
-                self._respawn_counts[key] = attempts + 1
-                self._respawns_total += 1
-                self.result.respawns += 1
-            else:
-                self.result.watchdog_stalls += 1
-        if self.cluster is not None:
-            self.cluster.record_crash(handle.role, handle.worker_id,
-                                      handle.incarnation,
-                                      reason="process died")
-        if handle.role == ROLE_DISTRIBUTOR:
-            self._assigner.remove(handle)
-        if not budget_left:
-            return
-        thread = threading.Thread(
-            target=self._respawn_worker,
-            args=(handle, attempts, handle.incarnation + 1),
-            daemon=True, name=f"respawn-{handle.name}")
-        thread.start()
-
-    def _respawn_worker(self, handle: _WorkerHandle, attempt: int,
-                        incarnation: int) -> None:
-        config = self.config
-        recovery = config.recovery
-        time.sleep(recovery.respawn.backoff(attempt))
-        if self._closing.is_set():
-            return
-        if handle.role == ROLE_QUERIER:
-            distributor_id = (handle.worker_id
-                              // config.queriers_per_distributor)
-            port = self.distributor_handles[distributor_id].listen_port
-            process = self._ctx.Process(
-                target=_querier_main,
-                args=(self._control_addr, handle.worker_id,
-                      ("127.0.0.1", port),
-                      self.server_for(handle.worker_id),
-                      self._deadline_arg, recovery, incarnation,
-                      self._tconfig),
-                daemon=True,
-                name=f"replay-querier-{handle.worker_id}r{incarnation}")
-        else:
-            process = self._ctx.Process(
-                target=_distributor_main,
-                args=(self._control_addr, handle.worker_id,
-                      config.queriers_per_distributor, recovery,
-                      incarnation, handle.listen_port, self._tconfig),
-                daemon=True,
-                name=f"replay-distributor-{handle.worker_id}r{incarnation}")
-        pending_key = (handle.role, handle.worker_id, incarnation)
-        with self._lock:
-            if self._closing.is_set():
-                return
-            self._pending_processes[pending_key] = process
-            self._processes.append(process)
-        process.start()
-        # A respawn that dies before its HELLO is adopted would otherwise
-        # vanish silently (no reader thread watches it yet) — babysit it
-        # through the handshake and retry within the budget.
-        hello_deadline = time.monotonic() + recovery.hello_timeout
-        while time.monotonic() < hello_deadline:
-            if self._closing.is_set():
-                return
-            with self._lock:
-                if pending_key not in self._pending_processes:
-                    return   # adopted: the reader thread owns it now
-            if not process.is_alive():
-                break
-            time.sleep(0.05)
-        else:
-            return
-        with self._lock:
-            if (self._closing.is_set()
-                    or pending_key not in self._pending_processes):
-                return
-            del self._pending_processes[pending_key]
-            key = (handle.role, handle.worker_id)
-            attempts = self._respawn_counts.get(key, 0)
-            if (attempts >= recovery.respawn.max_per_worker
-                    or self._respawns_total >= recovery.respawn.max_total):
-                self.result.watchdog_stalls += 1
-                return
-            self._respawn_counts[key] = attempts + 1
-            self._respawns_total += 1
-            self.result.respawns += 1
-        self._respawn_worker(handle, attempts, incarnation + 1)
-
-    def _handle_stall_recovering(self, handle: _WorkerHandle) -> None:
-        """Watchdog verdict: dead or wedged.  Make death unambiguous
-        (terminate a wedged process) and close the control link so the
-        reader exits into the respawn path."""
-        with self._lock:
-            self.result.watchdog_stalls += 1
-        if handle.is_alive():
-            handle.process.terminate()
-        handle.control.close()
-
-
-def _collect_worker(handle: _WorkerHandle, deadline: float,
-                    cluster: Optional[ClusterAggregator] = None) -> None:
-    """Drain one worker's RESULT + METRICS pair (or mark it failed).
-
-    With a ``cluster``, interleaved TELEMETRY frames feed the
-    aggregator on the way (self-sourcing shards stream through the same
-    socket their RESULT arrives on — there is no separate reader).
-    """
-    if handle.failed:
-        return
-    handle.control.settimeout(max(deadline - time.monotonic(), 0.5))
-    try:
-        while handle.shard is None or handle.metrics_state is None:
-            message = handle.control.receive()
-            if message is None:
-                handle.failed = True
-                if cluster is not None and not handle.is_alive():
-                    cluster.record_crash(handle.role, handle.worker_id,
-                                         handle.incarnation)
-                return
-            kind, payload = message
-            if kind == MSG_RESULT:
-                handle.shard = ReplayResult.from_dict(payload)
-            elif kind == MSG_METRICS:
-                handle.metrics_state = payload
-            elif kind == MSG_TELEMETRY and cluster is not None:
-                cluster.ingest(payload)
-    except (TimeoutError, ProtocolError, OSError):
-        handle.failed = True
-        if cluster is not None and not handle.is_alive():
-            cluster.record_crash(handle.role, handle.worker_id,
-                                 handle.incarnation)
-    finally:
-        handle.control.settimeout(None)
-
 
 # ---------------------------------------------------------------------------
 # Sharded simulation controller
 # ---------------------------------------------------------------------------
 
-class ShardTopology:
+class ShardTopology(_Controller):
     """N self-sourcing simulation shards as real OS processes.
 
     The replicated-server shape of :mod:`repro.netsim.shard` deployed
-    over the PR-5 control plane: every worker regenerates the trace from
+    over the same control plane: every worker regenerates the trace from
     an importable factory spec, keeps only its
     ``shard_of(record.src, num_shards)`` slice, replays it against its
     own in-process server replica, and reports a RESULT + METRICS pair
-    back.  The controller's job is spawn / HELLO / collect / merge —
-    no trace bytes ever cross the process boundary.
+    back.  The controller's job is spawn / collect / merge / teardown —
+    no trace bytes ever cross the process boundary, so there is no
+    anchor, stream or drain stage.
+
+    Recovery: a shard's replay is deterministic for its slice, so a
+    respawned incarnation (``_maybe_respawn``, the tree's path) redoes
+    the whole slice and its RESULT simply replaces the one the dead
+    incarnation never sent — no partial state to reconcile.
 
     Determinism: the merged :class:`ReplayResult` is the union of the
     per-shard results merged in shard-id order, and each shard's result
@@ -1743,154 +1507,36 @@ class ShardTopology:
         self.collect_timeout = collect_timeout
         self.recovery = recovery
         self.telemetry_config = (
-            telemetry_config if telemetry_config is not None
-            and telemetry_config.streaming() else None)
-        self.cluster: Optional[ClusterAggregator] = (
-            _make_aggregator(self.telemetry_config)
-            if self.telemetry_config is not None else None)
-        self.result = ReplayResult("sharded-replay")
-        self.metrics = MetricsRegistry()
+            telemetry_config if _streaming(telemetry_config) else None)
+        super().__init__(ReplayResult("sharded-replay"), recovery,
+                         self.telemetry_config, start_method)
         self.shard_handles: List[_WorkerHandle] = []
+        self._tiers = {ROLE_SHARD: self.shard_handles}
         self.wall_s: Optional[float] = None     # controller wall clock
         self.shard_walls: List[Optional[float]] = []
         self.lost_shards = 0
         self.respawns = 0
 
-    def _spawn_shard(self, ctx, control_addr, shard_index: int,
-                     incarnation: int = 0):
-        process = ctx.Process(
-            target=_shard_main,
-            args=(control_addr, shard_index, self.num_shards,
-                  self.trace_factory, self.scenario_factory,
-                  self.recovery, incarnation, self.telemetry_config),
-            daemon=True,
-            name=f"replay-shard-{shard_index}"
-                 + (f"r{incarnation}" if incarnation else ""))
-        process.start()
-        return process
+    def _worker_argv(self, role: int, worker_id: int, incarnation: int,
+                     listen_port: int) -> Tuple[object, tuple]:
+        return _shard_main, (
+            self._control_addr, worker_id, self.num_shards,
+            self.trace_factory, self.scenario_factory, self.recovery,
+            incarnation, self.telemetry_config)
 
     def replay(self) -> ReplayResult:
-        ctx = _mp_context(self.start_method)
-        processes = []
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         started = time.perf_counter()
-        hello_timeout = (_SETUP_TIMEOUT if self.recovery is None
-                         else self.recovery.hello_timeout)
-        try:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(self.num_shards)
-            listener.settimeout(hello_timeout)
-            control_addr = listener.getsockname()
-            for shard_index in range(self.num_shards):
-                processes.append(
-                    self._spawn_shard(ctx, control_addr, shard_index))
-            by_id: Dict[int, _WorkerHandle] = {}
-            for _ in range(self.num_shards):
-                handle = _accept_hello(listener, ROLE_SHARD, hello_timeout)
-                handle.process = processes[handle.worker_id]
-                by_id[handle.worker_id] = handle
-            self.shard_handles = [by_id[i] for i in range(self.num_shards)]
-        except Exception:
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            listener.close()
-            raise
-        if self.recovery is None:
-            listener.close()
-
-        deadline = time.monotonic() + self.collect_timeout
-        for handle in self.shard_handles:
-            _collect_worker(handle, deadline, self.cluster)
-        if self.recovery is not None:
-            # Shards are self-sourcing (each regenerates its own slice),
-            # so recovery is simply: respawn a failed shard with a fresh
-            # incarnation and collect again, within the budget.
-            try:
-                self._respawn_failed_shards(ctx, processes,
-                                            listener.getsockname(),
-                                            listener, deadline)
-            finally:
-                listener.close()
+        self._spawn_tree([(ROLE_SHARD, self.num_shards)])
+        self._await_reports(time.monotonic() + self.collect_timeout)
         self.wall_s = time.perf_counter() - started
-
-        self.shard_walls = []
-        for handle in self.shard_handles:
-            if handle.shard is not None:
-                self.result.merge(handle.shard)
-            else:
-                self.lost_shards += 1
-            state = handle.metrics_state
-            if state is not None:
-                self.metrics.merge_state(state)
-                self.shard_walls.append(state.get("gauges", {}).get(
-                    f"shard.{handle.worker_id}.wall_s"))
-            else:
-                self.shard_walls.append(None)
-        if self.lost_shards:
-            self.metrics.incr("multiproc.lost_shards", self.lost_shards)
-        self.metrics.incr("multiproc.shards", len(self.shard_handles))
-        if self.respawns:
-            self.result.respawns += self.respawns
-            self.metrics.incr("multiproc.respawns", self.respawns)
-
-        for handle in self.shard_handles:
-            try:
-                handle.control.send_shutdown()
-            except OSError:
-                pass
-            handle.control.close()
-        for process in processes:
-            process.join(timeout=2.0)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
+        self.lost_shards = self._merge("multiproc.shards")
+        self.respawns = self._respawns_total
+        self.shard_walls = [
+            (handle.metrics_state or {}).get("gauges", {}).get(
+                f"shard.{handle.worker_id}.wall_s")
+            for handle in self.shard_handles]
+        self._teardown()
         return self.result
-
-    def _respawn_failed_shards(self, ctx, processes, control_addr,
-                               listener: socket.socket,
-                               deadline: float) -> None:
-        """Respawn dead shards with fresh incarnations, within budget.
-
-        A shard's replay is deterministic for its slice, so a respawned
-        incarnation redoes the whole slice and its RESULT simply
-        replaces the one the dead incarnation never sent — no partial
-        state to reconcile.
-        """
-        recovery = self.recovery
-        per_worker: Dict[int, int] = {}
-        while time.monotonic() < deadline:
-            failed = [handle for handle in self.shard_handles
-                      if handle.failed and handle.shard is None
-                      and per_worker.get(handle.worker_id, 0)
-                      < recovery.respawn.max_per_worker
-                      and self.respawns < recovery.respawn.max_total]
-            if not failed:
-                return
-            pending: Dict[Tuple[int, int], object] = {}
-            for handle in failed:
-                attempt = per_worker.get(handle.worker_id, 0)
-                per_worker[handle.worker_id] = attempt + 1
-                self.respawns += 1
-                time.sleep(recovery.respawn.backoff(attempt))
-                incarnation = handle.incarnation + 1
-                process = self._spawn_shard(ctx, control_addr,
-                                            handle.worker_id, incarnation)
-                processes.append(process)
-                pending[(handle.worker_id, incarnation)] = process
-            for _ in range(len(pending)):
-                try:
-                    newcomer = _accept_hello(listener, ROLE_SHARD,
-                                             recovery.hello_timeout)
-                except (TimeoutError, ProtocolError):
-                    continue   # died pre-HELLO: next loop pass retries
-                old = self.shard_handles[newcomer.worker_id]
-                old.control.close()
-                newcomer.process = pending.get(
-                    (newcomer.worker_id, newcomer.incarnation))
-                self.shard_handles[newcomer.worker_id] = newcomer
-                _collect_worker(newcomer, deadline, self.cluster)
 
     def aggregate_qps(self) -> Optional[float]:
         """Aggregate queries/second over the controller's wall clock.

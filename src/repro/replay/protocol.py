@@ -13,7 +13,7 @@ multi-process deployment need:
             | RECORD      (binary trace record body)
             | END         (no payload; stream complete)
             | HELLO       (u8 role, u16 worker id, u16 listen port,
-                           u16 incarnation — legacy 5-byte form accepted)
+                           u16 incarnation)
             | RESULT      (JSON ReplayResult shard)
             | METRICS     (JSON MetricsRegistry state)
             | SHUTDOWN    (no payload; stop now, shed queued work)
@@ -80,8 +80,8 @@ MAX_FRAME = 64 * 1024 * 1024
 BLOCK_BYTES = 32 * 1024
 
 _FRAME_HEADER = struct.Struct("!IB")
-_HELLO = struct.Struct("!BHH")          # legacy: role, worker id, port
-_HELLO_V2 = struct.Struct("!BHHH")      # + u16 incarnation (respawn count)
+# role, worker id, listen port, incarnation (respawn count)
+_HELLO_V2 = struct.Struct("!BHHH")
 _RECORD_SEQ = struct.Struct("!I")
 
 Message = Tuple[int, Union[float, QueryRecord, dict, tuple, None]]
@@ -495,10 +495,7 @@ class MessageSocket:
             return (MSG_END, None)
         if kind == MSG_HELLO:
             try:
-                if len(payload) == _HELLO.size:   # legacy: incarnation 0
-                    fields = _HELLO.unpack(payload) + (0,)
-                else:
-                    fields = _HELLO_V2.unpack(payload)
+                fields = _HELLO_V2.unpack(payload)
             except struct.error as exc:
                 raise ProtocolError(f"bad HELLO payload: {exc}")
             _require(fields[0] in (ROLE_DISTRIBUTOR, ROLE_QUERIER,

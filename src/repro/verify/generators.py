@@ -306,9 +306,9 @@ def frame_seed_corpus() -> List[bytes]:
         _frame(2, b""),                             # empty RECORD
         _frame(3, b""),                             # END
         _frame(3, b"junk"),                         # END with payload
-        _frame(4, struct.pack("!BHH", 1, 3, 0)),    # valid HELLO (legacy v1)
-        _frame(4, struct.pack("!BHHH", 2, 3, 0, 1)),  # HELLO v2 incarnation
-        _frame(4, struct.pack("!BHH", 9, 3, 0)),    # bad role
+        _frame(4, struct.pack("!BHH", 1, 3, 0)),    # malformed: 5-byte HELLO
+        _frame(4, struct.pack("!BHHH", 2, 3, 0, 1)),  # valid HELLO
+        _frame(4, struct.pack("!BHHH", 9, 3, 0, 0)),  # bad role
         _frame(4, b"\x01"),                         # short HELLO
         _frame(8, checkpoint),                      # valid CHECKPOINT
         _frame(8, b'{"worker": 1}'),                # CHECKPOINT no seq

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -10,7 +11,8 @@ from repro.replay import (DistributedConfig, LiveDistributedReplay,
                           LiveUdpEchoServer, ProcessTopology, ReplayWatchdog,
                           SupervisionConfig, UdpEchoServerProcess)
 from repro.replay.multiproc import _WorkerHandle
-from repro.replay.protocol import ROLE_QUERIER
+from repro.replay.protocol import ROLE_DISTRIBUTOR, ROLE_QUERIER
+from repro.replay.result import ReplayResult
 from repro.trace import Trace, fixed_interval_trace, table1_synthetic
 
 
@@ -61,6 +63,8 @@ class TestProcessTopology:
         with LiveUdpEchoServer() as server:
             replay = LiveDistributedReplay(
                 (server.address, server.port), process_config())
+            # The surface exists before (and whatever) topology runs.
+            assert replay.metrics.count("replay.records_sent") == 0
             result = replay.replay(trace)
         state = replay.metrics.to_state()
         assert state["counts"]["replay.records_sent"] == len(result.sent)
@@ -148,6 +152,39 @@ class TestDifferentialThreadsVsProcesses:
         assert threaded.degradation() == processed.degradation()
 
 
+class _FakeProcess:
+    pid = 12345
+
+    def __init__(self, alive=True):
+        self.alive = alive
+
+    def is_alive(self):
+        return self.alive
+
+
+class _FakeSocket:
+    def close(self):
+        pass
+
+
+def _kill_first_querier(topology):
+    """Assassin thread: wait for the tree to wire up, then SIGKILL
+    querier 0."""
+    def assassin():
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            if topology.querier_handles:
+                victim = topology.querier_handles[0].process
+                if victim is not None and victim.pid:
+                    os.kill(victim.pid, signal.SIGKILL)
+                    return
+            time.sleep(0.02)
+
+    killer = threading.Thread(target=assassin, daemon=True)
+    killer.start()
+    return killer
+
+
 class TestSupervision:
     def test_dead_querier_process_is_flagged_and_replay_finishes(self):
         """Kill one querier process mid-replay: the watchdog flags the
@@ -160,21 +197,7 @@ class TestSupervision:
                                           stall_timeout=10.0))
         with LiveUdpEchoServer() as server:
             topology = ProcessTopology((server.address, server.port), config)
-            import threading
-
-            def assassin():
-                # Wait for the tree to wire up, then kill one querier.
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    if topology.querier_handles:
-                        victim = topology.querier_handles[0].process
-                        if victim is not None and victim.pid:
-                            os.kill(victim.pid, signal.SIGKILL)
-                            return
-                    time.sleep(0.02)
-
-            killer = threading.Thread(target=assassin, daemon=True)
-            killer.start()
+            killer = _kill_first_querier(topology)
             started = time.monotonic()
             result = topology.replay(trace)
             elapsed = time.monotonic() - started
@@ -188,19 +211,8 @@ class TestSupervision:
         assert answered > 0
 
     def test_watchdog_flags_dead_worker_handle(self):
-        class FakeDeadProcess:
-            pid = 12345
-
-            @staticmethod
-            def is_alive():
-                return False
-
-        class FakeSocket:
-            def close(self):
-                pass
-
-        handle = _WorkerHandle(ROLE_QUERIER, 0, FakeSocket(), 0)
-        handle.process = FakeDeadProcess()
+        handle = _WorkerHandle(ROLE_QUERIER, 0, _FakeSocket(), 0)
+        handle.process = _FakeProcess(alive=False)
         flagged = []
         watchdog = ReplayWatchdog(
             SupervisionConfig(heartbeat_interval=0.02, stall_timeout=60.0),
@@ -214,11 +226,7 @@ class TestSupervision:
         assert flagged == [handle]
 
     def test_watchdog_ignores_unstarted_handle(self):
-        class FakeSocket:
-            def close(self):
-                pass
-
-        handle = _WorkerHandle(ROLE_QUERIER, 0, FakeSocket(), 0)
+        handle = _WorkerHandle(ROLE_QUERIER, 0, _FakeSocket(), 0)
         # No process attached yet: is_alive() False but pid None.
         flagged = []
         watchdog = ReplayWatchdog(
@@ -229,6 +237,37 @@ class TestSupervision:
         watchdog.stop()
         watchdog.join(timeout=1.0)
         assert flagged == []
+
+    def test_dead_querier_without_supervision_is_a_lost_shard(self):
+        """No watchdog, no telemetry: the reader's EOF path alone fails
+        the SIGKILLed querier, and the survivors are merged."""
+        trace = fixed_interval_trace(0.01, 1.0, client_count=8,
+                                     name="mp-unsupervised")
+        config = process_config(distributors=1, queriers_per_distributor=3,
+                                settle_time=0.5)
+        with LiveUdpEchoServer() as server:
+            topology = ProcessTopology((server.address, server.port), config)
+            killer = _kill_first_querier(topology)
+            result = topology.replay(trace)
+            killer.join(timeout=1.0)
+        assert not killer.is_alive()
+        assert topology.watchdog is None
+        assert topology.metrics.count("multiproc.lost_shards") == 1
+        assert topology.metrics.count("multiproc.workers") == 4
+        assert topology.querier_handles[0].shard is None
+        survivors = [handle.shard
+                     for handle in topology.querier_handles[1:]]
+        assert all(shard is not None for shard in survivors)
+        # Conservation, counts only: the merged result holds exactly
+        # what the survivors reported, answered and unanswered alike.
+        def answered(result):
+            return sum(1 for q in result.sent if q.answered_at is not None)
+        assert 0 < sum(len(shard) for shard in survivors) == len(result)
+        assert sum(answered(shard) for shard in survivors) \
+            == answered(result)
+        assert sum(shard.unanswered() for shard in survivors) \
+            == result.unanswered()
+        assert topology.metrics.count("replay.records_sent") == len(result)
 
     def test_deadline_sheds_across_processes(self):
         """The wall-clock budget propagates as SHUTDOWN frames and the
@@ -249,6 +288,99 @@ class TestSupervision:
         assert elapsed < 25.0           # nowhere near the 30s trace
         assert result.deadline_shed > 0
         assert len(result.sent) + result.deadline_shed <= len(trace)
+
+
+class TestAwaitReports:
+    """The one completion wait, on fakes: no tree, no sockets, and no
+    wall-clock thresholds — only who ends up failed."""
+
+    GRACE = 0.05
+
+    def _tree(self, queriers=2):
+        topology = ProcessTopology(("127.0.0.1", 1), process_config())
+        for querier_id in range(queriers):
+            topology.querier_handles.append(
+                self._handle(ROLE_QUERIER, querier_id))
+        topology.distributor_handles.append(
+            self._handle(ROLE_DISTRIBUTOR, 0))
+        return topology
+
+    @staticmethod
+    def _handle(role, worker_id):
+        handle = _WorkerHandle(role, worker_id, _FakeSocket(), 0)
+        handle.process = _FakeProcess()
+        return handle
+
+    @staticmethod
+    def _report(topology, handle):
+        with topology._progress:
+            handle.shard = ReplayResult(handle.name, aggregate=True)
+            handle.metrics_state = {}
+            topology._progress.notify_all()
+
+    def _wait_in_thread(self, topology):
+        waiter = threading.Thread(
+            target=topology._await_reports,
+            kwargs=dict(floor=time.monotonic(), grace=self.GRACE),
+            daemon=True)
+        waiter.start()
+        return waiter
+
+    def test_unreported_live_distributor_never_arms_the_clock(self):
+        topology = self._tree()
+        waiter = self._wait_in_thread(topology)
+        waiter.join(timeout=self.GRACE * 6)
+        # Well past the grace: upstream is still producing, so nobody
+        # has been given up on and the wait goes on.
+        assert waiter.is_alive()
+        assert not any(h.failed for h in topology._handles())
+        # The distributor reports: now the queriers get the grace, and
+        # only then fail.
+        self._report(topology, topology.distributor_handles[0])
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        assert [h.failed for h in topology.querier_handles] == [True, True]
+        assert not topology.distributor_handles[0].failed
+
+    def test_failed_distributor_counts_as_upstream_ended(self):
+        topology = self._tree()
+        topology.distributor_handles[0].process.alive = False
+        waiter = self._wait_in_thread(topology)
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        assert all(h.failed for h in topology._handles())
+
+    def test_dead_querier_is_failed_without_waiting(self):
+        topology = self._tree()
+        dead, live = topology.querier_handles
+        dead.process.alive = False
+        waiter = self._wait_in_thread(topology)
+        give_up = time.monotonic() + 10.0
+        while not dead.failed and time.monotonic() < give_up:
+            time.sleep(0.01)
+        # Failed while the distributor is still unreported, i.e. before
+        # any clock was armed.
+        assert dead.failed and not live.failed
+        self._report(topology, live)
+        self._report(topology, topology.distributor_handles[0])
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        assert not live.failed
+
+    def test_everyone_reported_returns_at_once(self):
+        topology = self._tree()
+        for handle in topology._handles():
+            self._report(topology, handle)
+        topology._await_reports()   # no clock at all: must not block
+        assert not any(h.failed for h in topology._handles())
+
+    def test_cap_bounds_the_wait_while_upstream_is_alive(self):
+        """``supervision.deadline`` is the one wall-clock budget: it
+        ends the wait even with the distributor alive and silent."""
+        topology = self._tree()
+        topology._await_reports(cap=time.monotonic() + self.GRACE,
+                                floor=time.monotonic(), grace=3600.0)
+        assert all(h.failed for h in topology._handles())
 
 
 class TestUdpEchoServerProcess:

@@ -30,6 +30,7 @@ from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
                                    ROLE_QUERIER,
                                    validate_checkpoint_payload)
 from repro.replay.result import ReplayResult
+from repro.telemetry import TelemetryConfig
 from repro.trace import burst_trace, fixed_interval_trace
 from repro.verify.generators import (HAVE_HYPOTHESIS, checkpoint_deliveries,
                                      checkpoint_emission_history)
@@ -667,9 +668,8 @@ class TestCrashRecoveryEndToEnd:
         answered = sum(1 for q in result.sent if q.answered_at is not None)
         assert answered == len(trace.records)
 
-    def test_shard_topology_respawns_crashed_replicas(self):
-        """ROLE_SHARD replicas ride the same respawn path: shards that
-        crash while reporting are rerun deterministically."""
+    @staticmethod
+    def _crash_both_shards_while_reporting(telemetry_config=None):
         chaos = ChaosConfig(seed=3, crash_rate=1.0, kinds=(MSG_RESULT,),
                             crash_incarnations=(0,))
         topology = ShardTopology(
@@ -678,9 +678,25 @@ class TestCrashRecoveryEndToEnd:
                            {"query_count": 400, "client_count": 16,
                             "server": "10.0.0.2"}),
             recovery=RecoveryConfig(chaos=chaos),
-            collect_timeout=60.0)
+            collect_timeout=60.0, telemetry_config=telemetry_config)
         result = topology.replay()
         assert len(result.sent) == 400
         assert topology.lost_shards == 0
         assert topology.respawns == 2
         assert result.respawns == 2
+        return topology
+
+    def test_shard_topology_respawns_crashed_replicas(self):
+        """ROLE_SHARD replicas ride the same respawn path: shards that
+        crash while reporting are rerun deterministically."""
+        self._crash_both_shards_while_reporting()
+
+    def test_shard_respawn_with_telemetry_interleaved(self):
+        """Same crashes with streaming on: TELEMETRY frames interleave
+        with RESULT on the one shared reader, for both lives of both
+        shards."""
+        topology = self._crash_both_shards_while_reporting(
+            TelemetryConfig(stream_period=0.02))
+        assert {(view.worker_id, view.incarnation)
+                for view in topology.cluster.workers()} \
+            == {(0, 0), (0, 1), (1, 0), (1, 1)}

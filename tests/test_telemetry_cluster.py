@@ -310,6 +310,28 @@ class TestClusterStreamingEndToEnd:
                         if view.role == ROLE_QUERIER}
         assert querier_pids <= span_pids
 
+    @pytest.mark.parametrize("stream_period", [None, 0.1])
+    def test_bare_telemetry_config_completes(self, stream_period):
+        """A TelemetryConfig without a hub around it has no registry to
+        fold the merged worker metrics into: the run still completes,
+        and the cluster view exists exactly when the config streams."""
+        trace = fixed_interval_trace(interval=0.004, duration=0.4,
+                                     client_count=8)
+        with UdpEchoServerProcess() as echo:
+            topology = ProcessTopology(
+                (echo.address, echo.port),
+                streaming_config(distributors=1),
+                telemetry=TelemetryConfig(stream_period=stream_period))
+            result = topology.replay(trace)
+        assert len(result.sent) == len(trace.records)
+        assert topology.metrics.count("replay.records_sent") \
+            == len(trace.records)
+        if stream_period is None:
+            assert topology.cluster is None
+        else:
+            assert {v.name for v in topology.cluster.workers()} == {
+                "distributor-0", "querier-0", "querier-1"}
+
     @pytest.mark.chaos
     def test_sigkill_victim_survives_in_merged_trace(self):
         """ISSUE 9 acceptance: 4-querier topology, one SIGKILL. The
