@@ -4,7 +4,7 @@ Launches a :class:`~repro.replay.multiproc.ShardTopology` — one
 self-sourcing simulation shard per core, each replaying its
 sticky-by-source slice of a Zipf workload against its own server
 replica — and records per-shard and aggregate q/s in
-``BENCH_multiproc.json`` alongside the PR-5 threads/processes sweep.
+``BENCH_multiproc.json``.
 
 The ≥50 k q/s aggregate assertion needs real cores: shards on a 1-CPU
 host time-slice one core and the "aggregate" would be a lie.  Per the

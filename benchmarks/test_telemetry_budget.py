@@ -97,7 +97,7 @@ def _replay_processes(telemetry):
                                  client_count=16)
     assert len(trace.records) == STREAM_QUERIES
     config = DistributedConfig(distributors=2, queriers_per_distributor=2,
-                               topology="processes", settle_time=0.5)
+                               settle_time=0.5)
     with UdpEchoServerProcess() as echo:
         topology = ProcessTopology((echo.address, echo.port), config,
                                    telemetry=telemetry)

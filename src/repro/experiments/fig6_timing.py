@@ -8,17 +8,18 @@ within ±17 ms.
 
 The simulated clock is exact, so the error distribution comes from the
 calibrated :class:`TimerJitterModel` plus genuine emergent effects
-(input-processing lag at the fastest rates).  The live path
-(:mod:`repro.replay.live`) measures real OS jitter for cross-checking;
-``include_live`` adds a short real-time run.
+(input-processing lag at the fastest rates).  The live path (a 1×1
+:class:`~repro.replay.ProcessTopology`) measures real OS jitter for
+cross-checking; ``include_live`` adds a short real-time run.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..replay import (LiveReplay, LiveUdpEchoServer, ReplayConfig,
-                      SimReplayEngine, TimerJitterModel)
+from ..replay import (DistributedConfig, LiveUdpEchoServer,
+                      ProcessTopology, ReplayConfig, SimReplayEngine,
+                      TimerJitterModel)
 from ..server import AuthoritativeServer, HostedDnsServer
 from ..trace import BRootWorkload, Trace, fixed_interval_trace, retarget, \
     QueryMutator
@@ -103,7 +104,10 @@ def run(scale: Scale = SMOKE, max_queries: int = 20000,
     if include_live:
         live_trace = fixed_interval_trace(0.01, 3.0, name="live-syn")
         with LiveUdpEchoServer() as server:
-            live = LiveReplay((server.address, server.port))
+            live = ProcessTopology(
+                (server.address, server.port),
+                DistributedConfig(distributors=1,
+                                  queriers_per_distributor=1))
             result = live.replay(live_trace)
         summary = result.error_summary(skip_seconds=0.5)
         if summary:

@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     config = DistributedConfig(
         distributors=args.distributors,
         queriers_per_distributor=args.queriers // args.distributors,
-        topology="processes", start_delay=0.05,
+        start_delay=0.05,
         recovery=RecoveryConfig() if args.kill else None)
 
     os.makedirs(args.output_dir, exist_ok=True)

@@ -1,6 +1,6 @@
 """The distributed query replay engine (§2.6, §3)."""
 
-from .distributed import (DistributedConfig, LiveDistributedReplay)
+from .distributed import DistributedConfig
 from .distributor import (Controller, DistributionStats, Distributor,
                           StickyAssigner)
 from .protocol import (MAX_FRAME, MSG_CHECKPOINT, MSG_END, MSG_HELLO,
@@ -14,8 +14,8 @@ from .recovery import (ChaosConfig, ChaosEngine, CheckpointPolicy,
                        attach_chaos, conservation_violations,
                        merge_recovered, reconnect_with_backoff)
 from .engine import ReplayConfig, SimReplayEngine
-from .live import (LiveReplay, LiveUdpEchoServer, ThroughputReport,
-                   ThroughputSample, measure_throughput)
+from .live import (LiveUdpEchoServer, ThroughputReport, ThroughputSample,
+                   measure_throughput)
 from .multiproc import (ProcessTopology, ShardTopology,
                         UdpEchoServerProcess, default_shard_scenario,
                         shard_slice)
@@ -28,11 +28,10 @@ from .timing import TimerJitterModel, TimingController
 __all__ = [
     "AimdPacer", "ChaosConfig", "ChaosEngine", "CheckpointPolicy",
     "CheckpointStore", "Controller", "DistributedConfig",
-    "DistributionStats", "Distributor", "LiveDistributedReplay",
-    "LiveReplay", "MAX_FRAME", "MSG_CHECKPOINT", "MSG_END", "MSG_HELLO",
-    "MSG_METRICS", "MSG_RECORD", "MSG_RECORD_SEQ", "MSG_RESULT",
-    "MSG_SHUTDOWN", "MSG_TELEMETRY", "MSG_TIME_SYNC", "MessageSocket",
-    "PacingConfig",
+    "DistributionStats", "Distributor", "MAX_FRAME", "MSG_CHECKPOINT",
+    "MSG_END", "MSG_HELLO", "MSG_METRICS", "MSG_RECORD", "MSG_RECORD_SEQ",
+    "MSG_RESULT", "MSG_SHUTDOWN", "MSG_TELEMETRY", "MSG_TIME_SYNC",
+    "MessageSocket", "PacingConfig",
     "ProcessTopology", "ProtocolError", "ROLE_DISTRIBUTOR", "ROLE_QUERIER",
     "ROLE_SHARD", "RecoveryConfig", "RespawnPolicy", "SendError",
     "ShardTopology", "connect", "connected_pair", "LiveUdpEchoServer",

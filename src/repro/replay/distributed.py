@@ -1,6 +1,6 @@
-"""A live distributed replay: Figure 4 with real sockets.
+"""The live replay tiers: Figure 4 with real sockets.
 
-This is the process topology of the paper's prototype:
+This is the tree of the paper's prototype:
 
 * the **controller** (Reader + Postman) streams the trace over TCP
   message sockets (:mod:`repro.replay.protocol`) to the distributors,
@@ -11,13 +11,9 @@ This is the process topology of the paper's prototype:
   the real clock and sends real UDP queries, matching responses on the
   (message id, qname, qtype) key.
 
-Two deployments share this module's tiers.  The default
-(``topology="threads"``) runs distributors and queriers as threads in
-one process — the sockets, framing, time synchronization, and sticky
-routing are the real thing, but the GIL caps the aggregate query rate.
-``topology="processes"`` (:mod:`repro.replay.multiproc`) launches them
-as real worker processes, the paper's actual deployment, so replay
-throughput scales with cores (Fig. 9).
+This module holds the two worker tiers and their configuration.  The
+controller, and the worker processes the tiers run in, are
+:class:`repro.replay.multiproc.ProcessTopology` — the one live replay.
 """
 
 from __future__ import annotations
@@ -30,21 +26,19 @@ import threading
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..dns import WireError
-from ..telemetry.metrics import MetricsRegistry
-from ..trace import QueryRecord, Trace
+from ..trace import QueryRecord
 from ..trace.stream import DEFAULT_READ_AHEAD, iter_shard_file
 from .distributor import StickyAssigner
 from .live import grow_receive_buffer
 from .protocol import (MSG_END, MSG_RECORD, MSG_RECORD_SEQ, MSG_SHUTDOWN,
-                       MSG_TIME_SYNC, Message, MessageSocket, ProtocolError,
-                       connected_pair)
+                       MSG_TIME_SYNC, Message, MessageSocket, ProtocolError)
 from .querier import MatchKey, match_key
 from .recovery import RecoveryConfig
 from .result import ReplayResult, SentQuery
-from .supervision import ReplayWatchdog, SupervisionConfig
+from .supervision import SupervisionConfig
 
 ServerAddress = Tuple[str, int]
 
@@ -81,22 +75,15 @@ class DistributedConfig:
     queriers_per_distributor: int = 2
     settle_time: float = 0.3
     start_delay: float = 0.1
-    # "threads" collapses the tree into one process; "processes" runs
-    # distributors and queriers as real worker processes
-    # (repro.replay.multiproc) so replay rate scales past the GIL.
-    topology: str = "threads"
-    # Worker-process start method (processes topology only); None picks
-    # fork when the platform offers it, else spawn.
+    # Worker-process start method; None picks fork when the platform
+    # offers it, else spawn.
     start_method: Optional[str] = None
-    # Supervision (off by default): heartbeat watchdog over queriers
-    # plus optional wall-clock deadline.  ``querier_factory`` lets tests
-    # inject a stalling querier; it must accept the same arguments as
-    # ``_LiveQuerier``.
+    # Supervision (off by default): dead-worker watchdog plus optional
+    # wall-clock deadline.
     supervision: Optional[SupervisionConfig] = None
-    querier_factory: Optional[Callable] = None
-    # Self-healing (processes topology only): worker respawn with
-    # checkpointed result shards and exactly-once redelivery.  None
-    # keeps the historical fail-fast behavior byte for byte.
+    # Self-healing: worker respawn with checkpointed result shards and
+    # exactly-once redelivery.  None keeps the fail-fast behavior byte
+    # for byte.
     recovery: Optional[RecoveryConfig] = None
     # Aggregate accounting: queriers fold every send into O(1)
     # counters/histograms (ReplayResult(aggregate=True)) instead of
@@ -105,7 +92,7 @@ class DistributedConfig:
     aggregate_results: bool = False
 
 
-class _LiveQuerier(threading.Thread):
+class _LiveQuerier:
     """Receives records over a MessageSocket; sends real UDP queries.
 
     One loop, one blocking call: ``select`` on the distributor link and
@@ -119,7 +106,6 @@ class _LiveQuerier(threading.Thread):
     def __init__(self, querier_id: int, inbound: MessageSocket,
                  server: ServerAddress, result: ReplayResult,
                  lock: threading.Lock):
-        super().__init__(daemon=True)
         self.querier_id = querier_id
         self.inbound = inbound
         self.server = server
@@ -147,8 +133,8 @@ class _LiveQuerier(threading.Thread):
         self._ahead = 0
         self.catchup_waits = 0          # times the window held a send
         self.catchup_forgiven = 0       # windows written off unanswered
-        # Recovery hooks (multiproc recovery mode; all None in thread
-        # mode so the historical behavior is untouched).
+        # Recovery hooks (recovery mode; all None otherwise so the
+        # fail-fast behavior is untouched).
         self.checkpoint_policy = None       # recovery.CheckpointPolicy
         self.checkpoint_sink: Optional[Callable[[dict], None]] = None
         self.reconnect: Optional[Callable[[], Optional[MessageSocket]]] \
@@ -161,26 +147,21 @@ class _LiveQuerier(threading.Thread):
         # sends, answers to entries already shipped, and re-reports.
         self._news: Dict[int, SentQuery] = {}
         self._last_checkpoint_time = time.monotonic()
-        # Supervision surface: the watchdog reads heartbeat/has_work,
-        # the deadline handler sets shed_event.
+        # Supervision surface: SHUTDOWN and the deadline timer set
+        # shed_event.
         self.heartbeat = time.monotonic()
         self.records_received = 0
         self.records_sent = 0
         self.shed_event = threading.Event()
         # Optional local wall-clock budget, armed at TIME_SYNC: the
-        # multi-process topology cannot reach into a worker's shed_event
-        # from the controller once the stream has ended, so the deadline
-        # is enforced where the queue lives.
+        # controller cannot reach into a worker's shed_event once the
+        # stream has ended, so the deadline is enforced where the queue
+        # lives.
         self.deadline: Optional[float] = None
         self._deadline_timer: Optional[threading.Timer] = None
-        self.name = f"live-querier-{querier_id}"
-        # Telemetry hub, installed by LiveDistributedReplay before
-        # start(); calls are serialized under the shared result lock.
+        # Telemetry hub, installed by the worker main before run();
+        # calls are serialized under the result lock.
         self.telemetry = None
-
-    def has_work(self) -> bool:
-        """True while queued records await sending (watchdog predicate)."""
-        return bool(self._queue)
 
     def run(self) -> None:
         try:
@@ -283,8 +264,8 @@ class _LiveQuerier(threading.Thread):
         elif kind == MSG_END:
             self._done_receiving = True
         elif kind == MSG_SHUTDOWN:
-            # Controller-ordered stop (deadline shedding in the process
-            # topology): drop queued work, finish.
+            # Controller-ordered stop (deadline shedding): drop queued
+            # work, finish.
             self.shed_event.set()
             self._done_receiving = True
         elif kind == MSG_TIME_SYNC:
@@ -342,10 +323,8 @@ class _LiveQuerier(threading.Thread):
     def shutdown(self) -> None:
         """Close every socket this querier owns (idempotent).
 
-        Called from the querier itself on normal exit, and from the
-        controller for queriers that outlive the replay (watchdog
-        stalls, expired join deadlines) so repeated runs don't leak the
-        UDP socket and both MessageSocket ends.
+        Called from the querier itself when ``run`` ends, however it
+        ends.
         """
         if self._closed.is_set():
             return
@@ -509,14 +488,13 @@ class _LiveQuerier(threading.Thread):
                     result.unmatched_responses += 1
 
 
-class _LiveDistributor(threading.Thread):
+class _LiveDistributor:
     """Forwards records to queriers, sticky by source address."""
 
     def __init__(self, distributor_id: int, inbound: MessageSocket,
                  querier_sockets: List[MessageSocket],
                  result: Optional[ReplayResult] = None,
                  lock: Optional[threading.Lock] = None):
-        super().__init__(daemon=True)
         self.distributor_id = distributor_id
         self.inbound = inbound
         self.querier_sockets = querier_sockets
@@ -528,9 +506,6 @@ class _LiveDistributor(threading.Thread):
         self.result = result
         self.lock = lock
         self.records_routed = 0
-        # Per-socket routed counts, so a stalled querier's shed can be
-        # computed as routed-to-it minus actually-sent-by-it.
-        self.routed_per_socket: Dict[int, int] = {}
         # Cached for late joiners: a respawned querier attaching after
         # the broadcast still needs the timing anchor.
         self._trace_start: Optional[float] = None
@@ -664,8 +639,6 @@ class _LiveDistributor(threading.Thread):
                     outbound.write_record(record)
                 else:
                     outbound.write_record_seq(index, record)
-                self.routed_per_socket[id(outbound)] = \
-                    self.routed_per_socket.get(id(outbound), 0) + 1
             except OSError:
                 self.assigner.remove(outbound)
                 first_try = False
@@ -679,7 +652,7 @@ class _LiveDistributor(threading.Thread):
                 self.result.send_failures += 1
 
     def _flush(self) -> None:
-        """Write out what ``_route`` buffered; called before this thread
+        """Write out what ``_route`` buffered; called before this worker
         blocks.  A link that fails here is dropped like one that fails
         in ``_route``: its sources fail over on their next record."""
         for outbound in self.assigner.entities:
@@ -687,207 +660,3 @@ class _LiveDistributor(threading.Thread):
                 outbound.flush()
             except OSError:
                 self.assigner.remove(outbound)
-
-
-class LiveDistributedReplay:
-    """The controller: builds the tree, streams the trace, collects.
-
-    ``server`` is either one ``(address, port)`` tuple or a list of
-    them; with a list, querier *i* targets ``server[i % len(server)]``
-    (the scale-out benchmark gives each querier its own backend so the
-    measured bottleneck stays on the client side, §4.3).
-    """
-
-    def __init__(self, server: Union[ServerAddress, List[ServerAddress]],
-                 config: Optional[DistributedConfig] = None,
-                 telemetry=None):
-        servers = server if isinstance(server, list) else [server]
-        if not servers:
-            raise ValueError("need at least one server address")
-        self.servers = [tuple(address) for address in servers]
-        self.server = self.servers[0]
-        self.config = config if config is not None else DistributedConfig()
-        self.telemetry = telemetry
-        self.result = ReplayResult(
-            "distributed-live", aggregate=self.config.aggregate_results)
-        self._lock = threading.Lock()
-        # querier -> (distributor, dist-side socket, querier-side socket)
-        self._wiring: Dict[object, Tuple["_LiveDistributor",
-                                         MessageSocket, MessageSocket]] = {}
-        self.watchdog: Optional[ReplayWatchdog] = None
-        # Merged worker metrics of a topology="processes" run; the
-        # thread topology shares the caller's hub and leaves it empty.
-        self.metrics = MetricsRegistry()
-
-    def server_for(self, querier_id: int) -> ServerAddress:
-        return self.servers[querier_id % len(self.servers)]
-
-    def _handle_stall(self, querier) -> None:
-        """Terminate a stalled querier's links; account its lost queries.
-
-        Closing both MessageSocket ends makes the distributor's next
-        send to it raise OSError, which triggers the existing sticky
-        failover (``StickyAssigner.remove``).  Records already routed to
-        the querier but never sent are counted as ``stall_shed`` so the
-        final ``ReplayResult`` stays truthful.
-        """
-        wiring = self._wiring.get(querier)
-        with self._lock:
-            self.result.watchdog_stalls += 1
-            if wiring is not None:
-                distributor, dist_side, _querier_side = wiring
-                routed = distributor.routed_per_socket.get(id(dist_side), 0)
-                sent = getattr(querier, "records_sent", 0)
-                self.result.stall_shed += max(0, routed - sent)
-        if wiring is not None:
-            _distributor, dist_side, querier_side = wiring
-            querier_side.close()
-            dist_side.close()
-        # The stalled thread may never run again: reclaim its UDP
-        # socket and inbound channel here instead of leaking them.
-        shutdown = getattr(querier, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
-
-    def _handle_deadline(self, queriers) -> None:
-        """Deadline expired: every querier sheds its remaining queue."""
-        for querier in queriers:
-            shed = getattr(querier, "shed_event", None)
-            if shed is not None:
-                shed.set()
-
-    def replay(self, trace: Trace) -> ReplayResult:
-        if self.config.topology == "processes":
-            from .multiproc import ProcessTopology
-            topology = ProcessTopology(self.servers, self.config,
-                                       telemetry=self.telemetry)
-            self.result = topology.replay(trace)
-            self.watchdog = topology.watchdog
-            self.metrics = topology.metrics
-            return self.result
-        if self.config.topology != "threads":
-            raise ValueError(
-                f"unknown topology {self.config.topology!r} "
-                "(expected 'threads' or 'processes')")
-        return self._replay_threads(trace)
-
-    def _replay_threads(self, trace: Trace) -> ReplayResult:
-        records = sorted(trace.records, key=lambda r: r.timestamp)
-        if not records:
-            return self.result
-
-        # Build the two socket tiers.
-        make_querier = (self.config.querier_factory
-                        if self.config.querier_factory is not None
-                        else _LiveQuerier)
-        distributor_sockets = []
-        distributors = []
-        queriers = []
-        for distributor_id in range(self.config.distributors):
-            controller_side, distributor_side = connected_pair()
-            distributor_sockets.append(controller_side)
-            querier_sockets = []
-            pairs = []
-            for querier_index in range(self.config.queriers_per_distributor):
-                dist_side, querier_side = connected_pair()
-                querier_sockets.append(dist_side)
-                querier_id = (distributor_id
-                              * self.config.queriers_per_distributor
-                              + querier_index)
-                querier = make_querier(
-                    querier_id, querier_side,
-                    self.server_for(querier_id), self.result, self._lock)
-                queriers.append(querier)
-                pairs.append((querier, dist_side, querier_side))
-            distributor = _LiveDistributor(
-                distributor_id, distributor_side, querier_sockets,
-                result=self.result, lock=self._lock)
-            distributors.append(distributor)
-            for querier, dist_side, querier_side in pairs:
-                self._wiring[querier] = (distributor, dist_side,
-                                         querier_side)
-
-        telemetry = self.telemetry
-        if telemetry is not None:
-            if telemetry.per_query:
-                for querier in queriers:
-                    querier.telemetry = telemetry
-            telemetry.start_wall_sampler()
-            telemetry.add_probe("replay.queries_sent",
-                                lambda: len(self.result))
-            if self.result.aggregate:
-                telemetry.add_probe("replay.answered",
-                                    lambda: self.result.answered_count)
-            else:
-                telemetry.add_probe(
-                    "replay.answered",
-                    lambda: sum(1 for e in self.result.sent
-                                if e.answered_at is not None))
-
-        if self.config.supervision is not None:
-            self.watchdog = ReplayWatchdog(
-                self.config.supervision, queriers,
-                on_stall=self._handle_stall,
-                on_deadline=lambda: self._handle_deadline(queriers))
-            self.watchdog.start()
-
-        for thread in queriers + distributors:
-            thread.start()
-
-        # Reader + Postman: time-sync broadcast, then the stream.
-        assigner = StickyAssigner(distributor_sockets)
-        trace_start = records[0].timestamp
-        self.result.trace_start = trace_start
-        time.sleep(self.config.start_delay)
-        self.result.start_clock = time.monotonic()
-        for outbound in distributor_sockets:
-            outbound.send_time_sync(trace_start)
-        for record in records:
-            while assigner.entities:
-                outbound = assigner.assign(record.src)
-                try:
-                    outbound.write_record(record)
-                    break
-                except OSError:   # distributor died: fail its sources over
-                    assigner.remove(outbound)
-                    with self._lock:
-                        self.result.reassigned_queries += 1
-            else:
-                with self._lock:
-                    self.result.send_failures += 1
-        for outbound in distributor_sockets:
-            try:
-                outbound.send_end()
-            except OSError:
-                pass
-
-        duration = records[-1].timestamp - trace_start
-        deadline = time.monotonic() + duration \
-            + self.config.settle_time + 2.0
-        supervision = self.config.supervision
-        if supervision is not None and supervision.deadline is not None:
-            deadline = min(deadline, self.result.start_clock
-                           + supervision.deadline + supervision.stall_timeout)
-        for thread in distributors + queriers:
-            thread.join(timeout=max(deadline - time.monotonic(), 0.1))
-        if self.watchdog is not None:
-            self.watchdog.stop()
-            self.watchdog.join(timeout=1.0)
-        # Reclaim every descriptor the tree owns, even from queriers
-        # that missed the join deadline (a wedged thread used to be
-        # abandoned as a daemon with its UDP + message sockets open,
-        # leaking FDs across repeated runs).
-        for querier in queriers:
-            if querier.is_alive():
-                shutdown = getattr(querier, "shutdown", None)
-                if shutdown is not None:
-                    shutdown()
-                querier.join(timeout=0.5)
-        for _distributor, dist_side, querier_side in self._wiring.values():
-            dist_side.close()
-            querier_side.close()
-        for outbound in distributor_sockets:
-            outbound.close()
-        if telemetry is not None:
-            telemetry.stop()
-        return self.result

@@ -1,15 +1,12 @@
-"""Multi-process replay: the paper's real deployment topology (§3).
+"""The live replay: the paper's deployment topology (§3).
 
 LDplayer runs the controller → distributor → querier tree as real OS
-processes spread over client machines; one Python process running the
-tree as threads (the ``topology="threads"`` default in
-:mod:`repro.replay.distributed`) caps the aggregate query rate at one
-core because of the GIL.  This module launches the same tree as real
-**worker processes** on one host, connected by the same TCP
-:class:`~repro.replay.protocol.MessageSocket` framing — the protocol
-already crosses process boundaries by construction, so the tiers
-themselves (:class:`_LiveDistributor`, :class:`_LiveQuerier`) run
-unmodified inside the workers.
+processes spread over client machines.  This module is that tree on
+one host, and the only live replay there is: the tiers
+(:class:`_LiveDistributor`, :class:`_LiveQuerier` in
+:mod:`repro.replay.distributed`) run inside real **worker processes**
+connected by TCP :class:`~repro.replay.protocol.MessageSocket` framing,
+so the aggregate query rate is not capped at one core by the GIL.
 
 Life of a run — one lifecycle (:class:`_Controller`) that the classic,
 shard-file, recovering and sharded-sim runs parameterise:
@@ -37,7 +34,7 @@ shard-file, recovering and sharded-sim runs parameterise:
    ``MetricsRegistry.merge_state``, into one aggregate;
 7. **teardown** — SHUTDOWN, close, join, terminate.
 
-Supervision: the same :class:`~repro.replay.supervision.ReplayWatchdog`
+Supervision: a :class:`~repro.replay.supervision.ReplayWatchdog`
 watches each worker through its :class:`_WorkerHandle` (``is_alive`` =
 the OS process); its verdict closes the worker's control link, and the
 reader's EOF path decides between a respawn (recovery mode, within
@@ -45,6 +42,8 @@ budget) and a failed handle whose routes fail over via
 ``StickyAssigner.remove``.  ``supervision.deadline`` — the only
 wall-clock budget — propagates as SHUTDOWN frames down the tree so
 queriers shed their queues and report truthful ``deadline_shed`` counts.
+A worker that is alive but wedged is bounded by that deadline and by
+``_await_reports``' clock.
 """
 
 from __future__ import annotations
@@ -360,8 +359,7 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
                            threading.Lock())
     # The controller cannot flip this worker's shed_event across the
     # process boundary once the record stream has ended, so the
-    # wall-clock budget is enforced locally, anchored at TIME_SYNC —
-    # the same zero point thread-mode deadlines use.
+    # wall-clock budget is enforced locally, anchored at TIME_SYNC.
     querier.deadline = deadline
     if recovery is not None:
         querier.checkpoint_policy = recovery.checkpoint
@@ -553,9 +551,8 @@ class UdpEchoServerProcess:
     """A :class:`LiveUdpEchoServer` isolated in its own OS process.
 
     The §4.3 methodology needs the *client* to be the measured
-    bottleneck; an echo server thread inside the controller process
-    would share the GIL with the threaded topology and starve it.  One
-    of these per querier keeps the server side out of the measurement.
+    bottleneck.  One of these per querier keeps the server side out of
+    the measured processes.
     """
 
     def __init__(self, start_method: Optional[str] = None):
@@ -1155,11 +1152,12 @@ class _Controller:
 
 
 class ProcessTopology(_Controller):
-    """The controller of the multi-process replay tree.
+    """The controller of the live replay tree, and its entry point.
 
-    Usually reached through
-    ``LiveDistributedReplay(server, DistributedConfig(
-    topology="processes"))``; instantiating it directly is equivalent.
+    ``server`` is either one ``(address, port)`` tuple or a list of
+    them; with a list, querier *i* targets ``server[i % len(server)]``
+    (the scale-out experiment gives each querier its own backend so the
+    measured bottleneck stays on the client side, §4.3).
     """
 
     def __init__(self, server: Union[ServerAddress, List[ServerAddress]],

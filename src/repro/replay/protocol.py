@@ -22,9 +22,8 @@ multi-process deployment need:
             | TELEMETRY   (JSON streamed metrics/health/span window)
 
 :class:`MessageSocket` wraps a connected TCP socket with framed send /
-receive; :mod:`repro.replay.distributed` builds the controller →
-distributor → querier tree on top of it, in one process (threads) or
-across real worker processes (:mod:`repro.replay.multiproc`).
+receive; :mod:`repro.replay.multiproc` builds the controller →
+distributor → querier tree of worker processes on top of it.
 
 The receive path trusts nothing: a frame whose length field is zero,
 negative-after-kind, or larger than :data:`MAX_FRAME` raises

@@ -83,7 +83,7 @@ _COUNTER_FIELDS = (
     "duplicate_responses", "reconnects", "tcp_fallbacks",
     "reassigned_queries", "gave_up", "servfails_observed",
     "paced_queries", "pace_rate_cuts", "backpressure_pauses",
-    "watchdog_stalls", "stall_shed", "deadline_shed",
+    "watchdog_stalls", "deadline_shed",
     "respawns", "redelivered_records", "duplicate_merged",
 )
 
@@ -139,7 +139,6 @@ class ReplayResult:
         self.pace_rate_cuts = 0        # multiplicative-decrease events
         self.backpressure_pauses = 0   # sends held at the TCP high-water
         self.watchdog_stalls = 0       # queriers terminated by the watchdog
-        self.stall_shed = 0            # queries lost inside stalled queriers
         self.deadline_shed = 0         # queries shed past the replay deadline
         # Self-healing counters (crash recovery & checkpointed merge).
         self.respawns = 0              # worker processes respawned
@@ -337,7 +336,6 @@ class ReplayResult:
             "pace_rate_cuts": self.pace_rate_cuts,
             "backpressure_pauses": self.backpressure_pauses,
             "watchdog_stalls": self.watchdog_stalls,
-            "stall_shed": self.stall_shed,
             "deadline_shed": self.deadline_shed,
         }
 

@@ -88,15 +88,15 @@ class ReplayWatchdog(threading.Thread):
     A subject is stalled when its heartbeat is older than
     ``stall_timeout`` *and* it still has work — an idle querier blocked
     waiting for input is not a stall.  Each subject is flagged at most
-    once; ``on_stall`` does the remediation (the distributed engine
-    closes the stalled querier's sockets so routing fails over).
+    once; ``on_stall`` does the remediation (the process tree closes
+    the worker's control link so routing fails over).
 
-    Subjects that expose ``is_alive()`` (threads, worker *processes* in
-    the multi-process topology) are additionally checked for death: a
-    dead subject with work outstanding is flagged immediately, without
-    waiting out the stall timeout — a crashed querier process cannot
-    stamp a heartbeat, and its queries must be reassigned (the
-    distributor's ``StickyAssigner.remove`` failover) right away.
+    Subjects that expose ``is_alive()`` (the process tree's worker
+    handles) are additionally checked for death: a dead subject with
+    work outstanding is flagged immediately, without waiting out the
+    stall timeout — a crashed querier process cannot stamp a heartbeat,
+    and its queries must be reassigned (the distributor's
+    ``StickyAssigner.remove`` failover) right away.
     """
 
     def __init__(self, config: SupervisionConfig, subjects: Sequence,

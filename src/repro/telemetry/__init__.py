@@ -22,7 +22,7 @@ clock-aligned Chrome trace for the whole topology.
 
 Construct a :class:`Telemetry` hub from a config and pass it to
 ``SimReplayEngine``/``HostedDnsServer`` (sim) or
-``LiveDistributedReplay`` (live); export with
+``ProcessTopology`` (live); export with
 :func:`write_chrome_trace`, :func:`write_histograms_json`,
 :func:`write_timeseries_csv`, or ``report.render_telemetry``.
 """

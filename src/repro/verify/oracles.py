@@ -1,13 +1,12 @@
 """Differential oracles: one workload, two configurations, zero diffs.
 
-The repo grew four one-off differential suites (cached==uncached
-wire-cache, instrumented==bare telemetry, threads==processes replay,
-defended==undefended overload at low load).  Each hand-rolled the same
-shape: run a workload twice, collect what each side produced, assert
-equality.  This module is that shape as a library, so new subsystems
-get a differential harness by writing two runner callables instead of
-a bespoke test file — and the fuzz driver can aim *generated*
-workloads at any registered oracle.
+The repo grew three one-off differential suites (cached==uncached
+wire-cache, instrumented==bare telemetry, defended==undefended overload
+at low load).  Each hand-rolled the same shape: run a workload twice,
+collect what each side produced, assert equality.  This module is that
+shape as a library, so new subsystems get a differential harness by
+writing two runner callables instead of a bespoke test file — and the
+fuzz driver can aim *generated* workloads at any registered oracle.
 
 Vocabulary:
 

@@ -1,11 +1,10 @@
-"""Tests for the live (real socket) replay path.  Kept short: these use
+"""Tests for the live path's loopback fixtures.  Kept short: these use
 real wall-clock time on loopback."""
 
 import pytest
 
-from repro.replay import (LiveReplay, LiveUdpEchoServer, ThroughputReport,
+from repro.replay import (LiveUdpEchoServer, ThroughputReport,
                           measure_throughput)
-from repro.trace import fixed_interval_trace
 
 
 class TestEchoServer:
@@ -26,29 +25,6 @@ class TestEchoServer:
         assert reply[:2] == b"\x12\x34"
         assert reply[2] & 0x80  # QR set
         assert reply[3:] == query[3:]
-
-
-class TestLiveReplay:
-    def test_short_replay_accuracy(self):
-        trace = fixed_interval_trace(0.02, 0.6, name="live-test")
-        with LiveUdpEchoServer() as server:
-            live = LiveReplay((server.address, server.port))
-            result = live.replay(trace)
-        assert len(result) == len(trace)
-        # Real timers on loopback: errors should be well under 20 ms.
-        errors = result.send_time_errors(skip_seconds=0.1)
-        assert errors
-        assert max(abs(e) for e in errors) < 0.050
-        assert result.answered_fraction() > 0.9
-
-    def test_latency_measured(self):
-        trace = fixed_interval_trace(0.05, 0.3, name="live-lat")
-        with LiveUdpEchoServer() as server:
-            live = LiveReplay((server.address, server.port))
-            result = live.replay(trace)
-        latencies = result.latencies()
-        assert latencies
-        assert all(0 < latency < 0.5 for latency in latencies)
 
 
 class TestThroughput:

@@ -1,4 +1,4 @@
-"""Tests for the inter-node replay protocol and distributed live replay."""
+"""Tests for the inter-node replay protocol and the live replay tiers."""
 
 import json
 import signal
@@ -11,16 +11,15 @@ import time
 
 import pytest
 
-from repro.replay import (DistributedConfig, LiveDistributedReplay,
-                          LiveUdpEchoServer, MAX_FRAME, MSG_CHECKPOINT,
-                          MSG_END, MSG_HELLO, MSG_METRICS, MSG_RECORD,
-                          MSG_RECORD_SEQ, MSG_RESULT, MSG_SHUTDOWN,
-                          MSG_TELEMETRY, MSG_TIME_SYNC, MessageSocket,
-                          ProtocolError, ROLE_QUERIER, SendError, connect,
-                          connected_pair)
+from repro.replay import (DistributedConfig, LiveUdpEchoServer, MAX_FRAME,
+                          MSG_CHECKPOINT, MSG_END, MSG_HELLO, MSG_METRICS,
+                          MSG_RECORD, MSG_RECORD_SEQ, MSG_RESULT,
+                          MSG_SHUTDOWN, MSG_TELEMETRY, MSG_TIME_SYNC,
+                          MessageSocket, ProcessTopology, ProtocolError,
+                          ROLE_QUERIER, SendError, connect, connected_pair)
 from repro.replay.distributed import _LiveQuerier
-from repro.trace import BRootWorkload, burst_trace, \
-    fixed_interval_trace, make_query_record
+from repro.trace import burst_trace, fixed_interval_trace, \
+    make_query_record
 
 _HEADER = struct.Struct("!IB")
 
@@ -723,7 +722,7 @@ class TestResponseMatching:
         trace = fixed_interval_trace(0.05, 0.3, client_count=2,
                                      name="mangled")
         with _MangledEchoServer() as server:
-            replay = LiveDistributedReplay(
+            replay = ProcessTopology(
                 (server.address, server.port),
                 DistributedConfig(distributors=1,
                                   queriers_per_distributor=1))
@@ -746,7 +745,7 @@ class TestResponseMatching:
                                          msg_id=index + 1)
                        for index, qname in enumerate(qnames)])
         with LiveUdpEchoServer() as server:
-            replay = LiveDistributedReplay(
+            replay = ProcessTopology(
                 (server.address, server.port),
                 DistributedConfig(distributors=1,
                                   queriers_per_distributor=1))
@@ -821,13 +820,14 @@ def _run_querier(server, records, aggregate=True):
     querier = _LiveQuerier(0, link, server,
                            ReplayResult("querier-0", aggregate=aggregate),
                            threading.Lock())
-    querier.start()
+    runner = threading.Thread(target=querier.run, daemon=True)
+    runner.start()
     feed.send_time_sync(records[0].timestamp)
     for record in records:
         feed.write_record(record)
     feed.send_end()
-    querier.join(timeout=60.0)
-    assert not querier.is_alive()
+    runner.join(timeout=60.0)
+    assert not runner.is_alive()
     feed.close()
     return querier
 
@@ -889,91 +889,3 @@ class TestCatchUpWindow:
                    if query.sent_at - query.scheduled_at > 0.001)
         assert querier.catchup_waits <= late // self.WINDOW
         assert querier.catchup_forgiven == querier.catchup_waits
-
-
-class _WedgedQuerier(_LiveQuerier):
-    """Never services its sockets: simulates a thread wedged in C code."""
-
-    def run(self):
-        self._wedge = threading.Event()
-        self._wedge.wait(30.0)
-
-
-class TestQuerierSocketReclaim:
-    def test_abandoned_querier_sockets_closed(self):
-        """ISSUE bugfix: a querier thread that outlives the join
-        deadline used to be abandoned as a daemon with its UDP socket
-        and both MessageSocket ends open (FD leak).  The controller now
-        force-closes them on the way out."""
-        queriers = []
-
-        def factory(*args, **kwargs):
-            querier = _WedgedQuerier(*args, **kwargs)
-            queriers.append(querier)
-            return querier
-
-        trace = fixed_interval_trace(0.05, 0.2, client_count=2,
-                                     name="wedged")
-        with LiveUdpEchoServer() as server:
-            replay = LiveDistributedReplay(
-                (server.address, server.port),
-                DistributedConfig(distributors=1,
-                                  queriers_per_distributor=1,
-                                  settle_time=0.1,
-                                  querier_factory=factory))
-            replay.replay(trace)
-        assert len(queriers) == 1
-        wedged = queriers[0]
-        assert wedged.is_alive()            # thread is genuinely stuck
-        # Pre-fix: both fds stayed open until interpreter exit.
-        assert wedged._sock.fileno() == -1
-        assert wedged.inbound._socket.fileno() == -1
-
-
-class TestDistributedLiveReplay:
-    def test_replays_and_answers(self):
-        trace = BRootWorkload(duration=1.0, mean_rate=150,
-                              seed=4).generate()
-        with LiveUdpEchoServer() as server:
-            replay = LiveDistributedReplay(
-                (server.address, server.port),
-                DistributedConfig(distributors=2,
-                                  queriers_per_distributor=2))
-            result = replay.replay(trace)
-        assert len(result) == len(trace)
-        assert result.answered_fraction() > 0.9
-
-    def test_same_source_affinity_across_tiers(self):
-        trace = BRootWorkload(duration=1.0, mean_rate=150,
-                              seed=5).generate()
-        with LiveUdpEchoServer() as server:
-            replay = LiveDistributedReplay(
-                (server.address, server.port),
-                DistributedConfig(distributors=3,
-                                  queriers_per_distributor=2))
-            result = replay.replay(trace)
-        per_source = {}
-        for query in result.sent:
-            per_source.setdefault(query.source, set()).add(query.querier_id)
-        assert all(len(ids) == 1 for ids in per_source.values())
-        # And the work actually spread over multiple queriers.
-        assert len({q.querier_id for q in result.sent}) > 1
-
-    def test_timing_discipline_holds(self):
-        trace = fixed_interval_trace(0.02, 1.0, name="dist-timing")
-        with LiveUdpEchoServer() as server:
-            replay = LiveDistributedReplay(
-                (server.address, server.port),
-                DistributedConfig(distributors=2,
-                                  queriers_per_distributor=2))
-            result = replay.replay(trace)
-        errors = result.send_time_errors(skip_seconds=0.1)
-        assert errors
-        assert max(abs(e) for e in errors) < 0.05
-
-    def test_empty_trace(self):
-        from repro.trace import Trace
-        with LiveUdpEchoServer() as server:
-            replay = LiveDistributedReplay((server.address, server.port))
-            result = replay.replay(Trace())
-        assert len(result) == 0

@@ -564,7 +564,6 @@ class TestSyscallBudget:
             [MessageSocket(link) for link in links])
         distributor.run()
         assert distributor.records_routed == self.COUNT
-        assert sum(distributor.routed_per_socket.values()) == self.COUNT
         # The parent wrote once per record (4 096 + 4).
         assert sum(link.writes for link in links) <= self.COUNT // 64 + 4
         assert 0 < distributor.record_batches <= self.COUNT // 64

@@ -9,8 +9,8 @@ and the controller streaming-merging few-KB RESULT frames.
 
 import pytest
 
-from repro.replay import (DistributedConfig, LiveDistributedReplay,
-                          LiveUdpEchoServer, ProcessTopology, SimReplayEngine)
+from repro.replay import (DistributedConfig, LiveUdpEchoServer,
+                          ProcessTopology, SimReplayEngine)
 from repro.replay.result import ReplayResult
 from repro.experiments import build_evaluation_topology
 from repro.experiments.fig6_timing import wildcard_example_zone
@@ -75,7 +75,7 @@ def shard_directory(tmp_path, trace, num_shards):
 
 def streaming_config(**overrides):
     defaults = dict(distributors=2, queriers_per_distributor=2,
-                    topology="processes", start_delay=0.05)
+                    start_delay=0.05)
     defaults.update(overrides)
     return DistributedConfig(**defaults)
 
@@ -173,18 +173,15 @@ class TestShardFileTopology:
 
 
 class TestAggregateTopologies:
-    def test_thread_mode_aggregate_matches_list_counts(self):
+    def test_aggregate_matches_list_counts(self):
         trace = fixed_interval_trace(0.02, 0.8, client_count=8,
-                                     name="agg-threads")
+                                     name="agg-vs-list")
         results = {}
         for aggregate in (False, True):
             with LiveUdpEchoServer() as server:
-                replay = LiveDistributedReplay(
+                replay = ProcessTopology(
                     (server.address, server.port),
-                    DistributedConfig(distributors=2,
-                                      queriers_per_distributor=2,
-                                      start_delay=0.05,
-                                      aggregate_results=aggregate))
+                    streaming_config(aggregate_results=aggregate))
                 results[aggregate] = replay.replay(trace)
         assert len(results[True]) == len(results[False]) == len(trace)
         assert results[True].aggregate and not results[False].aggregate
@@ -197,7 +194,7 @@ class TestAggregateTopologies:
         trace = fixed_interval_trace(0.02, 0.8, client_count=8,
                                      name="agg-processes")
         with LiveUdpEchoServer() as server:
-            replay = LiveDistributedReplay(
+            replay = ProcessTopology(
                 (server.address, server.port),
                 streaming_config(aggregate_results=True))
             result = replay.replay(trace)

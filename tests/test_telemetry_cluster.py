@@ -265,7 +265,7 @@ class TestClusterAggregator:
 def streaming_config(distributors=2, queriers=2, recovery=False):
     return DistributedConfig(
         distributors=distributors, queriers_per_distributor=queriers,
-        topology="processes", settle_time=0.5,
+        settle_time=0.5,
         recovery=RecoveryConfig() if recovery else None)
 
 

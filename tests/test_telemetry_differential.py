@@ -203,7 +203,7 @@ def run_process_tree(telemetry=None):
     trace = fixed_interval_trace(interval=0.004, duration=0.5,
                                  client_count=8)
     config = DistributedConfig(distributors=2, queriers_per_distributor=2,
-                               topology="processes", settle_time=0.5)
+                               settle_time=0.5)
     with UdpEchoServerProcess() as echo:
         topology = ProcessTopology((echo.address, echo.port), config,
                                    telemetry=telemetry)
