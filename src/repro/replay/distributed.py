@@ -53,7 +53,17 @@ _AGGREGATE_PENDING_CAP = 1 << 16
 # These are sizes of the mechanism, not settings of a run.
 _FRAME_BLOCK = 256      # frames taken off the link per wake
 _READ_EVERY = 32        # sends between reads of the UDP socket
-_IDLE_POLL = 0.05       # longest wait: shed_event and heartbeat latency
+_IDLE_POLL = 0.05       # longest wait: how late shed_event is noticed
+# A replay on its schedule sleeps once per send (DESIGN.md "Wake
+# budget").  While a queued send is due within _ANSWER_DEFER the wait
+# leaves the UDP socket out and the answers are read straight after the
+# sends of that wake: ``answered_at`` is stamped at most _ANSWER_DEFER
+# plus one send after the datagram arrived.  The distributor, on waking
+# for a record ``pace_lead`` ahead, releases every record up to
+# _PACE_QUANTUM further ahead: queriers buffer one quantum more and
+# take their frames a block per quantum.
+_ANSWER_DEFER = 0.001
+_PACE_QUANTUM = 0.02
 # Catching up on a backlog is answer-clocked: dumped at line rate it is
 # a burst the trace never held, and what overruns a server once the
 # querier is fast.  While sends run more than _OVERDUE late, at most
@@ -74,6 +84,8 @@ class DistributedConfig:
     distributors: int = 2
     queriers_per_distributor: int = 2
     settle_time: float = 0.3
+    # The first record is due this long after TIME_SYNC: the lead-in in
+    # which the head of the stream reaches the queriers.
     start_delay: float = 0.1
     # Worker-process start method; None picks fork when the platform
     # offers it, else spawn.
@@ -100,7 +112,8 @@ class _LiveQuerier:
     checkpoint flush or ``_IDLE_POLL``.  Each wake takes up to
     ``_FRAME_BLOCK`` frames already off the wire, sends everything due
     (reading answers every ``_READ_EVERY`` sends), then reads answers
-    and checkpoints once.
+    and checkpoints once.  With a send due within ``_ANSWER_DEFER`` the
+    UDP socket stays out of the wait: the sends clock the answer reads.
     """
 
     def __init__(self, querier_id: int, inbound: MessageSocket,
@@ -126,8 +139,9 @@ class _LiveQuerier:
                                 Optional[int]]] = []
         self._sequence = 0
         self._done_receiving = False
-        self._closed = threading.Event()
+        self._closed = False
         self._unread = 0        # sends since the UDP socket was last read
+        self.wakes = 0          # returns of _wait
         # Catch-up window: overdue sends not yet matched by a datagram
         # read back (see _CATCHUP_*).
         self._ahead = 0
@@ -149,7 +163,6 @@ class _LiveQuerier:
         self._last_checkpoint_time = time.monotonic()
         # Supervision surface: SHUTDOWN and the deadline timer set
         # shed_event.
-        self.heartbeat = time.monotonic()
         self.records_received = 0
         self.records_sent = 0
         self.shed_event = threading.Event()
@@ -172,25 +185,25 @@ class _LiveQuerier:
     def _run(self) -> None:
         while not (self._done_receiving and not self._queue):
             now = time.monotonic()
-            self.heartbeat = now
             # Whole frames the last read left behind: look, don't sleep.
             buffered = not self._done_receiving and self.inbound.has_frame()
+            # With a send this close the UDP socket is not waited on
+            # but read once the sends of this wake are out.
+            send_soon = bool(self._queue) \
+                and self._queue[0][0] - now <= _ANSWER_DEFER
             frames, answers = self._wait(
-                0.0 if buffered else self._idle_time(now))
-            if self._closed.is_set():
-                return      # shutdown() from outside took the sockets
+                0.0 if buffered else self._idle_time(now),
+                answers=not send_soon)
             if frames or buffered:
                 self._read_frames()
             self._send_due()
-            if answers or self._unread:
+            if answers or send_soon or self._unread:
                 self._drain_responses()
             self._maybe_checkpoint()
         # Settle: catch responses still in flight.
         deadline = time.monotonic() + 0.2
-        while (now := time.monotonic()) < deadline \
-                and not self._closed.is_set():
-            self.heartbeat = now
-            if self._wait(deadline - now, answers_only=True)[1]:
+        while (now := time.monotonic()) < deadline:
+            if self._wait(deadline - now, frames=False)[1]:
                 self._drain_responses()
         self._maybe_checkpoint()
 
@@ -204,19 +217,23 @@ class _LiveQuerier:
                        + self.checkpoint_policy.interval_s)
         return max(wake - now, 0.0)
 
-    def _wait(self, timeout: float,
-              answers_only: bool = False) -> Tuple[bool, bool]:
+    def _wait(self, timeout: float, frames: bool = True,
+              answers: bool = True) -> Tuple[bool, bool]:
         """The loop's one blocking call: sleep until the distributor
-        link (unless ``answers_only``) or the UDP socket is readable, at
-        most ``timeout``.  Returns (frames to read, answers to read).
-        Tests drive the loop over fakes by replacing this method."""
-        link = not (answers_only or self._done_receiving)
-        watched = [self._sock, self.inbound] if link else [self._sock]
+        link (if ``frames``) or the UDP socket (if ``answers``) is
+        readable, at most ``timeout``.  Returns (frames to read, answers
+        to read).  Tests drive the loop over fakes by patching this
+        module's ``select``."""
+        self.wakes += 1
+        frames = frames and not self._done_receiving
+        watched = [self.inbound] if frames else []
+        if answers:
+            watched.append(self._sock)
         try:
             readable = select.select(watched, (), (), timeout)[0]
         except (OSError, ValueError):
             # A socket was closed under the wait; the reads say which.
-            return link, True
+            return frames, answers
         return self.inbound in readable, self._sock in readable
 
     def _read_frames(self) -> None:
@@ -326,9 +343,9 @@ class _LiveQuerier:
         Called from the querier itself when ``run`` ends, however it
         ends.
         """
-        if self._closed.is_set():
+        if self._closed:
             return
-        self._closed.set()
+        self._closed = True
         if self._deadline_timer is not None:
             self._deadline_timer.cancel()
         self.inbound.close()
@@ -368,12 +385,12 @@ class _LiveQuerier:
                 self._ahead = 0
             elif self._ahead >= _CATCHUP_WINDOW:
                 self._await_answers()
-                self.heartbeat = now = time.monotonic()
+                now = time.monotonic()
                 continue
             else:
                 self._ahead += 1
             _target, _seq, record, index = heapq.heappop(queue)
-            self.heartbeat = now = self._send(record, target, index)
+            now = self._send(record, target, index)
             if self._unread >= _READ_EVERY:
                 self._drain_responses()
         if shed():
@@ -383,7 +400,7 @@ class _LiveQuerier:
         """The catch-up window is full: wait for a datagram to read, or
         write the window off when none comes in ``_CATCHUP_PATIENCE``."""
         self.catchup_waits += 1
-        if self._wait(_CATCHUP_PATIENCE, answers_only=True)[1]:
+        if self._wait(_CATCHUP_PATIENCE, frames=False)[1]:
             self._drain_responses()
         if self._ahead >= _CATCHUP_WINDOW:
             self._ahead = 0
@@ -506,6 +523,7 @@ class _LiveDistributor:
         self.result = result
         self.lock = lock
         self.records_routed = 0
+        self.pace_sleeps = 0        # pacing sleeps of run_shard_file
         # Cached for late joiners: a respawned querier attaching after
         # the broadcast still needs the timing anchor.
         self._trace_start: Optional[float] = None
@@ -578,11 +596,13 @@ class _LiveDistributor:
         controller sends TIME_SYNC then END without ever reading a
         record (it knows the shard only through the manifest).  Records
         come off disk through :func:`iter_shard_file`'s bounded
-        read-ahead, and routing is *paced*: a record is not forwarded
-        until within ``pace_lead`` seconds of its replay time, so the
-        querier heaps hold at most a few seconds of queries instead of
-        the whole shard.  ``pace_lead <= 0`` disables pacing (as fast
-        as the tree accepts, the classic firehose).
+        read-ahead, and routing is *paced*: the distributor sleeps until
+        the next record is ``pace_lead`` seconds from its replay time
+        and then forwards every record up to ``_PACE_QUANTUM`` further
+        ahead, so the querier heaps hold at most a few seconds of
+        queries instead of the whole shard and a dense trace costs one
+        sleep per quantum, not per record.  ``pace_lead <= 0`` disables
+        pacing (as fast as the tree accepts, the classic firehose).
         """
         try:
             for kind, payload in self.inbound.messages():  # until END
@@ -601,17 +621,22 @@ class _LiveDistributor:
                     return
             if self._trace_start is None:
                 return   # controller vanished before the handshake
+            # Trace time at the anchor plus what routing runs ahead: a
+            # record's timestamp less this is its forwarding time on the
+            # clock since the anchor.
+            origin = self._trace_start + pace_lead
+            # Records due up to here go without a look at the clock.
+            released = 0.0 if pace_lead > 0 else float("inf")
             for record in iter_shard_file(path, read_ahead=read_ahead):
-                if pace_lead > 0:
-                    lead = ((record.timestamp - self._trace_start)
-                            - (time.monotonic() - self.sync_mono)
-                            - pace_lead)
-                    while lead > 0:
+                due = record.timestamp - origin
+                if due > released:
+                    now = time.monotonic() - self.sync_mono
+                    while now < due:
                         self._flush()
-                        time.sleep(min(lead, 0.25))
-                        lead = ((record.timestamp - self._trace_start)
-                                - (time.monotonic() - self.sync_mono)
-                                - pace_lead)
+                        self.pace_sleeps += 1
+                        time.sleep(min(due - now, 0.25))
+                        now = time.monotonic() - self.sync_mono
+                    released = now + _PACE_QUANTUM
                 self.records_routed += 1
                 self._route(record)
         except ProtocolError:

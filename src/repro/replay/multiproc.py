@@ -17,8 +17,10 @@ shard-file, recovering and sharded-sim runs parameterise:
    sim shards).  Every worker HELLOs back and gets one reader thread.
    With recovery on the listener stays open for respawned or
    re-dialing workers;
-2. **anchor** — ``start_delay``, then the run's zero point
-   (``start_clock``) is taken and broadcast as TIME_SYNC;
+2. **anchor** — the run's zero point (``start_clock``) is taken and
+   broadcast as TIME_SYNC; the first record is due ``start_delay``
+   later, so the head of the stream crosses the links before any send
+   is due;
 3. **stream** — records go out sharded sticky-by-source over the
    distributors, each re-sharding over its queriers: RECORD frames,
    RECORD_SEQ (global trace index) in recovery mode, or nothing at all
@@ -270,6 +272,7 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
         registry = MetricsRegistry()
         registry.incr("replay.records_routed", distributor.records_routed)
         registry.incr("replay.record_batches", distributor.record_batches)
+        registry.incr("replay.pace_sleeps", distributor.pace_sleeps)
         return registry.to_state()
 
     streamer: Optional[TelemetryStreamer] = None
@@ -373,6 +376,7 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
         registry = MetricsRegistry()
         registry.incr("replay.records_received", querier.records_received)
         registry.incr("replay.records_sent", querier.records_sent)
+        registry.incr("replay.querier_wakes", querier.wakes)
         registry.incr("replay.catchup_waits", querier.catchup_waits)
         registry.incr("replay.catchup_forgiven", querier.catchup_forgiven)
         if querier.redundant_records:
@@ -1280,11 +1284,15 @@ class ProcessTopology(_Controller):
              records: Sequence = ()) -> ReplayResult:
         """The run skeleton: spawn → anchor → stream → drain → collect
         → merge → teardown.  ``span`` is how long the schedule keeps
-        the tree busy after the anchor."""
+        the tree busy after its first record is due."""
         config = self.config
         recovery = config.recovery
-        # Set before any worker exists: _resync may need it early.
-        self.result.trace_start = trace_start
+        span += config.start_delay
+        # The trace time of the anchor, which is what TIME_SYNC carries:
+        # the first record is due start_delay after the zero point, as
+        # in SimReplayEngine.  Set before any worker exists: _resync
+        # may need it early.
+        self.result.trace_start = trace_start - config.start_delay
         if recovery is not None:
             self._store = CheckpointStore()
         self._spawn_tree([
@@ -1343,7 +1351,6 @@ class ProcessTopology(_Controller):
 
     def _anchor(self) -> None:
         """Take the run's zero point and broadcast it as TIME_SYNC."""
-        time.sleep(self.config.start_delay)
         self.result.start_clock = time.monotonic()
         if self.cluster is not None:
             self.cluster.set_anchor(self.result.start_clock)

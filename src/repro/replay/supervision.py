@@ -11,10 +11,10 @@ truthfully* when part of the replay tree wedges.  Three mechanisms:
   same control law TCP congestion avoidance uses.  Off by default.
 
 * **heartbeats + watchdog** (:class:`SupervisionConfig` /
-  :class:`ReplayWatchdog`) — live queriers stamp a monotonic heartbeat
-  every scheduling pass; a watchdog thread flags any subject whose
-  heartbeat goes stale while it still has queued work, and the
-  distributed engine fails its sources over to live queriers.
+  :class:`ReplayWatchdog`) — a watchdog thread flags any subject that
+  dies, or whose ``heartbeat`` (if it stamps one) goes stale, while it
+  still has queued work, and the process tree fails its sources over
+  to live queriers.
 
 * **deadline shedding** — an optional wall-clock budget for the whole
   replay; when it expires, queued-but-unsent records are counted as

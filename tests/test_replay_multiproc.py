@@ -76,6 +76,10 @@ class TestProcessTopology:
         assert 2 <= state["counts"]["replay.record_batches"] <= len(trace)
         assert state["counts"]["replay.catchup_waits"] == 0
         assert state["counts"]["replay.catchup_forgiven"] == 0
+        # The wake budget (ISSUE 24): every querier's loop waited at
+        # least once; only a shard-file replay paces its distributors.
+        assert state["counts"]["replay.querier_wakes"] >= 4
+        assert state["counts"]["replay.pace_sleeps"] == 0
         latency = state["histograms"]["query.latency_s"]
         answered = sum(1 for q in result.sent if q.answered_at is not None)
         assert latency["count"] == answered
@@ -93,6 +97,25 @@ class TestProcessTopology:
         errors = sorted(abs(error) for error
                         in result.send_time_errors(skip_seconds=0.1))
         assert errors
+        assert errors[len(errors) // 2] < 0.010
+
+    def test_lead_in_is_spent_after_the_anchor(self):
+        """ISSUE 24: the first record is due ``start_delay`` after
+        TIME_SYNC, not the instant it lands, so the head of the stream
+        is queued before any send is due (the parent scheduled record 0
+        at the querier's receipt of TIME_SYNC, ~0 s after the anchor).
+        The errors stay unbiased: the shift is in the anchor pair."""
+        trace = fixed_interval_trace(0.005, 1.0, name="mp-lead-in")
+        with LiveUdpEchoServer() as server:
+            replay = ProcessTopology(
+                (server.address, server.port),
+                process_config(distributors=1, queriers_per_distributor=1,
+                               start_delay=0.2))
+            result = replay.replay(trace)
+        assert len(result) == len(trace)
+        first = min(result.sent, key=lambda query: query.trace_time)
+        assert first.scheduled_at - result.start_clock >= 0.2
+        errors = sorted(abs(error) for error in result.send_time_errors())
         assert errors[len(errors) // 2] < 0.010
 
     def test_empty_trace(self):

@@ -8,11 +8,16 @@ deterministic crashes and SIGKILLs that must conserve every record.
 """
 
 import collections
+import contextlib
+import dataclasses
+import functools
 import json
 import os
 import signal
 import threading
 import time
+import types
+from unittest import mock
 
 import pytest
 
@@ -23,6 +28,7 @@ from repro.replay import (ChaosConfig, ChaosEngine, CheckpointPolicy,
                           ShardTopology, UdpEchoServerProcess,
                           conservation_violations, merge_recovered,
                           reconnect_with_backoff)
+from repro.replay import distributed
 from repro.replay.distributed import _LiveDistributor, _LiveQuerier
 from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
                                    MSG_RECORD_SEQ, MSG_RESULT,
@@ -31,7 +37,8 @@ from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
                                    validate_checkpoint_payload)
 from repro.replay.result import ReplayResult
 from repro.telemetry import TelemetryConfig
-from repro.trace import burst_trace, fixed_interval_trace
+from repro.trace import (burst_trace, fixed_interval_trace, shard_path,
+                         split_shards)
 from repro.verify.generators import (HAVE_HYPOTHESIS, checkpoint_deliveries,
                                      checkpoint_emission_history)
 
@@ -365,18 +372,46 @@ class TestCheckpointInterleavings:
 
 # -- delta checkpoints at the querier (no process tree, no real sockets) -----
 
-class _ScriptedInbound:
-    """Stands in for the distributor link: hands out scripted frames;
-    the string ``"quiet"`` is one wait that saw nothing arrive."""
+class _FakeClock:
+    """``monotonic``/``sleep`` for ``distributed.time``: time passes only
+    in a sleep, which ends exactly when asked.  Tests keep every instant
+    a multiple of 2**-14 s so the sums are exact in binary."""
 
-    def __init__(self, script):
+    def __init__(self, now=1024.0):
+        self.now = now
+        self.sleeps = 0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps += 1
+        self.now += seconds
+
+
+class _ScriptedInbound:
+    """Stands in for the distributor link: hands out scripted frames.
+    The string ``"quiet"`` is one wait that saw nothing arrive; with a
+    ``clock``, a float is the instant the frames behind it arrive."""
+
+    def __init__(self, script, clock=None):
         self.script = collections.deque(script)
+        self.clock = clock
+        self.received = 0
+
+    def _head(self):
+        """The script's next item, past any arrival instant now due."""
+        while self.script and isinstance(self.script[0], float) \
+                and self.script[0] <= self.clock.now:
+            self.script.popleft()
+        return self.script[0] if self.script else None
 
     def has_frame(self):
-        return bool(self.script) and self.script[0] != "quiet"
+        return isinstance(self._head(), tuple)
 
     def receive(self):
-        return self.script.popleft() if self.script else None
+        self.received += 1
+        return self.script.popleft() if self._head() is not None else None
 
     def messages(self):
         while (message := self.receive()) is not None:
@@ -384,56 +419,76 @@ class _ScriptedInbound:
             if message[0] == MSG_END:
                 return
 
+    def readable_in(self):
+        """Seconds until a wait on this link returns (None: it won't)."""
+        head = self._head()
+        if head == "quiet":
+            self.script.popleft()
+            return None
+        if isinstance(head, float):
+            return head - self.clock.now
+        return 0.0          # a frame, or the EOF of a spent script
+
     def close(self):
         pass
 
 
 class _LoopbackSocket:
     """Stands in for the UDP socket: echoes every query, readable once
-    ``lag`` further queries have been sent."""
+    ``lag`` further queries have been sent and, with a ``clock``,
+    ``delay`` seconds have passed."""
 
-    def __init__(self, lag):
+    def __init__(self, lag, clock=None, delay=0.0):
         self.lag = lag
+        self.clock = clock
+        self.delay = delay
         self.sent = 0
         self.empty_reads = 0
         self._echoes = collections.deque()
+
+    def _now(self):
+        return self.clock.now if self.clock is not None else 0.0
 
     def send(self, wire):
         self.sent += 1
         reply = bytearray(wire)
         reply[2] |= 0x80
-        self._echoes.append((self.sent + self.lag, bytes(reply)))
+        self._echoes.append((self.sent + self.lag, self._now() + self.delay,
+                             bytes(reply)))
 
-    def readable(self):
-        return bool(self._echoes) and self._echoes[0][0] <= self.sent
+    def readable_in(self):
+        if not self._echoes or self._echoes[0][0] > self.sent:
+            return None
+        return max(self._echoes[0][1] - self._now(), 0.0)
 
     def recv(self, _size):
-        if not self.readable():
+        if self.readable_in() != 0.0:
             self.empty_reads += 1
             raise BlockingIOError
-        return self._echoes.popleft()[1]
+        return self._echoes.popleft()[2]
 
     def close(self):
         pass
 
 
-def _scripted_wait(querier):
-    """The querier's one wait seam, answered from the two fakes."""
+def _scripted_select(clock=None, observe=None):
+    """The querier's one blocking call (``select.select``), answered
+    from whichever of the two fakes it watches."""
+    sleep = clock.sleep if clock is not None \
+        else lambda seconds: time.sleep(min(seconds, 0.01))
 
-    def wait(timeout, answers_only=False):
-        link, wire = querier.inbound, querier._sock
-        frames = False
-        if not (answers_only or querier._done_receiving):
-            if link.script and link.script[0] == "quiet":
-                link.script.popleft()
-                time.sleep(min(timeout, 0.01))
-                return False, wire.readable()
-            frames = True       # a frame, or the EOF of a spent script
-        if not (frames or wire.readable()):
-            time.sleep(min(timeout, 0.01))
-        return frames, wire.readable()
+    def select(watched, _writers, _errors, timeout):
+        if observe is not None:
+            observe(watched)
+        delays = [fake.readable_in() for fake in watched]
+        pause = min([delay for delay in delays if delay is not None]
+                    + [timeout])
+        if pause > 0.0:
+            sleep(pause)
+        return [fake for fake, delay in zip(watched, delays)
+                if delay is not None and delay <= pause], [], []
 
-    return wait
+    return types.SimpleNamespace(select=select)
 
 
 def _seq_frames(trace, indices=None):
@@ -442,19 +497,27 @@ def _seq_frames(trace, indices=None):
     return [(MSG_RECORD_SEQ, (index, records[index])) for index in chosen]
 
 
-def _drive_querier(script, policy, lag=0):
+def _drive_querier(script, policy, lag=0, clock=None, delay=0.0,
+                   observe=None):
     """Run a _LiveQuerier over a script; returns it, its fake UDP
-    socket and the CHECKPOINT ``result`` members it emitted."""
-    result = ReplayResult("querier-0")
-    querier = _LiveQuerier(0, _ScriptedInbound(script), ("127.0.0.1", 9),
-                           result, threading.Lock())
-    querier._sock.close()
-    querier._sock = wire = _LoopbackSocket(lag)
-    querier._wait = _scripted_wait(querier)
-    frames = []
-    querier.checkpoint_policy = policy
-    querier.checkpoint_sink = frames.append
-    querier.run()
+    socket and the CHECKPOINT ``result`` members it emitted.  With a
+    ``clock`` the querier runs on fake time throughout."""
+    with contextlib.ExitStack() as stack:
+        if clock is not None:
+            stack.enter_context(
+                mock.patch.object(distributed, "time", clock))
+        result = ReplayResult("querier-0")
+        querier = _LiveQuerier(0, _ScriptedInbound(script, clock),
+                               ("127.0.0.1", 9), result, threading.Lock())
+        querier._sock.close()
+        querier._sock = wire = _LoopbackSocket(lag, clock, delay)
+        frames = []
+        querier.checkpoint_policy = policy
+        querier.checkpoint_sink = frames.append
+        stack.enter_context(mock.patch.object(
+            distributed, "select", _scripted_select(
+                clock, observe and functools.partial(observe, querier))))
+        querier.run()
     return querier, wire, frames
 
 
@@ -532,16 +595,27 @@ class TestDeltaCheckpoints:
 
 
 class _CountingSocket:
-    """Stands in for a querier link's TCP socket: counts the writes."""
+    """Stands in for a querier link's TCP socket: counts the writes,
+    and with a ``clock`` keeps each with the instant it was made."""
 
-    def __init__(self):
+    def __init__(self, clock=None):
         self.writes = 0
+        self.clock = clock
+        self.written = []       # (fake instant, bytes)
 
-    def sendall(self, _data):
+    def sendall(self, data):
         self.writes += 1
+        if self.clock is not None:
+            self.written.append((self.clock.now, bytes(data)))
 
     def close(self):
         pass
+
+
+def _spaced(count, gap):
+    """``count`` unique-name records ``gap`` seconds apart from 0."""
+    return [dataclasses.replace(record, timestamp=index * gap)
+            for index, record in enumerate(burst_trace(count).records)]
 
 
 class TestSyscallBudget:
@@ -579,6 +653,133 @@ class TestSyscallBudget:
         # The parent tried one read after every send and found nothing
         # about as often (200 166 reads for 100 000 answers).
         assert wire.empty_reads <= self.COUNT // 16 + 8
+
+    # -- ISSUE 24: a paced replay sleeps once per send ---------------------
+
+    def _pace(self, tmp_path, records, pace_lead):
+        """``run_shard_file`` over ``records`` on a fake clock: the
+        distributor and its one link, every write with its instant."""
+        directory = str(tmp_path / "shards")
+        manifest = split_shards(iter(records), directory, 1)
+        clock = _FakeClock()
+        link = _CountingSocket(clock)
+        distributor = _LiveDistributor(
+            0, _ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
+            [MessageSocket(link)])
+        with mock.patch.object(distributed, "time", clock):
+            distributor.run_shard_file(shard_path(directory, 0, manifest),
+                                       read_ahead=0, pace_lead=pace_lead)
+        assert distributor.records_routed == len(records)
+        assert distributor.pace_sleeps == clock.sleeps
+        return distributor, link
+
+    @staticmethod
+    def _reference_frames(records):
+        """What a record-at-a-time distributor writes: one frame each."""
+        link = _CountingSocket(_FakeClock())
+        outbound = MessageSocket(link)
+        outbound.send_time_sync(0.0)
+        for record in records:
+            outbound.send_record(record)
+        outbound.send_end()
+        return [data for _instant, data in link.written]
+
+    def test_distributor_sleeps_once_per_quantum(self, tmp_path):
+        """2 048 records 2**-13 s (0.12 ms) apart, forwarded 2**-5 s
+        ahead: the parent flushed and slept before every record past the
+        lead (1 792 of them)."""
+        gap, lead = 2.0 ** -13, 2.0 ** -5
+        records = _spaced(2048, gap)
+        distributor, link = self._pace(tmp_path, records, lead)
+        budget = (records[-1].timestamp - lead) / distributed._PACE_QUANTUM + 4
+        assert 0 < distributor.pace_sleeps <= budget
+        assert link.writes <= budget + 2            # TIME_SYNC, END
+        # Byte-identical frames in the same order...
+        frames = self._reference_frames(records)
+        assert b"".join(data for _at, data in link.written) \
+            == b"".join(frames)
+        # ...and none on the wire later than its timestamp less the lead.
+        writes = iter(link.written)
+        instant, covered, offset = None, 0, len(frames[0])
+        for record, frame in zip(records, frames[1:]):
+            offset += len(frame)
+            while covered < offset:
+                instant, data = next(writes)
+                covered += len(data)
+            assert instant - distributor.sync_mono \
+                <= max(record.timestamp - lead, 0.0)
+
+    def test_distributor_sleeps_once_per_sparse_record(self, tmp_path):
+        """Gaps wider than the quantum: one sleep and one write per
+        record past the lead, each exactly on time, as at the parent."""
+        gap, lead = 2.0 ** -4, 2.0 ** -2
+        assert gap > distributed._PACE_QUANTUM
+        records = _spaced(20, gap)
+        distributor, link = self._pace(tmp_path, records, lead)
+        paced = [record.timestamp - lead for record in records
+                 if record.timestamp > lead]
+        assert distributor.pace_sleeps == len(paced) == 15
+        # TIME_SYNC, then the head ahead of the first sleep; every later
+        # record is written at its wake (the last one with END).
+        assert [at - distributor.sync_mono for at, _data in link.written] \
+            == [0.0, 0.0] + paced
+        assert b"".join(data for _at, data in link.written) \
+            == b"".join(self._reference_frames(records))
+
+    def test_paced_querier_wakes_once_per_send(self):
+        """4 096 records 2**-12 s (0.24 ms) apart, a 1 024-record head
+        and then a 64-record block per 2**-6 s, answers 2**-14 s after
+        each send.  The parent woke for the answer as well: 2 to 3
+        waits per send."""
+        gap, delay, block = 2.0 ** -12, 2.0 ** -14, 64
+        clock = _FakeClock()
+        first_due = clock.now + 2.0 ** -5       # the start_delay lead-in
+        records = _spaced(self.COUNT, gap)
+        script = [(MSG_TIME_SYNC, -(2.0 ** -5))]
+        script += [(MSG_RECORD, record) for record in records[:1024]]
+        blocks = 1024 // distributed._FRAME_BLOCK
+        for head in range(1024, self.COUNT, block):
+            # Each block lands 2**-5 s ahead of its first record.
+            script.append(first_due + head * gap - 2.0 ** -5)
+            script += [(MSG_RECORD, record)
+                       for record in records[head:head + block]]
+            blocks += 1
+        script.append((MSG_END, None))
+        seen = collections.Counter()
+
+        def observe(querier, watched):
+            link, wire = querier.inbound, querier._sock
+            # Fake time passes only inside a wait, so this one begins
+            # the instant the last returned: what was readable then has
+            # been read, behind at most one block of frames.
+            assert wire.readable_in() != 0.0
+            assert link.received - seen["received"] \
+                <= distributed._FRAME_BLOCK
+            seen["received"] = link.received
+            due_in = querier._queue[0][0] - clock.now \
+                if querier._queue else None
+            if due_in is None or due_in > distributed._ANSWER_DEFER:
+                assert wire in watched
+            seen["waits"] += 1
+            seen["deferred"] += wire not in watched
+
+        querier, wire, _frames = _drive_querier(
+            script, TestDeltaCheckpoints.COUNT_ONLY, clock=clock,
+            delay=delay, observe=observe)
+        sent = querier.result.sent
+        assert wire.sent == len(sent) == self.COUNT
+        assert querier.wakes == seen["waits"] <= self.COUNT + blocks + 8
+        assert seen["deferred"] >= self.COUNT - 8
+        # The lead-in: the head of the stream is in the queue before the
+        # first send is due, and every send leaves on its instant.
+        assert sent[0].scheduled_at == first_due > 1024.0
+        assert all(entry.sent_at == entry.scheduled_at
+                   == first_due + entry.trace_time for entry in sent)
+        # Every answer is matched, stamped within the deferral of its
+        # arrival.
+        assert querier.result.unmatched_responses == 0
+        assert all(0.0 <= entry.answered_at - (entry.sent_at + delay)
+                   <= distributed._ANSWER_DEFER for entry in sent)
 
 
 # -- end-to-end crash recovery (real process trees) --------------------------
