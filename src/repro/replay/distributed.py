@@ -29,8 +29,9 @@ from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..dns import WireError
-from ..trace import QueryRecord
-from ..trace.stream import DEFAULT_READ_AHEAD, iter_shard_file
+from ..trace.binfmt import (RECORD_SOURCE, RECORD_TIME_AND_WIRE_LENGTH,
+                            WIRE_OFFSET, iter_record_bodies, record_head,
+                            unpack_record_body)
 from .distributor import StickyAssigner
 from .live import grow_receive_buffer
 from .protocol import (MSG_END, MSG_RECORD, MSG_RECORD_SEQ, MSG_SHUTDOWN,
@@ -78,6 +79,8 @@ _CATCHUP_OVERDUE = 0.001
 _CATCHUP_WINDOW = 64
 _CATCHUP_PATIENCE = 0.002
 
+_MESSAGE_ID = struct.Struct("!H")
+
 
 @dataclass
 class DistributedConfig:
@@ -109,11 +112,18 @@ class _LiveQuerier:
 
     One loop, one blocking call: ``select`` on the distributor link and
     the UDP socket, for no longer than the next due send, the next
-    checkpoint flush or ``_IDLE_POLL``.  Each wake takes up to
-    ``_FRAME_BLOCK`` frames already off the wire, sends everything due
-    (reading answers every ``_READ_EVERY`` sends), then reads answers
-    and checkpoints once.  With a send due within ``_ANSWER_DEFER`` the
-    UDP socket stays out of the wait: the sends clock the answer reads.
+    checkpoint flush or ``_IDLE_POLL``.  Each wake takes one block of
+    up to ``_FRAME_BLOCK`` frames already off the wire, sends everything
+    due (reading answers every ``_READ_EVERY`` sends), then reads
+    answers and checkpoints once.  With a send due within
+    ``_ANSWER_DEFER`` the UDP socket stays out of the wait: the sends
+    clock the answer reads.
+
+    Records stay bytes: the queue holds record bodies and a send puts
+    this querier's message id and the body's wire on the socket; only a
+    list-mode entry, which keeps the source and the query name, decodes
+    its record.  Aggregate accounting is folded once per wake, over the
+    wake's sends and over each drain's answers.
     """
 
     def __init__(self, querier_id: int, inbound: MessageSocket,
@@ -135,8 +145,10 @@ class _LiveQuerier:
         self._sock.setblocking(False)
         self._trace_start: Optional[float] = None
         self._clock_start: Optional[float] = None
-        self._queue: List[Tuple[float, int, QueryRecord,
-                                Optional[int]]] = []
+        # (due instant, sequence, record body, global index or None).
+        self._queue: List[Tuple[float, int, bytes, Optional[int]]] = []
+        # Aggregate mode: (trace time, sent_at) of this wake's sends.
+        self._sends: List[Tuple[float, float]] = []
         self._sequence = 0
         self._done_receiving = False
         self._closed = False
@@ -237,34 +249,35 @@ class _LiveQuerier:
         return self.inbound in readable, self._sock in readable
 
     def _read_frames(self) -> None:
-        """Take the frames already off the wire, at most a block: a due
-        send waits for one block of decoding and never for the link
-        (``receive`` blocks only for the tail of a frame in flight)."""
-        for _ in range(_FRAME_BLOCK):
-            try:
-                message = self.inbound.receive()
-            except ProtocolError:
-                # A corrupt or torn-down control channel ends the
-                # stream; queued records still drain.
-                message = None
-            if message is None:
-                # EOF without END: the distributor died.  In recovery
-                # mode its respawn rebinds the same port — re-dial with
-                # backoff before giving up the stream.
-                if not self._reconnect_inbound():
-                    self._done_receiving = True
-            else:
-                self._handle(message)
-            if self._done_receiving or not self.inbound.has_frame():
+        """Take one block of frames off the link: a due send waits for
+        one block of intake and never for the link (``receive_block``
+        blocks only for the tail of a frame in flight)."""
+        try:
+            messages = self.inbound.receive_block(_FRAME_BLOCK)
+        except ProtocolError:
+            # A corrupt or torn-down control channel ends the stream;
+            # queued records still drain.
+            messages = []
+        if not messages:
+            # EOF without END: the distributor died.  In recovery mode
+            # its respawn rebinds the same port — re-dial with backoff
+            # before giving up the stream.
+            if not self._reconnect_inbound():
+                self._done_receiving = True
+            return
+        for message in messages:
+            if message[0] == MSG_RECORD:
+                self.records_received += 1
+                self._enqueue(message[1])
+                continue
+            self._handle(message)
+            if self._done_receiving:
                 return
 
     def _handle(self, message: Message) -> None:
         kind, payload = message
-        if kind == MSG_RECORD:
-            self.records_received += 1
-            self._enqueue(payload)
-        elif kind == MSG_RECORD_SEQ:
-            index, record = payload
+        if kind == MSG_RECORD_SEQ:
+            index, body = payload
             if index in self._seen_indices:
                 # Redelivered copy of a record already queued or sent
                 # here: exactly-once, drop it locally.  If it was sent,
@@ -277,7 +290,7 @@ class _LiveQuerier:
             else:
                 self._seen_indices[index] = None
                 self.records_received += 1
-                self._enqueue(record, index)
+                self._enqueue(body, index)
         elif kind == MSG_END:
             self._done_receiving = True
         elif kind == MSG_SHUTDOWN:
@@ -361,14 +374,14 @@ class _LiveQuerier:
                 self.result.deadline_shed += len(self._queue)
             self._queue.clear()
 
-    def _enqueue(self, record: QueryRecord,
-                 index: Optional[int] = None) -> None:
+    def _enqueue(self, body: bytes, index: Optional[int] = None) -> None:
         if self._trace_start is None:
             target = time.monotonic()       # no anchor yet: due at once
         else:
-            target = self._clock_start \
-                + (record.timestamp - self._trace_start)
-        heapq.heappush(self._queue, (target, self._sequence, record, index))
+            target = self._clock_start + (
+                RECORD_TIME_AND_WIRE_LENGTH.unpack_from(body)[0]
+                - self._trace_start)
+        heapq.heappush(self._queue, (target, self._sequence, body, index))
         self._sequence += 1
 
     def _send_due(self) -> None:
@@ -389,10 +402,13 @@ class _LiveQuerier:
                 continue
             else:
                 self._ahead += 1
-            _target, _seq, record, index = heapq.heappop(queue)
-            now = self._send(record, target, index)
+            _target, _seq, body, index = heapq.heappop(queue)
+            now = self._send(body, target, index)
             if self._unread >= _READ_EVERY:
                 self._drain_responses()
+        if self._sends:
+            self.result.count_sends("udp", self._sends)
+            self._sends.clear()
         if shed():
             self._shed_queue()
 
@@ -406,20 +422,24 @@ class _LiveQuerier:
             self._ahead = 0
             self.catchup_forgiven += 1
 
-    def _send(self, record: QueryRecord, scheduled_at: float,
+    def _send(self, body: bytes, scheduled_at: float,
               index: Optional[int] = None) -> float:
         """Put one query on the wire; returns the instant it left."""
         message_id = self._sequence * 31 % 0xFFFF or 1
         self._sequence += 1
-        wire = struct.pack("!H", message_id) + record.wire[2:]
+        trace_time, wire_length = RECORD_TIME_AND_WIRE_LENGTH.unpack_from(body)
+        # The record's wire under this querier's message id; bytes past
+        # the wire are an extension of the record, not of the query.
+        wire = _MESSAGE_ID.pack(message_id) \
+            + body[WIRE_OFFSET + 2:WIRE_OFFSET + wire_length]
         key = match_key(wire)
         sent_at = time.monotonic()
         if self.result.aggregate:
-            # O(1) memory: fold into counters, keep only sent_at.
+            # O(1) memory: keep only sent_at; the send is folded into
+            # the counters with the rest of this wake's (_send_due).
             self._pending.setdefault(key, []).append(sent_at)
             self._pending_entries += 1
-            with self.lock:
-                self.result.count_send("udp", record.timestamp, sent_at)
+            self._sends.append((trace_time, sent_at))
             if self._pending_entries > _AGGREGATE_PENDING_CAP:
                 # Evict the older half of the keys (dict order is
                 # insertion order) in one pass: the dropped sends are
@@ -431,6 +451,7 @@ class _LiveQuerier:
             if len(self._answered) > _AGGREGATE_PENDING_CAP:
                 self._answered.clear()
         else:
+            record = unpack_record_body(body)
             try:
                 question = record.question()
             except WireError:
@@ -441,7 +462,7 @@ class _LiveQuerier:
                 # mode numbers the local shard and lets merge() re-index.
                 index=index if index is not None else len(self.result.sent),
                 source=record.src,
-                trace_time=record.timestamp, scheduled_at=scheduled_at,
+                trace_time=trace_time, scheduled_at=scheduled_at,
                 sent_at=sent_at, protocol="udp",
                 qname=question[0].to_text().lower() if question else "-",
                 querier_id=self.querier_id)
@@ -468,11 +489,12 @@ class _LiveQuerier:
         receive, pending, answered = (self._sock.recv, self._pending,
                                       self._answered)
         result, lock, clock = self.result, self.lock, time.monotonic
+        latencies: List[float] = []     # aggregate mode: folded at the end
         while True:
             try:
                 data = receive(65535)
             except OSError:     # BlockingIOError: dry (or closed)
-                return
+                break
             if self._ahead:
                 self._ahead -= 1
             key = match_key(data)
@@ -484,10 +506,9 @@ class _LiveQuerier:
                     del pending[key]
                     answered.add(key)
                 if result.aggregate:
-                    # ``entry`` is the sent_at float; fold the latency.
+                    # ``entry`` is the sent_at float.
                     self._pending_entries -= 1
-                    with lock:
-                        result.count_answer(answered_at - entry)
+                    latencies.append(answered_at - entry)
                     continue
                 entry.answered_at = answered_at
                 self._report(entry)
@@ -503,10 +524,17 @@ class _LiveQuerier:
             else:
                 with lock:
                     result.unmatched_responses += 1
+        if latencies:
+            result.count_answers(latencies)
 
 
 class _LiveDistributor:
-    """Forwards records to queriers, sticky by source address."""
+    """Forwards records to queriers, sticky by source address.
+
+    A record is forwarded as the body it arrived as — off the control
+    link or out of its shard file — and routed on its packed source: the
+    distributor never decodes one.
+    """
 
     def __init__(self, distributor_id: int, inbound: MessageSocket,
                  querier_sockets: List[MessageSocket],
@@ -563,10 +591,12 @@ class _LiveDistributor:
                         outbound.send_time_sync(payload)
                 elif kind == MSG_RECORD:
                     self.records_routed += 1
-                    self._route(payload)
+                    self._route(payload, RECORD_SOURCE.unpack_from(payload)[0])
                 elif kind == MSG_RECORD_SEQ:
+                    index, body = payload
                     self.records_routed += 1
-                    self._route(payload[1], payload[0])
+                    self._route(body, RECORD_SOURCE.unpack_from(body)[0],
+                                index)
                 elif kind == MSG_SHUTDOWN:
                     # Controller-ordered stop: relay to the queriers so
                     # they shed their queues, then end the stream.
@@ -587,22 +617,23 @@ class _LiveDistributor:
                 except OSError:
                     pass
 
-    def run_shard_file(self, path: str,
-                       read_ahead: int = DEFAULT_READ_AHEAD,
-                       pace_lead: float = 2.0) -> None:
+    def run_shard_file(self, path: str, pace_lead: float = 2.0) -> None:
         """Self-source records from a shard file (streaming replay).
 
         The control socket carries only the timing handshake — the
         controller sends TIME_SYNC then END without ever reading a
         record (it knows the shard only through the manifest).  Records
-        come off disk through :func:`iter_shard_file`'s bounded
-        read-ahead, and routing is *paced*: the distributor sleeps until
-        the next record is ``pace_lead`` seconds from its replay time
-        and then forwards every record up to ``_PACE_QUANTUM`` further
-        ahead, so the querier heaps hold at most a few seconds of
-        queries instead of the whole shard and a dense trace costs one
-        sleep per quantum, not per record.  ``pace_lead <= 0`` disables
-        pacing (as fast as the tree accepts, the classic firehose).
+        come off disk a chunk at a time, inline
+        (:func:`iter_record_bodies`); each body is checked by
+        :func:`record_head`, paced on its timestamp, routed on its
+        packed source and forwarded undecoded.  Routing is *paced*: the
+        distributor sleeps until the next record is ``pace_lead``
+        seconds from its replay time and then forwards every record up
+        to ``_PACE_QUANTUM`` further ahead, so the querier heaps hold at
+        most a few seconds of queries instead of the whole shard and a
+        dense trace costs one sleep per quantum, not per record.
+        ``pace_lead <= 0`` disables pacing (as fast as the tree accepts,
+        the classic firehose).
         """
         try:
             for kind, payload in self.inbound.messages():  # until END
@@ -627,18 +658,20 @@ class _LiveDistributor:
             origin = self._trace_start + pace_lead
             # Records due up to here go without a look at the clock.
             released = 0.0 if pace_lead > 0 else float("inf")
-            for record in iter_shard_file(path, read_ahead=read_ahead):
-                due = record.timestamp - origin
-                if due > released:
-                    now = time.monotonic() - self.sync_mono
-                    while now < due:
-                        self._flush()
-                        self.pace_sleeps += 1
-                        time.sleep(min(due - now, 0.25))
+            with open(path, "rb") as stream:
+                for body in iter_record_bodies(stream):
+                    timestamp, source = record_head(body)
+                    due = timestamp - origin
+                    if due > released:
                         now = time.monotonic() - self.sync_mono
-                    released = now + _PACE_QUANTUM
-                self.records_routed += 1
-                self._route(record)
+                        while now < due:
+                            self._flush()
+                            self.pace_sleeps += 1
+                            time.sleep(min(due - now, 0.25))
+                            now = time.monotonic() - self.sync_mono
+                        released = now + _PACE_QUANTUM
+                    self.records_routed += 1
+                    self._route(body, source)
         except ProtocolError:
             pass  # torn-down control channel: flush END downstream
         finally:
@@ -648,9 +681,10 @@ class _LiveDistributor:
                 except OSError:
                     pass
 
-    def _route(self, record: QueryRecord,
+    def _route(self, body: bytes, source: int,
                index: Optional[int] = None) -> None:
-        """Send to the sticky querier; on a dead socket, reroute.
+        """Send a record body to the sticky querier of its packed
+        ``source``; on a dead socket, reroute.
 
         A querier that crashed shows up as a broken pipe on its message
         socket.  The dead entity is dropped from the sticky map and the
@@ -658,12 +692,12 @@ class _LiveDistributor:
         """
         first_try = True
         while self.assigner.entities:
-            outbound = self.assigner.assign(record.src)
+            outbound = self.assigner.assign(source)
             try:
                 if index is None:
-                    outbound.write_record(record)
+                    outbound.write_record(body)
                 else:
-                    outbound.write_record_seq(index, record)
+                    outbound.write_record_seq(index, body)
             except OSError:
                 self.assigner.remove(outbound)
                 first_try = False

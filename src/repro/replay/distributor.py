@@ -12,7 +12,8 @@ or selects randomly otherwise".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generic, List, Optional, Sequence, TypeVar
+from typing import (Dict, Generic, Hashable, List, Optional, Sequence,
+                    TypeVar)
 
 T = TypeVar("T")
 
@@ -26,10 +27,11 @@ class StickyAssigner(Generic[T]):
             raise ValueError("need at least one entity")
         self.entities = list(entities)
         self.sticky = sticky
-        self._assignments: Dict[str, T] = {}
+        self._assignments: Dict[Hashable, T] = {}
         self._next = 0
 
-    def assign(self, source: str) -> T:
+    def assign(self, source: Hashable) -> T:
+        """The entity for ``source`` (an address, as text or packed)."""
         if self.sticky:
             entity = self._assignments.get(source)
             if entity is not None:

@@ -66,6 +66,7 @@ from ..telemetry.core import Telemetry
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracing import TelemetryConfig
 from ..trace import Trace
+from ..trace.binfmt import pack_record_body
 from ..trace.stream import read_manifest, shard_path
 from .distributed import (DistributedConfig, ServerAddress,
                           _LiveDistributor, _LiveQuerier)
@@ -209,7 +210,6 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
                       incarnation: int = 0, listen_port: int = 0,
                       telemetry: Optional[TelemetryConfig] = None,
                       shard_file: Optional[str] = None,
-                      read_ahead: int = 2048,
                       pace_lead: float = 2.0) -> None:
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     # SO_REUSEADDR unconditionally: accepted querier sockets inherit it,
@@ -295,11 +295,10 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
             daemon=True, name=f"distributor-{distributor_id}-accept")
         accept_thread.start()
     if shard_file is not None:
-        # Streaming mode: self-source the shard file with bounded
-        # read-ahead instead of receiving records over the control
-        # socket (which carries only TIME_SYNC + END).
-        distributor.run_shard_file(shard_file, read_ahead=read_ahead,
-                                   pace_lead=pace_lead)
+        # Streaming mode: self-source the shard file instead of
+        # receiving records over the control socket (which carries only
+        # TIME_SYNC + END).
+        distributor.run_shard_file(shard_file, pace_lead=pace_lead)
     else:
         distributor.run()   # synchronous: returns on END/SHUTDOWN/EOF
     if recovery is not None:
@@ -1191,7 +1190,7 @@ class ProcessTopology(_Controller):
         self._tiers = {ROLE_QUERIER: self.querier_handles,
                        ROLE_DISTRIBUTOR: self.distributor_handles}
         # Distributor i's extra argv: empty, or what it self-sources in
-        # a shard-file run (path, read-ahead, pacing).
+        # a shard-file run (path, pacing).
         self._source_args = lambda index: ()
 
     def server_for(self, querier_id: int) -> ServerAddress:
@@ -1249,7 +1248,7 @@ class ProcessTopology(_Controller):
                          records[-1].timestamp - records[0].timestamp,
                          records)
 
-    def replay_shard_files(self, directory: str, read_ahead: int = 2048,
+    def replay_shard_files(self, directory: str,
                            pace_lead: float = 2.0) -> ReplayResult:
         """Replay a shard-file set at constant memory (the 10⁸ path).
 
@@ -1258,9 +1257,9 @@ class ProcessTopology(_Controller):
         this controller reads only the ``manifest.json`` sidecar — it
         never touches a record.  One distributor process is spawned per
         shard file (``config.distributors`` is ignored) and self-sources
-        it lazily with ``read_ahead`` records of decode-ahead, pacing
-        routing ``pace_lead`` seconds ahead of the replay clock so no
-        tier ever buffers the trace.  The control links carry only
+        it lazily, a chunk at a time, forwarding record bodies undecoded
+        and pacing routing ``pace_lead`` seconds ahead of the replay
+        clock so no tier ever buffers the trace.  The control links carry only
         TIME_SYNC and END.  Queriers account in aggregate mode, so
         RESULT frames stay a few KB at any scale.
         """
@@ -1272,7 +1271,7 @@ class ProcessTopology(_Controller):
         if not manifest["total_records"]:
             return self.result
         self._source_args = lambda index: (
-            shard_path(directory, index, manifest), read_ahead, pace_lead)
+            shard_path(directory, index, manifest), pace_lead)
         self.metrics.incr("multiproc.trace_records",
                           manifest["total_records"])
         trace_start = manifest["first_timestamp"]
@@ -1377,14 +1376,16 @@ class ProcessTopology(_Controller):
     def _send_record(self, index: Optional[int], record) -> None:
         """Route one record to its sticky distributor — RECORD when
         ``index`` is None, RECORD_SEQ otherwise — failing a dead
-        distributor's sources over to the next live one."""
+        distributor's sources over to the next live one.  The record is
+        packed once; every tier below forwards those bytes."""
+        body = pack_record_body(record)
         while self._assigner.entities:
             handle = self._assigner.assign(record.src)
             try:
                 if index is None:
-                    handle.control.write_record(record)
+                    handle.control.write_record(body)
                 else:
-                    handle.control.write_record_seq(index, record)
+                    handle.control.write_record_seq(index, body)
                 return
             except OSError:   # distributor died: fail its sources over
                 self._assigner.remove(handle)

@@ -23,7 +23,10 @@ multi-process deployment need:
 
 :class:`MessageSocket` wraps a connected TCP socket with framed send /
 receive; :mod:`repro.replay.multiproc` builds the controller →
-distributor → querier tree of worker processes on top of it.
+distributor → querier tree of worker processes on top of it.  A record
+crosses it as bytes: RECORD and RECORD_SEQ frames are received as their
+validated record body (:func:`repro.trace.binfmt.record_head`), which a
+distributor forwards and a querier sends without decoding.
 
 The receive path trusts nothing: a frame whose length field is zero,
 negative-after-kind, or larger than :data:`MAX_FRAME` raises
@@ -38,11 +41,10 @@ import json
 import socket
 import struct
 import threading
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from ..trace import QueryRecord
-from ..trace.binfmt import BinaryFormatError, pack_record_body, \
-    unpack_record_body
+from ..trace.binfmt import BinaryFormatError, pack_record_body, record_head
 
 MSG_TIME_SYNC = 1
 MSG_RECORD = 2
@@ -82,8 +84,9 @@ _FRAME_HEADER = struct.Struct("!IB")
 # role, worker id, listen port, incarnation (respawn count)
 _HELLO_V2 = struct.Struct("!BHHH")
 _RECORD_SEQ = struct.Struct("!I")
+_RECORD_SEQ_HEADER = struct.Struct("!IBI")      # frame header + index
 
-Message = Tuple[int, Union[float, QueryRecord, dict, tuple, None]]
+Message = Tuple[int, Union[float, bytes, dict, tuple, None]]
 
 
 class ProtocolError(RuntimeError):
@@ -398,15 +401,19 @@ class MessageSocket:
     def send_telemetry(self, report: dict) -> None:
         self._send(MSG_TELEMETRY, json.dumps(report).encode("utf-8"))
 
-    def write_record(self, record: QueryRecord) -> None:
-        """:meth:`send_record` into the block buffer."""
-        self._send(MSG_RECORD, pack_record_body(record), buffered=True)
+    def write_record(self, body: bytes) -> None:
+        """Buffer a RECORD frame carrying a record body (as
+        :func:`pack_record_body` makes it): the frame :meth:`send_record`
+        writes for the record."""
+        self._append(MSG_RECORD,
+                     _FRAME_HEADER.pack(1 + len(body), MSG_RECORD), body)
 
-    def write_record_seq(self, index: int, record: QueryRecord) -> None:
-        """:meth:`send_record_seq` into the block buffer."""
-        self._send(MSG_RECORD_SEQ,
-                   _RECORD_SEQ.pack(index) + pack_record_body(record),
-                   buffered=True)
+    def write_record_seq(self, index: int, body: bytes) -> None:
+        """:meth:`write_record` for a RECORD_SEQ frame."""
+        self._append(MSG_RECORD_SEQ,
+                     _RECORD_SEQ_HEADER.pack(1 + _RECORD_SEQ.size + len(body),
+                                             MSG_RECORD_SEQ, index),
+                     body)
 
     def flush(self) -> None:
         """Put the buffered record frames on the wire (no-op when none)."""
@@ -415,7 +422,24 @@ class MessageSocket:
                 self.blocks_sent += 1
                 self._write_out(MSG_RECORD)
 
-    def _send(self, kind: int, payload: bytes, buffered: bool = False) -> None:
+    def _append(self, kind: int, header: bytes, body: bytes) -> None:
+        """One buffered frame, ``header`` then ``body``; a block goes on
+        the wire once BLOCK_BYTES have collected."""
+        if self.chaos is not None:
+            # ChaosEngine.process drops, delays and reorders single
+            # frames: a link under chaos stays write-through.
+            self._send(kind, header[_FRAME_HEADER.size:] + body)
+            return
+        with self._send_lock:
+            out = self._out
+            out += header
+            out += body
+            self.messages_sent += 1
+            if len(out) >= BLOCK_BYTES:
+                self.blocks_sent += 1
+                self._write_out(kind)
+
+    def _send(self, kind: int, payload: bytes) -> None:
         chaos = self.chaos
         frames = ([(kind, payload)] if chaos is None
                   else chaos.process(kind, payload))
@@ -428,12 +452,6 @@ class MessageSocket:
                                                 each_kind)
                 self._out += each_payload
                 self.messages_sent += 1
-            # ChaosEngine.process drops, delays and reorders single
-            # frames: a link under chaos stays write-through.
-            if buffered and chaos is None:
-                if len(self._out) < BLOCK_BYTES:
-                    return
-                self.blocks_sent += 1
             if self._out:
                 self._write_out(kind)
 
@@ -478,17 +496,66 @@ class MessageSocket:
             raise ProtocolError("connection closed mid-frame")
         self._pending_header = None
         self.messages_received += 1
+        return self._decode(kind, payload)
+
+    def receive_block(self, limit: int) -> List[Message]:
+        """Up to ``limit`` messages at once; ``[]`` on orderly EOF.
+
+        Every whole frame already buffered is taken in one pass with one
+        ``del``; with none whole, one blocking :meth:`receive` of a
+        single frame comes first.  The messages, and the error and the
+        frame it is raised at, are those repeated ``receive()`` calls
+        give: a frame the pass cannot take (a bad length, a payload that
+        does not decode) ends the block before it, and the next call
+        leaves it to ``receive()``.
+        """
+        messages = self._take_buffered(limit)
+        if messages:
+            return messages
+        message = self.receive()
+        if message is None:
+            return []
+        return [message] + self._take_buffered(limit - 1)
+
+    def _take_buffered(self, limit: int) -> List[Message]:
+        """The pass of :meth:`receive_block`: whole frames off the front
+        of the buffer, up to ``limit``."""
+        messages: List[Message] = []
+        if self._pending_header is not None:
+            return messages         # receive() owns the frame in flight
+        buffer, decode = self._buffer, self._decode
+        size, offset = len(buffer), 0
+        while len(messages) < limit and size - offset >= _FRAME_HEADER.size:
+            length, kind = _FRAME_HEADER.unpack_from(buffer, offset)
+            start, end = offset + _FRAME_HEADER.size, offset + 4 + length
+            if not 1 <= length <= MAX_FRAME or end > size:
+                break
+            try:
+                messages.append(decode(kind, bytes(buffer[start:end])))
+            except ProtocolError:
+                break
+            offset = end
+        if offset:
+            del buffer[:offset]
+            self.messages_received += len(messages)
+        return messages
+
+    def _decode(self, kind: int, payload: bytes) -> Message:
+        """The one per-kind decode of a whole frame's payload."""
+        if kind == MSG_RECORD:
+            # Validated, not decoded: the body is forwarded or sent as
+            # it is.
+            try:
+                record_head(payload)
+            except BinaryFormatError as exc:
+                raise ProtocolError(f"bad RECORD payload: {exc}")
+            return (MSG_RECORD, payload)
         if kind == MSG_TIME_SYNC:
             try:
                 (trace_start,) = struct.unpack("!d", payload)
             except struct.error as exc:
                 raise ProtocolError(f"bad TIME_SYNC payload: {exc}")
             return (MSG_TIME_SYNC, trace_start)
-        if kind == MSG_RECORD:
-            try:
-                return (MSG_RECORD, unpack_record_body(bytes(payload)))
-            except BinaryFormatError as exc:
-                raise ProtocolError(f"bad RECORD payload: {exc}")
         if kind == MSG_END:
             _require(not payload, "END frame must carry no payload")
             return (MSG_END, None)
@@ -505,12 +572,13 @@ class MessageSocket:
             _require(len(payload) > _RECORD_SEQ.size,
                      f"RECORD_SEQ frame truncated: {len(payload)} byte(s), "
                      f"need a u32 index plus a record body")
+            (index,) = _RECORD_SEQ.unpack_from(payload)
+            body = payload[_RECORD_SEQ.size:]
             try:
-                (index,) = _RECORD_SEQ.unpack(payload[:_RECORD_SEQ.size])
-                record = unpack_record_body(bytes(payload[_RECORD_SEQ.size:]))
-            except (struct.error, BinaryFormatError) as exc:
+                record_head(body)
+            except BinaryFormatError as exc:
                 raise ProtocolError(f"bad RECORD_SEQ payload: {exc}")
-            return (MSG_RECORD_SEQ, (index, record))
+            return (MSG_RECORD_SEQ, (index, body))
         if kind in (MSG_RESULT, MSG_METRICS, MSG_CHECKPOINT,
                     MSG_TELEMETRY):
             try:
@@ -531,13 +599,15 @@ class MessageSocket:
 
     def has_frame(self) -> bool:
         """True when :meth:`receive` would return (or raise) without
-        reading the socket: a whole frame is already buffered."""
+        reading the socket: a whole frame, or a header whose length it
+        refuses, is already buffered."""
         buffered = len(self._buffer)
         if self._pending_header is not None:
             return buffered >= self._pending_header[0] - 1
         if buffered < _FRAME_HEADER.size:
             return False
-        return buffered >= 4 + int.from_bytes(self._buffer[:4], "big")
+        length = int.from_bytes(self._buffer[:4], "big")
+        return not 1 <= length <= MAX_FRAME or buffered >= 4 + length
 
     def fileno(self) -> int:
         """The socket's descriptor, so ``select`` takes the link itself."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..trace.stats import quartile_summary
 
@@ -162,41 +162,74 @@ class ReplayResult:
 
     def count_send(self, protocol: str, trace_time: float, sent_at: float,
                    fresh_connection: bool = False) -> None:
-        """O(1) send accounting for aggregate mode."""
-        self.sent_count += 1
-        self.protocol_counts[protocol] = \
-            self.protocol_counts.get(protocol, 0) + 1
-        if fresh_connection:
-            self.fresh_connections += 1
-        if self.first_sent_at is None or sent_at < self.first_sent_at:
-            self.first_sent_at = sent_at
-        if self.last_sent_at is None or sent_at > self.last_sent_at:
-            self.last_sent_at = sent_at
-        bucket = int(sent_at)
-        self.rate_buckets[bucket] = self.rate_buckets.get(bucket, 0) + 1
-        base_clock = self.start_clock if self.start_clock is not None \
-            else sent_at
-        base_trace = self.trace_start if self.trace_start is not None \
-            else trace_time
-        error = (sent_at - base_clock) - (trace_time - base_trace)
-        self.error_count += 1
-        self.error_sum += error
-        self.error_sumsq += error * error
-        if self.error_min is None or error < self.error_min:
-            self.error_min = error
-        if self.error_max is None or error > self.error_max:
-            self.error_max = error
+        """O(1) send accounting for aggregate mode: a one-send fold."""
+        self.count_sends(protocol, ((trace_time, sent_at),),
+                         int(fresh_connection))
 
     def count_answer(self, latency: float) -> None:
-        """O(1) response accounting for aggregate mode."""
-        self.answered_count += 1
-        self.latency_sum += latency
-        bin_ = _log_bin(latency)
-        self.latency_hist[bin_] = self.latency_hist.get(bin_, 0) + 1
-        if self.latency_min is None or latency < self.latency_min:
-            self.latency_min = latency
-        if self.latency_max is None or latency > self.latency_max:
-            self.latency_max = latency
+        """O(1) response accounting for aggregate mode: a one-answer fold."""
+        self.count_answers((latency,))
+
+    def count_sends(self, protocol: str,
+                    sends: Sequence[Tuple[float, float]],
+                    fresh_connections: int = 0) -> None:
+        """Fold a block of ``(trace_time, sent_at)`` sends, in order.
+
+        The one send accumulator: every field ends where one call per
+        send, in the same order, would leave it.
+        """
+        if not sends:
+            return
+        count = len(sends)
+        self.sent_count += count
+        self.protocol_counts[protocol] = \
+            self.protocol_counts.get(protocol, 0) + count
+        self.fresh_connections += fresh_connections
+        start_clock, trace_start = self.start_clock, self.trace_start
+        first, last = self.first_sent_at, self.last_sent_at
+        low, high = self.error_min, self.error_max
+        total, squares = self.error_sum, self.error_sumsq
+        buckets = self.rate_buckets
+        for trace_time, sent_at in sends:
+            if first is None or sent_at < first:
+                first = sent_at
+            if last is None or sent_at > last:
+                last = sent_at
+            bucket = int(sent_at)
+            buckets[bucket] = buckets.get(bucket, 0) + 1
+            error = (
+                (sent_at - (sent_at if start_clock is None else start_clock))
+                - (trace_time
+                   - (trace_time if trace_start is None else trace_start)))
+            total += error
+            squares += error * error
+            if low is None or error < low:
+                low = error
+            if high is None or error > high:
+                high = error
+        self.first_sent_at, self.last_sent_at = first, last
+        self.error_count += count
+        self.error_sum, self.error_sumsq = total, squares
+        self.error_min, self.error_max = low, high
+
+    def count_answers(self, latencies: Sequence[float]) -> None:
+        """Fold a block of answer latencies, in order (see count_sends)."""
+        if not latencies:
+            return
+        self.answered_count += len(latencies)
+        total = self.latency_sum
+        low, high = self.latency_min, self.latency_max
+        hist = self.latency_hist
+        for latency in latencies:
+            total += latency
+            bin_ = _log_bin(latency)
+            hist[bin_] = hist.get(bin_, 0) + 1
+            if low is None or latency < low:
+                low = latency
+            if high is None or latency > high:
+                high = latency
+        self.latency_sum = total
+        self.latency_min, self.latency_max = low, high
 
     # -- §4.2 metrics ------------------------------------------------------
 

@@ -29,13 +29,19 @@ Readers and writers are streaming end to end: the writer accepts any
 record iterable (never a whole :class:`Trace`) and buffers at most one
 chunk; the reader holds at most one chunk.  Peak memory is
 ``O(chunk_records)`` regardless of trace length.
+
+A record need not be decoded to be replayed: :func:`iter_record_bodies`
+walks a file to its record bodies, :func:`record_head` validates one and
+gives what routing and pacing read (timestamp, packed source), and the
+live tiers forward the body as it is (the paper's distributors forward
+the same record layout, §2.6).
 """
 
 from __future__ import annotations
 
 import ipaddress
 import struct
-from typing import BinaryIO, Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional, Tuple
 
 from .record import PROTOCOLS, QueryRecord, Trace
 
@@ -44,9 +50,22 @@ VERSION = 2
 V1 = 1
 _HEADER = struct.Struct("!4sHH")
 _RECORD_FIXED = struct.Struct("!dIHIHBBH")
+# What record_head checks and returns (timestamp, src, protocol, wire
+# length), and the rest of the fixed header (sport, dst, dport,
+# protocol, wire length).
+_RECORD_CHECK = struct.Struct("!dI8xBxH")
+_RECORD_REST = struct.Struct("!HIHBxH")
 _U32 = struct.Struct("!I")
 _CHUNK_HEADER = struct.Struct("!II")
 _TRAILER = struct.Struct("!Q")
+
+# Where a record body's wire bytes start, and its timestamp and wire
+# length in one unpack: all a live querier reads of a body that
+# record_head has accepted.
+WIRE_OFFSET = _RECORD_FIXED.size
+RECORD_TIME_AND_WIRE_LENGTH = struct.Struct("!d14xH")
+# The packed source of an accepted body, for a tier that routes it.
+RECORD_SOURCE = struct.Struct("!8xI")
 
 # Records the writer buffers before flushing one chunk.  4096 records
 # at ~60 bytes each keeps chunks around 256 KB: big enough that the
@@ -119,25 +138,40 @@ def pack_record_body(record: QueryRecord) -> bytes:
     return fixed + record.wire
 
 
-def unpack_record_body(body: bytes) -> QueryRecord:
-    """Inverse of :func:`pack_record_body`."""
+def record_head(body: bytes) -> Tuple[float, int]:
+    """Validate one record body; return its timestamp and packed source.
+
+    The one record validator.  A body is refused when it is shorter
+    than the fixed header, when its wire is shorter than its length
+    field, or when its protocol index names no protocol.  Bytes past
+    the wire are an extension a reader skips (``total_length`` allows
+    them); a body this accepts can be forwarded without decoding.
+    """
     if len(body) < _RECORD_FIXED.size:
         # Guard before unpack_from: a truncated control frame must fail
         # as a format error, not leak struct.error to protocol peers.
         raise TraceFormatError(
             f"record body too short: {len(body)} < {_RECORD_FIXED.size}")
-    (timestamp, src, sport, dst, dport, protocol_index, _reserved,
-     wire_length) = _RECORD_FIXED.unpack_from(body)
-    wire = body[_RECORD_FIXED.size : _RECORD_FIXED.size + wire_length]
-    if len(wire) != wire_length:
+    timestamp, src, protocol_index, wire_length = \
+        _RECORD_CHECK.unpack_from(body)
+    if len(body) < _RECORD_FIXED.size + wire_length:
         raise TraceFormatError("truncated message wire data")
     if protocol_index >= len(PROTOCOLS):
         raise TraceFormatError(f"bad protocol index {protocol_index}")
+    return timestamp, src
+
+
+def unpack_record_body(body: bytes) -> QueryRecord:
+    """Inverse of :func:`pack_record_body`."""
+    timestamp, src = record_head(body)
+    sport, dst, dport, protocol_index, wire_length = \
+        _RECORD_REST.unpack_from(body, 12)
     return QueryRecord(
         timestamp,
         _unpack_addr(src), sport,
         _unpack_addr(dst), dport,
-        PROTOCOLS[protocol_index], wire)
+        PROTOCOLS[protocol_index],
+        body[WIRE_OFFSET:WIRE_OFFSET + wire_length])
 
 
 def _pack_record(record: QueryRecord) -> bytes:
@@ -275,7 +309,7 @@ def _iter_chunk_records(payload: bytes, declared: int) -> Iterator[bytes]:
             f"chunk declared {declared} records but held {seen}")
 
 
-def _iter_v2(stream: BinaryIO) -> Iterator[QueryRecord]:
+def _iter_v2(stream: BinaryIO) -> Iterator[bytes]:
     total = 0
     while True:
         header = stream.read(_CHUNK_HEADER.size)
@@ -306,12 +340,12 @@ def _iter_v2(stream: BinaryIO) -> Iterator[QueryRecord]:
             raise TraceFormatError(
                 f"chunk length {chunk_length} exceeds maximum {MAX_CHUNK}")
         payload = _read_exact(stream, chunk_length, "chunk payload")
-        for body in _iter_chunk_records(payload, record_count):
-            yield unpack_record_body(body)
-            total += 1
+        # The walk raises unless the chunk held exactly record_count.
+        yield from _iter_chunk_records(payload, record_count)
+        total += record_count
 
 
-def _iter_v1(stream: BinaryIO) -> Iterator[QueryRecord]:
+def _iter_v1(stream: BinaryIO) -> Iterator[bytes]:
     # Legacy unchunked stream.  No trailer: truncation exactly at a
     # record boundary is indistinguishable from clean EOF (the reason
     # v2 exists); mid-record truncation still raises.
@@ -325,8 +359,7 @@ def _iter_v1(stream: BinaryIO) -> Iterator[QueryRecord]:
         if length > MAX_RECORD:
             raise TraceFormatError(
                 f"record length {length} exceeds maximum {MAX_RECORD}")
-        body = _read_exact(stream, length, "record body")
-        yield unpack_record_body(body)
+        yield _read_exact(stream, length, "record body")
 
 
 def iter_binary(stream: BinaryIO) -> Iterator[QueryRecord]:
@@ -336,6 +369,17 @@ def iter_binary(stream: BinaryIO) -> Iterator[QueryRecord]:
     mid-header, mid-chunk, mid-record, or (v2) a missing/lying trailer —
     raises :class:`TraceFormatError`; a generator that stops iteration
     cleanly has read a complete, self-consistent trace.
+    """
+    yield from map(unpack_record_body, iter_record_bodies(stream))
+
+
+def iter_record_bodies(stream: BinaryIO) -> Iterator[bytes]:
+    """Stream the record bodies of a binary trace, undecoded.
+
+    The one walker over the format: file header, then chunks and
+    trailer (v2) or bare records (v1), with every truncation check
+    :func:`iter_binary` documents.  Bodies are not validated here: a
+    reader that forwards them checks each with :func:`record_head`.
     """
     header = stream.read(_HEADER.size)
     if header is None or len(header) != _HEADER.size:

@@ -14,9 +14,11 @@ the split agrees with every replay topology's sticky assignment.
 A ``manifest.json`` sidecar records per-shard counts and time bounds.
 The replay controller reads only the manifest — never the records — to
 broadcast time sync and set collection deadlines; distributor workers
-then self-source their own shard file lazily via
-:func:`iter_shard_file`, whose bounded read-ahead keeps a decode thread
-one batch ahead of the send loop without ever buffering the shard.
+then self-source their own shard file lazily, a chunk at a time, as
+undecoded record bodies (:func:`repro.trace.binfmt.iter_record_bodies`).
+:func:`iter_shard_file` reads a shard back as records, with a bounded
+read-ahead that keeps a decode thread one batch ahead of its consumer
+without ever buffering the shard.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ Targets:
   ``WireError`` may escape, and anything that decodes must re-encode
   and re-decode cleanly (codec closure);
 * ``protocol-frames`` — hostile byte streams into
-  ``MessageSocket.receive``; only ``ProtocolError`` may escape;
+  ``MessageSocket.receive`` and ``receive_block``; only
+  ``ProtocolError`` may escape, and the block reader must yield the
+  messages and raise at the frame repeated ``receive()`` does;
 * ``wire-cache``      — fuzz queries through the cached (decoded and
   decode-free paths) and uncached authoritative servers over a hostile
   root zone; bytes and ``ServerStats`` must match (the
@@ -106,13 +108,16 @@ def _run_wire_decode(data: bytes) -> None:
 
 
 class _ByteSocket:
-    """A socket stub replaying one captured byte stream."""
+    """A socket stub replaying one captured byte stream, at most
+    ``chunk`` bytes per read."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, chunk: int = 65536):
         self._data = data
         self._offset = 0
+        self._chunk = chunk
 
     def recv(self, size: int) -> bytes:
+        size = min(size, self._chunk)
         chunk = self._data[self._offset:self._offset + size]
         self._offset += len(chunk)
         return chunk
@@ -127,14 +132,44 @@ class _ByteSocket:
         pass
 
 
-def _run_protocol_frames(data: bytes) -> None:
-    from ..replay.protocol import MessageSocket, ProtocolError
-    endpoint = MessageSocket(_ByteSocket(data))
+def _frames_read(data: bytes, socket_class, chunk: int,
+                 limit: Optional[int]) -> Tuple[str, Optional[str]]:
+    """What a link replaying ``data`` yields until EOF or the first
+    ``ProtocolError``: ``receive()`` calls when ``limit`` is None, else
+    ``receive_block(limit)`` calls.  Returns the messages (as their
+    repr, so a NaN TIME_SYNC compares equal) and the error text."""
+    from ..replay.protocol import ProtocolError
+    endpoint = socket_class(_ByteSocket(data, chunk))
+    taken: list = []
     try:
-        while endpoint.receive() is not None:
-            pass
-    except ProtocolError:
-        pass
+        while True:
+            if limit is None:
+                message = endpoint.receive()
+                block = [] if message is None else [message]
+            else:
+                block = endpoint.receive_block(limit)
+            if not block:
+                return repr(taken), None
+            taken.extend(block)
+    except ProtocolError as exc:
+        return repr(taken), str(exc)
+
+
+def _run_protocol_frames(data: bytes, socket_class=None) -> None:
+    """Only ``ProtocolError`` may escape, and ``receive_block`` must
+    agree with repeated ``receive()``: the same messages, then the same
+    error at the same frame — whole streams and 7-byte trickles, blocks
+    of 1, 3 and 256."""
+    if socket_class is None:
+        from ..replay.protocol import MessageSocket as socket_class
+    want = _frames_read(data, socket_class, 65536, None)
+    for chunk in (65536, 7):
+        for limit in (1, 3, 256):
+            got = _frames_read(data, socket_class, chunk, limit)
+            if got != want:
+                raise AssertionError(
+                    f"receive_block({limit}) over {chunk}-byte reads "
+                    f"diverges from receive(): {got!r} != {want!r}")
 
 
 _WIRE_CACHE_SERVERS = None

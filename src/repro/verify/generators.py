@@ -325,6 +325,11 @@ def frame_seed_corpus() -> List[bytes]:
         _frame(7, b""),                             # SHUTDOWN
         _frame(99, b""),                            # unknown kind
         struct.pack("!IB", 0, 1),                   # zero length
+        # Zero length on a kind whose empty payload is valid, behind a
+        # frame so that it is parsed from the buffer: only the length
+        # bound refuses it.
+        _frame(1, struct.pack("!d", 0.0)) + struct.pack("!IB", 0, 3),
+        _frame(3, b"") + struct.pack("!IB", 0, 7) + _frame(3, b""),
         struct.pack("!IB", 1 << 30, 1),             # oversize length
         b"\x00\x00",                                # truncated header
     ]

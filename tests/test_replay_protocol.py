@@ -20,6 +20,8 @@ from repro.replay import (DistributedConfig, LiveUdpEchoServer, MAX_FRAME,
 from repro.replay.distributed import _LiveQuerier
 from repro.trace import burst_trace, fixed_interval_trace, \
     make_query_record
+from repro.trace.binfmt import (BinaryFormatError, pack_record_body,
+                                unpack_record_body)
 
 _HEADER = struct.Struct("!IB")
 
@@ -40,11 +42,9 @@ class TestMessageSocket:
         sender.send_record(record)
         kind, payload = receiver.receive()
         assert kind == MSG_RECORD
-        assert payload.src == "10.1.2.3"
-        assert payload.sport == 4444
-        assert payload.protocol == "tcp"
-        assert payload.wire == record.wire
-        assert payload.timestamp == pytest.approx(7.25)
+        # A record crosses as its body; decoding it gives the record.
+        assert payload == pack_record_body(record)
+        assert unpack_record_body(payload) == record
         sender.close(), receiver.close()
 
     def test_end_terminates_iteration(self):
@@ -78,7 +78,7 @@ class TestMessageSocket:
         received = [payload for kind, payload in receiver.messages()
                     if kind == MSG_RECORD]
         thread.join()
-        assert [r.wire for r in received] == [r.wire for r in records]
+        assert received == [pack_record_body(r) for r in records]
         assert receiver.messages_received == 51
         sender.close(), receiver.close()
 
@@ -103,23 +103,26 @@ class TestBufferedRecordWriter:
     RECORDS = [make_query_record(i * 0.001, f"10.0.{i % 7}.1",
                                  f"q{i}.example.com.", msg_id=i % 65535 + 1)
                for i in range(2000)]
+    BODIES = [pack_record_body(each) for each in RECORDS]
 
     def _stream(self, buffered):
         """TIME_SYNC, 2 000 alternating RECORD / RECORD_SEQ frames with a
         second TIME_SYNC in their middle, END, SHUTDOWN."""
         tape = _TapeSocket()
         link = MessageSocket(tape)
-        record = link.write_record if buffered else link.send_record
-        record_seq = (link.write_record_seq if buffered
-                      else link.send_record_seq)
         link.send_time_sync(5.0)
         for index, each in enumerate(self.RECORDS):
             if index == 1001:
                 link.send_time_sync(6.0)
-            if index % 2:
-                record_seq(index, each)
+            if not buffered:
+                if index % 2:
+                    link.send_record_seq(index, each)
+                else:
+                    link.send_record(each)
+            elif index % 2:
+                link.write_record_seq(index, self.BODIES[index])
             else:
-                record(each)
+                link.write_record(self.BODIES[index])
         link.send_end()
         link.send_shutdown()
         return link, tape
@@ -143,7 +146,7 @@ class TestBufferedRecordWriter:
         link = MessageSocket(tape)
         link.flush()
         assert tape.writes == []            # nothing buffered: no write
-        for each in self.RECORDS[:10]:
+        for each in self.BODIES[:10]:
             link.write_record(each)
         assert tape.writes == []
         link.flush()
@@ -157,7 +160,7 @@ class TestBufferedRecordWriter:
     def test_buffered_frames_parse_in_order(self):
         sender, receiver = connected_pair()
         sender.send_time_sync(1.0)
-        for index, each in enumerate(self.RECORDS[:300]):
+        for index, each in enumerate(self.BODIES[:300]):
             sender.write_record_seq(index, each)
         assert not receiver.has_frame()     # nothing read off the wire
         sender.send_end()
@@ -168,7 +171,7 @@ class TestBufferedRecordWriter:
 
     def test_has_frame_tracks_whole_frames_only(self):
         sender, receiver = connected_pair()
-        for each in self.RECORDS[:3]:
+        for each in self.BODIES[:3]:
             sender.write_record(each)
         sender.flush()
         assert not receiver.has_frame()     # has_frame never reads
@@ -195,7 +198,7 @@ class TestBufferedRecordWriter:
         link = MessageSocket(tape)
         link.chaos = ChaosEngine(ChaosConfig(seed=3, reorder_rate=1.0),
                                  ROLE_QUERIER, 0)
-        for index, each in enumerate(self.RECORDS[:6]):
+        for index, each in enumerate(self.BODIES[:6]):
             link.write_record_seq(index, each)
             assert len(tape.writes) == (index + 1) // 2
         assert link.chaos.reordered == 3 and link.blocks_sent == 0
@@ -204,6 +207,131 @@ class TestBufferedRecordWriter:
             MessageSocket(reference).send_record_seq(index,
                                                      self.RECORDS[index])
         assert b"".join(tape.writes) == b"".join(reference.writes)
+
+
+class _StreamSocket:
+    """Takes the place of the TCP socket on the receiving side: hands
+    out one byte stream, at most ``chunk`` bytes per ``recv``."""
+
+    def __init__(self, data, chunk=65536):
+        self.data, self.chunk, self.reads = data, chunk, 0
+
+    def recv(self, size):
+        self.reads += 1
+        taken = self.data[:min(size, self.chunk)]
+        self.data = self.data[len(taken):]
+        return taken
+
+    def close(self):
+        pass
+
+
+def _taped(write):
+    """The bytes ``write(link)`` puts on a link."""
+    tape = _TapeSocket()
+    write(MessageSocket(tape))
+    return b"".join(tape.writes)
+
+
+def _corrupt(body, how):
+    """A record body whose protocol index or wire length lies."""
+    body = bytearray(body)
+    if how == "protocol":
+        body[20] = 7
+    else:
+        body[22:24] = (len(body) - 24 + 1).to_bytes(2, "big")
+    return bytes(body)
+
+
+class TestBlockIntake:
+    """``receive_block`` takes every whole frame already buffered in one
+    pass and otherwise reads one frame; what it yields, and where it
+    raises, is what repeated ``receive()`` calls give."""
+
+    BODIES = TestBufferedRecordWriter.BODIES[:600]
+
+    def _stream(self):
+        def write(link):
+            link.send_time_sync(5.0)
+            for index, body in enumerate(self.BODIES):
+                if index % 3:
+                    link.write_record(body)
+                else:
+                    link.write_record_seq(index, body)
+            link.send_end()
+        return _taped(write)
+
+    @staticmethod
+    def _read(data, limit, chunk=65536):
+        """The blocks read until EOF — ``receive_block(limit)`` calls, or
+        one ``receive()`` per block when ``limit`` is None — and the
+        error that ended them, if one did."""
+        link = MessageSocket(_StreamSocket(data, chunk))
+        blocks = []
+        try:
+            while True:
+                if limit is None:
+                    message = link.receive()
+                    block = [] if message is None else [message]
+                else:
+                    block = link.receive_block(limit)
+                if not block:
+                    return blocks, None
+                blocks.append(block)
+        except ProtocolError as exc:
+            return blocks, str(exc)
+
+    @pytest.mark.parametrize("chunk", [65536, 7])
+    def test_blocks_are_the_receive_sequence(self, chunk):
+        data = self._stream()
+        want, error = self._read(data, None)
+        assert error is None and len(want) == len(self.BODIES) + 2
+        for limit in (1, 5, 256):
+            blocks, error = self._read(data, limit, chunk)
+            assert error is None
+            assert [m for block in blocks for m in block] \
+                == [m for block in want for m in block]
+            assert max(len(block) for block in blocks) <= limit
+        # Whole reads: the frames a recv brought are taken a pass per
+        # 256, not a call each.
+        blocks, _ = self._read(data, 256)
+        assert len(blocks) <= len(data) // 65536 + len(self.BODIES) // 256 + 3
+
+    def test_records_arrive_as_their_bodies(self):
+        messages = [m for block in self._read(self._stream(), 256)[0]
+                    for m in block]
+        assert messages[1] == (MSG_RECORD_SEQ, (0, self.BODIES[0]))
+        assert messages[2] == (MSG_RECORD, self.BODIES[1])
+        assert all(isinstance(payload, bytes) if kind == MSG_RECORD
+                   else isinstance(payload[1], bytes)
+                   for kind, payload in messages[1:-1])
+
+    @pytest.mark.parametrize("how", ["protocol", "wire-length"])
+    def test_corrupt_record_raises_at_its_frame(self, how):
+        """A lying body is refused at the receiving tier with the
+        parent's ProtocolError — after the good frames before it."""
+        bad = _corrupt(self.BODIES[3], how)
+        data = _taped(lambda link: (
+            [link.write_record(body) for body in self.BODIES[:3]],
+            link.write_record(bad), link.write_record(self.BODIES[4]),
+            link.flush()))
+        for limit in (None, 1, 256):
+            blocks, error = self._read(data, limit)
+            assert [m for block in blocks for m in block] \
+                == [(MSG_RECORD, body) for body in self.BODIES[:3]]
+            assert "bad RECORD payload" in error
+        with pytest.raises(BinaryFormatError):
+            unpack_record_body(bad)
+
+    def test_bad_length_after_good_frames(self):
+        data = _taped(lambda link: (link.send_end(), link.send_shutdown()))
+        data += _HEADER.pack(0, MSG_END) + _HEADER.pack(1, MSG_END)
+        link = MessageSocket(_StreamSocket(data))
+        assert link.receive_block(256) == [(MSG_END, None),
+                                           (MSG_SHUTDOWN, None)]
+        assert link.has_frame()             # receive() would raise at once
+        with pytest.raises(ProtocolError, match="bad frame length 0"):
+            link.receive_block(256)
 
 
 class TestControlFrames:
@@ -296,10 +424,9 @@ class TestControlFrames:
         sender.send_record_seq(1234, record)
         kind, payload = receiver.receive()
         assert kind == MSG_RECORD_SEQ
-        index, restored = payload
+        index, body = payload
         assert index == 1234
-        assert restored.wire == record.wire
-        assert restored.src == "10.9.8.7"
+        assert unpack_record_body(body) == record
         sender.close(), receiver.close()
 
     def test_send_on_dead_socket_raises_typed_send_error(self):
@@ -610,9 +737,8 @@ class TestControlSchemaValidation:
         kind, payload = self.roundtrip(
             lambda s: s.send_record_seq(41, record))
         assert kind == MSG_RECORD_SEQ
-        index, got = payload
-        assert index == 41 and got.src == "10.9.9.9"
-        assert got.wire == record.wire
+        index, body = payload
+        assert index == 41 and body == pack_record_body(record)
 
     @pytest.mark.parametrize("body", [b"", b"\x00\x00", b"\x00\x00\x00\x05"],
                              ids=["empty", "short-index", "index-no-record"])
@@ -824,7 +950,7 @@ def _run_querier(server, records, aggregate=True):
     runner.start()
     feed.send_time_sync(records[0].timestamp)
     for record in records:
-        feed.write_record(record)
+        feed.write_record(pack_record_body(record))
     feed.send_end()
     runner.join(timeout=60.0)
     assert not runner.is_alive()

@@ -1,8 +1,10 @@
 """Tests for ReplayResult analysis and the wire reader/writer edges."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.replay import ReplayResult, SentQuery
+from repro.replay.result import _log_bin
 from repro.dns.wire import WireError, WireReader, WireWriter
 
 
@@ -257,6 +259,82 @@ class TestAggregateMode:
         assert result.sent_count == 2
         assert result.answered_count == 1
         assert result.protocol_counts == {"udp": 2}
+
+
+def _reference_send(result, trace_time, sent_at):
+    """One send folded field by field, as the accumulator did before
+    blocks: the reference the block fold is held to."""
+    result.sent_count += 1
+    result.protocol_counts["udp"] = result.protocol_counts.get("udp", 0) + 1
+    result.first_sent_at = sent_at if result.first_sent_at is None \
+        else min(result.first_sent_at, sent_at)
+    result.last_sent_at = sent_at if result.last_sent_at is None \
+        else max(result.last_sent_at, sent_at)
+    bucket = int(sent_at)
+    result.rate_buckets[bucket] = result.rate_buckets.get(bucket, 0) + 1
+    base_clock = sent_at if result.start_clock is None else result.start_clock
+    base_trace = trace_time if result.trace_start is None \
+        else result.trace_start
+    error = (sent_at - base_clock) - (trace_time - base_trace)
+    result.error_count += 1
+    result.error_sum += error
+    result.error_sumsq += error * error
+    result.error_min = error if result.error_min is None \
+        else min(result.error_min, error)
+    result.error_max = error if result.error_max is None \
+        else max(result.error_max, error)
+
+
+def _reference_answer(result, latency):
+    result.answered_count += 1
+    result.latency_sum += latency
+    bin_ = _log_bin(latency)
+    result.latency_hist[bin_] = result.latency_hist.get(bin_, 0) + 1
+    result.latency_min = latency if result.latency_min is None \
+        else min(result.latency_min, latency)
+    result.latency_max = latency if result.latency_max is None \
+        else max(result.latency_max, latency)
+
+
+_FOLD_FIELDS = ("sent_count", "answered_count", "protocol_counts",
+                "fresh_connections", "first_sent_at", "last_sent_at",
+                "rate_buckets", "error_count", "error_sum", "error_sumsq",
+                "error_min", "error_max", "latency_sum", "latency_min",
+                "latency_max", "latency_hist")
+_TIMES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+@given(sends=st.lists(st.tuples(_TIMES, _TIMES), max_size=60),
+       latencies=st.lists(st.floats(min_value=0.0, max_value=30.0),
+                          max_size=60),
+       cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=8),
+       anchored=st.booleans())
+def test_block_fold_equals_per_call_fold(sends, latencies, cuts, anchored):
+    """A querier folds a wake's sends and a drain's answers in one call;
+    ``count_send`` / ``count_answer`` are the one-element case.  Bit for
+    bit, every field equals one fold per event in the same order."""
+    per_call, blocked, reference = (ReplayResult(aggregate=True)
+                                    for _ in range(3))
+    for result in (per_call, blocked, reference):
+        if anchored:
+            result.start_clock, result.trace_start = 200.0, 3.0
+    for trace_time, sent_at in sends:
+        per_call.count_send("udp", trace_time, sent_at)
+        _reference_send(reference, trace_time, sent_at)
+    for latency in latencies:
+        per_call.count_answer(latency)
+        _reference_answer(reference, latency)
+    bounds = sorted(set(cuts))
+    for events, fold in ((sends, lambda block: blocked.count_sends("udp",
+                                                                   block)),
+                         (latencies, blocked.count_answers)):
+        edges = [0] + [b for b in bounds if b < len(events)] + [len(events)]
+        for start, end in zip(edges, edges[1:]):
+            fold(events[start:end])
+    for field in _FOLD_FIELDS:
+        want = getattr(reference, field)
+        assert getattr(per_call, field) == want, field
+        assert getattr(blocked, field) == want, field
 
 
 class TestWireReaderWriter:

@@ -37,8 +37,10 @@ from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
                                    validate_checkpoint_payload)
 from repro.replay.result import ReplayResult
 from repro.telemetry import TelemetryConfig
-from repro.trace import (burst_trace, fixed_interval_trace, shard_path,
-                         split_shards)
+from repro.trace import (QueryRecord, burst_trace, fixed_interval_trace,
+                         shard_path, split_shards)
+from repro.trace import binfmt
+from repro.trace.binfmt import TraceFormatError, pack_record_body
 from repro.verify.generators import (HAVE_HYPOTHESIS, checkpoint_deliveries,
                                      checkpoint_emission_history)
 
@@ -398,6 +400,7 @@ class _ScriptedInbound:
         self.script = collections.deque(script)
         self.clock = clock
         self.received = 0
+        self.blocks = 0
 
     def _head(self):
         """The script's next item, past any arrival instant now due."""
@@ -412,6 +415,17 @@ class _ScriptedInbound:
     def receive(self):
         self.received += 1
         return self.script.popleft() if self._head() is not None else None
+
+    def receive_block(self, limit):
+        """The frames already in, up to ``limit``; at least one read."""
+        self.blocks += 1
+        block = []
+        while len(block) < limit and (not block or self.has_frame()):
+            message = self.receive()
+            if message is None:
+                break
+            block.append(message)
+        return block
 
     def messages(self):
         while (message := self.receive()) is not None:
@@ -494,7 +508,8 @@ def _scripted_select(clock=None, observe=None):
 def _seq_frames(trace, indices=None):
     records = sorted(trace.records, key=lambda r: r.timestamp)
     chosen = range(len(records)) if indices is None else indices
-    return [(MSG_RECORD_SEQ, (index, records[index])) for index in chosen]
+    return [(MSG_RECORD_SEQ, (index, pack_record_body(records[index])))
+            for index in chosen]
 
 
 def _drive_querier(script, policy, lag=0, clock=None, delay=0.0,
@@ -612,6 +627,33 @@ class _CountingSocket:
         pass
 
 
+class _ByteLink(MessageSocket):
+    """A distributor link replaying captured bytes, 64 KiB per read, for
+    the querier's real frame intake; counts the blocks taken."""
+
+    class _Stream:
+        def __init__(self, data):
+            self.data = data
+
+        def recv(self, size):
+            taken, self.data = self.data[:size], self.data[size:]
+            return taken
+
+        def close(self):
+            pass
+
+    def __init__(self, data):
+        super().__init__(self._Stream(data))
+        self.blocks = 0
+
+    def receive_block(self, limit):
+        self.blocks += 1
+        return super().receive_block(limit)
+
+    def readable_in(self):
+        return 0.0          # bytes, or the EOF after them
+
+
 def _spaced(count, gap):
     """``count`` unique-name records ``gap`` seconds apart from 0."""
     return [dataclasses.replace(record, timestamp=index * gap)
@@ -628,7 +670,8 @@ class TestSyscallBudget:
     def _flood_script(self):
         records = burst_trace(self.COUNT).records
         return ([(MSG_TIME_SYNC, 0.0)]
-                + [(MSG_RECORD, record) for record in records]
+                + [(MSG_RECORD, pack_record_body(record))
+                   for record in records]
                 + [(MSG_END, None)])
 
     def test_distributor_writes_one_block_per_many_records(self):
@@ -654,6 +697,86 @@ class TestSyscallBudget:
         # about as often (200 166 reads for 100 000 answers).
         assert wire.empty_reads <= self.COUNT // 16 + 8
 
+    # -- records cross the live tree as bytes --------------------------------
+
+    def test_aggregate_replay_decodes_no_record(self, tmp_path, monkeypatch):
+        """A shard file through the distributor and an aggregate querier,
+        the querier reading the distributor's very bytes through its real
+        frame intake: no ``QueryRecord`` is built in either tier (the
+        parent built 2 × 4 096), and the frames come in at most
+        ⌈N / _FRAME_BLOCK⌉ + 8 blocks (the parent: one per frame)."""
+        directory = str(tmp_path / "shards")
+        manifest = split_shards(iter(burst_trace(self.COUNT).records),
+                                directory, 1)
+        built = collections.Counter()
+        post_init, unpack = QueryRecord.__post_init__, binfmt.unpack_record_body
+
+        def counting_post_init(record):
+            built["QueryRecord"] += 1
+            post_init(record)
+
+        def counting_unpack(body):
+            built["unpack_record_body"] += 1
+            return unpack(body)
+
+        monkeypatch.setattr(QueryRecord, "__post_init__", counting_post_init)
+        for module in (binfmt, distributed):
+            monkeypatch.setattr(module, "unpack_record_body", counting_unpack)
+        link = _CountingSocket(_FakeClock())
+        distributor = _LiveDistributor(
+            0, _ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
+            [MessageSocket(link)])
+        distributor.run_shard_file(shard_path(directory, 0, manifest),
+                                   pace_lead=0.0)
+        inbound = _ByteLink(b"".join(data for _at, data in link.written))
+        result = ReplayResult("querier-0", aggregate=True)
+        querier = _LiveQuerier(0, inbound, ("127.0.0.1", 9), result,
+                               threading.Lock())
+        querier._sock.close()
+        querier._sock = wire = _LoopbackSocket(0)
+        with mock.patch.object(distributed, "select", _scripted_select()):
+            querier.run()
+        assert built == {}
+        assert distributor.records_routed == wire.sent == self.COUNT
+        assert result.sent_count == result.answered_count == self.COUNT
+        assert inbound.blocks <= -(-self.COUNT // distributed._FRAME_BLOCK) + 8
+
+    @pytest.mark.parametrize("how", ["protocol", "wire-length"])
+    def test_corrupt_shard_record_is_refused_by_the_distributor(
+            self, tmp_path, how):
+        """A record whose protocol index or wire length lies is refused
+        where the parent refused it — the distributor reading its shard
+        file, with TraceFormatError — after the records before it went
+        out and with END still sent downstream."""
+        records = burst_trace(10).records
+        directory = str(tmp_path / "shards")
+        manifest = split_shards(iter(records), directory, 1)
+        path = shard_path(directory, 0, manifest)
+        with open(path, "rb") as stream:
+            data = bytearray(stream.read())
+        offset = 16                     # file header + chunk header
+        for _ in range(5):
+            offset += 4 + int.from_bytes(data[offset:offset + 4], "big")
+        body = offset + 4               # record 5's body
+        if how == "protocol":
+            data[body + 20] = 7
+        else:
+            data[body + 22:body + 24] = (
+                int.from_bytes(data[body + 22:body + 24], "big") + 1
+            ).to_bytes(2, "big")
+        with open(path, "wb") as stream:
+            stream.write(data)
+        link = _CountingSocket(_FakeClock())
+        distributor = _LiveDistributor(
+            0, _ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
+            [MessageSocket(link)])
+        with pytest.raises(TraceFormatError,
+                           match="bad protocol index|truncated message wire"):
+            distributor.run_shard_file(path, pace_lead=0.0)
+        assert distributor.records_routed == 5
+        assert b"".join(data for _at, data in link.written) \
+            == b"".join(self._reference_frames(records[:5]))
+
     # -- ISSUE 24: a paced replay sleeps once per send ---------------------
 
     def _pace(self, tmp_path, records, pace_lead):
@@ -668,7 +791,7 @@ class TestSyscallBudget:
             [MessageSocket(link)])
         with mock.patch.object(distributed, "time", clock):
             distributor.run_shard_file(shard_path(directory, 0, manifest),
-                                       read_ahead=0, pace_lead=pace_lead)
+                                       pace_lead=pace_lead)
         assert distributor.records_routed == len(records)
         assert distributor.pace_sleeps == clock.sleeps
         return distributor, link
@@ -736,12 +859,13 @@ class TestSyscallBudget:
         first_due = clock.now + 2.0 ** -5       # the start_delay lead-in
         records = _spaced(self.COUNT, gap)
         script = [(MSG_TIME_SYNC, -(2.0 ** -5))]
-        script += [(MSG_RECORD, record) for record in records[:1024]]
+        script += [(MSG_RECORD, pack_record_body(record))
+                   for record in records[:1024]]
         blocks = 1024 // distributed._FRAME_BLOCK
         for head in range(1024, self.COUNT, block):
             # Each block lands 2**-5 s ahead of its first record.
             script.append(first_due + head * gap - 2.0 ** -5)
-            script += [(MSG_RECORD, record)
+            script += [(MSG_RECORD, pack_record_body(record))
                        for record in records[head:head + block]]
             blocks += 1
         script.append((MSG_END, None))

@@ -7,6 +7,8 @@ files with bounded read-ahead, queriers accounting in aggregate mode,
 and the controller streaming-merging few-KB RESULT frames.
 """
 
+import struct
+
 import pytest
 
 from repro.replay import (DistributedConfig, LiveUdpEchoServer,
@@ -19,6 +21,8 @@ from repro.server import (AuthoritativeServer, HostedDnsServer,
 from repro.trace import (BRootWorkload, QueryMutator, Trace,
                          fixed_interval_trace, make_query_record,
                          make_root_zone, retarget, scale_time, split_shards)
+from repro.trace.binfmt import (iter_binary, iter_record_bodies, read_binary,
+                                write_binary)
 
 
 def deploy():
@@ -202,6 +206,89 @@ class TestAggregateTopologies:
         assert result.sent_count == len(trace)
         assert result.answered_fraction() > 0.9
         assert not result.sent
+
+
+class _CapturingEchoServer(LiveUdpEchoServer):
+    """The echo server, keeping every datagram it answered."""
+
+    class _Tap:
+        def __init__(self, sock, received):
+            self._sock, self._received = sock, received
+
+        def recvfrom(self, size):
+            data, peer = self._sock.recvfrom(size)
+            self._received.append(data)
+            return data, peer
+
+        def __getattr__(self, name):
+            return getattr(self._sock, name)
+
+    def __init__(self):
+        super().__init__()
+        self.received = []
+        self._socket = self._Tap(self._socket, self.received)
+
+
+def _extend_bodies(path, extension=b"\xee" * 7):
+    """Rewrite a binary trace with ``extension`` after every record's
+    wire: trailing bytes the format's ``total_length`` allows."""
+    with open(path, "rb") as stream:
+        bodies = list(iter_record_bodies(stream))
+    payload = b"".join(struct.pack("!I", len(body) + len(extension))
+                       + body + extension for body in bodies)
+    with open(path, "wb") as stream:
+        stream.write(b"LDPB" + struct.pack("!HH", 2, 0))
+        stream.write(struct.pack("!II", len(payload), len(bodies)))
+        stream.write(payload + struct.pack("!IQ", 0, len(bodies)))
+
+
+class TestRecordBytes:
+    """Records cross the live tree as bytes; what reaches the server is
+    each record's own wire under a querier's message id, never the
+    extension bytes a body may carry past it."""
+
+    def records(self):
+        return [make_query_record(index * 0.002, f"10.0.0.{index % 3 + 1}",
+                                  f"q{index}.example.com.", msg_id=index + 1)
+                for index in range(30)]
+
+    @staticmethod
+    def assert_exact_wires(server, records):
+        assert sorted(data[2:] for data in server.received) \
+            == sorted(record.wire[2:] for record in records)
+
+    def test_shard_file_extensions_stay_off_the_wire(self, tmp_path):
+        records = self.records()
+        directory, manifest = shard_directory(tmp_path, Trace(records), 1)
+        path = str(tmp_path / "shards" / manifest["shards"][0]["file"])
+        _extend_bodies(path)
+        with open(path, "rb") as stream:
+            assert [record.wire for record in iter_binary(stream)] \
+                == [record.wire for record in records]
+        with _CapturingEchoServer() as server:
+            topology = ProcessTopology(
+                (server.address, server.port),
+                streaming_config(distributors=1,
+                                 queriers_per_distributor=1))
+            result = topology.replay_shard_files(directory, pace_lead=0.5)
+        assert result.sent_count == result.answered_count == len(records)
+        self.assert_exact_wires(server, records)
+
+    def test_trace_extensions_stay_off_the_wire(self, tmp_path):
+        records = self.records()
+        path = str(tmp_path / "trace.bin")
+        with open(path, "wb") as stream:
+            write_binary(Trace(records), stream)
+        _extend_bodies(path)
+        with open(path, "rb") as stream:
+            trace = read_binary(stream)
+        with _CapturingEchoServer() as server:
+            result = ProcessTopology(
+                (server.address, server.port),
+                streaming_config(distributors=1)).replay(trace)
+        assert len(result) == len(records)
+        assert all(query.answered_at is not None for query in result.sent)
+        self.assert_exact_wires(server, records)
 
 
 class TestAggregateResultFrames:

@@ -6,6 +6,7 @@ the explorer/fuzz drivers must both exhaust clean models and catch a
 deliberately broken one.
 """
 
+import dataclasses
 import json
 import random
 
@@ -272,6 +273,39 @@ class TestFuzzDriver:
         assert stem.with_suffix(".bin").read_bytes() == b"\xba\xad"
         sidecar = json.loads(stem.with_suffix(".json").read_text())
         assert sidecar["exception"] == "ValueError"
+
+    def test_frame_oracle_catches_an_unbounded_block_parser(self):
+        """The protocol-frames differential holds ``receive_block`` to
+        repeated ``receive()``: a block pass with its frame-length bound
+        cut out (built from the real pass's own source) is caught by the
+        seed corpus, while the real one passes it all."""
+        import inspect
+        import textwrap
+        from repro.replay import protocol
+        from repro.replay.protocol import MessageSocket
+        from repro.verify.fuzz import _run_protocol_frames
+        source = textwrap.dedent(
+            inspect.getsource(MessageSocket._take_buffered))
+        mutated = source.replace("not 1 <= length <= MAX_FRAME or ", "")
+        assert mutated != source
+        namespace = {}
+        exec(compile(mutated, "<mutant>", "exec"), vars(protocol), namespace)
+        mutant = type("UnboundedBlocks", (MessageSocket,),
+                      {"_take_buffered": namespace["_take_buffered"]})
+        caught = []
+        for case in frame_seed_corpus():
+            _run_protocol_frames(case)
+            try:
+                _run_protocol_frames(case, mutant)
+            except AssertionError as exc:
+                caught.append(str(exc))
+        assert caught and "diverges from receive()" in caught[0]
+        # The campaign the CI verify job runs finds it as well.
+        target = dataclasses.replace(
+            TARGETS["protocol-frames"],
+            execute=lambda data: _run_protocol_frames(data, mutant))
+        report = fuzz_target(target, seed=2026, examples=100, max_crashes=1)
+        assert report.crashes
 
     def test_all_targets_registered(self):
         assert sorted(TARGETS) == ["fault-replay", "protocol-frames",
