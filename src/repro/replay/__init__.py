@@ -4,8 +4,8 @@ from .distributed import DistributedConfig
 from .distributor import (Controller, DistributionStats, Distributor,
                           StickyAssigner)
 from .protocol import (MAX_FRAME, MSG_CHECKPOINT, MSG_END, MSG_HELLO,
-                       MSG_METRICS, MSG_RECORD, MSG_RECORD_SEQ, MSG_RESULT,
-                       MSG_SHUTDOWN, MSG_TELEMETRY, MSG_TIME_SYNC,
+                       MSG_METRICS, MSG_RECORD, MSG_RESULT, MSG_SHUTDOWN,
+                       MSG_TELEMETRY, MSG_TIME_SYNC,
                        MessageSocket, ProtocolError, ROLE_DISTRIBUTOR,
                        ROLE_QUERIER, ROLE_SHARD, SendError, connect,
                        connected_pair)
@@ -29,8 +29,8 @@ __all__ = [
     "AimdPacer", "ChaosConfig", "ChaosEngine", "CheckpointPolicy",
     "CheckpointStore", "Controller", "DistributedConfig",
     "DistributionStats", "Distributor", "MAX_FRAME", "MSG_CHECKPOINT",
-    "MSG_END", "MSG_HELLO", "MSG_METRICS", "MSG_RECORD", "MSG_RECORD_SEQ",
-    "MSG_RESULT", "MSG_SHUTDOWN", "MSG_TELEMETRY", "MSG_TIME_SYNC",
+    "MSG_END", "MSG_HELLO", "MSG_METRICS", "MSG_RECORD", "MSG_RESULT",
+    "MSG_SHUTDOWN", "MSG_TELEMETRY", "MSG_TIME_SYNC",
     "MessageSocket", "PacingConfig",
     "ProcessTopology", "ProtocolError", "ROLE_DISTRIBUTOR", "ROLE_QUERIER",
     "ROLE_SHARD", "RecoveryConfig", "RespawnPolicy", "SendError",

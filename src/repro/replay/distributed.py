@@ -34,8 +34,8 @@ from ..trace.binfmt import (RECORD_SOURCE, RECORD_TIME_AND_WIRE_LENGTH,
                             unpack_record_body)
 from .distributor import StickyAssigner
 from .live import grow_receive_buffer
-from .protocol import (MSG_END, MSG_RECORD, MSG_RECORD_SEQ, MSG_SHUTDOWN,
-                       MSG_TIME_SYNC, Message, MessageSocket, ProtocolError)
+from .protocol import (MSG_END, MSG_RECORD, MSG_SHUTDOWN, MSG_TIME_SYNC,
+                       Message, MessageSocket, ProtocolError)
 from .querier import MatchKey, match_key
 from .recovery import RecoveryConfig
 from .result import ReplayResult, SentQuery
@@ -100,11 +100,6 @@ class DistributedConfig:
     # exactly-once redelivery.  None keeps the fail-fast behavior byte
     # for byte.
     recovery: Optional[RecoveryConfig] = None
-    # Aggregate accounting: queriers fold every send into O(1)
-    # counters/histograms (ReplayResult(aggregate=True)) instead of
-    # retaining a SentQuery per query.  This is what keeps a 10⁸-query
-    # streamed replay at flat RSS; per-query forensics are unavailable.
-    aggregate_results: bool = False
 
 
 class _LiveQuerier:
@@ -119,11 +114,12 @@ class _LiveQuerier:
     ``_ANSWER_DEFER`` the UDP socket stays out of the wait: the sends
     clock the answer reads.
 
-    Records stay bytes: the queue holds record bodies and a send puts
-    this querier's message id and the body's wire on the socket; only a
-    list-mode entry, which keeps the source and the query name, decodes
-    its record.  Aggregate accounting is folded once per wake, over the
-    wake's sends and over each drain's answers.
+    Records stay bytes: the queue holds record bodies, each with its
+    global trace index, and a send puts this querier's message id and
+    the body's wire on the socket; only a list-mode entry, which keeps
+    the source and the query name, decodes its record.  Aggregate
+    accounting is folded once per wake, over the wake's sends and over
+    each drain's answers.
     """
 
     def __init__(self, querier_id: int, inbound: MessageSocket,
@@ -145,8 +141,8 @@ class _LiveQuerier:
         self._sock.setblocking(False)
         self._trace_start: Optional[float] = None
         self._clock_start: Optional[float] = None
-        # (due instant, sequence, record body, global index or None).
-        self._queue: List[Tuple[float, int, bytes, Optional[int]]] = []
+        # (due instant, sequence, record body, global trace index).
+        self._queue: List[Tuple[float, int, bytes, int]] = []
         # Aggregate mode: (trace time, sent_at) of this wake's sends.
         self._sends: List[Tuple[float, float]] = []
         self._sequence = 0
@@ -165,8 +161,9 @@ class _LiveQuerier:
         self.checkpoint_sink: Optional[Callable[[dict], None]] = None
         self.reconnect: Optional[Callable[[], Optional[MessageSocket]]] \
             = None                          # inbound re-dial after a drop
-        # Redelivery dedup by global index: None while the record is
-        # queued, its SentQuery once sent.
+        # Redelivery dedup by global index, kept while a checkpoint sink
+        # is attached: None while the record is queued, its SentQuery
+        # once sent.
         self._seen_indices: Dict[int, Optional[SentQuery]] = {}
         self.redundant_records = 0          # redelivered dups dropped here
         # Entries the next CHECKPOINT frame carries, by index: first
@@ -267,31 +264,32 @@ class _LiveQuerier:
             return
         for message in messages:
             if message[0] == MSG_RECORD:
-                self.records_received += 1
-                self._enqueue(message[1])
+                index, body = message[1]
+                if self.checkpoint_sink is None or self._first_copy(index):
+                    self.records_received += 1
+                    self._enqueue(body, index)
                 continue
             self._handle(message)
             if self._done_receiving:
                 return
 
+    def _first_copy(self, index: int) -> bool:
+        """Exactly-once intake: False for a redelivered copy of a record
+        already queued or sent here, which is dropped.  If it was sent,
+        the controller lost the frame that said so — report the entry
+        again."""
+        if index not in self._seen_indices:
+            self._seen_indices[index] = None
+            return True
+        self.redundant_records += 1
+        entry = self._seen_indices[index]
+        if entry is not None:
+            self._report(entry)
+        return False
+
     def _handle(self, message: Message) -> None:
         kind, payload = message
-        if kind == MSG_RECORD_SEQ:
-            index, body = payload
-            if index in self._seen_indices:
-                # Redelivered copy of a record already queued or sent
-                # here: exactly-once, drop it locally.  If it was sent,
-                # the controller lost the frame that said so — report
-                # the entry again.
-                self.redundant_records += 1
-                entry = self._seen_indices[index]
-                if entry is not None:
-                    self._report(entry)
-            else:
-                self._seen_indices[index] = None
-                self.records_received += 1
-                self._enqueue(body, index)
-        elif kind == MSG_END:
+        if kind == MSG_END:
             self._done_receiving = True
         elif kind == MSG_SHUTDOWN:
             # Controller-ordered stop (deadline shedding): drop queued
@@ -374,7 +372,7 @@ class _LiveQuerier:
                 self.result.deadline_shed += len(self._queue)
             self._queue.clear()
 
-    def _enqueue(self, body: bytes, index: Optional[int] = None) -> None:
+    def _enqueue(self, body: bytes, index: int) -> None:
         if self._trace_start is None:
             target = time.monotonic()       # no anchor yet: due at once
         else:
@@ -422,8 +420,7 @@ class _LiveQuerier:
             self._ahead = 0
             self.catchup_forgiven += 1
 
-    def _send(self, body: bytes, scheduled_at: float,
-              index: Optional[int] = None) -> float:
+    def _send(self, body: bytes, scheduled_at: float, index: int) -> float:
         """Put one query on the wire; returns the instant it left."""
         message_id = self._sequence * 31 % 0xFFFF or 1
         self._sequence += 1
@@ -457,19 +454,14 @@ class _LiveQuerier:
             except WireError:
                 question = None
             entry = SentQuery(
-                # Recovery mode carries the global trace index so the
-                # controller's merge can dedup across respawns; classic
-                # mode numbers the local shard and lets merge() re-index.
-                index=index if index is not None else len(self.result.sent),
-                source=record.src,
+                index=index, source=record.src,
                 trace_time=trace_time, scheduled_at=scheduled_at,
                 sent_at=sent_at, protocol="udp",
                 qname=question[0].to_text().lower() if question else "-",
                 querier_id=self.querier_id)
             self._pending.setdefault(key, []).append(entry)
-            if index is not None:
-                self._seen_indices[index] = entry
-            self._report(entry)
+            if self.checkpoint_sink is not None:
+                self._seen_indices[index] = self._news[index] = entry
             with self.lock:
                 self.result.add(entry)
                 if self.telemetry is not None:
@@ -590,13 +582,10 @@ class _LiveDistributor:
                     for outbound in self.querier_sockets:
                         outbound.send_time_sync(payload)
                 elif kind == MSG_RECORD:
-                    self.records_routed += 1
-                    self._route(payload, RECORD_SOURCE.unpack_from(payload)[0])
-                elif kind == MSG_RECORD_SEQ:
                     index, body = payload
                     self.records_routed += 1
-                    self._route(body, RECORD_SOURCE.unpack_from(body)[0],
-                                index)
+                    self._route(index, body,
+                                RECORD_SOURCE.unpack_from(body)[0])
                 elif kind == MSG_SHUTDOWN:
                     # Controller-ordered stop: relay to the queriers so
                     # they shed their queues, then end the stream.
@@ -617,7 +606,8 @@ class _LiveDistributor:
                 except OSError:
                     pass
 
-    def run_shard_file(self, path: str, pace_lead: float = 2.0) -> None:
+    def run_shard_file(self, path: str, pace_lead: float = 2.0,
+                       first_index: int = 0) -> None:
         """Self-source records from a shard file (streaming replay).
 
         The control socket carries only the timing handshake — the
@@ -625,8 +615,10 @@ class _LiveDistributor:
         record (it knows the shard only through the manifest).  Records
         come off disk a chunk at a time, inline
         (:func:`iter_record_bodies`); each body is checked by
-        :func:`record_head`, paced on its timestamp, routed on its
-        packed source and forwarded undecoded.  Routing is *paced*: the
+        :func:`record_head`, numbered from ``first_index`` (the shard's
+        offset in the manifest: the earlier shards' record counts),
+        paced on its timestamp, routed on its packed source and
+        forwarded undecoded.  Routing is *paced*: the
         distributor sleeps until the next record is ``pace_lead``
         seconds from its replay time and then forwards every record up
         to ``_PACE_QUANTUM`` further ahead, so the querier heaps hold at
@@ -659,7 +651,8 @@ class _LiveDistributor:
             # Records due up to here go without a look at the clock.
             released = 0.0 if pace_lead > 0 else float("inf")
             with open(path, "rb") as stream:
-                for body in iter_record_bodies(stream):
+                for index, body in enumerate(iter_record_bodies(stream),
+                                             first_index):
                     timestamp, source = record_head(body)
                     due = timestamp - origin
                     if due > released:
@@ -671,7 +664,7 @@ class _LiveDistributor:
                             now = time.monotonic() - self.sync_mono
                         released = now + _PACE_QUANTUM
                     self.records_routed += 1
-                    self._route(body, source)
+                    self._route(index, body, source)
         except ProtocolError:
             pass  # torn-down control channel: flush END downstream
         finally:
@@ -681,10 +674,9 @@ class _LiveDistributor:
                 except OSError:
                     pass
 
-    def _route(self, body: bytes, source: int,
-               index: Optional[int] = None) -> None:
-        """Send a record body to the sticky querier of its packed
-        ``source``; on a dead socket, reroute.
+    def _route(self, index: int, body: bytes, source: int) -> None:
+        """Send record ``index``'s body to the sticky querier of its
+        packed ``source``; on a dead socket, reroute.
 
         A querier that crashed shows up as a broken pipe on its message
         socket.  The dead entity is dropped from the sticky map and the
@@ -694,10 +686,7 @@ class _LiveDistributor:
         while self.assigner.entities:
             outbound = self.assigner.assign(source)
             try:
-                if index is None:
-                    outbound.write_record(body)
-                else:
-                    outbound.write_record_seq(index, body)
+                outbound.write_record(index, body)
             except OSError:
                 self.assigner.remove(outbound)
                 first_try = False

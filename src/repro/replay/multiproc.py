@@ -22,18 +22,20 @@ shard-file, recovering and sharded-sim runs parameterise:
    later, so the head of the stream crosses the links before any send
    is due;
 3. **stream** — records go out sharded sticky-by-source over the
-   distributors, each re-sharding over its queriers: RECORD frames,
-   RECORD_SEQ (global trace index) in recovery mode, or nothing at all
-   when distributors self-source shard files;
+   distributors, each re-sharding over its queriers, as RECORD frames
+   tagged with their global trace index — or nothing at all when
+   distributors self-source shard files, numbering each record from
+   its shard's offset in the manifest;
 4. **drain** (recovery mode) — END is withheld until the checkpoint
    store accounts for every index, lost ones being re-streamed;
 5. **collect** — END, then one wait (``_await_reports``) until every
    worker has reported its RESULT + METRICS pair or is failed: at once
    when its process is seen dead, else only ``settle_time`` + slack
    after the distributors reported and the schedule ran out;
-6. **merge** — ``ReplayResult.merge`` in slot order (exactly-once
-   ``merge_recovered`` over the store in recovery mode) plus
-   ``MetricsRegistry.merge_state``, into one aggregate;
+6. **merge** — every CHECKPOINT and RESULT frame has gone to one
+   :class:`~repro.replay.recovery.CheckpointStore`; the merge is the
+   exactly-once ``ReplayResult.merge`` fold over its snapshots plus the
+   controller's own counters, and ``MetricsRegistry.merge_state``;
 7. **teardown** — SHUTDOWN, close, join, terminate.
 
 Supervision: a :class:`~repro.replay.supervision.ReplayWatchdog`
@@ -56,6 +58,7 @@ import os
 import socket
 import threading
 import time
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..netsim.shard import shard_of
@@ -76,8 +79,8 @@ from .protocol import (MSG_CHECKPOINT, MSG_HELLO, MSG_METRICS, MSG_RESULT,
                        ProtocolError, ROLE_DISTRIBUTOR, ROLE_QUERIER,
                        ROLE_SHARD, connect)
 from .recovery import (CheckpointStore, RecoveryConfig, attach_chaos,
-                       merge_recovered, reconnect_with_backoff)
-from .result import ReplayResult, _COUNTER_FIELDS
+                       reconnect_with_backoff)
+from .result import ReplayResult
 from .supervision import ReplayWatchdog
 
 _SETUP_TIMEOUT = 30.0
@@ -210,7 +213,7 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
                       incarnation: int = 0, listen_port: int = 0,
                       telemetry: Optional[TelemetryConfig] = None,
                       shard_file: Optional[str] = None,
-                      pace_lead: float = 2.0) -> None:
+                      pace_lead: float = 2.0, first_index: int = 0) -> None:
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     # SO_REUSEADDR unconditionally: accepted querier sockets inherit it,
     # so a respawned incarnation can rebind this port while the dead
@@ -298,7 +301,8 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
         # Streaming mode: self-source the shard file instead of
         # receiving records over the control socket (which carries only
         # TIME_SYNC + END).
-        distributor.run_shard_file(shard_file, pace_lead=pace_lead)
+        distributor.run_shard_file(shard_file, pace_lead=pace_lead,
+                                   first_index=first_index)
     else:
         distributor.run()   # synchronous: returns on END/SHUTDOWN/EOF
     if recovery is not None:
@@ -460,6 +464,13 @@ def _resolve_factory(spec: FactorySpec):
     return target
 
 
+def _shard_positions(trace: Trace, shard_index: int,
+                     num_shards: int) -> List[int]:
+    """Positions in ``trace`` of the records ``shard_index`` owns."""
+    return [position for position, record in enumerate(trace.records)
+            if shard_of(record.src, num_shards) == shard_index]
+
+
 def shard_slice(trace: Trace, shard_index: int, num_shards: int) -> Trace:
     """The records of ``trace`` owned by ``shard_index``.
 
@@ -467,9 +478,9 @@ def shard_slice(trace: Trace, shard_index: int, num_shards: int) -> Trace:
     tree: a client's whole query stream lands on one shard, so per-source
     state (sockets, retries, connections) never splits.
     """
-    records = [record for record in trace.records
-               if shard_of(record.src, num_shards) == shard_index]
-    return Trace(records, name=f"{trace.name}#shard{shard_index}")
+    return Trace([trace.records[position] for position
+                  in _shard_positions(trace, shard_index, num_shards)],
+                 name=f"{trace.name}#shard{shard_index}")
 
 
 def default_shard_scenario(perf: Optional[PerfCounters] = None,
@@ -526,12 +537,16 @@ def _shard_main(control_addr: Tuple[str, int], shard_index: int,
             telemetry.stream_period, metrics_snapshot=perf.to_state)
         streamer.start()
     trace = _resolve_factory(trace_spec)(**trace_spec[2])
-    slice_ = shard_slice(trace, shard_index, num_shards)
+    positions = _shard_positions(trace, shard_index, num_shards)
+    slice_ = Trace([trace.records[position] for position in positions],
+                   name=f"{trace.name}#shard{shard_index}")
     engine = _resolve_factory(scenario_spec)(perf=perf, **scenario_spec[2])
     started = time.perf_counter()
     result = engine.replay(slice_)
     wall = time.perf_counter() - started
     result.name = f"shard-{shard_index}"
+    for entry in result.sent:   # slice position -> factory-trace index
+        entry.index = positions[entry.index]
     perf.incr("shard.records", len(slice_.records))
     perf.set_gauge(f"shard.{shard_index}.wall_s", wall)
     perf.set_gauge(f"shard.{shard_index}.qps",
@@ -603,11 +618,6 @@ class UdpEchoServerProcess:
 # Controller
 # ---------------------------------------------------------------------------
 
-# Stands in for a shard the checkpoint store already holds (recovery
-# mode): non-None, so has_work()/collection see the worker as reported,
-# without keeping a second copy of its entries alive.
-_DRAINED = ReplayResult("drained", aggregate=True)
-
 # How long past ``settle_time`` a live worker whose upstream has ended
 # may stay unreported before collection gives up on it: scheduling and
 # serialisation slack, not a budget (``supervision.deadline`` is that).
@@ -632,7 +642,7 @@ class _WorkerHandle:
         self.incarnation = incarnation   # respawn generation (0 = first)
         self.process = None           # attached after the HELLO matches
         self.reader: Optional[threading.Thread] = None
-        self.shard: Optional[ReplayResult] = None
+        self.reported = False          # its RESULT is in the store
         self.metrics_state: Optional[dict] = None
         self.failed = False
 
@@ -640,7 +650,7 @@ class _WorkerHandle:
 
     def has_work(self) -> bool:
         """Outstanding until its RESULT shard lands (or it is failed)."""
-        return self.shard is None and not self.failed
+        return not self.reported and not self.failed
 
     def is_alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
@@ -721,9 +731,9 @@ class _Controller:
         # worker's fate changes, so every wait wakes on progress instead
         # of polling.
         self._progress = threading.Condition(self._lock)
-        # Recovery mode of the tree: CHECKPOINT / RESULT frames land
-        # here and the merge is exactly-once over it.
-        self._store: Optional[CheckpointStore] = None
+        # Every CHECKPOINT / RESULT frame lands here, and the merge is
+        # exactly-once over it.
+        self._store = CheckpointStore()
         self._assigner: StickyAssigner = StickyAssigner([], allow_empty=True)
         self._control_addr: Optional[Tuple[str, int]] = None
         self._listener: Optional[socket.socket] = None
@@ -859,22 +869,16 @@ class _Controller:
                 if self.cluster is not None:
                     self.cluster.ingest(payload)
                 continue
-            if kind == MSG_RESULT and self._store is None:
-                payload = ReplayResult.from_dict(payload)
             with self._progress:
-                if kind == MSG_CHECKPOINT and self._store is not None:
+                if kind == MSG_CHECKPOINT:
                     self._store.offer_frame(key, payload)
-                elif kind == MSG_RESULT and self._store is not None:
-                    # The store keeps the entries; the handle only
-                    # needs to read as reported.  The final RESULT is
-                    # cumulative and its header outranks every
-                    # checkpoint of the same incarnation, whatever the
-                    # arrival order.
-                    handle.shard = _DRAINED
+                elif kind == MSG_RESULT:
+                    # The final RESULT is cumulative and its header
+                    # outranks every checkpoint of the same incarnation,
+                    # whatever the arrival order.
+                    handle.reported = True
                     self._store.offer(key, handle.incarnation, 0,
                                       payload, final=True)
-                elif kind == MSG_RESULT:
-                    handle.shard = payload
                 elif kind == MSG_METRICS:
                     handle.metrics_state = payload
                 self._progress.notify_all()
@@ -958,7 +962,7 @@ class _Controller:
                 return
         key = (handle.role, handle.worker_id)
         with self._lock:
-            if handle.failed or handle.shard is not None:
+            if handle.failed or handle.reported:
                 return
             handle.failed = True
             self._progress.notify_all()
@@ -1053,8 +1057,7 @@ class _Controller:
                 for handle in self._handles():
                     # RESULT and METRICS travel as a pair; waking on the
                     # first must not leave the second unread.
-                    if (handle.shard is not None
-                            and handle.metrics_state is not None):
+                    if handle.reported and handle.metrics_state is not None:
                         continue
                     if handle.failed:
                         if (handle.role, handle.worker_id) \
@@ -1091,8 +1094,11 @@ class _Controller:
                     1.0 if deadline is None else min(1.0, deadline - now))
 
     def _merge(self, workers_counter: str) -> int:
-        """The one merge: every worker's report into ``result`` and
-        ``metrics``, in slot order.  Returns the number of lost shards."""
+        """The one merge: the exactly-once fold of every report in the
+        store, plus the controller's own accounting (respawns,
+        redelivery, shedding, failover), into ``result``; and every
+        worker's metrics into ``metrics``.  Returns the number of lost
+        shards."""
         # Collection is over: nothing may change a worker's fate, or
         # self.result, behind the merge's back.
         self._closing.set()
@@ -1100,29 +1106,14 @@ class _Controller:
             self.watchdog.stop()
             self.watchdog.join(timeout=1.0)
         handles = self._handles()
-        if self._store is not None:
-            # Exactly-once over the store instead of the re-indexing
-            # ReplayResult.merge; then the controller-side accounting
-            # (respawns, redelivery, shedding, failover) that accrued on
-            # self.result during the run.
-            with self._lock:
-                snapshots = self._store.snapshots()
-            merged = merge_recovered(snapshots, name=self.result.name)
-            for counter in _COUNTER_FIELDS:
-                setattr(merged, counter, getattr(merged, counter)
-                        + getattr(self.result, counter))
-            merged.trace_start = self.result.trace_start
-            if self.result.start_clock is not None:
-                merged.start_clock = self.result.start_clock \
-                    if merged.start_clock is None \
-                    else min(merged.start_clock, self.result.start_clock)
-            self.result = merged
-        lost = 0
-        for handle in handles:
-            if handle.shard is None:
-                lost += 1
-            elif handle.shard is not _DRAINED:
-                self.result.merge(handle.shard)
+        with self._lock:
+            snapshots = self._store.snapshots()
+        merged = ReplayResult(self.result.name,
+                              aggregate=self.result.aggregate)
+        for snapshot in snapshots:
+            merged.merge(ReplayResult.from_dict(snapshot))
+        self.result = merged.merge(self.result)
+        lost = sum(1 for handle in handles if not handle.reported)
         for handle in handles + self._retired_handles:
             if handle.metrics_state is not None:
                 self.metrics.merge_state(handle.metrics_state)
@@ -1179,10 +1170,9 @@ class ProcessTopology(_Controller):
         if not (isinstance(tconfig, TelemetryConfig)
                 and tconfig.streaming()):
             tconfig = None
-        super().__init__(
-            ReplayResult("distributed-process",
-                         aggregate=self.config.aggregate_results),
-            self.config.recovery, tconfig, self.config.start_method)
+        super().__init__(ReplayResult("distributed-process"),
+                         self.config.recovery, tconfig,
+                         self.config.start_method)
         self.distributor_handles: List[_WorkerHandle] = []
         self.querier_handles: List[_WorkerHandle] = []
         # Merge order: queriers in id order, then the distributors'
@@ -1190,7 +1180,7 @@ class ProcessTopology(_Controller):
         self._tiers = {ROLE_QUERIER: self.querier_handles,
                        ROLE_DISTRIBUTOR: self.distributor_handles}
         # Distributor i's extra argv: empty, or what it self-sources in
-        # a shard-file run (path, pacing).
+        # a shard-file run (path, pacing, index of its first record).
         self._source_args = lambda index: ()
 
     def server_for(self, querier_id: int) -> ServerAddress:
@@ -1213,8 +1203,7 @@ class ProcessTopology(_Controller):
             self._control_addr, worker_id,
             ("127.0.0.1", distributor.listen_port),
             self.server_for(worker_id), deadline, config.recovery,
-            incarnation, self._tconfig,
-            self.result.aggregate and config.recovery is None)
+            incarnation, self._tconfig, self.result.aggregate)
 
     def _resync(self, handle: _WorkerHandle) -> None:
         """Bring a distributor, first incarnation or respawned, into the
@@ -1236,11 +1225,11 @@ class ProcessTopology(_Controller):
     # -- the runs ----------------------------------------------------------
 
     def replay(self, trace: Trace) -> ReplayResult:
-        """Replay an in-memory trace: records cross the control links,
-        as RECORD frames, or as RECORD_SEQ when ``config.recovery`` is
-        set (every send attributable to a global trace index; END
-        withheld until the checkpoint store accounts for every index;
-        exactly-once merge)."""
+        """Replay an in-memory trace, accounted per query: records cross
+        the control links as RECORD frames tagged with their position in
+        the timestamp-sorted trace, so every entry names its record.
+        With ``config.recovery`` set, END is withheld until the
+        checkpoint store accounts for every index."""
         records = sorted(trace.records, key=lambda r: r.timestamp)
         if not records:
             return self.result
@@ -1258,10 +1247,12 @@ class ProcessTopology(_Controller):
         never touches a record.  One distributor process is spawned per
         shard file (``config.distributors`` is ignored) and self-sources
         it lazily, a chunk at a time, forwarding record bodies undecoded
-        and pacing routing ``pace_lead`` seconds ahead of the replay
-        clock so no tier ever buffers the trace.  The control links carry only
-        TIME_SYNC and END.  Queriers account in aggregate mode, so
-        RESULT frames stay a few KB at any scale.
+        under their trace index (the shard's manifest offset plus its
+        position in the shard) and pacing routing ``pace_lead`` seconds
+        ahead of the replay clock so no tier ever buffers the trace.
+        The control links carry only TIME_SYNC and END.  Queriers
+        account in aggregate mode, so RESULT frames stay a few KB at
+        any scale.
         """
         if self.config.recovery is not None:
             raise ValueError(
@@ -1270,8 +1261,11 @@ class ProcessTopology(_Controller):
         self.result = ReplayResult("distributed-process", aggregate=True)
         if not manifest["total_records"]:
             return self.result
+        offsets = list(accumulate(
+            [0] + [shard["records"] for shard in manifest["shards"]]))
         self._source_args = lambda index: (
-            shard_path(directory, index, manifest), pace_lead)
+            shard_path(directory, index, manifest), pace_lead,
+            offsets[index])
         self.metrics.incr("multiproc.trace_records",
                           manifest["total_records"])
         trace_start = manifest["first_timestamp"]
@@ -1292,8 +1286,6 @@ class ProcessTopology(_Controller):
         # in SimReplayEngine.  Set before any worker exists: _resync
         # may need it early.
         self.result.trace_start = trace_start - config.start_delay
-        if recovery is not None:
-            self._store = CheckpointStore()
         self._spawn_tree([
             (ROLE_DISTRIBUTOR, num_distributors),
             (ROLE_QUERIER,
@@ -1358,9 +1350,8 @@ class ProcessTopology(_Controller):
 
     def _stream(self, records: Sequence) -> int:
         """Reader + Postman: shard the records sticky-by-source over the
-        distributors, tagged with their global trace index when a store
-        accounts for them.  Returns how many were handed to the tree."""
-        sequenced = self._store is not None
+        distributors, tagged with their global trace index.  Returns how
+        many were handed to the tree."""
         streamed = 0
         for index, record in enumerate(records):
             if self._deadline_hit:
@@ -1368,24 +1359,20 @@ class ProcessTopology(_Controller):
                 # shed here (queued records shed inside the queriers).
                 self.result.deadline_shed += len(records) - streamed
                 break
-            self._send_record(index if sequenced else None, record)
+            self._send_record(index, record)
             streamed += 1
         self._flush_records()
         return streamed
 
-    def _send_record(self, index: Optional[int], record) -> None:
-        """Route one record to its sticky distributor — RECORD when
-        ``index`` is None, RECORD_SEQ otherwise — failing a dead
-        distributor's sources over to the next live one.  The record is
-        packed once; every tier below forwards those bytes."""
+    def _send_record(self, index: int, record) -> None:
+        """Route record ``index`` to its sticky distributor, failing a
+        dead distributor's sources over to the next live one.  The
+        record is packed once; every tier below forwards those bytes."""
         body = pack_record_body(record)
         while self._assigner.entities:
             handle = self._assigner.assign(record.src)
             try:
-                if index is None:
-                    handle.control.write_record(body)
-                else:
-                    handle.control.write_record_seq(index, body)
+                handle.control.write_record(index, body)
                 return
             except OSError:   # distributor died: fail its sources over
                 self._assigner.remove(handle)
@@ -1480,16 +1467,20 @@ class ShardTopology(_Controller):
     no trace bytes ever cross the process boundary, so there is no
     anchor, stream or drain stage.
 
+    Every entry is reported under its record's position in the factory
+    trace, so the store's exactly-once merge takes the shards' RESULTs
+    like any other reports.
+
     Recovery: a shard's replay is deterministic for its slice, so a
     respawned incarnation (``_maybe_respawn``, the tree's path) redoes
     the whole slice and its RESULT simply replaces the one the dead
     incarnation never sent — no partial state to reconcile.
 
     Determinism: the merged :class:`ReplayResult` is the union of the
-    per-shard results merged in shard-id order, and each shard's result
-    depends only on its own slice (sticky-by-source partitioning, one
-    closed world per shard) — so the aggregate is independent of how the
-    OS schedules the workers.  ``tests/test_shard_differential.py``
+    per-shard results, and each shard's result depends only on its own
+    slice (sticky-by-source partitioning, one closed world per shard) —
+    so the aggregate is independent of how the OS schedules the
+    workers.  ``tests/test_shard_differential.py``
     checks this against the single-shard run.
     """
 

@@ -10,7 +10,7 @@ multi-process deployment need:
 
     frame  := u32 length, u8 kind, payload
     kinds  := TIME_SYNC   (f64 trace-start time)
-            | RECORD      (binary trace record body)
+            | RECORD      (u32 global trace index + binary record body)
             | END         (no payload; stream complete)
             | HELLO       (u8 role, u16 worker id, u16 listen port,
                            u16 incarnation)
@@ -18,13 +18,14 @@ multi-process deployment need:
             | METRICS     (JSON MetricsRegistry state)
             | SHUTDOWN    (no payload; stop now, shed queued work)
             | CHECKPOINT  (JSON delta of a result shard, seq-numbered)
-            | RECORD_SEQ  (u32 global trace index + binary record body)
             | TELEMETRY   (JSON streamed metrics/health/span window)
+
+Kind 9 is retired and refused as unknown.
 
 :class:`MessageSocket` wraps a connected TCP socket with framed send /
 receive; :mod:`repro.replay.multiproc` builds the controller →
 distributor → querier tree of worker processes on top of it.  A record
-crosses it as bytes: RECORD and RECORD_SEQ frames are received as their
+crosses it as bytes: a RECORD frame is received as its index and its
 validated record body (:func:`repro.trace.binfmt.record_head`), which a
 distributor forwards and a querier sends without decoding.
 
@@ -54,14 +55,13 @@ MSG_RESULT = 5
 MSG_METRICS = 6
 MSG_SHUTDOWN = 7
 MSG_CHECKPOINT = 8   # delta of a RESULT shard (recovery mode)
-MSG_RECORD_SEQ = 9   # RECORD tagged with its global trace index
 MSG_TELEMETRY = 10   # streamed metrics/health/span window (live observability)
 
 KIND_NAMES = {
     MSG_TIME_SYNC: "TIME_SYNC", MSG_RECORD: "RECORD", MSG_END: "END",
     MSG_HELLO: "HELLO", MSG_RESULT: "RESULT", MSG_METRICS: "METRICS",
     MSG_SHUTDOWN: "SHUTDOWN", MSG_CHECKPOINT: "CHECKPOINT",
-    MSG_RECORD_SEQ: "RECORD_SEQ", MSG_TELEMETRY: "TELEMETRY",
+    MSG_TELEMETRY: "TELEMETRY",
 }
 
 # Worker roles carried in HELLO frames (multi-process topology).
@@ -75,7 +75,7 @@ ROLE_SHARD = 3      # self-sourcing simulation shard (ShardTopology)
 # longer make the receiver buffer arbitrary memory.
 MAX_FRAME = 64 * 1024 * 1024
 
-# Buffered RECORD frames (``write_record*``) go out in one ``sendall``
+# Buffered RECORD frames (``write_record``) go out in one ``sendall``
 # once this many bytes have collected: a few hundred records per system
 # call instead of one.
 BLOCK_BYTES = 32 * 1024
@@ -83,8 +83,8 @@ BLOCK_BYTES = 32 * 1024
 _FRAME_HEADER = struct.Struct("!IB")
 # role, worker id, listen port, incarnation (respawn count)
 _HELLO_V2 = struct.Struct("!BHHH")
-_RECORD_SEQ = struct.Struct("!I")
-_RECORD_SEQ_HEADER = struct.Struct("!IBI")      # frame header + index
+_RECORD_INDEX = struct.Struct("!I")
+_RECORD_HEADER = struct.Struct("!IBI")      # frame header + index
 
 Message = Tuple[int, Union[float, bytes, dict, tuple, None]]
 
@@ -342,9 +342,8 @@ class MessageSocket:
     """Framed messages over one connected TCP socket.
 
     Every ``send_*`` is write-through.  The record stream, the one
-    high-rate direction, also has a buffered writer: ``write_record`` /
-    ``write_record_seq`` append the same frame ``send_record*`` would
-    have written and put a block on the wire per :data:`BLOCK_BYTES`,
+    high-rate direction, is written buffered: ``write_record`` appends
+    a RECORD frame and puts a block on the wire per :data:`BLOCK_BYTES`,
     on :meth:`flush`, or ahead of any ``send_*`` (so frame order is the
     call order).  The peer reads one byte stream either way.  Whoever
     writes buffered flushes before it blocks.
@@ -367,9 +366,6 @@ class MessageSocket:
 
     def send_time_sync(self, trace_start: float) -> None:
         self._send(MSG_TIME_SYNC, struct.pack("!d", trace_start))
-
-    def send_record(self, record: QueryRecord) -> None:
-        self._send(MSG_RECORD, pack_record_body(record))
 
     def send_end(self) -> None:
         self._send(MSG_END, b"")
@@ -394,26 +390,25 @@ class MessageSocket:
                    "seq": seq, "result": result, "final": final}
         self._send(MSG_CHECKPOINT, json.dumps(payload).encode("utf-8"))
 
-    def send_record_seq(self, index: int, record: QueryRecord) -> None:
-        self._send(MSG_RECORD_SEQ,
-                   _RECORD_SEQ.pack(index) + pack_record_body(record))
-
     def send_telemetry(self, report: dict) -> None:
         self._send(MSG_TELEMETRY, json.dumps(report).encode("utf-8"))
 
-    def write_record(self, body: bytes) -> None:
-        """Buffer a RECORD frame carrying a record body (as
-        :func:`pack_record_body` makes it): the frame :meth:`send_record`
-        writes for the record."""
+    def write_record(self, index: int, body: bytes) -> None:
+        """Buffer the RECORD frame of trace record ``index`` whose body
+        :func:`pack_record_body` made."""
         self._append(MSG_RECORD,
-                     _FRAME_HEADER.pack(1 + len(body), MSG_RECORD), body)
-
-    def write_record_seq(self, index: int, body: bytes) -> None:
-        """:meth:`write_record` for a RECORD_SEQ frame."""
-        self._append(MSG_RECORD_SEQ,
-                     _RECORD_SEQ_HEADER.pack(1 + _RECORD_SEQ.size + len(body),
-                                             MSG_RECORD_SEQ, index),
+                     _RECORD_HEADER.pack(1 + _RECORD_INDEX.size + len(body),
+                                         MSG_RECORD, index),
                      body)
+
+    # Write-through forms of the RECORD frame, for callers holding a
+    # QueryRecord.
+    def send_record(self, record: QueryRecord) -> None:
+        self.send_record_seq(0, record)
+
+    def send_record_seq(self, index: int, record: QueryRecord) -> None:
+        self._send(MSG_RECORD,
+                   _RECORD_INDEX.pack(index) + pack_record_body(record))
 
     def flush(self) -> None:
         """Put the buffered record frames on the wire (no-op when none)."""
@@ -544,12 +539,14 @@ class MessageSocket:
         """The one per-kind decode of a whole frame's payload."""
         if kind == MSG_RECORD:
             # Validated, not decoded: the body is forwarded or sent as
-            # it is.
+            # it is.  A payload too short for the index leaves too short
+            # a body.
+            body = payload[_RECORD_INDEX.size:]
             try:
-                record_head(payload)
+                record_head(body)
             except BinaryFormatError as exc:
                 raise ProtocolError(f"bad RECORD payload: {exc}")
-            return (MSG_RECORD, payload)
+            return (MSG_RECORD, (_RECORD_INDEX.unpack_from(payload)[0], body))
         if kind == MSG_TIME_SYNC:
             try:
                 (trace_start,) = struct.unpack("!d", payload)
@@ -568,17 +565,6 @@ class MessageSocket:
                                    ROLE_SHARD),
                      f"bad HELLO role {fields[0]}")
             return (MSG_HELLO, fields)
-        if kind == MSG_RECORD_SEQ:
-            _require(len(payload) > _RECORD_SEQ.size,
-                     f"RECORD_SEQ frame truncated: {len(payload)} byte(s), "
-                     f"need a u32 index plus a record body")
-            (index,) = _RECORD_SEQ.unpack_from(payload)
-            body = payload[_RECORD_SEQ.size:]
-            try:
-                record_head(body)
-            except BinaryFormatError as exc:
-                raise ProtocolError(f"bad RECORD_SEQ payload: {exc}")
-            return (MSG_RECORD_SEQ, (index, body))
         if kind in (MSG_RESULT, MSG_METRICS, MSG_CHECKPOINT,
                     MSG_TELEMETRY):
             try:

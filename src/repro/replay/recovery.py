@@ -17,9 +17,9 @@ from fail-fast into fault-tolerant:
   highest sequence number, so duplicated, reordered and re-reported
   frames can never regress the stored state.
 * :func:`merge_recovered` — exactly-once merge over the store's
-  snapshots: sent entries are deduplicated by *global trace index*
-  with a deterministic, order-independent preference (answered beats
-  unanswered, then earliest ``sent_at``, then lowest ``querier_id``),
+  snapshots, a fold of :meth:`ReplayResult.merge`: sent entries are
+  deduplicated by *global trace index* with a deterministic,
+  order-independent preference (:func:`~repro.replay.result.merge_rank`),
   so conservation holds under crash-and-respawn.
 * :class:`ChaosEngine` — :mod:`repro.netsim.faults` semantics applied
   to the *real* control sockets: seeded per (role, worker, incarnation)
@@ -43,8 +43,8 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, \
     Set, Tuple
 
 from .protocol import MSG_CHECKPOINT, MSG_METRICS, MSG_RECORD, \
-    MSG_RECORD_SEQ, MSG_RESULT, MessageSocket
-from .result import ReplayResult, SentQuery, _COUNTER_FIELDS
+    MSG_RESULT, MessageSocket
+from .result import ReplayResult, merge_rank
 
 # Exit status a chaos-crashed worker dies with; distinguishable from a
 # clean exit (0) and a Python traceback (1) in the respawn logs.
@@ -116,8 +116,8 @@ class ChaosConfig:
     # latest seq wins), so mangling them adds noise without adding
     # coverage.  Include MSG_TELEMETRY explicitly to stress the
     # aggregator's staleness handling.
-    kinds: Tuple[int, ...] = (MSG_RECORD, MSG_RECORD_SEQ, MSG_CHECKPOINT,
-                              MSG_RESULT, MSG_METRICS)
+    kinds: Tuple[int, ...] = (MSG_RECORD, MSG_CHECKPOINT, MSG_RESULT,
+                              MSG_METRICS)
     scope: str = "workers"               # "workers" | "controller" | "both"
     start_after: float = 0.0             # seconds of calm before faults
     duration: Optional[float] = None     # fault window length; None = rest
@@ -232,13 +232,6 @@ def attach_chaos(msocket: MessageSocket, config: Optional[ChaosConfig],
 
 # -- checkpoint store -------------------------------------------------------
 
-def _prefer_key(entry: dict) -> Tuple[int, float, int]:
-    """Deterministic, order-independent duplicate preference over
-    RESULT ``sent`` entries: lower wins."""
-    return (0 if entry.get("answered_at") is not None else 1,
-            entry["sent_at"], entry.get("querier_id", -1))
-
-
 class CheckpointStore:
     """Accumulated result entries per (worker, incarnation).
 
@@ -251,7 +244,7 @@ class CheckpointStore:
 
     * entries upsert by global trace index, an answered copy beating an
       unanswered one (then earliest ``sent_at``, lowest ``querier_id``
-      — :func:`merge_recovered`'s preference);
+      — :func:`~repro.replay.result.merge_rank`, the merge's preference);
     * the header goes to the highest rank ``(final?, seq)``.
 
     Each rule is a join, so ``offer`` is idempotent and commutative:
@@ -291,7 +284,7 @@ class CheckpointStore:
             index = entry["index"]
             current = entries.get(index)
             if current is not None \
-                    and _prefer_key(entry) >= _prefer_key(current):
+                    and merge_rank(entry) >= merge_rank(current):
                 continue
             entries[index] = entry
             advanced = True
@@ -388,42 +381,19 @@ class CheckpointStore:
 
 def merge_recovered(snapshots: Iterable[dict],
                     name: str = "recovered") -> ReplayResult:
-    """Merge result snapshots whose SentQuery indices are *global*.
+    """The exactly-once merge: :meth:`ReplayResult.merge` folded over
+    result snapshots whose SentQuery indices are global trace indices.
 
-    Unlike :meth:`ReplayResult.merge` (which re-indexes per-worker
-    shards end to end), this dedups by the global trace index: the
-    same record sent twice — once by a crashed incarnation, once by
-    its redelivery — collapses to one entry, preferring the answered
-    copy, then the earliest send.  Dropped copies are counted in
+    The same record sent twice — once by a crashed incarnation, once by
+    its redelivery — collapses to one entry, the answered copy first,
+    then the earliest send; dropped copies count in
     ``duplicate_merged``.  Counters sum across snapshots; the store
     hands over one snapshot per incarnation, under that incarnation's
     latest cumulative header, so nothing is double-counted.
     """
     merged = ReplayResult(name)
-    best: Dict[int, dict] = {}
-    duplicates = 0
     for shard in snapshots:
-        counters = shard.get("counters", {})
-        for counter in _COUNTER_FIELDS:
-            setattr(merged, counter,
-                    getattr(merged, counter) + counters.get(counter, 0))
-        for clock in ("start_clock", "trace_start"):
-            theirs = shard.get(clock)
-            if theirs is not None:
-                ours = getattr(merged, clock)
-                setattr(merged, clock,
-                        theirs if ours is None else min(ours, theirs))
-        for entry in shard.get("sent", ()):
-            current = best.get(entry["index"])
-            if current is None:
-                best[entry["index"]] = entry
-                continue
-            duplicates += 1
-            if _prefer_key(entry) < _prefer_key(current):
-                best[entry["index"]] = entry
-    merged.sent = [SentQuery.from_dict(best[index])
-                   for index in sorted(best)]
-    merged.duplicate_merged += duplicates
+        merged.merge(ReplayResult.from_dict(shard))
     return merged
 
 

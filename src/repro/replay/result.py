@@ -12,16 +12,18 @@ Two accounting modes share one class:
   neither the workers nor the controller ever hold per-query state, and
   RESULT frames stay a few KB regardless of shard size.
 
-Aggregate results merge commutatively (counter sums, histogram-bin
-sums, min/max folds), so a streaming controller can merge each worker's
-RESULT frame on arrival instead of buffering all of them.
+Results merge commutatively — list entries upsert by global trace
+index, aggregate accumulators fold by counter sums, histogram-bin sums
+and min/max — so the controller's one merge takes workers' reports in
+any order, and an index reported twice is kept once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, \
+    Tuple
 
 from ..trace.stats import quartile_summary
 
@@ -74,6 +76,17 @@ class SentQuery:
     @classmethod
     def from_dict(cls, data: Dict) -> "SentQuery":
         return cls(**data)
+
+
+def merge_rank(entry: Mapping) -> Tuple[int, float, int]:
+    """Which of two copies of one trace index a merge keeps: the lower
+    rank — answered before unanswered, then the earliest send, then the
+    lowest querier id.  ``entry`` is a RESULT ``sent`` entry or a
+    :class:`SentQuery`'s ``vars``.  A total order on what a copy
+    reports, so the choice does not depend on the order the copies
+    arrive in."""
+    return (0 if entry.get("answered_at") is not None else 1,
+            entry["sent_at"], entry.get("querier_id", -1))
 
 
 # Every integer event counter a ReplayResult carries; merge() sums
@@ -375,26 +388,34 @@ class ReplayResult:
     # -- aggregation (multi-process shard merge) ---------------------------
 
     def merge(self, other: "ReplayResult") -> "ReplayResult":
-        """Fold another result (a per-worker shard) into this one.
+        """Fold another result (a worker's report) into this one.
 
-        Sent entries are re-indexed past this result's current tail so
-        indices stay unique in the aggregate (each worker numbers its
-        shard from zero); every event counter is summed; clocks keep the
-        earliest non-None value so §4.2 offsets stay anchored to the
-        run's true start.  Returns self for chaining.
+        Entries upsert by their global trace index: where both hold an
+        index the copy of lower :func:`merge_rank` stays and the
+        collision counts in ``duplicate_merged``, so ``sent`` lists each
+        index once, in index order.  Aggregate accumulators and event
+        counters are summed; clocks keep the earliest non-None value so
+        §4.2 offsets stay anchored to the run's true start.  The fold
+        commutes, so reports merge to one result in any order.  Returns
+        self for chaining.
         """
         if self.aggregate:
             self._merge_aggregate(other)
-        else:
-            if other.aggregate:
-                raise ValueError(
-                    "cannot merge an aggregate result into a list-mode "
-                    "result (per-query entries were never recorded); "
-                    "merge in the other direction")
-            base = len(self.sent)
+        elif other.aggregate:
+            raise ValueError(
+                "cannot merge an aggregate result into a list-mode "
+                "result (per-query entries were never recorded); "
+                "merge in the other direction")
+        elif other.sent:
+            best = {query.index: query for query in self.sent}
             for query in other.sent:
-                query.index += base
-                self.sent.append(query)
+                current = best.get(query.index)
+                if current is not None:
+                    self.duplicate_merged += 1
+                    if merge_rank(vars(query)) >= merge_rank(vars(current)):
+                        continue
+                best[query.index] = query
+            self.sent = [best[index] for index in sorted(best)]
         for name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         if other.start_clock is not None:

@@ -301,9 +301,9 @@ def frame_seed_corpus() -> List[bytes]:
     return [
         _frame(1, struct.pack("!d", 0.0)),          # valid TIME_SYNC
         _frame(1, b"\x00" * 4),                     # short TIME_SYNC
-        _frame(2, record),                          # valid RECORD
-        _frame(2, record[:7]),                      # truncated RECORD
-        _frame(2, b""),                             # empty RECORD
+        _frame(2, struct.pack("!I", 7) + record),   # valid RECORD
+        _frame(2, struct.pack("!I", 7)),            # RECORD, index only
+        _frame(2, b"\x00"),                         # short RECORD
         _frame(3, b""),                             # END
         _frame(3, b"junk"),                         # END with payload
         _frame(4, struct.pack("!BHH", 1, 3, 0)),    # malformed: 5-byte HELLO
@@ -315,9 +315,10 @@ def frame_seed_corpus() -> List[bytes]:
         _frame(8, b'{"worker": 1, "incarnation": 0, "seq": "x", '
                   b'"result": {"name": "q", "sent": []}}'),  # bad seq type
         _frame(8, b"\xff\xfe"),                     # CHECKPOINT not UTF-8
-        _frame(9, struct.pack("!I", 7) + record),   # valid RECORD_SEQ
-        _frame(9, struct.pack("!I", 7)),            # RECORD_SEQ no record
-        _frame(9, b"\x00"),                         # short RECORD_SEQ
+        # Kind 9 is retired (it was RECORD_SEQ): refused as unknown.
+        _frame(9, struct.pack("!I", 7) + record),
+        _frame(9, struct.pack("!I", 7)),
+        _frame(9, b"\x00"),
         _frame(5, b"{}"),                           # RESULT missing fields
         _frame(5, b'{"sent": [{}]}'),               # bad SentQuery
         _frame(5, b"\xff\xfe"),                     # not UTF-8

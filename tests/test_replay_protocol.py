@@ -1,11 +1,9 @@
 """Tests for the inter-node replay protocol and the live replay tiers."""
 
+import dataclasses
 import json
-import signal
 import socket
 import struct
-import subprocess
-import sys
 import threading
 import time
 
@@ -13,15 +11,17 @@ import pytest
 
 from repro.replay import (DistributedConfig, LiveUdpEchoServer, MAX_FRAME,
                           MSG_CHECKPOINT, MSG_END, MSG_HELLO, MSG_METRICS,
-                          MSG_RECORD, MSG_RECORD_SEQ, MSG_RESULT,
-                          MSG_SHUTDOWN, MSG_TELEMETRY, MSG_TIME_SYNC,
+                          MSG_RECORD, MSG_RESULT, MSG_SHUTDOWN,
+                          MSG_TELEMETRY, MSG_TIME_SYNC,
                           MessageSocket, ProcessTopology, ProtocolError,
-                          ROLE_QUERIER, SendError, connect, connected_pair)
-from repro.replay.distributed import _LiveQuerier
+                          ROLE_QUERIER, SendError, connect, connected_pair,
+                          distributed)
 from repro.trace import burst_trace, fixed_interval_trace, \
     make_query_record
 from repro.trace.binfmt import (BinaryFormatError, pack_record_body,
                                 unpack_record_body)
+
+from live_fakes import FakeClock, drive_querier
 
 _HEADER = struct.Struct("!IB")
 
@@ -42,9 +42,10 @@ class TestMessageSocket:
         sender.send_record(record)
         kind, payload = receiver.receive()
         assert kind == MSG_RECORD
-        # A record crosses as its body; decoding it gives the record.
-        assert payload == pack_record_body(record)
-        assert unpack_record_body(payload) == record
+        # A record crosses as its index and body; decoding the body
+        # gives the record.
+        assert payload == (0, pack_record_body(record))
+        assert unpack_record_body(payload[1]) == record
         sender.close(), receiver.close()
 
     def test_end_terminates_iteration(self):
@@ -69,8 +70,8 @@ class TestMessageSocket:
                    for i in range(50)]
 
         def pump():
-            for record in records:
-                sender.send_record(record)
+            for index, record in enumerate(records):
+                sender.send_record_seq(index, record)
             sender.send_end()
 
         thread = threading.Thread(target=pump)
@@ -78,7 +79,8 @@ class TestMessageSocket:
         received = [payload for kind, payload in receiver.messages()
                     if kind == MSG_RECORD]
         thread.join()
-        assert received == [pack_record_body(r) for r in records]
+        assert received == [(index, pack_record_body(record))
+                            for index, record in enumerate(records)]
         assert receiver.messages_received == 51
         sender.close(), receiver.close()
 
@@ -97,7 +99,7 @@ class _TapeSocket:
 
 
 class TestBufferedRecordWriter:
-    """``write_record*`` puts the frames ``send_record*`` would have
+    """``write_record`` puts the frames ``send_record_seq`` would have
     written on the wire, a block at a time (count-based: no clock)."""
 
     RECORDS = [make_query_record(i * 0.001, f"10.0.{i % 7}.1",
@@ -106,23 +108,18 @@ class TestBufferedRecordWriter:
     BODIES = [pack_record_body(each) for each in RECORDS]
 
     def _stream(self, buffered):
-        """TIME_SYNC, 2 000 alternating RECORD / RECORD_SEQ frames with a
-        second TIME_SYNC in their middle, END, SHUTDOWN."""
+        """TIME_SYNC, 2 000 RECORD frames with a second TIME_SYNC in
+        their middle, END, SHUTDOWN."""
         tape = _TapeSocket()
         link = MessageSocket(tape)
         link.send_time_sync(5.0)
         for index, each in enumerate(self.RECORDS):
             if index == 1001:
                 link.send_time_sync(6.0)
-            if not buffered:
-                if index % 2:
-                    link.send_record_seq(index, each)
-                else:
-                    link.send_record(each)
-            elif index % 2:
-                link.write_record_seq(index, self.BODIES[index])
+            if buffered:
+                link.write_record(index, self.BODIES[index])
             else:
-                link.write_record(self.BODIES[index])
+                link.send_record_seq(index, each)
         link.send_end()
         link.send_shutdown()
         return link, tape
@@ -146,33 +143,33 @@ class TestBufferedRecordWriter:
         link = MessageSocket(tape)
         link.flush()
         assert tape.writes == []            # nothing buffered: no write
-        for each in self.BODIES[:10]:
-            link.write_record(each)
+        for index, each in enumerate(self.BODIES[:10]):
+            link.write_record(index, each)
         assert tape.writes == []
         link.flush()
         link.flush()
         assert len(tape.writes) == 1 and link.blocks_sent == 1
         through = _TapeSocket()
-        for each in self.RECORDS[:10]:
-            MessageSocket(through).send_record(each)
+        for index, each in enumerate(self.RECORDS[:10]):
+            MessageSocket(through).send_record_seq(index, each)
         assert tape.writes[0] == b"".join(through.writes)
 
     def test_buffered_frames_parse_in_order(self):
         sender, receiver = connected_pair()
         sender.send_time_sync(1.0)
         for index, each in enumerate(self.BODIES[:300]):
-            sender.write_record_seq(index, each)
+            sender.write_record(index, each)
         assert not receiver.has_frame()     # nothing read off the wire
         sender.send_end()
         kinds = [kind for kind, _payload in receiver.messages()]
-        assert kinds == [MSG_TIME_SYNC] + [MSG_RECORD_SEQ] * 300 + [MSG_END]
+        assert kinds == [MSG_TIME_SYNC] + [MSG_RECORD] * 300 + [MSG_END]
         assert not receiver.has_frame()
         sender.close(), receiver.close()
 
     def test_has_frame_tracks_whole_frames_only(self):
         sender, receiver = connected_pair()
-        for each in self.BODIES[:3]:
-            sender.write_record(each)
+        for index, each in enumerate(self.BODIES[:3]):
+            sender.write_record(index, each)
         sender.flush()
         assert not receiver.has_frame()     # has_frame never reads
         assert receiver.receive()[0] == MSG_RECORD
@@ -199,7 +196,7 @@ class TestBufferedRecordWriter:
         link.chaos = ChaosEngine(ChaosConfig(seed=3, reorder_rate=1.0),
                                  ROLE_QUERIER, 0)
         for index, each in enumerate(self.BODIES[:6]):
-            link.write_record_seq(index, each)
+            link.write_record(index, each)
             assert len(tape.writes) == (index + 1) // 2
         assert link.chaos.reordered == 3 and link.blocks_sent == 0
         reference = _TapeSocket()
@@ -254,10 +251,7 @@ class TestBlockIntake:
         def write(link):
             link.send_time_sync(5.0)
             for index, body in enumerate(self.BODIES):
-                if index % 3:
-                    link.write_record(body)
-                else:
-                    link.write_record_seq(index, body)
+                link.write_record(index, body)
             link.send_end()
         return _taped(write)
 
@@ -300,10 +294,9 @@ class TestBlockIntake:
     def test_records_arrive_as_their_bodies(self):
         messages = [m for block in self._read(self._stream(), 256)[0]
                     for m in block]
-        assert messages[1] == (MSG_RECORD_SEQ, (0, self.BODIES[0]))
-        assert messages[2] == (MSG_RECORD, self.BODIES[1])
-        assert all(isinstance(payload, bytes) if kind == MSG_RECORD
-                   else isinstance(payload[1], bytes)
+        assert messages[1] == (MSG_RECORD, (0, self.BODIES[0]))
+        assert messages[2] == (MSG_RECORD, (1, self.BODIES[1]))
+        assert all(kind == MSG_RECORD and isinstance(payload[1], bytes)
                    for kind, payload in messages[1:-1])
 
     @pytest.mark.parametrize("how", ["protocol", "wire-length"])
@@ -312,13 +305,15 @@ class TestBlockIntake:
         parent's ProtocolError — after the good frames before it."""
         bad = _corrupt(self.BODIES[3], how)
         data = _taped(lambda link: (
-            [link.write_record(body) for body in self.BODIES[:3]],
-            link.write_record(bad), link.write_record(self.BODIES[4]),
+            [link.write_record(index, body)
+             for index, body in enumerate(self.BODIES[:3])],
+            link.write_record(3, bad), link.write_record(4, self.BODIES[4]),
             link.flush()))
         for limit in (None, 1, 256):
             blocks, error = self._read(data, limit)
             assert [m for block in blocks for m in block] \
-                == [(MSG_RECORD, body) for body in self.BODIES[:3]]
+                == [(MSG_RECORD, (index, body))
+                    for index, body in enumerate(self.BODIES[:3])]
             assert "bad RECORD payload" in error
         with pytest.raises(BinaryFormatError):
             unpack_record_body(bad)
@@ -423,7 +418,7 @@ class TestControlFrames:
         record = make_query_record(3.5, "10.9.8.7", "seq.example.com.")
         sender.send_record_seq(1234, record)
         kind, payload = receiver.receive()
-        assert kind == MSG_RECORD_SEQ
+        assert kind == MSG_RECORD
         index, body = payload
         assert index == 1234
         assert unpack_record_body(body) == record
@@ -663,9 +658,20 @@ class TestSchemaValidation:
             receiver.receive()
         sender.close(), receiver.close()
 
+    def test_retired_kind_9_is_unknown(self):
+        """Kind 9 carried the index before RECORD did; a frame of it,
+        well formed as it once was, is refused like any unknown kind."""
+        body = struct.pack("!I", 7) + pack_record_body(
+            make_query_record(0.25, "10.9.9.9", "seq.example.com."))
+        sender, receiver = connected_pair()
+        sender._socket.sendall(_HEADER.pack(1 + len(body), 9) + body)
+        with pytest.raises(ProtocolError, match="unknown message kind 9"):
+            receiver.receive()
+        sender.close(), receiver.close()
+
 
 class TestControlSchemaValidation:
-    """ISSUE 9 satellite: CHECKPOINT, RECORD_SEQ and TELEMETRY frames get
+    """CHECKPOINT, RECORD and TELEMETRY frames get
     the same boundary treatment as RESULT/METRICS — a worker (or a fault
     injector) can only deliver well-formed control payloads; everything
     else dies as a ProtocolError before it reaches recovery bookkeeping
@@ -736,7 +742,7 @@ class TestControlSchemaValidation:
         record = make_query_record(0.25, "10.9.9.9", "seq.example.com.")
         kind, payload = self.roundtrip(
             lambda s: s.send_record_seq(41, record))
-        assert kind == MSG_RECORD_SEQ
+        assert kind == MSG_RECORD
         index, body = payload
         assert index == 41 and body == pack_record_body(record)
 
@@ -744,18 +750,18 @@ class TestControlSchemaValidation:
                              ids=["empty", "short-index", "index-no-record"])
     def test_truncated_record_seq_rejected(self, body):
         sender, receiver = connected_pair()
-        sender._socket.sendall(_HEADER.pack(1 + len(body), MSG_RECORD_SEQ)
+        sender._socket.sendall(_HEADER.pack(1 + len(body), MSG_RECORD)
                                + body)
-        with pytest.raises(ProtocolError, match="RECORD_SEQ"):
+        with pytest.raises(ProtocolError, match="RECORD"):
             receiver.receive()
         sender.close(), receiver.close()
 
     def test_corrupt_record_seq_body_rejected(self):
         body = struct.pack("!I", 9) + b"not a record"
         sender, receiver = connected_pair()
-        sender._socket.sendall(_HEADER.pack(1 + len(body), MSG_RECORD_SEQ)
+        sender._socket.sendall(_HEADER.pack(1 + len(body), MSG_RECORD)
                                + body)
-        with pytest.raises(ProtocolError, match="RECORD_SEQ"):
+        with pytest.raises(ProtocolError, match="RECORD"):
             receiver.receive()
         sender.close(), receiver.close()
 
@@ -886,132 +892,71 @@ class TestResponseMatching:
             "\\255\\001.com.", "www.example.com."]
 
 
-_SLOW_ECHO = """
-import signal, socket, sys, time
-sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-sock.bind(("127.0.0.1", 0))
-sock.settimeout(0.1)
-stopping = []
-signal.signal(signal.SIGTERM, lambda *_: stopping.append(1))
-print(sock.getsockname()[1], flush=True)
-received = 0
-while not stopping:
-    try:
-        data, peer = sock.recvfrom(65535)
-    except socket.timeout:
-        continue
-    received += 1
-    reply = bytearray(data)
-    reply[2] |= 0x80
-    sock.sendto(reply, peer)
-    if received % 8 == 0:
-        time.sleep(0.0005)
-print(received, flush=True)
-"""
-
-
-class _SlowEchoServer:
-    """A UDP echo that cannot keep up with a querier at line rate: it
-    naps half a millisecond after every 8 answers (≈ 13 k q/s), and its
-    receive buffer is the kernel's default — 256 small datagrams — not
-    the 4 MiB the replay's own servers ask for.  Its own process, so
-    that no interpreter lock couples it to the querier under test."""
-
-    def __enter__(self):
-        self._process = subprocess.Popen(
-            [sys.executable, "-c", _SLOW_ECHO], stdout=subprocess.PIPE,
-            text=True)
-        self.address = ("127.0.0.1", int(self._process.stdout.readline()))
-        return self
-
-    def stop(self):
-        """Stop the server; returns how many datagrams reached it."""
-        self._process.send_signal(signal.SIGTERM)
-        received = int(self._process.stdout.readline())
-        self._process.wait(timeout=10)
-        self._process.stdout.close()
-        return received
-
-    def __exit__(self, *exc):
-        if self._process.poll() is None:
-            self._process.kill()
-            self._process.wait()
-            self._process.stdout.close()
-
-
-def _run_querier(server, records, aggregate=True):
-    """One querier fed ``records`` over a real link, run to its end."""
-    from repro.replay import ReplayResult
-    feed, link = connected_pair()
-    querier = _LiveQuerier(0, link, server,
-                           ReplayResult("querier-0", aggregate=aggregate),
-                           threading.Lock())
-    runner = threading.Thread(target=querier.run, daemon=True)
-    runner.start()
-    feed.send_time_sync(records[0].timestamp)
-    for record in records:
-        feed.write_record(pack_record_body(record))
-    feed.send_end()
-    runner.join(timeout=60.0)
-    assert not runner.is_alive()
-    feed.close()
-    return querier
-
-
 class TestCatchUpWindow:
     """ISSUE 19: a backlog is sent answer-clocked (at most 64 overdue
     sends ahead of the datagrams read back, 2 ms of patience), a
-    schedule is sent open loop.  Every bound is a count the mechanism
-    implies, so a loaded host changes the numbers but not the verdict."""
+    schedule is sent open loop.  The querier runs on a fake clock over
+    fake sockets, so every bound is the exact count the script
+    implies."""
 
-    WINDOW = 64
+    WINDOW = distributed._CATCHUP_WINDOW
+
+    @staticmethod
+    def _script(records, late=1.0):
+        """TIME_SYNC anchoring every record ``late`` seconds behind its
+        schedule, the records, END."""
+        return ([(MSG_TIME_SYNC, records[0].timestamp + late)]
+                + [(MSG_RECORD, (index, pack_record_body(record)))
+                   for index, record in enumerate(records)]
+                + [(MSG_END, None)])
 
     def test_flood_does_not_overrun_a_slow_server(self):
-        """Dumped at line rate, 20 000 queries overrun a default-sized
-        server buffer many times over; nothing but the querier's own
-        slowness used to prevent that.  Now only a window written off
-        after 2 ms without one answer can be lost — on a quiet host
-        there is none, and the server counts N of N."""
+        """20 000 overdue queries at a server that answers each one
+        2**-10 s (inside the 2 ms patience) after it arrives.  Dumped at
+        line rate all of them would be in flight at once; answer-clocked
+        never more than a window is, each window after the first waits
+        once for the one before, none is written off, and every query is
+        answered."""
         records = burst_trace(20000).records
-        with _SlowEchoServer() as server:
-            querier = _run_querier(server.address, records)
-            received = server.stop()
-        assert querier.result.sent_count == len(records)
-        assert querier.catchup_waits > 0
-        assert len(records) - received \
-            <= self.WINDOW * querier.catchup_forgiven
+        querier, wire, _frames = drive_querier(
+            self._script(records), clock=FakeClock(), delay=2.0 ** -10,
+            aggregate=True)
+        assert wire.sent == querier.result.sent_count == len(records)
+        assert wire.peak == self.WINDOW
+        assert querier.catchup_waits == (len(records) - 1) // self.WINDOW
+        assert querier.catchup_forgiven == 0
+        assert querier.result.answered_count == len(records)
         assert querier.result.unmatched_responses == 0
 
     def test_flood_at_a_silent_server_still_finishes(self, monkeypatch):
-        from repro.replay import distributed
         monkeypatch.setattr(distributed, "_AGGREGATE_PENDING_CAP", 512)
         records = burst_trace(2000).records
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
-            silent.bind(("127.0.0.1", 0))
-            querier = _run_querier(silent.getsockname(), records)
-        assert querier.records_sent == querier.result.sent_count == 2000
+        querier, wire, _frames = drive_querier(
+            self._script(records), lag=None, clock=FakeClock(),
+            aggregate=True)
+        assert querier.records_sent == querier.result.sent_count \
+            == wire.sent == 2000
         assert querier.result.answered_count == 0
-        # Every full window was waited for once and then written off.
-        assert querier.catchup_forgiven >= 2000 // self.WINDOW - 2
-        assert querier.catchup_waits == querier.catchup_forgiven
-        # Unanswered sends are remembered up to the cap, oldest dropped.
-        assert 256 <= querier._pending_entries <= 512
+        # Each of the 31 full windows was waited for once and written
+        # off; the last 16 sends are a partial window.
+        assert querier.catchup_waits == querier.catchup_forgiven \
+            == len(records) // self.WINDOW == 31
+        # Unanswered sends are remembered up to the cap, the older half
+        # dropped at each overflow: 513 → 257 at sends 513, 769, …,
+        # 1793, then 207 more.
+        assert querier._pending_entries == 257 + 207
         assert querier._pending_entries == sum(
             len(waiting) for waiting in querier._pending.values())
 
     def test_on_schedule_sends_are_never_held(self):
-        """80 queries 10 ms apart at a server that never answers: more
-        than a window goes unanswered, and no send is held for it.  A
-        hold takes 64 sends in a row each more than a millisecond late;
-        on a quiet host none is, and the count is zero."""
-        records = fixed_interval_trace(0.01, 0.8).records
-        assert len(records) == 80
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
-            silent.bind(("127.0.0.1", 0))
-            querier = _run_querier(silent.getsockname(), records,
-                                   aggregate=False)
-        assert querier.records_sent == 80
-        late = sum(1 for query in querier.result.sent
-                   if query.sent_at - query.scheduled_at > 0.001)
-        assert querier.catchup_waits <= late // self.WINDOW
-        assert querier.catchup_forgiven == querier.catchup_waits
+        """80 queries 2**-7 s apart at a server that never answers: more
+        than a window goes unanswered, and no send is held for it —
+        every one leaves on its instant."""
+        records = [dataclasses.replace(record, timestamp=index * 2.0 ** -7)
+                   for index, record in enumerate(burst_trace(80).records)]
+        querier, wire, _frames = drive_querier(
+            self._script(records, late=0.0), lag=None, clock=FakeClock())
+        assert wire.sent == querier.records_sent == 80
+        assert querier.catchup_waits == querier.catchup_forgiven == 0
+        assert all(query.sent_at == query.scheduled_at
+                   for query in querier.result.sent)

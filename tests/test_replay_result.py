@@ -87,17 +87,27 @@ class TestMergeAndSerialization:
                             200.0 + i, answered_at=200.5 + i))
         return shard
 
-    def test_merge_reindexes_and_sums(self):
-        a = self.make_shard("querier-0", 0, 3)
+    def test_merge_upserts_by_index_and_sums(self):
+        """Reports carry global trace indices: two shards holding the
+        same indices merge to one entry per index — the answered copy,
+        whichever shard held it — and each collision is counted."""
+        a = self.make_shard("querier-0", 0, 3)      # indices 0-2, answered
+        a.sent[1].answered_at = None
         a.udp_timeouts = 2
         a.deadline_shed = 1
-        b = self.make_shard("querier-1", 10, 2)
+        b = ReplayResult("querier-1")
+        b.add(query(1, "10.1.0.11", 1.0, 201.5, answered_at=201.7))
+        b.add(query(2, "10.1.0.12", 2.0, 202.5))
+        b.add(query(5, "10.1.0.15", 5.0, 205.0, answered_at=205.5))
         b.udp_timeouts = 5
         b.reassigned_queries = 3
         merged = a.merge(b)
         assert merged is a
-        assert len(a) == 5
-        assert [q.index for q in a.sent] == [0, 1, 2, 3, 4]
+        assert [q.index for q in a.sent] == [0, 1, 2, 5]
+        assert [q.answered_at is not None for q in a.sent] == [True] * 4
+        assert [q.source for q in a.sent] == [
+            "10.1.0.0", "10.1.0.11", "10.1.0.2", "10.1.0.15"]
+        assert a.duplicate_merged == 2
         assert a.udp_timeouts == 7
         assert a.deadline_shed == 1
         assert a.reassigned_queries == 3

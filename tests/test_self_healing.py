@@ -8,15 +8,12 @@ deterministic crashes and SIGKILLs that must conserve every record.
 """
 
 import collections
-import contextlib
 import dataclasses
-import functools
 import json
 import os
 import signal
 import threading
 import time
-import types
 from unittest import mock
 
 import pytest
@@ -31,18 +28,20 @@ from repro.replay import (ChaosConfig, ChaosEngine, CheckpointPolicy,
 from repro.replay import distributed
 from repro.replay.distributed import _LiveDistributor, _LiveQuerier
 from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
-                                   MSG_RECORD_SEQ, MSG_RESULT,
-                                   MSG_TIME_SYNC, MessageSocket,
-                                   ROLE_QUERIER,
+                                   MSG_RESULT, MSG_TIME_SYNC,
+                                   MessageSocket, ROLE_QUERIER,
                                    validate_checkpoint_payload)
 from repro.replay.result import ReplayResult
 from repro.telemetry import TelemetryConfig
 from repro.trace import (QueryRecord, burst_trace, fixed_interval_trace,
-                         shard_path, split_shards)
+                         shard_path, split_shards, zipf_trace)
 from repro.trace import binfmt
 from repro.trace.binfmt import TraceFormatError, pack_record_body
 from repro.verify.generators import (HAVE_HYPOTHESIS, checkpoint_deliveries,
                                      checkpoint_emission_history)
+
+from live_fakes import (FakeClock, LoopbackSocket, ScriptedInbound,
+                        drive_querier, scripted_select)
 
 
 def _result_dict(worker, indices, answered=True, sent_at=None):
@@ -374,166 +373,11 @@ class TestCheckpointInterleavings:
 
 # -- delta checkpoints at the querier (no process tree, no real sockets) -----
 
-class _FakeClock:
-    """``monotonic``/``sleep`` for ``distributed.time``: time passes only
-    in a sleep, which ends exactly when asked.  Tests keep every instant
-    a multiple of 2**-14 s so the sums are exact in binary."""
-
-    def __init__(self, now=1024.0):
-        self.now = now
-        self.sleeps = 0
-
-    def monotonic(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.sleeps += 1
-        self.now += seconds
-
-
-class _ScriptedInbound:
-    """Stands in for the distributor link: hands out scripted frames.
-    The string ``"quiet"`` is one wait that saw nothing arrive; with a
-    ``clock``, a float is the instant the frames behind it arrive."""
-
-    def __init__(self, script, clock=None):
-        self.script = collections.deque(script)
-        self.clock = clock
-        self.received = 0
-        self.blocks = 0
-
-    def _head(self):
-        """The script's next item, past any arrival instant now due."""
-        while self.script and isinstance(self.script[0], float) \
-                and self.script[0] <= self.clock.now:
-            self.script.popleft()
-        return self.script[0] if self.script else None
-
-    def has_frame(self):
-        return isinstance(self._head(), tuple)
-
-    def receive(self):
-        self.received += 1
-        return self.script.popleft() if self._head() is not None else None
-
-    def receive_block(self, limit):
-        """The frames already in, up to ``limit``; at least one read."""
-        self.blocks += 1
-        block = []
-        while len(block) < limit and (not block or self.has_frame()):
-            message = self.receive()
-            if message is None:
-                break
-            block.append(message)
-        return block
-
-    def messages(self):
-        while (message := self.receive()) is not None:
-            yield message
-            if message[0] == MSG_END:
-                return
-
-    def readable_in(self):
-        """Seconds until a wait on this link returns (None: it won't)."""
-        head = self._head()
-        if head == "quiet":
-            self.script.popleft()
-            return None
-        if isinstance(head, float):
-            return head - self.clock.now
-        return 0.0          # a frame, or the EOF of a spent script
-
-    def close(self):
-        pass
-
-
-class _LoopbackSocket:
-    """Stands in for the UDP socket: echoes every query, readable once
-    ``lag`` further queries have been sent and, with a ``clock``,
-    ``delay`` seconds have passed."""
-
-    def __init__(self, lag, clock=None, delay=0.0):
-        self.lag = lag
-        self.clock = clock
-        self.delay = delay
-        self.sent = 0
-        self.empty_reads = 0
-        self._echoes = collections.deque()
-
-    def _now(self):
-        return self.clock.now if self.clock is not None else 0.0
-
-    def send(self, wire):
-        self.sent += 1
-        reply = bytearray(wire)
-        reply[2] |= 0x80
-        self._echoes.append((self.sent + self.lag, self._now() + self.delay,
-                             bytes(reply)))
-
-    def readable_in(self):
-        if not self._echoes or self._echoes[0][0] > self.sent:
-            return None
-        return max(self._echoes[0][1] - self._now(), 0.0)
-
-    def recv(self, _size):
-        if self.readable_in() != 0.0:
-            self.empty_reads += 1
-            raise BlockingIOError
-        return self._echoes.popleft()[2]
-
-    def close(self):
-        pass
-
-
-def _scripted_select(clock=None, observe=None):
-    """The querier's one blocking call (``select.select``), answered
-    from whichever of the two fakes it watches."""
-    sleep = clock.sleep if clock is not None \
-        else lambda seconds: time.sleep(min(seconds, 0.01))
-
-    def select(watched, _writers, _errors, timeout):
-        if observe is not None:
-            observe(watched)
-        delays = [fake.readable_in() for fake in watched]
-        pause = min([delay for delay in delays if delay is not None]
-                    + [timeout])
-        if pause > 0.0:
-            sleep(pause)
-        return [fake for fake, delay in zip(watched, delays)
-                if delay is not None and delay <= pause], [], []
-
-    return types.SimpleNamespace(select=select)
-
-
 def _seq_frames(trace, indices=None):
     records = sorted(trace.records, key=lambda r: r.timestamp)
     chosen = range(len(records)) if indices is None else indices
-    return [(MSG_RECORD_SEQ, (index, pack_record_body(records[index])))
+    return [(MSG_RECORD, (index, pack_record_body(records[index])))
             for index in chosen]
-
-
-def _drive_querier(script, policy, lag=0, clock=None, delay=0.0,
-                   observe=None):
-    """Run a _LiveQuerier over a script; returns it, its fake UDP
-    socket and the CHECKPOINT ``result`` members it emitted.  With a
-    ``clock`` the querier runs on fake time throughout."""
-    with contextlib.ExitStack() as stack:
-        if clock is not None:
-            stack.enter_context(
-                mock.patch.object(distributed, "time", clock))
-        result = ReplayResult("querier-0")
-        querier = _LiveQuerier(0, _ScriptedInbound(script, clock),
-                               ("127.0.0.1", 9), result, threading.Lock())
-        querier._sock.close()
-        querier._sock = wire = _LoopbackSocket(lag, clock, delay)
-        frames = []
-        querier.checkpoint_policy = policy
-        querier.checkpoint_sink = frames.append
-        stack.enter_context(mock.patch.object(
-            distributed, "select", _scripted_select(
-                clock, observe and functools.partial(observe, querier))))
-        querier.run()
-    return querier, wire, frames
 
 
 class TestDeltaCheckpoints:
@@ -543,7 +387,7 @@ class TestDeltaCheckpoints:
         trace = fixed_interval_trace(interval=0.001, duration=count / 1000,
                                      client_count=16)
         assert len(trace.records) == count
-        querier, wire, frames = _drive_querier(
+        querier, wire, frames = drive_querier(
             _seq_frames(trace) + [(MSG_END, None)], self.COUNT_ONLY, lag)
         assert wire.sent == count
         for frame in frames:
@@ -584,7 +428,7 @@ class TestDeltaCheckpoints:
         # queued and have nothing to re-report.
         script = (_seq_frames(trace) + ["quiet"] + _seq_frames(trace, [3])
                   + [(MSG_END, None)])
-        querier, wire, frames = _drive_querier(
+        querier, wire, frames = drive_querier(
             script, CheckpointPolicy(every_records=1, interval_s=3600.0))
         assert wire.sent == 10              # no second query on the wire
         assert querier.redundant_records == 1
@@ -601,7 +445,7 @@ class TestDeltaCheckpoints:
         script = (_seq_frames(trace) + ["quiet"] * 10
                   + _seq_frames(trace, [2]) + ["quiet"] * 10
                   + [(MSG_END, None)])
-        _querier, wire, frames = _drive_querier(
+        _querier, wire, frames = drive_querier(
             script, CheckpointPolicy(every_records=64, interval_s=0.03))
         assert wire.sent == 6
         assert [entry["index"] for entry in frames[-1]["sent"]] == [2]
@@ -670,14 +514,14 @@ class TestSyscallBudget:
     def _flood_script(self):
         records = burst_trace(self.COUNT).records
         return ([(MSG_TIME_SYNC, 0.0)]
-                + [(MSG_RECORD, pack_record_body(record))
-                   for record in records]
+                + [(MSG_RECORD, (index, pack_record_body(record)))
+                   for index, record in enumerate(records)]
                 + [(MSG_END, None)])
 
     def test_distributor_writes_one_block_per_many_records(self):
         links = [_CountingSocket(), _CountingSocket()]
         distributor = _LiveDistributor(
-            0, _ScriptedInbound(self._flood_script()),
+            0, ScriptedInbound(self._flood_script()),
             [MessageSocket(link) for link in links])
         distributor.run()
         assert distributor.records_routed == self.COUNT
@@ -687,7 +531,7 @@ class TestSyscallBudget:
 
     @pytest.mark.parametrize("lag", [0, 40])
     def test_querier_reads_answers_a_block_at_a_time(self, lag):
-        querier, wire, _frames = _drive_querier(
+        querier, wire, _frames = drive_querier(
             self._flood_script(), TestDeltaCheckpoints.COUNT_ONLY, lag)
         assert wire.sent == self.COUNT
         # (The fake's last ``lag`` echoes never turn readable.)
@@ -722,9 +566,9 @@ class TestSyscallBudget:
         monkeypatch.setattr(QueryRecord, "__post_init__", counting_post_init)
         for module in (binfmt, distributed):
             monkeypatch.setattr(module, "unpack_record_body", counting_unpack)
-        link = _CountingSocket(_FakeClock())
+        link = _CountingSocket(FakeClock())
         distributor = _LiveDistributor(
-            0, _ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
+            0, ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
             [MessageSocket(link)])
         distributor.run_shard_file(shard_path(directory, 0, manifest),
                                    pace_lead=0.0)
@@ -733,8 +577,8 @@ class TestSyscallBudget:
         querier = _LiveQuerier(0, inbound, ("127.0.0.1", 9), result,
                                threading.Lock())
         querier._sock.close()
-        querier._sock = wire = _LoopbackSocket(0)
-        with mock.patch.object(distributed, "select", _scripted_select()):
+        querier._sock = wire = LoopbackSocket(0)
+        with mock.patch.object(distributed, "select", scripted_select()):
             querier.run()
         assert built == {}
         assert distributor.records_routed == wire.sent == self.COUNT
@@ -766,9 +610,9 @@ class TestSyscallBudget:
             ).to_bytes(2, "big")
         with open(path, "wb") as stream:
             stream.write(data)
-        link = _CountingSocket(_FakeClock())
+        link = _CountingSocket(FakeClock())
         distributor = _LiveDistributor(
-            0, _ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
+            0, ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
             [MessageSocket(link)])
         with pytest.raises(TraceFormatError,
                            match="bad protocol index|truncated message wire"):
@@ -784,10 +628,10 @@ class TestSyscallBudget:
         distributor and its one link, every write with its instant."""
         directory = str(tmp_path / "shards")
         manifest = split_shards(iter(records), directory, 1)
-        clock = _FakeClock()
+        clock = FakeClock()
         link = _CountingSocket(clock)
         distributor = _LiveDistributor(
-            0, _ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
+            0, ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
             [MessageSocket(link)])
         with mock.patch.object(distributed, "time", clock):
             distributor.run_shard_file(shard_path(directory, 0, manifest),
@@ -799,11 +643,11 @@ class TestSyscallBudget:
     @staticmethod
     def _reference_frames(records):
         """What a record-at-a-time distributor writes: one frame each."""
-        link = _CountingSocket(_FakeClock())
+        link = _CountingSocket(FakeClock())
         outbound = MessageSocket(link)
         outbound.send_time_sync(0.0)
-        for record in records:
-            outbound.send_record(record)
+        for index, record in enumerate(records):
+            outbound.send_record_seq(index, record)
         outbound.send_end()
         return [data for _instant, data in link.written]
 
@@ -855,18 +699,19 @@ class TestSyscallBudget:
         each send.  The parent woke for the answer as well: 2 to 3
         waits per send."""
         gap, delay, block = 2.0 ** -12, 2.0 ** -14, 64
-        clock = _FakeClock()
+        clock = FakeClock()
         first_due = clock.now + 2.0 ** -5       # the start_delay lead-in
         records = _spaced(self.COUNT, gap)
         script = [(MSG_TIME_SYNC, -(2.0 ** -5))]
-        script += [(MSG_RECORD, pack_record_body(record))
-                   for record in records[:1024]]
+        script += [(MSG_RECORD, (index, pack_record_body(record)))
+                   for index, record in enumerate(records[:1024])]
         blocks = 1024 // distributed._FRAME_BLOCK
         for head in range(1024, self.COUNT, block):
             # Each block lands 2**-5 s ahead of its first record.
             script.append(first_due + head * gap - 2.0 ** -5)
-            script += [(MSG_RECORD, pack_record_body(record))
-                       for record in records[head:head + block]]
+            script += [(MSG_RECORD, (index, pack_record_body(record)))
+                       for index, record in enumerate(
+                           records[head:head + block], head)]
             blocks += 1
         script.append((MSG_END, None))
         seen = collections.Counter()
@@ -887,7 +732,7 @@ class TestSyscallBudget:
             seen["waits"] += 1
             seen["deferred"] += wire not in watched
 
-        querier, wire, _frames = _drive_querier(
+        querier, wire, _frames = drive_querier(
             script, TestDeltaCheckpoints.COUNT_ONLY, clock=clock,
             delay=delay, observe=observe)
         sent = querier.result.sent
@@ -996,15 +841,21 @@ class TestCrashRecoveryEndToEnd:
     def _crash_both_shards_while_reporting(telemetry_config=None):
         chaos = ChaosConfig(seed=3, crash_rate=1.0, kinds=(MSG_RESULT,),
                             crash_incarnations=(0,))
+        factory = {"query_count": 400, "client_count": 16,
+                   "server": "10.0.0.2"}
         topology = ShardTopology(
-            2,
-            trace_factory=("repro.trace.synthetic", "zipf_trace",
-                           {"query_count": 400, "client_count": 16,
-                            "server": "10.0.0.2"}),
+            2, trace_factory=("repro.trace.synthetic", "zipf_trace", factory),
             recovery=RecoveryConfig(chaos=chaos),
             collect_timeout=60.0, telemetry_config=telemetry_config)
         result = topology.replay()
         assert len(result.sent) == 400
+        # Every entry names its record by position in the factory trace.
+        records = zipf_trace(**factory).records
+        assert [(entry.index, entry.source, entry.trace_time, entry.qname)
+                for entry in result.sent] \
+            == [(index, record.src, record.timestamp,
+                 record.question()[0].to_text().lower())
+                for index, record in enumerate(records)]
         assert topology.lost_shards == 0
         assert topology.respawns == 2
         assert result.respawns == 2

@@ -177,35 +177,25 @@ class TestShardFileTopology:
 
 
 class TestAggregateTopologies:
-    def test_aggregate_matches_list_counts(self):
+    def test_trace_and_shard_file_runs_agree(self, tmp_path):
+        """One accounting rule per entry point: ``replay(trace)`` keeps
+        an entry per query, ``replay_shard_files`` folds every query
+        into aggregate counters.  The same trace through both, the
+        second on its one-shard split, sends and answers as many."""
         trace = fixed_interval_trace(0.02, 0.8, client_count=8,
-                                     name="agg-vs-list")
-        results = {}
-        for aggregate in (False, True):
-            with LiveUdpEchoServer() as server:
-                replay = ProcessTopology(
-                    (server.address, server.port),
-                    streaming_config(aggregate_results=aggregate))
-                results[aggregate] = replay.replay(trace)
-        assert len(results[True]) == len(results[False]) == len(trace)
-        assert results[True].aggregate and not results[False].aggregate
-        assert results[True].answered_count \
-            == sum(1 for q in results[False].sent
-                   if q.answered_at is not None)
-        assert not results[True].sent
-
-    def test_process_mode_aggregate_results(self):
-        trace = fixed_interval_trace(0.02, 0.8, client_count=8,
-                                     name="agg-processes")
+                                     name="per-query-vs-aggregate")
+        directory, _ = shard_directory(tmp_path, trace, 1)
         with LiveUdpEchoServer() as server:
-            replay = ProcessTopology(
-                (server.address, server.port),
-                streaming_config(aggregate_results=True))
-            result = replay.replay(trace)
-        assert result.aggregate
-        assert result.sent_count == len(trace)
-        assert result.answered_fraction() > 0.9
-        assert not result.sent
+            address = (server.address, server.port)
+            per_query = ProcessTopology(
+                address, streaming_config()).replay(trace)
+            aggregate = ProcessTopology(
+                address, streaming_config()).replay_shard_files(directory)
+        assert not per_query.aggregate and aggregate.aggregate
+        assert not aggregate.sent
+        assert len(per_query) == len(aggregate) == len(trace)
+        assert aggregate.answered_count \
+            == sum(1 for q in per_query.sent if q.answered_at is not None)
 
 
 class _CapturingEchoServer(LiveUdpEchoServer):
