@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..dns import WireError
+from ..dns import RRClass, WireError
 from ..trace.binfmt import (RECORD_SOURCE, RECORD_TIME_AND_WIRE_LENGTH,
                             WIRE_OFFSET, iter_record_bodies, record_head,
-                            unpack_record_body)
+                            record_source, unpack_record_body)
 from .distributor import StickyAssigner
 from .live import grow_receive_buffer
 from .protocol import (MSG_END, MSG_RECORD, MSG_SHUTDOWN, MSG_TIME_SYNC,
@@ -81,6 +81,42 @@ _CATCHUP_PATIENCE = 0.002
 
 _MESSAGE_ID = struct.Struct("!H")
 
+# A list-mode entry's qname is what ``Name.to_text().lower()`` makes of
+# the record's question.  For a plain name — 2 to 255 octets of labels
+# holding only these octets once lowercased, followed on the wire by its
+# qtype and a known qclass — that is the lowercased wire name match_key
+# already cut, dotted; every other wire is parsed.
+_PLAIN_OCTETS = b"abcdefghijklmnopqrstuvwxyz0123456789_-"
+_CLASSES = frozenset(map(int, RRClass))
+
+
+def _plain_qname(name: bytes, wire: bytes) -> Optional[str]:
+    """The qname text of ``wire`` whose match_key name is ``name``, or
+    None when the question is not plain."""
+    end = 12 + len(name)
+    if not 2 <= len(name) <= 255 or len(wire) < end + 4 \
+            or (wire[end + 2] << 8 | wire[end + 3]) not in _CLASSES:
+        return None
+    labels = []
+    offset, length = 0, name[0]
+    while length:
+        label = name[offset + 1:offset + 1 + length]
+        if label.translate(None, _PLAIN_OCTETS):
+            return None
+        labels.append(label)
+        offset += 1 + length
+        length = name[offset]
+    return b".".join(labels).decode("ascii") + "."
+
+
+def _parsed_qname(body: bytes) -> str:
+    """The qname text of any record body: its question parsed."""
+    try:
+        question = unpack_record_body(body).question()
+    except WireError:
+        question = None
+    return question[0].to_text().lower() if question else "-"
+
 
 @dataclass
 class DistributedConfig:
@@ -116,10 +152,11 @@ class _LiveQuerier:
 
     Records stay bytes: the queue holds record bodies, each with its
     global trace index, and a send puts this querier's message id and
-    the body's wire on the socket; only a list-mode entry, which keeps
-    the source and the query name, decodes its record.  Aggregate
-    accounting is folded once per wake, over the wake's sends and over
-    each drain's answers.
+    the body's wire on the socket.  A list-mode entry takes its source
+    from the packed address and its query name from the match key's
+    wire name; only a question that is not plain (:func:`_plain_qname`)
+    is parsed.  Aggregate accounting is folded once per wake, over the
+    wake's sends and over each drain's answers.
     """
 
     def __init__(self, querier_id: int, inbound: MessageSocket,
@@ -448,16 +485,10 @@ class _LiveQuerier:
             if len(self._answered) > _AGGREGATE_PENDING_CAP:
                 self._answered.clear()
         else:
-            record = unpack_record_body(body)
-            try:
-                question = record.question()
-            except WireError:
-                question = None
             entry = SentQuery(
-                index=index, source=record.src,
-                trace_time=trace_time, scheduled_at=scheduled_at,
-                sent_at=sent_at, protocol="udp",
-                qname=question[0].to_text().lower() if question else "-",
+                index, record_source(body), trace_time, scheduled_at,
+                sent_at, "udp",
+                _plain_qname(key[1], wire) or _parsed_qname(body),
                 querier_id=self.querier_id)
             self._pending.setdefault(key, []).append(entry)
             if self.checkpoint_sink is not None:

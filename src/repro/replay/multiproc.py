@@ -75,9 +75,9 @@ from .distributed import (DistributedConfig, ServerAddress,
                           _LiveDistributor, _LiveQuerier)
 from .distributor import StickyAssigner
 from .protocol import (MSG_CHECKPOINT, MSG_HELLO, MSG_METRICS, MSG_RESULT,
-                       MSG_SHUTDOWN, MSG_TELEMETRY, MessageSocket,
-                       ProtocolError, ROLE_DISTRIBUTOR, ROLE_QUERIER,
-                       ROLE_SHARD, connect)
+                       MSG_SHUTDOWN, MSG_TELEMETRY, FrameTooLarge,
+                       MessageSocket, ProtocolError, ROLE_DISTRIBUTOR,
+                       ROLE_QUERIER, ROLE_SHARD, connect)
 from .recovery import (CheckpointStore, RecoveryConfig, attach_chaos,
                        reconnect_with_backoff)
 from .result import ReplayResult
@@ -109,6 +109,11 @@ def _make_aggregator(telemetry: TelemetryConfig) -> ClusterAggregator:
 # Every role shares one prologue (_ControlLink(): connect, attach chaos,
 # HELLO) and one epilogue (_ControlLink.finish: RESULT + METRICS, wait
 # for SHUTDOWN, close).
+
+# Entries per frame of a final report sent in chunks (one that does not
+# fit a frame): about 120 KB of ``sent`` table at typical names.
+_REPORT_CHUNK = 1024
+
 
 class _ControlLink:
     """A worker's end of its control connection; owns the socket.
@@ -165,6 +170,8 @@ class _ControlLink:
             try:
                 send()
                 return True
+            except FrameTooLarge:
+                raise           # nothing was written: the link is fine
             except (ProtocolError, OSError):
                 if not self._redial():
                     return False
@@ -176,6 +183,18 @@ class _ControlLink:
         seq = self._seq
         self._deliver(lambda: self.control.send_checkpoint(
             self._worker_id, self._incarnation, seq, delta))
+
+    def _report_in_chunks(self, result: ReplayResult) -> None:
+        """A list-mode report too big for one frame: CHECKPOINT frames
+        of ``_REPORT_CHUNK`` entries, then the RESULT with the header
+        and the last chunk.  The store folds them as it folds any
+        deltas under a final header."""
+        sent = result.sent
+        last = (len(sent) - 1) // _REPORT_CHUNK * _REPORT_CHUNK
+        for start in range(0, last, _REPORT_CHUNK):
+            self(result.to_dict(sent[start:start + _REPORT_CHUNK]))
+        self._deliver(lambda: self.control.send_result(
+            result.to_dict(sent[last:])))
 
     def send_telemetry(self, report: dict) -> None:
         # A re-dial may have replaced the socket; resolve the live one
@@ -192,7 +211,10 @@ class _ControlLink:
             streamer.flush(final=True)
         # RESULT and METRICS travel as a pair, in this order.
         metrics = metrics_snapshot()
-        self._deliver(lambda: self.control.send_result(result.to_dict()))
+        try:
+            self._deliver(lambda: self.control.send_result(result.to_dict()))
+        except FrameTooLarge:
+            self._report_in_chunks(result)
         self._deliver(lambda: self.control.send_metrics(metrics))
         self.control.settimeout(10.0)
         try:   # until the controller says SHUTDOWN (or gives up)

@@ -19,8 +19,16 @@ multi-process deployment need:
             | SHUTDOWN    (no payload; stop now, shed queued work)
             | CHECKPOINT  (JSON delta of a result shard, seq-numbered)
             | TELEMETRY   (JSON streamed metrics/health/span window)
+    shard  := {name, start_clock, trace_start, counters,
+               sent: table | aggregate: accumulators}
+    table  := {column: [value, ...], ...}   (one column per SentQuery
+              field, all of one length; an optional column all at its
+              default may be left out)
 
-Kind 9 is retired and refused as unknown.
+Kind 9 is retired and refused as unknown.  A worker's final report too
+big for one frame goes as CHECKPOINT frames of a fixed number of entries
+and then a RESULT carrying the header and the last chunk; no ``send_*``
+writes a frame over :data:`MAX_FRAME` (:class:`FrameTooLarge`).
 
 :class:`MessageSocket` wraps a connected TCP socket with framed send /
 receive; :mod:`repro.replay.multiproc` builds the controller →
@@ -42,6 +50,7 @@ import json
 import socket
 import struct
 import threading
+from itertools import repeat
 from typing import Iterator, List, Optional, Tuple, Union
 
 from ..trace import QueryRecord
@@ -103,6 +112,11 @@ class SendError(ProtocolError, ConnectionError):
     """
 
 
+class FrameTooLarge(SendError):
+    """A payload the peer would refuse (over :data:`MAX_FRAME`): raised
+    before a byte of it is written, so the link stays usable."""
+
+
 # -- control-payload schemas ------------------------------------------------
 #
 # RESULT and METRICS frames carry JSON produced by a *peer process*; a
@@ -115,9 +129,9 @@ class SendError(ProtocolError, ConnectionError):
 _NUMBER = (int, float)
 _OPTIONAL_NUMBER = (int, float, type(None))
 
-# SentQuery.from_dict calls cls(**data): fields without defaults must be
-# present, and any unknown key would raise TypeError inside the worker
-# merge, so both directions are validated.
+# The columns of a RESULT ``sent`` table (repro.replay.result): the
+# required ones must be present; an optional one may be left out; any
+# other name is refused, as ReplayResult.from_dict would not know it.
 _SENT_REQUIRED = {
     "index": int, "source": str, "trace_time": _NUMBER,
     "scheduled_at": _NUMBER, "sent_at": _NUMBER, "protocol": str,
@@ -128,6 +142,7 @@ _SENT_OPTIONAL = {
     "querier_id": int, "retries": int, "timeouts": int,
     "tcp_fallback": bool, "gave_up": bool,
 }
+_SENT_COLUMNS = {**_SENT_REQUIRED, **_SENT_OPTIONAL}
 
 _HISTOGRAM_FIELDS = {
     "growth": _NUMBER, "min_value": _NUMBER, "count": int,
@@ -157,42 +172,68 @@ def _require(condition: bool, what: str) -> None:
 
 def _check_fields(entry: dict, required: dict, optional: dict,
                   label: str) -> None:
-    _require(isinstance(entry, dict), f"{label} must be an object")
-    for name, types in required.items():
-        _require(name in entry, f"{label} missing field {name!r}")
-        _require(isinstance(entry[name], types),
-                 f"{label} field {name!r} has type "
-                 f"{type(entry[name]).__name__}")
+    if not isinstance(entry, dict):
+        raise ProtocolError(f"{label} must be an object")
+    for name in required:
+        if name not in entry:
+            raise ProtocolError(f"{label} missing field {name!r}")
     for name, value in entry.items():
-        if name in required:
-            continue
-        types = optional.get(name)
-        _require(types is not None, f"{label} has unknown field {name!r}")
-        _require(isinstance(value, types),
-                 f"{label} field {name!r} has type {type(value).__name__}")
+        types = required.get(name) or optional.get(name)
+        if types is None:
+            raise ProtocolError(f"{label} has unknown field {name!r}")
+        if not isinstance(value, types):
+            raise ProtocolError(f"{label} field {name!r} has type "
+                                f"{type(value).__name__}")
+
+
+def _check_sent_table(table: dict, label: str) -> None:
+    """The ``sent`` table, column by column: every required column,
+    no unknown one, each a list of values of its field's type, all of
+    one length.  A refusal names the first bad row and its field."""
+    length = None
+    for name, column in table.items():
+        types = _SENT_COLUMNS.get(name)
+        if types is None:
+            raise ProtocolError(f"{label} sent has unknown field {name!r}")
+        if not isinstance(column, list):
+            raise ProtocolError(f"{label} sent field {name!r} must be a "
+                                f"list, not {type(column).__name__}")
+        if length is None:
+            length = len(column)
+        elif len(column) != length:
+            raise ProtocolError(f"{label} sent columns of unequal length: "
+                                f"{name!r} has {len(column)}, not {length}")
+        if not all(map(isinstance, column, repeat(types))):
+            row, value = next((row, value)
+                              for row, value in enumerate(column)
+                              if not isinstance(value, types))
+            raise ProtocolError(f"{label} sent[{row}] field {name!r} has "
+                                f"type {type(value).__name__}")
+    for name in _SENT_REQUIRED:
+        if name not in table:
+            raise ProtocolError(f"{label} sent missing field {name!r}")
 
 
 def validate_result_payload(payload: object) -> dict:
     """Check a RESULT frame's JSON against the ReplayResult shard shape.
 
-    A shard is either list-mode (``sent`` holds per-query entries) or
-    aggregate-mode (``aggregate`` holds O(1) accumulators); exactly one
-    of the two keys must be present.
+    A shard is either list-mode (``sent`` is the per-query table of
+    :mod:`repro.replay.result`) or aggregate-mode (``aggregate`` holds
+    O(1) accumulators); exactly one of the two keys must be present.
     """
     _require(isinstance(payload, dict), "RESULT payload must be an object")
     _require(("sent" in payload) != ("aggregate" in payload),
              "RESULT must carry exactly one of 'sent' or 'aggregate'")
     _check_fields(payload, {},
-                  {"sent": list, "aggregate": dict, "name": str,
+                  {"sent": dict, "aggregate": dict, "name": str,
                    "start_clock": _OPTIONAL_NUMBER,
                    "trace_start": _OPTIONAL_NUMBER, "counters": dict},
                   "RESULT")
     for name, value in payload.get("counters", {}).items():
         _require(isinstance(name, str) and isinstance(value, int),
                  f"RESULT counter {name!r} must map str -> int")
-    for index, entry in enumerate(payload.get("sent", ())):
-        _check_fields(entry, _SENT_REQUIRED, _SENT_OPTIONAL,
-                      f"RESULT sent[{index}]")
+    if "sent" in payload:
+        _check_sent_table(payload["sent"], "RESULT")
     aggregate = payload.get("aggregate")
     if aggregate is not None:
         _check_fields(aggregate, {}, _AGGREGATE_FIELDS, "RESULT aggregate")
@@ -435,6 +476,10 @@ class MessageSocket:
                 self._write_out(kind)
 
     def _send(self, kind: int, payload: bytes) -> None:
+        if len(payload) >= MAX_FRAME:
+            raise FrameTooLarge(
+                f"{KIND_NAMES.get(kind, str(kind))} payload of "
+                f"{len(payload)} bytes exceeds the {MAX_FRAME}-byte frame")
         chaos = self.chaos
         frames = ([(kind, payload)] if chaos is None
                   else chaos.process(kind, payload))

@@ -44,13 +44,16 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, \
 
 from .protocol import MSG_CHECKPOINT, MSG_METRICS, MSG_RECORD, \
     MSG_RESULT, MessageSocket
-from .result import ReplayResult, merge_rank
+from .result import (SENT_FIELDS, ReplayResult, merge_rank, sent_rows,
+                     sent_table)
 
 # Exit status a chaos-crashed worker dies with; distinguishable from a
 # clean exit (0) and a Python traceback (1) in the respawn logs.
 CHAOS_EXIT_STATUS = 17
 
 StoreKey = Tuple[Hashable, int]     # (worker key, incarnation)
+
+_ANSWERED_AT = SENT_FIELDS.index("answered_at")
 
 
 # -- policies ---------------------------------------------------------------
@@ -242,9 +245,10 @@ class CheckpointStore:
     cumulative header (counters, clocks).  The final ``RESULT`` is
     cumulative.  Both fold in by the same two rules:
 
-    * entries upsert by global trace index, an answered copy beating an
-      unanswered one (then earliest ``sent_at``, lowest ``querier_id``
-      — :func:`~repro.replay.result.merge_rank`, the merge's preference);
+    * entries — the rows of the frames' ``sent`` tables — upsert by
+      global trace index, an answered copy beating an unanswered one
+      (then earliest ``sent_at``, lowest ``querier_id`` —
+      :func:`~repro.replay.result.merge_rank`, the merge's preference);
     * the header goes to the highest rank ``(final?, seq)``.
 
     Each rule is a join, so ``offer`` is idempotent and commutative:
@@ -257,7 +261,8 @@ class CheckpointStore:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[StoreKey, Dict[int, dict]] = {}
+        # Rows of the ``sent`` tables offered, by incarnation and index.
+        self._entries: Dict[StoreKey, Dict[int, tuple]] = {}
         self._headers: Dict[StoreKey, Tuple[Tuple[int, int], dict]] = {}
         self._sent: Set[int] = set()        # indices sent by anyone
         self._unanswered: Set[int] = set()  # ... and answered by no one
@@ -279,21 +284,22 @@ class CheckpointStore:
                                          for name, value in result.items()
                                          if name != "sent"})
         entries = self._entries.setdefault(key, {})
-        for entry in result.get("sent", ()):
+        sent, unanswered = self._sent, self._unanswered
+        rows = sent_rows(result["sent"]) if "sent" in result else ()
+        for row in rows:
             self.entries_offered += 1
-            index = entry["index"]
+            index = row[0]                  # the first column
             current = entries.get(index)
-            if current is not None \
-                    and merge_rank(entry) >= merge_rank(current):
+            if current is not None and merge_rank(row) >= merge_rank(current):
                 continue
-            entries[index] = entry
+            entries[index] = row
             advanced = True
-            if index not in self._sent:
-                self._sent.add(index)
-                if entry.get("answered_at") is None:
-                    self._unanswered.add(index)
-            elif entry.get("answered_at") is not None:
-                self._unanswered.discard(index)
+            if index not in sent:
+                sent.add(index)
+                if row[_ANSWERED_AT] is None:
+                    unanswered.add(index)
+            elif row[_ANSWERED_AT] is not None:
+                unanswered.discard(index)
         if not advanced:
             self.frames_stale += 1
         return advanced
@@ -310,14 +316,15 @@ class CheckpointStore:
 
     def snapshots(self) -> List[dict]:
         """One RESULT-shaped dict per incarnation, in a deterministic
-        order: its best header over its accumulated entries."""
+        order: its best header over the ``sent`` table of its
+        accumulated entries, in index order."""
         out = []
         for key in self.keys():
             snapshot = dict(self._headers[key][1])
             if "aggregate" not in snapshot:
                 entries = self._entries[key]
-                snapshot["sent"] = [entries[index]
-                                    for index in sorted(entries)]
+                snapshot["sent"] = sent_table(entries[index]
+                                              for index in sorted(entries))
             out.append(snapshot)
         return out
 
@@ -372,8 +379,8 @@ class CheckpointStore:
         explorer's notion of "same store")."""
         return tuple(
             (repr(key), self._headers[key][0],
-             tuple((index, entry.get("answered_at") is not None)
-                   for index, entry in sorted(self._entries[key].items())))
+             tuple((index, row[_ANSWERED_AT] is not None)
+                   for index, row in sorted(self._entries[key].items())))
             for key in self.keys())
 
 

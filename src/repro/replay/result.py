@@ -16,14 +16,27 @@ Results merge commutatively — list entries upsert by global trace
 index, aggregate accumulators fold by counter sums, histogram-bin sums
 and min/max — so the controller's one merge takes workers' reports in
 any order, and an index reported twice is kept once.
+
+On the wire (:meth:`ReplayResult.to_dict`, the RESULT and CHECKPOINT
+frames) a list-mode result's entries are the ``sent`` **table**: one
+JSON list per :class:`SentQuery` field, all of one length, row ``i`` of
+every column being entry ``i``.  The required columns (index, source,
+trace_time, scheduled_at, sent_at, protocol, qname) are always there;
+an optional column is left out exactly when every value in it is the
+field's default.  A table costs a fraction of the per-entry objects it
+replaces to encode, to check (one type test per column, not per field
+of every entry; :func:`repro.replay.protocol.validate_result_payload`)
+and to decode (one ``zip``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, \
-    Tuple
+from dataclasses import MISSING, dataclass, fields
+from itertools import repeat, starmap
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
+    Sequence, Tuple
 
 from ..trace.stats import quartile_summary
 
@@ -54,39 +67,45 @@ class SentQuery:
             return None
         return self.answered_at - self.sent_at
 
-    def to_dict(self) -> Dict:
-        """A JSON-safe mapping (the inter-process RESULT frame).
 
-        Built field by field, in declaration order: every field is a
-        scalar, and ``dataclasses.asdict`` would deep-copy its way
-        through each one on the final-RESULT path of both planes.
-        """
-        return {
-            "index": self.index, "source": self.source,
-            "trace_time": self.trace_time,
-            "scheduled_at": self.scheduled_at, "sent_at": self.sent_at,
-            "protocol": self.protocol, "qname": self.qname,
-            "answered_at": self.answered_at,
-            "fresh_connection": self.fresh_connection,
-            "querier_id": self.querier_id, "retries": self.retries,
-            "timeouts": self.timeouts, "tcp_fallback": self.tcp_fallback,
-            "gave_up": self.gave_up,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "SentQuery":
-        return cls(**data)
+# The ``sent`` table: one column per SentQuery field, in declaration
+# order.  A row is the field values of one entry, in the same order.
+SENT_FIELDS = tuple(field.name for field in fields(SentQuery))
+# An optional column is left out when every value in it is this default.
+SENT_DEFAULTS = {field.name: field.default for field in fields(SentQuery)
+                 if field.default is not MISSING}
+sent_row = attrgetter(*SENT_FIELDS)     # SentQuery -> row
+_ANSWERED_AT, _SENT_AT, _QUERIER_ID = (
+    SENT_FIELDS.index(name)
+    for name in ("answered_at", "sent_at", "querier_id"))
 
 
-def merge_rank(entry: Mapping) -> Tuple[int, float, int]:
+def sent_table(rows: Iterable[tuple]) -> Dict[str, list]:
+    """The ``sent`` table of ``rows``: every required column, and each
+    optional column holding a value other than its default."""
+    columns = list(zip(*rows)) or [()] * len(SENT_FIELDS)
+    return {name: list(column)
+            for name, column in zip(SENT_FIELDS, columns)
+            if name not in SENT_DEFAULTS
+            or column.count(SENT_DEFAULTS[name]) != len(column)}
+
+
+def sent_rows(table: Mapping[str, list]) -> Iterator[tuple]:
+    """The rows of a (validated) ``sent`` table, in table order; an
+    absent optional column reads as its default."""
+    return zip(*(table[name] if name in table
+                 else repeat(SENT_DEFAULTS[name])
+                 for name in SENT_FIELDS))
+
+
+def merge_rank(row: tuple) -> Tuple[int, float, int]:
     """Which of two copies of one trace index a merge keeps: the lower
     rank — answered before unanswered, then the earliest send, then the
-    lowest querier id.  ``entry`` is a RESULT ``sent`` entry or a
-    :class:`SentQuery`'s ``vars``.  A total order on what a copy
-    reports, so the choice does not depend on the order the copies
-    arrive in."""
-    return (0 if entry.get("answered_at") is not None else 1,
-            entry["sent_at"], entry.get("querier_id", -1))
+    lowest querier id.  ``row`` is a ``sent`` table row.  A total order
+    on what a copy reports, so the choice does not depend on the order
+    the copies arrive in."""
+    return (0 if row[_ANSWERED_AT] is not None else 1, row[_SENT_AT],
+            row[_QUERIER_ID])
 
 
 # Every integer event counter a ReplayResult carries; merge() sums
@@ -412,7 +431,8 @@ class ReplayResult:
                 current = best.get(query.index)
                 if current is not None:
                     self.duplicate_merged += 1
-                    if merge_rank(vars(query)) >= merge_rank(vars(current)):
+                    if merge_rank(sent_row(query)) \
+                            >= merge_rank(sent_row(current)):
                         continue
                 best[query.index] = query
             self.sent = [best[index] for index in sorted(best)]
@@ -469,9 +489,10 @@ class ReplayResult:
 
         An aggregate result serializes its accumulators — a few KB no
         matter how many queries it covers — where a list-mode result's
-        frame grows with every sent entry.  ``entries`` restricts a
-        list-mode frame to those entries under the same cumulative
-        header (counters, clocks): the shape of a delta CHECKPOINT.
+        ``sent`` table grows with every sent entry.  ``entries``
+        restricts a list-mode frame to those entries under the same
+        cumulative header (counters, clocks): the shape of a delta
+        CHECKPOINT, and of each chunk of a report too big for one frame.
         """
         data = {
             "name": self.name,
@@ -502,8 +523,8 @@ class ReplayResult:
                                  in self.rate_buckets.items()},
             }
         else:
-            data["sent"] = [query.to_dict() for query in
-                            (self.sent if entries is None else entries)]
+            data["sent"] = sent_table(map(
+                sent_row, self.sent if entries is None else entries))
         return data
 
     @classmethod
@@ -530,8 +551,8 @@ class ReplayResult:
                 aggregate.get("protocol_counts", {}))
             result.rate_buckets = {int(bucket): count for bucket, count in
                                    aggregate.get("rate_buckets", {}).items()}
-        for entry in data.get("sent", ()):
-            result.sent.append(SentQuery.from_dict(entry))
+        if "sent" in data:
+            result.sent = list(starmap(SentQuery, sent_rows(data["sent"])))
         return result
 
     def reuse_fraction(self) -> float:

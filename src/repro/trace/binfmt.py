@@ -161,6 +161,11 @@ def record_head(body: bytes) -> Tuple[float, int]:
     return timestamp, src
 
 
+def record_source(body: bytes) -> str:
+    """The source address of an accepted body, as (interned) text."""
+    return _unpack_addr(RECORD_SOURCE.unpack_from(body)[0])
+
+
 def unpack_record_body(body: bytes) -> QueryRecord:
     """Inverse of :func:`pack_record_body`."""
     timestamp, src = record_head(body)

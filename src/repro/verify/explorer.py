@@ -578,20 +578,22 @@ class RecoveryScenarioModel:
 
     def _frame(self, worker: int, indices: List[int],
                final: bool = False) -> dict:
+        from ..replay.result import SentQuery, sent_row, sent_table
+
         self.seq[worker] += 1
-        sent = [{"index": index, "source": f"c{self._owner(index)}",
-                 "trace_time": float(index), "scheduled_at": float(index),
-                 "sent_at": float(index), "protocol": "udp",
-                 "qname": "q.example.com.",
-                 "answered_at": (float(index) + 1
-                                 if index in self.answered[worker]
-                                 else None),
-                 "querier_id": worker}
+        sent = [SentQuery(index, f"c{self._owner(index)}", float(index),
+                          float(index), float(index), "udp",
+                          "q.example.com.",
+                          answered_at=(float(index) + 1
+                                       if index in self.answered[worker]
+                                       else None),
+                          querier_id=worker)
                 for index in indices]
         return {"worker": worker,
                 "incarnation": self.incarnation[worker],
                 "seq": self.seq[worker], "final": final,
-                "result": {"name": f"querier-{worker}", "sent": sent}}
+                "result": {"name": f"querier-{worker}",
+                           "sent": sent_table(map(sent_row, sent))}}
 
     def _covered(self) -> bool:
         return self.store.covers(self.total)
@@ -749,9 +751,7 @@ class RecoveryScenarioModel:
     def fingerprint(self):
         frames = tuple(sorted(
             (worker, payload["incarnation"], payload["seq"],
-             payload["final"],
-             tuple((q["index"], q["answered_at"] is not None)
-                   for q in payload["result"]["sent"]))
+             payload["final"], _fates(payload["result"]["sent"]))
             for worker, payload in self.pending))
         return (self.routed, self.crashes, self.dups, self.drops,
                 self.redeliver_budget, tuple(self.incarnation),
@@ -762,6 +762,13 @@ class RecoveryScenarioModel:
                 tuple(self.finalized), frames,
                 tuple(sorted(self._answered_seen)),
                 self.store.fingerprint())
+
+
+def _fates(table: dict) -> tuple:
+    """(index, answered?) of each row of a ``sent`` table."""
+    answered = table.get("answered_at") or [None] * len(table["index"])
+    return tuple(zip(table["index"],
+                     (at is not None for at in answered)))
 
 
 # -- canned sweeps ----------------------------------------------------------

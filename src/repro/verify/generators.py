@@ -290,14 +290,19 @@ def _frame(kind: int, payload: bytes) -> bytes:
 def frame_seed_corpus() -> List[bytes]:
     record = struct.pack("!dIHIHBBH", 1.5, 0x0A000001, 1234, 0x0A000002,
                          53, 0, 0, 4) + b"\x00" * 4
+    # A two-row ``sent`` table, and three ways for one to be wrong.
+    table = (b'{"index": [7, 8], "source": ["10.0.0.1", "10.0.0.2"], '
+             b'"trace_time": [1.5, 1.5], "scheduled_at": [2.0, 2.0], '
+             b'"sent_at": [2.0, 2.1], "protocol": ["udp", "udp"], '
+             b'"qname": ["q.example.com.", "r.example.com."], '
+             b'"answered_at": [null, 2.2], "querier_id": [1, 1]}')
+    unequal = table.replace(b'[2.0, 2.1]', b'[2.0]')
+    bad_row_1 = table.replace(b'"r.example.com."', b'9')
+    unknown = table.replace(b'"querier_id"', b'"querier"')
     # A delta frame: cumulative header, only the entries with news.
     checkpoint = (b'{"worker": 1, "incarnation": 0, "seq": 2, '
                   b'"result": {"name": "q", "counters": {"retries": 0}, '
-                  b'"sent": [{"index": 7, "source": "10.0.0.1", '
-                  b'"trace_time": 1.5, "scheduled_at": 2.0, '
-                  b'"sent_at": 2.0, "protocol": "udp", '
-                  b'"qname": "q.example.com.", "answered_at": null, '
-                  b'"querier_id": 1}]}}')
+                  b'"sent": ' + table + b'}}')
     return [
         _frame(1, struct.pack("!d", 0.0)),          # valid TIME_SYNC
         _frame(1, b"\x00" * 4),                     # short TIME_SYNC
@@ -313,14 +318,19 @@ def frame_seed_corpus() -> List[bytes]:
         _frame(8, checkpoint),                      # valid CHECKPOINT
         _frame(8, b'{"worker": 1}'),                # CHECKPOINT no seq
         _frame(8, b'{"worker": 1, "incarnation": 0, "seq": "x", '
-                  b'"result": {"name": "q", "sent": []}}'),  # bad seq type
+                  b'"result": {"name": "q", "sent": ' + table
+               + b'}}'),                            # bad seq type
         _frame(8, b"\xff\xfe"),                     # CHECKPOINT not UTF-8
         # Kind 9 is retired (it was RECORD_SEQ): refused as unknown.
         _frame(9, struct.pack("!I", 7) + record),
         _frame(9, struct.pack("!I", 7)),
         _frame(9, b"\x00"),
         _frame(5, b"{}"),                           # RESULT missing fields
-        _frame(5, b'{"sent": [{}]}'),               # bad SentQuery
+        _frame(5, b'{"name": "q", "sent": ' + table + b'}'),  # valid
+        _frame(5, b'{"sent": ' + unequal + b'}'),   # unequal columns
+        _frame(5, b'{"sent": ' + bad_row_1 + b'}'),  # qname int, row 1
+        _frame(5, b'{"sent": ' + unknown + b'}'),   # unknown column
+        _frame(5, b'{"sent": [{}]}'),               # the retired rows
         _frame(5, b"\xff\xfe"),                     # not UTF-8
         _frame(6, b'{"counts": {"a": "NaN"}}'),     # bad METRICS types
         _frame(7, b""),                             # SHUTDOWN
@@ -411,13 +421,16 @@ def tcp_schedules(seed: int,
 
 # -- checkpoint emission histories ------------------------------------------
 
-def _sent_entry(index: int, worker: int, answered: bool) -> dict:
-    return {"index": index, "source": f"c{index % 4}",
-            "trace_time": float(index), "scheduled_at": float(index),
-            "sent_at": float(index), "protocol": "udp",
-            "qname": "q.example.com.",
-            "answered_at": float(index) + 0.5 if answered else None,
-            "querier_id": worker}
+def _sent_table(worker: int, indices: List[int], answered: set) -> dict:
+    from ..replay.result import SentQuery, sent_row, sent_table
+
+    return sent_table(map(sent_row, (
+        SentQuery(index, f"c{index % 4}", float(index), float(index),
+                  float(index), "udp", "q.example.com.",
+                  answered_at=(float(index) + 0.5
+                               if index in answered else None),
+                  querier_id=worker)
+        for index in indices)))
 
 
 def checkpoint_emission_history(rng: random.Random, workers: int = 2,
@@ -451,9 +464,8 @@ def checkpoint_emission_history(rng: random.Random, workers: int = 2,
                                # Stands for the cumulative header: it
                                # differs from frame to frame.
                                "counters": {"retries": len(executed)},
-                               "sent": [_sent_entry(index, worker,
-                                                    index in answered)
-                                        for index in indices]}}
+                               "sent": _sent_table(worker, indices,
+                                                   answered)}}
 
         for index in range(total):
             if assignment[index] != worker:

@@ -10,10 +10,12 @@ import pytest
 from repro.replay import (DistributedConfig, LiveUdpEchoServer,
                           ProcessTopology, ReplayWatchdog, SupervisionConfig,
                           UdpEchoServerProcess)
+from repro.replay import protocol
 from repro.replay.multiproc import _WorkerHandle
 from repro.replay.protocol import ROLE_DISTRIBUTOR, ROLE_QUERIER
 from repro.replay.result import ReplayResult
-from repro.trace import Trace, fixed_interval_trace, table1_synthetic
+from repro.trace import (Trace, burst_trace, fixed_interval_trace,
+                         table1_synthetic)
 
 
 def process_config(**overrides):
@@ -56,6 +58,25 @@ class TestProcessTopology:
             result = replay.replay(trace)
         indices = sorted(q.index for q in result.sent)
         assert indices == list(range(len(result.sent)))
+
+    def test_report_bigger_than_a_frame_arrives_in_chunks(self,
+                                                           monkeypatch):
+        """A querier's list-mode report that does not fit one frame
+        goes as CHECKPOINT chunks and a RESULT with the last one, and
+        every index merges.  ``MAX_FRAME`` is cut to 160 KiB for both
+        ends (forked workers inherit it): about 2 000 entries a querier
+        no longer fit, a chunk does."""
+        monkeypatch.setattr(protocol, "MAX_FRAME", 160 * 1024)
+        trace = burst_trace(4000)
+        with LiveUdpEchoServer() as server:
+            topology = ProcessTopology(
+                (server.address, server.port),
+                process_config(distributors=1, start_method="fork"))
+            result = topology.replay(trace)
+        assert [q.index for q in result.sent] == list(range(4000))
+        assert topology.metrics.count("multiproc.lost_shards") == 0
+        # Two RESULTs and at least one chunk ahead of each.
+        assert topology._store.frames_offered >= 4
 
     def test_cross_process_metrics_merge(self):
         trace = fixed_interval_trace(0.02, 1.0, client_count=8,

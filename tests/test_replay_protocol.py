@@ -14,8 +14,8 @@ from repro.replay import (DistributedConfig, LiveUdpEchoServer, MAX_FRAME,
                           MSG_RECORD, MSG_RESULT, MSG_SHUTDOWN,
                           MSG_TELEMETRY, MSG_TIME_SYNC,
                           MessageSocket, ProcessTopology, ProtocolError,
-                          ROLE_QUERIER, SendError, connect, connected_pair,
-                          distributed)
+                          ROLE_QUERIER, ReplayResult, SendError, connect,
+                          connected_pair, distributed)
 from repro.trace import burst_trace, fixed_interval_trace, \
     make_query_record
 from repro.trace.binfmt import (BinaryFormatError, pack_record_body,
@@ -402,7 +402,7 @@ class TestControlFrames:
 
     def test_checkpoint_roundtrip(self):
         sender, receiver = connected_pair()
-        snapshot = {"name": "querier-2", "sent": []}
+        snapshot = ReplayResult("querier-2").to_dict()
         sender.send_checkpoint(2, 1, 5, snapshot, final=True)
         kind, payload = receiver.receive()
         assert kind == MSG_CHECKPOINT
@@ -560,11 +560,14 @@ class TestSchemaValidation:
 
     def good_result(self):
         return {"name": "querier-1",
-                "sent": [{"index": 0, "source": "10.0.0.1",
-                          "trace_time": 0.0, "scheduled_at": 1.0,
-                          "sent_at": 1.001, "protocol": "udp",
-                          "qname": "a.example.com.",
-                          "answered_at": 1.02, "querier_id": 1}],
+                "sent": {"index": [0, 1], "source": ["10.0.0.1"] * 2,
+                         "trace_time": [0.0, 0.5],
+                         "scheduled_at": [1.0, 1.5],
+                         "sent_at": [1.001, 1.501],
+                         "protocol": ["udp", "udp"],
+                         "qname": ["a.example.com.", "b.example.com."],
+                         "answered_at": [1.02, None],
+                         "querier_id": [1, 1]},
                 "counters": {"deadline_shed": 4}}
 
     def good_metrics(self):
@@ -593,17 +596,23 @@ class TestSchemaValidation:
 
     @pytest.mark.parametrize("mangle,match", [
         (lambda p: p.pop("sent"), "exactly one of 'sent' or 'aggregate'"),
-        (lambda p: p.update(sent={}), "field 'sent' has type dict"),
+        (lambda p: p.update(sent=[]), "field 'sent' has type list"),
         (lambda p: p.update(extra=1), "unknown field 'extra'"),
-        (lambda p: p["sent"][0].pop("qname"), r"sent\[0\] missing"),
-        (lambda p: p["sent"][0].update(qname=7), "field 'qname'"),
-        (lambda p: p["sent"][0].update(surprise=1), "unknown field"),
-        (lambda p: p["sent"][0].update(answered_at="soon"),
-         "field 'answered_at'"),
+        (lambda p: p["sent"].pop("qname"), "sent missing field 'qname'"),
+        (lambda p: p["sent"]["qname"].__setitem__(1, 7),
+         r"sent\[1\] field 'qname' has type int"),
+        (lambda p: p["sent"].update(surprise=[1, 2]),
+         "unknown field 'surprise'"),
+        (lambda p: p["sent"]["answered_at"].__setitem__(0, "soon"),
+         r"sent\[0\] field 'answered_at' has type str"),
         (lambda p: p["counters"].update(bad="x"), "counter 'bad'"),
-    ], ids=["no-sent", "sent-not-list", "unknown-top", "missing-qname",
+        (lambda p: p["sent"].update(qname="a.example.com."),
+         "field 'qname' must be a list"),
+        (lambda p: p["sent"]["sent_at"].append(2.0),
+         "columns of unequal length"),
+    ], ids=["no-sent", "sent-not-table", "unknown-top", "missing-qname",
             "qname-int", "unknown-sent-field", "answered-str",
-            "counter-str"])
+            "counter-str", "column-not-list", "unequal-columns"])
     def test_bad_result_rejected(self, mangle, match):
         payload = self.good_result()
         mangle(payload)
@@ -679,7 +688,8 @@ class TestControlSchemaValidation:
 
     def good_checkpoint(self):
         return {"worker": 3, "incarnation": 1, "seq": 7,
-                "result": {"name": "querier-3", "sent": [],
+                "result": {"name": "querier-3",
+                           "sent": ReplayResult().to_dict()["sent"],
                            "counters": {}},
                 "final": False}
 

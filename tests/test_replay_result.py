@@ -168,28 +168,41 @@ class TestMergeAndSerialization:
         assert restored.trace_start == 0.25
         assert restored.watchdog_stalls == 1
         assert len(restored) == 2
-        assert restored.sent[0].to_dict() == shard.sent[0].to_dict()
+        assert restored.sent == shard.sent
         assert restored.sent[1].gave_up is True
         assert restored.sent[1].latency is None
 
     def test_sent_query_roundtrip(self):
-        from repro.replay import SentQuery
         original = query(4, "10.0.0.9", 1.5, 101.5, answered_at=101.6,
                          protocol="tls", fresh=True)
-        restored = SentQuery.from_dict(original.to_dict())
-        assert restored == original
+        shard = ReplayResult("querier-4")
+        shard.add(original)
+        assert ReplayResult.from_dict(shard.to_dict()).sent == [original]
 
     def test_sent_query_wire_shape_is_the_dataclass_field_order(self):
-        """to_dict is written out by hand; the RESULT frame it feeds
-        must stay byte-identical to the dataclass's own field order."""
+        """The ``sent`` table is one column per dataclass field, in the
+        field order, row i of each column being entry i; an optional
+        column all at its default is left out."""
         import dataclasses
         import json
-        for original in (query(4, "10.0.0.9", 1.5, 101.5),
-                         query(7, "10.0.0.1", 2.5, 102.5, answered_at=102.6,
-                               protocol="tcp", fresh=True)):
-            original.retries, original.gave_up = 2, True
-            assert json.dumps(original.to_dict()) \
-                == json.dumps(dataclasses.asdict(original))
+        names = [field.name for field in dataclasses.fields(SentQuery)]
+        plain = query(4, "10.0.0.9", 1.5, 101.5)
+        full = query(7, "10.0.0.1", 2.5, 102.5, answered_at=102.6,
+                     protocol="tcp", fresh=True)
+        full.querier_id, full.timeouts, full.tcp_fallback = 3, 1, True
+        full.retries, full.gave_up = 2, True
+        shard = ReplayResult()
+        shard.add(plain)
+        shard.add(full)
+        table = shard.to_dict()["sent"]
+        assert json.dumps(table) == json.dumps(
+            {name: [getattr(plain, name), getattr(full, name)]
+             for name in names})
+        alone = ReplayResult()
+        alone.add(plain)
+        assert list(alone.to_dict()["sent"]) == names[:7]
+        assert json.dumps(alone.to_dict()["sent"]) == json.dumps(
+            {name: [getattr(plain, name)] for name in names[:7]})
 
 
 class TestAggregateMode:
@@ -269,6 +282,44 @@ class TestAggregateMode:
         assert result.sent_count == 2
         assert result.answered_count == 1
         assert result.protocol_counts == {"udp": 2}
+
+
+_ENTRIES = st.lists(st.builds(
+    SentQuery,
+    index=st.integers(min_value=0, max_value=1 << 31),
+    source=st.text(max_size=16),
+    trace_time=st.floats(allow_nan=False, allow_infinity=False),
+    scheduled_at=st.floats(allow_nan=False, allow_infinity=False),
+    sent_at=st.floats(allow_nan=False, allow_infinity=False),
+    protocol=st.sampled_from(("udp", "tcp", "tls")),
+    qname=st.text(max_size=40),
+    answered_at=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    fresh_connection=st.booleans(),
+    querier_id=st.integers(min_value=-1, max_value=64),
+    retries=st.integers(min_value=0, max_value=9),
+    timeouts=st.integers(min_value=0, max_value=9),
+    tcp_fallback=st.booleans(), gave_up=st.booleans()), max_size=24)
+
+
+@given(entries=_ENTRIES, picks=st.lists(st.integers(min_value=0,
+                                                    max_value=23)))
+def test_sent_table_roundtrip(entries, picks):
+    """to_dict -> JSON -> from_dict gives back every entry field by
+    field (``repr`` tells True from 1 and -0.0 from 0.0), whole and in
+    the delta form ``to_dict(entries)`` of a CHECKPOINT; both pass the
+    protocol's table check."""
+    import json
+    from repro.replay.protocol import validate_result_payload
+    shard = ReplayResult("querier-0")
+    for entry in entries:
+        shard.add(entry)
+    delta = [entries[pick] for pick in picks if pick < len(entries)]
+    for subset, payload in ((entries, shard.to_dict()),
+                            (delta, shard.to_dict(delta))):
+        payload = validate_result_payload(json.loads(json.dumps(payload)))
+        restored = ReplayResult.from_dict(payload).sent
+        assert [repr(query) for query in restored] \
+            == [repr(query) for query in subset]
 
 
 def _reference_send(result, trace_time, sent_at):

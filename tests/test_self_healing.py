@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import signal
+import struct
 import threading
 import time
 from unittest import mock
@@ -31,28 +32,37 @@ from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
                                    MSG_RESULT, MSG_TIME_SYNC,
                                    MessageSocket, ROLE_QUERIER,
                                    validate_checkpoint_payload)
-from repro.replay.result import ReplayResult
+from repro.replay.querier import match_key
+from repro.replay.result import (SENT_FIELDS, ReplayResult, SentQuery,
+                                 sent_rows)
+from repro.dns import Name, WireError
 from repro.telemetry import TelemetryConfig
 from repro.trace import (QueryRecord, burst_trace, fixed_interval_trace,
                          shard_path, split_shards, zipf_trace)
 from repro.trace import binfmt
 from repro.trace.binfmt import TraceFormatError, pack_record_body
 from repro.verify.generators import (HAVE_HYPOTHESIS, checkpoint_deliveries,
-                                     checkpoint_emission_history)
+                                     checkpoint_emission_history,
+                                     hostile_wires)
 
 from live_fakes import (FakeClock, LoopbackSocket, ScriptedInbound,
                         drive_querier, scripted_select)
 
 
 def _result_dict(worker, indices, answered=True, sent_at=None):
-    sent = [{"index": index, "source": f"c{index % 4}",
-             "trace_time": float(index), "scheduled_at": float(index),
-             "sent_at": float(index) if sent_at is None else sent_at,
-             "protocol": "udp", "qname": "q.example.com.",
-             "answered_at": (float(index) + 0.5) if answered else None,
-             "querier_id": worker}
+    sent = [SentQuery(index, f"c{index % 4}", float(index), float(index),
+                      float(index) if sent_at is None else sent_at,
+                      "udp", "q.example.com.",
+                      answered_at=(float(index) + 0.5) if answered else None,
+                      querier_id=worker)
             for index in indices]
-    return {"name": f"querier-{worker}", "sent": sent}
+    return {"name": f"querier-{worker}",
+            "sent": ReplayResult().to_dict(sent)["sent"]}
+
+
+def _rows(table):
+    """The entries of a ``sent`` table, one dict per row."""
+    return [dict(zip(SENT_FIELDS, row)) for row in sent_rows(table)]
 
 
 class TestCheckpointStore:
@@ -75,7 +85,7 @@ class TestCheckpointStore:
             for result, seq in order:
                 assert store.offer("w0", 0, seq, result)
             (snapshot,) = store.snapshots()
-            assert [q["index"] for q in snapshot["sent"]] == [0, 1, 2]
+            assert snapshot["sent"]["index"] == [0, 1, 2]
             assert snapshot["counters"] == {"retries": 3}
             assert store.covers(3) and not store.covers(4)
             assert store.missing(5) == [3, 4]
@@ -345,7 +355,7 @@ class TestCheckpointInterleavings:
             # as the answer to a copy that left unanswered.
             shipped = {}
             for frame in deltas:
-                for entry in frame["result"]["sent"]:
+                for entry in _rows(frame["result"]["sent"]):
                     if entry["index"] in shipped:
                         assert shipped[entry["index"]] is None
                         assert entry["answered_at"] is not None
@@ -353,7 +363,7 @@ class TestCheckpointInterleavings:
                     shipped[entry["index"]] = entry["answered_at"]
             # The final is cumulative and carries every latest fate.
             fates = {entry["index"]: entry["answered_at"]
-                     for entry in final["result"]["sent"]}
+                     for entry in _rows(final["result"]["sent"])}
             assert set(shipped) <= set(fates)
             for index, answered_at in shipped.items():
                 if answered_at is not None:
@@ -393,7 +403,7 @@ class TestDeltaCheckpoints:
         for frame in frames:
             validate_checkpoint_payload(
                 {"worker": 0, "incarnation": 0, "seq": 1, "result": frame})
-        entries = sum(len(frame["sent"]) for frame in frames)
+        entries = sum(len(frame["sent"]["index"]) for frame in frames)
         payload = sum(len(json.dumps(frame)) for frame in frames)
         # The deltas plus the cumulative final account for every record.
         store = CheckpointStore()
@@ -433,8 +443,8 @@ class TestDeltaCheckpoints:
         assert wire.sent == 10              # no second query on the wire
         assert querier.redundant_records == 1
         assert len(querier.result.sent) == 10
-        reported = [entry["index"] for frame in frames
-                    for entry in frame["sent"]]
+        reported = [index for frame in frames
+                    for index in frame["sent"]["index"]]
         assert sorted(reported) == sorted(list(range(10)) + [3])
 
     def test_quiet_tail_flushes_re_reports_within_the_interval(self):
@@ -448,9 +458,9 @@ class TestDeltaCheckpoints:
         _querier, wire, frames = drive_querier(
             script, CheckpointPolicy(every_records=64, interval_s=0.03))
         assert wire.sent == 6
-        assert [entry["index"] for entry in frames[-1]["sent"]] == [2]
-        assert sorted(entry["index"] for frame in frames[:-1]
-                      for entry in frame["sent"]) == list(range(6))
+        assert frames[-1]["sent"]["index"] == [2]
+        assert sorted(index for frame in frames[:-1]
+                      for index in frame["sent"]["index"]) == list(range(6))
 
 
 class _CountingSocket:
@@ -749,6 +759,105 @@ class TestSyscallBudget:
         assert querier.result.unmatched_responses == 0
         assert all(0.0 <= entry.answered_at - (entry.sent_at + delay)
                    <= distributed._ANSWER_DEFER for entry in sent)
+
+
+    # -- a list-mode entry is built from the bytes the querier holds -------
+
+    @staticmethod
+    def _hostile_records():
+        """Records over questions the plain-name path must refuse, or
+        take, exactly where ``record.question()`` parses the same text;
+        then the wire fuzzer's stream."""
+        def labels(*parts):
+            return b"".join(bytes([len(part)]) + part for part in parts) \
+                + b"\x00"
+
+        def question(name, qdcount=1, tail=b"\x00\x01\x00\x01"):
+            return struct.pack("!6H", 0x1234, 0x0100, qdcount, 0, 0, 0) \
+                + name + tail
+
+        wires = [
+            question(labels(b"www", b"example", b"com")),
+            question(labels(b"WWW", b"Example", b"COM")),
+            question(labels(b"_dmarc", b"Xn--my-host9", b"org")),
+            question(labels(b"a.b", b"example")),         # escaped dot
+            question(labels(b"a\\b", b"example")),        # escaped \\
+            question(labels(b"caf\xe9", b"\x80\xff")),     # octets >= 0x80
+            question(labels(b"a b", b"*", b"x")),
+            question(b"\x00"),                             # root
+            question(b"\xc0\x0c"),                         # pointer
+            question(b"\x40abc\x00"),                      # reserved type
+            question(labels(b"q", b"example"), tail=b"\x00\x01"),
+            question(labels(b"q", b"example"), tail=b""),
+            question(b"\x05ab", tail=b""),                  # cut label
+            question(labels(b"q", b"example"), qdcount=0),
+            question(labels(b"q", b"example"), tail=b"\x00\x01\x00\x07"),
+            question(labels(b"q", b"example"), tail=b"\x00\x10\x00\x03"),
+            question(labels(b"q", b"example"), tail=b"\x00\xff\x00\xff"),
+            question(labels(*[b"a" * 63] * 3, b"b" * 61)),  # 255 octets
+            question(labels(*[b"a" * 63] * 3, b"b" * 62)),  # 256 octets
+            question(b""),
+            b"\x12\x34\x01",
+        ]
+        wires += hostile_wires(2026, 600)
+        return [QueryRecord(index / 1024, f"10.{index >> 8}.{index & 255}.7",
+                            5300, "192.0.2.1", 53, "udp", wire)
+                for index, wire in enumerate(wires)]
+
+    def test_list_entries_match_the_parsed_record(self):
+        """Differential: every list-mode entry's qname, source and trace
+        time are what decoding its record body and parsing its question
+        give, over hostile wires and the fuzzer's."""
+        records = self._hostile_records()
+        bodies = [pack_record_body(record) for record in records]
+        querier, wire, _frames = drive_querier(
+            [(MSG_RECORD, (index, body)) for index, body in enumerate(bodies)]
+            + [(MSG_END, None)], lag=None)
+        assert wire.sent == len(querier.result.sent) == len(bodies)
+        plain = 0
+        for entry in querier.result.sent:
+            record = binfmt.unpack_record_body(bodies[entry.index])
+            try:
+                parsed = record.question()
+            except WireError:
+                parsed = None
+            qname = parsed[0].to_text().lower() if parsed else "-"
+            assert (entry.qname, entry.source, entry.trace_time) \
+                == (qname, record.src, record.timestamp), record.wire
+            plain += distributed._plain_qname(
+                match_key(record.wire)[1], record.wire) is not None
+        assert 8 < plain < len(bodies) - 8    # both paths were taken
+
+    def test_plain_list_replay_builds_no_record_or_name(self, monkeypatch):
+        """A list-mode run of plain names builds its entries from bytes:
+        no ``QueryRecord`` and no ``Name`` (the parent built one of each
+        per send, and decoded the body for them)."""
+        records = burst_trace(self.COUNT).records
+        script = self._flood_script()
+        built = collections.Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(QueryRecord, "__post_init__", counting(
+            "QueryRecord", QueryRecord.__post_init__))
+        monkeypatch.setattr(Name, "__init__", counting(
+            "Name", Name.__init__))
+        monkeypatch.setattr(distributed, "unpack_record_body", counting(
+            "unpack_record_body", binfmt.unpack_record_body))
+        querier, wire, _frames = drive_querier(script, lag=0)
+        monkeypatch.undo()
+        assert built == {}
+        sent = querier.result.sent
+        assert wire.sent == len(sent) == self.COUNT
+        assert [entry.qname for entry in sent] \
+            == [record.question()[0].to_text().lower() for record in records]
+        assert [entry.source for entry in sent] \
+            == [record.src for record in records]
+        assert all(entry.answered_at is not None for entry in sent)
 
 
 # -- end-to-end crash recovery (real process trees) --------------------------
