@@ -63,9 +63,9 @@ def render_degradation(result) -> str:
     """Degradation counters of a ReplayResult as aligned text rows.
 
     The overload-cooperation complement of ``render_failure_counts``:
-    SERVFAILs observed, pacing backoff, transport backpressure, and
-    watchdog/deadline shedding — how the replay degraded, not just that
-    it did.
+    SERVFAILs observed, pacing backoff, transport backpressure, lost
+    workers and deadline shedding — how the replay degraded, not just
+    that it did.
     """
     counts = result.degradation()
     if not counts:
@@ -133,7 +133,7 @@ def render_telemetry(telemetry, result=None) -> str:
 
     Pass the run's :class:`~repro.replay.result.ReplayResult` as
     ``result`` to append a recovery section (respawns, redelivered and
-    duplicate-merged records, watchdog stalls) when any accrued.
+    duplicate-merged records, workers lost for good) when any accrued.
     """
     sections = []
 

@@ -17,8 +17,9 @@ Two deployment shapes share the primitives in this module:
   is self-sourcing and deterministic (it rebuilds its trace slice from
   the shared factory), a crashed shard process needs no checkpoint:
   the topology's respawn path simply reruns it at a fresh incarnation
-  under the same :class:`repro.replay.recovery.RespawnPolicy` budget
-  that governs querier workers.
+  under the same respawn budget (:mod:`repro.replay.recovery`'s
+  ``RESPAWNS_PER_WORKER`` / ``RESPAWNS_TOTAL``) that governs querier
+  workers.
 * **Shared servers** (the general shape): hosts are split across shards
   and cross-shard packets flow through a :class:`CrossShardFabric`,
   exchanged at epoch barriers by an in-process

@@ -10,9 +10,9 @@ from .protocol import (MAX_FRAME, MSG_CHECKPOINT, MSG_END, MSG_HELLO,
                        ROLE_QUERIER, ROLE_SHARD, SendError, connect,
                        connected_pair)
 from .recovery import (ChaosConfig, ChaosEngine, CheckpointPolicy,
-                       CheckpointStore, RecoveryConfig, RespawnPolicy,
-                       attach_chaos, conservation_violations,
-                       merge_recovered, reconnect_with_backoff)
+                       CheckpointStore, RecoveryConfig, attach_chaos,
+                       conservation_violations, merge_recovered,
+                       reconnect_with_backoff)
 from .engine import ReplayConfig, SimReplayEngine
 from .live import (LiveUdpEchoServer, ThroughputReport, ThroughputSample,
                    measure_throughput)
@@ -21,8 +21,7 @@ from .multiproc import (ProcessTopology, ShardTopology,
                         shard_slice)
 from .querier import QuerierConfig, SimQuerier
 from .result import ReplayResult, SentQuery
-from .supervision import (AimdPacer, PacingConfig, ReplayWatchdog,
-                          SupervisionConfig)
+from .supervision import AimdPacer, PacingConfig
 from .timing import TimerJitterModel, TimingController
 
 __all__ = [
@@ -33,11 +32,11 @@ __all__ = [
     "MSG_SHUTDOWN", "MSG_TELEMETRY", "MSG_TIME_SYNC",
     "MessageSocket", "PacingConfig",
     "ProcessTopology", "ProtocolError", "ROLE_DISTRIBUTOR", "ROLE_QUERIER",
-    "ROLE_SHARD", "RecoveryConfig", "RespawnPolicy", "SendError",
+    "ROLE_SHARD", "RecoveryConfig", "SendError",
     "ShardTopology", "connect", "connected_pair", "LiveUdpEchoServer",
-    "QuerierConfig", "ReplayConfig", "ReplayResult", "ReplayWatchdog",
+    "QuerierConfig", "ReplayConfig", "ReplayResult",
     "SentQuery", "SimQuerier", "SimReplayEngine", "StickyAssigner",
-    "SupervisionConfig", "ThroughputReport", "ThroughputSample",
+    "ThroughputReport", "ThroughputSample",
     "TimerJitterModel", "TimingController", "UdpEchoServerProcess",
     "attach_chaos", "conservation_violations", "default_shard_scenario",
     "measure_throughput", "merge_recovered", "reconnect_with_backoff",

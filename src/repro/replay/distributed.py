@@ -39,7 +39,6 @@ from .protocol import (MSG_END, MSG_RECORD, MSG_SHUTDOWN, MSG_TIME_SYNC,
 from .querier import MatchKey, match_key
 from .recovery import RecoveryConfig
 from .result import ReplayResult, SentQuery
-from .supervision import SupervisionConfig
 
 ServerAddress = Tuple[str, int]
 
@@ -129,9 +128,10 @@ class DistributedConfig:
     # Worker-process start method; None picks fork when the platform
     # offers it, else spawn.
     start_method: Optional[str] = None
-    # Supervision (off by default): dead-worker watchdog plus optional
-    # wall-clock deadline.
-    supervision: Optional[SupervisionConfig] = None
+    # Wall-clock budget of the whole replay, from its start; None is no
+    # budget.  When it runs out the tree stops sending, and every record
+    # not sent by then is counted in ``deadline_shed``.
+    deadline: Optional[float] = None
     # Self-healing: worker respawn with checkpointed result shards and
     # exactly-once redelivery.  None keeps the fail-fast behavior byte
     # for byte.
@@ -618,13 +618,12 @@ class _LiveDistributor:
                     self._route(index, body,
                                 RECORD_SOURCE.unpack_from(body)[0])
                 elif kind == MSG_SHUTDOWN:
-                    # Controller-ordered stop: relay to the queriers so
-                    # they shed their queues, then end the stream.
-                    for outbound in self.querier_sockets:
-                        try:
-                            outbound.send_shutdown()
-                        except OSError:
-                            pass
+                    # Controller-ordered stop: the queriers shed their
+                    # queues, and what the controller wrote behind the
+                    # SHUTDOWN is shed here, up to END.
+                    self._relay_shutdown()
+                    self._shed(sum(frame[0] == MSG_RECORD
+                                   for frame in self.inbound.messages()))
                     return
                 if not self.inbound.has_frame():
                     self._flush()   # the next receive will block
@@ -638,23 +637,28 @@ class _LiveDistributor:
                     pass
 
     def run_shard_file(self, path: str, pace_lead: float = 2.0,
-                       first_index: int = 0) -> None:
+                       first_index: int = 0,
+                       records: Optional[int] = None) -> None:
         """Self-source records from a shard file (streaming replay).
 
         The control socket carries only the timing handshake — the
         controller sends TIME_SYNC then END without ever reading a
-        record (it knows the shard only through the manifest).  Records
-        come off disk a chunk at a time, inline
-        (:func:`iter_record_bodies`); each body is checked by
-        :func:`record_head`, numbered from ``first_index`` (the shard's
-        offset in the manifest: the earlier shards' record counts),
-        paced on its timestamp, routed on its packed source and
-        forwarded undecoded.  Routing is *paced*: the
+        record (it knows the shard only through the manifest) — and a
+        SHUTDOWN when the deadline runs out.  Records come off disk a
+        chunk at a time, inline (:func:`iter_record_bodies`); each body
+        is checked by :func:`record_head`, numbered from
+        ``first_index`` (the shard's offset in the manifest: the earlier
+        shards' record counts), paced on its timestamp, routed on its
+        packed source and forwarded undecoded.  Routing is *paced*: the
         distributor sleeps until the next record is ``pace_lead``
         seconds from its replay time and then forwards every record up
         to ``_PACE_QUANTUM`` further ahead, so the querier heaps hold at
         most a few seconds of queries instead of the whole shard and a
         dense trace costs one sleep per quantum, not per record.
+        The control link is looked at, without waiting, before every
+        pacing sleep and once per ``_FRAME_BLOCK`` records: on SHUTDOWN
+        the queriers are told, and the shard's ``records`` (its manifest
+        count) not yet routed are counted as shed.
         ``pace_lead <= 0`` disables pacing (as fast as the tree accepts,
         the classic firehose).
         """
@@ -667,35 +671,17 @@ class _LiveDistributor:
                     for outbound in self.querier_sockets:
                         outbound.send_time_sync(payload)
                 elif kind == MSG_SHUTDOWN:
-                    for outbound in self.querier_sockets:
-                        try:
-                            outbound.send_shutdown()
-                        except OSError:
-                            pass
+                    break
+            else:
+                if self._trace_start is None:
+                    return   # controller vanished before the handshake
+                if self._route_shard(path, pace_lead, first_index):
                     return
-            if self._trace_start is None:
-                return   # controller vanished before the handshake
-            # Trace time at the anchor plus what routing runs ahead: a
-            # record's timestamp less this is its forwarding time on the
-            # clock since the anchor.
-            origin = self._trace_start + pace_lead
-            # Records due up to here go without a look at the clock.
-            released = 0.0 if pace_lead > 0 else float("inf")
-            with open(path, "rb") as stream:
-                for index, body in enumerate(iter_record_bodies(stream),
-                                             first_index):
-                    timestamp, source = record_head(body)
-                    due = timestamp - origin
-                    if due > released:
-                        now = time.monotonic() - self.sync_mono
-                        while now < due:
-                            self._flush()
-                            self.pace_sleeps += 1
-                            time.sleep(min(due - now, 0.25))
-                            now = time.monotonic() - self.sync_mono
-                        released = now + _PACE_QUANTUM
-                    self.records_routed += 1
-                    self._route(index, body, source)
+            # SHUTDOWN: the queriers shed their queues, and the rest of
+            # the shard is shed here.
+            self._relay_shutdown()
+            if records is not None:
+                self._shed(records - self.records_routed)
         except ProtocolError:
             pass  # torn-down control channel: flush END downstream
         finally:
@@ -704,6 +690,70 @@ class _LiveDistributor:
                     outbound.send_end()
                 except OSError:
                     pass
+
+    def _route_shard(self, path: str, pace_lead: float,
+                     first_index: int) -> bool:
+        """Route the shard file's records on their schedule; False when
+        a SHUTDOWN stopped it first."""
+        # Trace time at the anchor plus what routing runs ahead: a
+        # record's timestamp less this is its forwarding time on the
+        # clock since the anchor.
+        origin = self._trace_start + pace_lead
+        # Records due up to here go without a look at the clock.
+        released = 0.0 if pace_lead > 0 else float("inf")
+        with open(path, "rb") as stream:
+            for index, body in enumerate(iter_record_bodies(stream),
+                                         first_index):
+                timestamp, source = record_head(body)
+                due = timestamp - origin
+                if due > released:
+                    released = self._pace(due)
+                    if released is None:
+                        return False
+                elif not (index - first_index) % _FRAME_BLOCK \
+                        and self._shutdown_arrived():
+                    return False
+                self.records_routed += 1
+                self._route(index, body, source)
+        return True
+
+    def _pace(self, due: float) -> Optional[float]:
+        """Sleep until ``due`` seconds past the anchor, flushing first
+        and looking at the control link before every sleep.  Returns the
+        end of the next release quantum, or None once SHUTDOWN is in."""
+        now = time.monotonic() - self.sync_mono
+        while now < due:
+            self._flush()
+            if self._shutdown_arrived():
+                return None
+            self.pace_sleeps += 1
+            time.sleep(min(due - now, 0.25))
+            now = time.monotonic() - self.sync_mono
+        return now + _PACE_QUANTUM
+
+    def _shutdown_arrived(self) -> bool:
+        """A look, without waiting, at the control link of a shard-file
+        run, where only a SHUTDOWN follows END.  An EOF (the controller
+        gone) leaves the shard running: only SHUTDOWN stops it."""
+        if not (self.inbound.has_frame()
+                or select.select([self.inbound], (), (), 0.0)[0]):
+            return False
+        message = self.inbound.receive()
+        return message is not None and message[0] == MSG_SHUTDOWN
+
+    def _relay_shutdown(self) -> None:
+        """Pass a SHUTDOWN on: the queriers shed their queues."""
+        for outbound in self.querier_sockets:
+            try:
+                outbound.send_shutdown()
+            except OSError:
+                pass
+
+    def _shed(self, count: int) -> None:
+        """Count ``count`` records this distributor will never route."""
+        if count and self.result is not None:
+            with self.lock:
+                self.result.deadline_shed += count
 
     def _route(self, index: int, body: bytes, source: int) -> None:
         """Send record ``index``'s body to the sticky querier of its

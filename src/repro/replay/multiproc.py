@@ -38,16 +38,15 @@ shard-file, recovering and sharded-sim runs parameterise:
    controller's own counters, and ``MetricsRegistry.merge_state``;
 7. **teardown** — SHUTDOWN, close, join, terminate.
 
-Supervision: a :class:`~repro.replay.supervision.ReplayWatchdog`
-watches each worker through its :class:`_WorkerHandle` (``is_alive`` =
-the OS process); its verdict closes the worker's control link, and the
-reader's EOF path decides between a respawn (recovery mode, within
-budget) and a failed handle whose routes fail over via
-``StickyAssigner.remove``.  ``supervision.deadline`` — the only
-wall-clock budget — propagates as SHUTDOWN frames down the tree so
-queriers shed their queues and report truthful ``deadline_shed`` counts.
-A worker that is alive but wedged is bounded by that deadline and by
-``_await_reports``' clock.
+Supervision: a worker's death is seen once, by its reader thread, as
+EOF on its control link; ``_maybe_respawn`` then decides between a
+respawn (recovery mode, within budget) and a failed handle whose routes
+fail over via ``StickyAssigner.remove``.  ``DistributedConfig.deadline``
+— the only wall-clock budget — fires one controller timer that sends
+SHUTDOWN down the tree, so distributors and queriers shed what they
+hold and report truthful ``deadline_shed`` counts; each querier also
+enforces it locally from TIME_SYNC.  A worker that is alive but wedged
+is bounded by that deadline and by ``_await_reports``' clock.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ import os
 import socket
 import threading
 import time
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..netsim.shard import shard_of
@@ -78,10 +77,13 @@ from .protocol import (MSG_CHECKPOINT, MSG_HELLO, MSG_METRICS, MSG_RESULT,
                        MSG_SHUTDOWN, MSG_TELEMETRY, FrameTooLarge,
                        MessageSocket, ProtocolError, ROLE_DISTRIBUTOR,
                        ROLE_QUERIER, ROLE_SHARD, connect)
-from .recovery import (CheckpointStore, RecoveryConfig, attach_chaos,
-                       reconnect_with_backoff)
+from .recovery import (COLLECT_TIMEOUT, HELLO_TIMEOUT, RECONNECT_ATTEMPTS,
+                       RECONNECT_BACKOFF, REDELIVERY_GRACE,
+                       REDELIVERY_ROUNDS, RESPAWNS_PER_WORKER,
+                       RESPAWNS_TOTAL, CheckpointPolicy, CheckpointStore,
+                       RecoveryConfig, attach_chaos, reconnect_with_backoff,
+                       respawn_backoff)
 from .result import ReplayResult
-from .supervision import ReplayWatchdog
 
 _SETUP_TIMEOUT = 30.0
 
@@ -154,8 +156,7 @@ class _ControlLink:
         if self._redial_allowed:
             replacement = reconnect_with_backoff(
                 lambda: self._dial(timeout=2.0),
-                self._recovery.reconnect_attempts,
-                self._recovery.reconnect_backoff)
+                RECONNECT_ATTEMPTS, RECONNECT_BACKOFF)
         if replacement is None:
             self._broken = True
             return False
@@ -235,7 +236,8 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
                       incarnation: int = 0, listen_port: int = 0,
                       telemetry: Optional[TelemetryConfig] = None,
                       shard_file: Optional[str] = None,
-                      pace_lead: float = 2.0, first_index: int = 0) -> None:
+                      pace_lead: float = 2.0, first_index: int = 0,
+                      shard_records: Optional[int] = None) -> None:
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     # SO_REUSEADDR unconditionally: accepted querier sockets inherit it,
     # so a respawned incarnation can rebind this port while the dead
@@ -245,8 +247,7 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
         # Respawn: rebind the dead incarnation's port so surviving
         # queriers' reconnect-with-backoff re-dials land here.  The
         # kernel may need a beat to tear the old socket down.
-        bind_deadline = time.monotonic() + (
-            recovery.hello_timeout if recovery is not None else 5.0)
+        bind_deadline = time.monotonic() + HELLO_TIMEOUT
         while True:
             try:
                 listener.bind(("127.0.0.1", listen_port))
@@ -259,7 +260,7 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
         listener.bind(("127.0.0.1", 0))
     listener.listen(querier_count + 4)
     listener.settimeout(_SETUP_TIMEOUT if recovery is None
-                        else recovery.hello_timeout)
+                        else HELLO_TIMEOUT)
     # No re-dial: a distributor that lost its control link has lost its
     # record stream, and the controller respawns it.
     link = _ControlLink(control_addr, ROLE_DISTRIBUTOR, distributor_id,
@@ -322,11 +323,12 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
     if shard_file is not None:
         # Streaming mode: self-source the shard file instead of
         # receiving records over the control socket (which carries only
-        # TIME_SYNC + END).
+        # TIME_SYNC + END, and a deadline's SHUTDOWN).
         distributor.run_shard_file(shard_file, pace_lead=pace_lead,
-                                   first_index=first_index)
+                                   first_index=first_index,
+                                   records=shard_records)
     else:
-        distributor.run()   # synchronous: returns on END/SHUTDOWN/EOF
+        distributor.run()   # synchronous: returns on END or EOF
     if recovery is not None:
         accept_stop.set()
         listener.close()
@@ -390,11 +392,11 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
     # wall-clock budget is enforced locally, anchored at TIME_SYNC.
     querier.deadline = deadline
     if recovery is not None:
-        querier.checkpoint_policy = recovery.checkpoint
+        querier.checkpoint_policy = CheckpointPolicy()
         querier.checkpoint_sink = link
         querier.reconnect = lambda: reconnect_with_backoff(
             lambda: connect(distributor_addr, timeout=1.0),
-            recovery.reconnect_attempts, recovery.reconnect_backoff,
+            RECONNECT_ATTEMPTS, RECONNECT_BACKOFF,
             abort=querier.shed_event.is_set)
 
     def metrics_snapshot() -> dict:
@@ -642,7 +644,8 @@ class UdpEchoServerProcess:
 
 # How long past ``settle_time`` a live worker whose upstream has ended
 # may stay unreported before collection gives up on it: scheduling and
-# serialisation slack, not a budget (``supervision.deadline`` is that).
+# serialisation slack, not a budget (``DistributedConfig.deadline`` is
+# that).
 _COLLECT_SLACK = 10.0
 
 
@@ -652,7 +655,7 @@ def _role_name(role: int) -> str:
 
 
 class _WorkerHandle:
-    """Controller-side view of one worker process (watchdog subject)."""
+    """Controller-side view of one worker process."""
 
     def __init__(self, role: int, worker_id: int,
                  control: MessageSocket, listen_port: int,
@@ -667,12 +670,6 @@ class _WorkerHandle:
         self.reported = False          # its RESULT is in the store
         self.metrics_state: Optional[dict] = None
         self.failed = False
-
-    # -- ReplayWatchdog subject surface -----------------------------------
-
-    def has_work(self) -> bool:
-        """Outstanding until its RESULT shard lands (or it is failed)."""
-        return not self.reported and not self.failed
 
     def is_alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
@@ -726,7 +723,8 @@ class _Controller:
     Only two places mark a handle failed: the reader's EOF path
     (``_maybe_respawn``, once the process is seen dead) and
     ``_await_reports`` (clock expired, or dead with no reader left).
-    The watchdog only closes links.
+    Only ``_maybe_respawn`` and ``_respawn_worker`` count a worker lost
+    for good (``watchdog_stalls``).
     """
 
     def __init__(self, result: ReplayResult,
@@ -737,7 +735,6 @@ class _Controller:
         # Cross-process telemetry: per-worker metrics snapshots merged
         # into one registry.
         self.metrics = MetricsRegistry()
-        self.watchdog: Optional[ReplayWatchdog] = None
         # Live cluster view, populated only when the telemetry config
         # asks for streaming (stream_period set); None otherwise so the
         # run stays byte-identical to a telemetry-free one.
@@ -769,6 +766,8 @@ class _Controller:
         # Set once worker death stops being recoverable work loss: no
         # more respawns, the accept loop ends, EOFs are not crashes.
         self._closing = threading.Event()
+        # The wall-clock budget's one timer (``_handle_deadline``).
+        self._deadline_timer: Optional[threading.Timer] = None
         self._deadline_hit = False
 
     def _handles(self) -> List[_WorkerHandle]:
@@ -782,21 +781,11 @@ class _Controller:
     def _resync(self, handle: _WorkerHandle) -> None:
         """A respawned worker took over its slot: bring it up to date."""
 
-    # -- supervision callbacks --------------------------------------------
-
-    def _handle_stall(self, handle: _WorkerHandle) -> None:
-        """Watchdog verdict: dead or wedged.  Make death unambiguous
-        (terminate a wedged process) and close the control link so the
-        reader exits into ``_maybe_respawn``, which alone decides
-        between a respawn and a failed handle."""
-        with self._lock:
-            self.result.watchdog_stalls += 1
-        if handle.is_alive():
-            handle.process.terminate()
-        handle.control.close()
+    # -- the deadline -----------------------------------------------------
 
     def _handle_deadline(self) -> None:
-        """Propagate the wall-clock budget down the tree as SHUTDOWN."""
+        """The wall-clock budget ran out (``_deadline_timer``'s thread):
+        stop streaming and send SHUTDOWN down the tree."""
         self._deadline_hit = True
         for handle in self._tiers.get(ROLE_DISTRIBUTOR, ()):
             try:
@@ -825,8 +814,7 @@ class _Controller:
         respawned and re-dialing workers can HELLO back in.
         """
         recovery = self._recovery
-        hello_timeout = (_SETUP_TIMEOUT if recovery is None
-                         else recovery.hello_timeout)
+        hello_timeout = _SETUP_TIMEOUT if recovery is None else HELLO_TIMEOUT
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             listener.bind(("127.0.0.1", 0))
@@ -915,8 +903,7 @@ class _Controller:
     def _accept_loop(self) -> None:
         while not self._closing.is_set():
             try:
-                newcomer = _accept_hello(self._listener, None,
-                                         self._recovery.hello_timeout)
+                newcomer = _accept_hello(self._listener, None, HELLO_TIMEOUT)
             except (TimeoutError, ProtocolError):
                 continue
             except OSError:
@@ -947,8 +934,6 @@ class _Controller:
                 slots[newcomer.worker_id] = newcomer
                 self._retired_handles.append(current)
                 handle = newcomer
-                if self.watchdog is not None:
-                    self.watchdog.add_subject(newcomer)
             else:
                 newcomer.control.close()
                 return
@@ -961,11 +946,10 @@ class _Controller:
         """Book one respawn of worker ``key`` against the budget: its
         attempt number, or None when recovery is off or the budget is
         spent.  Call with the lock held."""
-        recovery = self._recovery
         attempts = self._respawn_counts.get(key, 0)
-        if (recovery is None
-                or attempts >= recovery.respawn.max_per_worker
-                or self._respawns_total >= recovery.respawn.max_total):
+        if (self._recovery is None
+                or attempts >= RESPAWNS_PER_WORKER
+                or self._respawns_total >= RESPAWNS_TOTAL):
             return None
         self._respawn_counts[key] = attempts + 1
         self._respawns_total += 1
@@ -1015,13 +999,12 @@ class _Controller:
         vanish silently (no reader thread watches it yet) — babysit it
         through the handshake and retry within the budget.
         """
-        recovery = self._recovery
         key = (handle.role, handle.worker_id)
         incarnation = handle.incarnation
         try:
             while not self._closing.is_set():
                 incarnation += 1
-                time.sleep(recovery.respawn.backoff(attempt))
+                time.sleep(respawn_backoff(attempt))
                 process = self._worker_process(
                     handle.role, handle.worker_id, incarnation,
                     handle.listen_port)
@@ -1032,7 +1015,7 @@ class _Controller:
                     self._pending_processes[pending_key] = process
                     self._processes.append(process)
                 process.start()
-                hello_deadline = time.monotonic() + recovery.hello_timeout
+                hello_deadline = time.monotonic() + HELLO_TIMEOUT
                 with self._progress:
                     while (pending_key in self._pending_processes
                            and process.is_alive()
@@ -1124,9 +1107,8 @@ class _Controller:
         # Collection is over: nothing may change a worker's fate, or
         # self.result, behind the merge's back.
         self._closing.set()
-        if self.watchdog is not None:
-            self.watchdog.stop()
-            self.watchdog.join(timeout=1.0)
+        if self._deadline_timer is not None:
+            self._deadline_timer.cancel()
         handles = self._handles()
         with self._lock:
             snapshots = self._store.snapshots()
@@ -1219,12 +1201,10 @@ class ProcessTopology(_Controller):
                 *self._source_args(worker_id))
         distributor = self.distributor_handles[
             worker_id // config.queriers_per_distributor]
-        deadline = (config.supervision.deadline
-                    if config.supervision is not None else None)
         return _querier_main, (
             self._control_addr, worker_id,
             ("127.0.0.1", distributor.listen_port),
-            self.server_for(worker_id), deadline, config.recovery,
+            self.server_for(worker_id), config.deadline, config.recovery,
             incarnation, self._tconfig, self.result.aggregate)
 
     def _resync(self, handle: _WorkerHandle) -> None:
@@ -1287,7 +1267,7 @@ class ProcessTopology(_Controller):
             [0] + [shard["records"] for shard in manifest["shards"]]))
         self._source_args = lambda index: (
             shard_path(directory, index, manifest), pace_lead,
-            offsets[index])
+            offsets[index], manifest["shards"][index]["records"])
         self.metrics.incr("multiproc.trace_records",
                           manifest["total_records"])
         trace_start = manifest["first_timestamp"]
@@ -1312,22 +1292,20 @@ class ProcessTopology(_Controller):
             (ROLE_DISTRIBUTOR, num_distributors),
             (ROLE_QUERIER,
              num_distributors * config.queriers_per_distributor)])
-        if config.supervision is not None:
-            self.watchdog = ReplayWatchdog(
-                config.supervision, self._handles(),
-                on_stall=self._handle_stall,
-                on_deadline=self._handle_deadline)
-            self.watchdog.start()
+        if config.deadline is not None:
+            self._deadline_timer = threading.Timer(config.deadline,
+                                                   self._handle_deadline)
+            self._deadline_timer.daemon = True
+            self._deadline_timer.start()
         self._anchor()
         streamed = self._stream(records)
 
         if recovery is not None:
             # Exactly-once drain: withhold END until the checkpoint
-            # store accounts for every streamed index.
+            # store accounts for every streamed index (or the deadline).
             cap = time.monotonic() + span + config.settle_time \
-                + recovery.collect_timeout
-            if not self._deadline_hit:
-                self._drain_exactly_once(records, streamed, cap)
+                + COLLECT_TIMEOUT
+            self._drain_exactly_once(records, streamed, cap)
             # From here on worker death is no longer recoverable work
             # loss (everything is checkpointed), so stop respawning and
             # let the tree wind down.
@@ -1343,12 +1321,11 @@ class ProcessTopology(_Controller):
             self._await_reports(
                 min(cap, time.monotonic() + config.settle_time + 8.0))
         else:
-            supervision = config.supervision
             cap = None
-            if supervision is not None and supervision.deadline is not None:
+            if config.deadline is not None:
                 # The user's wall-clock budget, and the only one.
-                cap = self.result.start_clock + supervision.deadline \
-                    + supervision.stall_timeout + _COLLECT_SLACK
+                cap = self.result.start_clock + config.deadline \
+                    + _COLLECT_SLACK
             self._await_reports(cap, self.result.start_clock + span,
                                 config.settle_time + _COLLECT_SLACK)
 
@@ -1418,13 +1395,20 @@ class ProcessTopology(_Controller):
     def _drain_exactly_once(self, records, streamed: int,
                             drain_deadline: float) -> None:
         """Wait until the store covers every streamed index,
-        re-streaming lost records in bounded redelivery rounds."""
-        recovery = self.config.recovery
+        re-streaming lost records in bounded redelivery rounds.
+
+        A record no frame has reported sent is lost only once it is
+        ``REDELIVERY_GRACE`` past its due instant (the anchor plus its
+        offset in the trace, ``start_delay`` included) and the store has
+        been quiet that long: before that it is queued, not lost."""
         store = self._store
+        # A record's due instant plus the grace, less its timestamp.
+        lost_after = (self.result.start_clock - self.result.trace_start
+                      + REDELIVERY_GRACE)
         rounds = 0
         last_seen = None
         last_progress = time.monotonic()
-        while time.monotonic() < drain_deadline:
+        while time.monotonic() < drain_deadline and not self._deadline_hit:
             with self._progress:
                 # Done when every index has a recorded send and none of
                 # them is an unanswered send stranded in a dead
@@ -1438,9 +1422,9 @@ class ProcessTopology(_Controller):
                     last_seen = seen
                     last_progress = now
                 quiet = now - last_progress
-                if quiet < recovery.redelivery_grace:
+                if quiet < REDELIVERY_GRACE:
                     self._progress.wait(
-                        min(recovery.redelivery_grace - quiet,
+                        min(REDELIVERY_GRACE - quiet,
                             max(drain_deadline - now, 0.0)))
                     continue
                 live_queriers = any(h.is_alive() and not h.failed
@@ -1450,10 +1434,20 @@ class ProcessTopology(_Controller):
                     # flight — don't burn redelivery rounds into the void.
                     self._progress.wait(0.05)
                     continue
-                if rounds >= recovery.redelivery_rounds:
+                missing = store.missing(streamed)
+                redeliver = sorted(
+                    set(takewhile(lambda index: records[index].timestamp
+                                  + lost_after <= now, missing))
+                    | self._stale_unanswered(streamed))
+                if not redeliver:
+                    # Every missing record is still on its schedule:
+                    # wait until the first of them could be lost.
+                    self._progress.wait(
+                        min(records[missing[0]].timestamp + lost_after - now,
+                            max(drain_deadline - now, 0.0)))
+                    continue
+                if rounds >= REDELIVERY_ROUNDS:
                     return
-                redeliver = sorted(set(store.missing(streamed))
-                                   | self._stale_unanswered(streamed))
             rounds += 1
             for index in redeliver:
                 self._send_record(index, records[index])

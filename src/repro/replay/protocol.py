@@ -484,8 +484,8 @@ class MessageSocket:
         frames = ([(kind, payload)] if chaos is None
                   else chaos.process(kind, payload))
         # Serialized: the control channel is written by both the
-        # streaming loop and the watchdog thread (deadline SHUTDOWN),
-        # and interleaved frames would corrupt it.
+        # streaming loop and the deadline timer (SHUTDOWN), and
+        # interleaved frames would corrupt it.
         with self._send_lock:
             for each_kind, each_payload in frames:
                 self._out += _FRAME_HEADER.pack(1 + len(each_payload),

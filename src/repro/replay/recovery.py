@@ -6,9 +6,11 @@ scale a single worker crash must not void the run.  This module holds
 the pieces that turn :class:`repro.replay.multiproc.ProcessTopology`
 from fail-fast into fault-tolerant:
 
-* :class:`RespawnPolicy` / :class:`CheckpointPolicy` /
-  :class:`RecoveryConfig` — the knobs: bounded respawn budget with
-  exponential backoff, checkpoint cadence, redelivery rounds,
+* :class:`RecoveryConfig` — turns recovery on; its one field is the
+  chaos schedule.  The rest of the mechanism has fixed sizes, module
+  constants like the data plane's: a bounded respawn budget with
+  exponential backoff (:func:`respawn_backoff`), the checkpoint
+  cadence (:class:`CheckpointPolicy`), redelivery rounds and the
   handshake/reconnect deadlines.
 * :class:`CheckpointStore` — accumulator of delta ``CHECKPOINT`` and
   final ``RESULT`` frames keyed by (worker, incarnation).  Offering a
@@ -38,7 +40,7 @@ import os
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, \
     Set, Tuple
 
@@ -56,22 +58,24 @@ StoreKey = Tuple[Hashable, int]     # (worker key, incarnation)
 _ANSWERED_AT = SENT_FIELDS.index("answered_at")
 
 
-# -- policies ---------------------------------------------------------------
+# -- the mechanism's sizes ---------------------------------------------------
+#
+# Sizes of the recovery mechanism, not settings of a run.
 
-@dataclass(frozen=True)
-class RespawnPolicy:
-    """Bounded respawn budget with exponential backoff."""
+HELLO_TIMEOUT = 5.0         # HELLO handshake deadline of a (re)spawned worker
+RECONNECT_ATTEMPTS = 5      # a worker's re-dial budget for one dropped link
+RECONNECT_BACKOFF = 0.05    # seconds before its first re-dial
+REDELIVERY_ROUNDS = 3       # re-stream passes for records no frame reported
+REDELIVERY_GRACE = 0.75     # quiet seconds before a due record counts lost
+COLLECT_TIMEOUT = 15.0      # bound on the drain past the schedule and settle
+RESPAWNS_PER_WORKER = 2     # respawns allowed for one worker slot
+RESPAWNS_TOTAL = 8          # respawns allowed across the whole run
 
-    max_per_worker: int = 2     # respawns allowed for one worker slot
-    max_total: int = 8          # respawns allowed across the whole run
-    backoff_base: float = 0.05  # seconds before the first respawn
-    backoff_factor: float = 2.0
-    backoff_cap: float = 1.0
 
-    def backoff(self, attempt: int) -> float:
-        """Delay before respawn number ``attempt`` (0-based) of a slot."""
-        return min(self.backoff_cap,
-                   self.backoff_base * self.backoff_factor ** attempt)
+def respawn_backoff(attempt: int) -> float:
+    """Delay before respawn number ``attempt`` (0-based) of a slot:
+    0.05 s doubling per attempt, capped at 1 s."""
+    return min(1.0, 0.05 * 2.0 ** attempt)
 
 
 @dataclass(frozen=True)
@@ -134,17 +138,11 @@ class ChaosConfig:
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Everything ProcessTopology needs to self-heal."""
+    """Turns ProcessTopology's self-healing on: respawn, checkpoints,
+    exactly-once redelivery.  ``chaos`` optionally injects faults into
+    the real control sockets."""
 
-    respawn: RespawnPolicy = field(default_factory=RespawnPolicy)
-    checkpoint: CheckpointPolicy = field(default_factory=CheckpointPolicy)
     chaos: Optional[ChaosConfig] = None
-    hello_timeout: float = 5.0        # HELLO handshake deadline (satellite)
-    reconnect_attempts: int = 5       # worker socket reconnect budget
-    reconnect_backoff: float = 0.05   # base backoff between reconnects
-    redelivery_rounds: int = 3        # re-stream passes for lost records
-    redelivery_grace: float = 0.75    # idle seconds before declaring loss
-    collect_timeout: float = 15.0     # hard bound on the recovery drain
 
 
 # -- chaos engine -----------------------------------------------------------

@@ -170,7 +170,7 @@ class ReplayResult:
         self.paced_queries = 0         # sends delayed by the AIMD pacer
         self.pace_rate_cuts = 0        # multiplicative-decrease events
         self.backpressure_pauses = 0   # sends held at the TCP high-water
-        self.watchdog_stalls = 0       # queriers terminated by the watchdog
+        self.watchdog_stalls = 0       # workers lost for good
         self.deadline_shed = 0         # queries shed past the replay deadline
         # Self-healing counters (crash recovery & checkpointed merge).
         self.respawns = 0              # worker processes respawned

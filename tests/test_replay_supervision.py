@@ -1,7 +1,4 @@
-"""Tests for replay supervision: AIMD pacing, watchdog, deadline shed."""
-
-import threading
-import time
+"""Tests for replay supervision: AIMD pacing and the deadline."""
 
 import pytest
 
@@ -9,9 +6,8 @@ from repro.dns import Rcode
 from repro.netsim import EventLoop, Network, RetryPolicy
 from repro.replay import (AimdPacer, DistributedConfig, LiveUdpEchoServer,
                           PacingConfig, ProcessTopology, QuerierConfig,
-                          ReplayConfig, ReplayWatchdog, SimReplayEngine,
-                          SupervisionConfig)
-from repro.trace import fixed_interval_trace
+                          ReplayConfig, SimReplayEngine)
+from repro.trace import fixed_interval_trace, split_shards
 
 
 class TestAimdPacer:
@@ -52,65 +48,6 @@ class TestAimdPacer:
                                        increase=5.0), now=0.0)
         pacer.on_success()
         assert pacer.rate == pytest.approx(100.0)
-
-
-class _FakeSubject:
-    def __init__(self, heartbeat, work=True):
-        self.heartbeat = heartbeat
-        self._work = work
-
-    def has_work(self):
-        return self._work
-
-
-class TestReplayWatchdog:
-    def run_watchdog(self, subjects, config=None, runtime=0.3):
-        stalls = []
-        config = config or SupervisionConfig(heartbeat_interval=0.02,
-                                             stall_timeout=0.1)
-        watchdog = ReplayWatchdog(config, subjects, on_stall=stalls.append)
-        watchdog.start()
-        time.sleep(runtime)
-        watchdog.stop()
-        watchdog.join(timeout=1.0)
-        return watchdog, stalls
-
-    def test_stale_heartbeat_with_work_is_flagged_once(self):
-        subject = _FakeSubject(heartbeat=time.monotonic() - 999)
-        watchdog, stalls = self.run_watchdog([subject])
-        assert stalls == [subject]
-        assert watchdog.stalled == [subject]
-
-    def test_idle_subject_is_not_a_stall(self):
-        # Stale heartbeat but no queued work: blocked on input, healthy.
-        subject = _FakeSubject(heartbeat=time.monotonic() - 999,
-                               work=False)
-        _watchdog, stalls = self.run_watchdog([subject])
-        assert stalls == []
-
-    def test_fresh_heartbeat_is_not_a_stall(self):
-        subject = _FakeSubject(heartbeat=time.monotonic())
-        ticker = threading.Thread(
-            target=lambda: [setattr(subject, "heartbeat",
-                                    time.monotonic())
-                            or time.sleep(0.02) for _ in range(15)])
-        ticker.start()
-        _watchdog, stalls = self.run_watchdog([subject])
-        ticker.join()
-        assert stalls == []
-
-    def test_deadline_fires_once(self):
-        fired = []
-        config = SupervisionConfig(heartbeat_interval=0.02,
-                                   stall_timeout=10.0, deadline=0.1)
-        watchdog = ReplayWatchdog(config, [], on_stall=lambda s: None,
-                                  on_deadline=lambda: fired.append(1))
-        watchdog.start()
-        time.sleep(0.3)
-        watchdog.stop()
-        watchdog.join(timeout=1.0)
-        assert fired == [1]
-        assert watchdog.deadline_expired()
 
 
 class TestSimPacing:
@@ -168,24 +105,38 @@ ns1 IN A 10.5.0.2
 class TestLiveSupervision:
     def test_deadline_sheds_queued_records(self):
         # A 5 s trace under a 0.5 s budget: the deadline fires mid-replay
-        # and queued-but-unsent records are shed, not silently lost.
+        # and every record not sent is shed, not silently lost.
         trace = fixed_interval_trace(0.05, 5.0, name="deadline-test")
         with LiveUdpEchoServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port),
-                DistributedConfig(
-                    distributors=1, queriers_per_distributor=2,
-                    supervision=SupervisionConfig(heartbeat_interval=0.05,
-                                                  stall_timeout=1.0,
-                                                  deadline=0.5)))
-            started = time.monotonic()
+                DistributedConfig(distributors=1, queriers_per_distributor=2,
+                                  deadline=0.5))
             result = replay.replay(trace)
-            elapsed = time.monotonic() - started
-        assert replay.watchdog.deadline_expired()
-        assert result.deadline_shed > 0
+        assert 0 < result.deadline_shed < len(trace)
         assert result.degradation()["deadline_shed"] == result.deadline_shed
-        # Well under the trace's own 5 s duration.
-        assert elapsed < 4.0
+        assert len(result) + result.deadline_shed == len(trace)
+        assert replay.metrics.count("multiproc.lost_shards") == 0
+
+    def test_deadline_ends_a_shard_file_replay(self, tmp_path):
+        """A 20 s shard under a 1 s budget: the distributor hears the
+        SHUTDOWN while it paces, stops reading the shard and sheds its
+        rest.  The parent never read its control link past END: it
+        paced the whole shard, and the collection cap then failed every
+        worker (``sent 0``, ``deadline_shed 0``, 3 lost shards)."""
+        trace = fixed_interval_trace(0.01, 20.0, name="deadline-shards")
+        directory = str(tmp_path / "shards")
+        split_shards(iter(trace.records), directory, 1)
+        with LiveUdpEchoServer() as server:
+            replay = ProcessTopology(
+                (server.address, server.port),
+                DistributedConfig(distributors=1, queriers_per_distributor=2,
+                                  deadline=1.0))
+            result = replay.replay_shard_files(directory, pace_lead=0.5)
+        assert replay.metrics.count("multiproc.lost_shards") == 0
+        assert 0 < result.deadline_shed < len(trace)
+        assert len(result) + result.deadline_shed == len(trace)
+        assert replay.metrics.count("replay.records_routed") < len(trace)
 
     def test_supervision_off_keeps_result_clean(self):
         trace = fixed_interval_trace(0.01, 0.3, name="clean-test")
@@ -195,7 +146,6 @@ class TestLiveSupervision:
                 DistributedConfig(distributors=1,
                                   queriers_per_distributor=2))
             result = replay.replay(trace)
-        assert replay.watchdog is None
         assert all(value == 0
                    for value in result.degradation().values())
         assert result.answered_fraction() > 0.9

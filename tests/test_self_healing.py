@@ -22,17 +22,17 @@ import pytest
 from repro.replay import (ChaosConfig, ChaosEngine, CheckpointPolicy,
                           CheckpointStore, DistributedConfig,
                           LiveUdpEchoServer, ProcessTopology,
-                          RecoveryConfig, RespawnPolicy,
-                          ShardTopology, UdpEchoServerProcess,
+                          RecoveryConfig, ShardTopology, UdpEchoServerProcess,
                           conservation_violations, merge_recovered,
                           reconnect_with_backoff)
 from repro.replay import distributed
 from repro.replay.distributed import _LiveDistributor, _LiveQuerier
 from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
-                                   MSG_RESULT, MSG_TIME_SYNC,
+                                   MSG_RESULT, MSG_SHUTDOWN, MSG_TIME_SYNC,
                                    MessageSocket, ROLE_QUERIER,
                                    validate_checkpoint_payload)
 from repro.replay.querier import match_key
+from repro.replay.recovery import respawn_backoff
 from repro.replay.result import (SENT_FIELDS, ReplayResult, SentQuery,
                                  sent_rows)
 from repro.dns import Name, WireError
@@ -262,12 +262,11 @@ class TestChaosEngine:
 
 class TestPolicies:
     def test_respawn_backoff_is_exponential_and_capped(self):
-        policy = RespawnPolicy(backoff_base=0.05, backoff_factor=2.0,
-                               backoff_cap=0.15)
-        assert policy.backoff(0) == pytest.approx(0.05)
-        assert policy.backoff(1) == pytest.approx(0.10)
-        assert policy.backoff(2) == pytest.approx(0.15)   # capped
-        assert policy.backoff(10) == pytest.approx(0.15)
+        assert respawn_backoff(0) == pytest.approx(0.05)
+        assert respawn_backoff(1) == pytest.approx(0.10)
+        assert respawn_backoff(4) == pytest.approx(0.80)
+        assert respawn_backoff(5) == pytest.approx(1.0)   # capped
+        assert respawn_backoff(10) == pytest.approx(1.0)
 
     def test_checkpoint_policy_due(self):
         policy = CheckpointPolicy(every_records=4, interval_s=0.5)
@@ -580,8 +579,9 @@ class TestSyscallBudget:
         distributor = _LiveDistributor(
             0, ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
             [MessageSocket(link)])
-        distributor.run_shard_file(shard_path(directory, 0, manifest),
-                                   pace_lead=0.0)
+        with mock.patch.object(distributed, "select", scripted_select()):
+            distributor.run_shard_file(shard_path(directory, 0, manifest),
+                                       pace_lead=0.0)
         inbound = _ByteLink(b"".join(data for _at, data in link.written))
         result = ReplayResult("querier-0", aggregate=True)
         querier = _LiveQuerier(0, inbound, ("127.0.0.1", 9), result,
@@ -624,8 +624,9 @@ class TestSyscallBudget:
         distributor = _LiveDistributor(
             0, ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
             [MessageSocket(link)])
-        with pytest.raises(TraceFormatError,
-                           match="bad protocol index|truncated message wire"):
+        with mock.patch.object(distributed, "select", scripted_select()), \
+                pytest.raises(TraceFormatError, match="bad protocol index"
+                              "|truncated message wire"):
             distributor.run_shard_file(path, pace_lead=0.0)
         assert distributor.records_routed == 5
         assert b"".join(data for _at, data in link.written) \
@@ -643,7 +644,9 @@ class TestSyscallBudget:
         distributor = _LiveDistributor(
             0, ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
             [MessageSocket(link)])
-        with mock.patch.object(distributed, "time", clock):
+        with mock.patch.object(distributed, "time", clock), \
+                mock.patch.object(distributed, "select",
+                                  scripted_select(clock)):
             distributor.run_shard_file(shard_path(directory, 0, manifest),
                                        pace_lead=pace_lead)
         assert distributor.records_routed == len(records)
@@ -685,6 +688,34 @@ class TestSyscallBudget:
                 covered += len(data)
             assert instant - distributor.sync_mono \
                 <= max(record.timestamp - lead, 0.0)
+
+    def test_distributor_stops_its_shard_on_shutdown(self, tmp_path):
+        """The deadline's SHUTDOWN lands 2**-3 s after the anchor, in
+        the middle of the test above's 0.25 s shard: the distributor
+        sees it at its next pacing sleep, routes nothing more and sheds
+        the rest of the shard.  The parent never read its control link
+        past END and routed all 2 048 records."""
+        gap, lead = 2.0 ** -13, 2.0 ** -5
+        records = _spaced(2048, gap)
+        directory = str(tmp_path / "shards")
+        manifest = split_shards(iter(records), directory, 1)
+        clock = FakeClock()
+        inbound = ScriptedInbound(
+            [(MSG_TIME_SYNC, 0.0), (MSG_END, None),
+             clock.now + 2.0 ** -3, (MSG_SHUTDOWN, None)], clock)
+        result = ReplayResult("distributor-0")
+        distributor = _LiveDistributor(
+            0, inbound, [MessageSocket(_CountingSocket(clock))],
+            result=result, lock=threading.Lock())
+        with mock.patch.object(distributed, "time", clock), \
+                mock.patch.object(distributed, "select",
+                                  scripted_select(clock)):
+            distributor.run_shard_file(shard_path(directory, 0, manifest),
+                                       pace_lead=lead, records=len(records))
+        assert not inbound.script           # the SHUTDOWN was read
+        assert 0 < distributor.records_routed < len(records)
+        assert distributor.records_routed + result.deadline_shed \
+            == len(records)
 
     def test_distributor_sleeps_once_per_sparse_record(self, tmp_path):
         """Gaps wider than the quantum: one sleep and one write per
@@ -883,6 +914,22 @@ class TestCrashRecoveryEndToEnd:
         assert result.respawns == 0
         assert result.redelivered_records == 0
 
+    def test_records_not_yet_due_are_not_redelivered(self):
+        """Three records 1 s apart: the store is quiet for longer than
+        the redelivery grace between sends, but a record still on its
+        schedule is queued, not lost.  The parent redelivered every
+        record not yet sent at each quiet spell."""
+        trace = fixed_interval_trace(interval=1.0, duration=3.0,
+                                     client_count=1)
+        assert len(trace) == 3
+        with LiveUdpEchoServer() as echo:
+            topology = ProcessTopology((echo.address, echo.port),
+                                       _recovering_config(queriers=1))
+            result = topology.replay(trace)
+        assert conservation_violations(result, len(trace.records)) == []
+        assert result.redelivered_records == 0
+        assert topology.metrics.count("replay.redundant_records") == 0
+
     def test_chaos_crash_is_respawned_and_conserved(self):
         """Queriers crash deterministically on their first incarnation;
         the respawned incarnation finishes the shard and the merge
@@ -943,6 +990,8 @@ class TestCrashRecoveryEndToEnd:
             killer.join(timeout=1.0)
         assert conservation_violations(result, len(trace.records)) == []
         assert result.respawns == 2
+        # A respawned worker is not a lost one.
+        assert result.watchdog_stalls == 0
         answered = sum(1 for q in result.sent if q.answered_at is not None)
         assert answered == len(trace.records)
 
