@@ -26,8 +26,9 @@ shard-file, recovering and sharded-sim runs parameterise:
    tagged with their global trace index — or nothing at all when
    distributors self-source shard files, numbering each record from
    its shard's offset in the manifest;
-4. **drain** (recovery mode) — END is withheld until the checkpoint
-   store accounts for every index, lost ones being re-streamed;
+4. **drain** (recovery mode) — END is withheld, and lost records
+   re-streamed, as the :class:`~repro.replay.recovery.RecoveryLedger`
+   decides;
 5. **collect** — END, then one wait (``_await_reports``) until every
    worker has reported its RESULT + METRICS pair or is failed: at once
    when its process is seen dead, else only ``settle_time`` + slack
@@ -39,14 +40,21 @@ shard-file, recovering and sharded-sim runs parameterise:
 7. **teardown** — SHUTDOWN, close, join, terminate.
 
 Supervision: a worker's death is seen once, by its reader thread, as
-EOF on its control link; ``_maybe_respawn`` then decides between a
-respawn (recovery mode, within budget) and a failed handle whose routes
+EOF on its control link; ``_maybe_respawn`` then asks the ledger for a
+respawn (recovery mode, within budget) or fails the handle, whose routes
 fail over via ``StickyAssigner.remove``.  ``DistributedConfig.deadline``
-— the only wall-clock budget — fires one controller timer that sends
-SHUTDOWN down the tree, so distributors and queriers shed what they
-hold and report truthful ``deadline_shed`` counts; each querier also
-enforces it locally from TIME_SYNC.  A worker that is alive but wedged
-is bounded by that deadline and by ``_await_reports``' clock.
+— the only wall-clock budget — fires one controller timer that expires
+the ledger and sends SHUTDOWN down the tree, so distributors and
+queriers shed what they hold and report truthful ``deadline_shed``
+counts; each querier also enforces it locally from TIME_SYNC.  A worker
+that is alive but wedged is bounded by that deadline and by
+``_await_reports``' clock.
+
+Every recovery decision — which records to re-stream and when, when END
+may go out, whether a dead worker is respawned, what the deadline sheds
+— is the ledger's; the controller keeps the sockets, processes, threads
+and routing, feeds the ledger events under ``_lock`` and carries out
+the actions it returns.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ import os
 import socket
 import threading
 import time
-from itertools import accumulate, takewhile
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..netsim.shard import shard_of
@@ -78,10 +86,9 @@ from .protocol import (MSG_CHECKPOINT, MSG_HELLO, MSG_METRICS, MSG_RESULT,
                        MessageSocket, ProtocolError, ROLE_DISTRIBUTOR,
                        ROLE_QUERIER, ROLE_SHARD, connect)
 from .recovery import (COLLECT_TIMEOUT, HELLO_TIMEOUT, RECONNECT_ATTEMPTS,
-                       RECONNECT_BACKOFF, REDELIVERY_GRACE,
-                       REDELIVERY_ROUNDS, RESPAWNS_PER_WORKER,
-                       RESPAWNS_TOTAL, CheckpointPolicy, CheckpointStore,
-                       RecoveryConfig, attach_chaos, reconnect_with_backoff,
+                       RECONNECT_BACKOFF, CheckpointPolicy, CheckpointStore,
+                       RecoveryConfig, RecoveryLedger, attach_chaos,
+                       merge_recovered, reconnect_with_backoff,
                        respawn_backoff)
 from .result import ReplayResult
 
@@ -723,8 +730,9 @@ class _Controller:
     Only two places mark a handle failed: the reader's EOF path
     (``_maybe_respawn``, once the process is seen dead) and
     ``_await_reports`` (clock expired, or dead with no reader left).
-    Only ``_maybe_respawn`` and ``_respawn_worker`` count a worker lost
-    for good (``watchdog_stalls``).
+    Only the ledger counts a worker lost for good (``watchdog_stalls``):
+    a death ``_maybe_respawn`` or ``_respawn_worker`` reports past its
+    respawn budget, which is zero without recovery.
     """
 
     def __init__(self, result: ReplayResult,
@@ -753,22 +761,21 @@ class _Controller:
         # Every CHECKPOINT / RESULT frame lands here, and the merge is
         # exactly-once over it.
         self._store = CheckpointStore()
+        self._ledger = RecoveryLedger(self._store,
+                                      respawns=recovery is not None)
         self._assigner: StickyAssigner = StickyAssigner([], allow_empty=True)
         self._control_addr: Optional[Tuple[str, int]] = None
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._processes: List = []
         self._pending_processes: Dict[Tuple[int, int, int], object] = {}
-        self._respawn_counts: Dict[Tuple[int, int], int] = {}
         self._respawning: Set[Tuple[int, int]] = set()
-        self._respawns_total = 0
         self._retired_handles: List[_WorkerHandle] = []
         # Set once worker death stops being recoverable work loss: no
         # more respawns, the accept loop ends, EOFs are not crashes.
         self._closing = threading.Event()
         # The wall-clock budget's one timer (``_handle_deadline``).
         self._deadline_timer: Optional[threading.Timer] = None
-        self._deadline_hit = False
 
     def _handles(self) -> List[_WorkerHandle]:
         return [handle for slots in self._tiers.values() for handle in slots]
@@ -785,8 +792,10 @@ class _Controller:
 
     def _handle_deadline(self) -> None:
         """The wall-clock budget ran out (``_deadline_timer``'s thread):
-        stop streaming and send SHUTDOWN down the tree."""
-        self._deadline_hit = True
+        stop streaming and redelivery, and send SHUTDOWN down the tree."""
+        with self._progress:
+            self._ledger.expire()
+            self._progress.notify_all()
         for handle in self._tiers.get(ROLE_DISTRIBUTOR, ()):
             try:
                 handle.control.send_shutdown()
@@ -942,24 +951,10 @@ class _Controller:
             self._resync(newcomer)
         self._start_reader(handle)
 
-    def _take_respawn(self, key: Tuple[int, int]) -> Optional[int]:
-        """Book one respawn of worker ``key`` against the budget: its
-        attempt number, or None when recovery is off or the budget is
-        spent.  Call with the lock held."""
-        attempts = self._respawn_counts.get(key, 0)
-        if (self._recovery is None
-                or attempts >= RESPAWNS_PER_WORKER
-                or self._respawns_total >= RESPAWNS_TOTAL):
-            return None
-        self._respawn_counts[key] = attempts + 1
-        self._respawns_total += 1
-        self.result.respawns += 1
-        return attempts
-
     def _maybe_respawn(self, handle: _WorkerHandle) -> None:
         """A worker's control link died.  Once the process is seen dead
         with its report outstanding the handle is failed; it is
-        respawned when recovery is on and the budget allows."""
+        respawned when the ledger's budget allows."""
         if handle.process is not None:
             handle.process.join(timeout=1.5)
             if handle.process.is_alive():
@@ -974,10 +969,8 @@ class _Controller:
             self._progress.notify_all()
             if self._closing.is_set():
                 return   # winding down: nothing left to lose or recover
-            attempt = self._take_respawn(key)
-            if attempt is None:
-                self.result.watchdog_stalls += 1
-            else:
+            attempt = self._ledger.died(key)
+            if attempt is not None:
                 self._respawning.add(key)
         if self.cluster is not None:
             self.cluster.record_crash(handle.role, handle.worker_id,
@@ -1029,9 +1022,8 @@ class _Controller:
                         # HELLO timeout.
                         return
                     del self._pending_processes[pending_key]
-                    attempt = self._take_respawn(key)
+                    attempt = self._ledger.died(key)
                     if attempt is None:
-                        self.result.watchdog_stalls += 1
                         return
         finally:
             with self._progress:
@@ -1110,13 +1102,14 @@ class _Controller:
         if self._deadline_timer is not None:
             self._deadline_timer.cancel()
         handles = self._handles()
+        ledger, own = self._ledger, self.result
         with self._lock:
             snapshots = self._store.snapshots()
-        merged = ReplayResult(self.result.name,
-                              aggregate=self.result.aggregate)
-        for snapshot in snapshots:
-            merged.merge(ReplayResult.from_dict(snapshot))
-        self.result = merged.merge(self.result)
+            own.respawns, own.watchdog_stalls = ledger.respawns, ledger.lost
+            own.redelivered_records = ledger.redelivered
+            own.deadline_shed = ledger.shed
+        self.result = merge_recovered(snapshots, own.name,
+                                      own.aggregate).merge(own)
         lost = sum(1 for handle in handles if not handle.reported)
         for handle in handles + self._retired_handles:
             if handle.metrics_state is not None:
@@ -1124,8 +1117,8 @@ class _Controller:
         if lost:
             self.metrics.incr("multiproc.lost_shards", lost)
         self.metrics.incr(workers_counter, len(handles))
-        if self._respawns_total:
-            self.metrics.incr("multiproc.respawns", self._respawns_total)
+        if ledger.respawns:
+            self.metrics.incr("multiproc.respawns", ledger.respawns)
         return lost
 
     def _teardown(self) -> None:
@@ -1298,14 +1291,12 @@ class ProcessTopology(_Controller):
             self._deadline_timer.daemon = True
             self._deadline_timer.start()
         self._anchor()
-        streamed = self._stream(records)
+        self._stream(records)
 
         if recovery is not None:
-            # Exactly-once drain: withhold END until the checkpoint
-            # store accounts for every streamed index (or the deadline).
             cap = time.monotonic() + span + config.settle_time \
                 + COLLECT_TIMEOUT
-            self._drain_exactly_once(records, streamed, cap)
+            self._drain(records, cap)
             # From here on worker death is no longer recoverable work
             # loss (everything is checkpointed), so stop respawning and
             # let the tree wind down.
@@ -1347,21 +1338,24 @@ class ProcessTopology(_Controller):
         for handle in self.distributor_handles:
             self._resync(handle)
 
-    def _stream(self, records: Sequence) -> int:
+    def _stream(self, records: Sequence) -> None:
         """Reader + Postman: shard the records sticky-by-source over the
-        distributors, tagged with their global trace index.  Returns how
-        many were handed to the tree."""
-        streamed = 0
+        distributors, tagged with their global trace index, until the
+        deadline; then tell the ledger what went out and when it is
+        due (the anchor plus its offset in the trace)."""
+        ledger, total = self._ledger, len(records)
         for index, record in enumerate(records):
-            if self._deadline_hit:
-                # Stop feeding the tree; everything not yet streamed is
-                # shed here (queued records shed inside the queriers).
-                self.result.deadline_shed += len(records) - streamed
+            if ledger.expired:
+                # Not fed to the tree: the ledger sheds it (queued
+                # records shed inside the queriers).
+                records = records[:index]
                 break
             self._send_record(index, record)
-            streamed += 1
         self._flush_records()
-        return streamed
+        offset = self.result.start_clock - self.result.trace_start
+        with self._lock:
+            ledger.route([record.timestamp + offset for record in records])
+            ledger.stop_routing(total)
 
     def _send_record(self, index: int, record) -> None:
         """Route record ``index`` to its sticky distributor, failing a
@@ -1392,79 +1386,27 @@ class ProcessTopology(_Controller):
 
     # -- exactly-once drain (recovery mode) --------------------------------
 
-    def _drain_exactly_once(self, records, streamed: int,
-                            drain_deadline: float) -> None:
-        """Wait until the store covers every streamed index,
-        re-streaming lost records in bounded redelivery rounds.
-
-        A record no frame has reported sent is lost only once it is
-        ``REDELIVERY_GRACE`` past its due instant (the anchor plus its
-        offset in the trace, ``start_delay`` included) and the store has
-        been quiet that long: before that it is queued, not lost."""
-        store = self._store
-        # A record's due instant plus the grace, less its timestamp.
-        lost_after = (self.result.start_clock - self.result.trace_start
-                      + REDELIVERY_GRACE)
-        rounds = 0
-        last_seen = None
-        last_progress = time.monotonic()
-        while time.monotonic() < drain_deadline and not self._deadline_hit:
+    def _drain(self, records: Sequence, cap: float) -> None:
+        """Withhold END until the ledger sends it, re-streaming what it
+        counts lost; ``cap`` bounds the wait in wall time."""
+        while True:
             with self._progress:
-                # Done when every index has a recorded send and none of
-                # them is an unanswered send stranded in a dead
-                # incarnation (those get one more chance below).
-                if store.covers(streamed) \
-                        and not self._stale_unanswered(streamed):
-                    return
                 now = time.monotonic()
-                seen = store.progress()
-                if seen != last_seen:
-                    last_seen = seen
-                    last_progress = now
-                quiet = now - last_progress
-                if quiet < REDELIVERY_GRACE:
-                    self._progress.wait(
-                        min(REDELIVERY_GRACE - quiet,
-                            max(drain_deadline - now, 0.0)))
-                    continue
-                live_queriers = any(h.is_alive() and not h.failed
-                                    for h in self.querier_handles)
-                if not self._assigner.entities or not live_queriers:
-                    # No live routing path: a respawn is (hopefully) in
-                    # flight — don't burn redelivery rounds into the void.
-                    self._progress.wait(0.05)
-                    continue
-                missing = store.missing(streamed)
-                redeliver = sorted(
-                    set(takewhile(lambda index: records[index].timestamp
-                                  + lost_after <= now, missing))
-                    | self._stale_unanswered(streamed))
-                if not redeliver:
-                    # Every missing record is still on its schedule:
-                    # wait until the first of them could be lost.
-                    self._progress.wait(
-                        min(records[missing[0]].timestamp + lost_after - now,
-                            max(drain_deadline - now, 0.0)))
-                    continue
-                if rounds >= REDELIVERY_ROUNDS:
+                if now >= cap:
                     return
-            rounds += 1
-            for index in redeliver:
+                live = [((h.role, h.worker_id), h.incarnation)
+                        for h in self.querier_handles
+                        if h.is_alive() and not h.failed]
+                action, arg = self._ledger.tick(
+                    now, live, bool(live and self._assigner.entities))
+                if action == "end":
+                    return
+                if action == "wait":
+                    self._progress.wait(min(arg, cap) - now)
+                    continue
+            for index in arg:
                 self._send_record(index, records[index])
             self._flush_records()
-            with self._lock:
-                self.result.redelivered_records += len(redeliver)
-            last_progress = time.monotonic()
-
-    def _stale_unanswered(self, streamed: int) -> set:
-        """Indices whose only sends belong to dead incarnations and
-        were never answered — rescue candidates for redelivery.
-        Call with the lock held."""
-        live_keys = [((h.role, h.worker_id), h.incarnation)
-                     for h in self.querier_handles
-                     if h.is_alive() and not h.failed]
-        return {index for index in self._store.stale_unanswered(live_keys)
-                if index < streamed}
 
 
 # ---------------------------------------------------------------------------
@@ -1543,7 +1485,7 @@ class ShardTopology(_Controller):
         self._await_reports(time.monotonic() + self.collect_timeout)
         self.wall_s = time.perf_counter() - started
         self.lost_shards = self._merge("multiproc.shards")
-        self.respawns = self._respawns_total
+        self.respawns = self._ledger.respawns
         self.shard_walls = [
             (handle.metrics_state or {}).get("gauges", {}).get(
                 f"shard.{handle.worker_id}.wall_s")

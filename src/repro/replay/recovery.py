@@ -18,6 +18,9 @@ from fail-fast into fault-tolerant:
   trace index (answered beats unanswered), the header goes to the
   highest sequence number, so duplicated, reordered and re-reported
   frames can never regress the stored state.
+* :class:`RecoveryLedger` — the controller's recovery decisions as a
+  pure object: redelivery by due instant, the END hold-back, the
+  respawn budget and deadline shedding.  Events in, actions out.
 * :func:`merge_recovered` — exactly-once merge over the store's
   snapshots, a fold of :meth:`ReplayResult.merge`: sent entries are
   deduplicated by *global trace index* with a deterministic,
@@ -30,8 +33,8 @@ from fail-fast into fault-tolerant:
 
 Everything here is deliberately socket-free and process-free except
 :class:`ChaosEngine`'s crash path, so the explorer and fuzz harness
-(:mod:`repro.verify`) can drive the exact production store/merge code
-through exhaustive crash × reorder schedules.
+(:mod:`repro.verify`) can drive the exact production ledger, store and
+merge through exhaustive crash × reorder × deadline schedules.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, \
     Set, Tuple
 
@@ -254,8 +258,8 @@ class CheckpointStore:
     state, and a lost delta is healed by whichever later frame carries
     its entries again (a re-report or the final RESULT).
 
-    The index sets the controller's drain loop asks about are kept up
-    to date on offer, so a query costs nothing per stored entry.
+    The index sets the recovery ledger asks about are kept up to date
+    on offer, so a query costs nothing per stored entry.
     """
 
     def __init__(self) -> None:
@@ -326,19 +330,9 @@ class CheckpointStore:
             out.append(snapshot)
         return out
 
-    def has_final(self, worker: Hashable, incarnation: int) -> bool:
-        held = self._headers.get((worker, incarnation))
-        return held is not None and held[0][0] == 1
-
-    def sent_indices(self,
-                     keys: Optional[Iterable[StoreKey]] = None) -> Set[int]:
+    def sent_indices(self) -> Set[int]:
         """Global trace indices with at least one recorded send."""
-        if keys is None:
-            return set(self._sent)
-        found: Set[int] = set()
-        for key in keys:
-            found.update(self._entries.get(key, ()))
-        return found
+        return set(self._sent)
 
     def answered_indices(self) -> Set[int]:
         """Global trace indices with at least one recorded answer."""
@@ -382,10 +376,133 @@ class CheckpointStore:
             for key in self.keys())
 
 
+# -- recovery ledger --------------------------------------------------------
+
+# How long a drain with no live routing path waits before looking again.
+_NO_ROUTE_POLL = 0.05
+
+
+class RecoveryLedger:
+    """The controller's recovery decisions, sans IO: events in, actions
+    out, ``now`` always an argument.  The controller feeds it under its
+    lock and carries out its actions; the state explorer runs the same
+    object on a virtual clock.  It owns:
+
+    * redelivery — a record no frame reported sent is lost once it is
+      ``REDELIVERY_GRACE`` past its due instant and the store has been
+      quiet that long, as is an unanswered send only dead incarnations
+      hold; at most ``REDELIVERY_ROUNDS`` passes, none past the deadline;
+    * the END hold-back — until the store covers every routed index with
+      nothing stranded, the rounds are spent or the deadline hit
+      (``ended`` says which);
+    * the respawn budget — ``RESPAWNS_PER_WORKER`` per slot and
+      ``RESPAWNS_TOTAL`` per run (none without recovery); a death past
+      it is lost for good (``lost``);
+    * ``shed``, what the deadline kept from being routed: with the
+      workers' shed counts it closes ``len(result) + deadline_shed ==
+      total`` for a run that ended ``"complete"``.
+    """
+
+    def __init__(self, store: CheckpointStore, respawns: bool = True):
+        self.store = store
+        self._per_worker = RESPAWNS_PER_WORKER if respawns else 0
+        self._budget = RESPAWNS_TOTAL if respawns else 0
+        self._attempts: Dict[Hashable, int] = {}
+        self._due: List[float] = []         # due instant, by routed index
+        self._seen: Optional[Tuple[int, int]] = None   # store progress
+        self._moved = 0.0       # when it last moved, or we redelivered
+        self.expired = False
+        self.ended: Optional[str] = None    # complete | rounds | deadline
+        self.rounds = 0
+        self.redelivered = 0
+        self.respawns = 0
+        self.lost = 0
+        self.shed = 0
+
+    @property
+    def routed(self) -> int:
+        return len(self._due)
+
+    def route(self, dues: Iterable[float]) -> None:
+        """The next records by index went to the tree, due at ``dues``
+        (non-decreasing: the trace is in timestamp order)."""
+        self._due.extend(dues)
+
+    def stop_routing(self, total: int) -> None:
+        """The stream is over: what of the ``total`` records was not
+        routed is shed."""
+        self.shed += total - len(self._due)
+
+    def expire(self) -> None:
+        """The deadline: routing stops and the next tick sends END."""
+        self.expired = True
+
+    def died(self, worker: Hashable) -> Optional[int]:
+        """Worker slot ``worker`` died with its report outstanding: the
+        respawn attempt to make (after ``respawn_backoff(attempt)``), or
+        None when the budget is spent and the worker is lost."""
+        attempts = self._attempts.get(worker, 0)
+        if attempts >= self._per_worker or self.respawns >= self._budget:
+            self.lost += 1
+            return None
+        self._attempts[worker] = attempts + 1
+        self.respawns += 1
+        return attempts
+
+    def tick(self, now: float, live: Iterable[StoreKey],
+             routable: bool) -> Tuple[str, object]:
+        """The drain looks at ``now``; ``live`` are the store keys of the
+        live querier incarnations, ``routable`` whether a record routed
+        now could reach one.  Returns ``("wait", until)``,
+        ``("redeliver", indices)`` or ``("end", ended)``."""
+        if self.expired:
+            return self._end("deadline")
+        store, due = self.store, self._due
+
+        def stranded():
+            return {index for index in store.stale_unanswered(live)
+                    if index < len(due)}
+        if store.covers(len(due)) and not stranded():
+            return self._end("complete")
+        seen = store.progress()
+        if seen != self._seen:
+            self._seen, self._moved = seen, now
+        if now < self._moved + REDELIVERY_GRACE:
+            return "wait", self._moved + REDELIVERY_GRACE
+        if not routable:
+            # A respawn is (hopefully) in flight: spend no round on it.
+            return "wait", now + _NO_ROUTE_POLL
+        missing, stale = store.missing(len(due)), stranded()
+        lost = set(takewhile(
+            lambda index: due[index] + REDELIVERY_GRACE <= now, missing))
+        if not lost and not stale:
+            # Every missing record is still on its schedule.
+            return "wait", due[missing[0]] + REDELIVERY_GRACE
+        if self.rounds >= REDELIVERY_ROUNDS:
+            return self._end("rounds")
+        self.rounds += 1
+        redeliver = sorted(lost | stale)
+        self.redelivered += len(redeliver)
+        self._moved = now
+        return "redeliver", redeliver
+
+    def _end(self, why: str) -> Tuple[str, str]:
+        if self.ended is None:
+            self.ended = why
+        return "end", self.ended
+
+    def fingerprint(self) -> tuple:
+        """Hashable digest of the ledger (part of the explorer's state)."""
+        return (len(self._due), self.expired, self.ended, self.rounds,
+                self.redelivered, self.respawns, self.lost, self.shed,
+                tuple(sorted(self._attempts.items(), key=repr)),
+                self._seen, self._moved)
+
+
 # -- exactly-once merge -----------------------------------------------------
 
-def merge_recovered(snapshots: Iterable[dict],
-                    name: str = "recovered") -> ReplayResult:
+def merge_recovered(snapshots: Iterable[dict], name: str = "recovered",
+                    aggregate: bool = False) -> ReplayResult:
     """The exactly-once merge: :meth:`ReplayResult.merge` folded over
     result snapshots whose SentQuery indices are global trace indices.
 
@@ -396,7 +513,7 @@ def merge_recovered(snapshots: Iterable[dict],
     hands over one snapshot per incarnation, under that incarnation's
     latest cumulative header, so nothing is double-counted.
     """
-    merged = ReplayResult(name)
+    merged = ReplayResult(name, aggregate=aggregate)
     for shard in snapshots:
         merged.merge(ReplayResult.from_dict(shard))
     return merged

@@ -9,7 +9,7 @@ needed from the code under test.  Visited states are fingerprinted and
 pruned — two orderings that converge on the same state share their
 futures.
 
-Two model families ship here, matching the subsystems whose bugs are
+Three model families ship here, matching the subsystems whose bugs are
 ordering-dependent:
 
 * :class:`TcpScenarioModel` — small instances of the simulated TCP
@@ -27,6 +27,10 @@ ordering-dependent:
   admission/RRL pipeline: arrivals interleaved with service-timer
   drains under each queue policy, checked against counter conservation
   (``arrived == served + dropped + shed + queued``) after every step.
+
+* :class:`RecoveryScenarioModel` — the recovering controller's own
+  :class:`~repro.replay.recovery.RecoveryLedger` and store under worker
+  crash × frame reorder, duplication and loss × deadline schedules.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..netsim import EventLoop, Network, TcpOptions, TcpStack, TcpState
 from ..perf import PerfCounters
+from ..replay.recovery import (REDELIVERY_GRACE, REDELIVERY_ROUNDS,
+                               CheckpointStore,
+                               RecoveryLedger, conservation_violations,
+                               merge_recovered)
+from ..replay.result import SentQuery, sent_row, sent_table
 from ..server.overload import OverloadConfig, OverloadControl, RrlConfig
 
 # -- generic engine ---------------------------------------------------------
@@ -473,180 +482,249 @@ class AdmissionScenarioModel:
 
 # -- crash-recovery scenarios -----------------------------------------------
 
+# Scenario -> its record cap, due instants, deadline and the budgets of
+# what the explorer may do to the tree.  ``late`` records are answered
+# only after their first frame left.
+_RECOVERY_SCENARIOS = {
+    # one crash (a late answer left stranded), frames in any order
+    "crash-reorder": dict(crashes=1, crashes_per_worker=1, late=(1,)),
+    # at-least-once transport: a stale copy after the answered one
+    "dup-reorder": dict(dups=2, late=(1,)),
+    "double-crash": dict(cap=3, crashes=2, crashes_per_worker=1),
+    # healing by redelivery + re-report, and by the final frames
+    "drop-heal": dict(cap=3, drops=2),
+    # one slot crashes twice: the second loss outlives the deadline
+    "deadline-crash": dict(cap=3, crashes=2, crashes_per_worker=2,
+                           deadline=1.0),
+    # records due 0, 1 and 2 s: quiet spells longer than the grace
+    "not-yet-due": dict(cap=3, drops=1, due=lambda index, total: index),
+    # the deadline between the records due at once and at 1 s, which
+    # the workers shed, x a crash, also while the last frames fly
+    "shed-trailer": dict(crashes=1, crashes_per_worker=1, deadline=0.5,
+                         due=lambda index, total: 2 * index >= total),
+}
+
+
 class RecoveryScenarioModel:
-    """Worker crash × checkpoint-frame reorder, duplication and loss
-    against the *production* recovery code
-    (:class:`repro.replay.recovery.CheckpointStore` /
-    :func:`repro.replay.recovery.merge_recovered`).
+    """The recovering controller under explorer-chosen schedules, on the
+    production code: every redelivery, END, respawn and shed decision
+    is :class:`RecoveryLedger`'s, frames fold into a real
+    :class:`CheckpointStore`, and :func:`merge_recovered` merges them.
 
-    The model abstracts the process tree to its accounting skeleton:
-    records are routed round-robin to workers, workers execute them and
-    emit sequence-numbered *delta* checkpoint frames (the entries with
-    news since the previous frame: first sends, answers that landed
-    after shipping, re-reports) and one cumulative final frame; the
-    controller folds delivered frames into a real ``CheckpointStore``.
-    The explorer owns every source of nondeterminism the real control
-    plane has: frame delivery order (reorder), bounded duplicate
-    delivery, bounded frame loss, and bounded worker crashes (a crash
-    wipes the worker's un-checkpointed state; the controller redelivers
-    everything the store cannot account for to the respawned
-    incarnation — and stale frames from the dead incarnation may still
-    arrive afterwards).
+    The model keeps only what the tree leaves to chance: frame order,
+    duplication and loss, worker crashes, and a virtual clock.  Records
+    go round-robin to workers, which send each once due and emit delta
+    checkpoint frames (first sends, late answers, re-reports), then a
+    cumulative final frame after END.  A crash wipes the incarnation's
+    unreported state; its frames in flight still arrive.  The clock
+    moves only when the tree is idle — nothing in flight, every due
+    record sent and checkpointed: the premise of ``REDELIVERY_GRACE`` —
+    to the next instant a record, the ledger's wait or the deadline is
+    due; at the deadline the workers shed what they hold.  Once routing
+    is over the ledger is ticked after every step, as the drain wakes
+    on every frame.
 
-    A lost delta leaves a hole no later delta fills by itself.  While
-    it has redelivery rounds left the controller withholds END — no
-    worker may send its final frame — and may instead redeliver the
-    records the store is missing; a live worker that already executed
-    one drops it and puts the entry back into its next frame.  With the
-    rounds spent END goes out regardless and the cumulative finals
-    close the hole.
-
-    ``scenario`` is one of:
-
-    * ``"crash-reorder"`` — 2 workers, 4 records, one crash allowed,
-      frames deliverable in any order (the worker-crash × frame-reorder
-      grid);
-    * ``"dup-reorder"`` — no crashes, 2 duplicate deliveries allowed,
-      record 1 answered only after its first frame left: pure
-      idempotence and commutativity under at-least-once transport, a
-      stale unanswered copy arriving after the answered one;
-    * ``"double-crash"`` — both workers may crash once each (3
-      records);
-    * ``"drop-heal"`` — no crashes, 3 records, 2 checkpoint frames may
-      be lost, one redelivery round: healing by re-report, and by the
-      final frames when the re-report is lost too.
-
-    Invariants: at every state ``merge_recovered`` over the store's
-    snapshots holds no duplicate and no never-routed index, and no
-    index the store reported answered ever reads unanswered again; at
-    quiescence it accounts for every record exactly once
-    (:func:`repro.replay.recovery.conservation_violations`), answered.
+    Invariants: at every state the merge holds no duplicate and no
+    never-routed index, no answer regresses, and no index is redelivered
+    before its due instant + the grace or past the deadline.  At
+    quiescence ``len(merged) + deadline_shed`` never exceeds the trace;
+    when the ledger ended ``"complete"`` every record is accounted for
+    exactly once and, but for a crash after END, answered; else the
+    shortfall is at most what crashed workers held, and the rounds ran
+    out only on more losses than there are rounds.
     """
 
-    def __init__(self, scenario: str = "crash-reorder",
-                 workers: int = 2, total: int = 4):
-        from ..replay.recovery import CheckpointStore
-
+    def __init__(self, scenario: str = "crash-reorder", workers: int = 2,
+                 total: int = 4,
+                 ledger: Callable[..., RecoveryLedger] = RecoveryLedger, *,
+                 crashes: Optional[int] = None,
+                 crashes_per_worker: Optional[int] = None,
+                 dups: Optional[int] = None, drops: Optional[int] = None,
+                 late: Optional[Tuple[int, ...]] = None):
+        """The budgets given (not None) override the scenario's."""
+        if scenario not in _RECOVERY_SCENARIOS:
+            raise ValueError(f"unknown recovery scenario {scenario!r}")
+        spec = dict(cap=total, due=lambda index, total: 0, deadline=None,
+                    crashes=0, crashes_per_worker=0, dups=0, drops=0,
+                    late=())
+        spec.update(_RECOVERY_SCENARIOS[scenario])
+        given = dict(crashes=crashes, crashes_per_worker=crashes_per_worker,
+                     dups=dups, drops=drops, late=late)
+        spec.update((name, value) for name, value in given.items()
+                    if value is not None)
         self.scenario = scenario
         self.workers = workers
-        self.total = total
-        self.crash_budget = [0] * workers
-        self.crashes_max = 0
-        self.dup_budget = 0
-        self.drop_budget = 0
-        self.redeliver_budget = 0
-        self.late: Tuple[int, ...] = ()   # records answered after shipping
-        if scenario == "crash-reorder":
-            self.crash_budget = [1] * workers
-            self.crashes_max = 1
-        elif scenario == "dup-reorder":
-            self.dup_budget = 2
-            self.late = (1,)
-        elif scenario == "double-crash":
-            self.crash_budget = [1] * workers
-            self.crashes_max = workers
-            self.total = min(total, 3)
-        elif scenario == "drop-heal":
-            self.drop_budget = 2
-            self.redeliver_budget = 1
-            self.total = min(total, 3)
-        else:
-            raise ValueError(f"unknown recovery scenario {scenario!r}")
+        self.total = min(total, spec["cap"])
+        self.due = [float(spec["due"](index, self.total))
+                    for index in range(self.total)]
+        self.deadline: Optional[float] = spec["deadline"]
+        self.crashes_left = spec["crashes"]
+        self.crash_budget = [spec["crashes_per_worker"]] * workers
+        self.dups_left, self.drops_left = spec["dups"], spec["drops"]
+        self.late = spec["late"]
         self.store = CheckpointStore()
-        self.routed = 0
-        self.crashes = 0
-        self.dups = 0
-        self.drops = 0
+        self.ledger = ledger(self.store)
+        self.now = 0.0
+        self.wait_until: Optional[float] = None  # the ledger's last wait
+        self.stopped = False                     # routing is over
         # Per-worker state, current incarnation only (a crash resets it).
         self.incarnation = [0] * workers
-        self.assigned: List[List[int]] = [[] for _ in range(workers)]
-        self.executed: List[List[int]] = [[] for _ in range(workers)]
+        self.dead = [False] * workers       # lost for good, or after END
+        self.assigned, self.executed, self.news, self.shed = (
+            [[] for _ in range(workers)] for _ in range(4))
         self.answered: List[set] = [set() for _ in range(workers)]
-        self.news: List[List[int]] = [[] for _ in range(workers)]
         self.seq = [0] * workers
         self.finalized = [False] * workers
         # In-flight frames: (worker, payload) — delivery order is the
         # explorer's to choose, and dead incarnations' frames linger.
         self.pending: List[Tuple[int, dict]] = []
+        self.held_by_crashed: set = set()
+        self.losses = 0     # crashes before END and dropped frames
         self._answered_seen: set = set()
-        self._regressions: List[Tuple[str, str]] = []
+        self._bad: List[Tuple[str, str]] = []
 
     # -- plumbing --------------------------------------------------------
 
-    def _owner(self, index: int) -> int:
-        return index % self.workers
+    def _owner(self, index: int) -> Optional[int]:
+        """Round-robin by index; a slot lost for good fails over."""
+        for step in range(self.workers):
+            worker = (index + step) % self.workers
+            if not self.dead[worker]:
+                return worker
+        return None
 
     def _frame(self, worker: int, indices: List[int],
                final: bool = False) -> dict:
-        from ..replay.result import SentQuery, sent_row, sent_table
-
         self.seq[worker] += 1
-        sent = [SentQuery(index, f"c{self._owner(index)}", float(index),
-                          float(index), float(index), "udp",
-                          "q.example.com.",
-                          answered_at=(float(index) + 1
-                                       if index in self.answered[worker]
-                                       else None),
-                          querier_id=worker)
-                for index in indices]
+        sent = (SentQuery(index, f"c{index % self.workers}", index, index,
+                          index, "udp", "q.example.com.", querier_id=worker,
+                          answered_at=index + 1.0
+                          if index in self.answered[worker] else None)
+                for index in indices)
         return {"worker": worker,
                 "incarnation": self.incarnation[worker],
                 "seq": self.seq[worker], "final": final,
                 "result": {"name": f"querier-{worker}",
+                           "counters": {"deadline_shed":
+                                        len(self.shed[worker])},
                            "sent": sent_table(map(sent_row, sent))}}
 
-    def _covered(self) -> bool:
-        return self.store.covers(self.total)
+    def _working(self) -> List[int]:
+        return [worker for worker in range(self.workers)
+                if not (self.dead[worker] or self.finalized[worker])]
+
+    def _due_now(self, worker: int) -> Optional[int]:
+        return next((index for index in self.assigned[worker]
+                     if self.due[index] <= self.now), None)
+
+    def _next_instant(self) -> Optional[float]:
+        """When the clock may move to, if the tree is idle."""
+        working = self._working()
+        if self.pending or any(self.news[worker]
+                               or self._due_now(worker) is not None
+                               for worker in working):
+            return None
+        ledger = self.ledger
+        instants = ([self.deadline] if self.deadline is not None
+                    and not ledger.expired and ledger.ended is None else [])
+        if self.stopped:    # while routing only the deadline interrupts
+            instants += [self.due[index] for worker in working
+                         for index in self.assigned[worker]]
+            if self.wait_until is not None:
+                instants.append(self.wait_until)
+        later = [instant for instant in instants if instant > self.now]
+        return min(later) if later else None
+
+    def _stop_routing(self) -> None:
+        self.stopped = True
+        self.ledger.stop_routing(self.total)
+
+    def _tick(self) -> None:
+        """The controller's drain: tick the ledger, carry out what it
+        returns, until it waits or has sent END."""
+        self.wait_until = None
+        while self.stopped and self.ledger.ended is None:
+            live = [((1, worker), self.incarnation[worker])
+                    for worker in range(self.workers)
+                    if not self.dead[worker]]
+            action, arg = self.ledger.tick(self.now, live, bool(live))
+            if action == "wait":
+                self.wait_until = arg
+                return
+            if action == "redeliver":
+                self._redeliver(arg)
+
+    def _redeliver(self, indices: List[int]) -> None:
+        for index in indices:
+            if self.now < self.due[index] + REDELIVERY_GRACE:
+                self._bad.append(("early-redelivery", f"record {index} "
+                                  f"due {self.due[index]} at {self.now}"))
+            if self.ledger.expired:
+                self._bad.append(("redelivery-after-deadline",
+                                  f"record {index} at {self.now}"))
+            worker = self._owner(index)
+            if worker is None or self.finalized[worker] \
+                    or index in self.assigned[worker]:
+                continue
+            if index in self.executed[worker]:
+                # Already sent by the live incarnation: drop the copy,
+                # report the entry again.
+                if index not in self.news[worker]:
+                    self.news[worker].append(index)
+            elif self.ledger.expired:
+                self.shed[worker].append(index)
+            else:
+                self.assigned[worker].append(index)
 
     # -- the explorer interface ------------------------------------------
 
     def choices(self) -> List[str]:
         out: List[str] = []
-        if self.routed < self.total:
-            out.append(f"route[{self.routed}]")
-        end_sent = (self.routed == self.total
-                    and (self.redeliver_budget == 0 or self._covered()))
-        for worker in range(self.workers):
-            if self.finalized[worker]:
-                continue
-            if self.assigned[worker]:
+        if not self.stopped:
+            out.append(f"route[{self.ledger.routed}]")
+        ended = self.ledger.ended is not None
+        for worker in self._working():
+            if self._due_now(worker) is not None:
                 out.append(f"exec[w{worker}]")
             if self.news[worker]:
                 out.append(f"ckpt[w{worker}]")
-            if end_sent and not self.assigned[worker]:
+            if ended and not self.assigned[worker]:
                 out.append(f"final[w{worker}]")
-            if (self.crash_budget[worker] > 0
-                    and self.crashes < self.crashes_max
+            if (self.crash_budget[worker] > 0 and self.crashes_left > 0
                     and (self.assigned[worker] or self.executed[worker])):
                 out.append(f"crash[w{worker}]")
-        if (self.routed == self.total and self.redeliver_budget > 0
-                and not self._covered()):
-            out.append("redeliver[]")
         for slot, (_worker, payload) in enumerate(self.pending):
             out.append(f"deliver[{slot}]")
-            if self.dups < self.dup_budget:
+            if self.dups_left:
                 out.append(f"dup[{slot}]")
-            if self.drops < self.drop_budget and not payload["final"]:
+            if self.drops_left and not payload["final"]:
                 out.append(f"drop[{slot}]")
+        instant = self._next_instant()
+        if instant is not None:
+            out.append(f"wake[{instant:g}]")
         return out
 
     def apply(self, index: int) -> None:
         label = self.choices()[index]
         action, _, arg = label.partition("[")
         arg = arg.rstrip("]")
+        worker = int(arg[1:]) if arg.startswith("w") else None
         if action == "route":
-            record = self.routed
-            self.routed += 1
-            self.assigned[self._owner(record)].append(record)
+            record = self.ledger.routed
+            self.ledger.route([self.due[record]])
+            owner = self._owner(record)
+            if owner is not None:
+                self.assigned[owner].append(record)
+            if self.ledger.routed == self.total:
+                self._stop_routing()
         elif action == "exec":
-            worker = int(arg[1:])
-            record = self.assigned[worker].pop(0)
+            record = self._due_now(worker)
+            self.assigned[worker].remove(record)
             self.executed[worker].append(record)
             self.news[worker].append(record)
             if record not in self.late:
                 self.answered[worker].add(record)
         elif action == "ckpt":
-            worker = int(arg[1:])
             shipped = self.news[worker]
             self.pending.append((worker, self._frame(worker, shipped)))
             # Answers to entries that left unanswered land now: their
@@ -655,68 +733,71 @@ class RecoveryScenarioModel:
                                  if record not in self.answered[worker]]
             self.answered[worker].update(shipped)
         elif action == "final":
-            worker = int(arg[1:])
             self.answered[worker].update(self.executed[worker])
             self.pending.append((worker, self._frame(
                 worker, self.executed[worker], final=True)))
             self.finalized[worker] = True
         elif action == "crash":
-            worker = int(arg[1:])
-            self.crash_budget[worker] -= 1
-            self.crashes += 1
-            # Respawn: fresh incarnation, redeliver what the store
-            # cannot account for — never reported, or reported
-            # unanswered by an incarnation that is now dead.  Frames of
-            # the dead incarnation stay in flight — late arrivals must
-            # stay harmless.
-            self.incarnation[worker] += 1
-            accounted = self.store.sent_indices()
-            stranded = self.store.stale_unanswered(
-                ((1, live), self.incarnation[live])
-                for live in range(self.workers))
-            lost = [record for record in range(self.routed)
-                    if self._owner(record) == worker
-                    and (record not in accounted or record in stranded)]
-            self.assigned[worker] = lost
-            self.executed[worker] = []
-            self.answered[worker] = set()
-            self.news[worker] = []
-            self.seq[worker] = 0
-        elif action == "redeliver":
-            self.redeliver_budget -= 1
-            for record in self.store.missing(self.total):
-                worker = self._owner(record)
-                if self.finalized[worker] \
-                        or record in self.assigned[worker]:
-                    continue
-                if record not in self.executed[worker]:
-                    self.assigned[worker].append(record)
-                elif record not in self.news[worker]:
-                    # Already sent by the live incarnation: drop the
-                    # copy, report the entry again.
-                    self.news[worker].append(record)
+            self._crash(worker)
+        elif action == "wake":
+            self.now = self._next_instant()
+            if self.deadline is not None and self.now >= self.deadline \
+                    and not self.ledger.expired:
+                self._expire()
         elif action == "drop":
-            self.drops += 1
+            self.drops_left -= 1
+            self.losses += 1
             self.pending.pop(int(arg))
         else:   # deliver | dup
             if action == "dup":
-                self.dups += 1
+                self.dups_left -= 1
                 worker, payload = self.pending[int(arg)]
             else:
                 worker, payload = self.pending.pop(int(arg))
             self.store.offer_frame((1, worker), payload)
             answered = self.store.answered_indices()
             if not self._answered_seen <= answered:
-                self._regressions.append(
+                self._bad.append(
                     ("answer-regressed",
                      f"{sorted(self._answered_seen - answered)} read "
                      f"unanswered again after {label}"))
             self._answered_seen |= answered
+        self._tick()
+
+    def _crash(self, worker: int) -> None:
+        self.crash_budget[worker] -= 1
+        self.crashes_left -= 1
+        self.held_by_crashed.update(self.assigned[worker],
+                                    self.executed[worker],
+                                    self.shed[worker])
+        if self.ledger.ended is None:
+            self.losses += 1
+        else:
+            # The controller is closing: a death is no longer a loss
+            # to recover, and nobody respawns it.
+            self.dead[worker] = True
+            return
+        if self.ledger.died((1, worker)) is None:
+            self.dead[worker] = True
+            return
+        # Respawn: a fresh incarnation that knows nothing.
+        self.incarnation[worker] += 1
+        for state in (self.assigned, self.executed, self.news, self.shed):
+            state[worker] = []
+        self.answered[worker], self.seq[worker] = set(), 0
+
+    def _expire(self) -> None:
+        """The deadline: the ledger stops routing and redelivery, and
+        every worker sheds what it holds."""
+        self.ledger.expire()
+        if not self.stopped:
+            self._stop_routing()
+        for worker in self._working():
+            self.shed[worker] += self.assigned[worker]
+            self.assigned[worker] = []
 
     def check(self) -> List[Tuple[str, str]]:
-        from ..replay.recovery import merge_recovered
-
-        bad = list(self._regressions)
+        bad = list(self._bad)
         # The merge must never invent records or duplicate an index, at
         # *every* intermediate state, not just at quiescence.
         merged = merge_recovered(self.store.snapshots())
@@ -724,7 +805,7 @@ class RecoveryScenarioModel:
         if len(indices) != len(set(indices)):
             bad.append(("merge-duplicates",
                         f"duplicate indices in {sorted(indices)}"))
-        ghost = set(indices) - set(range(self.routed))
+        ghost = set(indices) - set(range(self.ledger.routed))
         if ghost:
             bad.append(("merge-ghosts",
                         f"indices never routed: {sorted(ghost)}"))
@@ -735,14 +816,29 @@ class RecoveryScenarioModel:
         return bad
 
     def check_terminal(self) -> List[Tuple[str, str]]:
-        from ..replay.recovery import conservation_violations, \
-            merge_recovered
-
         merged = merge_recovered(self.store.snapshots())
+        ended = self.ledger.ended
+        if ended is None:
+            return [("no-end", f"quiescent at {self.now} without END")]
+        shed = self.ledger.shed + merged.deadline_shed
+        short = self.total - len(merged.sent) - shed
+        held = len(self.held_by_crashed
+                   - {query.index for query in merged.sent})
+        if short < 0:
+            return [("conservation", f"{len(merged.sent)} merged + {shed} "
+                     f"shed of {self.total} records")]
+        if ended == "rounds" and self.losses <= REDELIVERY_ROUNDS:
+            return [("rounds-spent", f"{REDELIVERY_ROUNDS} rounds spent on "
+                     f"{self.losses} lost frames and crashes")]
+        if ended != "complete":
+            return [] if short <= held else [
+                ("conservation", f"{short} records neither merged nor "
+                 f"shed, {held} of them held by a crashed worker "
+                 f"(ended: {ended})")]
         bad = [("conservation", problem)
                for problem in conservation_violations(merged, self.total)]
         unanswered = [query.index for query in merged.unanswered_queries()]
-        if unanswered:
+        if unanswered and not any(self.dead):
             bad.append(("answers-lost",
                         f"{unanswered} merged unanswered although every "
                         f"final frame reported them answered"))
@@ -751,17 +847,18 @@ class RecoveryScenarioModel:
     def fingerprint(self):
         frames = tuple(sorted(
             (worker, payload["incarnation"], payload["seq"],
-             payload["final"], _fates(payload["result"]["sent"]))
+             payload["final"], _fates(payload["result"]["sent"]),
+             payload["result"]["counters"]["deadline_shed"])
             for worker, payload in self.pending))
-        return (self.routed, self.crashes, self.dups, self.drops,
-                self.redeliver_budget, tuple(self.incarnation),
-                tuple(tuple(a) for a in self.assigned),
-                tuple(tuple(e) for e in self.executed),
-                tuple(tuple(sorted(a)) for a in self.answered),
-                tuple(tuple(n) for n in self.news),
-                tuple(self.finalized), frames,
-                tuple(sorted(self._answered_seen)),
-                self.store.fingerprint())
+        workers = repr((self.incarnation, self.dead, self.finalized,
+                        self.crash_budget, self.assigned, self.executed,
+                        [sorted(answered) for answered in self.answered],
+                        self.news, self.shed))
+        return (self.now, self.wait_until, self.stopped, self.crashes_left,
+                self.dups_left, self.drops_left, self.losses, workers,
+                frames, tuple(sorted(self._answered_seen)),
+                tuple(sorted(self.held_by_crashed)), tuple(self._bad),
+                self.ledger.fingerprint(), self.store.fingerprint())
 
 
 def _fates(table: dict) -> tuple:
@@ -775,8 +872,7 @@ def _fates(table: dict) -> tuple:
 
 TCP_SCENARIOS = ("two-close", "simultaneous-close", "refuse-when-full")
 ADMISSION_POLICIES = ("drop-oldest", "drop-newest", "servfail-shed")
-RECOVERY_SCENARIOS = ("crash-reorder", "dup-reorder", "double-crash",
-                      "drop-heal")
+RECOVERY_SCENARIOS = tuple(_RECOVERY_SCENARIOS)
 
 
 def explore_tcp(scenario: str, max_depth: int = 60) -> ExplorationResult:
@@ -794,10 +890,14 @@ def explore_admission(policy: str, total: int = 4, limit: int = 2,
 
 
 def explore_recovery(scenario: str, workers: int = 2, total: int = 4,
-                     max_depth: int = 80) -> ExplorationResult:
+                     max_depth: int = 80,
+                     ledger: Callable[..., RecoveryLedger] = RecoveryLedger
+                     ) -> ExplorationResult:
+    """Exhaust one recovery scenario; ``ledger`` builds the ledger the
+    model runs (a test may hand in a mutant)."""
     return Explorer(
         lambda: RecoveryScenarioModel(scenario, workers=workers,
-                                      total=total),
+                                      total=total, ledger=ledger),
         max_depth=max_depth).run()
 
 

@@ -29,10 +29,11 @@ Targets:
   that arrives must decode, and the stacks' counters stay sane;
 * ``fault-replay``    — seeded fault plans under a small replay; every
   trace record must be accounted for in the ``ReplayResult``;
-* ``recovery-schedule`` — random walks over the crash/delta-checkpoint/
-  redelivery state machine (worker crashes, frame reorder, duplicate
-  delivery, frame loss, late answers); the checkpoint-store merge
-  must conserve every record exactly once at quiescence.
+* ``recovery-schedule`` — random walks over the recovery model, which
+  runs the production ledger and checkpoint store (worker crashes,
+  frame reorder, duplicate delivery, frame loss, late answers): the
+  merge must conserve every record exactly once at quiescence unless
+  the ledger ran out of rounds.
 """
 
 from __future__ import annotations
@@ -327,15 +328,11 @@ def _run_recovery_schedule(seed: int) -> None:
     import random
     from .explorer import RecoveryScenarioModel
 
-    model = RecoveryScenarioModel("crash-reorder", workers=3, total=12)
     # Bigger budgets than the exhaustive explorer can afford: random
     # walks trade completeness for depth.
-    model.crash_budget = [2] * model.workers
-    model.crashes_max = 4
-    model.dup_budget = 3
-    model.drop_budget = 3
-    model.redeliver_budget = 2
-    model.late = tuple(range(1, model.total, 2))
+    model = RecoveryScenarioModel(
+        "crash-reorder", workers=3, total=12, crashes=4,
+        crashes_per_worker=2, dups=3, drops=3, late=tuple(range(1, 12, 2)))
     rng = random.Random(seed)
     for step in range(1000):
         choices = model.choices()

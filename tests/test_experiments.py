@@ -67,34 +67,42 @@ class TestTable1:
         assert by_name["syn-2"][2] == pytest.approx(0.01)
 
 
+# Each experiment runs once per class: the same arguments give the same
+# rows, and one run takes about 20 s.
+@pytest.fixture(scope="class")
+def fig6_output():
+    return fig6_timing.run(TINY, max_queries=3000)
+
+
+@pytest.fixture(scope="class")
+def fig7_output():
+    return fig7_interarrival.run(TINY, max_queries=2000)
+
+
 class TestFig6:
-    def test_error_quartiles_in_paper_range(self):
-        output = fig6_timing.run(TINY, max_queries=3000)
-        by_trace = {row[0]: row for row in output.rows}
+    def test_error_quartiles_in_paper_range(self, fig6_output):
+        by_trace = {row[0]: row for row in fig6_output.rows}
         # typical quartiles within a few ms; extremes within ±17 ms
         for label, row in by_trace.items():
             assert abs(row[1]) < 12.0, (label, row)
             assert abs(row[3]) <= 17.01 and abs(row[4]) <= 17.01
 
-    def test_anomaly_at_tenth_second(self):
-        output = fig6_timing.run(TINY, max_queries=3000)
-        by_trace = {row[0]: row for row in output.rows}
+    def test_anomaly_at_tenth_second(self, fig6_output):
+        by_trace = {row[0]: row for row in fig6_output.rows}
         tenth = by_trace["0.1 s"]
         hundredth = by_trace["0.01 s"]
         assert abs(tenth[3]) > abs(hundredth[1])  # wider distribution
 
 
 class TestFig7:
-    def test_median_on_target(self):
-        output = fig7_interarrival.run(TINY, max_queries=2000)
-        for row in output.rows:
+    def test_median_on_target(self, fig7_output):
+        for row in fig7_output.rows:
             original_median, replay_median = row[1], row[2]
             assert replay_median == pytest.approx(original_median,
                                                   rel=0.6)
 
-    def test_broot_cdf_close(self):
-        output = fig7_interarrival.run(TINY, max_queries=2000)
-        broot = [row for row in output.rows if row[0] == "B-Root"][0]
+    def test_broot_cdf_close(self, fig7_output):
+        broot = [row for row in fig7_output.rows if row[0] == "B-Root"][0]
         assert broot[5] < 0.08  # max CDF distance
 
 

@@ -32,7 +32,6 @@ from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
                                    MessageSocket, ROLE_QUERIER,
                                    validate_checkpoint_payload)
 from repro.replay.querier import match_key
-from repro.replay.recovery import respawn_backoff
 from repro.replay.result import (SENT_FIELDS, ReplayResult, SentQuery,
                                  sent_rows)
 from repro.dns import Name, WireError
@@ -156,20 +155,26 @@ class TestCheckpointStore:
 
     def test_final_outranks_any_checkpoint_seq(self):
         store = CheckpointStore()
-        store.offer("w0", 0, 99, _result_dict(0, [0]))
-        assert store.offer("w0", 0, 0, _result_dict(0, [0, 1]), final=True)
-        # A late high-seq checkpoint from before the final is stale.
-        assert not store.offer("w0", 0, 100, _result_dict(0, [0]))
-        assert store.has_final("w0", 0)
+        store.offer("w0", 0, 99, dict(_result_dict(0, [0]),
+                                      counters={"retries": 99}))
+        assert store.offer("w0", 0, 0, dict(_result_dict(0, [0, 1]),
+                                            counters={"retries": 1}),
+                           final=True)
+        # A late high-seq checkpoint from before the final is stale: the
+        # final's header stays.
+        assert not store.offer("w0", 0, 100, dict(_result_dict(0, [0]),
+                                                  counters={"retries": 100}))
+        (snapshot,) = store.snapshots()
+        assert snapshot["counters"] == {"retries": 1}
         assert store.sent_indices() == {0, 1}
 
     def test_incarnations_are_tracked_separately(self):
         store = CheckpointStore()
         store.offer("w0", 0, 5, _result_dict(0, [0, 1]))
         store.offer("w0", 1, 1, _result_dict(0, [2]))
-        assert len(store.snapshots()) == 2
+        assert [snapshot["sent"]["index"]
+                for snapshot in store.snapshots()] == [[0, 1], [2]]
         assert store.sent_indices() == {0, 1, 2}
-        assert not store.has_final("w0", 0)
 
     def test_answered_indices_filter(self):
         store = CheckpointStore()
@@ -177,7 +182,8 @@ class TestCheckpointStore:
         store.offer("w1", 0, 1, _result_dict(1, [2]))
         assert store.sent_indices() == {0, 1, 2}
         assert store.answered_indices() == {2}
-        assert store.sent_indices(keys=[("w1", 0)]) == {2}
+        assert [snapshot["sent"]["index"]
+                for snapshot in store.snapshots()] == [[0, 1], [2]]
 
 
 class TestMergeRecovered:
@@ -261,13 +267,6 @@ class TestChaosEngine:
 
 
 class TestPolicies:
-    def test_respawn_backoff_is_exponential_and_capped(self):
-        assert respawn_backoff(0) == pytest.approx(0.05)
-        assert respawn_backoff(1) == pytest.approx(0.10)
-        assert respawn_backoff(4) == pytest.approx(0.80)
-        assert respawn_backoff(5) == pytest.approx(1.0)   # capped
-        assert respawn_backoff(10) == pytest.approx(1.0)
-
     def test_checkpoint_policy_due(self):
         policy = CheckpointPolicy(every_records=4, interval_s=0.5)
         assert not policy.due(0, 99.0)          # nothing new: never due

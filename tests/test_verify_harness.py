@@ -193,34 +193,74 @@ class TestExplorer:
         assert not result.exhausted
         assert "TRUNCATED" in result.summary()
 
-    @pytest.mark.fuzz
     @pytest.mark.parametrize("scenario", TCP_SCENARIOS)
     def test_tcp_scenarios_exhaust_clean(self, scenario):
         result = explore_tcp(scenario)
         assert result.exhausted, result.summary()
         assert result.ok, "\n".join(str(v) for v in result.violations)
 
-    @pytest.mark.fuzz
     @pytest.mark.parametrize("policy", ADMISSION_POLICIES)
     def test_admission_scenarios_exhaust_clean(self, policy):
         result = explore_admission(policy)
         assert result.exhausted, result.summary()
         assert result.ok, "\n".join(str(v) for v in result.violations)
 
-    @pytest.mark.fuzz
     def test_admission_with_rrl_exhausts_clean(self):
         result = explore_admission("drop-oldest", rrl=True)
         assert result.exhausted and result.ok
 
-    @pytest.mark.fuzz
     @pytest.mark.parametrize("scenario", RECOVERY_SCENARIOS)
     def test_recovery_scenarios_exhaust_clean(self, scenario):
-        """Worker-crash × frame-reorder and its dup, double-crash and
-        frame-loss variants, over delta frames, exhaust with zero
-        violations against the production store and merge."""
+        """Every recovery scenario, at 2 records, exhausts with zero
+        violations against the production ledger, store and merge."""
+        result = explore_recovery(scenario, total=2)
+        assert result.exhausted, result.summary()
+        assert result.ok, "\n".join(str(v) for v in result.violations)
+
+    @pytest.mark.fuzz
+    @pytest.mark.parametrize("scenario", RECOVERY_SCENARIOS)
+    def test_recovery_scenarios_exhaust_clean_at_full_size(self, scenario):
+        """The same sweep at the default size (4 records, 3 where the
+        scenario caps it)."""
         result = explore_recovery(scenario)
         assert result.exhausted, result.summary()
         assert result.ok, "\n".join(str(v) for v in result.violations)
+
+    @staticmethod
+    def _ledger_mutant(old, new):
+        """A ledger whose ``tick`` is built from the real one's source
+        with ``old`` replaced by ``new``."""
+        import inspect
+        import textwrap
+        from repro.replay import recovery
+        from repro.replay.recovery import RecoveryLedger
+        source = textwrap.dedent(inspect.getsource(RecoveryLedger.tick))
+        mutated = source.replace(old, new)
+        assert mutated != source
+        namespace = {}
+        exec(compile(mutated, "<mutant>", "exec"), vars(recovery), namespace)
+        return type("MutantLedger", (RecoveryLedger,),
+                    {"tick": namespace["tick"]})
+
+    @pytest.mark.parametrize("scenario, old, new, invariant", [
+        # Redelivery that ignores the due instant (records still on
+        # their schedule count lost after a quiet spell).
+        ("not-yet-due", "due[index] + REDELIVERY_GRACE <= now", "True",
+         "early-redelivery"),
+        # Redelivery that goes on past the deadline.
+        ("deadline-crash", "if self.expired:", "if False:",
+         "redelivery-after-deadline"),
+    ])
+    def test_explorer_catches_a_ledger_mutant(self, scenario, old, new,
+                                              invariant):
+        """The explorer runs the production ledger, so reverting either
+        fix inside it is a violation at 2 records — and the real
+        ledger passes the same scenario."""
+        mutant = self._ledger_mutant(old, new)
+        result = explore_recovery(scenario, total=2, ledger=mutant)
+        assert result.exhausted
+        assert invariant in {v.invariant for v in result.violations}
+        assert explore_recovery(scenario, total=2).ok
 
 
 class TestDdmin:
@@ -245,7 +285,6 @@ class TestDdmin:
 
 
 class TestFuzzDriver:
-    @pytest.mark.fuzz
     def test_campaign_deterministic_and_clean(self):
         kwargs = dict(seed=5, targets=["wire-decode", "protocol-frames"],
                       examples=60)
