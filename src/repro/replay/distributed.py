@@ -132,9 +132,9 @@ class DistributedConfig:
     # budget.  When it runs out the tree stops sending, and every record
     # not sent by then is counted in ``deadline_shed``.
     deadline: Optional[float] = None
-    # Self-healing: worker respawn with checkpointed result shards and
-    # exactly-once redelivery.  None keeps the fail-fast behavior byte
-    # for byte.
+    # Every in-memory replay checkpoints, redelivers what a dead worker
+    # held and merges exactly once; a RecoveryConfig also grants dead
+    # workers respawns (None: zero) and may carry a chaos schedule.
     recovery: Optional[RecoveryConfig] = None
 
 
@@ -192,8 +192,9 @@ class _LiveQuerier:
         self._ahead = 0
         self.catchup_waits = 0          # times the window held a send
         self.catchup_forgiven = 0       # windows written off unanswered
-        # Recovery hooks (recovery mode; all None otherwise so the
-        # fail-fast behavior is untouched).
+        # Recovery hooks, installed by the worker main: the checkpoint
+        # pair in list mode only (an aggregate querier keeps no
+        # per-record state), the re-dial always.
         self.checkpoint_policy = None       # recovery.CheckpointPolicy
         self.checkpoint_sink: Optional[Callable[[dict], None]] = None
         self.reconnect: Optional[Callable[[], Optional[MessageSocket]]] \
@@ -293,9 +294,9 @@ class _LiveQuerier:
             # queued records still drain.
             messages = []
         if not messages:
-            # EOF without END: the distributor died.  In recovery mode
-            # its respawn rebinds the same port — re-dial with backoff
-            # before giving up the stream.
+            # EOF without END: the distributor died.  A respawn rebinds
+            # the same port — re-dial with backoff before giving up the
+            # stream.
             if not self._reconnect_inbound():
                 self._done_receiving = True
             return
@@ -354,7 +355,7 @@ class _LiveQuerier:
                 self._deadline_timer.start()
 
     def _reconnect_inbound(self) -> bool:
-        """Re-dial a dropped distributor link (recovery mode only)."""
+        """Re-dial a dropped distributor link, if a re-dial is set."""
         if self.reconnect is None or self.shed_event.is_set():
             return False
         replacement = self.reconnect()
@@ -367,7 +368,7 @@ class _LiveQuerier:
         return True
 
     def _report(self, entry: SentQuery) -> None:
-        """Put an entry in the next CHECKPOINT frame (recovery mode)."""
+        """Put an entry in the next CHECKPOINT frame (list mode)."""
         if self.checkpoint_sink is not None:
             self._news[entry.index] = entry
 
@@ -588,7 +589,7 @@ class _LiveDistributor:
         return sum(outbound.blocks_sent for outbound in self.querier_sockets)
 
     def add_querier(self, outbound: MessageSocket) -> None:
-        """Attach a (re)connected querier mid-run (recovery accept loop).
+        """Attach a querier that (re)connected mid-run (late accept).
 
         The new socket gets the cached TIME_SYNC anchor first, then
         joins the sticky rotation — sources orphaned by a crashed

@@ -8,15 +8,14 @@ one host, and the only live replay there is: the tiers
 connected by TCP :class:`~repro.replay.protocol.MessageSocket` framing,
 so the aggregate query rate is not capped at one core by the GIL.
 
-Life of a run — one lifecycle (:class:`_Controller`) that the classic,
-shard-file, recovering and sharded-sim runs parameterise:
+Life of a run — one lifecycle (:class:`_Controller`) that the
+in-memory, shard-file and sharded-sim runs parameterise:
 
 1. **spawn** — bind a loopback control listener and start one tier of
    workers at a time: distributors, whose HELLO frames carry their
    querier-listener ports, then queriers wired to those ports (or the
    sim shards).  Every worker HELLOs back and gets one reader thread.
-   With recovery on the listener stays open for respawned or
-   re-dialing workers;
+   The listener stays open for respawned or re-dialing workers;
 2. **anchor** — the run's zero point (``start_clock``) is taken and
    broadcast as TIME_SYNC; the first record is due ``start_delay``
    later, so the head of the stream crosses the links before any send
@@ -26,13 +25,15 @@ shard-file, recovering and sharded-sim runs parameterise:
    tagged with their global trace index — or nothing at all when
    distributors self-source shard files, numbering each record from
    its shard's offset in the manifest;
-4. **drain** (recovery mode) — END is withheld, and lost records
-   re-streamed, as the :class:`~repro.replay.recovery.RecoveryLedger`
-   decides;
+4. **drain** — END is withheld, and lost records re-streamed, as the
+   :class:`~repro.replay.recovery.RecoveryLedger` decides; list-mode
+   queriers checkpoint what they sent.  A shard-file run routes
+   nothing, so its drain ends at once;
 5. **collect** — END, then one wait (``_await_reports``) until every
    worker has reported its RESULT + METRICS pair or is failed: at once
    when its process is seen dead, else only ``settle_time`` + slack
-   after the distributors reported and the schedule ran out;
+   after the distributors reported and the schedule ran out, never past
+   the deadline + slack;
 6. **merge** — every CHECKPOINT and RESULT frame has gone to one
    :class:`~repro.replay.recovery.CheckpointStore`; the merge is the
    exactly-once ``ReplayResult.merge`` fold over its snapshots plus the
@@ -41,8 +42,10 @@ shard-file, recovering and sharded-sim runs parameterise:
 
 Supervision: a worker's death is seen once, by its reader thread, as
 EOF on its control link; ``_maybe_respawn`` then asks the ledger for a
-respawn (recovery mode, within budget) or fails the handle, whose routes
-fail over via ``StickyAssigner.remove``.  ``DistributedConfig.deadline``
+respawn (within the budget a :class:`RecoveryConfig` grants; zero
+without one) or fails the handle, whose routes fail over via
+``StickyAssigner.remove`` and whose unreported records the drain
+re-streams to the survivors.  ``DistributedConfig.deadline``
 — the only wall-clock budget — fires one controller timer that expires
 the ledger and sends SHUTDOWN down the tree, so distributors and
 queriers shed what they hold and report truthful ``deadline_shed``
@@ -86,9 +89,9 @@ from .protocol import (MSG_CHECKPOINT, MSG_HELLO, MSG_METRICS, MSG_RESULT,
                        MessageSocket, ProtocolError, ROLE_DISTRIBUTOR,
                        ROLE_QUERIER, ROLE_SHARD, connect)
 from .recovery import (COLLECT_TIMEOUT, HELLO_TIMEOUT, RECONNECT_ATTEMPTS,
-                       RECONNECT_BACKOFF, CheckpointPolicy, CheckpointStore,
-                       RecoveryConfig, RecoveryLedger, attach_chaos,
-                       merge_recovered, reconnect_with_backoff,
+                       RECONNECT_BACKOFF, ChaosConfig, CheckpointPolicy,
+                       CheckpointStore, RecoveryConfig, RecoveryLedger,
+                       attach_chaos, merge_recovered, reconnect_with_backoff,
                        respawn_backoff)
 from .result import ReplayResult
 
@@ -104,11 +107,6 @@ def _mp_context(start_method: Optional[str] = None):
 
 def _streaming(telemetry: Optional[TelemetryConfig]) -> bool:
     return telemetry is not None and telemetry.streaming()
-
-
-def _make_aggregator(telemetry: TelemetryConfig) -> ClusterAggregator:
-    """Window the live q/s views to a few stream periods."""
-    return ClusterAggregator(window=max(1.0, 4.0 * telemetry.stream_period))
 
 
 # ---------------------------------------------------------------------------
@@ -128,21 +126,21 @@ class _ControlLink:
     """A worker's end of its control connection; owns the socket.
 
     Streamed telemetry, checkpoints and the final RESULT/METRICS pair
-    all flow through it.  With ``redial`` (recovering queriers) a broken
-    link is re-dialed (connect + re-HELLO with the same incarnation)
-    with backoff before any frame is declared lost; without it the
-    frame is simply lost and the controller settles the worker's fate.
+    all flow through it.  With ``redial`` (queriers) a broken link is
+    re-dialed (connect + re-HELLO with the same incarnation) with
+    backoff before any frame is declared lost; without it the frame is
+    simply lost and the controller settles the worker's fate.
     """
 
     def __init__(self, control_addr: Tuple[str, int], role: int,
                  worker_id: int, incarnation: int,
-                 recovery: Optional[RecoveryConfig], listen_port: int = 0,
+                 chaos: Optional[ChaosConfig], listen_port: int = 0,
                  redial: bool = False):
         self._control_addr = control_addr
         self._role = role
         self._worker_id = worker_id
         self._incarnation = incarnation
-        self._recovery = recovery
+        self._chaos = chaos
         self._listen_port = listen_port
         self._redial_allowed = redial
         self._seq = 0
@@ -151,9 +149,8 @@ class _ControlLink:
 
     def _dial(self, timeout: float) -> MessageSocket:
         control = connect(self._control_addr, timeout=timeout)
-        attach_chaos(control,
-                     self._recovery.chaos if self._recovery else None,
-                     self._role, self._worker_id, self._incarnation)
+        attach_chaos(control, self._chaos, self._role, self._worker_id,
+                     self._incarnation)
         control.send_hello(self._role, self._worker_id, self._listen_port,
                            self._incarnation)
         return control
@@ -186,21 +183,26 @@ class _ControlLink:
         return False
 
     def __call__(self, delta: dict) -> None:
-        """The querier's checkpoint_sink: emit one delta frame."""
-        self._seq += 1
-        seq = self._seq
-        self._deliver(lambda: self.control.send_checkpoint(
-            self._worker_id, self._incarnation, seq, delta))
+        """The querier's checkpoint_sink: emit a list-mode delta as
+        CHECKPOINT frames of at most ``_REPORT_CHUNK`` entries (a burst
+        can send a whole queue between two checkpoints)."""
+        table = delta["sent"]
+        for start in range(0, len(table["index"]), _REPORT_CHUNK):
+            self._seq += 1
+            seq, frame = self._seq, dict(delta, sent={
+                name: column[start:start + _REPORT_CHUNK]
+                for name, column in table.items()})
+            self._deliver(lambda: self.control.send_checkpoint(
+                self._worker_id, self._incarnation, seq, frame))
 
     def _report_in_chunks(self, result: ReplayResult) -> None:
         """A list-mode report too big for one frame: CHECKPOINT frames
-        of ``_REPORT_CHUNK`` entries, then the RESULT with the header
-        and the last chunk.  The store folds them as it folds any
+        of its entries but the last ``_REPORT_CHUNK``, then the RESULT
+        with the header and those.  The store folds them as it folds any
         deltas under a final header."""
         sent = result.sent
         last = (len(sent) - 1) // _REPORT_CHUNK * _REPORT_CHUNK
-        for start in range(0, last, _REPORT_CHUNK):
-            self(result.to_dict(sent[start:start + _REPORT_CHUNK]))
+        self(result.to_dict(sent[:last]))
         self._deliver(lambda: self.control.send_result(
             result.to_dict(sent[last:])))
 
@@ -239,7 +241,7 @@ class _ControlLink:
 
 def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
                       querier_count: int,
-                      recovery: Optional[RecoveryConfig] = None,
+                      chaos: Optional[ChaosConfig] = None,
                       incarnation: int = 0, listen_port: int = 0,
                       telemetry: Optional[TelemetryConfig] = None,
                       shard_file: Optional[str] = None,
@@ -266,36 +268,20 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
     else:
         listener.bind(("127.0.0.1", 0))
     listener.listen(querier_count + 4)
-    listener.settimeout(_SETUP_TIMEOUT if recovery is None
-                        else HELLO_TIMEOUT)
+    listener.settimeout(HELLO_TIMEOUT)
     # No re-dial: a distributor that lost its control link has lost its
     # record stream, and the controller respawns it.
     link = _ControlLink(control_addr, ROLE_DISTRIBUTOR, distributor_id,
-                        incarnation, recovery, listener.getsockname()[1])
+                        incarnation, chaos, listener.getsockname()[1])
     control = link.control
     querier_sockets: List[MessageSocket] = []
-    accept_stop = threading.Event()
     try:
         for _ in range(querier_count):
-            try:
-                accepted, _peer = listener.accept()
-            except TimeoutError:
-                if recovery is None:
-                    raise
-                # Recovery: run with whoever showed up; stragglers and
-                # respawns attach through the late-accept loop below.
-                break
-            accepted.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            querier_sockets.append(MessageSocket(accepted)
-                                   if recovery is None
-                                   else _chaos_socket(accepted, recovery,
-                                                      distributor_id,
-                                                      incarnation))
-    except Exception:
-        listener.close()
-        raise
-    if recovery is None:
-        listener.close()
+            accepted, _peer = listener.accept()
+            querier_sockets.append(_chaos_socket(accepted, chaos,
+                                                 distributor_id, incarnation))
+    except TimeoutError:
+        pass  # run with whoever showed up; the rest attach late, below
 
     result = ReplayResult(f"distributor-{distributor_id}")
     distributor = _LiveDistributor(distributor_id, control, querier_sockets,
@@ -319,14 +305,12 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
                 "queriers": len(distributor.querier_sockets)},
             sync_mono=lambda: distributor.sync_mono)
         streamer.start()
-    if recovery is not None:
-        listener.settimeout(0.1)
-        accept_thread = threading.Thread(
-            target=_accept_late_queriers,
-            args=(listener, distributor, recovery, distributor_id,
-                  incarnation, accept_stop),
-            daemon=True, name=f"distributor-{distributor_id}-accept")
-        accept_thread.start()
+    # Stragglers, re-dialing queriers and respawns attach from here on.
+    listener.settimeout(0.1)
+    threading.Thread(
+        target=_accept_late_queriers,
+        args=(listener, distributor, chaos, distributor_id, incarnation),
+        daemon=True, name=f"distributor-{distributor_id}-accept").start()
     if shard_file is not None:
         # Streaming mode: self-source the shard file instead of
         # receiving records over the control socket (which carries only
@@ -336,38 +320,36 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
                                    records=shard_records)
     else:
         distributor.run()   # synchronous: returns on END or EOF
-    if recovery is not None:
-        accept_stop.set()
-        listener.close()
+    listener.close()        # ends the late-accept thread
     link.finish(result, metrics_snapshot, streamer)
     for outbound in distributor.querier_sockets:
         outbound.close()
 
 
-def _chaos_socket(accepted: socket.socket, recovery: RecoveryConfig,
+def _chaos_socket(accepted: socket.socket, chaos: Optional[ChaosConfig],
                   distributor_id: int, incarnation: int) -> MessageSocket:
     """Wrap an accepted querier link, chaos attached to the send path."""
     accepted.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     msocket = MessageSocket(accepted)
-    attach_chaos(msocket, recovery.chaos, ROLE_DISTRIBUTOR,
-                 distributor_id, incarnation)
+    attach_chaos(msocket, chaos, ROLE_DISTRIBUTOR, distributor_id,
+                 incarnation)
     return msocket
 
 
 def _accept_late_queriers(listener: socket.socket,
                           distributor: _LiveDistributor,
-                          recovery: RecoveryConfig, distributor_id: int,
-                          incarnation: int,
-                          stop: threading.Event) -> None:
-    """Adopt queriers that (re)connect after startup (respawns)."""
-    while not stop.is_set():
+                          chaos: Optional[ChaosConfig], distributor_id: int,
+                          incarnation: int) -> None:
+    """Adopt queriers that (re)connect after startup (respawns), until
+    the listener is closed."""
+    while True:
         try:
             accepted, _peer = listener.accept()
         except TimeoutError:
             continue
         except OSError:
             return
-        distributor.add_querier(_chaos_socket(accepted, recovery,
+        distributor.add_querier(_chaos_socket(accepted, chaos,
                                               distributor_id, incarnation))
 
 
@@ -375,7 +357,7 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
                   distributor_addr: Tuple[str, int],
                   server: ServerAddress,
                   deadline: Optional[float] = None,
-                  recovery: Optional[RecoveryConfig] = None,
+                  chaos: Optional[ChaosConfig] = None,
                   incarnation: int = 0,
                   telemetry: Optional[TelemetryConfig] = None,
                   aggregate: bool = False) -> None:
@@ -389,7 +371,7 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
     except (AttributeError, OSError):
         pass  # no such call on this platform, or not permitted: unpinned
     link = _ControlLink(control_addr, ROLE_QUERIER, querier_id, incarnation,
-                        recovery, redial=recovery is not None)
+                        chaos, redial=True)
     inbound = connect(distributor_addr)
     result = ReplayResult(f"querier-{querier_id}", aggregate=aggregate)
     querier = _LiveQuerier(querier_id, inbound, tuple(server), result,
@@ -398,13 +380,15 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
     # process boundary once the record stream has ended, so the
     # wall-clock budget is enforced locally, anchored at TIME_SYNC.
     querier.deadline = deadline
-    if recovery is not None:
+    querier.reconnect = lambda: reconnect_with_backoff(
+        lambda: connect(distributor_addr, timeout=1.0),
+        RECONNECT_ATTEMPTS, RECONNECT_BACKOFF,
+        abort=querier.shed_event.is_set)
+    if not aggregate:
+        # Per-record state only where entries are kept: an aggregate
+        # (shard-file) run is never redelivered.
         querier.checkpoint_policy = CheckpointPolicy()
         querier.checkpoint_sink = link
-        querier.reconnect = lambda: reconnect_with_backoff(
-            lambda: connect(distributor_addr, timeout=1.0),
-            RECONNECT_ATTEMPTS, RECONNECT_BACKOFF,
-            abort=querier.shed_event.is_set)
 
     def metrics_snapshot() -> dict:
         registry = MetricsRegistry()
@@ -550,13 +534,13 @@ def default_shard_scenario(perf: Optional[PerfCounters] = None,
 def _shard_main(control_addr: Tuple[str, int], shard_index: int,
                 num_shards: int, trace_spec: FactorySpec,
                 scenario_spec: FactorySpec,
-                recovery: Optional[RecoveryConfig] = None,
+                chaos: Optional[ChaosConfig] = None,
                 incarnation: int = 0,
                 telemetry: Optional[TelemetryConfig] = None) -> None:
     # No re-dial: a shard reruns deterministically, so a broken link is
     # healed by the controller respawning the whole shard.
     link = _ControlLink(control_addr, ROLE_SHARD, shard_index, incarnation,
-                        recovery)
+                        chaos)
     perf = PerfCounters()
     streamer: Optional[TelemetryStreamer] = None
     if _streaming(telemetry):
@@ -649,10 +633,8 @@ class UdpEchoServerProcess:
 # Controller
 # ---------------------------------------------------------------------------
 
-# How long past ``settle_time`` a live worker whose upstream has ended
-# may stay unreported before collection gives up on it: scheduling and
-# serialisation slack, not a budget (``DistributedConfig.deadline`` is
-# that).
+# How long past ``settle_time`` collection waits on a live worker whose
+# upstream has ended: slack, not a budget (``deadline`` is that).
 _COLLECT_SLACK = 10.0
 
 
@@ -722,17 +704,20 @@ class _Controller:
     ``_spawn_tree`` → the run's own stages → ``_await_reports`` →
     ``_merge`` → ``_teardown``, plus the self-healing side path
     (``_accept_loop`` → ``_adopt``, ``_maybe_respawn`` →
-    ``_respawn_worker``) that is live whenever a
-    :class:`RecoveryConfig` is given.  Subclasses supply the slots
-    (``_tiers``), a worker's argv (``_worker_argv``) and what a
-    re-admitted worker needs (``_resync``).
+    ``_respawn_worker``).  Subclasses supply the slots (``_tiers``), a
+    worker's argv (``_worker_argv``) and what a re-admitted worker needs
+    (``_resync``).
+
+    ``recovery`` does two things: a :class:`RecoveryConfig` grants the
+    ledger's respawn budget (without one it is zero), and carries the
+    chaos schedule every worker attaches.
 
     Only two places mark a handle failed: the reader's EOF path
     (``_maybe_respawn``, once the process is seen dead) and
     ``_await_reports`` (clock expired, or dead with no reader left).
     Only the ledger counts a worker lost for good (``watchdog_stalls``):
     a death ``_maybe_respawn`` or ``_respawn_worker`` reports past its
-    respawn budget, which is zero without recovery.
+    respawn budget.
     """
 
     def __init__(self, result: ReplayResult,
@@ -745,10 +730,14 @@ class _Controller:
         self.metrics = MetricsRegistry()
         # Live cluster view, populated only when the telemetry config
         # asks for streaming (stream_period set); None otherwise so the
-        # run stays byte-identical to a telemetry-free one.
-        self.cluster: Optional[ClusterAggregator] = (
-            _make_aggregator(tconfig) if tconfig is not None else None)
-        self._recovery = recovery
+        # run stays byte-identical to a telemetry-free one.  Its q/s
+        # views window a few stream periods.
+        self.cluster: Optional[ClusterAggregator] = None
+        if tconfig is not None:
+            self.cluster = ClusterAggregator(
+                window=max(1.0, 4.0 * tconfig.stream_period))
+        self._chaos, respawns = ((None, False) if recovery is None
+                                 else (recovery.chaos, True))
         self._tconfig = tconfig
         self._ctx = _mp_context(start_method)
         # role -> slots (handles by worker id), in merge order.
@@ -761,12 +750,10 @@ class _Controller:
         # Every CHECKPOINT / RESULT frame lands here, and the merge is
         # exactly-once over it.
         self._store = CheckpointStore()
-        self._ledger = RecoveryLedger(self._store,
-                                      respawns=recovery is not None)
+        self._ledger = RecoveryLedger(self._store, respawns=respawns)
         self._assigner: StickyAssigner = StickyAssigner([], allow_empty=True)
         self._control_addr: Optional[Tuple[str, int]] = None
         self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
         self._processes: List = []
         self._pending_processes: Dict[Tuple[int, int, int], object] = {}
         self._respawning: Set[Tuple[int, int]] = set()
@@ -786,7 +773,8 @@ class _Controller:
         raise NotImplementedError
 
     def _resync(self, handle: _WorkerHandle) -> None:
-        """A respawned worker took over its slot: bring it up to date."""
+        """A respawned worker took over its slot: bring it up to date
+        (under ``_lock``)."""
 
     # -- the deadline -----------------------------------------------------
 
@@ -818,17 +806,15 @@ class _Controller:
         of ``(role, count)`` at a time — a querier's argv names its
         distributor's port, which only that distributor's HELLO tells.
 
-        Every handle gets its reader thread.  Without recovery the
-        listener is closed; with it the accept loop keeps it open so
-        respawned and re-dialing workers can HELLO back in.
+        Every handle gets its reader thread, and the accept loop keeps
+        the listener open so respawned and re-dialing workers can HELLO
+        back in.
         """
-        recovery = self._recovery
-        hello_timeout = _SETUP_TIMEOUT if recovery is None else HELLO_TIMEOUT
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             listener.bind(("127.0.0.1", 0))
             listener.listen(sum(count for _role, count in tiers) + 4)
-            listener.settimeout(hello_timeout)
+            listener.settimeout(_SETUP_TIMEOUT)
             self._control_addr = listener.getsockname()
             for role, count in tiers:
                 started = [self._worker_process(role, worker_id)
@@ -838,7 +824,7 @@ class _Controller:
                     process.start()
                 by_id: Dict[int, _WorkerHandle] = {}
                 for _ in range(count):
-                    handle = _accept_hello(listener, role, hello_timeout)
+                    handle = _accept_hello(listener, role)
                     handle.process = started[handle.worker_id]
                     by_id[handle.worker_id] = handle
                 self._tiers[role][:] = [by_id[i] for i in range(count)]
@@ -851,17 +837,12 @@ class _Controller:
             raise
         for handle in self._handles():
             self._start_reader(handle)
-        if recovery is None:
-            listener.close()
-            return
         # Short accept timeout from here on: the accept loop must wake
         # often enough to notice shutdown.
         listener.settimeout(0.25)
         self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True,
-            name="replay-recovery-accept")
-        self._accept_thread.start()
+        threading.Thread(target=self._accept_loop, daemon=True,
+                         name="replay-accept").start()
 
     # -- the one frame reader ----------------------------------------------
 
@@ -907,7 +888,7 @@ class _Controller:
         if handle.control is control:
             self._maybe_respawn(handle)
 
-    # -- adoption / respawn (live while recovery is configured) ------------
+    # -- adoption / respawn ------------------------------------------------
 
     def _accept_loop(self) -> None:
         while not self._closing.is_set():
@@ -942,13 +923,13 @@ class _Controller:
                      newcomer.incarnation), None)
                 slots[newcomer.worker_id] = newcomer
                 self._retired_handles.append(current)
+                # Routable by the time its respawn counts as done.
+                self._resync(newcomer)
                 handle = newcomer
             else:
                 newcomer.control.close()
                 return
             self._progress.notify_all()
-        if handle is newcomer:
-            self._resync(newcomer)
         self._start_reader(handle)
 
     def _maybe_respawn(self, handle: _WorkerHandle) -> None:
@@ -958,8 +939,8 @@ class _Controller:
         if handle.process is not None:
             handle.process.join(timeout=1.5)
             if handle.process.is_alive():
-                # Live worker with a dropped socket: in recovery mode it
-                # re-dials; otherwise the collection clock rules.
+                # Live worker with a dropped socket: a querier re-dials;
+                # otherwise the collection clock rules.
                 return
         key = (handle.role, handle.worker_id)
         with self._lock:
@@ -1032,20 +1013,19 @@ class _Controller:
 
     # -- collect / merge / teardown ----------------------------------------
 
-    def _await_reports(self, cap: Optional[float] = None,
-                       floor: Optional[float] = None,
-                       grace: Optional[float] = None) -> None:
+    def _await_reports(self, floor: float, grace: float,
+                       cap: float = float("inf")) -> None:
         """The one completion wait: sleep on ``_progress`` until every
         worker has its RESULT + METRICS pair or is failed.
 
-        A live, unreported worker is given up on (failed) at ``cap``, an
-        absolute monotonic time.  With ``grace`` the clock is event-
-        driven instead: it is armed only once every distributor has
+        A live, unreported worker is given up on (failed) by an event-
+        driven clock: it is armed only once every distributor has
         reported or failed — the stream upstream of the queriers has
-        ended — and then runs to ``max(floor, that moment) + grace``
-        (still never past ``cap``).  So no clock derived from trace
-        timestamps declares a worker lost while its upstream is still
-        producing; a flood's duration is zero, its wall time is not.
+        ended — and then runs to ``max(floor, that moment) + grace``,
+        never past ``cap`` (absolute monotonic times).  So no clock
+        derived from trace timestamps declares a worker lost while its
+        upstream is still producing; a flood's duration is zero, its
+        wall time is not.
         """
         upstream_at: Optional[float] = None
         with self._progress:
@@ -1072,23 +1052,19 @@ class _Controller:
                 if not waiting:
                     return
                 now = time.monotonic()
-                deadline = cap
-                if grace is not None:
-                    if upstream_at is None and not any(
-                            handle.role == ROLE_DISTRIBUTOR
-                            for handle in waiting):
-                        upstream_at = now
-                    if upstream_at is not None:
-                        clock = max(floor, upstream_at) + grace
-                        deadline = clock if cap is None else min(clock, cap)
-                if deadline is not None and now >= deadline:
+                if upstream_at is None and not any(
+                        handle.role == ROLE_DISTRIBUTOR
+                        for handle in waiting):
+                    upstream_at = now
+                deadline = cap if upstream_at is None \
+                    else min(cap, max(floor, upstream_at) + grace)
+                if now >= deadline:
                     for handle in waiting:
                         handle.failed = True
                     return
                 # Bounded: a worker dying after its reader left
                 # notifies nobody.
-                self._progress.wait(
-                    1.0 if deadline is None else min(1.0, deadline - now))
+                self._progress.wait(min(1.0, deadline - now))
 
     def _merge(self, workers_counter: str) -> int:
         """The one merge: the exactly-once fold of every report in the
@@ -1124,8 +1100,8 @@ class _Controller:
     def _teardown(self) -> None:
         """The one teardown: SHUTDOWN, close, reap."""
         if self._listener is not None:
+            # The accept loop ends at its next wake; nothing waits on it.
             self._listener.close()
-            self._accept_thread.join(timeout=2.0)
         for handle in self._handles():
             try:
                 handle.control.send_shutdown()
@@ -1189,7 +1165,7 @@ class ProcessTopology(_Controller):
         if role == ROLE_DISTRIBUTOR:
             return _distributor_main, (
                 self._control_addr, worker_id,
-                config.queriers_per_distributor, config.recovery,
+                config.queriers_per_distributor, self._chaos,
                 incarnation, listen_port, self._tconfig,
                 *self._source_args(worker_id))
         distributor = self.distributor_handles[
@@ -1197,7 +1173,7 @@ class ProcessTopology(_Controller):
         return _querier_main, (
             self._control_addr, worker_id,
             ("127.0.0.1", distributor.listen_port),
-            self.server_for(worker_id), config.deadline, config.recovery,
+            self.server_for(worker_id), config.deadline, self._chaos,
             incarnation, self._tconfig, self.result.aggregate)
 
     def _resync(self, handle: _WorkerHandle) -> None:
@@ -1205,11 +1181,10 @@ class ProcessTopology(_Controller):
         run: chaos on its record stream, the anchor, a place in routing."""
         if handle.role != ROLE_DISTRIBUTOR:
             return
-        recovery = self.config.recovery
         # Controller-side chaos acts on the record stream to the
         # distributors; the controller itself never crash-faults.
-        attach_chaos(handle.control, recovery.chaos if recovery else None,
-                     handle.role, handle.worker_id, handle.incarnation,
+        attach_chaos(handle.control, self._chaos, handle.role,
+                     handle.worker_id, handle.incarnation,
                      controller_side=True)
         try:
             handle.control.send_time_sync(self.result.trace_start)
@@ -1223,8 +1198,9 @@ class ProcessTopology(_Controller):
         """Replay an in-memory trace, accounted per query: records cross
         the control links as RECORD frames tagged with their position in
         the timestamp-sorted trace, so every entry names its record.
-        With ``config.recovery`` set, END is withheld until the
-        checkpoint store accounts for every index."""
+        END is withheld until the ledger lets it go: the checkpoint
+        store accounts for every index, or nothing more can be
+        redelivered."""
         records = sorted(trace.records, key=lambda r: r.timestamp)
         if not records:
             return self.result
@@ -1250,8 +1226,8 @@ class ProcessTopology(_Controller):
         any scale.
         """
         if self.config.recovery is not None:
-            raise ValueError(
-                "shard-file streaming does not support recovery mode")
+            raise ValueError("shard-file streaming has no respawn budget: "
+                             "config.recovery must be None")
         manifest = read_manifest(directory)
         self.result = ReplayResult("distributed-process", aggregate=True)
         if not manifest["total_records"]:
@@ -1274,7 +1250,6 @@ class ProcessTopology(_Controller):
         → merge → teardown.  ``span`` is how long the schedule keeps
         the tree busy after its first record is due."""
         config = self.config
-        recovery = config.recovery
         span += config.start_delay
         # The trace time of the anchor, which is what TIME_SYNC carries:
         # the first record is due start_delay after the zero point, as
@@ -1292,14 +1267,12 @@ class ProcessTopology(_Controller):
             self._deadline_timer.start()
         self._anchor()
         self._stream(records)
-
-        if recovery is not None:
-            cap = time.monotonic() + span + config.settle_time \
-                + COLLECT_TIMEOUT
-            self._drain(records, cap)
-            # From here on worker death is no longer recoverable work
-            # loss (everything is checkpointed), so stop respawning and
-            # let the tree wind down.
+        self._drain(records, time.monotonic() + span + config.settle_time
+                    + COLLECT_TIMEOUT)
+        if records:
+            # The stream is over and checkpointed: a death from here on
+            # is no recoverable work loss, so stop respawning and let the
+            # tree wind down.  (A shard-file run's END starts its stream.)
             self._closing.set()
         for handle in self.distributor_handles:
             try:
@@ -1308,17 +1281,12 @@ class ProcessTopology(_Controller):
                 pass
 
         # Collect: every worker reports RESULT + METRICS when done.
-        if recovery is not None:
-            self._await_reports(
-                min(cap, time.monotonic() + config.settle_time + 8.0))
-        else:
-            cap = None
-            if config.deadline is not None:
-                # The user's wall-clock budget, and the only one.
-                cap = self.result.start_clock + config.deadline \
-                    + _COLLECT_SLACK
-            self._await_reports(cap, self.result.start_clock + span,
-                                config.settle_time + _COLLECT_SLACK)
+        cap = float("inf")
+        if config.deadline is not None:
+            # The user's wall-clock budget, and the only one.
+            cap = self.result.start_clock + config.deadline + _COLLECT_SLACK
+        self._await_reports(self.result.start_clock + span,
+                            config.settle_time + _COLLECT_SLACK, cap)
 
         self._merge("multiproc.workers")
         if isinstance(self.telemetry, Telemetry):
@@ -1376,19 +1344,20 @@ class ProcessTopology(_Controller):
 
     def _flush_records(self) -> None:
         """Write out the buffered record blocks before waiting.  What a
-        dead link's block held comes back, in recovery mode, as missing
-        indices in the next redelivery round."""
+        dead link's block held comes back as missing indices in the next
+        redelivery round."""
         for handle in self._assigner.entities:
             try:
                 handle.control.flush()
             except OSError:
                 self._assigner.remove(handle)
 
-    # -- exactly-once drain (recovery mode) --------------------------------
+    # -- exactly-once drain ------------------------------------------------
 
     def _drain(self, records: Sequence, cap: float) -> None:
         """Withhold END until the ledger sends it, re-streaming what it
-        counts lost; ``cap`` bounds the wait in wall time."""
+        counts lost; ``cap`` bounds the wait in wall time.  A shard-file
+        run routes nothing here, so its ledger ends the drain at once."""
         while True:
             with self._progress:
                 now = time.monotonic()
@@ -1397,8 +1366,14 @@ class ProcessTopology(_Controller):
                 live = [((h.role, h.worker_id), h.incarnation)
                         for h in self.querier_handles
                         if h.is_alive() and not h.failed]
+                # A dead worker's fate is open while a respawn is in
+                # flight or its reader has not settled it yet.
+                respawning = bool(self._respawning) or any(
+                    not (h.failed or h.reported or h.is_alive())
+                    for h in self._handles())
                 action, arg = self._ledger.tick(
-                    now, live, bool(live and self._assigner.entities))
+                    now, live, bool(live and self._assigner.entities),
+                    respawning)
                 if action == "end":
                     return
                 if action == "wait":
@@ -1458,9 +1433,7 @@ class ShardTopology(_Controller):
                                 "default_shard_scenario", {})
         self.scenario_factory = (scenario_factory[0], scenario_factory[1],
                                  dict(scenario_factory[2]))
-        self.start_method = start_method
         self.collect_timeout = collect_timeout
-        self.recovery = recovery
         self.telemetry_config = (
             telemetry_config if _streaming(telemetry_config) else None)
         super().__init__(ReplayResult("sharded-replay"), recovery,
@@ -1476,13 +1449,13 @@ class ShardTopology(_Controller):
                      listen_port: int) -> Tuple[object, tuple]:
         return _shard_main, (
             self._control_addr, worker_id, self.num_shards,
-            self.trace_factory, self.scenario_factory, self.recovery,
+            self.trace_factory, self.scenario_factory, self._chaos,
             incarnation, self.telemetry_config)
 
     def replay(self) -> ReplayResult:
         started = time.perf_counter()
         self._spawn_tree([(ROLE_SHARD, self.num_shards)])
-        self._await_reports(time.monotonic() + self.collect_timeout)
+        self._await_reports(time.monotonic(), self.collect_timeout)
         self.wall_s = time.perf_counter() - started
         self.lost_shards = self._merge("multiproc.shards")
         self.respawns = self._ledger.respawns

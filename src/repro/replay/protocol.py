@@ -63,7 +63,7 @@ MSG_HELLO = 4
 MSG_RESULT = 5
 MSG_METRICS = 6
 MSG_SHUTDOWN = 7
-MSG_CHECKPOINT = 8   # delta of a RESULT shard (recovery mode)
+MSG_CHECKPOINT = 8   # delta of a list-mode RESULT shard
 MSG_TELEMETRY = 10   # streamed metrics/health/span window (live observability)
 
 KIND_NAMES = {

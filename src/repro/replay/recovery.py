@@ -2,15 +2,16 @@
 
 The paper's headline experiments replay multi-hour, 10⁸-query traces
 across a controller → distributor → querier process tree; at that
-scale a single worker crash must not void the run.  This module holds
-the pieces that turn :class:`repro.replay.multiproc.ProcessTopology`
-from fail-fast into fault-tolerant:
+scale a single worker crash must not void the run.  Every in-memory
+:class:`repro.replay.multiproc.ProcessTopology` replay checkpoints and
+drains through the pieces this module holds:
 
-* :class:`RecoveryConfig` — turns recovery on; its one field is the
-  chaos schedule.  The rest of the mechanism has fixed sizes, module
-  constants like the data plane's: a bounded respawn budget with
-  exponential backoff (:func:`respawn_backoff`), the checkpoint
-  cadence (:class:`CheckpointPolicy`), redelivery rounds and the
+* :class:`RecoveryConfig` — grants the respawn budget (a run without
+  one respawns nothing) and carries the chaos schedule.  The rest of
+  the mechanism has fixed sizes, module constants like the data
+  plane's: the respawn budget with exponential backoff
+  (:func:`respawn_backoff`), the checkpoint cadence
+  (:class:`CheckpointPolicy`), redelivery rounds and the
   handshake/reconnect deadlines.
 * :class:`CheckpointStore` — accumulator of delta ``CHECKPOINT`` and
   final ``RESULT`` frames keyed by (worker, incarnation).  Offering a
@@ -142,9 +143,9 @@ class ChaosConfig:
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Turns ProcessTopology's self-healing on: respawn, checkpoints,
-    exactly-once redelivery.  ``chaos`` optionally injects faults into
-    the real control sockets."""
+    """Grants ProcessTopology's respawn budget (``RESPAWNS_*``); every
+    run checkpoints and redelivers with or without one.  ``chaos``
+    optionally injects faults into the real control sockets."""
 
     chaos: Optional[ChaosConfig] = None
 
@@ -393,11 +394,13 @@ class RecoveryLedger:
       quiet that long, as is an unanswered send only dead incarnations
       hold; at most ``REDELIVERY_ROUNDS`` passes, none past the deadline;
     * the END hold-back — until the store covers every routed index with
-      nothing stranded, the rounds are spent or the deadline hit
+      nothing stranded, the rounds are spent, the deadline hit, or no
+      redelivery could reach a querier and none is coming back
       (``ended`` says which);
     * the respawn budget — ``RESPAWNS_PER_WORKER`` per slot and
-      ``RESPAWNS_TOTAL`` per run (none without recovery); a death past
-      it is lost for good (``lost``);
+      ``RESPAWNS_TOTAL`` per run, or none at all (``respawns=False``,
+      a run without a :class:`RecoveryConfig`); a death past it is lost
+      for good (``lost``);
     * ``shed``, what the deadline kept from being routed: with the
       workers' shed counts it closes ``len(result) + deadline_shed ==
       total`` for a run that ended ``"complete"``.
@@ -412,7 +415,8 @@ class RecoveryLedger:
         self._seen: Optional[Tuple[int, int]] = None   # store progress
         self._moved = 0.0       # when it last moved, or we redelivered
         self.expired = False
-        self.ended: Optional[str] = None    # complete | rounds | deadline
+        # complete | rounds | deadline | unroutable
+        self.ended: Optional[str] = None
         self.rounds = 0
         self.redelivered = 0
         self.respawns = 0
@@ -449,12 +453,14 @@ class RecoveryLedger:
         self.respawns += 1
         return attempts
 
-    def tick(self, now: float, live: Iterable[StoreKey],
-             routable: bool) -> Tuple[str, object]:
+    def tick(self, now: float, live: Iterable[StoreKey], routable: bool,
+             respawning: bool = False) -> Tuple[str, object]:
         """The drain looks at ``now``; ``live`` are the store keys of the
         live querier incarnations, ``routable`` whether a record routed
-        now could reach one.  Returns ``("wait", until)``,
-        ``("redeliver", indices)`` or ``("end", ended)``."""
+        now could reach one, ``respawning`` whether a dead worker's fate
+        is still open (a respawn in flight, or a death not yet settled).
+        Returns ``("wait", until)``, ``("redeliver", indices)`` or
+        ``("end", ended)``."""
         if self.expired:
             return self._end("deadline")
         store, due = self.store, self._due
@@ -464,13 +470,17 @@ class RecoveryLedger:
                     if index < len(due)}
         if store.covers(len(due)) and not stranded():
             return self._end("complete")
+        if not (routable or respawning):
+            # Nothing could carry a redelivery, and nothing will come
+            # back that could: waiting only runs out the drain's cap.
+            return self._end("unroutable")
         seen = store.progress()
         if seen != self._seen:
             self._seen, self._moved = seen, now
         if now < self._moved + REDELIVERY_GRACE:
             return "wait", self._moved + REDELIVERY_GRACE
         if not routable:
-            # A respawn is (hopefully) in flight: spend no round on it.
+            # A respawn is in flight: spend no round on it.
             return "wait", now + _NO_ROUTE_POLL
         missing, stale = store.missing(len(due)), stranded()
         lost = set(takewhile(

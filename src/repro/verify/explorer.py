@@ -28,9 +28,10 @@ ordering-dependent:
   drains under each queue policy, checked against counter conservation
   (``arrived == served + dropped + shed + queued``) after every step.
 
-* :class:`RecoveryScenarioModel` — the recovering controller's own
+* :class:`RecoveryScenarioModel` — the controller's own
   :class:`~repro.replay.recovery.RecoveryLedger` and store under worker
-  crash × frame reorder, duplication and loss × deadline schedules.
+  crash × frame reorder, duplication and loss × deadline schedules,
+  with a respawn budget or (``no-respawn``) none.
 """
 
 from __future__ import annotations
@@ -482,9 +483,9 @@ class AdmissionScenarioModel:
 
 # -- crash-recovery scenarios -----------------------------------------------
 
-# Scenario -> its record cap, due instants, deadline and the budgets of
-# what the explorer may do to the tree.  ``late`` records are answered
-# only after their first frame left.
+# Scenario -> its record cap, due instants, deadline, respawns (on or
+# off) and the budgets of what the explorer may do to the tree.
+# ``late`` records are answered only after their first frame left.
 _RECOVERY_SCENARIOS = {
     # one crash (a late answer left stranded), frames in any order
     "crash-reorder": dict(crashes=1, crashes_per_worker=1, late=(1,)),
@@ -502,6 +503,9 @@ _RECOVERY_SCENARIOS = {
     # the workers shed, x a crash, also while the last frames fly
     "shed-trailer": dict(crashes=1, crashes_per_worker=1, deadline=0.5,
                          due=lambda index, total: 2 * index >= total),
+    # a run without a RecoveryConfig: a crash is lost for good, so the
+    # survivor takes the redelivery, or, both gone, the drain ends
+    "no-respawn": dict(respawns=False, crashes=2, crashes_per_worker=1),
 }
 
 
@@ -525,8 +529,10 @@ class RecoveryScenarioModel:
     on every frame.
 
     Invariants: at every state the merge holds no duplicate and no
-    never-routed index, no answer regresses, and no index is redelivered
-    before its due instant + the grace or past the deadline.  At
+    never-routed index, no answer regresses, no index is redelivered
+    before its due instant + the grace or past the deadline, and the
+    drain never waits with every worker lost for good (respawns here are
+    instant, so nothing could end that wait).  At
     quiescence ``len(merged) + deadline_shed`` never exceeds the trace;
     when the ledger ended ``"complete"`` every record is accounted for
     exactly once and, but for a crash after END, answered; else the
@@ -545,8 +551,8 @@ class RecoveryScenarioModel:
         if scenario not in _RECOVERY_SCENARIOS:
             raise ValueError(f"unknown recovery scenario {scenario!r}")
         spec = dict(cap=total, due=lambda index, total: 0, deadline=None,
-                    crashes=0, crashes_per_worker=0, dups=0, drops=0,
-                    late=())
+                    respawns=True, crashes=0, crashes_per_worker=0, dups=0,
+                    drops=0, late=())
         spec.update(_RECOVERY_SCENARIOS[scenario])
         given = dict(crashes=crashes, crashes_per_worker=crashes_per_worker,
                      dups=dups, drops=drops, late=late)
@@ -563,7 +569,7 @@ class RecoveryScenarioModel:
         self.dups_left, self.drops_left = spec["dups"], spec["drops"]
         self.late = spec["late"]
         self.store = CheckpointStore()
-        self.ledger = ledger(self.store)
+        self.ledger = ledger(self.store, respawns=spec["respawns"])
         self.now = 0.0
         self.wait_until: Optional[float] = None  # the ledger's last wait
         self.stopped = False                     # routing is over
@@ -649,6 +655,9 @@ class RecoveryScenarioModel:
                     if not self.dead[worker]]
             action, arg = self.ledger.tick(self.now, live, bool(live))
             if action == "wait":
+                if not live:
+                    self._bad.append(("drain-stalled", f"waiting at "
+                                      f"{self.now} with every worker lost"))
                 self.wait_until = arg
                 return
             if action == "redeliver":
@@ -715,6 +724,8 @@ class RecoveryScenarioModel:
             owner = self._owner(record)
             if owner is not None:
                 self.assigned[owner].append(record)
+            else:   # every worker is lost: it goes down a dead link
+                self.held_by_crashed.add(record)
             if self.ledger.routed == self.total:
                 self._stop_routing()
         elif action == "exec":

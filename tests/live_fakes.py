@@ -156,7 +156,7 @@ def drive_querier(script, policy=None, lag=0, clock=None, delay=0.0,
                   observe=None, aggregate=False):
     """Run a _LiveQuerier over a script; returns it, its fake UDP
     socket and the CHECKPOINT ``result`` members it emitted.  A
-    checkpoint ``policy`` attaches a sink (recovery mode); with a
+    checkpoint ``policy`` attaches a sink (list mode); with a
     ``clock`` the querier runs on fake time throughout."""
     with contextlib.ExitStack() as stack:
         if clock is not None:

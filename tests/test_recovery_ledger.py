@@ -60,9 +60,11 @@ class TestRedelivery:
             == ("redeliver", [1, 2])
 
     def test_no_round_is_spent_without_a_route(self):
+        """No route while a respawn is in flight: the drain waits for
+        it and spends no round."""
         ledger = _ledger()
-        ledger.tick(0.0, [], False)
-        assert ledger.tick(5.0, [], False)[0] == "wait"
+        ledger.tick(0.0, [], False, respawning=True)
+        assert ledger.tick(5.0, [], False, respawning=True)[0] == "wait"
         assert ledger.rounds == 0
 
     def test_stranded_unanswered_send_is_redelivered(self):
@@ -95,6 +97,45 @@ class TestEnd:
         now += REDELIVERY_GRACE
         assert ledger.tick(now, LIVE, True) == ("end", "rounds")
         assert ledger.redelivered == 3 * REDELIVERY_ROUNDS
+
+
+class TestUnroutable:
+    """No route and no respawn coming: nothing the drain waits for can
+    happen, so END goes out at once instead of at the drain's cap."""
+
+    def test_end_at_once_when_no_querier_is_left(self):
+        """Inside the quiet period, with records missing: still END."""
+        ledger = _ledger()
+        _report(ledger.store, [0])
+        assert ledger.tick(0.0, [], False, respawning=False) \
+            == ("end", "unroutable")
+        assert ledger.rounds == 0 and ledger.redelivered == 0
+
+    def test_a_failed_respawn_ends_the_wait(self):
+        ledger = _ledger()
+        assert ledger.tick(0.0, [], False, respawning=True) \
+            == ("wait", REDELIVERY_GRACE)
+        assert ledger.tick(1.0, [], False, respawning=True)[0] == "wait"
+        # The respawn died before its HELLO, past the budget.
+        assert ledger.tick(1.1, [], False, respawning=False) \
+            == ("end", "unroutable")
+
+    def test_complete_outranks_unroutable(self):
+        ledger = _ledger()
+        _report(ledger.store, [0, 1, 2])
+        assert ledger.tick(0.0, [], False) == ("end", "complete")
+
+    def test_zero_budget_still_redelivers_to_a_survivor(self):
+        """A run without respawns loses a querier: the survivor is a
+        route, so the lost records are redelivered as usual."""
+        ledger = RecoveryLedger(CheckpointStore(), respawns=False)
+        ledger.route([0.0, 0.0])
+        ledger.stop_routing(2)
+        assert ledger.died(("q", 1)) is None
+        _report(ledger.store, [0])
+        assert ledger.tick(0.0, LIVE, True) == ("wait", REDELIVERY_GRACE)
+        assert ledger.tick(REDELIVERY_GRACE, LIVE, True) \
+            == ("redeliver", [1])
 
 
 class TestDeadline:

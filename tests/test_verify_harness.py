@@ -250,11 +250,14 @@ class TestExplorer:
         # Redelivery that goes on past the deadline.
         ("deadline-crash", "if self.expired:", "if False:",
          "redelivery-after-deadline"),
+        # A drain that polls for a route nothing will bring back.
+        ("no-respawn", "if not (routable or respawning):", "if False:",
+         "drain-stalled"),
     ])
     def test_explorer_catches_a_ledger_mutant(self, scenario, old, new,
                                               invariant):
-        """The explorer runs the production ledger, so reverting either
-        fix inside it is a violation at 2 records — and the real
+        """The explorer runs the production ledger, so reverting any of
+        its fixes inside it is a violation at 2 records — and the real
         ledger passes the same scenario."""
         mutant = self._ledger_mutant(old, new)
         result = explore_recovery(scenario, total=2, ledger=mutant)
