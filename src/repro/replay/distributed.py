@@ -247,9 +247,9 @@ class _LiveQuerier:
             if answers or send_soon or self._unread:
                 self._drain_responses()
             self._maybe_checkpoint()
-        # Settle: catch responses still in flight.
+        # Settle: catch responses still in flight, while any are.
         deadline = time.monotonic() + 0.2
-        while (now := time.monotonic()) < deadline:
+        while self._pending and (now := time.monotonic()) < deadline:
             if self._wait(deadline - now, frames=False)[1]:
                 self._drain_responses()
         self._maybe_checkpoint()
@@ -373,12 +373,16 @@ class _LiveQuerier:
             self._news[entry.index] = entry
 
     def _maybe_checkpoint(self) -> None:
-        """Emit a delta frame if the cadence says so: the entries with
-        news since the last frame under the cumulative header."""
+        """Emit a delta frame — the entries with news since the last
+        frame under the cumulative header — if the cadence says so, or
+        at once when the send queue has run dry: the controller's drain
+        waits on this coverage, and no queued send is left to batch it
+        with."""
         if not self._news or self.checkpoint_policy is None:
             return
         since = time.monotonic() - self._last_checkpoint_time
-        if not self.checkpoint_policy.due(len(self._news), since):
+        if self._queue \
+                and not self.checkpoint_policy.due(len(self._news), since):
             return
         news, self._news = self._news, {}
         with self.lock:

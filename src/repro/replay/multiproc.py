@@ -27,13 +27,16 @@ in-memory, shard-file and sharded-sim runs parameterise:
    its shard's offset in the manifest;
 4. **drain** — END is withheld, and lost records re-streamed, as the
    :class:`~repro.replay.recovery.RecoveryLedger` decides; list-mode
-   queriers checkpoint what they sent.  A shard-file run routes
-   nothing, so its drain ends at once;
+   queriers checkpoint what they sent, at once when their send queue
+   runs dry, so the drain ends right after the last send.  A
+   shard-file run routes nothing, so its drain ends at once;
 5. **collect** — END, then one wait (``_await_reports``) until every
-   worker has reported its RESULT + METRICS pair or is failed: at once
-   when its process is seen dead, else only ``settle_time`` + slack
-   after the distributors reported and the schedule ran out, never past
-   the deadline + slack;
+   worker has reported its RESULT + METRICS pair or is failed.  A
+   querier reports once nothing it sent is unanswered, or 0.2 s after
+   END if something still is.  A worker is failed at once when its
+   process is seen dead, else only ``settle_time`` + slack after the
+   distributors reported and the schedule ran out, never past the
+   deadline + slack;
 6. **merge** — every CHECKPOINT and RESULT frame has gone to one
    :class:`~repro.replay.recovery.CheckpointStore`; the merge is the
    exactly-once ``ReplayResult.merge`` fold over its snapshots plus the
@@ -1248,7 +1251,10 @@ class ProcessTopology(_Controller):
              records: Sequence = ()) -> ReplayResult:
         """The run skeleton: spawn → anchor → stream → drain → collect
         → merge → teardown.  ``span`` is how long the schedule keeps
-        the tree busy after its first record is due."""
+        the tree busy after its first record is due.  Each phase's wall
+        (the anchor's counts as stream) goes to ``metrics`` as
+        ``multiproc.phase.<name>``."""
+        self._phase_at = time.perf_counter()
         config = self.config
         span += config.start_delay
         # The trace time of the anchor, which is what TIME_SYNC carries:
@@ -1265,10 +1271,13 @@ class ProcessTopology(_Controller):
                                                    self._handle_deadline)
             self._deadline_timer.daemon = True
             self._deadline_timer.start()
+        self._phase_done("spawn")
         self._anchor()
         self._stream(records)
+        self._phase_done("stream")
         self._drain(records, time.monotonic() + span + config.settle_time
                     + COLLECT_TIMEOUT)
+        self._phase_done("drain")
         if records:
             # The stream is over and checkpointed: a death from here on
             # is no recoverable work loss, so stop respawning and let the
@@ -1287,16 +1296,26 @@ class ProcessTopology(_Controller):
             cap = self.result.start_clock + config.deadline + _COLLECT_SLACK
         self._await_reports(self.result.start_clock + span,
                             config.settle_time + _COLLECT_SLACK, cap)
+        self._phase_done("collect")
 
         self._merge("multiproc.workers")
+        self._phase_done("merge")
+        self._teardown()
+        self._phase_done("teardown")
         if isinstance(self.telemetry, Telemetry):
             # Per-query tracing cannot cross the process boundary; the
             # merged counter/histogram snapshots are the process-mode
             # telemetry surface.  A bare TelemetryConfig has no registry
             # to fold into.
             self.telemetry.metrics.merge(self.metrics)
-        self._teardown()
         return self.result
+
+    def _phase_done(self, phase: str) -> None:
+        """Book the wall since the previous phase ended to ``phase``."""
+        now = time.perf_counter()
+        self.metrics.add_time("multiproc.phase." + phase,
+                              now - self._phase_at)
+        self._phase_at = now
 
     def _anchor(self) -> None:
         """Take the run's zero point and broadcast it as TIME_SYNC."""

@@ -162,6 +162,28 @@ class TestProcessTopology:
         result = replay.replay(Trace())
         assert len(result) == 0
 
+    def test_phase_timers_account_for_the_run(self):
+        """The controller books each phase's wall to its metrics: all
+        six on a 1 × 2 in-memory run, summing to no more than the
+        replay's wall."""
+        trace = fixed_interval_trace(0.02, 0.2, client_count=4,
+                                     name="mp-phases")
+        with LiveUdpEchoServer() as server:
+            topology = ProcessTopology((server.address, server.port),
+                                       process_config(distributors=1))
+            started = time.perf_counter()
+            result = topology.replay(trace)
+            wall = time.perf_counter() - started
+        assert len(result) == len(trace)
+        phases = {name[len("multiproc.phase."):]: seconds
+                  for name, seconds
+                  in topology.metrics.to_state()["timings"].items()
+                  if name.startswith("multiproc.phase.")}
+        assert set(phases) == {"spawn", "stream", "drain", "collect",
+                               "merge", "teardown"}
+        assert all(seconds > 0.0 for seconds in phases.values())
+        assert sum(phases.values()) <= wall
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")
     def test_queriers_pin_to_distinct_allowed_cpus(self, tmp_path,

@@ -461,6 +461,75 @@ class TestDeltaCheckpoints:
                       for index in frame["sent"]["index"]) == list(range(6))
 
 
+class TestEventDrivenTail:
+    """A querier's run ends on events, not timers: after END it settles
+    only while something it sent is unanswered, and its last checkpoint
+    leaves when its send queue runs dry.  On the fake clock, so every
+    instant is exact: ten records due at once, END 2**-6 s later."""
+
+    SETTLE = 0.2
+
+    @staticmethod
+    def _script(end_at):
+        trace = fixed_interval_trace(interval=0.001, duration=0.01,
+                                     client_count=4)
+        return _seq_frames(trace) + [end_at, (MSG_END, None)]
+
+    @pytest.mark.parametrize("aggregate", [False, True])
+    def test_answered_querier_returns_when_end_is_read(self, aggregate):
+        clock = FakeClock()
+        end_at = clock.now + 2.0 ** -6
+        querier, wire, _frames = drive_querier(
+            self._script(end_at), clock=clock, aggregate=aggregate)
+        assert wire.sent == 10
+        assert querier.result.unanswered() == 0
+        assert clock.now == end_at          # the parent settled 0.2 s more
+
+    def test_settle_ends_at_the_last_answer(self):
+        clock = FakeClock()
+        sent_at = clock.now
+        querier, wire, _frames = drive_querier(
+            self._script(sent_at + 2.0 ** -6), clock=clock,
+            delay=2.0 ** -4)
+        assert wire.sent == 10
+        assert querier.result.unanswered() == 0
+        assert clock.now == sent_at + 2.0 ** -4
+
+    @pytest.mark.parametrize("lag,answered", [(None, 0), (3, 7)])
+    def test_unanswered_send_keeps_the_whole_window(self, lag, answered):
+        """A lost answer still gets the full settle: the answered count
+        is what the fixed window gave."""
+        clock = FakeClock()
+        end_at = clock.now + 2.0 ** -6
+        querier, wire, _frames = drive_querier(
+            self._script(end_at), lag=lag, clock=clock)
+        assert wire.sent == 10
+        assert 10 - querier.result.unanswered() == answered
+        assert clock.now == end_at + self.SETTLE
+
+    def test_last_checkpoint_leaves_when_the_queue_runs_dry(self):
+        """No cadence would ever fire (64 entries or an hour), yet the
+        ten entries go out in one frame the wake their sends emptied
+        the queue, three waits before END is read.  The parent held
+        them to the final RESULT."""
+        trace = fixed_interval_trace(interval=0.001, duration=0.01,
+                                     client_count=4)
+        script = _seq_frames(trace) + ["quiet"] * 3 + [(MSG_END, None)]
+        news_at_wait = []
+
+        def observe(querier, _watched):
+            if not querier._done_receiving:
+                news_at_wait.append(len(querier._news))
+
+        _querier, wire, frames = drive_querier(
+            script, TestDeltaCheckpoints.COUNT_ONLY, clock=FakeClock(),
+            observe=observe)
+        assert wire.sent == 10
+        assert [frame["sent"]["index"] for frame in frames] \
+            == [list(range(10))]
+        assert len(news_at_wait) >= 4 and not any(news_at_wait)
+
+
 class _CountingSocket:
     """Stands in for a querier link's TCP socket: counts the writes,
     and with a ``clock`` keeps each with the instant it was made."""
