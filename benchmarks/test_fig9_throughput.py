@@ -7,14 +7,14 @@ from repro.experiments import fig9_throughput
 
 def test_fig9_single_host_throughput(benchmark, bench_scale):
     output = run_once(benchmark, fig9_throughput.run, bench_scale,
-                      live_duration=2.0, sim_queries=30000)
+                      live_queries=20000, sim_queries=30000)
     print()
     print(output.render())
     rows = {row[0]: row for row in output.rows}
 
     live = rows["live loopback"]
     # The honest Python-vs-87k-C++ comparison: report, and require the
-    # replay path at least to keep up with a sane floor.
+    # replay tree at least to keep up with a sane floor.
     assert live[2] > 5000  # q/s over real sockets
     assert live[1] > 10000  # queries actually sent
 

@@ -1,4 +1,4 @@
-"""Synthetic DNSSEC: size-faithful DNSKEY/RRSIG/DS/NSEC generation.
+"""Synthetic DNSSEC: size-faithful DNSKEY/RRSIG/NSEC generation.
 
 The paper's Fig 10 experiment varies the root ZSK size (1024 vs 2048 bit,
 plus a rollover state with both keys published) and the fraction of
@@ -15,18 +15,18 @@ Substitution documented in DESIGN.md.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from . import rdata as rd
-from .constants import RRClass, RRType
+from .constants import RRType
 from .name import Name
 from .rrset import RR, RRset
 from .wire import WireWriter
 from .zone import Zone
 
 ALGORITHM_RSASHA256 = 8
-DIGEST_SHA256 = 2
+KSK_BITS = 2048     # key-signing key size of every signed zone
 
 # Signature inception/expiration: fixed values keep zones reproducible
 # across runs (requirement "repeatability of experiments", §2.1).
@@ -85,14 +85,12 @@ class SigningConfig:
     """
 
     zsk_bits: int = 2048
-    ksk_bits: int = 2048
     rollover_extra_zsk_bits: Optional[int] = None
-    nsec: bool = True
 
     def keys_for(self, zone: Name) -> Tuple[Key, List[Key]]:
         """Return (active ZSK, all published keys)."""
         zsk = Key(zone, self.zsk_bits)
-        published = [zsk, Key(zone, self.ksk_bits, rd.DNSKEY.KSK_FLAGS)]
+        published = [zsk, Key(zone, KSK_BITS, rd.DNSKEY.KSK_FLAGS)]
         if self.rollover_extra_zsk_bits is not None:
             published.append(
                 Key(zone, self.rollover_extra_zsk_bits, salt=b"incoming"))
@@ -136,15 +134,6 @@ def verify_rrsig(rrset: RRset, rrsig: rd.RRSIG, key: Key) -> bool:
     return make_rrsig(rrset, key).signature == rrsig.signature
 
 
-def make_ds(child: Name, key: Key) -> rd.DS:
-    """DS digest over owner name + DNSKEY RDATA (RFC 4034 §5.1.4)."""
-    writer = WireWriter(compress=False)
-    writer.write_name(child, compressible=False)
-    writer.write_bytes(key.dnskey().wire_bytes())
-    digest = hashlib.sha256(writer.getvalue()).digest()
-    return rd.DS(key.key_tag(), key.algorithm, DIGEST_SHA256, digest)
-
-
 def nsec_chain(zone: Zone) -> List[RR]:
     """Build the NSEC chain over a zone's existing names."""
     names = sorted(zone.names())
@@ -163,7 +152,7 @@ def nsec_chain(zone: Zone) -> List[RR]:
 def sign_zone(zone: Zone, config: Optional[SigningConfig] = None) -> Zone:
     """Return a signed copy of ``zone``.
 
-    Adds the DNSKEY RRset at the apex, an NSEC chain (optional), and an
+    Adds the DNSKEY RRset at the apex, an NSEC chain, and an
     RRSIG per RRset.  RRSIGs over delegation NS RRsets are *not* created,
     matching real authoritative behaviour (the child signs its own apex).
     """
@@ -179,9 +168,8 @@ def sign_zone(zone: Zone, config: Optional[SigningConfig] = None) -> Zone:
     for key in published:
         signed.add_rr(RR(zone.origin, apex_ttl, zone.rrclass, key.dnskey()))
 
-    if config.nsec:
-        for rr in nsec_chain(signed):
-            signed.add_rr(rr)
+    for rr in nsec_chain(signed):
+        signed.add_rr(rr)
 
     ksk = next(k for k in published if k.is_ksk())
     for rrset in list(signed.iter_rrsets()):
@@ -193,14 +181,3 @@ def sign_zone(zone: Zone, config: Optional[SigningConfig] = None) -> Zone:
         signed.add_rr(RR(rrset.name, rrset.ttl, rrset.rrclass,
                          make_rrsig(rrset, signer)))
     return signed
-
-
-def signed_response_overhead(config: SigningConfig) -> Dict[str, int]:
-    """Rough per-response byte overhead each signature adds; used by
-    documentation and sanity tests, not by the experiments themselves."""
-    zsk = Key(Name.from_text("."), config.zsk_bits)
-    rrsig_fixed = 18  # type..key_tag fields
-    return {
-        "signature_bytes": zsk.signature_size,
-        "rrsig_rdata_bytes": rrsig_fixed + 1 + zsk.signature_size,
-    }

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .constants import DEFAULT_EDNS_PAYLOAD, EDNS_DO_BIT, RRClass, RRType
+from .constants import DEFAULT_EDNS_PAYLOAD, EDNS_DO_BIT, RRType
 from .name import ROOT
 from .wire import WireError, WireReader, WireWriter
 

@@ -14,7 +14,7 @@ quantities and need no scaling.  See DESIGN.md substitutions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 # The reference full-scale workload (B-Root 2017, Table 1): median rate
 # ~38-39 k q/s and ~1.17 M clients per hour => ~30 clients per unit rate.

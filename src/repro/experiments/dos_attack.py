@@ -30,12 +30,12 @@ from ..netsim import (IpPacket, TcpFlags, UdpSegment,
 from ..replay import ReplayConfig, SimReplayEngine
 from ..server import (AuthoritativeServer, HostedDnsServer, OverloadConfig,
                       TransportConfig)
-from ..trace import (QueryMutator, QueryRecord, Trace, all_protocol,
-                     quartile_summary, retarget)
+from ..trace import QueryRecord, Trace, quartile_summary
 from .common import ExperimentOutput, Scale, SMOKE
 from .rootserver import SERVER_CORES, build_workload, make_signed_root, \
     RootRunConfig
-from ..netsim import ResourceMonitor, ServerResourceModel
+from ..netsim import ServerResourceModel
+from ..telemetry import ResourceTimeline, TimeSeriesSampler
 from .topology import build_evaluation_topology
 
 ATTACKER_ADDRESS = "10.66.6.6"
@@ -182,11 +182,11 @@ def run_attack(scale: Scale, attack: str, attack_multiplier: float,
                                  attacker.send_packet, packet)
             sequence += 1
 
-    monitor = ResourceMonitor(testbed.loop, resources,
-                              period=scale.monitor_period)
-    monitor.start()
+    sampler = TimeSeriesSampler(testbed.loop, scale.monitor_period)
+    monitor = ResourceTimeline(sampler, resources)
+    sampler.start()
     testbed.loop.run_until(start + scale.duration + 5.0)
-    monitor.stop()
+    sampler.stop()
 
     latencies = result.latencies()
     samples = monitor.steady_state(skip=scale.duration / 6) \

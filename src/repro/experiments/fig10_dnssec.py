@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..trace import quartile_summary
 from .common import ExperimentOutput, Scale, SMOKE
-from .rootserver import RootRunConfig, RootRunOutput, run_root_replay
+from .rootserver import RootRunConfig, run_root_replay
 
 PAPER_MBPS = {
     ("72.3%", 1024, False): 170.0,   # read off Figure 10 (approximate)

@@ -10,7 +10,7 @@ connection churn is highest.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..trace import quartile_summary
 from .common import ExperimentOutput, Scale, SMOKE

@@ -12,7 +12,7 @@ dominated by the timeout duration and stabilizes after ~5 minutes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..netsim import ResourceSample
 from ..trace import mean

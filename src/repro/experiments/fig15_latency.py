@@ -16,12 +16,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..trace import (inactive_client_fraction, per_client_counts,
                      quartile_summary, top_client_share)
 from .common import ExperimentOutput, Scale, SMOKE
-from .rootserver import RootRunConfig, RootRunOutput, run_root_replay
+from .rootserver import RootRunConfig, run_root_replay
 
 DEFAULT_RTTS_MS = (20.0, 80.0, 160.0)
 NON_BUSY_PAPER_THRESHOLD = 250       # queries per 20-minute trace

@@ -15,7 +15,7 @@ cross-checking; ``include_live`` adds a short real-time run.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from ..replay import (DistributedConfig, LiveUdpEchoServer,
                       ProcessTopology, ReplayConfig, SimReplayEngine,

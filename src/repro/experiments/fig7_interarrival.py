@@ -11,9 +11,9 @@ maximum CDF distance (a two-sample Kolmogorov-Smirnov statistic).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Sequence
+from typing import Sequence
 
-from ..trace import BRootWorkload, Trace, fixed_interval_trace, percentile
+from ..trace import BRootWorkload, fixed_interval_trace, percentile
 from .common import ExperimentOutput, Scale, SMOKE
 from .fig6_timing import replay_one
 

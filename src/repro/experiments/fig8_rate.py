@@ -7,7 +7,7 @@ Paper: almost all seconds (95-99 % per trial) differ by within ±0.1 %.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..trace import BRootWorkload, per_second_rates
 from .common import ExperimentOutput, Scale, SMOKE

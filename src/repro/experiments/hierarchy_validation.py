@@ -14,9 +14,9 @@ Three checks, each central to a paper claim:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from ..dns import DNS_PORT, Message, Name, RRType
+from ..dns import DNS_PORT, Message
 from ..hierarchy import HierarchyEmulation, SimulatedInternet
 from ..netsim import EventLoop, Network
 from ..server import HostedDnsServer, RecursiveResolver

@@ -7,7 +7,6 @@ paper's claims — a regenerable EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import io
 import time
 from typing import Callable, Dict, Optional, Sequence
 
@@ -52,22 +51,6 @@ def render_failure_counts(result) -> str:
     remained unanswered at drain time.
     """
     counts = result.failure_counts()
-    if not counts:
-        return "(no queries replayed)"
-    width = max(len(key) for key in counts)
-    return "\n".join(f"{key:<{width}}  {value}"
-                     for key, value in counts.items())
-
-
-def render_degradation(result) -> str:
-    """Degradation counters of a ReplayResult as aligned text rows.
-
-    The overload-cooperation complement of ``render_failure_counts``:
-    SERVFAILs observed, pacing backoff, transport backpressure, lost
-    workers and deadline shedding — how the replay degraded, not just
-    that it did.
-    """
-    counts = result.degradation()
     if not counts:
         return "(no queries replayed)"
     width = max(len(key) for key in counts)

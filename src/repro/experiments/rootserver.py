@@ -10,11 +10,11 @@ per-query latencies.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..dns import Zone, dnssec
-from ..netsim import CostModel, ServerResourceModel
+from ..netsim import ServerResourceModel
 from ..replay import (QuerierConfig, ReplayConfig, ReplayResult,
                       SimReplayEngine, TimerJitterModel)
 from ..server import AuthoritativeServer, HostedDnsServer, TransportConfig
@@ -22,7 +22,7 @@ from ..telemetry import ResourceTimeline, Telemetry, TelemetryConfig
 from ..trace import (BRootWorkload, QueryMutator, Trace, all_protocol,
                      make_root_zone, retarget, set_dnssec_fraction)
 from .common import Scale, SMOKE
-from .topology import LAN_RTT, Testbed, build_evaluation_topology
+from .topology import LAN_RTT, build_evaluation_topology
 
 SERVER_CORES = 48  # 24-core/48-thread Xeon (§5.2.1)
 
@@ -41,7 +41,6 @@ class RootRunConfig:
     signed: bool = True
     tld_count: int = 50
     seed: int = 42
-    server_nagle: bool = True
     track_timing: bool = True
     jitter: bool = False
     # Optional telemetry config; the run always samples resource time
@@ -137,8 +136,7 @@ def run_root_replay(config: RootRunConfig) -> RootRunOutput:
         testbed.server_host,
         AuthoritativeServer.single_view([zone]),
         config=TransportConfig(udp=True, tcp=True, tls=True,
-                               tcp_idle_timeout=config.tcp_timeout,
-                               nagle=config.server_nagle),
+                               tcp_idle_timeout=config.tcp_timeout),
         resources=resources,
         telemetry=telemetry)
 

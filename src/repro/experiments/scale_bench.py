@@ -35,8 +35,8 @@ from typing import Dict, List, Optional
 from ..replay.result import ReplayResult
 from ..telemetry.cluster import rss_kilobytes
 from ..trace import QueryMutator, retarget, scale_stream
-from ..trace.stream import (DEFAULT_READ_AHEAD, iter_shard_file,
-                            read_manifest, shard_path, split_shards)
+from ..trace.stream import (DEFAULT_READ_AHEAD, iter_shard_file, shard_path,
+                            split_shards)
 
 # Peak RSS may exceed the steady median by at most this fraction for
 # the run to count as flat (the ISSUE acceptance bar).

@@ -9,7 +9,7 @@ exact for the synthetic traces and shape-matched for B-Root/Rec.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..trace import (BRootWorkload, RecursiveWorkload, SYNTHETIC_SPECS,
                      Trace, fixed_interval_trace, summarize)

@@ -9,7 +9,6 @@ client↔server RTT be varied (0-160 ms for the §5.2 latency study).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 from ..netsim import EventLoop, LatencyModel, Network
 

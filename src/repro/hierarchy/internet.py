@@ -18,8 +18,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..dns import Name, Zone
 from ..netsim import Network
-from ..server import (AuthoritativeServer, HostedDnsServer, TransportConfig,
-                      View, ZoneSet)
+from ..server import AuthoritativeServer, HostedDnsServer, TransportConfig
 from .zoneutil import address_to_zones, root_hints_for
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..dns import Name, Zone
+from ..dns import Zone
 from ..netsim import Network
 from ..proxy import (AuthoritativeProxy, PartitioningRecursiveProxy,
                      install_authoritative_proxy,

@@ -25,7 +25,7 @@ paths the faults exist to exercise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from .packet import IpPacket, TcpSegment, UdpSegment

@@ -13,7 +13,7 @@ This models just enough of the testbed's network layer for LDplayer:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import EventLoop

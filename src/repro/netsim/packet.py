@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ipaddress
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntFlag
 from typing import Optional, Tuple, Union
 

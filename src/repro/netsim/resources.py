@@ -18,7 +18,7 @@ Each constant notes the real-world quantity it stands in for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .core import EventLoop

@@ -57,7 +57,6 @@ class TcpOptions:
     """Per-connection knobs the experiments vary."""
 
     nagle: bool = True
-    delayed_ack: bool = True
     idle_timeout: Optional[float] = None  # server-side close after idle
     time_wait_duration: float = TIME_WAIT_DURATION
     mss: int = MSS
@@ -375,9 +374,6 @@ class TcpConnection:
     # -- ACK management -------------------------------------------------
 
     def _schedule_ack(self) -> None:
-        if not self.options.delayed_ack:
-            self._send_ack()
-            return
         self._pending_ack_segments += 1
         if self._pending_ack_segments >= 2:
             self._send_ack()

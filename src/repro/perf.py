@@ -33,7 +33,6 @@ discrete-event clock stays deterministic; counters only *observe*.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
 
 from .telemetry.metrics import MetricsRegistry
 

@@ -14,8 +14,7 @@ from .recovery import (ChaosConfig, ChaosEngine, CheckpointPolicy,
                        conservation_violations, merge_recovered,
                        reconnect_with_backoff)
 from .engine import ReplayConfig, SimReplayEngine
-from .live import (LiveUdpEchoServer, ThroughputReport, ThroughputSample,
-                   measure_throughput)
+from .live import LiveUdpEchoServer
 from .multiproc import (ProcessTopology, ShardTopology,
                         UdpEchoServerProcess, default_shard_scenario,
                         shard_slice)
@@ -36,9 +35,8 @@ __all__ = [
     "ShardTopology", "connect", "connected_pair", "LiveUdpEchoServer",
     "QuerierConfig", "ReplayConfig", "ReplayResult",
     "SentQuery", "SimQuerier", "SimReplayEngine", "StickyAssigner",
-    "ThroughputReport", "ThroughputSample",
     "TimerJitterModel", "TimingController", "UdpEchoServerProcess",
     "attach_chaos", "conservation_violations", "default_shard_scenario",
-    "measure_throughput", "merge_recovered", "reconnect_with_backoff",
+    "merge_recovered", "reconnect_with_backoff",
     "shard_slice",
 ]

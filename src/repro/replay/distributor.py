@@ -11,9 +11,8 @@ or selects randomly otherwise".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Dict, Generic, Hashable, List, Optional, Sequence,
-                    TypeVar)
+from dataclasses import dataclass
+from typing import Dict, Generic, Hashable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 

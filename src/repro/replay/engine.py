@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from ..netsim import EventLoop, Host, LatencyModel, Network
+from ..netsim import EventLoop, Host, Network
 from ..perf import PerfCounters
 from ..telemetry import Telemetry
 from ..trace import Trace
 from .distributor import Controller, Distributor, DistributionStats
 from .querier import QuerierConfig, SimQuerier
-from .result import ReplayResult, SentQuery
+from .result import ReplayResult
 from .timing import TimerJitterModel, TimingController
+
+# Client instance i (from 1) is host ``client-i`` at this prefix + i.
+CLIENT_ADDRESS_BASE = "10.250.0."
 
 
 @dataclass
@@ -41,7 +44,6 @@ class ReplayConfig:
     input_delay_per_record: float = 2e-6
     jitter: Optional[TimerJitterModel] = None
     querier: QuerierConfig = field(default_factory=QuerierConfig)
-    client_address_base: str = "10.250.0."
     start_delay: float = 0.5             # settle time before first query
     fast_replay_rate: Optional[float] = None  # cap for track_timing=False
     # Group records landing on the same (querier, instant) into one
@@ -93,7 +95,7 @@ class SimReplayEngine:
     def _build_clients(self) -> None:
         distributors = []
         for instance in range(self.config.client_instances):
-            address = f"{self.config.client_address_base}{instance + 1}"
+            address = f"{CLIENT_ADDRESS_BASE}{instance + 1}"
             host = self.network.add_host(f"client-{instance + 1}", address)
             self.client_hosts.append(host)
             instance_queriers = [

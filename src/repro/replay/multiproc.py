@@ -417,7 +417,7 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
     recorder: Optional[FlightRecorder] = None
     if _streaming(telemetry):
         hub = Telemetry(telemetry)
-        recorder = FlightRecorder(telemetry.flight_recorder)
+        recorder = FlightRecorder()
         if hub.per_query:
             querier.telemetry = hub
         if hub.tracer is not None:

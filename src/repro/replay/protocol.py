@@ -54,7 +54,7 @@ from itertools import repeat
 from typing import Iterator, List, Optional, Tuple, Union
 
 from ..trace import QueryRecord
-from ..trace.binfmt import BinaryFormatError, pack_record_body, record_head
+from ..trace.binfmt import TraceFormatError, pack_record_body, record_head
 
 MSG_TIME_SYNC = 1
 MSG_RECORD = 2
@@ -589,7 +589,7 @@ class MessageSocket:
             body = payload[_RECORD_INDEX.size:]
             try:
                 record_head(body)
-            except BinaryFormatError as exc:
+            except TraceFormatError as exc:
                 raise ProtocolError(f"bad RECORD payload: {exc}")
             return (MSG_RECORD, (_RECORD_INDEX.unpack_from(payload)[0], body))
         if kind == MSG_TIME_SYNC:

@@ -17,13 +17,13 @@ the stranded queries re-sent.  Every such event is counted in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Rcode
 from ..netsim import (EventLoop, Host, NetworkError, RetryPolicy,
-                      SessionCache, TcpConnection, TcpOptions, TcpStack,
-                      Timer, TlsEndpoint, UdpSocket)
+                      TcpConnection, TcpOptions, TcpStack, Timer,
+                      TlsEndpoint, UdpSocket)
 from ..netsim.packet import IpPacket, UdpSegment, packet_checksum
 from ..server.dnsio import StreamFramer, frame_message
 from ..telemetry.tracing import QueryKey, wire_question_key
@@ -46,10 +46,13 @@ _QNAME_MEMO_LIMIT = 1 << 16
 def match_key(wire: bytes) -> MatchKey:
     """The key a query is filed under and its response looked up by.
 
-    Sim and live queriers, send side and answer side, all call this on
-    the bytes they put on or took off the wire, so the two sides cannot
-    disagree on a name.  A message with no readable question pairs on
-    its id alone (an echo of junk still answers the junk).
+    The live querier's table and the sim querier's TCP/TLS channels
+    call this, send side and answer side, on the bytes they put on or
+    took off the wire, so the two sides cannot disagree on a name.  A
+    message with no readable question pairs on its id alone (an echo of
+    junk still answers the junk).  The sim querier's UDP table does not
+    use it: it pairs on (socket port, message id), one socket per
+    source.
     """
     return wire_question_key(wire) \
         or (int.from_bytes(wire[:2], "big"), b"", 0)
@@ -60,9 +63,6 @@ class QuerierConfig:
     """Client-side transport knobs."""
 
     nagle: bool = False            # paper disables Nagle at the client
-    tls_session_resumption: bool = False
-    connection_close_timeout: Optional[float] = None  # client-side close
-    respond_to_server_close: bool = True
     # Recovery budget; None preserves the fire-and-forget seed behaviour
     # (no timeouts, no re-sends, no reconnects).
     retry: Optional[RetryPolicy] = None
@@ -104,7 +104,6 @@ class _StreamChannel:
 
         options = TcpOptions(
             nagle=querier.config.nagle,
-            idle_timeout=querier.config.connection_close_timeout,
             send_highwater=querier.config.send_highwater)
         stack: TcpStack = querier.host.tcp_stack
         self.tcp = stack.connect(querier.host.primary_address, dst, dport,
@@ -114,9 +113,7 @@ class _StreamChannel:
             self.tcp.on_writable = lambda _cn: self._resume()
         self.tls: Optional[TlsEndpoint] = None
         if protocol == "tls":
-            cache = querier.tls_cache if \
-                querier.config.tls_session_resumption else None
-            self.tls = TlsEndpoint(self.tcp, "client", session_cache=cache)
+            self.tls = TlsEndpoint(self.tcp, "client")
             self.tls.on_data = lambda _ep, data: self._on_bytes(data)
             self.tls.on_close = lambda _ep: self._on_closed()
         else:
@@ -182,8 +179,7 @@ class _StreamChannel:
 
     def _on_server_close(self, conn: TcpConnection) -> None:
         self.open = False
-        if self.querier.config.respond_to_server_close:
-            conn.close()
+        conn.close()
         self.querier._channel_lost(self)
 
     def _on_closed(self) -> None:
@@ -203,7 +199,6 @@ class SimQuerier:
         self.config = config if config is not None else QuerierConfig()
         if host.tcp_stack is None:
             TcpStack(host)
-        self.tls_cache = SessionCache()
         self._udp_sockets: Dict[str, UdpSocket] = {}
         self._udp_pending: Dict[Tuple[int, int], List[_PendingUdp]] = {}
         self._udp_answered: Set[Tuple[int, int]] = set()

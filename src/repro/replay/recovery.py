@@ -57,6 +57,7 @@ from .result import (SENT_FIELDS, ReplayResult, merge_rank, sent_rows,
 # Exit status a chaos-crashed worker dies with; distinguishable from a
 # clean exit (0) and a Python traceback (1) in the respawn logs.
 CHAOS_EXIT_STATUS = 17
+CHAOS_DELAY_S = 0.002       # how long a chaos-delayed frame is held
 
 StoreKey = Tuple[Hashable, int]     # (worker key, incarnation)
 
@@ -118,7 +119,6 @@ class ChaosConfig:
     seed: int = 0
     drop_rate: float = 0.0
     delay_rate: float = 0.0
-    delay_s: float = 0.002
     reorder_rate: float = 0.0
     crash_rate: float = 0.0
     crash_after_frames: int = 0          # eligible frames before crashing
@@ -131,8 +131,6 @@ class ChaosConfig:
     kinds: Tuple[int, ...] = (MSG_RECORD, MSG_CHECKPOINT, MSG_RESULT,
                               MSG_METRICS)
     scope: str = "workers"               # "workers" | "controller" | "both"
-    start_after: float = 0.0             # seconds of calm before faults
-    duration: Optional[float] = None     # fault window length; None = rest
 
     def applies_to_workers(self) -> bool:
         return self.scope in ("workers", "both")
@@ -166,7 +164,6 @@ class ChaosEngine:
         identity = f"{config.seed}:{role}:{worker_id}:{incarnation}"
         self._rng = random.Random(zlib.crc32(identity.encode("ascii")))
         self._config = config
-        self._born = time.monotonic()
         self._held: Optional[Tuple[int, bytes]] = None
         self._eligible_seen = 0
         self._crash_armed = (
@@ -177,14 +174,6 @@ class ChaosEngine:
         self.delayed = 0
         self.reordered = 0
 
-    def _in_window(self) -> bool:
-        elapsed = time.monotonic() - self._born
-        if elapsed < self._config.start_after:
-            return False
-        if self._config.duration is not None:
-            return elapsed < self._config.start_after + self._config.duration
-        return True
-
     def _flush_held(self) -> List[Tuple[int, bytes]]:
         if self._held is None:
             return []
@@ -193,7 +182,7 @@ class ChaosEngine:
 
     def process(self, kind: int, payload: bytes) -> List[Tuple[int, bytes]]:
         config = self._config
-        if kind not in config.kinds or not self._in_window():
+        if kind not in config.kinds:
             # Exempt frame: release any held frame first so END/SHUTDOWN
             # can never overtake data the peer still needs.
             return self._flush_held() + [(kind, payload)]
@@ -207,7 +196,7 @@ class ChaosEngine:
             return self._flush_held()
         if self._rng.random() < config.delay_rate:
             self.delayed += 1
-            time.sleep(config.delay_s)
+            time.sleep(CHAOS_DELAY_S)
         if self._held is None and self._rng.random() < config.reorder_rate:
             self._held = (kind, payload)
             self.reordered += 1

@@ -18,6 +18,7 @@ path (:mod:`repro.replay.live`) measures real OS jitter instead.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -64,6 +65,8 @@ _QUARTILE_ERROR_MS = {
     None: 1.5,      # varying interarrivals (B-Root)
 }
 _MAX_ERROR_MS = 17.0
+# τ, the seconds of drift memory behind the error's AR(1) correlation.
+_BIAS_TIMESCALE_S = 0.4
 
 
 @dataclass
@@ -82,10 +85,9 @@ class TimerJitterModel:
 
     interval_hint: Optional[float] = None
     seed: int = 0
-    correlation: Optional[float] = None   # derived from the hint if None
-    bias_timescale: float = 0.4           # seconds of drift memory
     _rng: random.Random = field(init=False, repr=False)
     _state: float = field(init=False, repr=False, default=0.0)
+    _correlation: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self) -> None:
         # hash(None) is id-based on CPython < 3.12 and varies per
@@ -95,13 +97,11 @@ class TimerJitterModel:
                     if self.interval_hint is not None else 0x5EED)
         self._rng = random.Random((self.seed << 20) ^ hint_key & 0xFFFFF)
         self._state = 0.0
-        if self.correlation is None:
-            # Correlation decays with elapsed *time* between events, not
-            # event count: ρ = exp(-interval / τ).
-            import math
-            interval = (self.interval_hint
-                        if self.interval_hint is not None else 0.02)
-            self.correlation = math.exp(-interval / self.bias_timescale)
+        # Correlation decays with elapsed *time* between events, not
+        # event count: ρ = exp(-interval / τ).
+        interval = (self.interval_hint
+                    if self.interval_hint is not None else 0.02)
+        self._correlation = math.exp(-interval / _BIAS_TIMESCALE_S)
 
     def _quartile_ms(self) -> float:
         if self.interval_hint is None:
@@ -114,8 +114,8 @@ class TimerJitterModel:
         """Next timer-error sample in seconds (may be negative)."""
         # Stationary std from the target quartile (Gaussian: q = 0.6745σ)
         sigma = (self._quartile_ms() / 1000.0) / 0.6745
-        innovation_sigma = sigma * (1.0 - self.correlation ** 2) ** 0.5
-        self._state = (self.correlation * self._state
+        innovation_sigma = sigma * (1.0 - self._correlation ** 2) ** 0.5
+        self._state = (self._correlation * self._state
                        + self._rng.gauss(0.0, innovation_sigma))
         limit = _MAX_ERROR_MS / 1000.0
         self._state = max(-limit, min(limit, self._state))

@@ -11,7 +11,7 @@ from .axfr import AXFR, AxfrError, axfr_fetch, axfr_response_stream
 from .authoritative import (AuthoritativeServer, ConfigError, ServerStats,
                             View, ZoneSet)
 from .cache import CacheEntry, CacheOutcome, DnsCache
-from .dnsio import FramingError, StreamFramer, frame_message, iter_framed
+from .dnsio import FramingError, StreamFramer, frame_message
 from .dynamic import CdnPolicy, DynamicOverlay
 from .hosting import HostedDnsServer, TransportConfig
 from .overload import (AdmissionQueue, OverloadConfig, OverloadControl,
@@ -28,5 +28,5 @@ __all__ = [
     "RecursiveResolver", "ResolverStats", "ResponseRateLimiter",
     "ResponseWireCache", "RrlConfig", "ServerStats", "StreamFramer",
     "TokenBucket", "TransportConfig", "View", "WireCacheEntry", "ZoneSet",
-    "frame_message", "iter_framed", "minimal_wire", "subnet_of",
+    "frame_message", "minimal_wire", "subnet_of",
 ]

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
-from ..dns import (AnswerKind, Edns, Flag, Message, Name, Opcode, Question,
-                   RRClass, RRType, RRset, Rcode, UDP_PAYLOAD_LIMIT, Zone)
+from ..dns import (AnswerKind, Flag, Message, Name, Opcode, Question, RRClass,
+                   RRType, RRset, Rcode, UDP_PAYLOAD_LIMIT, Zone)
 from ..netsim.packet import WireView
 from ..perf import PerfCounters
 from ..dns.zone import NameKey

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..dns import (DNS_PORT, Flag, Message, Name, Question, RRClass,
-                   RRType, Rcode, Zone)
+from ..dns import DNS_PORT, Flag, Message, Name, RRType, Rcode, Zone
 from ..netsim import Host, RetryPolicy, TcpOptions, TcpStack
 from .dnsio import StreamFramer, frame_message
 

@@ -10,7 +10,7 @@ several TCP segments, which this reassembly makes visible.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 
 class FramingError(ValueError):
@@ -61,16 +61,3 @@ class StreamFramer:
 
     def pending_bytes(self) -> int:
         return len(self._buffer)
-
-
-def iter_framed(stream: bytes) -> Iterator[bytes]:
-    """Iterate messages in a fully-buffered framed stream."""
-    offset = 0
-    while offset + 2 <= len(stream):
-        (length,) = struct.unpack_from("!H", stream, offset)
-        if offset + 2 + length > len(stream):
-            raise FramingError("truncated framed stream")
-        yield stream[offset + 2 : offset + 2 + length]
-        offset += 2 + length
-    if offset != len(stream):
-        raise FramingError("trailing bytes in framed stream")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..dns import Name, RRClass, RRType, RRset
 from ..dns import rdata as rd
@@ -43,7 +43,7 @@ class CdnPolicy:
     strategy: str = "round_robin"
     ttl: int = 60
     window: float = 300.0
-    _counter: int = field(default=0, repr=False)
+    _counter: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.addresses:

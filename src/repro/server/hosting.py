@@ -34,7 +34,6 @@ class TransportConfig:
     tls: bool = False
     tcp_idle_timeout: Optional[float] = 20.0  # Fig 11/13/14 sweep 5-40 s
     nagle: bool = True  # paper §5.2.4 suggests disabling as an optimization
-    close_on_peer_fin: bool = True
     # Backpressure knobs (all off by default).  ``max_pipelined`` caps
     # in-flight (received, not yet responded) queries per stream
     # connection; exceeding it aborts the connection with RST instead of
@@ -243,8 +242,7 @@ class HostedDnsServer:
                             lambda wire, cn=cn: send_response(cn, wire))
 
         conn.on_data = on_data
-        if self.config.close_on_peer_fin:
-            conn.on_close = lambda cn: cn.close()
+        conn.on_close = lambda cn: cn.close()
 
     def _abort_stream(self, conn: TcpConnection, counter: str) -> None:
         """Push back on an abusive stream with RST instead of queueing."""
@@ -300,8 +298,7 @@ class HostedDnsServer:
         endpoint.on_established = on_established
         endpoint.on_data = on_data
         endpoint.on_close = on_close
-        if self.config.close_on_peer_fin:
-            conn.on_close = lambda cn: (on_close(endpoint), cn.close())
+        conn.on_close = lambda cn: (on_close(endpoint), cn.close())
 
     def _charge_crypto(self, kind: str, units: int) -> None:
         mapping = {

@@ -43,6 +43,7 @@ from ..dns import Flag, Message, Rcode
 from ..perf import PerfCounters
 
 QUEUE_POLICIES = ("drop-oldest", "drop-newest", "servfail-shed")
+RRL_PREFIX_LEN = 24     # RRL's client aggregation prefix
 
 
 @dataclass
@@ -54,20 +55,19 @@ class RrlConfig:
     before limiting kicks in (``burst = responses_per_second * window``).
     ``slip`` sends every Nth otherwise-dropped response as a minimal
     TC=1 stub (0 = never slip); ``leak`` lets every Nth otherwise-dropped
-    response through unchanged (0 = never leak).  ``ipv4_prefix_len``
-    aggregates clients into subnets (BIND default /24; 0 treats the
-    whole internet as one client).  ``early_drop`` sheds queries whose
-    (subnet, qname) key is currently in debt *before* they consume a
-    queue slot; the suppression expires ``suppression_window`` seconds
-    after the flood stops.  RRL applies to UDP only — TCP clients proved
-    their address with a handshake, exactly like BIND.
+    response through unchanged (0 = never leak).  Clients aggregate into
+    /24 subnets (``RRL_PREFIX_LEN``, BIND's default).  ``early_drop``
+    sheds queries whose (subnet, qname) key is currently in debt
+    *before* they consume a queue slot; the suppression expires
+    ``suppression_window`` seconds after the flood stops.  RRL applies
+    to UDP only — TCP clients proved their address with a handshake,
+    exactly like BIND.
     """
 
     responses_per_second: float = 5.0
     window: float = 2.0
     slip: int = 2
     leak: int = 0
-    ipv4_prefix_len: int = 24
     early_drop: bool = True
     suppression_window: float = 1.0
     max_table_size: int = 100_000
@@ -157,7 +157,7 @@ class ResponseRateLimiter:
         self._debt: "OrderedDict[Tuple[str, str], float]" = OrderedDict()
 
     def subnet(self, source: str) -> str:
-        return subnet_of(source, self.config.ipv4_prefix_len)
+        return subnet_of(source, RRL_PREFIX_LEN)
 
     # -- admission cooperation ------------------------------------------
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..dns import (AnswerKind, DNS_PORT, Edns, Flag, Message, Name, Opcode,
-                   Question, RRClass, RRType, RRset, Rcode)
+from ..dns import (DNS_PORT, Edns, Flag, Message, Name, Opcode, Question,
+                   RRType, RRset, Rcode)
 from ..netsim import EventLoop, Host, TcpOptions, TcpStack
 from .cache import CacheOutcome, DnsCache
 from .dnsio import StreamFramer, frame_message

@@ -42,8 +42,7 @@ class Telemetry:
         self.config = config if config is not None else TelemetryConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer: Optional[QueryTracer] = (
-            QueryTracer(self.config.trace_sample,
-                        self.config.max_trace_events)
+            QueryTracer(self.config.trace_sample)
             if self.config.trace else None)
         self.sampler = None  # TimeSeriesSampler | WallClockSampler
         self.loop = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 # Process lanes in the rendered timeline.
 _PID_QUERIERS = 1

@@ -33,26 +33,23 @@ class TelemetryConfig:
     ``trace`` enables per-query lifecycle spans, keeping 1-in-
     ``trace_sample`` queries (1 = all).  ``metrics`` enables latency and
     size histograms.  ``timeseries_period`` (seconds) turns on the
-    periodic load sampler.  ``max_trace_events`` caps the event buffer
-    so an unexpectedly hot run degrades to dropped events, not OOM.
+    periodic load sampler.
 
     ``stream_period`` (seconds) turns on *cluster* streaming: worker
     processes in a multi-process topology periodically ship TELEMETRY
     frames (cumulative metrics, health gauges, incremental spans, and
     the flight-recorder tail) to the controller, which aggregates them
-    live (:mod:`repro.telemetry.cluster`).  ``flight_recorder`` bounds
-    the per-worker ring of recent spans/log lines carried in each frame
-    — the controller keeps the last ring it saw, so a SIGKILLed
-    worker's final milliseconds survive in the crash report.
+    live (:mod:`repro.telemetry.cluster`).  Each frame carries the
+    worker's flight-recorder ring of recent spans/log lines — the
+    controller keeps the last ring it saw, so a SIGKILLed worker's final
+    milliseconds survive in the crash report.
     """
 
     trace: bool = False
     trace_sample: int = 1
     metrics: bool = False
     timeseries_period: Optional[float] = None
-    max_trace_events: int = 2_000_000
     stream_period: Optional[float] = None
-    flight_recorder: int = 256
 
     def enabled(self) -> bool:
         return (self.trace or self.metrics

@@ -2,7 +2,7 @@
 
 The replay hot path must not pay text- or pcap-parsing costs, so
 LDplayer pre-converts its input to a stream of length-prefixed internal
-messages.  Version 2 (the default) is *chunked* so that B-Root-scale
+messages.  Version 2 is *chunked* so that B-Root-scale
 traces (10⁸ queries and up) stream through bounded memory and
 truncation is always detectable:
 
@@ -23,7 +23,7 @@ boundary was indistinguishable from clean EOF: a v2 stream that ends
 without its trailer — or whose trailer count disagrees with the records
 read — raises :class:`TraceFormatError` instead of silently yielding a
 shortened trace.  Version-1 files (a bare record stream, no chunks or
-trailer) remain readable.
+trailer) are rejected like any other unknown version.
 
 Readers and writers are streaming end to end: the writer accepts any
 record iterable (never a whole :class:`Trace`) and buffers at most one
@@ -41,13 +41,12 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from typing import BinaryIO, Iterable, Iterator, Optional, Tuple
+from typing import BinaryIO, Iterable, Iterator, Tuple
 
 from .record import PROTOCOLS, QueryRecord, Trace
 
 MAGIC = b"LDPB"
 VERSION = 2
-V1 = 1
 _HEADER = struct.Struct("!4sHH")
 _RECORD_FIXED = struct.Struct("!dIHIHBBH")
 # What record_head checks and returns (timestamp, src, protocol, wire
@@ -83,10 +82,6 @@ MAX_CHUNK = 1 << 28
 
 class TraceFormatError(ValueError):
     """A malformed, truncated, or lying binary trace stream."""
-
-
-# Historical name (pre-chunking); kept for importers and old tests.
-BinaryFormatError = TraceFormatError
 
 
 # -- address interning -------------------------------------------------------
@@ -350,28 +345,11 @@ def _iter_v2(stream: BinaryIO) -> Iterator[bytes]:
         total += record_count
 
 
-def _iter_v1(stream: BinaryIO) -> Iterator[bytes]:
-    # Legacy unchunked stream.  No trailer: truncation exactly at a
-    # record boundary is indistinguishable from clean EOF (the reason
-    # v2 exists); mid-record truncation still raises.
-    while True:
-        length_bytes = stream.read(4)
-        if not length_bytes:
-            return
-        if len(length_bytes) != 4:
-            raise TraceFormatError("truncated record length")
-        (length,) = _U32.unpack(length_bytes)
-        if length > MAX_RECORD:
-            raise TraceFormatError(
-                f"record length {length} exceeds maximum {MAX_RECORD}")
-        yield _read_exact(stream, length, "record body")
-
-
 def iter_binary(stream: BinaryIO) -> Iterator[QueryRecord]:
     """Stream records from a binary trace (the replay input engine).
 
     Constant memory: at most one chunk is resident.  Every truncation —
-    mid-header, mid-chunk, mid-record, or (v2) a missing/lying trailer —
+    mid-header, mid-chunk, mid-record, or a missing/lying trailer —
     raises :class:`TraceFormatError`; a generator that stops iteration
     cleanly has read a complete, self-consistent trace.
     """
@@ -382,7 +360,7 @@ def iter_record_bodies(stream: BinaryIO) -> Iterator[bytes]:
     """Stream the record bodies of a binary trace, undecoded.
 
     The one walker over the format: file header, then chunks and
-    trailer (v2) or bare records (v1), with every truncation check
+    trailer, with every truncation check
     :func:`iter_binary` documents.  Bodies are not validated here: a
     reader that forwards them checks each with :func:`record_head`.
     """
@@ -392,12 +370,9 @@ def iter_record_bodies(stream: BinaryIO) -> Iterator[bytes]:
     magic, version, _reserved = _HEADER.unpack(header)
     if magic != MAGIC:
         raise TraceFormatError(f"bad magic {magic!r}")
-    if version == VERSION:
-        yield from _iter_v2(stream)
-    elif version == V1:
-        yield from _iter_v1(stream)
-    else:
+    if version != VERSION:
         raise TraceFormatError(f"unsupported version {version}")
+    yield from _iter_v2(stream)
 
 
 def read_binary(stream: BinaryIO, name: str = "binary-trace") -> Trace:
@@ -414,21 +389,3 @@ def read_binary(stream: BinaryIO, name: str = "binary-trace") -> Trace:
     for record in iter_binary(stream):
         append(record)
     return trace
-
-
-def scan_binary(stream: BinaryIO) -> dict:
-    """One cheap pass over a binary trace: count and time bounds.
-
-    Used by shard manifests and the replay controller, which need
-    ``trace_start``/duration without holding any records.
-    """
-    count = 0
-    first_ts: Optional[float] = None
-    last_ts: Optional[float] = None
-    for record in iter_binary(stream):
-        if first_ts is None:
-            first_ts = record.timestamp
-        last_ts = record.timestamp
-        count += 1
-    return {"records": count, "first_timestamp": first_ts,
-            "last_timestamp": last_ts}

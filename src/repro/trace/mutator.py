@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Iterable, Iterator, List, Optional
 
-from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Edns, Message, Name
+from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Edns, Name
 from .record import QueryRecord, Trace
 
 Mutation = Callable[[QueryRecord], Optional[QueryRecord]]
@@ -193,25 +193,5 @@ def sample_clients(fraction: float, salt: str = "") -> Mutation:
         keep = _client_fraction_hash(record.src,
                                      b"sample" + salt.encode()) < fraction
         return record if keep else None
-
-    return mutate
-
-
-def filter_queries_only() -> Mutation:
-    def mutate(record: QueryRecord) -> Optional[QueryRecord]:
-        return None if record.is_response() else record
-
-    return mutate
-
-
-def set_message_id_sequence(start: int = 1) -> Mutation:
-    """Renumber message IDs sequentially (useful after merges)."""
-    counter = [start - 1]
-
-    def mutate(record: QueryRecord) -> QueryRecord:
-        counter[0] = (counter[0] % 0xFFFF) + 1
-        message = record.message()
-        message.msg_id = counter[0]
-        return record.with_(wire=message.to_wire())
 
     return mutate

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Tuple
 
-from ..dns import (DNS_PORT, Edns, Flag, Message, Name, NameError_, RRClass,
-                   RRType, WireError)
+from ..dns import (DNS_PORT, Edns, Message, Name, NameError_, RRClass, RRType,
+                   WireError)
 from ..dns.name import parse_wire_name
 
 PROTOCOLS = ("udp", "tcp", "tls")

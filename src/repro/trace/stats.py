@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .record import QueryRecord, Trace
+from .record import Trace
 
 
 @dataclass

@@ -247,35 +247,3 @@ def iter_shard_file(path: str,
     finally:
         # Consumer abandoned us (or we finished): let the producer exit.
         stop.set()
-
-
-def iter_shards(directory: str, indices: Optional[Iterable[int]] = None,
-                read_ahead: int = DEFAULT_READ_AHEAD
-                ) -> Iterator[QueryRecord]:
-    """Stream shard files of a set in index order (concatenated)."""
-    manifest = read_manifest(directory)
-    if indices is None:
-        indices = range(manifest["num_shards"])
-    for index in indices:
-        yield from iter_shard_file(shard_path(directory, index, manifest),
-                                   read_ahead=read_ahead)
-
-
-def verify_shard_set(directory: str) -> Dict:
-    """Full-scan integrity check of a shard set against its manifest."""
-    manifest = read_manifest(directory)
-    for index, entry in enumerate(manifest["shards"]):
-        count = 0
-        path = os.path.join(directory, entry["file"])
-        with open(path, "rb") as stream:
-            for record in iter_binary(stream):
-                if shard_of(record.src, manifest["num_shards"]) != index:
-                    raise TraceFormatError(
-                        f"{entry['file']}: record from {record.src} "
-                        f"does not belong to shard {index}")
-                count += 1
-        if count != entry["records"]:
-            raise TraceFormatError(
-                f"{entry['file']}: manifest says {entry['records']} "
-                f"records, file holds {count}")
-    return manifest

@@ -33,11 +33,11 @@ import math
 import random
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..dns import (DNS_PORT, Edns, Message, Name, RRClass, RRType, Zone,
-                   make_soa, rdata_from_text)
+                   make_soa)
 from ..dns import rdata as rd
 from ..dns.rrset import RR
 from .record import QueryRecord, Trace

@@ -17,7 +17,7 @@ bodies from text).
 from __future__ import annotations
 
 import io
-from typing import Iterator, List, TextIO, Union
+from typing import TextIO, Union
 
 from ..dns import Edns, Flag, Message, Name, Question, RRClass, RRType
 from .record import QueryRecord, Trace
@@ -100,12 +100,3 @@ def read_text(source: Union[str, TextIO], name: str = "text-trace") -> Trace:
             continue
         trace.append(line_to_record(line, line_number))
     return trace
-
-
-def iter_text(stream: TextIO) -> Iterator[QueryRecord]:
-    """Streaming reader for very large text traces."""
-    for line_number, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line_to_record(line, line_number)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..netsim import EventLoop, Network, TcpOptions, TcpStack, TcpState
 from ..perf import PerfCounters

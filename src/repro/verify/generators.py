@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import random
 import struct
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
-from ..dns import (AAAA, CAA, DNSKEY, DS, MX, NS, NSEC, RRSIG, SOA, SRV,
-                   TLSA, TXT, A, Edns, EdnsOption, Message, Name, Question,
-                   RR, RRClass, RRType, Rcode)
+from ..dns import (AAAA, CAA, DNSKEY, DS, MX, NS, NSEC, RRSIG, SOA, SRV, TLSA,
+                   TXT, A, Edns, EdnsOption, Message, Name, RR, RRClass,
+                   RRType, Rcode)
 from ..netsim.faults import FaultPlan, FaultSpec
 
 try:  # pragma: no cover - import guard

@@ -14,9 +14,9 @@ pipeline are exactly the paper's.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from ..dns import DNS_PORT, Message, Name, Question, RRType, WireError, Zone
+from ..dns import DNS_PORT, Message, Name, RRType, WireError, Zone
 from ..hierarchy import SimulatedInternet
 from ..netsim import EventLoop, IpPacket, Network, UdpSegment
 from ..server import HostedDnsServer, RecursiveResolver

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..dns import (Flag, Message, Name, RRClass, RRType, Zone, make_soa)
+from ..dns import Message, Name, RRClass, RRType, Zone, make_soa
 from ..dns.rrset import RR
 
 

@@ -116,7 +116,7 @@ class TestFig8:
 
 class TestFig9:
     def test_live_and_simulated_rows(self):
-        output = fig9_throughput.run(TINY, live_duration=0.4,
+        output = fig9_throughput.run(TINY, live_queries=2000,
                                      sim_queries=2000)
         modes = [row[0] for row in output.rows]
         assert "live loopback" in modes

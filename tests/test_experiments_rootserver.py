@@ -119,8 +119,7 @@ def run_with_resource_monitor(config):
         testbed.server_host,
         AuthoritativeServer.single_view([zone]),
         config=TransportConfig(udp=True, tcp=True, tls=True,
-                               tcp_idle_timeout=config.tcp_timeout,
-                               nagle=config.server_nagle),
+                               tcp_idle_timeout=config.tcp_timeout),
         resources=resources)
     monitor = ResourceMonitor(testbed.loop, resources,
                               period=config.scale.monitor_period)

@@ -1,10 +1,7 @@
 """Tests for the live path's loopback fixtures.  Kept short: these use
 real wall-clock time on loopback."""
 
-import pytest
-
-from repro.replay import (LiveUdpEchoServer, ThroughputReport,
-                          measure_throughput)
+from repro.replay import LiveUdpEchoServer
 
 
 class TestEchoServer:
@@ -25,14 +22,3 @@ class TestEchoServer:
         assert reply[:2] == b"\x12\x34"
         assert reply[2] & 0x80  # QR set
         assert reply[3:] == query[3:]
-
-
-class TestThroughput:
-    def test_measure_throughput_reports(self):
-        report = measure_throughput(duration=0.4, sample_period=0.2)
-        assert isinstance(report, ThroughputReport)
-        assert report.queries_sent > 100
-        assert report.mean_qps > 500
-        assert report.responses_received > 0
-        assert report.samples
-        assert report.mean_mbps > 0

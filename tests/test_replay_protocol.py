@@ -18,7 +18,7 @@ from repro.replay import (DistributedConfig, LiveUdpEchoServer, MAX_FRAME,
                           connected_pair, distributed)
 from repro.trace import burst_trace, fixed_interval_trace, \
     make_query_record
-from repro.trace.binfmt import (BinaryFormatError, pack_record_body,
+from repro.trace.binfmt import (TraceFormatError, pack_record_body,
                                 unpack_record_body)
 
 from live_fakes import FakeClock, drive_querier
@@ -315,7 +315,7 @@ class TestBlockIntake:
                 == [(MSG_RECORD, (index, body))
                     for index, body in enumerate(self.BODIES[:3])]
             assert "bad RECORD payload" in error
-        with pytest.raises(BinaryFormatError):
+        with pytest.raises(TraceFormatError):
             unpack_record_body(bad)
 
     def test_bad_length_after_good_frames(self):

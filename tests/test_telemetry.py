@@ -6,8 +6,7 @@ import json
 import pytest
 
 from repro.dns import Edns, Message, Name, RRType
-from repro.experiments.report import (render_degradation,
-                                      render_failure_counts,
+from repro.experiments.report import (render_failure_counts,
                                       render_perf_counters,
                                       render_telemetry)
 from repro.netsim import (EventLoop, Network, ResourceMonitor,
@@ -438,7 +437,7 @@ class TestZeroQueryReports:
     def test_failure_and_degradation_renderers(self):
         result = ReplayResult()
         assert "unanswered" in render_failure_counts(result)
-        assert "servfails_observed" in render_degradation(result)
+        assert "servfails_observed" in result.degradation()
 
     def test_quartile_summary_empty(self):
         summary = quartile_summary([])

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.dns import Message, Name, RRType
-from repro.trace import (BinaryFormatError, PcapError, QueryRecord,
-                         TextFormatError, Trace, fixed_interval_trace,
+from repro.trace import (PcapError, QueryRecord, TextFormatError, Trace,
+                         TraceFormatError, fixed_interval_trace,
                          iter_binary, line_to_record, make_query_record,
                          read_binary, read_pcap, read_text, record_to_line,
                          write_binary, write_pcap, write_text)
@@ -121,14 +121,14 @@ class TestBinaryFormat:
         assert count == len(trace)
 
     def test_bad_magic(self):
-        with pytest.raises(BinaryFormatError):
+        with pytest.raises(TraceFormatError):
             list(iter_binary(io.BytesIO(b"NOPE\x00\x01\x00\x00")))
 
     def test_truncated_record(self, trace):
         buffer = io.BytesIO()
         write_binary(trace, buffer)
         data = buffer.getvalue()[:-3]
-        with pytest.raises(BinaryFormatError):
+        with pytest.raises(TraceFormatError):
             list(iter_binary(io.BytesIO(data)))
 
     def test_empty_trace(self):

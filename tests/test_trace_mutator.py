@@ -4,11 +4,9 @@ import pytest
 
 from repro.dns import DNS_OVER_TLS_PORT, RRType
 from repro.trace import (QueryMutator, Trace, all_protocol,
-                         filter_queries_only, fixed_interval_trace,
-                         make_query_record, prepend_unique, retarget,
-                         sample_clients, scale_time,
-                         set_dnssec_fraction, set_message_id_sequence,
-                         shift_time)
+                         fixed_interval_trace, make_query_record,
+                         prepend_unique, retarget, sample_clients,
+                         scale_time, set_dnssec_fraction, shift_time)
 
 
 @pytest.fixture
@@ -143,19 +141,3 @@ class TestSampling:
         b = QueryMutator([sample_clients(0.5, salt="b")]).apply(
             Trace(records))
         assert {r.src for r in a} != {r.src for r in b}
-
-
-class TestOtherMutations:
-    def test_filter_queries_only(self):
-        query = make_query_record(0, "10.0.0.1", "q.example.com.")
-        message = query.message()
-        message.set_flag(message.flags.__class__.QR)
-        response = query.with_(wire=message.to_wire())
-        out = QueryMutator([filter_queries_only()]).apply(
-            Trace([query, response]))
-        assert len(out) == 1
-
-    def test_message_id_sequence(self, trace):
-        out = QueryMutator([set_message_id_sequence(100)]).apply(trace)
-        ids = [r.message().msg_id for r in out]
-        assert ids[:3] == [100, 101, 102]

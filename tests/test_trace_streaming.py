@@ -13,12 +13,12 @@ import pytest
 from repro.netsim.shard import shard_of
 from repro.trace import (BRootWorkload, ChunkedTraceWriter, QueryMutator,
                          ShardSetWriter, Trace, TraceFormatError, iter_binary,
-                         iter_shard_file, iter_shards, make_query_record,
-                         read_binary, read_manifest, scale_stream, scale_time,
-                         scan_binary, shift_time, split_shards,
-                         verify_shard_set, write_binary, write_binary_stream)
+                         iter_shard_file, make_query_record, read_binary,
+                         read_manifest, scale_stream, scale_time, shard_path,
+                         shift_time, split_shards, write_binary,
+                         write_binary_stream)
 from repro.trace.binfmt import (MAX_CHUNK, MAX_RECORD, _CHUNK_HEADER,
-                                _HEADER, MAGIC, V1)
+                                _HEADER, MAGIC)
 
 
 def records_for(count, start=0.0, step=0.01, clients=7):
@@ -75,19 +75,6 @@ class TestChunkedRoundTrip:
                 yield record
         stream = io.BytesIO()
         assert write_binary_stream(generate(), stream, chunk_records=8) == 50
-
-    def test_scan_binary(self):
-        records = records_for(11, start=2.5, step=0.5)
-        info = scan_binary(io.BytesIO(v2_bytes(records)))
-        assert info["records"] == 11
-        assert info["first_timestamp"] == 2.5
-        assert info["last_timestamp"] == 2.5 + 10 * 0.5
-
-    def test_scan_empty(self):
-        info = scan_binary(io.BytesIO(v2_bytes([])))
-        assert info == {"records": 0, "first_timestamp": None,
-                        "last_timestamp": None}
-
 
 class TestTruncationDetection:
     """The v1 blind spot, closed: every truncation raises."""
@@ -171,21 +158,12 @@ class TestHostileLengths:
             except TraceFormatError:
                 pass
 
-    def test_v1_legacy_still_reads(self):
+    def test_v1_header_is_rejected(self):
         from repro.trace.binfmt import _pack_record
-        records = records_for(5)
-        data = _HEADER.pack(MAGIC, V1, 0) \
-            + b"".join(_pack_record(r) for r in records)
-        restored = list(iter_binary(io.BytesIO(data)))
-        assert [r.wire for r in restored] == [r.wire for r in records]
-
-    def test_v1_mid_record_truncation_detected(self):
-        from repro.trace.binfmt import _pack_record
-        data = _HEADER.pack(MAGIC, V1, 0) \
+        data = _HEADER.pack(MAGIC, 1, 0) \
             + b"".join(_pack_record(r) for r in records_for(2))
-        with pytest.raises(TraceFormatError):
-            list(iter_binary(io.BytesIO(data[:-3])))
-
+        with pytest.raises(TraceFormatError, match="version 1"):
+            list(iter_binary(io.BytesIO(data)))
 
 class TestShardSets:
     def split(self, tmp_path, count=60, num_shards=4, chunk_records=8):
@@ -205,16 +183,21 @@ class TestShardSets:
 
     def test_sticky_by_source(self, tmp_path):
         self.split(tmp_path)
-        manifest = verify_shard_set(str(tmp_path))   # raises on any stray
+        manifest = read_manifest(str(tmp_path))
         for index, entry in enumerate(manifest["shards"]):
-            for record in iter_shard_file(
-                    str(tmp_path / entry["file"]), read_ahead=0):
+            shard = list(iter_shard_file(
+                str(tmp_path / entry["file"]), read_ahead=0))
+            assert len(shard) == entry["records"]
+            for record in shard:
                 assert shard_of(record.src, 4) == index
 
     @pytest.mark.parametrize("read_ahead", [0, 16, 4096])
     def test_iter_shards_round_trip(self, tmp_path, read_ahead):
-        records, _ = self.split(tmp_path)
-        streamed = list(iter_shards(str(tmp_path), read_ahead=read_ahead))
+        records, manifest = self.split(tmp_path)
+        streamed = [record for index in range(manifest["num_shards"])
+                    for record in iter_shard_file(
+                        shard_path(str(tmp_path), index, manifest),
+                        read_ahead=read_ahead)]
         # Concatenated shards are a permutation of the input.
         assert sorted(r.wire for r in streamed) \
             == sorted(r.wire for r in records)
@@ -252,8 +235,10 @@ class TestShardSets:
         manifest = split_shards(iter(()), str(tmp_path), 3)
         assert manifest["total_records"] == 0
         assert manifest["first_timestamp"] is None
-        assert list(iter_shards(str(tmp_path))) == []
-        verify_shard_set(str(tmp_path))
+        assert read_manifest(str(tmp_path)) == manifest
+        for index in range(3):
+            assert list(iter_shard_file(
+                shard_path(str(tmp_path), index, manifest))) == []
 
 
 class TestStreamingGenerators:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.dns import Message, WireError
 from repro.dns.edns import Edns
-from repro.trace.binfmt import BinaryFormatError, unpack_record_body
+from repro.trace.binfmt import TraceFormatError, unpack_record_body
 
 
 def header(qd=0, an=0, ns=0, ar=0, flags=0x8000, msg_id=0x1234):
@@ -108,9 +108,9 @@ class TestNegativeReadGuard:
 class TestBinaryRecordHardening:
     def test_short_record_body_is_format_error(self):
         # Previously struct.error escaped through MessageSocket.receive.
-        with pytest.raises(BinaryFormatError):
+        with pytest.raises(TraceFormatError):
             unpack_record_body(b"\x00" * 4)
 
     def test_empty_record_body_is_format_error(self):
-        with pytest.raises(BinaryFormatError):
+        with pytest.raises(TraceFormatError):
             unpack_record_body(b"")
