@@ -25,10 +25,10 @@ paths the faults exist to exercise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
-from .packet import IpPacket, TcpSegment, UdpSegment
+from .packet import IpPacket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .network import Host, Network
@@ -375,11 +375,6 @@ def _corrupt(packet: IpPacket) -> IpPacket:
         # bytes() first: zero-copy WireView payloads are not buffers.
         data = bytearray(bytes(segment.data))
         data[len(data) // 2] ^= 0xFF
-        if isinstance(segment, UdpSegment):
-            segment = UdpSegment(segment.sport, segment.dport, bytes(data))
-        else:
-            segment = TcpSegment(segment.sport, segment.dport, segment.seq,
-                                 segment.ack, segment.flags, bytes(data))
-        return replace(packet, segment=segment)
+        return packet._replace(segment=segment._replace(data=bytes(data)))
     # Data-less segments (bare ACKs): damage the checksum itself.
-    return replace(packet, checksum=packet.checksum ^ 0xDEAD)
+    return packet._replace(checksum=packet.checksum ^ 0xDEAD)

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import EventLoop
 from .packet import (Address, IpPacket, TcpSegment, UdpSegment,
-                     packet_checksum, validate_address)
+                     packet_checksum, packet_wire_size, validate_address)
 
 LOOPBACK_DELAY = 0.00002  # 20 microseconds for same-host delivery
 
@@ -39,19 +39,27 @@ class LatencyModel:
         self.default_rtt = default_rtt
         self.jitter_fraction = jitter_fraction
         self._pairs: Dict[Tuple[str, str], float] = {}
+        # Jitter-free one-way delays by (from, to): one lookup a hop.
+        self._one_way: Dict[Tuple[str, str], float] = {}
         self._rng = random.Random(seed)
 
     def set_rtt(self, host_a: str, host_b: str, rtt: float) -> None:
         self._pairs[self._key(host_a, host_b)] = rtt
+        self._one_way.clear()
 
     def rtt(self, host_a: str, host_b: str) -> float:
         return self._pairs.get(self._key(host_a, host_b), self.default_rtt)
 
     def one_way(self, host_a: str, host_b: str) -> float:
+        if not self.jitter_fraction:
+            delay = self._one_way.get((host_a, host_b))
+            if delay is None:
+                delay = max(self.rtt(host_a, host_b) / 2.0, 0.0)
+                self._one_way[(host_a, host_b)] = delay
+            return delay
         delay = self.rtt(host_a, host_b) / 2.0
-        if self.jitter_fraction:
-            delay *= 1.0 + self._rng.uniform(-self.jitter_fraction,
-                                             self.jitter_fraction)
+        delay *= 1.0 + self._rng.uniform(-self.jitter_fraction,
+                                         self.jitter_fraction)
         return max(delay, 0.0)
 
     @staticmethod
@@ -81,14 +89,12 @@ class TrafficMeter:
         self._loop = loop
         self._buckets: Dict[int, List[int]] = {}
 
-    def record(self, size: int) -> None:
-        bucket = self._buckets.setdefault(int(self._loop.now), [0, 0])
-        bucket[0] += size
-        bucket[1] += 1
-
     def record_many(self, size: int, count: int) -> None:
         """One bucket update for ``count`` packets totalling ``size``."""
-        bucket = self._buckets.setdefault(int(self._loop.now), [0, 0])
+        second = int(self._loop.now)
+        bucket = self._buckets.get(second)
+        if bucket is None:
+            bucket = self._buckets[second] = [0, 0]
         bucket[0] += size
         bucket[1] += count
 
@@ -162,25 +168,20 @@ class Netfilter:
     """Ordered rule list evaluated on a host's output and input paths."""
 
     def __init__(self) -> None:
-        self._rules: List[FilterRule] = []
+        # Hosts test this list before calling :meth:`process`.
+        self.rules: List[FilterRule] = []
 
     def add_rule(self, rule: FilterRule) -> None:
         if rule.chain not in ("output", "input"):
             raise ValueError(f"unknown chain {rule.chain!r}")
-        self._rules.append(rule)
+        self.rules.append(rule)
 
     def clear(self) -> None:
-        self._rules.clear()
-
-    @property
-    def empty(self) -> bool:
-        return not self._rules
+        self.rules.clear()
 
     def process(self, chain: str, packet: IpPacket) -> Optional[IpPacket]:
         """Return the packet to continue with, or None if diverted."""
-        if not self._rules:
-            return packet
-        for rule in self._rules:
+        for rule in self.rules:
             if rule.chain == chain and rule.matches(packet):
                 if rule.divert_to is not None:
                     rule.divert_to.push(packet)
@@ -209,7 +210,7 @@ class UdpSocket:
         if self.closed:
             raise NetworkError("socket is closed")
         # Construct once with the checksum precomputed (``with_checksum``
-        # pays a second dataclass construction on the hot path).
+        # pays a second construction on the hot path).
         segment = UdpSegment(self.port, dport, data)
         self.host.send_packet(IpPacket(
             self.address, dst, segment,
@@ -364,17 +365,18 @@ class Host:
 
     def send_packet(self, packet: IpPacket,
                     bypass_output_chain: bool = False) -> None:
-        for hook in self.capture_hooks:
-            hook("out", packet)
-        if not bypass_output_chain:
-            processed = self.netfilter.process("output", packet)
-            if processed is None:
+        if self.capture_hooks:
+            for hook in self.capture_hooks:
+                hook("out", packet)
+        if not bypass_output_chain and self.netfilter.rules:
+            packet = self.netfilter.process("output", packet)
+            if packet is None:
                 return
-            packet = processed
-        size = packet.wire_size()
-        self.counters.packets_out += 1
-        self.counters.bytes_out += size
-        self.meter_out.record(size)
+        size = packet_wire_size(packet.segment)
+        counters = self.counters
+        counters.packets_out += 1
+        counters.bytes_out += size
+        self.meter_out.record_many(size, 1)
         self.network.transmit(packet, self)
 
     def send_packet_batch(self, packets: List[IpPacket]) -> None:
@@ -394,7 +396,7 @@ class Host:
                 for hook in hooks:
                     hook("out", packet)
         netfilter = self.netfilter
-        if not netfilter.empty:
+        if netfilter.rules:
             kept = []
             for packet in packets:
                 processed = netfilter.process("output", packet)
@@ -405,7 +407,7 @@ class Host:
                 return
         total = 0
         for packet in packets:
-            total += packet.wire_size()
+            total += packet_wire_size(packet.segment)
         counters = self.counters
         counters.packets_out += len(packets)
         counters.bytes_out += total
@@ -413,29 +415,31 @@ class Host:
         self.network.transmit_batch(packets, self)
 
     def receive_packet(self, packet: IpPacket) -> None:
-        for hook in self.capture_hooks:
-            hook("in", packet)
-        if not packet.checksum_ok():
+        if self.capture_hooks:
+            for hook in self.capture_hooks:
+                hook("in", packet)
+        src, dst, segment, checksum, _mark = packet
+        if checksum != packet_checksum(src, dst, segment):
             self.counters.checksum_drops += 1
             return
-        processed = self.netfilter.process("input", packet)
-        if processed is None:
+        if self.netfilter.rules \
+                and self.netfilter.process("input", packet) is None:
             return
-        size = packet.wire_size()
-        self.counters.packets_in += 1
-        self.counters.bytes_in += size
-        self.meter_in.record(size)
-        segment = packet.segment
-        if isinstance(segment, UdpSegment):
-            sock = (self._udp_sockets.get((packet.dst, segment.dport))
+        size = packet_wire_size(segment)
+        counters = self.counters
+        counters.packets_in += 1
+        counters.bytes_in += size
+        self.meter_in.record_many(size, 1)
+        if type(segment) is UdpSegment:
+            sock = (self._udp_sockets.get((dst, segment.dport))
                     or self._udp_sockets.get(("0.0.0.0", segment.dport)))
             if sock is None:
-                self.counters.unreachable_drops += 1
+                counters.unreachable_drops += 1
                 return
-            sock.deliver(segment.data, packet.src, segment.sport)
-        elif isinstance(segment, TcpSegment):
+            sock.deliver(segment.data, src, segment.sport)
+        elif type(segment) is TcpSegment:
             if self.tcp_stack is None:
-                self.counters.unreachable_drops += 1
+                counters.unreachable_drops += 1
                 return
             self.tcp_stack.receive(packet)
 
@@ -450,7 +454,7 @@ class Host:
         run-based coalescing (rather than a per-socket dict) preserves
         the exact cross-socket delivery order of the sequential path.
         """
-        if self.capture_hooks or not self.netfilter.empty:
+        if self.capture_hooks or self.netfilter.rules:
             for packet in packets:
                 self.receive_packet(packet)
             return
@@ -461,27 +465,26 @@ class Host:
         run_sock = None
         run_datagrams: List[Tuple[bytes, Address, int]] = []
         for packet in packets:
-            if not packet.checksum_ok():
+            src, dst, segment, checksum, _mark = packet
+            if checksum != packet_checksum(src, dst, segment):
                 counters.checksum_drops += 1
                 continue
             packets_in += 1
-            bytes_in += packet.wire_size()
-            segment = packet.segment
+            bytes_in += packet_wire_size(segment)
             if type(segment) is UdpSegment:
-                sock = (udp_sockets.get((packet.dst, segment.dport))
-                        or udp_sockets.get(("0.0.0.0", segment.dport)))
+                sport, dport, data = segment
+                sock = (udp_sockets.get((dst, dport))
+                        or udp_sockets.get(("0.0.0.0", dport)))
                 if sock is None:
                     counters.unreachable_drops += 1
                     continue
                 if sock is run_sock:
-                    run_datagrams.append(
-                        (segment.data, packet.src, segment.sport))
+                    run_datagrams.append((data, src, sport))
                 else:
                     if run_sock is not None:
                         run_sock.deliver_batch(run_datagrams)
                     run_sock = sock
-                    run_datagrams = [(segment.data, packet.src,
-                                      segment.sport)]
+                    run_datagrams = [(data, src, sport)]
             else:
                 if run_sock is not None:
                     run_sock.deliver_batch(run_datagrams)
@@ -493,9 +496,12 @@ class Host:
                 self.tcp_stack.receive(packet)
         if run_sock is not None:
             run_sock.deliver_batch(run_datagrams)
-        counters.packets_in += packets_in
-        counters.bytes_in += bytes_in
-        self.meter_in.record_many(bytes_in, packets_in)
+        if packets_in:
+            # As on the sequential path, a batch that delivered nothing
+            # books no meter row.
+            counters.packets_in += packets_in
+            counters.bytes_in += bytes_in
+            self.meter_in.record_many(bytes_in, packets_in)
 
     def __repr__(self) -> str:
         return f"Host({self.name}, {self.addresses})"
@@ -573,7 +579,7 @@ class Network:
             if self.telemetry is not None:
                 self.telemetry.on_net_drop(packet, "loss")
             return
-        deliveries = [(0.0, packet)]
+        deliveries = None
         if self.fault_injector is not None:
             deliveries = self.fault_injector.process(packet, sender,
                                                      receiver)
@@ -585,16 +591,22 @@ class Network:
             delay = LOOPBACK_DELAY
         else:
             delay = self.latency.one_way(sender.name, receiver.name)
+        loop = self.loop
         if sender.egress_bandwidth_bps:
             # Serialize onto the link: queue behind earlier packets.
-            start = max(self.loop.now, sender._egress_busy_until)
+            start = max(loop.now, sender._egress_busy_until)
             finish = start + packet.wire_size() * 8 \
                 / sender.egress_bandwidth_bps
             sender._egress_busy_until = finish
-            delay += finish - self.loop.now
+            delay += finish - loop.now
+        if deliveries is None:
+            # The instant ``call_later(delay)`` would give: a delay is
+            # never negative.
+            loop.call_at(loop.now + delay, receiver.receive_packet, packet)
+            return
         for extra_delay, delivered in deliveries:
-            self.loop.call_later(delay + extra_delay,
-                                 receiver.receive_packet, delivered)
+            loop.call_later(delay + extra_delay, receiver.receive_packet,
+                            delivered)
 
     def transmit_batch(self, packets: List[IpPacket], sender: Host) -> None:
         """Move a packet batch through loss, faults, and delivery at once.
@@ -620,9 +632,9 @@ class Network:
         loss_random = self._loss_rng.random if loss_rate > 0 else None
         sender_name = sender.name
         bandwidth = sender.egress_bandwidth_bps
-        # (id(receiver), delivery_time) -> [receiver, when, [packets]];
-        # dict insertion order keeps groups in first-arrival order.
-        groups: Dict[Tuple[int, float], list] = {}
+        # (receiver, delivery time) -> packets; dict insertion order
+        # keeps the groups in first-arrival order.
+        groups: Dict[Tuple[Host, float], List[IpPacket]] = {}
         for packet in packets:
             receiver = hosts.get(packet.dst)
             if receiver is None:
@@ -640,12 +652,11 @@ class Network:
                 if telemetry is not None:
                     telemetry.on_net_drop(packet, "loss")
                 continue
+            deliveries = None
             if injector is not None:
                 deliveries = injector.process(packet, sender, receiver)
                 if not deliveries:
                     continue
-            else:
-                deliveries = ((0.0, packet),)
             if telemetry is not None:
                 telemetry.on_transmit(packet)
             if receiver is sender:
@@ -657,23 +668,18 @@ class Network:
                 finish = start + packet.wire_size() * 8 / bandwidth
                 sender._egress_busy_until = finish
                 delay += finish - now
+            # The sequential path's instants (``now + max(delay + extra,
+            # 0)``, and a delay is never negative), so delivery times are
+            # bit-identical, not merely close.
+            if deliveries is None:
+                groups.setdefault((receiver, now + delay), []).append(packet)
+                continue
             for extra_delay, delivered in deliveries:
-                # Same expression as the sequential path's call_later
-                # (now + max(delay + extra, 0)) so delivery instants are
-                # bit-identical, not merely close.
                 when = now + max(delay + extra_delay, 0.0)
-                key = (id(receiver), when)
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [receiver, when, [delivered]]
-                else:
-                    group[2].append(delivered)
-        if not groups:
-            return
-        entries = []
-        for receiver, when, batch in groups.values():
-            if len(batch) == 1:
-                entries.append((when, receiver.receive_packet, (batch[0],)))
-            else:
-                entries.append((when, receiver.receive_packet_batch, (batch,)))
-        loop.call_at_many(entries)
+                groups.setdefault((receiver, when), []).append(delivered)
+        if groups:
+            loop.call_at_many([
+                (when, receiver.receive_packet, (batch[0],))
+                if len(batch) == 1
+                else (when, receiver.receive_packet_batch, (batch,))
+                for (receiver, when), batch in groups.items()])

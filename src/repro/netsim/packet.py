@@ -10,10 +10,10 @@ visibly, just as it would on a real network.
 from __future__ import annotations
 
 import ipaddress
-import zlib
-from dataclasses import dataclass, replace
+import struct
+from zlib import crc32
 from enum import IntFlag
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 Address = str  # dotted-quad IPv4 within the testbed
 
@@ -23,23 +23,25 @@ def validate_address(address: Address) -> Address:
     return address
 
 
-# Checksums pack the same source/destination addresses for every packet
-# of a flow; parsing dotted-quad text through ``ipaddress`` dominated
-# the checksum cost, so the packed form is memoized.  The population of
-# distinct addresses is bounded by the experiment's host count; the cap
-# is a safety valve for adversarial traces.
-_PACKED_CACHE_LIMIT = 1 << 16
-_packed_cache: dict = {}
+# Every checksum starts with the packed source and destination addresses,
+# and the packets of a flow repeat the same pair; parsing dotted-quad
+# text through ``ipaddress`` dominated the checksum cost, so the CRC of
+# the packed pair is memoized and each checksum streams on from it.  The
+# population of pairs is bounded by the experiment's flows; the cap is a
+# safety valve for adversarial traces.
+_PAIR_CACHE_LIMIT = 1 << 16
+_pair_crcs: dict = {}
+
+_UDP_PREFIX = struct.Struct("!cHH").pack
 
 
-def _packed(address: Address) -> bytes:
-    packed = _packed_cache.get(address)
-    if packed is None:
-        packed = ipaddress.IPv4Address(address).packed
-        if len(_packed_cache) >= _PACKED_CACHE_LIMIT:
-            _packed_cache.clear()
-        _packed_cache[address] = packed
-    return packed
+def _pair_crc(src: Address, dst: Address) -> int:
+    crc = crc32(ipaddress.IPv4Address(dst).packed,
+                crc32(ipaddress.IPv4Address(src).packed))
+    if len(_pair_crcs) >= _PAIR_CACHE_LIMIT:
+        _pair_crcs.clear()
+    _pair_crcs[(src, dst)] = crc
+    return crc
 
 
 class WireView:
@@ -58,13 +60,17 @@ class WireView:
     (``len``, indexing, slicing, equality, hashing) without
     materializing; anything that genuinely needs contiguous bytes calls
     ``bytes(view)`` / :meth:`tobytes` and pays the copy explicitly.
+    The length is taken once, at construction: the packet path sizes
+    every datagram it carries and reads ``length`` rather than calling
+    ``len``.
     """
 
-    __slots__ = ("header", "body")
+    __slots__ = ("header", "body", "length")
 
     def __init__(self, header: bytes, body: memoryview) -> None:
         self.header = header
         self.body = body
+        self.length = len(header) + len(body)
 
     def parts(self) -> Tuple[bytes, memoryview]:
         return (self.header, self.body)
@@ -76,7 +82,7 @@ class WireView:
         return self.header + bytes(self.body)
 
     def __len__(self) -> int:
-        return 2 + len(self.body)
+        return self.length
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, WireView):
@@ -126,30 +132,26 @@ class TcpFlags(IntFlag):
     PSH = 0x08
 
 
-@dataclass(frozen=True, slots=True)
-class UdpSegment:
+IP_HEADER_SIZE = 20
+
+
+# Packets and segments are tuples: immutable, and cheap to build and to
+# unpack, which every simulated hop does twice.
+class UdpSegment(NamedTuple):
     sport: int
     dport: int
     # ``bytes`` everywhere except the zero-copy response path, where the
     # wire cache hands the segment a WireView instead.
     data: Union[bytes, WireView]
 
-    def header_size(self) -> int:
-        return 8
-
-    def wire_size(self) -> int:
-        return self.header_size() + len(self.data)
-
-    def pseudo_prefix(self) -> bytes:
-        return (b"U" + self.sport.to_bytes(2, "big")
-                + self.dport.to_bytes(2, "big"))
+    HEADER_SIZE = 8
 
     def pseudo_bytes(self) -> bytes:
-        return self.pseudo_prefix() + bytes(self.data)
+        return (b"U" + self.sport.to_bytes(2, "big")
+                + self.dport.to_bytes(2, "big") + bytes(self.data))
 
 
-@dataclass(frozen=True, slots=True)
-class TcpSegment:
+class TcpSegment(NamedTuple):
     sport: int
     dport: int
     seq: int
@@ -157,11 +159,7 @@ class TcpSegment:
     flags: TcpFlags
     data: bytes = b""
 
-    def header_size(self) -> int:
-        return 20
-
-    def wire_size(self) -> int:
-        return self.header_size() + len(self.data)
+    HEADER_SIZE = 20
 
     def pseudo_bytes(self) -> bytes:
         return (b"T" + self.sport.to_bytes(2, "big")
@@ -177,11 +175,8 @@ class TcpSegment:
 
 Segment = Union[UdpSegment, TcpSegment]
 
-IP_HEADER_SIZE = 20
 
-
-@dataclass(frozen=True, slots=True)
-class IpPacket:
+class IpPacket(NamedTuple):
     """A simulated IPv4 packet: addresses + one transport segment."""
 
     src: Address
@@ -193,16 +188,16 @@ class IpPacket:
 
     @property
     def protocol(self) -> str:
-        return "udp" if isinstance(self.segment, UdpSegment) else "tcp"
+        return "udp" if type(self.segment) is UdpSegment else "tcp"
 
     def wire_size(self) -> int:
-        return IP_HEADER_SIZE + self.segment.wire_size()
+        return packet_wire_size(self.segment)
 
     def compute_checksum(self) -> int:
         return packet_checksum(self.src, self.dst, self.segment)
 
     def with_checksum(self) -> "IpPacket":
-        return replace(self, checksum=self.compute_checksum())
+        return self._replace(checksum=self.compute_checksum())
 
     def checksum_ok(self) -> bool:
         return self.checksum == self.compute_checksum()
@@ -211,8 +206,8 @@ class IpPacket:
                   dst: Optional[Address] = None,
                   recompute_checksum: bool = True) -> "IpPacket":
         """Return a copy with rewritten addresses (the proxy primitive)."""
-        packet = replace(self, src=src if src is not None else self.src,
-                         dst=dst if dst is not None else self.dst)
+        packet = self._replace(src=src if src is not None else self.src,
+                               dst=dst if dst is not None else self.dst)
         if recompute_checksum:
             packet = packet.with_checksum()
         return packet
@@ -225,33 +220,43 @@ class IpPacket:
 def packet_checksum(src: Address, dst: Address, segment: Segment) -> int:
     """Pseudo-header checksum without constructing a packet first.
 
-    Computed incrementally when the payload is a :class:`WireView` —
-    ``crc32`` over the parts, never materializing the joined wire — so
+    One ``crc32`` streamed over the packed address pair (memoized), the
+    transport prefix and the payload: the value of ``crc32(packed src +
+    packed dst + segment.pseudo_bytes())`` without building that string.
+    A :class:`WireView` payload is fed as its header and body, so
     zero-copy responses stay zero-copy through checksumming too.
     """
-    crc = zlib.crc32(_packed(dst), zlib.crc32(_packed(src)))
-    data = getattr(segment, "data", b"")
+    crc = _pair_crcs.get((src, dst))
+    if crc is None:
+        crc = _pair_crc(src, dst)
+    if type(segment) is not UdpSegment:
+        return crc32(segment.pseudo_bytes(), crc)
+    sport, dport, data = segment
+    crc = crc32(_UDP_PREFIX(b"U", sport, dport), crc)
     if type(data) is WireView:
-        crc = zlib.crc32(segment.pseudo_prefix(), crc)
-        crc = zlib.crc32(data.header, crc)
-        crc = zlib.crc32(data.body, crc)
-    else:
-        crc = zlib.crc32(segment.pseudo_bytes(), crc)
-    return crc & 0xFFFFFFFF
+        return crc32(data.body, crc32(data.header, crc))
+    return crc32(data, crc)
+
+
+def packet_wire_size(segment: Segment) -> int:
+    """Bytes on the wire of an IP packet carrying ``segment``.
+
+    One call, no method chain: the hosts size every packet they send or
+    receive, and a :class:`WireView` payload has its length stored.
+    """
+    data = segment.data
+    return (IP_HEADER_SIZE + segment.HEADER_SIZE
+            + (data.length if type(data) is WireView else len(data)))
 
 
 def make_udp_packet(src: Address, sport: int, dst: Address, dport: int,
                     data: bytes) -> IpPacket:
-    # Construct once with the final checksum: ``with_checksum`` costs a
-    # second dataclass construction via ``replace`` on the hot path.
     segment = UdpSegment(sport, dport, data)
-    return IpPacket(src, dst, segment,
-                    checksum=packet_checksum(src, dst, segment))
+    return IpPacket(src, dst, segment, packet_checksum(src, dst, segment))
 
 
 def make_tcp_packet(src: Address, sport: int, dst: Address, dport: int,
                     seq: int, ack: int, flags: TcpFlags,
                     data: bytes = b"") -> IpPacket:
-    return IpPacket(
-        src, dst, TcpSegment(sport, dport, seq, ack, flags, data)
-    ).with_checksum()
+    segment = TcpSegment(sport, dport, seq, ack, flags, data)
+    return IpPacket(src, dst, segment, packet_checksum(src, dst, segment))

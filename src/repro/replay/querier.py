@@ -24,7 +24,7 @@ from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Rcode
 from ..netsim import (EventLoop, Host, NetworkError, RetryPolicy,
                       TcpConnection, TcpOptions, TcpStack, Timer,
                       TlsEndpoint, UdpSocket)
-from ..netsim.packet import IpPacket, UdpSegment, packet_checksum
+from ..netsim.packet import IpPacket, UdpSegment, WireView, packet_checksum
 from ..server.dnsio import StreamFramer, frame_message
 from ..telemetry.tracing import QueryKey, wire_question_key
 from ..trace import QueryRecord
@@ -305,7 +305,11 @@ class SimQuerier:
 
     def _note_response(self, wire: bytes) -> None:
         """Classify a matched response for the pacing control law."""
-        rcode = wire[3] & 0x0F if len(wire) >= 4 else 0
+        if type(wire) is WireView:
+            body = wire.body    # the wire from byte 2 on
+            rcode = body[1] & 0x0F if len(body) >= 2 else 0
+        else:
+            rcode = wire[3] & 0x0F if len(wire) >= 4 else 0
         if rcode == int(Rcode.SERVFAIL):
             self.result.servfails_observed += 1
             self._congestion()
@@ -321,8 +325,9 @@ class SimQuerier:
         # heavily skewed (the zipf workloads repeat a few hundred
         # names), and parse + presentation-format rendering per send was
         # one of the top hot-path costs.  Records sharing the bytes past
-        # the message ID share the qname by construction.
-        key = record.wire[12:]
+        # the message ID and flags (the question count included) share
+        # the qname by construction.
+        key = record.wire[4:]
         qname = _QNAME_MEMO.get(key)
         if qname is None:
             question = record.question()
@@ -353,10 +358,11 @@ class SimQuerier:
 
     def _on_udp_response(self, sock: UdpSocket, data: bytes, _src: str,
                          _sport: int) -> None:
-        if len(data) < 2:
+        # A zero-copy answer's header holds its message ID.
+        head = data.header if type(data) is WireView else data
+        if len(head) < 2:
             return
-        message_id = int.from_bytes(data[:2], "big")
-        key = (sock.port, message_id)
+        key = (sock.port, (head[0] << 8) | head[1])
         waiting = self._udp_pending.get(key)
         if waiting:
             pending = waiting.pop(0)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.netsim import (EventLoop, FilterRule, LatencyModel, Network,
-                          NetworkError, UdpSegment, make_udp_packet)
+from repro.netsim import (EventLoop, FilterRule, IpPacket, LatencyModel,
+                          Network, NetworkError, UdpSegment, make_udp_packet)
 
 
 @pytest.fixture
@@ -105,6 +105,37 @@ class TestChecksums:
         assert got == ["10.0.0.1"]
 
 
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["one-by-one", "batch"])
+    def test_stale_checksums_dropped(self, net, batched):
+        """A checksum that was never right, and one left stale by an
+        address rewrite, are both caught on either receive path."""
+        _loop, network = net
+        got = []
+        network.host("b").bind_udp("10.0.0.2", 53,
+                                   lambda s, d, a, p: got.append(d))
+        good = make_udp_packet("10.0.0.1", 40000, "10.0.0.2", 53, b"ok")
+        wrong = IpPacket("10.0.0.1", "10.0.0.2", UdpSegment(40000, 53, b"ok"),
+                         checksum=good.checksum ^ 1)
+        stale = make_udp_packet("10.0.0.1", 40000, "10.0.0.3", 53,
+                                b"ok")._replace(dst="10.0.0.2")
+        receiver = network.host("b")
+
+        def receive(*packets):
+            if batched:
+                receiver.receive_packet_batch(list(packets))
+            else:
+                for packet in packets:
+                    receiver.receive_packet(packet)
+
+        receive(wrong, stale)
+        assert got == []
+        assert receiver.counters.checksum_drops == 2
+        assert receiver.counters.packets_in == 0
+        receive(good)
+        assert got == [b"ok"]
+
+
 class TestNetfilterAndTun:
     def test_output_rule_diverts(self, net):
         loop, network = net
@@ -179,6 +210,30 @@ class TestMetersAndAddressing:
         series = network.host("b").meter_in.series()
         assert len(series) == 5
         assert all(packets == 1 for _s, _b, packets in series)
+
+    def test_all_bad_batch_books_no_meter_row(self):
+        """Batch ≡ sequential: a batch whose every packet fails its
+        checksum books nothing, as the same packets one by one do."""
+        bad = []
+        for sport in (40000, 40001, 40002):
+            good = make_udp_packet("10.0.0.1", sport, "10.0.0.2", 53, b"x")
+            bad.append(IpPacket(good.src, good.dst, good.segment,
+                                checksum=good.checksum ^ 1))
+        series = []
+        for batched in (False, True):
+            loop = EventLoop()
+            network = Network(loop)
+            network.add_host("a", "10.0.0.1")
+            receiver = network.add_host("b", "10.0.0.2")
+            if batched:
+                loop.call_at(2.5, receiver.receive_packet_batch, bad)
+            else:
+                for packet in bad:
+                    loop.call_at(2.5, receiver.receive_packet, packet)
+            loop.run()
+            assert receiver.counters.checksum_drops == 3
+            series.append(receiver.meter_in.series())
+        assert series == [[], []]
 
     def test_duplicate_address_rejected(self, net):
         _loop, network = net

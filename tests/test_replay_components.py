@@ -93,3 +93,36 @@ class TestController:
         assert stats.controller_to_distributor == 10
         assert stats.distributor_to_querier == 10
         assert controller.records_read == 10
+
+
+class TestQnameMemo:
+    """The querier's qname memo must not pair a question-less record
+    with a real query whose bytes after the header it repeats."""
+
+    @pytest.mark.parametrize("real_first", [True, False],
+                             ids=["real-first", "empty-first"])
+    def test_question_count_is_part_of_the_key(self, real_first):
+        from repro.dns import Message, Name, RRType
+        from repro.netsim import EventLoop, Network
+        from repro.replay import SimQuerier
+        from repro.replay import querier as querier_module
+        from repro.replay.result import ReplayResult
+        from repro.trace import QueryRecord
+
+        wire = Message.make_query(Name.from_text("a.example."), RRType.A,
+                                  msg_id=7).to_wire()
+        empty = wire[:4] + b"\x00\x00" + wire[6:]   # QDCOUNT = 0
+        records = [QueryRecord(0.0, "192.0.2.1", 5000, "10.0.0.2", 53,
+                               "udp", body) for body in (wire, empty)]
+        if not real_first:
+            records.reverse()
+        querier_module._QNAME_MEMO.clear()
+        network = Network(EventLoop())
+        result = ReplayResult()
+        querier = SimQuerier(0, network.add_host("client", "10.0.0.1"),
+                             result)
+        for index, record in enumerate(records):
+            querier.send(index, record, 0.0)
+        reported = {records[entry.index].wire: entry.qname
+                    for entry in result.sent}
+        assert reported == {wire: "a.example.", empty: "-"}
