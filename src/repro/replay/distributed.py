@@ -37,8 +37,8 @@ from .live import grow_receive_buffer
 from .protocol import (MSG_END, MSG_RECORD, MSG_SHUTDOWN, MSG_TIME_SYNC,
                        Message, MessageSocket, ProtocolError)
 from .querier import MatchKey, match_key
-from .recovery import RecoveryConfig
-from .result import ReplayResult, SentQuery
+from .recovery import QuerierLedger, RecoveryConfig
+from .result import ReplayResult
 
 ServerAddress = Tuple[str, int]
 
@@ -150,6 +150,11 @@ class _LiveQuerier:
     ``_ANSWER_DEFER`` the UDP socket stays out of the wait: the sends
     clock the answer reads.
 
+    Every recovery rule is the :class:`QuerierLedger`'s: a list-mode
+    querier feeds it each arrival, send and answer, and asks it when a
+    delta leaves and when the tail may stop settling; an aggregate one
+    asks it only the latter.
+
     Records stay bytes: the queue holds record bodies, each with its
     global trace index, and a send puts this querier's message id and
     the body's wire on the socket.  A list-mode entry takes its source
@@ -192,22 +197,15 @@ class _LiveQuerier:
         self._ahead = 0
         self.catchup_waits = 0          # times the window held a send
         self.catchup_forgiven = 0       # windows written off unanswered
-        # Recovery hooks, installed by the worker main: the checkpoint
-        # pair in list mode only (an aggregate querier keeps no
-        # per-record state), the re-dial always.
-        self.checkpoint_policy = None       # recovery.CheckpointPolicy
+        # The recovery rules, fed in list mode only (an aggregate
+        # querier keeps no per-record state).
+        self.ledger = QuerierLedger(time.monotonic())
+        self.redundant_records = 0          # redelivered dups dropped here
+        # Recovery hooks, installed by the worker main: the sink of the
+        # ledger's deltas in list mode only, the re-dial always.
         self.checkpoint_sink: Optional[Callable[[dict], None]] = None
         self.reconnect: Optional[Callable[[], Optional[MessageSocket]]] \
             = None                          # inbound re-dial after a drop
-        # Redelivery dedup by global index, kept while a checkpoint sink
-        # is attached: None while the record is queued, its SentQuery
-        # once sent.
-        self._seen_indices: Dict[int, Optional[SentQuery]] = {}
-        self.redundant_records = 0          # redelivered dups dropped here
-        # Entries the next CHECKPOINT frame carries, by index: first
-        # sends, answers to entries already shipped, and re-reports.
-        self._news: Dict[int, SentQuery] = {}
-        self._last_checkpoint_time = time.monotonic()
         # Supervision surface: SHUTDOWN and the deadline timer set
         # shed_event.
         self.records_received = 0
@@ -246,22 +244,27 @@ class _LiveQuerier:
             self._send_due()
             if answers or send_soon or self._unread:
                 self._drain_responses()
-            self._maybe_checkpoint()
-        # Settle: catch responses still in flight, while any are.
-        deadline = time.monotonic() + 0.2
-        while self._pending and (now := time.monotonic()) < deadline:
-            if self._wait(deadline - now, frames=False)[1]:
+            self._checkpoint()
+        # Settle: catch responses still in flight, as the ledger says.
+        while (until := self.ledger.settle(now := time.monotonic(),
+                                           bool(self._pending))) is not None:
+            if self._wait(until - now, frames=False)[1]:
                 self._drain_responses()
-        self._maybe_checkpoint()
+        self._checkpoint()
+
+    @property
+    def queue_depth(self) -> int:
+        """Records queued here and not yet sent."""
+        return len(self._queue)
 
     def _idle_time(self, now: float) -> float:
         """How long the loop may sleep when no socket turns readable."""
         wake = now + _IDLE_POLL
         if self._queue:
             wake = min(wake, self._queue[0][0])
-        if self._news and self.checkpoint_policy is not None:
-            wake = min(wake, self._last_checkpoint_time
-                       + self.checkpoint_policy.interval_s)
+        cadence = None if self.result.aggregate else self.ledger.wake()
+        if cadence is not None:
+            wake = min(wake, cadence)
         return max(wake - now, 0.0)
 
     def _wait(self, timeout: float, frames: bool = True,
@@ -303,27 +306,15 @@ class _LiveQuerier:
         for message in messages:
             if message[0] == MSG_RECORD:
                 index, body = message[1]
-                if self.checkpoint_sink is None or self._first_copy(index):
+                if self.result.aggregate or self.ledger.arrived(index):
                     self.records_received += 1
                     self._enqueue(body, index)
+                else:
+                    self.redundant_records += 1
                 continue
             self._handle(message)
             if self._done_receiving:
                 return
-
-    def _first_copy(self, index: int) -> bool:
-        """Exactly-once intake: False for a redelivered copy of a record
-        already queued or sent here, which is dropped.  If it was sent,
-        the controller lost the frame that said so — report the entry
-        again."""
-        if index not in self._seen_indices:
-            self._seen_indices[index] = None
-            return True
-        self.redundant_records += 1
-        entry = self._seen_indices[index]
-        if entry is not None:
-            self._report(entry)
-        return False
 
     def _handle(self, message: Message) -> None:
         kind, payload = message
@@ -367,28 +358,19 @@ class _LiveQuerier:
             self.result.reconnects += 1
         return True
 
-    def _report(self, entry: SentQuery) -> None:
-        """Put an entry in the next CHECKPOINT frame (list mode)."""
+    def _checkpoint(self) -> None:
+        """Emit the ledger's delta, under the cumulative header, when
+        the ledger says one is due (with no sink, it is dropped)."""
+        if self.result.aggregate:
+            return
+        now = time.monotonic()
+        if not self.ledger.due(now, bool(self._queue)):
+            return
+        delta = self.ledger.delta(now)
         if self.checkpoint_sink is not None:
-            self._news[entry.index] = entry
-
-    def _maybe_checkpoint(self) -> None:
-        """Emit a delta frame — the entries with news since the last
-        frame under the cumulative header — if the cadence says so, or
-        at once when the send queue has run dry: the controller's drain
-        waits on this coverage, and no queued send is left to batch it
-        with."""
-        if not self._news or self.checkpoint_policy is None:
-            return
-        since = time.monotonic() - self._last_checkpoint_time
-        if self._queue \
-                and not self.checkpoint_policy.due(len(self._news), since):
-            return
-        news, self._news = self._news, {}
-        with self.lock:
-            frame = self.result.to_dict(news.values())
-        self.checkpoint_sink(frame)
-        self._last_checkpoint_time = time.monotonic()
+            with self.lock:
+                frame = self.result.to_dict(delta)
+            self.checkpoint_sink(frame)
 
     def shutdown(self) -> None:
         """Close every socket this querier owns (idempotent).
@@ -490,14 +472,12 @@ class _LiveQuerier:
             if len(self._answered) > _AGGREGATE_PENDING_CAP:
                 self._answered.clear()
         else:
-            entry = SentQuery(
+            entry = self.ledger.sent(
                 index, record_source(body), trace_time, scheduled_at,
                 sent_at, "udp",
                 _plain_qname(key[1], wire) or _parsed_qname(body),
-                querier_id=self.querier_id)
+                self.querier_id)
             self._pending.setdefault(key, []).append(entry)
-            if self.checkpoint_sink is not None:
-                self._seen_indices[index] = self._news[index] = entry
             with self.lock:
                 self.result.add(entry)
                 if self.telemetry is not None:
@@ -538,8 +518,7 @@ class _LiveQuerier:
                     self._pending_entries -= 1
                     latencies.append(answered_at - entry)
                     continue
-                entry.answered_at = answered_at
-                self._report(entry)
+                self.ledger.answered(entry, answered_at)
                 if self.telemetry is not None:
                     with lock:
                         self.telemetry.on_answer(entry)

@@ -32,11 +32,12 @@ in-memory, shard-file and sharded-sim runs parameterise:
    shard-file run routes nothing, so its drain ends at once;
 5. **collect** — END, then one wait (``_await_reports``) until every
    worker has reported its RESULT + METRICS pair or is failed.  A
-   querier reports once nothing it sent is unanswered, or 0.2 s after
-   END if something still is.  A worker is failed at once when its
-   process is seen dead, else only ``settle_time`` + slack after the
-   distributors reported and the schedule ran out, never past the
-   deadline + slack;
+   querier reports once nothing it sent is unanswered, or ``SETTLE_S``
+   after END if something still is, as its
+   :class:`~repro.replay.recovery.QuerierLedger` says.  A worker is
+   failed at once when its process is seen dead, else only
+   ``settle_time`` + slack after the distributors reported and the
+   schedule ran out, never past the deadline + slack;
 6. **merge** — every CHECKPOINT and RESULT frame has gone to one
    :class:`~repro.replay.recovery.CheckpointStore`; the merge is the
    exactly-once ``ReplayResult.merge`` fold over its snapshots plus the
@@ -92,9 +93,9 @@ from .protocol import (MSG_CHECKPOINT, MSG_HELLO, MSG_METRICS, MSG_RESULT,
                        MessageSocket, ProtocolError, ROLE_DISTRIBUTOR,
                        ROLE_QUERIER, ROLE_SHARD, connect)
 from .recovery import (COLLECT_TIMEOUT, HELLO_TIMEOUT, RECONNECT_ATTEMPTS,
-                       RECONNECT_BACKOFF, ChaosConfig, CheckpointPolicy,
-                       CheckpointStore, RecoveryConfig, RecoveryLedger,
-                       attach_chaos, merge_recovered, reconnect_with_backoff,
+                       RECONNECT_BACKOFF, ChaosConfig, CheckpointStore,
+                       RecoveryConfig, RecoveryLedger, attach_chaos,
+                       merge_recovered, reconnect_with_backoff,
                        respawn_backoff)
 from .result import ReplayResult
 
@@ -388,9 +389,8 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
         RECONNECT_ATTEMPTS, RECONNECT_BACKOFF,
         abort=querier.shed_event.is_set)
     if not aggregate:
-        # Per-record state only where entries are kept: an aggregate
-        # (shard-file) run is never redelivered.
-        querier.checkpoint_policy = CheckpointPolicy()
+        # Deltas only where entries are kept: an aggregate (shard-file)
+        # run is never redelivered.
         querier.checkpoint_sink = link
 
     def metrics_snapshot() -> dict:
@@ -436,8 +436,8 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
             health=lambda: {
                 "records_received": querier.records_received,
                 "records_sent": querier.records_sent,
-                "queue_depth": len(querier._queue),
-                "checkpoint_lag": len(querier._news)},
+                "queue_depth": querier.queue_depth,
+                "checkpoint_lag": querier.ledger.news},
             tracer=hub.tracer,
             recorder=recorder,
             sync_mono=lambda: querier._clock_start)
@@ -1096,6 +1096,13 @@ class _Controller:
         if lost:
             self.metrics.incr("multiproc.lost_shards", lost)
         self.metrics.incr(workers_counter, len(handles))
+        store = self._store
+        self.metrics.incr("multiproc.checkpoint_frames",
+                          store.frames_offered)
+        self.metrics.incr("multiproc.checkpoint_frames_stale",
+                          store.frames_stale)
+        self.metrics.incr("multiproc.checkpoint_entries",
+                          store.entries_offered)
         if ledger.respawns:
             self.metrics.incr("multiproc.respawns", ledger.respawns)
         return lost

@@ -22,6 +22,9 @@ drains through the pieces this module holds:
 * :class:`RecoveryLedger` — the controller's recovery decisions as a
   pure object: redelivery by due instant, the END hold-back, the
   respawn budget and deadline shedding.  Events in, actions out.
+* :class:`QuerierLedger` — the querier's half, as pure: exactly-once
+  intake, the news the next delta carries, when a delta leaves, and
+  how long the tail settles.
 * :func:`merge_recovered` — exactly-once merge over the store's
   snapshots, a fold of :meth:`ReplayResult.merge`: sent entries are
   deduplicated by *global trace index* with a deterministic,
@@ -34,7 +37,7 @@ drains through the pieces this module holds:
 
 Everything here is deliberately socket-free and process-free except
 :class:`ChaosEngine`'s crash path, so the explorer and fuzz harness
-(:mod:`repro.verify`) can drive the exact production ledger, store and
+(:mod:`repro.verify`) can drive the exact production ledgers, store and
 merge through exhaustive crash × reorder × deadline schedules.
 """
 
@@ -51,8 +54,8 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, \
 
 from .protocol import MSG_CHECKPOINT, MSG_METRICS, MSG_RECORD, \
     MSG_RESULT, MessageSocket
-from .result import (SENT_FIELDS, ReplayResult, merge_rank, sent_rows,
-                     sent_table)
+from .result import (SENT_FIELDS, ReplayResult, SentQuery, merge_rank,
+                     sent_rows, sent_table)
 
 # Exit status a chaos-crashed worker dies with; distinguishable from a
 # clean exit (0) and a Python traceback (1) in the respawn logs.
@@ -73,6 +76,7 @@ RECONNECT_ATTEMPTS = 5      # a worker's re-dial budget for one dropped link
 RECONNECT_BACKOFF = 0.05    # seconds before its first re-dial
 REDELIVERY_ROUNDS = 3       # re-stream passes for records no frame reported
 REDELIVERY_GRACE = 0.75     # quiet seconds before a due record counts lost
+SETTLE_S = 0.2              # longest a querier waits on answers after END
 COLLECT_TIMEOUT = 15.0      # bound on the drain past the schedule and settle
 RESPAWNS_PER_WORKER = 2     # respawns allowed for one worker slot
 RESPAWNS_TOTAL = 8          # respawns allowed across the whole run
@@ -496,6 +500,100 @@ class RecoveryLedger:
                 self.redelivered, self.respawns, self.lost, self.shed,
                 tuple(sorted(self._attempts.items(), key=repr)),
                 self._seen, self._moved)
+
+
+class QuerierLedger:
+    """A list-mode querier's recovery rules, sans IO: events in, actions
+    out, ``now`` always an argument.  The live querier feeds it; the
+    state explorer and the checkpoint-history generator run the same
+    object on a virtual clock.  It owns:
+
+    * exactly-once intake — a redelivered copy of a record already
+      queued or sent here is dropped; if it was sent, the controller
+      lost the frame that said so, and the entry is reported again;
+    * the news — the entries the next delta carries: first sends,
+      answers to entries already shipped, and re-reports;
+    * when a delta leaves — on the :class:`CheckpointPolicy` cadence,
+      or at once when the send queue is dry: the drain waits on it;
+    * the tail — after END, with the queue dry, settle only while a send
+      is unanswered, for at most ``SETTLE_S``.  An aggregate querier,
+      which keeps no per-record state, asks only this.
+    """
+
+    def __init__(self, now: float,
+                 policy: CheckpointPolicy = CheckpointPolicy()):
+        self.policy = policy
+        # By index: None while the record is queued, its entry once sent.
+        self._seen: Dict[int, Optional[SentQuery]] = {}
+        self._news: Dict[int, SentQuery] = {}
+        self._last = now                    # when the last delta left
+        self._settle_until: Optional[float] = None
+
+    @property
+    def news(self) -> int:
+        """Entries the next delta carries."""
+        return len(self._news)
+
+    def arrived(self, index: int) -> bool:
+        """Record ``index`` came in: True to queue it, False for a copy
+        of one already queued or sent here, which is dropped."""
+        if index not in self._seen:
+            self._seen[index] = None
+            return True
+        entry = self._seen[index]
+        if entry is not None:
+            self._news[index] = entry
+        return False
+
+    def sent(self, index: int, source: str, trace_time: float,
+             scheduled_at: float, sent_at: float, protocol: str,
+             qname: str, querier_id: int) -> SentQuery:
+        """Record ``index`` left as a query: its entry, which is news."""
+        entry = SentQuery(index, source, trace_time, scheduled_at, sent_at,
+                          protocol, qname, querier_id=querier_id)
+        self._seen[index] = self._news[index] = entry
+        return entry
+
+    def answered(self, entry: SentQuery, at: float) -> None:
+        """The answer to ``entry`` came in at ``at``: news again."""
+        entry.answered_at = at
+        self._news[entry.index] = entry
+
+    def due(self, now: float, queued: bool) -> bool:
+        """Whether a delta leaves now; ``queued`` is whether any record
+        waits in the send queue."""
+        return bool(self._news) and (
+            not queued or self.policy.due(len(self._news), now - self._last))
+
+    def delta(self, now: float) -> List[SentQuery]:
+        """Take the news: the entries of the delta that leaves now."""
+        news, self._news = self._news, {}
+        self._last = now
+        return list(news.values())
+
+    def wake(self) -> Optional[float]:
+        """When the cadence makes the news due, if there is any."""
+        return self._last + self.policy.interval_s if self._news else None
+
+    def settle(self, now: float, in_flight: bool) -> Optional[float]:
+        """END is in and the send queue is dry; ``in_flight`` is whether
+        a send is unanswered.  The instant to settle until, or None to
+        finish.  The first call opens the window."""
+        if self._settle_until is None:
+            self._settle_until = now + SETTLE_S
+        if in_flight and now < self._settle_until:
+            return self._settle_until
+        return None
+
+    def fingerprint(self) -> tuple:
+        """Hashable digest of the ledger (part of the explorer's state)."""
+        def fates(entries):     # None: queued; else whether answered
+            return tuple(sorted(
+                (index, None if entry is None
+                 else entry.answered_at is not None)
+                for index, entry in entries.items()))
+        return (fates(self._seen), fates(self._news),
+                self.wake(), self._settle_until)
 
 
 # -- exactly-once merge -----------------------------------------------------

@@ -29,9 +29,11 @@ ordering-dependent:
   (``arrived == served + dropped + shed + queued``) after every step.
 
 * :class:`RecoveryScenarioModel` — the controller's own
-  :class:`~repro.replay.recovery.RecoveryLedger` and store under worker
-  crash × frame reorder, duplication and loss × deadline schedules,
-  with a respawn budget or (``no-respawn``) none.
+  :class:`~repro.replay.recovery.RecoveryLedger` and store, and one
+  :class:`~repro.replay.recovery.QuerierLedger` per querier
+  incarnation, under worker crash × frame reorder, duplication and
+  loss × deadline schedules, with a respawn budget or (``no-respawn``)
+  none.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..netsim import EventLoop, Network, TcpOptions, TcpStack, TcpState
 from ..perf import PerfCounters
 from ..replay.recovery import (REDELIVERY_GRACE, REDELIVERY_ROUNDS,
-                               CheckpointStore,
+                               CheckpointStore, QuerierLedger,
                                RecoveryLedger, conservation_violations,
                                merge_recovered)
-from ..replay.result import SentQuery, sent_row, sent_table
+from ..replay.result import ReplayResult
 from ..server.overload import OverloadConfig, OverloadControl, RrlConfig
 
 # -- generic engine ---------------------------------------------------------
@@ -509,40 +511,53 @@ _RECOVERY_SCENARIOS = {
 }
 
 
+class _Querier:
+    """One querier incarnation: the production :class:`QuerierLedger`
+    and a list-mode result, its send queue and what the deadline shed."""
+
+    def __init__(self, worker: int, number: int, now: float,
+                 ledger: Callable[..., QuerierLedger]):
+        self.number, self.seq = number, 0
+        self.ledger = ledger(now)
+        self.result = ReplayResult(f"querier-{worker}")
+        self.queue: List[int] = []
+        self.shed: List[int] = []
+        # Once END is in and the queue is dry: the ledger's settle
+        # instant, None for finish.
+        self.until: Optional[float] = None
+
+
 class RecoveryScenarioModel:
-    """The recovering controller under explorer-chosen schedules, on the
-    production code: every redelivery, END, respawn and shed decision
-    is :class:`RecoveryLedger`'s, frames fold into a real
-    :class:`CheckpointStore`, and :func:`merge_recovered` merges them.
+    """The recovering tree under explorer-chosen schedules, on the
+    production code at both ends: every decision is a
+    :class:`RecoveryLedger`'s or a :class:`QuerierLedger`'s, frames are
+    :meth:`ReplayResult.to_dict` of a delta, a real
+    :class:`CheckpointStore` folds them and :func:`merge_recovered`
+    merges them.  The model keeps only what the tree leaves to chance:
+    frame order, duplication and loss, worker crashes, when the
+    checkpoint cadence fires, which records are answered ``late`` (once
+    their first delta left), and a virtual clock.  END reaches every
+    querier at once.  The clock moves only when no frame is in flight
+    and no querier acts now — the premise of ``REDELIVERY_GRACE`` — to
+    the next instant something is due.
 
-    The model keeps only what the tree leaves to chance: frame order,
-    duplication and loss, worker crashes, and a virtual clock.  Records
-    go round-robin to workers, which send each once due and emit delta
-    checkpoint frames (first sends, late answers, re-reports), then a
-    cumulative final frame after END.  A crash wipes the incarnation's
-    unreported state; its frames in flight still arrive.  The clock
-    moves only when the tree is idle — nothing in flight, every due
-    record sent and checkpointed: the premise of ``REDELIVERY_GRACE`` —
-    to the next instant a record, the ledger's wait or the deadline is
-    due; at the deadline the workers shed what they hold.  Once routing
-    is over the ledger is ticked after every step, as the drain wakes
-    on every frame.
-
-    Invariants: at every state the merge holds no duplicate and no
-    never-routed index, no answer regresses, no index is redelivered
-    before its due instant + the grace or past the deadline, and the
-    drain never waits with every worker lost for good (respawns here are
-    instant, so nothing could end that wait).  At
-    quiescence ``len(merged) + deadline_shed`` never exceeds the trace;
-    when the ledger ended ``"complete"`` every record is accounted for
-    exactly once and, but for a crash after END, answered; else the
-    shortfall is at most what crashed workers held, and the rounds ran
-    out only on more losses than there are rounds.
+    Invariants: the merge never holds a duplicate or a never-routed
+    index, no answer regresses, nothing is redelivered before its due
+    instant + the grace or past the deadline, the drain never waits with
+    every worker lost for good, and time never passes for a querier with
+    a dry queue that holds news (``idle-news``) or has read END with
+    nothing in flight (``idle-settle``).  At quiescence ``len(merged) +
+    deadline_shed`` never exceeds the trace; when the drain ended
+    ``"complete"`` every record is accounted for exactly once and, but
+    for a crash after END, answered; else the shortfall is at most what
+    crashed workers held, and the rounds ran out only on more losses
+    than there are rounds.
     """
 
     def __init__(self, scenario: str = "crash-reorder", workers: int = 2,
                  total: int = 4,
-                 ledger: Callable[..., RecoveryLedger] = RecoveryLedger, *,
+                 ledger: Callable[..., RecoveryLedger] = RecoveryLedger,
+                 querier: Callable[..., QuerierLedger] = QuerierLedger, *,
                  crashes: Optional[int] = None,
                  crashes_per_worker: Optional[int] = None,
                  dups: Optional[int] = None, drops: Optional[int] = None,
@@ -558,7 +573,6 @@ class RecoveryScenarioModel:
                      dups=dups, drops=drops, late=late)
         spec.update((name, value) for name, value in given.items()
                     if value is not None)
-        self.scenario = scenario
         self.workers = workers
         self.total = min(total, spec["cap"])
         self.due = [float(spec["due"](index, self.total))
@@ -570,20 +584,17 @@ class RecoveryScenarioModel:
         self.late = spec["late"]
         self.store = CheckpointStore()
         self.ledger = ledger(self.store, respawns=spec["respawns"])
+        self.querier = querier
         self.now = 0.0
         self.wait_until: Optional[float] = None  # the ledger's last wait
         self.stopped = False                     # routing is over
-        # Per-worker state, current incarnation only (a crash resets it).
-        self.incarnation = [0] * workers
+        self.queriers = [_Querier(worker, 0, self.now, querier)
+                         for worker in range(workers)]
         self.dead = [False] * workers       # lost for good, or after END
-        self.assigned, self.executed, self.news, self.shed = (
-            [[] for _ in range(workers)] for _ in range(4))
-        self.answered: List[set] = [set() for _ in range(workers)]
-        self.seq = [0] * workers
         self.finalized = [False] * workers
-        # In-flight frames: (worker, payload) — delivery order is the
-        # explorer's to choose, and dead incarnations' frames linger.
-        self.pending: List[Tuple[int, dict]] = []
+        # In-flight frames: (worker, payload, digest) — delivery order is
+        # the explorer's to choose, and dead incarnations' frames linger.
+        self.pending: List[Tuple[int, dict, tuple]] = []
         self.held_by_crashed: set = set()
         self.losses = 0     # crashes before END and dropped frames
         self._answered_seen: set = set()
@@ -599,46 +610,54 @@ class RecoveryScenarioModel:
                 return worker
         return None
 
-    def _frame(self, worker: int, indices: List[int],
-               final: bool = False) -> dict:
-        self.seq[worker] += 1
-        sent = (SentQuery(index, f"c{index % self.workers}", index, index,
-                          index, "udp", "q.example.com.", querier_id=worker,
-                          answered_at=index + 1.0
-                          if index in self.answered[worker] else None)
-                for index in indices)
-        return {"worker": worker,
-                "incarnation": self.incarnation[worker],
-                "seq": self.seq[worker], "final": final,
-                "result": {"name": f"querier-{worker}",
-                           "counters": {"deadline_shed":
-                                        len(self.shed[worker])},
-                           "sent": sent_table(map(sent_row, sent))}}
+    def _emit(self, worker: int, entries: Optional[List] = None) -> None:
+        """A frame of ``entries`` goes in flight (None: the final), with
+        its digest: (index, answered?) of each entry."""
+        querier = self.queriers[worker]
+        querier.seq += 1
+        self.pending.append((worker, {
+            "worker": worker, "incarnation": querier.number,
+            "seq": querier.seq, "final": entries is None,
+            "result": querier.result.to_dict(entries)}, tuple(
+                (entry.index, entry.answered_at is not None)
+                for entry in (querier.result.sent if entries is None
+                              else entries))))
 
     def _working(self) -> List[int]:
         return [worker for worker in range(self.workers)
                 if not (self.dead[worker] or self.finalized[worker])]
 
     def _due_now(self, worker: int) -> Optional[int]:
-        return next((index for index in self.assigned[worker]
+        return next((index for index in self.queriers[worker].queue
                      if self.due[index] <= self.now), None)
+
+    def _finishing(self, worker: int) -> bool:
+        """Its final frame may leave: END is in, the queue dry, no delta
+        due and the ledger done settling."""
+        querier = self.queriers[worker]
+        return (self.ledger.ended is not None and not querier.queue
+                and querier.until is None
+                and not querier.ledger.due(self.now, False))
 
     def _next_instant(self) -> Optional[float]:
         """When the clock may move to, if the tree is idle."""
         working = self._working()
-        if self.pending or any(self.news[worker]
-                               or self._due_now(worker) is not None
-                               for worker in working):
+        if self.pending or any(
+                self._due_now(worker) is not None or self._finishing(worker)
+                or self.queriers[worker].ledger.due(
+                    self.now, bool(self.queriers[worker].queue))
+                for worker in working):
             return None
         ledger = self.ledger
         instants = ([self.deadline] if self.deadline is not None
                     and not ledger.expired and ledger.ended is None else [])
         if self.stopped:    # while routing only the deadline interrupts
-            instants += [self.due[index] for worker in working
-                         for index in self.assigned[worker]]
-            if self.wait_until is not None:
-                instants.append(self.wait_until)
-        later = [instant for instant in instants if instant > self.now]
+            for querier in map(self.queriers.__getitem__, working):
+                instants += [self.due[index] for index in querier.queue]
+                instants += [querier.ledger.wake(), querier.until]
+            instants.append(self.wait_until)
+        later = [instant for instant in instants
+                 if instant is not None and instant > self.now]
         return min(later) if later else None
 
     def _stop_routing(self) -> None:
@@ -646,11 +665,12 @@ class RecoveryScenarioModel:
         self.ledger.stop_routing(self.total)
 
     def _tick(self) -> None:
-        """The controller's drain: tick the ledger, carry out what it
-        returns, until it waits or has sent END."""
+        """The drain carries out what the controller's ledger says until
+        it waits or has sent END; a querier with END in and its queue
+        dry asks its own how long to settle."""
         self.wait_until = None
         while self.stopped and self.ledger.ended is None:
-            live = [((1, worker), self.incarnation[worker])
+            live = [((1, worker), self.queriers[worker].number)
                     for worker in range(self.workers)
                     if not self.dead[worker]]
             action, arg = self.ledger.tick(self.now, live, bool(live))
@@ -659,9 +679,15 @@ class RecoveryScenarioModel:
                     self._bad.append(("drain-stalled", f"waiting at "
                                       f"{self.now} with every worker lost"))
                 self.wait_until = arg
-                return
+                break
             if action == "redeliver":
                 self._redeliver(arg)
+        for worker in self._working():
+            querier = self.queriers[worker]
+            querier.until = None
+            if self.ledger.ended is not None and not querier.queue:
+                querier.until = querier.ledger.settle(
+                    self.now, bool(querier.result.unanswered()))
 
     def _redeliver(self, indices: List[int]) -> None:
         for index in indices:
@@ -672,18 +698,9 @@ class RecoveryScenarioModel:
                 self._bad.append(("redelivery-after-deadline",
                                   f"record {index} at {self.now}"))
             worker = self._owner(index)
-            if worker is None or self.finalized[worker] \
-                    or index in self.assigned[worker]:
-                continue
-            if index in self.executed[worker]:
-                # Already sent by the live incarnation: drop the copy,
-                # report the entry again.
-                if index not in self.news[worker]:
-                    self.news[worker].append(index)
-            elif self.ledger.expired:
-                self.shed[worker].append(index)
-            else:
-                self.assigned[worker].append(index)
+            if worker is not None and not self.finalized[worker] \
+                    and self.queriers[worker].ledger.arrived(index):
+                self.queriers[worker].queue.append(index)
 
     # -- the explorer interface ------------------------------------------
 
@@ -691,18 +708,18 @@ class RecoveryScenarioModel:
         out: List[str] = []
         if not self.stopped:
             out.append(f"route[{self.ledger.routed}]")
-        ended = self.ledger.ended is not None
         for worker in self._working():
+            querier = self.queriers[worker]
             if self._due_now(worker) is not None:
                 out.append(f"exec[w{worker}]")
-            if self.news[worker]:
+            if querier.ledger.news:
                 out.append(f"ckpt[w{worker}]")
-            if ended and not self.assigned[worker]:
+            if self._finishing(worker):
                 out.append(f"final[w{worker}]")
             if (self.crash_budget[worker] > 0 and self.crashes_left > 0
-                    and (self.assigned[worker] or self.executed[worker])):
+                    and (querier.queue or querier.result.sent)):
                 out.append(f"crash[w{worker}]")
-        for slot, (_worker, payload) in enumerate(self.pending):
+        for slot, (_worker, payload, _fates) in enumerate(self.pending):
             out.append(f"deliver[{slot}]")
             if self.dups_left:
                 out.append(f"dup[{slot}]")
@@ -718,39 +735,48 @@ class RecoveryScenarioModel:
         action, _, arg = label.partition("[")
         arg = arg.rstrip("]")
         worker = int(arg[1:]) if arg.startswith("w") else None
+        querier = self.queriers[worker] if worker is not None else None
         if action == "route":
             record = self.ledger.routed
             self.ledger.route([self.due[record]])
             owner = self._owner(record)
-            if owner is not None:
-                self.assigned[owner].append(record)
-            else:   # every worker is lost: it goes down a dead link
+            if owner is None:   # every worker is lost: down a dead link
                 self.held_by_crashed.add(record)
+            elif self.queriers[owner].ledger.arrived(record):
+                self.queriers[owner].queue.append(record)
             if self.ledger.routed == self.total:
                 self._stop_routing()
         elif action == "exec":
             record = self._due_now(worker)
-            self.assigned[worker].remove(record)
-            self.executed[worker].append(record)
-            self.news[worker].append(record)
+            querier.queue.remove(record)
+            entry = querier.ledger.sent(
+                record, f"c{record % self.workers}", self.due[record],
+                self.due[record], self.now, "udp", "q.example.com.", worker)
+            querier.result.add(entry)
             if record not in self.late:
-                self.answered[worker].add(record)
+                querier.ledger.answered(entry, self.now)
         elif action == "ckpt":
-            shipped = self.news[worker]
-            self.pending.append((worker, self._frame(worker, shipped)))
+            delta = querier.ledger.delta(self.now)
+            self._emit(worker, delta)
             # Answers to entries that left unanswered land now: their
             # fate changed after shipping, so they are news again.
-            self.news[worker] = [record for record in shipped
-                                 if record not in self.answered[worker]]
-            self.answered[worker].update(shipped)
+            for entry in delta:
+                if entry.answered_at is None:
+                    querier.ledger.answered(entry, self.now)
         elif action == "final":
-            self.answered[worker].update(self.executed[worker])
-            self.pending.append((worker, self._frame(
-                worker, self.executed[worker], final=True)))
+            self._emit(worker)
             self.finalized[worker] = True
         elif action == "crash":
             self._crash(worker)
         elif action == "wake":
+            for worker in self._working():
+                querier = self.queriers[worker]
+                if not querier.queue and querier.ledger.news:
+                    self._bad.append(("idle-news", f"w{worker} at {self.now}"))
+                if not querier.queue and self.ledger.ended is not None \
+                        and not querier.result.unanswered():
+                    self._bad.append(("idle-settle", f"w{worker} at "
+                                      f"{self.now}"))
             self.now = self._next_instant()
             if self.deadline is not None and self.now >= self.deadline \
                     and not self.ledger.expired:
@@ -762,9 +788,9 @@ class RecoveryScenarioModel:
         else:   # deliver | dup
             if action == "dup":
                 self.dups_left -= 1
-                worker, payload = self.pending[int(arg)]
+                worker, payload, _fates = self.pending[int(arg)]
             else:
-                worker, payload = self.pending.pop(int(arg))
+                worker, payload, _fates = self.pending.pop(int(arg))
             self.store.offer_frame((1, worker), payload)
             answered = self.store.answered_indices()
             if not self._answered_seen <= answered:
@@ -778,24 +804,20 @@ class RecoveryScenarioModel:
     def _crash(self, worker: int) -> None:
         self.crash_budget[worker] -= 1
         self.crashes_left -= 1
-        self.held_by_crashed.update(self.assigned[worker],
-                                    self.executed[worker],
-                                    self.shed[worker])
+        querier = self.queriers[worker]
+        self.held_by_crashed.update(
+            querier.queue, querier.shed,
+            (entry.index for entry in querier.result.sent))
+        # After END a death is no loss to recover and nobody respawns
+        # it; before, it is respawned as a fresh incarnation that knows
+        # nothing, or past the budget lost for good.
         if self.ledger.ended is None:
             self.losses += 1
-        else:
-            # The controller is closing: a death is no longer a loss
-            # to recover, and nobody respawns it.
-            self.dead[worker] = True
-            return
-        if self.ledger.died((1, worker)) is None:
-            self.dead[worker] = True
-            return
-        # Respawn: a fresh incarnation that knows nothing.
-        self.incarnation[worker] += 1
-        for state in (self.assigned, self.executed, self.news, self.shed):
-            state[worker] = []
-        self.answered[worker], self.seq[worker] = set(), 0
+            if self.ledger.died((1, worker)) is not None:
+                self.queriers[worker] = _Querier(worker, querier.number + 1,
+                                                 self.now, self.querier)
+                return
+        self.dead[worker] = True
 
     def _expire(self) -> None:
         """The deadline: the ledger stops routing and redelivery, and
@@ -804,8 +826,10 @@ class RecoveryScenarioModel:
         if not self.stopped:
             self._stop_routing()
         for worker in self._working():
-            self.shed[worker] += self.assigned[worker]
-            self.assigned[worker] = []
+            querier = self.queriers[worker]
+            querier.shed += querier.queue
+            querier.result.deadline_shed += len(querier.queue)
+            querier.queue = []
 
     def check(self) -> List[Tuple[str, str]]:
         bad = list(self._bad)
@@ -852,31 +876,24 @@ class RecoveryScenarioModel:
         if unanswered and not any(self.dead):
             bad.append(("answers-lost",
                         f"{unanswered} merged unanswered although every "
-                        f"final frame reported them answered"))
+                        f"querier lived to settle"))
         return bad
 
     def fingerprint(self):
         frames = tuple(sorted(
             (worker, payload["incarnation"], payload["seq"],
-             payload["final"], _fates(payload["result"]["sent"]),
+             payload["final"], fates,
              payload["result"]["counters"]["deadline_shed"])
-            for worker, payload in self.pending))
-        workers = repr((self.incarnation, self.dead, self.finalized,
-                        self.crash_budget, self.assigned, self.executed,
-                        [sorted(answered) for answered in self.answered],
-                        self.news, self.shed))
+            for worker, payload, fates in self.pending))
+        workers = repr((self.dead, self.finalized, self.crash_budget,
+                        [(querier.number, querier.queue, querier.shed,
+                          querier.ledger.fingerprint())
+                         for querier in self.queriers]))
         return (self.now, self.wait_until, self.stopped, self.crashes_left,
                 self.dups_left, self.drops_left, self.losses, workers,
                 frames, tuple(sorted(self._answered_seen)),
                 tuple(sorted(self.held_by_crashed)), tuple(self._bad),
                 self.ledger.fingerprint(), self.store.fingerprint())
-
-
-def _fates(table: dict) -> tuple:
-    """(index, answered?) of each row of a ``sent`` table."""
-    answered = table.get("answered_at") or [None] * len(table["index"])
-    return tuple(zip(table["index"],
-                     (at is not None for at in answered)))
 
 
 # -- canned sweeps ----------------------------------------------------------
@@ -902,13 +919,16 @@ def explore_admission(policy: str, total: int = 4, limit: int = 2,
 
 def explore_recovery(scenario: str, workers: int = 2, total: int = 4,
                      max_depth: int = 80,
-                     ledger: Callable[..., RecoveryLedger] = RecoveryLedger
+                     ledger: Callable[..., RecoveryLedger] = RecoveryLedger,
+                     querier: Callable[..., QuerierLedger] = QuerierLedger
                      ) -> ExplorationResult:
-    """Exhaust one recovery scenario; ``ledger`` builds the ledger the
-    model runs (a test may hand in a mutant)."""
+    """Exhaust one recovery scenario; ``ledger`` and ``querier`` build
+    the controller's and the queriers' ledgers (a test may hand in a
+    mutant)."""
     return Explorer(
         lambda: RecoveryScenarioModel(scenario, workers=workers,
-                                      total=total, ledger=ledger),
+                                      total=total, ledger=ledger,
+                                      querier=querier),
         max_depth=max_depth).run()
 
 

@@ -421,71 +421,58 @@ def tcp_schedules(seed: int,
 
 # -- checkpoint emission histories ------------------------------------------
 
-def _sent_table(worker: int, indices: List[int], answered: set) -> dict:
-    from ..replay.result import SentQuery, sent_row, sent_table
-
-    return sent_table(map(sent_row, (
-        SentQuery(index, f"c{index % 4}", float(index), float(index),
-                  float(index), "udp", "q.example.com.",
-                  answered_at=(float(index) + 0.5
-                               if index in answered else None),
-                  querier_id=worker)
-        for index in indices)))
-
-
 def checkpoint_emission_history(rng: random.Random, workers: int = 2,
                                 total: int = 8) -> List[dict]:
-    """A legal crash-free emission history of CHECKPOINT/RESULT frames.
+    """A legal crash-free emission history of CHECKPOINT/RESULT frames:
+    a random driver of the production
+    :class:`~repro.replay.recovery.QuerierLedger`.
 
-    Records are dealt randomly across workers; each worker executes its
-    records in order.  At random cut points it emits a sequence-numbered
-    *delta* frame — the entries first sent since its previous frame
-    (some still unanswered) plus the earlier entries answered since
-    they were last reported — and at the end a cumulative final
-    (``final=True``) RESULT frame; a few entries stay unanswered for
-    good.  Delivering the frames in emission order with no duplicates
-    reproduces the clean run, which is exactly what any *other*
-    delivery order, with duplicates, must merge to
-    (:class:`repro.replay.recovery.CheckpointStore` is commutative and
-    idempotent) — with or without the final frames."""
+    Records are dealt randomly across workers, each sending its own in
+    order, about half answered at once.  After a send the cadence fires
+    at random: the ledger's delta leaves, then some entries it left
+    unanswered are answered.  With its queue dry a worker emits the news
+    left and a cumulative final RESULT frame.  In-order delivery
+    reproduces the clean run, which any *other* delivery order, with
+    duplicates, must merge to — with or without the finals."""
+    from ..replay.recovery import QuerierLedger
+    from ..replay.result import ReplayResult
+
     assignment = [rng.randrange(workers) for _ in range(total)]
     frames: List[dict] = []
     for worker in range(workers):
-        executed: List[int] = []
-        answered: set = set()
-        news: List[int] = []        # indices the next delta carries
-        waiting: List[int] = []     # shipped unanswered, may answer yet
+        ledger = QuerierLedger(0.0)
+        result = ReplayResult(f"querier-{worker}")
         seq = 0
 
-        def frame(indices: List[int], final: bool) -> dict:
-            return {"worker": worker, "incarnation": 0, "seq": seq,
-                    "final": final,
-                    "result": {"name": f"querier-{worker}",
-                               # Stands for the cumulative header: it
-                               # differs from frame to frame.
-                               "counters": {"retries": len(executed)},
-                               "sent": _sent_table(worker, indices,
-                                                   answered)}}
+        def emit(entries, final: bool = False) -> None:
+            nonlocal seq
+            seq += 1
+            frames.append({"worker": worker, "incarnation": 0, "seq": seq,
+                           "final": final,
+                           "result": result.to_dict(entries)})
 
         for index in range(total):
             if assignment[index] != worker:
                 continue
-            executed.append(index)
-            news.append(index)
+            ledger.arrived(index)
+            entry = ledger.sent(index, f"c{index % 4}", float(index),
+                                float(index), float(index), "udp",
+                                "q.example.com.", worker)
+            result.add(entry)
             if rng.random() < 0.5:
-                answered.add(index)
-            else:
-                waiting.append(index)
+                ledger.answered(entry, index + 0.5)
+            # A stray datagram now and then: the cumulative header
+            # differs from frame to frame.
+            if rng.random() < 0.3:
+                result.unmatched_responses += 1
             if rng.random() < 0.4:
-                seq += 1
-                frames.append(frame(news, final=False))
-                # Late answers to shipped entries are news again.
-                news = [late for late in waiting if rng.random() < 0.6]
-                answered.update(news)
-                waiting = [late for late in waiting
-                           if late not in answered]
-        seq += 1
-        frames.append(frame(executed, final=True))
+                emit(ledger.delta(float(index)))
+                for late in result.unanswered_queries():
+                    if rng.random() < 0.6:
+                        ledger.answered(late, late.index + 0.5)
+        if ledger.due(float(total), False):
+            emit(ledger.delta(float(total)))
+        emit(None, final=True)
     return frames
 
 

@@ -13,6 +13,7 @@ from unittest import mock
 from repro.replay import distributed
 from repro.replay.distributed import _LiveQuerier
 from repro.replay.protocol import MSG_END
+from repro.replay.recovery import QuerierLedger
 from repro.replay.result import ReplayResult
 
 
@@ -156,8 +157,8 @@ def drive_querier(script, policy=None, lag=0, clock=None, delay=0.0,
                   observe=None, aggregate=False):
     """Run a _LiveQuerier over a script; returns it, its fake UDP
     socket and the CHECKPOINT ``result`` members it emitted.  A
-    checkpoint ``policy`` attaches a sink (list mode); with a
-    ``clock`` the querier runs on fake time throughout."""
+    checkpoint ``policy`` paces its ledger and attaches a sink (list
+    mode); with a ``clock`` the querier runs on fake time throughout."""
     with contextlib.ExitStack() as stack:
         if clock is not None:
             stack.enter_context(
@@ -169,7 +170,8 @@ def drive_querier(script, policy=None, lag=0, clock=None, delay=0.0,
         querier._sock = wire = LoopbackSocket(lag, clock, delay)
         frames = []
         if policy is not None:
-            querier.checkpoint_policy = policy
+            querier.ledger = QuerierLedger(distributed.time.monotonic(),
+                                           policy)
             querier.checkpoint_sink = frames.append
         stack.enter_context(mock.patch.object(
             distributed, "select", scripted_select(

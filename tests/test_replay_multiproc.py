@@ -58,6 +58,23 @@ class TestProcessTopology:
         indices = sorted(q.index for q in result.sent)
         assert indices == list(range(len(result.sent)))
 
+    def test_checkpoint_counters_are_exported(self):
+        """A clean 1 × 2 replay books what its checkpoint store
+        folded: every record's entry was offered at least once, in at
+        least one frame per querier, and no more frames were stale than
+        were offered."""
+        trace = burst_trace(300)
+        with LiveUdpEchoServer() as server:
+            topology = ProcessTopology((server.address, server.port),
+                                       process_config(distributors=1))
+            result = topology.replay(trace)
+        assert len(result) == len(trace)
+        count = topology.metrics.count
+        assert count("multiproc.checkpoint_entries") >= len(trace)
+        assert count("multiproc.checkpoint_frames") >= 2
+        assert 0 <= count("multiproc.checkpoint_frames_stale") \
+            <= count("multiproc.checkpoint_frames")
+
     def test_report_bigger_than_a_frame_arrives_in_chunks(self,
                                                            monkeypatch):
         """A querier's list-mode report that does not fit one frame
@@ -75,7 +92,7 @@ class TestProcessTopology:
         assert [q.index for q in result.sent] == list(range(4000))
         assert topology.metrics.count("multiproc.lost_shards") == 0
         # Two RESULTs and at least one chunk ahead of each.
-        assert topology._store.frames_offered >= 4
+        assert topology.metrics.count("multiproc.checkpoint_frames") >= 4
 
     def test_cross_process_metrics_merge(self):
         trace = fixed_interval_trace(0.02, 1.0, client_count=8,

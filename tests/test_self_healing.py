@@ -32,6 +32,7 @@ from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
                                    MessageSocket, ROLE_QUERIER,
                                    validate_checkpoint_payload)
 from repro.replay.querier import match_key
+from repro.replay.recovery import SETTLE_S
 from repro.replay.result import (SENT_FIELDS, ReplayResult, SentQuery,
                                  sent_rows)
 from repro.dns import Name, WireError
@@ -467,7 +468,7 @@ class TestEventDrivenTail:
     leaves when its send queue runs dry.  On the fake clock, so every
     instant is exact: ten records due at once, END 2**-6 s later."""
 
-    SETTLE = 0.2
+    SETTLE = SETTLE_S
 
     @staticmethod
     def _script(end_at):
@@ -519,7 +520,7 @@ class TestEventDrivenTail:
 
         def observe(querier, _watched):
             if not querier._done_receiving:
-                news_at_wait.append(len(querier._news))
+                news_at_wait.append(querier.ledger.news)
 
         _querier, wire, frames = drive_querier(
             script, TestDeltaCheckpoints.COUNT_ONLY, clock=FakeClock(),

@@ -227,40 +227,48 @@ class TestExplorer:
         assert result.ok, "\n".join(str(v) for v in result.violations)
 
     @staticmethod
-    def _ledger_mutant(old, new):
-        """A ledger whose ``tick`` is built from the real one's source
-        with ``old`` replaced by ``new``."""
+    def _ledger_mutant(target, old, new):
+        """A subclass of ``target``'s class (``"Class.method"``, in
+        :mod:`repro.replay.recovery`) whose method is built from the real
+        one's source with ``old`` replaced by ``new``."""
         import inspect
         import textwrap
         from repro.replay import recovery
-        from repro.replay.recovery import RecoveryLedger
-        source = textwrap.dedent(inspect.getsource(RecoveryLedger.tick))
+        name, method = target.split(".")
+        cls = getattr(recovery, name)
+        source = textwrap.dedent(inspect.getsource(getattr(cls, method)))
         mutated = source.replace(old, new)
         assert mutated != source
         namespace = {}
         exec(compile(mutated, "<mutant>", "exec"), vars(recovery), namespace)
-        return type("MutantLedger", (RecoveryLedger,),
-                    {"tick": namespace["tick"]})
+        return type(f"Mutant{name}", (cls,), {method: namespace[method]})
 
-    @pytest.mark.parametrize("scenario, old, new, invariant", [
+    @pytest.mark.parametrize("scenario, old, new, invariant, target", [
         # Redelivery that ignores the due instant (records still on
         # their schedule count lost after a quiet spell).
         ("not-yet-due", "due[index] + REDELIVERY_GRACE <= now", "True",
-         "early-redelivery"),
+         "early-redelivery", "RecoveryLedger.tick"),
         # Redelivery that goes on past the deadline.
         ("deadline-crash", "if self.expired:", "if False:",
-         "redelivery-after-deadline"),
+         "redelivery-after-deadline", "RecoveryLedger.tick"),
         # A drain that polls for a route nothing will bring back.
         ("no-respawn", "if not (routable or respawning):", "if False:",
-         "drain-stalled"),
+         "drain-stalled", "RecoveryLedger.tick"),
+        # A tail that settles the whole window with nothing in flight.
+        ("crash-reorder", "in_flight and ", "", "idle-settle",
+         "QuerierLedger.settle"),
+        # News held through a dry queue until the cadence fires.
+        ("crash-reorder", "not queued or ", "", "idle-news",
+         "QuerierLedger.due"),
     ])
     def test_explorer_catches_a_ledger_mutant(self, scenario, old, new,
-                                              invariant):
-        """The explorer runs the production ledger, so reverting any of
-        its fixes inside it is a violation at 2 records — and the real
-        ledger passes the same scenario."""
-        mutant = self._ledger_mutant(old, new)
-        result = explore_recovery(scenario, total=2, ledger=mutant)
+                                              invariant, target):
+        """The explorer runs the production ledgers, so reverting any of
+        their fixes inside them is a violation at 2 records — and the
+        real ledgers pass the same scenario."""
+        mutant = self._ledger_mutant(target, old, new)
+        role = "ledger" if target.startswith("Recovery") else "querier"
+        result = explore_recovery(scenario, total=2, **{role: mutant})
         assert result.exhausted
         assert invariant in {v.invariant for v in result.violations}
         assert explore_recovery(scenario, total=2).ok
