@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..netsim import EventLoop, Host, Network
 from ..perf import PerfCounters
@@ -46,11 +46,12 @@ class ReplayConfig:
     querier: QuerierConfig = field(default_factory=QuerierConfig)
     start_delay: float = 0.5             # settle time before first query
     fast_replay_rate: Optional[float] = None  # cap for track_timing=False
-    # Group records landing on the same (querier, instant) into one
-    # batched send (on by default; a no-op when send times never
-    # coincide).  ``batch_window`` additionally quantizes fast-replay
-    # send times up to the next multiple of the window so bursts *do*
-    # coincide — an explicit opt-in, since it changes send timestamps.
+    # Send every record landing on the same instant from one event,
+    # each client host's datagrams in one batch (on by default; a no-op
+    # when send times never coincide).  ``batch_window`` additionally
+    # quantizes fast-replay send times up to the next multiple of the
+    # window so bursts *do* coincide — an explicit opt-in, since it
+    # changes send timestamps.
     batch_sends: bool = True
     batch_window: Optional[float] = None
     # §2.5: "at lower query rates, we could manipulate a live query
@@ -127,27 +128,33 @@ class SimReplayEngine:
             self.perf.incr("replay.queries_scheduled", scheduler.scheduled)
         return self.result
 
-    def _group_entry(self, querier: SimQuerier, send_at: float, items: List):
-        """One scheduler entry for a run of same-(querier, time) records."""
-        if len(items) == 1:
-            index, record, at = items[0]
-            return (send_at, self._dispatch_send,
-                    (querier, index, record, at))
-        return (send_at, self._dispatch_send_batch, (querier, items))
+    # -- dispatch ---------------------------------------------------------
 
-    # -- failover ---------------------------------------------------------
+    def _dispatch_instant(self, groups: Dict[Host, Dict[SimQuerier, List]]
+                          ) -> None:
+        """Send every record due at one instant: one handoff per host.
 
-    def _dispatch_send_batch(self, querier: SimQuerier, items: List) -> None:
-        """Batched counterpart of :meth:`_dispatch_send`.
-
-        The crash-failover case degrades to per-record dispatch; the
-        normal case hands the whole run to the querier in one call.
+        ``groups`` maps each client host, in first-seen order, to its
+        queriers' items, in first-seen order.  A live host's queriers
+        append their UDP packets to one outbox, which leaves through
+        one ``Host.send_packet_batch``.  Hosts come first so that
+        queriers sending one by one (per-query tracing) put datagrams
+        on the wire in the order the batches do.  A crashed host's
+        records fail over one at a time through :meth:`_dispatch_send`;
+        hosts send one after another, so no other host has packets
+        waiting in an outbox when they do.
         """
-        if querier.host.down:
-            for index, record, send_at in items:
-                self._dispatch_send(querier, index, record, send_at)
-            return
-        querier.send_batch(items)
+        for host, queriers in groups.items():
+            if host.down:
+                for querier, items in queriers.items():
+                    for index, record, send_at in items:
+                        self._dispatch_send(querier, index, record, send_at)
+                continue
+            outbox: List = []
+            for querier, items in queriers.items():
+                querier.send_batch(items, outbox)
+            if outbox:
+                host.send_packet_batch(outbox)
 
     def _dispatch_send(self, querier: SimQuerier, index: int, record,
                        send_at: float) -> None:
@@ -164,6 +171,8 @@ class SimReplayEngine:
             self.result.reassigned_queries += 1
             querier = replacement
         querier.send(index, record, send_at)
+
+    # -- failover ---------------------------------------------------------
 
     def _reassign(self, dead: SimQuerier, source: str) \
             -> Optional[SimQuerier]:
@@ -203,11 +212,12 @@ class SimReplayEngine:
     def _canonicalize(self) -> None:
         """Present ``result.sent`` in trace order.
 
-        Per-querier batching coalesces same-instant sends, so append
-        order within a tied instant depends on how records were chunked
-        into the scheduler.  Sorting by trace index makes the result
-        independent of that artifact — the streamed and in-memory paths
-        then produce literally identical results.
+        Same-instant batching sends an instant's records host by host
+        and querier by querier, so append order within a tied instant
+        depends on how records were grouped and chunked into the
+        scheduler.  Sorting by trace index makes the result independent
+        of that artifact — the streamed and in-memory paths then
+        produce literally identical results.
         """
         if not self.result.aggregate:
             self.result.sent.sort(key=lambda entry: entry.index)
@@ -277,13 +287,14 @@ class _StreamScheduler:
     Owns the cross-record state of the §2.6 timing discipline — the
     time-sync anchor, the running input index, and the same-instant
     batching groups — so records can arrive one at a time.  Records due
-    at the same instant coalesce per querier into one batched-send
-    event.  Send times are nondecreasing, so one open instant
-    (``group_at``) suffices; within it each querier keeps its items in
-    record order, and groups close in first-seen querier order when the
-    instant advances (or at a :meth:`flush`, which may split a group
-    that straddles a stream chunk boundary — per-record semantics are
-    unchanged, the batch merely leaves in two calls).
+    at the same instant close into one event that sends them all
+    (:meth:`SimReplayEngine._dispatch_instant`), grouped by client host
+    and then by querier, each in first-seen order; an instant holding a
+    single record keeps a plain per-record event.  Send times are
+    nondecreasing, so one open instant (``group_at``) suffices.  A
+    :meth:`flush` may split an instant that straddles a stream chunk
+    boundary — per-record semantics are unchanged, the instant merely
+    leaves in two events.
     """
 
     def __init__(self, engine: SimReplayEngine, trace_start: float):
@@ -304,7 +315,8 @@ class _StreamScheduler:
         self.scheduled = 0
         self.batch: List = []
         self.group_at: Optional[float] = None
-        self.groups: dict = {}
+        # The open instant's (querier, index, record, send_at) sends.
+        self.instant: List = []
 
     def send_floor(self, record) -> float:
         """A lower bound on ``record``'s eventual send time.
@@ -343,29 +355,32 @@ class _StreamScheduler:
                 # Quantize *up*: never earlier than unquantized.
                 send_at = math.ceil(send_at / self.window) * self.window
         self.scheduled += 1
+        send = (querier, index, record, send_at)
         if not config.batch_sends:
-            self.batch.append((send_at, engine._dispatch_send,
-                               (querier, index, record, send_at)))
+            self.batch.append((send_at, engine._dispatch_send, send))
             return
         if send_at != self.group_at:
-            self._close_groups()
+            self._close_instant()
             self.group_at = send_at
-        entry = self.groups.get(id(querier))
-        if entry is None:
-            self.groups[id(querier)] = (querier,
-                                        [(index, record, send_at)])
-        else:
-            entry[1].append((index, record, send_at))
+        self.instant.append(send)
 
-    def _close_groups(self) -> None:
-        for grouped, items in self.groups.values():
-            self.batch.append(self.engine._group_entry(grouped,
-                                                       self.group_at, items))
-        self.groups.clear()
+    def _close_instant(self) -> None:
+        instant = self.instant
+        if len(instant) == 1:
+            self.batch.append((self.group_at, self.engine._dispatch_send,
+                               instant[0]))
+        elif instant:
+            groups: Dict[Host, Dict[SimQuerier, List]] = {}
+            for querier, index, record, send_at in instant:
+                groups.setdefault(querier.host, {}).setdefault(
+                    querier, []).append((index, record, send_at))
+            self.batch.append((self.group_at, self.engine._dispatch_instant,
+                               (groups,)))
+        self.instant = []
 
     def flush(self) -> None:
         """Hand everything scheduled so far to the event loop."""
-        self._close_groups()
+        self._close_instant()
         self.group_at = None
         if self.batch:
             self.engine.loop.call_at_many(self.batch)

@@ -224,18 +224,22 @@ class SimQuerier:
                 return
         self._send_now(index, record, scheduled_at)
 
-    def send_batch(self, items: List[Tuple[int, QueryRecord, float]]) -> None:
+    def send_batch(self, items: List[Tuple[int, QueryRecord, float]],
+                   outbox: List[IpPacket]) -> None:
         """Send several records due at the same instant, in order.
 
-        Per-record semantics match :meth:`send` exactly; datagrams for
-        consecutive same-socket records leave through one
-        ``UdpSocket.sendto_batch`` call, amortizing the packet path.
-        Paced or per-query-traced queriers (and singleton batches) fall
-        back to the one-by-one path — pacing reshapes per-query timing
-        and tracing hooks are per-send.
+        Per-record semantics match :meth:`send` exactly.  UDP packets
+        are appended to ``outbox``, the instant's packets of this
+        querier's host, which the caller hands to one
+        ``Host.send_packet_batch`` once every querier due at the
+        instant has added its own.  A record that leaves by another
+        path — a TCP/TLS record, or any record of a paced or
+        per-query-traced querier (pacing reshapes per-query timing and
+        tracing hooks are per-send) — first flushes the outbox, so the
+        host's packets keep record order.
         """
-        if (self._pacer is not None or self.telemetry is not None
-                or len(items) == 1):
+        if self._pacer is not None or self.telemetry is not None:
+            self._flush(outbox)
             for index, record, scheduled_at in items:
                 self.send(index, record, scheduled_at)
             return
@@ -245,11 +249,6 @@ class SimQuerier:
         result = self.result
         querier_id = self.querier_id
         udp_pending = self._udp_pending
-        # UDP packets accumulate across *all* this querier's sockets
-        # (they share the host) and leave through one
-        # ``Host.send_packet_batch`` — the batch survives the per-source
-        # socket model instead of degenerating into runs of one.
-        packets: List[IpPacket] = []
         for index, record, scheduled_at in items:
             entry = SentQuery(
                 index=index, source=record.src, trace_time=record.timestamp,
@@ -259,9 +258,7 @@ class SimQuerier:
             result.add(entry)
             self.queries_sent += 1
             if record.protocol != "udp":
-                if packets:
-                    self.host.send_packet_batch(packets)
-                    packets = []
+                self._flush(outbox)
                 self._send_stream(record, entry)
                 continue
             sock = self._udp_sockets.get(record.src)
@@ -275,15 +272,18 @@ class SimQuerier:
             udp_pending.setdefault(key, []).append(pending)
             self._udp_answered.discard(key)
             segment = UdpSegment(sock.port, record.dport, wire)
-            packets.append(IpPacket(
+            outbox.append(IpPacket(
                 sock.address, record.dst, segment,
                 packet_checksum(sock.address, record.dst, segment)))
             if policy is not None:
                 pending.timer = loop.call_later(
                     policy.timeout_for(0), self._udp_timeout_fire, key,
                     pending)
-        if packets:
-            self.host.send_packet_batch(packets)
+
+    def _flush(self, outbox: List[IpPacket]) -> None:
+        if outbox:
+            self.host.send_packet_batch(outbox)
+            outbox.clear()
 
     def _send_now(self, index: int, record: QueryRecord,
                   scheduled_at: float) -> None:

@@ -8,7 +8,8 @@ from repro.replay import (QuerierConfig, ReplayConfig, SimReplayEngine,
 from repro.server import AuthoritativeServer, HostedDnsServer, \
     TransportConfig
 from repro.trace import (BRootWorkload, QueryMutator, all_protocol,
-                         fixed_interval_trace, make_root_zone, retarget)
+                         fixed_interval_trace, make_root_zone, retarget,
+                         table1_synthetic)
 from repro.experiments import build_evaluation_topology
 from repro.experiments.fig6_timing import wildcard_example_zone
 
@@ -129,6 +130,22 @@ class TestFastReplay:
         span = (max(q.sent_at for q in result.sent)
                 - min(q.sent_at for q in result.sent))
         assert span < 1.0  # 60 s of trace replayed in well under a second
+
+    def test_one_event_per_send_instant(self):
+        # A batched fast replay costs one send event per instant, and
+        # one delivery to the server and one back per client host.
+        testbed, _server = deploy()
+        engine = SimReplayEngine(
+            testbed.network,
+            ReplayConfig(track_timing=False, fast_replay_rate=50000.0,
+                         batch_window=2.5e-4))
+        trace = table1_synthetic("syn-1", duration=30.0,
+                                 server=testbed.server_address)
+        result = engine.replay(trace)
+        assert result.answered_fraction() == 1.0
+        instants = len({entry.sent_at for entry in result.sent})
+        assert engine.loop.events_processed \
+            <= instants * (1 + 2 * len(engine.client_hosts))
 
 
 class TestResultAnalysis:

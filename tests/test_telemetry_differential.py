@@ -30,7 +30,7 @@ FULL_ON = TelemetryConfig(trace=True, metrics=True, timeseries_period=2.0)
 
 
 def run_syn1(telemetry=None, faults=False, batch_window=None,
-             batch_sends=True):
+             batch_sends=True, rate=50000.0, crash_at=None):
     """One fast syn-1 replay; returns (result, server response wires)."""
     testbed = build_evaluation_topology()
     server = AuthoritativeServer.single_view([wildcard_example_zone()])
@@ -48,9 +48,13 @@ def run_syn1(telemetry=None, faults=False, batch_window=None,
             FaultSpec("loss", start=0.0, duration=120.0, rate=0.3)]),
             seed=7)
         retry = RetryPolicy(udp_timeout=0.5, max_retries=4)
+    if crash_at is not None:
+        FaultInjector(testbed.network, FaultPlan([
+            FaultSpec("crash", start=crash_at, duration=60.0,
+                      host="client-1")]))
     engine = SimReplayEngine(
         testbed.network,
-        ReplayConfig(track_timing=False, fast_replay_rate=50000.0,
+        ReplayConfig(track_timing=False, fast_replay_rate=rate,
                      batch_window=batch_window, batch_sends=batch_sends,
                      querier=QuerierConfig(retry=retry)),
         telemetry=telemetry)
@@ -105,18 +109,30 @@ class TestTelemetryIsInert:
                                       batch_window=window)
                ).check(False)
 
-    def test_batched_sends_change_nothing(self):
+    @pytest.mark.parametrize("rate, crash_at", [
+        (50000.0, None),
+        # ≈ 43 records per send instant, the density sim-hot runs at.
+        (200000.0, None),
+        # client-1 goes down 3 ms into the 6 ms of sends: its queriers'
+        # later records fail over to client-2's.
+        (50000.0, 0.503),
+    ], ids=["50k", "200k", "crash"])
+    def test_batched_sends_change_nothing(self, rate, crash_at):
         # The batch path itself is inert: identical windows, batching
         # on vs off, every query sees the same bytes at the same times.
-        # Grouping sends per querier may rotate the order *within* one
-        # simulated instant (simultaneous events have no defined order),
-        # so the comparison keys facts by query index and wires as a
-        # multiset rather than by emission order.
+        # One event sends an instant's records host by host, so the
+        # order of datagrams *within* one simulated instant may move
+        # (simultaneous events have no defined order): the comparison
+        # keys facts by query index and wires as a multiset rather than
+        # by emission order.
         window = 2.5e-4
         runs = {}
         for batch_sends in (False, True):
             result, wires = run_syn1(batch_window=window,
-                                     batch_sends=batch_sends)
+                                     batch_sends=batch_sends, rate=rate,
+                                     crash_at=crash_at)
+            if crash_at is not None:
+                assert result.reassigned_queries > 0
             facts = result_facts(result)
             facts["sent"] = sorted(facts["sent"])
             runs[batch_sends] = (sorted(bytes(w) for w in wires), facts)
