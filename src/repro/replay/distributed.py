@@ -29,9 +29,11 @@ from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..dns import RRClass, WireError
-from ..trace.binfmt import (RECORD_SOURCE, RECORD_TIME_AND_WIRE_LENGTH,
-                            WIRE_OFFSET, iter_record_bodies, record_head,
-                            record_source, unpack_record_body)
+from ..trace.binfmt import (RECORD_PROTOCOL_OFFSET, RECORD_SOURCE,
+                            RECORD_TIME_AND_WIRE_LENGTH, WIRE_OFFSET,
+                            iter_record_bodies, record_head, record_source,
+                            unpack_record_body)
+from ..trace.record import PROTOCOLS
 from .distributor import StickyAssigner
 from .live import grow_receive_buffer
 from .protocol import (MSG_END, MSG_RECORD, MSG_SHUTDOWN, MSG_TIME_SYNC,
@@ -415,7 +417,11 @@ class _LiveQuerier:
         queue, shed = self._queue, self.shed_event.is_set
         now = time.monotonic()
         while queue and queue[0][0] <= now and not shed():
-            target = queue[0][0]
+            target, _seq, body, index = queue[0]
+            if body[RECORD_PROTOCOL_OFFSET]:
+                heapq.heappop(queue)
+                self._refuse(body, target, index)
+                continue
             if now - target <= _CATCHUP_OVERDUE:
                 self._ahead = 0
             elif self._ahead >= _CATCHUP_WINDOW:
@@ -424,7 +430,7 @@ class _LiveQuerier:
                 continue
             else:
                 self._ahead += 1
-            _target, _seq, body, index = heapq.heappop(queue)
+            heapq.heappop(queue)
             now = self._send(body, target, index)
             if self._unread >= _READ_EVERY:
                 self._drain_responses()
@@ -443,6 +449,23 @@ class _LiveQuerier:
         if self._ahead >= _CATCHUP_WINDOW:
             self._ahead = 0
             self.catchup_forgiven += 1
+
+    def _refuse(self, body: bytes, scheduled_at: float, index: int) -> None:
+        """A TCP or TLS record: this querier speaks UDP only, so the
+        record is not sent, and says so.  It counts as a send failure;
+        in list mode its entry, under its own protocol, gave up, so the
+        controller's store accounts for its index."""
+        self.result.send_failures += 1
+        if self.result.aggregate:
+            return
+        entry = self.ledger.sent(
+            index, record_source(body),
+            RECORD_TIME_AND_WIRE_LENGTH.unpack_from(body)[0], scheduled_at,
+            time.monotonic(), PROTOCOLS[body[RECORD_PROTOCOL_OFFSET]],
+            _parsed_qname(body), self.querier_id)
+        entry.gave_up = True
+        with self.lock:
+            self.result.add(entry)
 
     def _send(self, body: bytes, scheduled_at: float, index: int) -> float:
         """Put one query on the wire; returns the instant it left."""

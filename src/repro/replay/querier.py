@@ -233,52 +233,22 @@ class SimQuerier:
         querier's host, which the caller hands to one
         ``Host.send_packet_batch`` once every querier due at the
         instant has added its own.  A record that leaves by another
-        path — a TCP/TLS record, or any record of a paced or
-        per-query-traced querier (pacing reshapes per-query timing and
-        tracing hooks are per-send) — first flushes the outbox, so the
-        host's packets keep record order.
+        path — a TCP/TLS record, or any record of a paced querier
+        (pacing reshapes per-query timing) — first flushes the outbox,
+        so the host's packets keep record order.
         """
-        if self._pacer is not None or self.telemetry is not None:
+        if self._pacer is not None:
             self._flush(outbox)
             for index, record, scheduled_at in items:
                 self.send(index, record, scheduled_at)
             return
-        loop = self.loop
-        now = loop.now
-        policy = self.config.retry
-        result = self.result
-        querier_id = self.querier_id
-        udp_pending = self._udp_pending
         for index, record, scheduled_at in items:
-            entry = SentQuery(
-                index=index, source=record.src, trace_time=record.timestamp,
-                scheduled_at=scheduled_at, sent_at=now,
-                protocol=record.protocol, qname=self._qname(record),
-                querier_id=querier_id)
-            result.add(entry)
-            self.queries_sent += 1
-            if record.protocol != "udp":
+            entry = self._book(index, record, scheduled_at)
+            if record.protocol == "udp":
+                self._send_udp(record, entry, outbox)
+            else:
                 self._flush(outbox)
                 self._send_stream(record, entry)
-                continue
-            sock = self._udp_sockets.get(record.src)
-            if sock is None:
-                sock = self.host.bind_udp(self.host.primary_address, 0,
-                                          self._on_udp_response)
-                self._udp_sockets[record.src] = sock
-            wire = record.wire
-            key = (sock.port, (wire[0] << 8) | wire[1])
-            pending = _PendingUdp(entry, record, sock)
-            udp_pending.setdefault(key, []).append(pending)
-            self._udp_answered.discard(key)
-            segment = UdpSegment(sock.port, record.dport, wire)
-            outbox.append(IpPacket(
-                sock.address, record.dst, segment,
-                packet_checksum(sock.address, record.dst, segment)))
-            if policy is not None:
-                pending.timer = loop.call_later(
-                    policy.timeout_for(0), self._udp_timeout_fire, key,
-                    pending)
 
     def _flush(self, outbox: List[IpPacket]) -> None:
         if outbox:
@@ -287,6 +257,15 @@ class SimQuerier:
 
     def _send_now(self, index: int, record: QueryRecord,
                   scheduled_at: float) -> None:
+        entry = self._book(index, record, scheduled_at)
+        if record.protocol == "udp":
+            self._send_udp(record, entry)
+        else:
+            self._send_stream(record, entry)
+
+    def _book(self, index: int, record: QueryRecord,
+              scheduled_at: float) -> SentQuery:
+        """File one send, at this instant, in the result and the hub."""
         entry = SentQuery(
             index=index, source=record.src, trace_time=record.timestamp,
             scheduled_at=scheduled_at, sent_at=self.loop.now,
@@ -296,10 +275,7 @@ class SimQuerier:
         self.queries_sent += 1
         if self.telemetry is not None:
             self.telemetry.on_send(entry, record.wire)
-        if record.protocol == "udp":
-            self._send_udp(record, entry)
-        else:
-            self._send_stream(record, entry)
+        return entry
 
     # -- overload cooperation ------------------------------------------------
 
@@ -339,18 +315,27 @@ class SimQuerier:
 
     # -- UDP with timeout/retry ---------------------------------------------
 
-    def _send_udp(self, record: QueryRecord, entry: SentQuery) -> None:
+    def _send_udp(self, record: QueryRecord, entry: SentQuery,
+                  outbox: Optional[List[IpPacket]] = None) -> None:
+        """Send one UDP query: through ``sendto``, or onto ``outbox``
+        for the caller's batch handoff."""
         sock = self._udp_sockets.get(record.src)
         if sock is None:
             sock = self.host.bind_udp(self.host.primary_address, 0,
                                       self._on_udp_response)
             self._udp_sockets[record.src] = sock
-        message_id = int.from_bytes(record.wire[:2], "big")
-        key = (sock.port, message_id)
+        wire = record.wire
+        key = (sock.port, (wire[0] << 8) | wire[1])
         pending = _PendingUdp(entry, record, sock)
         self._udp_pending.setdefault(key, []).append(pending)
         self._udp_answered.discard(key)
-        sock.sendto(record.wire, record.dst, record.dport)
+        if outbox is None:
+            sock.sendto(wire, record.dst, record.dport)
+        else:
+            segment = UdpSegment(sock.port, record.dport, wire)
+            outbox.append(IpPacket(
+                sock.address, record.dst, segment,
+                packet_checksum(sock.address, record.dst, segment)))
         policy = self.config.retry
         if policy is not None:
             pending.timer = self.loop.call_later(

@@ -324,10 +324,6 @@ class CheckpointStore:
             out.append(snapshot)
         return out
 
-    def sent_indices(self) -> Set[int]:
-        """Global trace indices with at least one recorded send."""
-        return set(self._sent)
-
     def answered_indices(self) -> Set[int]:
         """Global trace indices with at least one recorded answer."""
         return self._sent - self._unanswered

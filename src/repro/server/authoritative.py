@@ -419,7 +419,7 @@ class AuthoritativeServer:
                 transport)
         if wire is not None:
             if self.telemetry is not None:
-                self.telemetry.server_event(query, "server.cache_hit")
+                self.telemetry.server_event(wire, "server.cache_hit")
             return wire
 
         cache.misses += 1
@@ -459,7 +459,7 @@ class AuthoritativeServer:
                 self.perf.incr("server.wire_cache_invalidations",
                                invalidated)
         if self.telemetry is not None:
-            self.telemetry.server_event(query, "server.cache_miss")
+            self.telemetry.server_event(wire, "server.cache_miss")
         return wire
 
     def _book_hit(self, entry: WireCacheEntry, transport: str,

@@ -44,6 +44,10 @@ class TransportConfig:
     max_stream_buffer: Optional[int] = None
 
 
+# The batch cell of a datagram served alone: no batch is ever open.
+_UNBATCHED = [None]
+
+
 class HostedDnsServer:
     """A DNS engine attached to a host's port 53 (and 853 for TLS)."""
 
@@ -108,12 +112,12 @@ class HostedDnsServer:
         self._decodes_counter = perf.counter("hosting.decodes")
         self._responses_counter = perf.counter("hosting.responses_sent")
         self._responses_by_transport: Dict[str, object] = {}
-        # Decode-free zero-copy serving: only when nothing needs the
-        # decoded Message — no admission control, no per-query telemetry
-        # — and the engine can answer straight off the query wire.
-        self._fast_serve = (
-            getattr(engine, "serve_wire_fast", None)
-            if self.overload is None and self.telemetry is None else None)
+        # Decode-free zero-copy serving whenever the engine can answer
+        # straight off the query wire and no admission control needs the
+        # decoded Message.  Telemetry keys its hooks on wire bytes, so a
+        # traced server takes this path too.
+        self._fast_serve = (getattr(engine, "serve_wire_fast", None)
+                            if self.overload is None else None)
         self._start()
 
     # -- sampler probes --------------------------------------------------
@@ -149,72 +153,86 @@ class HostedDnsServer:
     # -- UDP --------------------------------------------------------------
 
     def _on_udp(self, sock, data: bytes, src: str, sport: int) -> None:
-        fast = self._fast_serve
-        if fast is not None:
-            wire = fast(data, src, "udp")
-            if wire is not None:
-                self._queries_counter.add()
-                self.resources.cpu.charge("udp_query")
-                self._responses_counter.add()
-                self._transport_counter("udp").add()
-                sock.sendto(wire, src, sport)
-                return
-        # CPU is charged in _serve, once the admission verdict is known:
-        # a query shed at the door costs udp_shed, not the full path.
-        self._serve(data, src, "udp",
-                    lambda wire: sock.sendto(wire, src, sport))
+        if self._serve_udp(sock, data, src, sport, _UNBATCHED):
+            self._book_fast_hits(1)
 
     def _on_udp_batch(self, sock, datagrams) -> None:
         """Serve a delivered datagram batch; respond through one batch send.
 
-        Per-datagram semantics match :meth:`_on_udp` exactly (same
-        verdicts, same response bytes, same send order); responses
-        produced synchronously are accumulated and leave through
-        ``sendto_batch`` so a burst of cache hits costs one trip down
-        the send path.  A response that arrives *after* the flush (an
-        async engine resolving later) falls back to its own ``sendto``.
+        Each datagram is served as :meth:`_on_udp` serves it (same
+        verdicts, same response bytes, same send order); the answers
+        produced synchronously leave through one ``sendto_batch``, so a
+        burst of cache hits costs one trip down the send path.
         """
-        fast = self._fast_serve
-        out = []
-        flushed = [False]
+        batch = [[]]
         fast_hits = 0
         for data, src, sport in datagrams:
             if sock.closed:
                 break
-            if fast is not None:
-                wire = fast(data, src, "udp")
-                if wire is not None:
-                    fast_hits += 1
-                    out.append((wire, src, sport))
-                    continue
-
-            def send(wire, src=src, sport=sport):
-                if flushed[0]:
-                    sock.sendto(wire, src, sport)
-                else:
-                    out.append((wire, src, sport))
-
-            self._serve(data, src, "udp", send)
+            fast_hits += self._serve_udp(sock, data, src, sport, batch)
         if fast_hits:
-            self._queries_counter.add(fast_hits)
-            self.resources.cpu.charge("udp_query", fast_hits)
-            self._responses_counter.add(fast_hits)
-            self._transport_counter("udp").add(fast_hits)
-        flushed[0] = True
+            self._book_fast_hits(fast_hits)
+        out, batch[0] = batch[0], None
         if out and not sock.closed:
             sock.sendto_batch(out)
+
+    def _serve_udp(self, sock, data: bytes, src: str, sport: int,
+                   batch: list) -> bool:
+        """Serve one datagram; True when the zero-copy path answered it.
+
+        The answer joins the open batch ``batch[0]``, or leaves through
+        ``sendto`` when none is open: a lone datagram, or an answer an
+        async engine produces after its batch was flushed.
+        """
+        def send(wire):
+            out = batch[0]
+            if out is None:
+                sock.sendto(wire, src, sport)
+            else:
+                out.append((wire, src, sport))
+
+        fast = self._fast_serve
+        if fast is not None:
+            wire = fast(data, src, "udp")
+            if wire is not None:
+                telemetry = self.telemetry
+                if telemetry is not None:
+                    # What the decode path reports for a cache hit.
+                    telemetry.server_event(data, "server.recv",
+                                           transport="udp")
+                    telemetry.server_event(data, "server.cache_hit")
+                    telemetry.on_server_response(data, wire, "udp")
+                send(wire)
+                return True
+        # CPU is charged in _serve, once the admission verdict is known:
+        # a query shed at the door costs udp_shed, not the full path.
+        self._serve(data, src, "udp", send)
+        return False
+
+    def _book_fast_hits(self, count: int) -> None:
+        self._queries_counter.add(count)
+        self.resources.cpu.charge("udp_query", count)
+        self._responses_counter.add(count)
+        self._transport_counter("udp").add(count)
 
     # -- TCP --------------------------------------------------------------
 
     def _on_tcp_accept(self, conn: TcpConnection) -> None:
         self.resources.cpu.charge("tcp_handshake")
+        conn.on_data = self._stream_reader(conn, "tcp", conn.send)
+        conn.on_close = lambda cn: cn.close()
+
+    def _stream_reader(self, conn: TcpConnection, transport: str,
+                       write: Callable[[bytes], None]):
+        """The ``on_data`` handler of one TCP or TLS stream: frame the
+        queries, police pipelining, serve each, ``write`` the answers."""
         framer = StreamFramer(max_buffered=self.config.max_stream_buffer)
         outstanding = [0]  # queries received but not yet responded to
 
-        def send_response(cn: TcpConnection, wire: bytes) -> None:
+        def send_response(wire: bytes) -> None:
             outstanding[0] -= 1
             try:
-                cn.send(frame_message(wire))
+                write(frame_message(wire))
             except NetworkError:
                 # The idle timer closed this connection while the query
                 # was in flight; a real server's write fails the same
@@ -222,27 +240,27 @@ class HostedDnsServer:
                 self.responses_dropped_on_closed += 1
                 self.perf.incr("hosting.responses_dropped_on_closed")
 
-        def on_data(cn: TcpConnection, data: bytes) -> None:
-            self.resources.cpu.charge("tcp_segment")
+        def on_data(_endpoint, data: bytes) -> None:
+            if transport == "tcp":
+                self.resources.cpu.charge("tcp_segment")
             try:
                 queries = framer.feed(data)
             except FramingError:
-                self._abort_stream(cn, "hosting.stream_overflows")
+                self._abort_stream(conn, "hosting.stream_overflows")
                 return
             for wire_query in queries:
                 self.resources.cpu.charge("tcp_query")
-                if self._serve_axfr(wire_query, cn):
+                if transport == "tcp" and self._serve_axfr(wire_query, conn):
                     continue
                 limit = self.config.max_pipelined
                 if limit is not None and outstanding[0] >= limit:
-                    self._abort_stream(cn, "hosting.pipeline_aborts")
+                    self._abort_stream(conn, "hosting.pipeline_aborts")
                     return
                 outstanding[0] += 1
-                self._serve(wire_query, cn.remote_addr, "tcp",
-                            lambda wire, cn=cn: send_response(cn, wire))
+                self._serve(wire_query, conn.remote_addr, transport,
+                            send_response)
 
-        conn.on_data = on_data
-        conn.on_close = lambda cn: cn.close()
+        return on_data
 
     def _abort_stream(self, conn: TcpConnection, counter: str) -> None:
         """Push back on an abusive stream with RST instead of queueing."""
@@ -260,35 +278,9 @@ class HostedDnsServer:
         endpoint = TlsEndpoint(conn, "server",
                                crypto_hook=self._charge_crypto)
         self._tls_endpoints[conn] = endpoint
-        framer = StreamFramer(max_buffered=self.config.max_stream_buffer)
-        outstanding = [0]
 
         def on_established(_ep: TlsEndpoint) -> None:
             self.resources.tls_sessions += 1
-
-        def send_response(ep: TlsEndpoint, wire: bytes) -> None:
-            outstanding[0] -= 1
-            try:
-                ep.send(frame_message(wire))
-            except NetworkError:
-                self.responses_dropped_on_closed += 1
-                self.perf.incr("hosting.responses_dropped_on_closed")
-
-        def on_data(ep: TlsEndpoint, data: bytes) -> None:
-            try:
-                queries = framer.feed(data)
-            except FramingError:
-                self._abort_stream(conn, "hosting.stream_overflows")
-                return
-            for wire_query in queries:
-                self.resources.cpu.charge("tcp_query")
-                limit = self.config.max_pipelined
-                if limit is not None and outstanding[0] >= limit:
-                    self._abort_stream(conn, "hosting.pipeline_aborts")
-                    return
-                outstanding[0] += 1
-                self._serve(wire_query, conn.remote_addr, "tls",
-                            lambda wire, ep=ep: send_response(ep, wire))
 
         def on_close(ep: TlsEndpoint) -> None:
             if self._tls_endpoints.pop(conn, None) is not None \
@@ -296,7 +288,7 @@ class HostedDnsServer:
                 self.resources.tls_sessions -= 1
 
         endpoint.on_established = on_established
-        endpoint.on_data = on_data
+        endpoint.on_data = self._stream_reader(conn, "tls", endpoint.send)
         endpoint.on_close = on_close
         conn.on_close = lambda cn: (on_close(endpoint), cn.close())
 
@@ -358,7 +350,7 @@ class HostedDnsServer:
         self._decodes_counter.add()
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.server_event(query, "server.recv",
+            telemetry.server_event(wire_query, "server.recv",
                                    transport=transport)
 
         if self.overload is None:
@@ -381,13 +373,13 @@ class HostedDnsServer:
         def on_drop() -> None:
             charge_shed()
             if telemetry is not None:
-                telemetry.server_event(query, "server.drop")
+                telemetry.server_event(wire_query, "server.drop")
 
         def shed() -> None:
             # Tell the client the truth (SERVFAIL) instead of a timeout.
             charge_shed()
             if telemetry is not None:
-                telemetry.server_event(query, "server.shed")
+                telemetry.server_event(wire_query, "server.shed")
             shed_wire = getattr(self.engine, "shed_response", None)
             wire = (shed_wire(query, transport) if shed_wire is not None
                     else minimal_wire(query, rcode=Rcode.SERVFAIL))
@@ -441,5 +433,5 @@ class HostedDnsServer:
         self._responses_counter.add()
         self._transport_counter(transport).add()
         if self.telemetry is not None:
-            self.telemetry.on_server_response(query, wire, transport)
+            self.telemetry.on_server_response(wire, wire, transport)
         send(wire)

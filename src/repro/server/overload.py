@@ -404,7 +404,7 @@ class OverloadControl:
                                   self.loop.now)
         if self.telemetry is not None \
                 and verdict != ResponseRateLimiter.ALLOW:
-            self.telemetry.server_event(query, f"server.rrl_{verdict}")
+            self.telemetry.server_event(wire, f"server.rrl_{verdict}")
         if verdict == ResponseRateLimiter.DROP:
             return None
         if verdict == ResponseRateLimiter.SLIP:

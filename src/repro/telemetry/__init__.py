@@ -36,8 +36,7 @@ from .export import (chrome_trace, histograms_dict, timeseries_csv,
 from .metrics import Histogram, MetricsRegistry
 from .timeseries import (ResourceTimeline, TimeSeriesSampler,
                          WallClockSampler)
-from .tracing import (QueryTracer, TelemetryConfig, message_key,
-                      wire_question_key)
+from .tracing import QueryTracer, TelemetryConfig, wire_question_key
 
 __all__ = [
     "Telemetry",
@@ -53,7 +52,6 @@ __all__ = [
     "TimeSeriesSampler",
     "WallClockSampler",
     "ResourceTimeline",
-    "message_key",
     "wire_question_key",
     "chrome_trace",
     "write_chrome_trace",

@@ -8,7 +8,7 @@ authoritative engine).  Each layer calls the hook matching what it just
 did; the hub routes the observation to the tracer, the histogram
 registry, or both, depending on what the config enabled.
 
-Two invariants the differential tests rely on:
+Three invariants the differential tests rely on:
 
 * **observation only** — no hook ever schedules work, mutates a packet,
   or feeds a decision back into the pipeline, so a traced replay is
@@ -16,7 +16,12 @@ Two invariants the differential tests rely on:
 * **zero cost when off** — with the default config no hub is attached
   anywhere (every call site is behind an ``is not None`` check), and
   layers that do hold a hub skip per-query hooks unless tracing or
-  metrics was explicitly enabled.
+  metrics was explicitly enabled;
+* **one path** — a hub changes what is recorded, never which code runs:
+  the hooks key on wire bytes, so a traced server answers from the
+  zero-copy fast path and a traced querier sends through the batch
+  path.  Overload admission (it needs a decoded query) and pacing are
+  the only things that pick a path, with or without a hub.
 
 The hub reads time from the sim event loop once attached
 (:meth:`attach_loop`) and from the wall clock otherwise, so the same
@@ -30,8 +35,7 @@ from typing import Callable, Optional
 
 from .metrics import MetricsRegistry
 from .timeseries import TimeSeriesSampler, WallClockSampler
-from .tracing import (QueryTracer, TelemetryConfig, message_key,
-                      wire_question_key)
+from .tracing import QueryTracer, TelemetryConfig, wire_question_key
 
 
 class Telemetry:
@@ -168,23 +172,29 @@ class Telemetry:
 
     # -- server-side hooks -------------------------------------------------
 
-    def server_event(self, query, name: str, **args) -> None:
-        """An admission/RRL/cache decision for a decoded query message."""
+    def server_event(self, wire, name: str, **args) -> None:
+        """An admission/RRL/cache decision for one query.
+
+        ``wire`` is the query's wire, or its response's, which carries
+        the same ID and question: the hook keys on bytes, so a server
+        that never decodes the query reports it the same way.
+        """
         tracer = self.tracer
         if tracer is not None:
-            qid = tracer.qid_for(message_key(query))
+            qid = tracer.qid_for(wire_question_key(wire))
             if qid is not None:
                 tracer.instant(self.now(), qid, name, "server", **args)
         if self.config.metrics:
             self.metrics.incr(f"telemetry.{name}")
 
-    def on_server_response(self, query, wire: bytes,
-                           transport: str) -> None:
+    def on_server_response(self, key_wire, wire, transport: str) -> None:
+        """The server sent ``wire``; ``key_wire`` is the query's wire,
+        or ``wire`` itself, as for :meth:`server_event`."""
         if self.config.metrics:
             self.metrics.observe("server.response_bytes", float(len(wire)))
         tracer = self.tracer
         if tracer is not None:
-            qid = tracer.qid_for(message_key(query))
+            qid = tracer.qid_for(wire_question_key(key_wire))
             if qid is not None:
                 tracer.instant(self.now(), qid, "server.respond", "server",
                                bytes=len(wire), transport=transport)

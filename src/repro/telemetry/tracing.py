@@ -68,15 +68,6 @@ TraceEvent = Tuple[float, str, Optional[int], str, str, Optional[dict]]
 QueryKey = Tuple[int, bytes, int]
 
 
-def message_key(message) -> Optional[QueryKey]:
-    """The correlation key of a decoded :class:`repro.dns.Message`."""
-    if not message.question:
-        return None
-    question = message.question[0]
-    return (message.msg_id, question.name.to_wire().lower(),
-            int(question.rrtype))
-
-
 def wire_question_key(wire: bytes) -> Optional[QueryKey]:
     """The correlation key straight from wire bytes, without a Message.
 

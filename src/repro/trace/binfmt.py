@@ -65,6 +65,8 @@ WIRE_OFFSET = _RECORD_FIXED.size
 RECORD_TIME_AND_WIRE_LENGTH = struct.Struct("!d14xH")
 # The packed source of an accepted body, for a tier that routes it.
 RECORD_SOURCE = struct.Struct("!8xI")
+# Where an accepted body's protocol index (into PROTOCOLS) sits.
+RECORD_PROTOCOL_OFFSET = struct.calcsize("!dIHIH")
 
 # Records the writer buffers before flushing one chunk.  4096 records
 # at ~60 bytes each keeps chunks around 256 KB: big enough that the

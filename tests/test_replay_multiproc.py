@@ -1,5 +1,6 @@
 """Tests for the live replay tree (repro.replay.multiproc)."""
 
+import dataclasses
 import os
 import signal
 import threading
@@ -200,6 +201,32 @@ class TestProcessTopology:
                                "merge", "teardown"}
         assert all(seconds > 0.0 for seconds in phases.values())
         assert sum(phases.values()) <= wall
+
+    def test_non_udp_record_is_refused_not_sent_as_udp(self):
+        """A live querier speaks UDP only, so a TCP record is refused
+        at its due time instead of leaving as a UDP datagram: it is a
+        send failure, and its entry, under its own protocol, gave up.
+        The store then accounts for its index: nothing is redelivered."""
+        trace = fixed_interval_trace(0.005, 0.1, client_count=4,
+                                     name="mp-tcp")
+        tcp_at = 7
+        trace.records[tcp_at] = dataclasses.replace(
+            trace.records[tcp_at], protocol="tcp")
+        with LiveUdpEchoServer() as server:
+            topology = ProcessTopology(
+                (server.address, server.port),
+                process_config(distributors=1, queriers_per_distributor=1))
+            result = topology.replay(trace)
+            echoed = server.responses_sent
+        udp = [q for q in result.sent if q.protocol == "udp"]
+        [tcp] = [q for q in result.sent if q.protocol != "udp"]
+        assert len(udp) == len(trace) - 1
+        assert all(q.answered_at is not None for q in udp)
+        assert (tcp.index, tcp.protocol, tcp.gave_up) == (tcp_at, "tcp", True)
+        assert tcp.answered_at is None
+        assert result.send_failures == 1
+        assert result.redelivered_records == 0
+        assert echoed == len(udp)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")

@@ -73,7 +73,7 @@ class TestCheckpointStore:
         assert not store.offer("w0", 0, 2, _result_dict(0, [0, 1]))
         assert store.frames_offered == 3
         assert store.frames_stale == 1
-        assert store.sent_indices() == {0, 1, 2}
+        assert store.progress()[0] == 3 and store.missing(3) == []
 
     def test_deltas_accumulate_under_the_latest_header(self):
         """Delta frames: disjoint entries add up; the header (counters)
@@ -141,7 +141,7 @@ class TestCheckpointStore:
             assert store.covers(offered)
         for entries in store._entries.values():
             entries.clear()     # any rescan would now come up empty
-        assert len(store.sent_indices()) == 1000
+        assert store.progress()[0] == 1000
         assert store.covers(1000) and store.missing(1001) == [1000]
         assert store.progress() == (1000, 0)
         assert store.entries_offered == 1000
@@ -167,7 +167,7 @@ class TestCheckpointStore:
                                                   counters={"retries": 100}))
         (snapshot,) = store.snapshots()
         assert snapshot["counters"] == {"retries": 1}
-        assert store.sent_indices() == {0, 1}
+        assert store.progress()[0] == 2 and store.missing(2) == []
 
     def test_incarnations_are_tracked_separately(self):
         store = CheckpointStore()
@@ -175,13 +175,13 @@ class TestCheckpointStore:
         store.offer("w0", 1, 1, _result_dict(0, [2]))
         assert [snapshot["sent"]["index"]
                 for snapshot in store.snapshots()] == [[0, 1], [2]]
-        assert store.sent_indices() == {0, 1, 2}
+        assert store.progress()[0] == 3 and store.missing(3) == []
 
     def test_answered_indices_filter(self):
         store = CheckpointStore()
         store.offer("w0", 0, 1, _result_dict(0, [0, 1], answered=False))
         store.offer("w1", 0, 1, _result_dict(1, [2]))
-        assert store.sent_indices() == {0, 1, 2}
+        assert store.progress()[0] == 3 and store.missing(3) == []
         assert store.answered_indices() == {2}
         assert [snapshot["sent"]["index"]
                 for snapshot in store.snapshots()] == [[0, 1], [2]]

@@ -15,9 +15,19 @@ from repro.perf import PerfCounters
 from repro.replay import ReplayResult
 from repro.telemetry import (Histogram, MetricsRegistry, QueryTracer,
                              ResourceTimeline, Telemetry, TelemetryConfig,
-                             TimeSeriesSampler, chrome_trace, message_key,
-                             timeseries_csv, wire_question_key)
+                             TimeSeriesSampler, chrome_trace, timeseries_csv,
+                             wire_question_key)
 from repro.trace import percentile, quartile_summary
+
+
+def message_key(message):
+    """The correlation key of a decoded Message: the reference that
+    :func:`wire_question_key` must match on the message's wire."""
+    if not message.question:
+        return None
+    question = message.question[0]
+    return (message.msg_id, question.name.to_wire().lower(),
+            int(question.rrtype))
 
 
 class TestHistogram:

@@ -9,6 +9,7 @@ a Chrome-loadable timeline, and latency quantiles within one histogram
 bucket of the exact per-query percentiles.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -21,7 +22,8 @@ from repro.replay import (DistributedConfig, ProcessTopology, QuerierConfig,
                           UdpEchoServerProcess)
 from repro.server import AuthoritativeServer, HostedDnsServer
 from repro.telemetry import Telemetry, TelemetryConfig, chrome_trace
-from repro.trace import fixed_interval_trace, percentile, table1_synthetic
+from repro.trace import (Trace, fixed_interval_trace, percentile,
+                         table1_synthetic)
 from repro.verify import Observation, Oracle
 
 QUERY_COUNT = 300  # syn-1 at 0.1 s intervals for 30 s
@@ -30,11 +32,15 @@ FULL_ON = TelemetryConfig(trace=True, metrics=True, timeseries_period=2.0)
 
 
 def run_syn1(telemetry=None, faults=False, batch_window=None,
-             batch_sends=True, rate=50000.0, crash_at=None):
-    """One fast syn-1 replay; returns (result, server response wires)."""
+             batch_sends=True, rate=50000.0, crash_at=None, passes=1,
+             work=None):
+    """One fast syn-1 replay, of ``passes`` copies of the trace back to
+    back; returns (result, server response wires).  A ``work`` dict
+    receives the server's decodes and the loop's events."""
     testbed = build_evaluation_topology()
     server = AuthoritativeServer.single_view([wildcard_example_zone()])
-    HostedDnsServer(testbed.server_host, server, telemetry=telemetry)
+    hosted = HostedDnsServer(testbed.server_host, server,
+                             telemetry=telemetry)
     wires = []
     testbed.server_host.capture_hooks.append(
         lambda direction, packet: wires.append(packet.segment.data)
@@ -60,9 +66,15 @@ def run_syn1(telemetry=None, faults=False, batch_window=None,
         telemetry=telemetry)
     trace = table1_synthetic("syn-1", duration=30.0, server="10.0.0.2")
     assert len(trace.records) == QUERY_COUNT
+    trace = Trace([dataclasses.replace(record, timestamp=record.timestamp
+                                       + 30.0 * copy)
+                   for copy in range(passes) for record in trace.records])
     result = engine.replay(trace, extra_time=10.0)
     if telemetry is not None:
         telemetry.stop()
+    if work is not None:
+        work["decodes"] = hosted.perf.count("hosting.decodes")
+        work["events"] = testbed.network.loop.events_processed
     return result, wires
 
 
@@ -100,8 +112,8 @@ class TestTelemetryIsInert:
         # Same inertness contract on the batched datagram path: with
         # send times quantized into batch windows, telemetry-on must
         # still not move the response stream or the result by a byte.
-        # (Per-query tracing routes sends through the per-item path, so
-        # this doubles as a batched-vs-sequential differential.)
+        # (A traced querier sends through the same batch path, calling
+        # its send hook per entry, so both runs batch alike.)
         window = 2.5e-4
         Oracle("telemetry-inert-batched",
                baseline=observe_syn1(lambda: None, batch_window=window),
@@ -137,6 +149,24 @@ class TestTelemetryIsInert:
             facts["sent"] = sorted(facts["sent"])
             runs[batch_sends] = (sorted(bytes(w) for w in wires), facts)
         assert runs[True] == runs[False]
+
+    def test_telemetry_never_picks_the_path(self):
+        # A hub changes what is recorded, never which code runs.  syn-1
+        # twice over (600 queries, 300 names): the second pass is
+        # answered from the wire cache, and sends share batch instants.
+        # Traced and metrics-only runs decode and dispatch exactly what
+        # a telemetry-off run does: zero-copy hits, batched sends.
+        work = {}
+        for name, config in (("off", None),
+                             ("metrics", TelemetryConfig(metrics=True)),
+                             ("traced", TelemetryConfig(trace=True,
+                                                        metrics=True))):
+            telemetry = Telemetry(config) if config is not None else None
+            work[name] = {}
+            run_syn1(telemetry, batch_window=2.5e-4, rate=200000.0,
+                     passes=2, work=work[name])
+        assert work["off"]["decodes"] == QUERY_COUNT
+        assert work["traced"] == work["metrics"] == work["off"]
 
     def test_default_config_attaches_nothing(self):
         telemetry = Telemetry()  # all-off defaults
