@@ -190,12 +190,6 @@ class Name:
             return True
         return len(self._key) >= n and self._key[-n:] == other._key
 
-    def relativize_depth(self, ancestor: "Name") -> int:
-        """Number of labels self has below ``ancestor``."""
-        if not self.is_subdomain_of(ancestor):
-            raise NameError_(f"{self} is not under {ancestor}")
-        return len(self._labels) - len(ancestor._labels)
-
     def derelativize(self, origin: "Name") -> "Name":
         """Append ``origin``; used by the zone-file parser."""
         return Name(self._labels + origin._labels)
@@ -204,11 +198,6 @@ class Name:
         """Split into (prefix of ``depth`` labels, remaining suffix)."""
         return (Name._trusted(self._labels[:depth], self._key[:depth]),
                 Name._trusted(self._labels[depth:], self._key[depth:]))
-
-    def wildcard_sibling(self) -> "Name":
-        """The ``*.<parent>`` name used for wildcard matching (RFC 4592)."""
-        return Name._trusted((b"*",) + self._labels[1:],
-                             (b"*",) + self._key[1:])
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield self, then each ancestor up to and including the root."""

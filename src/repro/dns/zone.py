@@ -85,10 +85,6 @@ class Zone:
             rrset.ttl = min(rrset.ttl, rr.ttl)
             rrset.add(rr.rdata)
 
-    def add_rrset(self, rrset: RRset) -> None:
-        for rr in rrset.to_rrs():
-            self.add_rr(rr)
-
     def remove(self, name: Name, rrtype: Optional[RRType] = None) -> None:
         node = self._nodes.get(name)
         self._canonical_cache = None
@@ -197,9 +193,6 @@ class Zone:
         if start is None:
             return None
         return Name._trusted(name.labels[start:], name.key[start:])
-
-    def is_delegation(self, name: Name) -> bool:
-        return name.key in self.name_index().cuts
 
     def cut_or_encloser(self, key: NameKey, ds: bool
                         ) -> Optional[Tuple[AnswerKind, NameKey]]:

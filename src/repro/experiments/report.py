@@ -83,10 +83,6 @@ def render_perf_counters(perf) -> str:
         # Share of wire-cache hits answered without assembling a
         # response (the PR-7 zero-copy fast path).
         derived["server.zero_copy_share"] = f"{zero_copy / cache_hits:.3f}"
-    handed_off = snapshot.get("shard.fabric_handed_off")
-    if handed_off:
-        clamped = snapshot.get("shard.fabric_clamped", 0)
-        derived["shard.fabric_clamp_rate"] = f"{clamped / handed_off:.3f}"
     shed = sum(value for key, value in snapshot.items()
                if isinstance(value, (int, float))
                and (key.startswith("overload.dropped")

@@ -74,7 +74,3 @@ class HierarchyEmulation:
 
     def zone_count(self) -> int:
         return len(self.zones)
-
-    def flush_caches(self) -> None:
-        """Cold-cache reset between repeated experiments (§2.1)."""
-        self.resolver.cache.flush()

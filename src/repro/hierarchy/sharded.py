@@ -95,6 +95,3 @@ class ShardedHierarchyEmulation:
 
     def queries_per_shard(self) -> List[int]:
         return [engine.stats.queries for engine in self.meta_engines]
-
-    def flush_caches(self) -> None:
-        self.resolver.cache.flush()

@@ -14,7 +14,7 @@ from .network import (FilterRule, Host, LatencyModel, Netfilter, Network,
 from .packet import (Address, IpPacket, TcpFlags, TcpSegment, UdpSegment,
                      WireView, make_tcp_packet, make_udp_packet,
                      packet_checksum)
-from .shard import (CrossShardFabric, ShardCoordinator, ShardPlan, shard_of)
+from .shard import shard_of
 from .resources import (CostModel, CpuMeter, ResourceMonitor, ResourceSample,
                         ServerResourceModel)
 from .tcp import (TcpConnection, TcpListener, TcpOptions, TcpStack, TcpState,
@@ -22,13 +22,12 @@ from .tcp import (TcpConnection, TcpListener, TcpOptions, TcpStack, TcpState,
 from .tls import SessionCache, TlsEndpoint, TlsState
 
 __all__ = [
-    "Address", "CostModel", "CpuMeter", "CrossShardFabric",
+    "Address", "CostModel", "CpuMeter",
     "DELAYED_ACK_TIMEOUT", "EventLoop",
     "FaultInjector", "FaultPlan", "FaultSpec", "FilterRule", "Host",
     "IpPacket", "LatencyModel", "MSS", "Netfilter",
     "Network", "NetworkError", "ResourceMonitor", "ResourceSample",
-    "RetryPolicy", "ServerResourceModel", "SessionCache", "ShardCoordinator",
-    "ShardPlan", "SimulationError",
+    "RetryPolicy", "ServerResourceModel", "SessionCache", "SimulationError",
     "TcpConnection",
     "TcpFlags", "TcpListener", "TcpOptions", "TcpSegment", "TcpStack",
     "TcpState", "TIME_WAIT_DURATION", "Timer", "TlsEndpoint", "TlsState",

@@ -170,22 +170,6 @@ class EventLoop:
     def pending_events(self) -> int:
         return self._live
 
-    def next_event_time(self) -> Optional[float]:
-        """Earliest live event time, or None when idle.
-
-        Pops cancelled entries off the heap top as a side effect (they
-        would be discarded by the next run anyway).  The shard
-        coordinator uses this to decide whether a shard has work left in
-        the current epoch without running it.
-        """
-        queue = self._queue
-        while queue:
-            if queue[0][2].cancelled:
-                heapq.heappop(queue)
-                continue
-            return queue[0][0]
-        return None
-
     def heap_size(self) -> int:
         """Entries physically in the heap, cancelled ones included."""
         return len(self._queue)

@@ -113,7 +113,7 @@ class FaultSpec:
 
 
 class FaultPlan:
-    """A declarative, serializable schedule of fault windows."""
+    """A declarative schedule of fault windows."""
 
     def __init__(self, specs: Optional[List[FaultSpec]] = None):
         self.specs: List[FaultSpec] = list(specs) if specs else []
@@ -137,24 +137,11 @@ class FaultPlan:
                                   dst=dst, rate=rate,
                                   extra_delay=extra_delay))
 
-    def corruption(self, start: float, duration: float, rate: float,
-                   src: Optional[str] = None,
-                   dst: Optional[str] = None) -> "FaultPlan":
-        return self.add(FaultSpec("corrupt", start, duration, src=src,
-                                  dst=dst, rate=rate))
-
     def duplication(self, start: float, duration: float, rate: float,
                     src: Optional[str] = None,
                     dst: Optional[str] = None) -> "FaultPlan":
         return self.add(FaultSpec("duplicate", start, duration, src=src,
                                   dst=dst, rate=rate))
-
-    def reordering(self, start: float, duration: float, extra_delay: float,
-                   rate: float = 0.5, src: Optional[str] = None,
-                   dst: Optional[str] = None) -> "FaultPlan":
-        return self.add(FaultSpec("reorder", start, duration, src=src,
-                                  dst=dst, rate=rate,
-                                  extra_delay=extra_delay))
 
     def partition(self, start: float, duration: float, src: str,
                   dst: str) -> "FaultPlan":
@@ -165,16 +152,6 @@ class FaultPlan:
                       host: str) -> "FaultPlan":
         """Crash ``host`` at ``start``; it restarts after ``duration``."""
         return self.add(FaultSpec("crash", start, duration, host=host))
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dicts(self) -> List[Dict]:
-        return [{key: value for key, value in vars(spec).items()
-                 if value is not None} for spec in self.specs]
-
-    @classmethod
-    def from_dicts(cls, dicts: List[Dict]) -> "FaultPlan":
-        return cls([FaultSpec(**entry) for entry in dicts])
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -269,9 +246,6 @@ class FaultInjector:
 
     # -- introspection -----------------------------------------------------
 
-    def active_faults(self) -> List[FaultSpec]:
-        return list(self._active)
-
     def counters(self) -> Dict[str, int]:
         return {
             "faults_activated": self.faults_activated,
@@ -339,18 +313,6 @@ class FaultInjector:
                 deliveries = [(extra + spec.extra_delay, pkt)
                               for extra, pkt in deliveries]
         return deliveries
-
-    def process_batch(self, packets: List[IpPacket], sender: "Host",
-                      receiver: "Host"
-                      ) -> List[List[Tuple[float, IpPacket]]]:
-        """Per-packet verdicts for a batch, RNG consumed in list order.
-
-        Exactly equivalent to calling :meth:`process` once per packet in
-        order — the per-spec rate RNG advances identically — so batched
-        transmission cannot change which packets a fault window hits.
-        """
-        process = self.process
-        return [process(packet, sender, receiver) for packet in packets]
 
     def _note(self, kind: str, packet: IpPacket) -> None:
         """Record the verdict on the network's telemetry hub, if any.

@@ -102,9 +102,6 @@ class TrafficMeter:
         return [(second, data[0], data[1])
                 for second, data in sorted(self._buckets.items())]
 
-    def total_bytes(self) -> int:
-        return sum(data[0] for data in self._buckets.values())
-
 
 @dataclass
 class FilterRule:
@@ -446,18 +443,28 @@ class Host:
     def receive_packet_batch(self, packets: List[IpPacket]) -> None:
         """Receive a batch delivered at one instant.
 
-        Equivalent to :meth:`receive_packet` per packet in order.  Hosts
-        with capture hooks or input-chain rules fall back to the
-        per-packet path (those are observation/diversion features, not
-        hot paths).  Consecutive datagrams for the same UDP socket are
-        coalesced into one :meth:`UdpSocket.deliver_batch` call; the
-        run-based coalescing (rather than a per-socket dict) preserves
-        the exact cross-socket delivery order of the sequential path.
+        Equivalent to :meth:`receive_packet` per packet in order, except
+        that capture hooks see every packet of the batch, in arrival
+        order, before any of it is delivered: within one instant a
+        hooked host's ``"in"`` calls may precede the ``"out"`` calls of
+        the answers they provoke.  Hooks only observe, and none reads
+        the two directions' relative order.  A host with input-chain
+        rules takes the per-packet path, because a diversion to a TUN
+        device must interleave with deliveries.  Consecutive datagrams
+        for the same UDP socket are coalesced into one
+        :meth:`UdpSocket.deliver_batch` call; the run-based coalescing
+        (rather than a per-socket dict) preserves the exact cross-socket
+        delivery order of the sequential path.
         """
-        if self.capture_hooks or self.netfilter.rules:
+        if self.netfilter.rules:
             for packet in packets:
                 self.receive_packet(packet)
             return
+        hooks = self.capture_hooks
+        if hooks:
+            for packet in packets:
+                for hook in hooks:
+                    hook("in", packet)
         counters = self.counters
         udp_sockets = self._udp_sockets
         packets_in = 0
@@ -532,12 +539,6 @@ class Network:
         # Telemetry hub, installed by Telemetry.attach_network only when
         # lifecycle tracing is on; the off path pays one None check.
         self.telemetry = None
-        # Cross-shard handoff, installed by repro.netsim.shard when this
-        # network is one shard of a partitioned simulation.  Called with
-        # (packet, sender) for destinations with no local host; returns
-        # True if the packet was routed to another shard, False to fall
-        # through to the normal no-route drop.
-        self.remote_router = None
 
     def add_host(self, name: str, *addresses: Address) -> Host:
         if name in self._hosts:
@@ -549,9 +550,6 @@ class Network:
     def host(self, name: str) -> Host:
         return self._hosts[name]
 
-    def host_for(self, address: Address) -> Optional[Host]:
-        return self._hosts_by_address.get(address)
-
     def _register(self, address: Address, host: Host) -> None:
         existing = self._hosts_by_address.get(address)
         if existing is not None and existing is not host:
@@ -562,9 +560,6 @@ class Network:
     def transmit(self, packet: IpPacket, sender: Host) -> None:
         receiver = self._hosts_by_address.get(packet.dst)
         if receiver is None:
-            if self.remote_router is not None \
-                    and self.remote_router(packet, sender):
-                return
             # Matches the paper's observation: packets to addresses with
             # no testbed route (e.g. real Internet IPs that leaked past
             # the proxies) are simply dropped.
@@ -638,9 +633,6 @@ class Network:
         for packet in packets:
             receiver = hosts.get(packet.dst)
             if receiver is None:
-                if self.remote_router is not None \
-                        and self.remote_router(packet, sender):
-                    continue
                 self.dropped_no_route += 1
                 sender.counters.no_route_drops += 1
                 if telemetry is not None:

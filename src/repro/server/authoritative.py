@@ -98,10 +98,6 @@ class ZoneSet:
     def zones(self) -> List[Zone]:
         return list(self._zones.values())
 
-    def zone_at(self, origin: Name) -> Optional[Zone]:
-        """The zone with exactly this origin, if hosted."""
-        return self._zones.get(origin.key)
-
     def __len__(self) -> int:
         return len(self._zones)
 
@@ -159,9 +155,6 @@ class AuthoritativeServer:
     @classmethod
     def single_view(cls, zones: Iterable[Zone]) -> "AuthoritativeServer":
         return cls([View("default", ZoneSet(zones))])
-
-    def add_view(self, view: View) -> None:
-        self.views.append(view)
 
     def view_for(self, source: str) -> Optional[View]:
         for view in self.views:

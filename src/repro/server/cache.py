@@ -91,14 +91,6 @@ class DnsCache:
         """Cold-cache reset; every resolution walks the hierarchy again."""
         self._entries.clear()
 
-    def expire_now(self) -> int:
-        """Drop all expired entries; returns how many were removed."""
-        now = self._clock()
-        expired = [k for k, e in self._entries.items() if e.expires <= now]
-        for key in expired:
-            del self._entries[key]
-        return len(expired)
-
     def best_nameservers(self, qname: Name) -> Optional[RRset]:
         """The deepest cached NS RRset enclosing ``qname`` (RFC 1034
         resolver algorithm step: find the best servers to ask)."""

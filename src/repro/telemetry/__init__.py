@@ -8,9 +8,9 @@ One subsystem, three recorders, all driven by one
 * :class:`MetricsRegistry` — counters/timings/gauges (the storage
   behind :class:`repro.perf.PerfCounters`) plus log-bucketed
   :class:`Histogram` distributions with quantile extraction;
-* :class:`TimeSeriesSampler` / :class:`WallClockSampler` — periodic
-  load series (qps, queue depth, CPU, memory) on the sim or real clock,
-  with :class:`ResourceTimeline` adapting the server resource model.
+* :class:`TimeSeriesSampler` — periodic load series (qps, queue
+  depth, CPU, memory) on the sim clock, with :class:`ResourceTimeline`
+  adapting the server resource model.
 
 Multi-process runs add the cluster layer (``stream_period`` in the
 config): each worker's :class:`TelemetryStreamer` ships periodic
@@ -34,8 +34,7 @@ from .export import (chrome_trace, histograms_dict, timeseries_csv,
                      write_chrome_trace, write_histograms_json,
                      write_timeseries_csv)
 from .metrics import Histogram, MetricsRegistry
-from .timeseries import (ResourceTimeline, TimeSeriesSampler,
-                         WallClockSampler)
+from .timeseries import ResourceTimeline, TimeSeriesSampler
 from .tracing import QueryTracer, TelemetryConfig, wire_question_key
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "MetricsRegistry",
     "Histogram",
     "TimeSeriesSampler",
-    "WallClockSampler",
     "ResourceTimeline",
     "wire_question_key",
     "chrome_trace",

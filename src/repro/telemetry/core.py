@@ -34,7 +34,7 @@ import time
 from typing import Callable, Optional
 
 from .metrics import MetricsRegistry
-from .timeseries import TimeSeriesSampler, WallClockSampler
+from .timeseries import TimeSeriesSampler
 from .tracing import QueryTracer, TelemetryConfig, wire_question_key
 
 
@@ -48,7 +48,7 @@ class Telemetry:
         self.tracer: Optional[QueryTracer] = (
             QueryTracer(self.config.trace_sample)
             if self.config.trace else None)
-        self.sampler = None  # TimeSeriesSampler | WallClockSampler
+        self.sampler: Optional[TimeSeriesSampler] = None
         self.loop = None
         self._clock: Callable[[], float] = time.monotonic
         # Probes registered before a sampler exists (e.g. a server built
@@ -76,14 +76,6 @@ class Telemetry:
                 and self.sampler is None:
             self.sampler = TimeSeriesSampler(
                 loop, self.config.timeseries_period)
-            self._flush_probes()
-            self.sampler.start()
-
-    def start_wall_sampler(self) -> None:
-        """Live-mode sampling: a wall-clock thread instead of the loop."""
-        if self.config.timeseries_period is not None \
-                and self.sampler is None:
-            self.sampler = WallClockSampler(self.config.timeseries_period)
             self._flush_probes()
             self.sampler.start()
 

@@ -17,7 +17,6 @@ the resolution the acceptance tests assert against exact percentiles.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -241,15 +240,6 @@ class MetricsRegistry:
     def incr(self, name: str, amount: int = 1) -> None:
         self._counts[name] = self._counts.get(name, 0) + amount
 
-    def bump(self, name: str, amount: int) -> None:
-        """Batched increment: one dict lookup for a whole packet batch.
-
-        Semantically identical to :meth:`incr`; the separate name marks
-        call sites that deliberately count per batch, so a per-packet
-        ``incr`` showing up inside a batch loop reads as the bug it is.
-        """
-        self._counts[name] = self._counts.get(name, 0) + amount
-
     def counter(self, name: str) -> Counter:
         """A cached :class:`Counter` handle for hot-path increments."""
         return Counter(self._counts, name)
@@ -384,9 +374,6 @@ class MetricsRegistry:
         self._timings.clear()
         self._gauges.clear()
         self._histograms.clear()
-
-    def to_json(self) -> str:
-        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
     def __repr__(self) -> str:
         return (f"MetricsRegistry({len(self._counts)} counters, "

@@ -1,4 +1,4 @@
-"""Periodic load sampling: sim-clock and wall-clock time series.
+"""Periodic load sampling on the simulated clock.
 
 The paper's server-side evaluation is time series — memory/connection
 trajectories sampled once a minute (Fig 13/14), dstat-style CPU windows
@@ -8,27 +8,27 @@ arbitrary collectors (like :class:`ResourceTimeline`, which snapshots a
 :class:`~repro.netsim.ServerResourceModel`) run on the same tick so
 every series shares sample times.
 
-The sim sampler schedules itself on the :class:`~repro.netsim.EventLoop`
+The sampler schedules itself on the :class:`~repro.netsim.EventLoop`
 with exactly the cadence the old ``ResourceMonitor`` used (first sample
 one period after start), so migrated experiments see identical sample
-times.  :class:`WallClockSampler` is the live-mode analogue: a daemon
-thread with the same probe/collector API.
+times.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 
-class _SamplerBase:
-    """Shared probe/collector registry and the recorded rows."""
+class TimeSeriesSampler:
+    """Samples on the simulated event loop, ResourceMonitor-style."""
 
-    def __init__(self, period: float):
+    def __init__(self, loop, period: float):
         if period <= 0:
             raise ValueError("sampling period must be > 0")
+        self.loop = loop
         self.period = period
+        self._timer = None
+        self._running = False
         self._probes: Dict[str, Callable[[], float]] = {}
         self._collectors: List[Callable[[float], None]] = []
         # Each row: {"time": t, probe_name: value, ...}
@@ -41,49 +41,6 @@ class _SamplerBase:
     def add_collector(self, collector: Callable[[float], None]) -> None:
         """Run ``collector(now)`` on every tick (for side tables)."""
         self._collectors.append(collector)
-
-    def _sample(self, now: float) -> None:
-        row: Dict[str, float] = {"time": now}
-        for name, probe in self._probes.items():
-            row[name] = probe()
-        self.points.append(row)
-        for collector in self._collectors:
-            collector(now)
-
-    # -- series access ----------------------------------------------------
-
-    def series(self, name: str) -> List[Tuple[float, float]]:
-        """``(time, value)`` rows of one probe column."""
-        return [(row["time"], row[name]) for row in self.points
-                if name in row]
-
-    def rate_series(self, name: str) -> List[Tuple[float, float]]:
-        """Per-second deltas of a monotonic counter probe (e.g. qps)."""
-        values = self.series(name)
-        rates = []
-        for (t0, v0), (t1, v1) in zip(values, values[1:]):
-            span = t1 - t0
-            if span > 0:
-                rates.append((t1, (v1 - v0) / span))
-        return rates
-
-    def columns(self) -> List[str]:
-        names: List[str] = []
-        for row in self.points:
-            for name in row:
-                if name not in names:
-                    names.append(name)
-        return names
-
-
-class TimeSeriesSampler(_SamplerBase):
-    """Samples on the simulated event loop, ResourceMonitor-style."""
-
-    def __init__(self, loop, period: float):
-        super().__init__(period)
-        self.loop = loop
-        self._timer = None
-        self._running = False
 
     def start(self) -> None:
         self._running = True
@@ -101,32 +58,28 @@ class TimeSeriesSampler(_SamplerBase):
         self._sample(self.loop.now)
         self._timer = self.loop.call_later(self.period, self._tick)
 
+    def _sample(self, now: float) -> None:
+        row: Dict[str, float] = {"time": now}
+        for name, probe in self._probes.items():
+            row[name] = probe()
+        self.points.append(row)
+        for collector in self._collectors:
+            collector(now)
 
-class WallClockSampler(_SamplerBase):
-    """The live-replay sampler: a daemon thread on the real clock."""
+    # -- series access ----------------------------------------------------
 
-    def __init__(self, period: float):
-        super().__init__(period)
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+    def series(self, name: str) -> List[Tuple[float, float]]:
+        """``(time, value)`` rows of one probe column."""
+        return [(row["time"], row[name]) for row in self.points
+                if name in row]
 
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="telemetry-sampler")
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.period + 1.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.period):
-            self._sample(time.monotonic())
+    def columns(self) -> List[str]:
+        names: List[str] = []
+        for row in self.points:
+            for name in row:
+                if name not in names:
+                    names.append(name)
+        return names
 
 
 class ResourceTimeline:
@@ -138,7 +91,7 @@ class ResourceTimeline:
     resource model on every shared tick.
     """
 
-    def __init__(self, sampler: _SamplerBase, model):
+    def __init__(self, sampler: TimeSeriesSampler, model):
         self.sampler = sampler
         self.model = model
         self.samples: List = []

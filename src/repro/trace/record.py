@@ -78,11 +78,6 @@ class QueryRecord:
     def with_(self, **changes) -> "QueryRecord":
         return replace(self, **changes)
 
-    def size_on_wire(self) -> int:
-        """Approximate bytes on the wire including headers."""
-        transport_header = 8 if self.protocol == "udp" else 20
-        return 20 + transport_header + len(self.wire)
-
 
 class Trace:
     """An ordered sequence of records plus provenance metadata."""
@@ -125,29 +120,6 @@ class Trace:
             merged.records.extend(other.records)
         merged.sort()
         return merged
-
-    def filter(self, predicate) -> "Trace":
-        """Records satisfying ``predicate(record)``."""
-        return Trace([r for r in self.records if predicate(r)],
-                     name=f"{self.name}:filtered")
-
-    def split_by_client(self) -> dict:
-        """Records grouped by source address (replay distribution uses
-        the same keying)."""
-        groups: dict = {}
-        for record in self.records:
-            groups.setdefault(record.src, []).append(record)
-        return {src: Trace(records, name=f"{self.name}:{src}")
-                for src, records in groups.items()}
-
-    def time_shifted(self, new_start: float = 0.0) -> "Trace":
-        if not self.records:
-            return Trace(name=self.name)
-        base = self.records[0].timestamp
-        return Trace(
-            [r.with_(timestamp=r.timestamp - base + new_start)
-             for r in self.records],
-            name=self.name)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -97,7 +97,6 @@ class TestStructure:
     def test_wildcard(self):
         wild = Name.from_text("*.example.com.")
         assert wild.is_wild()
-        assert Name.from_text("host.example.com.").wildcard_sibling() == wild
 
     def test_split_and_derelativize(self):
         name = Name.from_text("www.example.com.")

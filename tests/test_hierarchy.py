@@ -115,7 +115,7 @@ class TestHierarchyEmulation:
         sock.sendto(query.to_wire(), emulation.recursive_address, DNS_PORT)
         loop.run(max_time=30)
         first = emulation.resolver.stats.upstream_queries
-        emulation.flush_caches()
+        emulation.resolver.cache.flush()
         query2 = Message.make_query(
             Name.from_text("host0.domain000.com."), RRType.A, msg_id=5)
         sock.sendto(query2.to_wire(), emulation.recursive_address, DNS_PORT)

@@ -56,14 +56,6 @@ class TestFaultSpecValidation:
         with pytest.raises(ValueError):
             FaultSpec("delay", 0.0, 1.0)
 
-    def test_round_trip_serialization(self):
-        plan = (FaultPlan()
-                .loss_burst(1.0, 2.0, 0.5, src="c", dst="s")
-                .server_outage(3.0, 1.0, host="s"))
-        rebuilt = FaultPlan.from_dicts(plan.to_dicts())
-        assert len(rebuilt) == 2
-        assert rebuilt.specs == plan.specs
-
 
 class TestLossBurst:
     def test_drops_only_inside_window(self):
@@ -134,7 +126,7 @@ class TestDuplication:
 class TestCorruption:
     def test_corrupted_packets_fail_checksum(self):
         loop, network = make_net()
-        plan = FaultPlan().corruption(0.0, 10.0, rate=1.0)
+        plan = FaultPlan([FaultSpec("corrupt", 0.0, 10.0, rate=1.0)])
         injector = FaultInjector(network, plan)
         received = udp_flood(loop, network, count=15)
         loop.run()
@@ -224,12 +216,13 @@ class TestBatchPathDifferential:
     def _plans():
         return {
             "loss": lambda: FaultPlan().loss_burst(0.05, 0.2, 0.5),
-            "corrupt": lambda: FaultPlan().corruption(0.05, 0.2, 0.5),
+            "corrupt": lambda: FaultPlan([FaultSpec("corrupt", 0.05, 0.2,
+                                                    rate=0.5)]),
             "duplicate": lambda: FaultPlan().duplication(0.05, 0.2, 0.5),
             "delay": lambda: FaultPlan().delay_spike(0.05, 0.2, 0.05,
                                                      rate=0.5),
-            "reorder": lambda: FaultPlan().reordering(0.05, 0.2, 0.03,
-                                                      rate=0.5),
+            "reorder": lambda: FaultPlan([FaultSpec(
+                "reorder", 0.05, 0.2, rate=0.5, extra_delay=0.03)]),
             "mixed": lambda: (FaultPlan()
                               .loss_burst(0.05, 0.1, 0.3)
                               .duplication(0.12, 0.1, 0.4)

@@ -1,10 +1,12 @@
 """Static guard on the package's surface: no test-only code.
 
-Three ``ast`` walks over ``src/repro``, with no import of the package:
+Four ``ast`` walks over ``src/repro``, with no import of the package:
 
 * a public top-level ``def`` or ``class`` must be referenced by name
   from ``src/``, ``bench/`` or ``examples/``, other than by its own
   definition and by package ``__init__`` re-exports;
+* so must a public method or property of a public class, other than by
+  its own definition;
 * a field of a ``*Config``, ``*Options`` or ``*Policy`` dataclass (or of
   ``TimerJitterModel``) must be set somewhere outside its defining
   module, by keyword, by position in a call to the class, or by
@@ -60,10 +62,11 @@ KEPT_DEFINITIONS = {
     # and its message-id normalizer
     "repro.verify.oracles.Oracle",
     "repro.verify.oracles.zero_msg_id",
-    # tested capabilities; deleting a capability is a change of its own:
-    # sharded simulation (benchmarks/test_sharded_replay.py),
-    "repro.netsim.shard.ShardCoordinator",
+    # the only simulated path that uses more than one core:
+    # benchmarks/test_sharded_replay.py and test_self_healing's shard
+    # respawn run it, and a sim-sharded benchmark workload would call it
     "repro.replay.multiproc.ShardTopology",
+    # tested capabilities; deleting a capability is a change of its own:
     # dynamic CDN-style answers (test_server_dynamic.py),
     "repro.server.dynamic.DynamicOverlay",
     # and the trace mutations of §2.4 (test_trace_mutator.py)
@@ -71,6 +74,56 @@ KEPT_DEFINITIONS = {
     "repro.trace.mutator.sample_clients",
     "repro.trace.mutator.scale_time",
     "repro.trace.mutator.shift_time",
+}
+
+#: Public methods only tests reach, each with the reason it stays.  An
+#: entry that gains a caller, or goes away, must leave this dict.
+KEPT_METHODS = {
+    # instruments a test reads state through
+    "repro.netsim.core.EventLoop.heap_size":
+        "cancelled timers are compacted out of the heap",
+    "repro.netsim.packet.IpPacket.checksum_ok":
+        "a corrupted datagram fails its checksum",
+    "repro.netsim.tcp.TcpStack.count_by_state":
+        "connections leave TIME_WAIT and the table empties",
+    "repro.netsim.tcp.TcpStack.buffer_memory_bytes":
+        "the per-connection buffer footprint Fig 13 models",
+    "repro.replay.distributor.StickyAssigner.assignment_count":
+        "the number of sources the assigner holds",
+    "repro.server.dnsio.StreamFramer.pending_bytes":
+        "a frame fed in two pieces leaves nothing buffered",
+    "repro.server.overload.ResponseRateLimiter.table_size":
+        "the RRL table stays within its bound",
+    "repro.telemetry.metrics.MetricsRegistry.gauge":
+        "the registry's gauge values, as counts are read by count()",
+    "repro.telemetry.tracing.QueryTracer.events_for":
+        "one query's span events, in order",
+    "repro.telemetry.cluster.ClusterAggregator.merged_metrics":
+        "streamed metrics equal the end-of-run METRICS",
+    "repro.replay.result.ReplayResult.latency_summary":
+        "the one reading of an aggregate result's latency histogram",
+    "repro.replay.result.ReplayResult.degradation":
+        "the overload counters, compared whole by the supervision and "
+        "telemetry differentials",
+    # the figures a benchmark reads
+    "repro.replay.multiproc.ShardTopology.aggregate_qps":
+        "benchmarks/test_sharded_replay.py's q/s across shards",
+    "repro.replay.result.ReplayResult.reuse_fraction":
+        "benchmarks/test_ablations.py's connection-reuse share",
+    # a safety self-check
+    "repro.server.overload.OverloadControl.check_conservation":
+        "publishes the conservation gauge and fails on drift",
+    # the paper's rule, stated as §2.6 writes it
+    "repro.replay.timing.TimingController.send_delay":
+        "ΔT = Δt̄ − Δt with late queries sent at once, the rule "
+        "target_clock_time schedules by",
+    "repro.replay.timing.TimingController.synchronized":
+        "send_delay refuses to run before the time sync",
+    # the fixture knobs tests build topologies with
+    "repro.netsim.network.LatencyModel.set_rtt":
+        "per-link RTTs in the TCP, TLS, loss and fault suites",
+    "repro.netsim.core.EventLoop.call_soon":
+        "a zero-delay schedule the hosting and loop suites script",
 }
 
 
@@ -116,12 +169,18 @@ def _absolute(node: ast.ImportFrom, path: Path) -> str:
     return ".".join(package + ([node.module] if node.module else []))
 
 
-def test_every_public_definition_has_a_caller_outside_tests():
+def _caller_uses() -> dict[Path, set[str]]:
+    """The identifiers each caller file reads, package re-exports aside."""
     uses: dict[Path, set[str]] = {}
     for path in _files(CALLERS):
         if path.name == "__init__.py" and PACKAGE in path.parents:
             continue
         uses[path] = _names_used(ast.parse(path.read_text(), str(path)))
+    return uses
+
+
+def test_every_public_definition_has_a_caller_outside_tests():
+    uses = _caller_uses()
     orphans = set()
     for module, path, tree in _modules():
         if path.name == "__init__.py":
@@ -142,6 +201,40 @@ def test_every_public_definition_has_a_caller_outside_tests():
     assert not test_only, f"public definitions only tests reach: {test_only}"
     stale = sorted(KEPT_DEFINITIONS - orphans)
     assert not stale, f"allowlisted, but now called or gone: {stale}"
+
+
+def test_every_public_method_has_a_caller_outside_tests():
+    uses = _caller_uses()
+    orphans = set()
+    for module, path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        statements = [(node, _names_used(node)) for node in tree.body]
+        for cls, _ in statements:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            home = set().union(*(names for other, names in statements
+                                 if other is not cls),
+                               *(_names_used(node) for node
+                                 in cls.decorator_list + cls.bases))
+            members = [(node, _names_used(node)) for node in cls.body]
+            for method, _ in members:
+                if not isinstance(method, ast.FunctionDef) \
+                        or method.name.startswith("_"):
+                    continue
+                if method.name in home or any(
+                        method.name in names for other, names in members
+                        if other is not method):
+                    continue     # used elsewhere in its own module
+                if any(method.name in names for other, names in uses.items()
+                       if other != path):
+                    continue
+                orphans.add(f"{module}.{cls.name}.{method.name}")
+    test_only = sorted(orphans - set(KEPT_METHODS))
+    assert not test_only, f"public methods only tests reach: {test_only}"
+    stale = sorted(set(KEPT_METHODS) - orphans)
+    assert not stale, f"allowlisted, but now called or gone: {stale}"
+    assert all(KEPT_METHODS.values()), "every kept method needs a reason"
 
 
 def _derived(value) -> bool:

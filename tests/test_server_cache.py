@@ -89,14 +89,6 @@ class TestEviction:
         outcome, _ = c.get(Name.from_text("h0.example.com."), RRType.A)
         assert outcome == CacheOutcome.MISS
 
-    def test_expire_now(self, cache):
-        clock, c = cache
-        c.put(a_rrset("a.example.com.", ttl=10))
-        c.put(a_rrset("b.example.com.", ttl=1000))
-        clock.now = 50.0
-        assert c.expire_now() == 1
-        assert len(c) == 1
-
     def test_flush(self, cache):
         clock, c = cache
         c.put(a_rrset())

@@ -1,31 +1,26 @@
-"""Differential tests for the sharded simulation core.
+"""Differential tests for sharded simulation.
 
-Two properties the shard architecture promises (netsim/shard.py):
-
-* **Partition invariance** — replaying a trace through 1, 2, or 4
-  shards (and any shard execution order) yields identical merged
-  results: the same per-query facts and byte-identical response wires.
-* **Exactness at the barrier** — with ``epoch <= `` the cross-shard
-  one-way latency, the epoch-lockstep coordinator delivers every
-  cross-shard packet at exactly the time a single-loop simulation
-  would, for every shard count and execution order.
+A sharded run is replicated worlds (netsim/shard.py): every shard owns
+a sticky slice of the trace's sources and its own server replica, and
+no packet crosses shards.  The property held here is **partition
+invariance**: replaying a trace through 1, 2 or 4 shard slices, with
+the shards run in any order, yields the same per-query facts and
+byte-identical response wires.  ``ShardTopology`` runs exactly these
+slices in worker processes.
 
 Plus the zero-copy aliasing guard: serving wire-cache hits as
 :class:`WireView` slices must never mutate the shared cached buffer,
 no matter how many message IDs are patched over it.
 """
 
-import itertools
-
 import pytest
 
 from repro.dns import Edns, Message, Name, RRType
 from repro.experiments.fig6_timing import wildcard_example_zone
-from repro.netsim.shard import (CrossShardFabric, ShardCoordinator,
-                                ShardPlan, shard_of)
-from repro.replay import ReplayConfig, SimReplayEngine, shard_slice
+from repro.netsim.shard import shard_of
+from repro.replay import shard_slice
 from repro.replay.multiproc import default_shard_scenario
-from repro.server import AuthoritativeServer, HostedDnsServer
+from repro.server import AuthoritativeServer
 from repro.trace import table1_synthetic
 
 SERVER = "10.0.0.2"
@@ -63,7 +58,7 @@ class TestShardSlice:
 
 
 # ---------------------------------------------------------------------------
-# Replicated-server shape: slices through per-shard engines
+# Partition invariance: slices through per-shard engines
 # ---------------------------------------------------------------------------
 
 def _replay_sliced(num_shards, order):
@@ -109,89 +104,6 @@ class TestReplicatedShardDifferential:
         # replica served them or in which order the shards ran.
         assert wires == base_wires
         assert len(wires) == len(base_rows)
-
-
-# ---------------------------------------------------------------------------
-# Shared-server shape: the epoch-lockstep coordinator
-# ---------------------------------------------------------------------------
-
-CLIENTS = ["10.200.0.1", "10.200.0.2", "10.200.0.3", "10.200.0.4",
-           "10.200.0.5"]
-QUERIES_PER_CLIENT = 6
-
-
-def _run_coordinator(num_shards, order=None, epoch=0.0004):
-    """Clients spread over shards querying one server in shard 0.
-
-    Returns per-client (response bytes, receive time) rows plus the
-    fabric counters.
-    """
-    plan = ShardPlan(num_shards, epoch=epoch)
-    coordinator = ShardCoordinator(plan)
-    server_host = coordinator.shards[0].network.add_host("server", SERVER)
-    HostedDnsServer(server_host,
-                    AuthoritativeServer.single_view(
-                        [wildcard_example_zone()]))
-    received = {}
-    for client_index, address in enumerate(CLIENTS):
-        shard = coordinator.shards[plan.shard_of(address)]
-        host = shard.network.add_host(f"client-{client_index}", address)
-        rows = received.setdefault(address, [])
-        sock = host.bind_udp(
-            address, 0,
-            lambda _sock, data, _src, _sport, rows=rows, loop=shard.loop:
-            rows.append((bytes(data), loop.now)))
-        for query_index in range(QUERIES_PER_CLIENT):
-            wire = Message.make_query(
-                Name.from_text(f"c{client_index}-q{query_index}"
-                               ".example.com."),
-                RRType.A, msg_id=client_index * 64 + query_index + 1,
-                edns=Edns()).to_wire()
-            shard.loop.call_at(
-                0.0011 + query_index * 0.00073 + client_index * 0.00029,
-                sock.sendto, wire, SERVER, 53)
-    coordinator.run_until(0.25, order=order)
-    return received, coordinator
-
-
-class TestCoordinatorDifferential:
-    @pytest.fixture(scope="class")
-    def single_loop(self):
-        received, _coordinator = _run_coordinator(1)
-        return received
-
-    @pytest.mark.parametrize("num_shards,order", [
-        (2, None), (2, [1, 0]),
-        (4, None), (4, [2, 0, 3, 1]), (4, [3, 2, 1, 0]),
-    ], ids=["2", "2-reversed", "4", "4-permuted", "4-reversed"])
-    def test_cross_shard_matches_single_loop(self, single_loop,
-                                             num_shards, order):
-        received, coordinator = _run_coordinator(num_shards, order=order)
-        # Every client hears the same bytes at the same simulated times
-        # as in the unsharded run — exactness, not just equivalence.
-        assert received == single_loop
-        assert coordinator.fabric.clamped == 0
-        if any(shard_of(address, num_shards) != 0 for address in CLIENTS):
-            assert coordinator.fabric.handed_off > 0
-
-    def test_all_answered(self, single_loop):
-        total = sum(len(rows) for rows in single_loop.values())
-        assert total == len(CLIENTS) * QUERIES_PER_CLIENT
-
-    def test_order_must_be_a_permutation(self):
-        plan = ShardPlan(2)
-        coordinator = ShardCoordinator(plan)
-        with pytest.raises(ValueError):
-            coordinator.run_until(0.01, order=[0, 0])
-
-    def test_oversized_epoch_clamps_and_counts(self):
-        # An epoch larger than the link latency cannot be exact: early
-        # deliveries are clamped to the barrier and counted, never
-        # silently reordered or dropped.
-        received, coordinator = _run_coordinator(4, epoch=0.01)
-        total = sum(len(rows) for rows in received.values())
-        assert total == len(CLIENTS) * QUERIES_PER_CLIENT
-        assert coordinator.fabric.clamped > 0
 
 
 # ---------------------------------------------------------------------------

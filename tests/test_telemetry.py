@@ -300,7 +300,6 @@ class TestTimeSeriesSampler:
         loop.run_until(2.5)
         sampler.stop()
         assert sampler.series("sent") == [(1.0, 10), (2.0, 30)]
-        assert sampler.rate_series("sent") == [(2.0, 20.0)]
         assert sampler.columns() == ["time", "sent"]
 
     def test_stop_cancels_future_ticks(self):
@@ -426,19 +425,6 @@ class TestExporters:
         text = render_perf_counters(perf)
         assert "server.wire_cache_hit_rate  0.800" in text
         assert "server.zero_copy_share" in text and "0.750" in text
-
-    def test_render_perf_counters_shard_clamp_rate(self):
-        from repro.netsim import ShardCoordinator, ShardPlan
-        coordinator = ShardCoordinator(ShardPlan(num_shards=2))
-        coordinator.epochs_run = 10
-        coordinator.fabric.handed_off = 40
-        coordinator.fabric.clamped = 4
-        perf = PerfCounters()
-        coordinator.export_counters(perf)
-        text = render_perf_counters(perf)
-        assert "shard.epochs" in text
-        assert "shard.fabric_handed_off" in text
-        assert "shard.fabric_clamp_rate" in text and "0.100" in text
 
 
 class TestZeroQueryReports:

@@ -33,18 +33,21 @@ FULL_ON = TelemetryConfig(trace=True, metrics=True, timeseries_period=2.0)
 
 def run_syn1(telemetry=None, faults=False, batch_window=None,
              batch_sends=True, rate=50000.0, crash_at=None, passes=1,
-             work=None):
+             work=None, capture=True):
     """One fast syn-1 replay, of ``passes`` copies of the trace back to
     back; returns (result, server response wires).  A ``work`` dict
-    receives the server's decodes and the loop's events."""
+    receives the server's decodes and the loop's events.  With
+    ``capture`` off the server host has no capture hook and no wires
+    are collected."""
     testbed = build_evaluation_topology()
     server = AuthoritativeServer.single_view([wildcard_example_zone()])
     hosted = HostedDnsServer(testbed.server_host, server,
                              telemetry=telemetry)
     wires = []
-    testbed.server_host.capture_hooks.append(
-        lambda direction, packet: wires.append(packet.segment.data)
-        if direction == "out" and packet.protocol == "udp" else None)
+    if capture:
+        testbed.server_host.capture_hooks.append(
+            lambda direction, packet: wires.append(packet.segment.data)
+            if direction == "out" and packet.protocol == "udp" else None)
     retry = None
     if faults:
         # A lossy window covering the whole (fast, time-compressed) run
@@ -167,6 +170,19 @@ class TestTelemetryIsInert:
                      passes=2, work=work[name])
         assert work["off"]["decodes"] == QUERY_COUNT
         assert work["traced"] == work["metrics"] == work["off"]
+
+    def test_capture_hook_never_picks_the_path(self):
+        # A host capture hook observes; the hooked server still takes
+        # the batch receive path, so the run does exactly the work and
+        # computes exactly the facts of an unhooked one.
+        runs = {}
+        for capture in (True, False):
+            work = {}
+            result, _wires = run_syn1(batch_window=2.5e-4, rate=200000.0,
+                                      passes=2, work=work, capture=capture)
+            runs[capture] = (work["events"], work["decodes"],
+                             result_facts(result))
+        assert runs[True] == runs[False]
 
     def test_default_config_attaches_nothing(self):
         telemetry = Telemetry()  # all-off defaults

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.dns import Message, Name, RRType
-from repro.trace import (PcapError, QueryRecord, TextFormatError, Trace,
-                         TraceFormatError, fixed_interval_trace,
+from repro.trace import (PcapError, QueryMutator, QueryRecord,
+                         TextFormatError, Trace, TraceFormatError,
+                         fixed_interval_trace, shift_time,
                          iter_binary, line_to_record, make_query_record,
                          read_binary, read_pcap, read_text, record_to_line,
                          write_binary, write_pcap, write_text)
@@ -42,7 +43,7 @@ class TestRecordModel:
                                      f"q{i}.example.com.")
                    for i in range(5)]
         trace = Trace(records)
-        shifted = trace.time_shifted()
+        shifted = QueryMutator([shift_time(-100.0)]).apply(trace)
         assert shifted[0].timestamp == 0.0
         assert shifted.duration() == trace.duration()
 
@@ -238,16 +239,3 @@ class TestTraceUtilities:
         merged = parts[0].merge(*parts[1:])
         assert len(merged) == 4
 
-    def test_filter(self):
-        trace = fixed_interval_trace(0.5, 4.0, client_count=2)
-        kept = trace.filter(lambda r: r.src.endswith(".0.1"))
-        assert 0 < len(kept) < len(trace)
-        assert all(r.src.endswith(".0.1") for r in kept)
-
-    def test_split_by_client(self):
-        trace = fixed_interval_trace(0.5, 4.0, client_count=2)
-        groups = trace.split_by_client()
-        assert len(groups) == 2
-        assert sum(len(t) for t in groups.values()) == len(trace)
-        for src, sub in groups.items():
-            assert all(r.src == src for r in sub)
