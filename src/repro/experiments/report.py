@@ -121,7 +121,7 @@ def render_telemetry(telemetry, result=None) -> str:
             "recovery.respawns": result.respawns,
             "recovery.redelivered_records": result.redelivered_records,
             "recovery.duplicate_merged": result.duplicate_merged,
-            "recovery.watchdog_stalls": result.watchdog_stalls,
+            "recovery.workers_lost": result.workers_lost,
             "recovery.reassigned_queries": result.reassigned_queries,
         }
         rows = {key: str(value) for key, value in recovery_rows.items()

@@ -718,7 +718,7 @@ class _Controller:
     Only two places mark a handle failed: the reader's EOF path
     (``_maybe_respawn``, once the process is seen dead) and
     ``_await_reports`` (clock expired, or dead with no reader left).
-    Only the ledger counts a worker lost for good (``watchdog_stalls``):
+    Only the ledger counts a worker lost for good (``workers_lost``):
     a death ``_maybe_respawn`` or ``_respawn_worker`` reports past its
     respawn budget.
     """
@@ -1084,7 +1084,7 @@ class _Controller:
         ledger, own = self._ledger, self.result
         with self._lock:
             snapshots = self._store.snapshots()
-            own.respawns, own.watchdog_stalls = ledger.respawns, ledger.lost
+            own.respawns, own.workers_lost = ledger.respawns, ledger.lost
             own.redelivered_records = ledger.redelivered
             own.deadline_shed = ledger.shed
         self.result = merge_recovered(snapshots, own.name,

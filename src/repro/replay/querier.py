@@ -42,6 +42,9 @@ MatchKey = QueryKey
 _QNAME_MEMO: Dict[bytes, str] = {}
 _QNAME_MEMO_LIMIT = 1 << 16
 
+# Keys per generation of an _AnsweredWindow.
+ANSWERED_WINDOW = 4096
+
 
 def match_key(wire: bytes) -> MatchKey:
     """The key a query is filed under and its response looked up by.
@@ -74,7 +77,33 @@ class QuerierConfig:
     send_highwater: Optional[int] = None
 
 
-@dataclass
+class _AnsweredWindow:
+    """Recently answered keys, which tell a duplicate answer from an
+    unmatched one.  A key goes in when its query is answered and comes
+    out when it is sent again; of two generations of at most
+    :data:`ANSWERED_WINDOW` keys, a full newer one becomes the older
+    one and the previous older one is dropped."""
+
+    __slots__ = ("newer", "older")
+
+    def __init__(self) -> None:
+        self.newer: Set[object] = set()
+        self.older: Set[object] = set()
+
+    def add(self, key: object) -> None:
+        self.newer.add(key)
+        if len(self.newer) >= ANSWERED_WINDOW:
+            self.older, self.newer = self.newer, set()
+
+    def discard(self, key: object) -> None:
+        self.newer.discard(key)
+        self.older.discard(key)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self.newer or key in self.older
+
+
+@dataclass(slots=True)
 class _PendingUdp:
     """One in-flight UDP query awaiting its response (or timeout)."""
 
@@ -98,7 +127,7 @@ class _StreamChannel:
         self.protocol = protocol
         self.framer = StreamFramer()
         self.pending: Dict[MatchKey, List[Tuple[SentQuery, QueryRecord]]] = {}
-        self._answered: Set[MatchKey] = set()
+        self._answered = _AnsweredWindow()
         self.open = True
         self.ever_used = False
 
@@ -201,7 +230,7 @@ class SimQuerier:
             TcpStack(host)
         self._udp_sockets: Dict[str, UdpSocket] = {}
         self._udp_pending: Dict[Tuple[int, int], List[_PendingUdp]] = {}
-        self._udp_answered: Set[Tuple[int, int]] = set()
+        self._udp_answered = _AnsweredWindow()
         self._channels: Dict[Tuple[str, str], _StreamChannel] = {}
         self.queries_sent = 0
         self._pacer = (AimdPacer(self.config.pacing, self.loop.now)

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
 from ..trace.stats import quartile_summary
 
 
-@dataclass
+@dataclass(slots=True)
 class SentQuery:
     """Fate of one replayed query."""
 
@@ -115,7 +115,7 @@ _COUNTER_FIELDS = (
     "duplicate_responses", "reconnects", "tcp_fallbacks",
     "reassigned_queries", "gave_up", "servfails_observed",
     "paced_queries", "pace_rate_cuts", "backpressure_pauses",
-    "watchdog_stalls", "deadline_shed",
+    "workers_lost", "deadline_shed",
     "respawns", "redelivered_records", "duplicate_merged",
 )
 
@@ -170,7 +170,7 @@ class ReplayResult:
         self.paced_queries = 0         # sends delayed by the AIMD pacer
         self.pace_rate_cuts = 0        # multiplicative-decrease events
         self.backpressure_pauses = 0   # sends held at the TCP high-water
-        self.watchdog_stalls = 0       # workers lost for good
+        self.workers_lost = 0          # workers lost for good
         self.deadline_shed = 0         # queries shed past the replay deadline
         # Self-healing counters (crash recovery & checkpointed merge).
         self.respawns = 0              # worker processes respawned
@@ -400,7 +400,7 @@ class ReplayResult:
             "paced_queries": self.paced_queries,
             "pace_rate_cuts": self.pace_rate_cuts,
             "backpressure_pauses": self.backpressure_pauses,
-            "watchdog_stalls": self.watchdog_stalls,
+            "workers_lost": self.workers_lost,
             "deadline_shed": self.deadline_shed,
         }
 

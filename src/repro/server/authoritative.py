@@ -25,6 +25,7 @@ from ..dns import (AnswerKind, Flag, Message, Name, Opcode, Question, RRClass,
                    RRType, RRset, Rcode, UDP_PAYLOAD_LIMIT, Zone)
 from ..netsim.packet import WireView
 from ..perf import PerfCounters
+from ..telemetry.metrics import Counter
 from ..dns.zone import NameKey
 from .wirecache import ResponseWireCache, WireCacheEntry
 
@@ -146,11 +147,25 @@ class AuthoritativeServer:
         self.dynamic = dynamic
         self.wire_cache: Optional[ResponseWireCache] = (
             ResponseWireCache() if wire_cache is _DEFAULT_CACHE else wire_cache)
-        self.perf = perf
+        self.perf = perf  # through the setter: it caches the hit handles
         # Telemetry hub, mirrored from the hosting layer (like perf)
         # only when per-query recording is enabled.
         self.telemetry = None
         self.stats = ServerStats()
+
+    @property
+    def perf(self) -> Optional[PerfCounters]:
+        return self._perf
+
+    @perf.setter
+    def perf(self, perf: Optional[PerfCounters]) -> None:
+        # A cache hit books through handles, not string-keyed updates.
+        self._perf = perf
+        self._hits, self._zero_copy_hits, self._template_hits = (
+            (None,) * 3 if perf is None else
+            (perf.counter("server.wire_cache_hits"),
+             perf.counter("server.zero_copy_hits"),
+             perf.counter("server.wire_cache_template_hits")))
 
     @classmethod
     def single_view(cls, zones: Iterable[Zone]) -> "AuthoritativeServer":
@@ -456,7 +471,8 @@ class AuthoritativeServer:
         return wire
 
     def _book_hit(self, entry: WireCacheEntry, transport: str,
-                  response_bytes: int, counter: str = "") -> None:
+                  response_bytes: int,
+                  counter: Optional[Counter] = None) -> None:
         """Leave :class:`ServerStats` where the uncached engine would."""
         stats = self.stats
         stats.queries += 1
@@ -468,10 +484,10 @@ class AuthoritativeServer:
         stats.referrals += deltas[2]
         stats.truncated += deltas[3]
         stats.response_bytes += response_bytes
-        if self.perf is not None:
-            self.perf.incr("server.wire_cache_hits")
-            if counter:
-                self.perf.incr(counter)
+        if self._hits is not None:
+            self._hits.add()
+            if counter is not None:
+                counter.add()
 
     def _serve_template(self, cache: ResponseWireCache, view: View,
                         labels: NameKey, lowered: NameKey, qtype: int,
@@ -512,7 +528,7 @@ class AuthoritativeServer:
             return None, None
         cache.hit_template(key)
         self._book_hit(entry, transport, len(wire) if flags[3] else 0,
-                       "server.wire_cache_template_hits")
+                       self._template_hits)
         return wire, None
 
     def serve_wire_fast(self, wire_query: bytes, source: str = "0.0.0.0",
@@ -521,7 +537,8 @@ class AuthoritativeServer:
         """Zero-copy cache probe straight off the encoded query.
 
         The hot-loop complement to :meth:`serve_wire`: the cache key is
-        parsed out of the wire with :func:`_parse_query_key` — no
+        parsed out of the wire with :func:`_parse_query_key` (memoized
+        on the bytes past the message ID) — no
         :meth:`Message.from_wire`, which dominates the per-query cost —
         and an exact-qname hit is served as a :class:`WireView` pairing
         the query's own 2-byte message ID with the entry's shared
@@ -545,7 +562,7 @@ class AuthoritativeServer:
         cache = self.wire_cache
         if cache is None or self.dynamic is not None:
             return None
-        parsed = _parse_query_key(wire_query, transport == "udp")
+        parsed = _query_key(wire_query, transport == "udp")
         if parsed is None:
             return None
         view = self.view_for(source)
@@ -560,8 +577,28 @@ class AuthoritativeServer:
                 parsed[1], parsed[3:], wire_query[:2],
                 wire_query[12:question_end], transport)[0]
         self._book_hit(entry, transport, entry.stat_deltas[4],
-                       "server.zero_copy_hits")
+                       self._zero_copy_hits)
         return WireView(wire_query[:2], entry.body_view)
+
+
+# Parsed keys memoized on the query past its message ID, which the
+# parser never reads, one memo per transport; capped and cleared when
+# full, like the querier's qname memo (a small cap keeps misses lean).
+_QUERY_KEY_MEMOS: Dict[bool, Dict[bytes, Optional[Tuple]]] = {
+    True: {}, False: {}}
+_QUERY_KEY_MEMO_LIMIT = 4096
+
+
+def _query_key(wire: bytes, is_udp: bool) -> Optional[Tuple]:
+    """:func:`_parse_query_key`, memoized on ``wire[2:]``."""
+    memo = _QUERY_KEY_MEMOS[is_udp]
+    try:
+        return memo[wire[2:]]
+    except KeyError:
+        if len(memo) >= _QUERY_KEY_MEMO_LIMIT:
+            memo.clear()
+        parsed = memo[wire[2:]] = _parse_query_key(wire, is_udp)
+        return parsed
 
 
 def _parse_query_key(wire: bytes, is_udp: bool) -> Optional[Tuple]:

@@ -10,6 +10,7 @@ processes on the testbed server (§5.2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Message, Rcode, WireError
@@ -184,13 +185,6 @@ class HostedDnsServer:
         ``sendto`` when none is open: a lone datagram, or an answer an
         async engine produces after its batch was flushed.
         """
-        def send(wire):
-            out = batch[0]
-            if out is None:
-                sock.sendto(wire, src, sport)
-            else:
-                out.append((wire, src, sport))
-
         fast = self._fast_serve
         if fast is not None:
             wire = fast(data, src, "udp")
@@ -202,12 +196,22 @@ class HostedDnsServer:
                                            transport="udp")
                     telemetry.server_event(data, "server.cache_hit")
                     telemetry.on_server_response(data, wire, "udp")
-                send(wire)
+                self._answer_udp(sock, src, sport, batch, wire)
                 return True
         # CPU is charged in _serve, once the admission verdict is known:
         # a query shed at the door costs udp_shed, not the full path.
-        self._serve(data, src, "udp", send)
+        self._serve(data, src, "udp",
+                    partial(self._answer_udp, sock, src, sport, batch))
         return False
+
+    @staticmethod
+    def _answer_udp(sock, src: str, sport: int, batch: list,
+                    wire) -> None:
+        out = batch[0]
+        if out is None:
+            sock.sendto(wire, src, sport)
+        else:
+            out.append((wire, src, sport))
 
     def _book_fast_hits(self, count: int) -> None:
         self._queries_counter.add(count)

@@ -335,7 +335,7 @@ class TestSupervision:
             killer = _kill_first_querier(topology)
             result = topology.replay(trace)
             killer.join(timeout=1.0)
-        assert result.watchdog_stalls == 1
+        assert result.workers_lost == 1
         assert topology.metrics.count("multiproc.lost_shards") == 1
         assert len(result) == len(trace)
         assert result.redelivered_records >= 1
@@ -357,7 +357,7 @@ class TestSupervision:
             result = topology.replay(trace)
             killer.join(timeout=1.0)
         assert not killer.is_alive()
-        assert result.watchdog_stalls == 1 and result.respawns == 0
+        assert result.workers_lost == 1 and result.respawns == 0
         assert topology.metrics.count("multiproc.lost_shards") == 1
         assert topology.metrics.count("multiproc.workers") == 4
         assert not topology.querier_handles[0].reported

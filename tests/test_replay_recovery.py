@@ -5,6 +5,8 @@ UDP timeout/retry/backoff/TCP-fallback, stream reconnection,
 crashed-querier failover in the distribution tree.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dns import DNS_PORT, Message, Name, RRType, read_zone
@@ -12,9 +14,11 @@ from repro.netsim import (EventLoop, FaultInjector, FaultPlan, Network,
                           RetryPolicy)
 from repro.replay import (QuerierConfig, ReplayConfig, SimQuerier,
                           SimReplayEngine)
+from repro.replay.querier import ANSWERED_WINDOW
 from repro.replay.result import ReplayResult
 from repro.server import AuthoritativeServer, HostedDnsServer, \
     TransportConfig
+from repro.server.dnsio import frame_message
 from repro.trace import QueryRecord, Trace
 
 pytestmark = pytest.mark.faults
@@ -124,6 +128,92 @@ class TestUdpRetry:
         assert result.sent[0].answered_at is not None
         assert result.duplicate_responses >= 1
         assert result.unmatched_responses == 0
+
+
+class _Matcher:
+    """One querier's response matching, driven directly.
+
+    Sends go out through :meth:`SimQuerier.send` onto the simulated
+    network, which is never run; an answer is handed to the querier as
+    if it had just arrived on the record's socket (UDP) or connection
+    (TCP).  A copy of the query wire serves as its answer: both match on
+    what the query carries.
+    """
+
+    def __init__(self, protocol):
+        _loop, _network, _server, self.querier, self.result = deploy()
+        self.protocol = protocol
+        self.base = make_record(protocol=protocol)
+        self.index = 0
+
+    def record(self, msg_id):
+        return replace(self.base,
+                       wire=msg_id.to_bytes(2, "big") + self.base.wire[2:])
+
+    def send(self, msg_id):
+        self.querier.send(self.index, self.record(msg_id), 0.0)
+        self.index += 1
+
+    def answer(self, msg_id):
+        wire = self.record(msg_id).wire
+        if self.protocol == "udp":
+            sock = self.querier._udp_sockets["198.51.100.1"]
+            self.querier._on_udp_response(sock, wire, SERVER, DNS_PORT)
+        else:
+            channel = self.querier._channels[("198.51.100.1", "tcp")]
+            channel._on_bytes(frame_message(wire))
+
+    def window(self):
+        if self.protocol == "udp":
+            return self.querier._udp_answered
+        return self.querier._channels[("198.51.100.1", "tcp")]._answered
+
+    def exchange(self, msg_ids):
+        for msg_id in msg_ids:
+            self.send(msg_id)
+            self.answer(msg_id)
+
+
+@pytest.mark.parametrize("protocol", ["udp", "tcp"])
+class TestAnsweredWindow:
+    """The bounded window that tells a duplicate from an unmatched answer."""
+
+    def test_duplicate_inside_the_window(self, protocol):
+        matcher = _Matcher(protocol)
+        matcher.exchange([1, 2, 3])
+        matcher.answer(2)
+        assert matcher.result.duplicate_responses == 1
+        assert matcher.result.unmatched_responses == 0
+        assert matcher.result.unanswered() == 0
+
+    def test_stale_copy_past_two_windows_is_unmatched(self, protocol):
+        matcher = _Matcher(protocol)
+        matcher.exchange([1])
+        matcher.exchange(range(2, 2 * ANSWERED_WINDOW + 3))
+        matcher.answer(1)
+        assert matcher.result.duplicate_responses == 0
+        assert matcher.result.unmatched_responses == 1
+
+    def test_resent_key_matches_its_fresh_answer(self, protocol):
+        matcher = _Matcher(protocol)
+        matcher.exchange([7])
+        matcher.send(7)
+        matcher.answer(7)
+        first, second = matcher.result.sent
+        assert first.answered_at is not None
+        assert second.answered_at is not None
+        assert matcher.result.duplicate_responses == 0
+        assert matcher.result.unmatched_responses == 0
+        matcher.answer(7)
+        assert matcher.result.duplicate_responses == 1
+
+    def test_window_stays_bounded(self, protocol):
+        matcher = _Matcher(protocol)
+        matcher.exchange(range(1, 30_001))
+        assert matcher.result.unanswered() == 0
+        window = matcher.window()
+        assert len(window.newer) <= ANSWERED_WINDOW
+        assert len(window.older) <= ANSWERED_WINDOW
 
 
 class TestStreamMatching:

@@ -159,14 +159,14 @@ class TestMergeAndSerialization:
         shard.sent[1].answered_at = None
         shard.sent[1].retries = 2
         shard.sent[1].gave_up = True
-        shard.watchdog_stalls = 1
+        shard.workers_lost = 1
         shard.start_clock, shard.trace_start = 99.5, 0.25
         wire = json.dumps(shard.to_dict())   # must be JSON-safe
         restored = ReplayResult.from_dict(json.loads(wire))
         assert restored.name == "querier-2"
         assert restored.start_clock == 99.5
         assert restored.trace_start == 0.25
-        assert restored.watchdog_stalls == 1
+        assert restored.workers_lost == 1
         assert len(restored) == 2
         assert restored.sent == shard.sent
         assert restored.sent[1].gave_up is True

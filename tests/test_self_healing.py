@@ -1060,7 +1060,7 @@ class TestCrashRecoveryEndToEnd:
         assert conservation_violations(result, len(trace.records)) == []
         assert result.respawns == 2
         # A respawned worker is not a lost one.
-        assert result.watchdog_stalls == 0
+        assert result.workers_lost == 0
         answered = sum(1 for q in result.sent if q.answered_at is not None)
         assert answered == len(trace.records)
 

@@ -20,6 +20,7 @@ from repro.dns.dnssec import sign_zone
 from repro.dns.rrset import RR
 from repro.experiments.report import render_perf_counters
 from repro.perf import PerfCounters
+from repro.server import authoritative
 from repro.server import (AuthoritativeServer, CdnPolicy, DynamicOverlay,
                           ResponseWireCache, View, WireCacheEntry, ZoneSet)
 from repro.trace import make_hierarchy_zones, make_root_zone, zipf_trace
@@ -553,3 +554,68 @@ class TestTemplateObservability:
         assert perf.count("server.wire_cache_hits") == 10
         assert "server.wire_cache_template_hits  9" in \
             render_perf_counters(perf)
+
+
+MEMO_WIRES = [wire_for(qname, qtype, edns, rd_bit=rd_bit)
+              for qname in ROOT_QNAMES[:6] + ["www.example.com."]
+              for qtype in (RRType.A, RRType.DS)
+              for edns in (None, DO, Edns(payload_size=600))
+              for rd_bit in (False, True)]
+
+
+def _poke(wire, at, byte):
+    at %= len(wire)
+    return wire[:at] + bytes([byte]) + wire[at + 1:]
+
+
+# Well-formed queries, each with one byte overwritten, and raw bytes:
+# every shape the key parser accepts or rejects.
+memo_wires = st.one_of(
+    st.sampled_from(MEMO_WIRES),
+    st.builds(_poke, st.sampled_from(MEMO_WIRES), st.integers(0, 511),
+              st.integers(0, 255)),
+    st.binary(max_size=64))
+
+
+class TestQueryKeyMemo:
+    """``serve_wire_fast`` parses through a memo keyed past the ID."""
+
+    def setup_method(self):
+        for memo in authoritative._QUERY_KEY_MEMOS.values():
+            memo.clear()
+
+    @given(memo_wires, st.binary(min_size=2, max_size=2))
+    @settings(max_examples=400, deadline=None)
+    def test_memo_hit_is_what_parsing_returns(self, wire, ident):
+        for is_udp in (True, False):
+            first = authoritative._query_key(wire, is_udp)
+            assert first == authoritative._parse_query_key(wire, is_udp)
+            other = ident + wire[2:]
+            assert authoritative._query_key(other, is_udp) \
+                == authoritative._parse_query_key(other, is_udp)
+
+    def test_serve_wire_fast_parses_through_the_memo(self):
+        server = AuthoritativeServer.single_view([example_zone()])
+        wire = wire_for("www.example.com.", edns=DO)
+        for transport in ("udp", "tcp"):
+            server.serve_wire(Message.from_wire(wire), transport=transport)
+            for msg_id in (1, 2, 0xBEEF):
+                ident = msg_id.to_bytes(2, "big")
+                response = server.serve_wire_fast(ident + wire[2:],
+                                                  transport=transport)
+                assert response is not None and response[:2] == ident
+        assert [list(memo) for memo
+                in authoritative._QUERY_KEY_MEMOS.values()] \
+            == [[wire[2:]], [wire[2:]]]
+        rejected = _poke(wire, 5, 2)                        # QDCOUNT 2
+        assert server.serve_wire_fast(rejected) is None
+        assert authoritative._QUERY_KEY_MEMOS[True][rejected[2:]] is None
+
+    def test_memo_stays_under_its_cap(self):
+        server = AuthoritativeServer.single_view([example_zone()])
+        for index in range(10_000):
+            for transport in ("udp", "tcp"):
+                server.serve_wire_fast(wire_for(f"n{index}.example.com."),
+                                       transport=transport)
+        for memo in authoritative._QUERY_KEY_MEMOS.values():
+            assert 0 < len(memo) <= authoritative._QUERY_KEY_MEMO_LIMIT

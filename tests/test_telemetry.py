@@ -413,7 +413,7 @@ class TestExporters:
         assert "recovery.duplicate_merged" in text
         # Counters that never moved are omitted, and a clean run adds
         # no recovery section at all.
-        assert "recovery.watchdog_stalls" not in text
+        assert "recovery.workers_lost" not in text
         clean = render_telemetry(self._traced_telemetry(), ReplayResult())
         assert "recovery." not in clean
 
