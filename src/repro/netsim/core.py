@@ -53,23 +53,20 @@ class EventLoop:
     """A deterministic discrete-event scheduler."""
 
     def __init__(self, start_time: float = 0.0):
-        self._now = start_time
+        # The simulated clock: read everywhere, advanced only by the loop.
+        self.now = start_time
         self._queue: List[Tuple[float, int, Timer]] = []
         self._sequence = itertools.count()
         self._running = False
         self._live = 0           # scheduled-and-not-cancelled entries
         self.events_processed = 0
 
-    @property
-    def now(self) -> float:
-        return self._now
-
     def call_at(self, when: float, callback: Callable[..., None],
                 *args: Any) -> Timer:
-        if when < self._now - 1e-12:
+        if when < self.now - 1e-12:
             raise SimulationError(
-                f"cannot schedule at {when} before now {self._now}")
-        timer = Timer(max(when, self._now), callback, args, self)
+                f"cannot schedule at {when} before now {self.now}")
+        timer = Timer(max(when, self.now), callback, args, self)
         heapq.heappush(self._queue, (timer.when, next(self._sequence), timer))
         self._live += 1
         return timer
@@ -88,10 +85,10 @@ class EventLoop:
         timers: List[Timer] = []
         additions: List[Tuple[float, int, Timer]] = []
         for when, callback, args in entries:
-            if when < self._now - 1e-12:
+            if when < self.now - 1e-12:
                 raise SimulationError(
-                    f"cannot schedule at {when} before now {self._now}")
-            timer = Timer(max(when, self._now), callback, args, self)
+                    f"cannot schedule at {when} before now {self.now}")
+            timer = Timer(max(when, self.now), callback, args, self)
             additions.append((timer.when, next(self._sequence), timer))
             timers.append(timer)
         if len(additions) > len(self._queue):
@@ -105,10 +102,10 @@ class EventLoop:
 
     def call_later(self, delay: float, callback: Callable[..., None],
                    *args: Any) -> Timer:
-        return self.call_at(self._now + max(delay, 0.0), callback, *args)
+        return self.call_at(self.now + max(delay, 0.0), callback, *args)
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> Timer:
-        return self.call_at(self._now, callback, *args)
+        return self.call_at(self.now, callback, *args)
 
     # -- cancellation accounting -----------------------------------------
 
@@ -133,10 +130,10 @@ class EventLoop:
                     continue
                 self._live -= 1
                 timer._loop = None  # cancel() after firing must not re-count
-                self._now = when
+                self.now = when
                 timer.callback(*timer.args)
                 self.events_processed += 1
-            self._now = max(self._now, deadline)
+            self.now = max(self.now, deadline)
         finally:
             self._running = False
 
@@ -155,14 +152,14 @@ class EventLoop:
                     continue
                 self._live -= 1
                 timer._loop = None  # cancel() after firing must not re-count
-                self._now = when
+                self.now = when
                 timer.callback(*timer.args)
                 processed += 1
                 self.events_processed += 1
                 if max_events is not None and processed >= max_events:
                     break
             if max_time is not None:
-                self._now = max(self._now, max_time)
+                self.now = max(self.now, max_time)
         finally:
             self._running = False
         return processed
@@ -175,4 +172,4 @@ class EventLoop:
         return len(self._queue)
 
     def __repr__(self) -> str:
-        return f"EventLoop(now={self._now:.6f}, pending={self.pending_events()})"
+        return f"EventLoop(now={self.now:.6f}, pending={self.pending_events()})"

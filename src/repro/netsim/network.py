@@ -18,7 +18,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import EventLoop
 from .packet import (Address, IpPacket, TcpSegment, UdpSegment,
-                     packet_checksum, packet_wire_size, validate_address)
+                     make_udp_packet, packet_checksum, packet_wire_size,
+                     validate_address)
 
 LOOPBACK_DELAY = 0.00002  # 20 microseconds for same-host delivery
 
@@ -206,12 +207,8 @@ class UdpSocket:
     def sendto(self, data: bytes, dst: Address, dport: int) -> None:
         if self.closed:
             raise NetworkError("socket is closed")
-        # Construct once with the checksum precomputed (``with_checksum``
-        # pays a second construction on the hot path).
-        segment = UdpSegment(self.port, dport, data)
-        self.host.send_packet(IpPacket(
-            self.address, dst, segment,
-            packet_checksum(self.address, dst, segment)))
+        self.host.send_packet(
+            make_udp_packet(self.address, self.port, dst, dport, data))
 
     def sendto_batch(self, datagrams: List[Tuple[bytes, Address, int]]
                      ) -> None:
@@ -220,12 +217,9 @@ class UdpSocket:
             raise NetworkError("socket is closed")
         address = self.address
         port = self.port
-        packets = []
-        for data, dst, dport in datagrams:
-            segment = UdpSegment(port, dport, data)
-            packets.append(IpPacket(address, dst, segment,
-                                    packet_checksum(address, dst, segment)))
-        self.host.send_packet_batch(packets)
+        self.host.send_packet_batch([
+            make_udp_packet(address, port, dst, dport, data)
+            for data, dst, dport in datagrams])
 
     def deliver(self, data: bytes, src: Address, sport: int) -> None:
         if self.on_datagram is not None and not self.closed:
@@ -627,6 +621,8 @@ class Network:
         loss_random = self._loss_rng.random if loss_rate > 0 else None
         sender_name = sender.name
         bandwidth = sender.egress_bandwidth_bps
+        # Jitter-free delays by receiver; with jitter every packet draws.
+        delays: Dict[Host, float] = {}
         # (receiver, delivery time) -> packets; dict insertion order
         # keeps the groups in first-arrival order.
         groups: Dict[Tuple[Host, float], List[IpPacket]] = {}
@@ -651,10 +647,12 @@ class Network:
                     continue
             if telemetry is not None:
                 telemetry.on_transmit(packet)
-            if receiver is sender:
-                delay = LOOPBACK_DELAY
-            else:
-                delay = latency.one_way(sender_name, receiver.name)
+            delay = delays.get(receiver)
+            if delay is None:
+                delay = (LOOPBACK_DELAY if receiver is sender
+                         else latency.one_way(sender_name, receiver.name))
+                if not latency.jitter_fraction:
+                    delays[receiver] = delay
             if bandwidth:
                 start = max(now, sender._egress_busy_until)
                 finish = start + packet.wire_size() * 8 / bandwidth

@@ -32,7 +32,13 @@ def validate_address(address: Address) -> Address:
 _PAIR_CACHE_LIMIT = 1 << 16
 _pair_crcs: dict = {}
 
+# A UDP checksum goes on from its flow's prefix CRC (the pair, ``"U"``
+# and the ports), memoized per flow and cleared when full.
+_FLOW_CACHE_LIMIT = 4096
+_flow_crcs: dict = {}
+
 _UDP_PREFIX = struct.Struct("!cHH").pack
+_tuple_new = tuple.__new__
 
 
 def _pair_crc(src: Address, dst: Address) -> int:
@@ -41,6 +47,16 @@ def _pair_crc(src: Address, dst: Address) -> int:
     if len(_pair_crcs) >= _PAIR_CACHE_LIMIT:
         _pair_crcs.clear()
     _pair_crcs[(src, dst)] = crc
+    return crc
+
+
+def _flow_crc(src: Address, dst: Address, sport: int, dport: int) -> int:
+    # A memoized CRC of 0 reads as a miss and is recomputed: still exact.
+    crc = crc32(_UDP_PREFIX(b"U", sport, dport),
+                _pair_crcs.get((src, dst)) or _pair_crc(src, dst))
+    if len(_flow_crcs) >= _FLOW_CACHE_LIMIT:
+        _flow_crcs.clear()
+    _flow_crcs[(src, dst, sport, dport)] = crc
     return crc
 
 
@@ -221,18 +237,17 @@ def packet_checksum(src: Address, dst: Address, segment: Segment) -> int:
     """Pseudo-header checksum without constructing a packet first.
 
     One ``crc32`` streamed over the packed address pair (memoized), the
-    transport prefix and the payload: the value of ``crc32(packed src +
-    packed dst + segment.pseudo_bytes())`` without building that string.
-    A :class:`WireView` payload is fed as its header and body, so
-    zero-copy responses stay zero-copy through checksumming too.
+    transport prefix (memoized per UDP flow) and the payload: the value
+    of ``crc32(packed src + packed dst + segment.pseudo_bytes())``
+    without building that string.  A :class:`WireView` payload is fed
+    as its header and body, so zero-copy responses stay zero-copy.
     """
-    crc = _pair_crcs.get((src, dst))
-    if crc is None:
-        crc = _pair_crc(src, dst)
     if type(segment) is not UdpSegment:
-        return crc32(segment.pseudo_bytes(), crc)
+        return crc32(segment.pseudo_bytes(),
+                     _pair_crcs.get((src, dst)) or _pair_crc(src, dst))
     sport, dport, data = segment
-    crc = crc32(_UDP_PREFIX(b"U", sport, dport), crc)
+    crc = (_flow_crcs.get((src, dst, sport, dport))
+           or _flow_crc(src, dst, sport, dport))
     if type(data) is WireView:
         return crc32(data.body, crc32(data.header, crc))
     return crc32(data, crc)
@@ -250,9 +265,18 @@ def packet_wire_size(segment: Segment) -> int:
 
 
 def make_udp_packet(src: Address, sport: int, dst: Address, dport: int,
-                    data: bytes) -> IpPacket:
-    segment = UdpSegment(sport, dport, data)
-    return IpPacket(src, dst, segment, packet_checksum(src, dst, segment))
+                    data: Union[bytes, WireView]) -> IpPacket:
+    """The one place a UDP :class:`IpPacket` is built: the checksum is
+    :func:`packet_checksum`'s UDP branch inline, and ``tuple.__new__``
+    skips only the ``NamedTuple`` constructors' Python ``__new__``."""
+    crc = (_flow_crcs.get((src, dst, sport, dport))
+           or _flow_crc(src, dst, sport, dport))
+    if type(data) is WireView:
+        crc = crc32(data.body, crc32(data.header, crc))
+    else:
+        crc = crc32(data, crc)
+    return _tuple_new(IpPacket, (src, dst, _tuple_new(
+        UdpSegment, (sport, dport, data)), crc, 0))
 
 
 def make_tcp_packet(src: Address, sport: int, dst: Address, dport: int,

@@ -24,7 +24,7 @@ from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Rcode
 from ..netsim import (EventLoop, Host, NetworkError, RetryPolicy,
                       TcpConnection, TcpOptions, TcpStack, Timer,
                       TlsEndpoint, UdpSocket)
-from ..netsim.packet import IpPacket, UdpSegment, WireView, packet_checksum
+from ..netsim.packet import IpPacket, WireView, make_udp_packet
 from ..server.dnsio import StreamFramer, frame_message
 from ..telemetry.tracing import QueryKey, wire_question_key
 from ..trace import QueryRecord
@@ -38,9 +38,12 @@ MatchKey = QueryKey
 
 # Presentation-format qnames memoized on question-section bytes, shared
 # across queriers (the distributor spreads the same sources over many).
-# The cap is a safety valve for traces with unbounded name populations.
+# Cleared when full, like the server's key memo: a hot trace's names
+# fit, and a miss-heavy trace's single-use names do not pile up.
 _QNAME_MEMO: Dict[bytes, str] = {}
-_QNAME_MEMO_LIMIT = 1 << 16
+_QNAME_MEMO_LIMIT = 4096
+
+_SERVFAIL = int(Rcode.SERVFAIL)
 
 # Keys per generation of an _AnsweredWindow.
 ANSWERED_WINDOW = 4096
@@ -295,11 +298,10 @@ class SimQuerier:
     def _book(self, index: int, record: QueryRecord,
               scheduled_at: float) -> SentQuery:
         """File one send, at this instant, in the result and the hub."""
-        entry = SentQuery(
-            index=index, source=record.src, trace_time=record.timestamp,
-            scheduled_at=scheduled_at, sent_at=self.loop.now,
-            protocol=record.protocol, qname=self._qname(record),
-            querier_id=self.querier_id)
+        # Positional, in field order: a keyword call costs twice as much.
+        entry = SentQuery(index, record.src, record.timestamp, scheduled_at,
+                          self.loop.now, record.protocol,
+                          self._qname(record), None, False, self.querier_id)
         self.result.add(entry)
         self.queries_sent += 1
         if self.telemetry is not None:
@@ -315,7 +317,7 @@ class SimQuerier:
             rcode = body[1] & 0x0F if len(body) >= 2 else 0
         else:
             rcode = wire[3] & 0x0F if len(wire) >= 4 else 0
-        if rcode == int(Rcode.SERVFAIL):
+        if rcode == _SERVFAIL:
             self.result.servfails_observed += 1
             self._congestion()
         elif self._pacer is not None:
@@ -361,10 +363,8 @@ class SimQuerier:
         if outbox is None:
             sock.sendto(wire, record.dst, record.dport)
         else:
-            segment = UdpSegment(sock.port, record.dport, wire)
-            outbox.append(IpPacket(
-                sock.address, record.dst, segment,
-                packet_checksum(sock.address, record.dst, segment)))
+            outbox.append(make_udp_packet(sock.address, sock.port,
+                                          record.dst, record.dport, wire))
         policy = self.config.retry
         if policy is not None:
             pending.timer = self.loop.call_later(

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Iterable, List, Optional, Tuple
 
 from ..dns import (DNS_PORT, Edns, Message, Name, NameError_, RRClass, RRType,
@@ -10,6 +11,8 @@ from ..dns import (DNS_PORT, Edns, Message, Name, NameError_, RRClass, RRType,
 from ..dns.name import parse_wire_name
 
 PROTOCOLS = ("udp", "tcp", "tls")
+
+_object_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,19 @@ class QueryRecord:
     dport: int
     protocol: str
     wire: bytes
+
+    # The generated ``__init__``, less its per-field lookup of
+    # ``object.__setattr__``: a record is built per trace line and mutation.
+    def __init__(self, timestamp: float, src: str, sport: int, dst: str,
+                 dport: int, protocol: str, wire: bytes) -> None:
+        _object_setattr(self, "timestamp", timestamp)
+        _object_setattr(self, "src", src)
+        _object_setattr(self, "sport", sport)
+        _object_setattr(self, "dst", dst)
+        _object_setattr(self, "dport", dport)
+        _object_setattr(self, "protocol", protocol)
+        _object_setattr(self, "wire", wire)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -76,7 +92,15 @@ class QueryRecord:
         return (name, rrtype, rrclass)
 
     def with_(self, **changes) -> "QueryRecord":
-        return replace(self, **changes)
+        """``dataclasses.replace(self, **changes)``, built by position
+        (``replace`` still refuses a name that is not a field)."""
+        if changes.keys() - _FIELDS:
+            return replace(self, **changes)
+        return type(self)(*map(changes.get, _FIELDS, _field_values(self)))
+
+
+_FIELDS = tuple(field.name for field in fields(QueryRecord))
+_field_values = attrgetter(*_FIELDS)
 
 
 class Trace:

@@ -44,7 +44,6 @@ KEPT_DEFINITIONS = {
     "repro.trace.stats.client_load_cdf",
     "repro.trace.stats.cdf_points",
     # fixture constructors: moving them into tests/ removes nothing
-    "repro.netsim.packet.make_udp_packet",
     "repro.trace.record.make_query_record",
     "repro.trace.binfmt.read_binary",
     "repro.trace.binfmt.write_binary",

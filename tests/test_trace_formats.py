@@ -1,6 +1,8 @@
 """Tests for trace formats: record model, text, binary, pcap."""
 
+import dataclasses
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,6 +60,89 @@ class TestRecordModel:
 
     def test_clients(self, trace):
         assert len(trace.clients()) == 5
+
+
+class TestRecordContract:
+    """``QueryRecord`` is a frozen dataclass whatever builds it: its
+    constructor and ``with_`` keep that contract and its size."""
+
+    RECORD = make_query_record(1.5, "10.0.0.1", "a.example.com.")
+    CHANGES = [{"timestamp": 2.0}, {"src": "10.0.0.9", "sport": 7},
+               {"dst": "192.0.2.1", "dport": 853, "protocol": "tls"},
+               {"wire": make_query_record(0, "x", "b.example.").wire}, {}]
+
+    @pytest.mark.parametrize("name", [field.name for field in
+                                      dataclasses.fields(QueryRecord)]
+                             + ["extra"])
+    def test_assignment_is_refused(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.RECORD, name, 0)
+
+    def test_equal_records_hash_equal(self):
+        record = self.RECORD
+        twin = QueryRecord(*(getattr(record, field.name)
+                             for field in dataclasses.fields(record)))
+        assert twin == record and hash(twin) == hash(record)
+        assert twin is not record
+        assert record.with_(sport=record.sport + 1) != record
+
+    @pytest.mark.parametrize("changes", CHANGES)
+    def test_with_is_replace(self, changes):
+        changed = self.RECORD.with_(**changes)
+        assert changed == dataclasses.replace(self.RECORD, **changes)
+        assert type(changed) is QueryRecord
+        for name, value in changes.items():
+            assert getattr(changed, name) == value
+
+    def test_bad_protocol_and_unknown_field_are_refused(self):
+        with pytest.raises(ValueError, match="sctp"):
+            QueryRecord(0, "1.2.3.4", 1, "5.6.7.8", 53, "sctp", b"x" * 12)
+        with pytest.raises(ValueError, match="sctp"):
+            self.RECORD.with_(protocol="sctp")
+        with pytest.raises(TypeError, match="qname"):
+            self.RECORD.with_(qname="x")
+        with pytest.raises(TypeError, match="qname"):
+            dataclasses.replace(self.RECORD, qname="x")
+
+    def test_post_init_runs_through_the_class(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(QueryRecord, "__post_init__",
+                            lambda record: calls.append(record))
+        built = [QueryRecord(0, "a", 1, "b", 53, "udp", b""),
+                 self.RECORD.with_(dport=54),
+                 dataclasses.replace(self.RECORD, dport=55)]
+        assert calls == built
+
+    def test_question_is_parsed_once(self, monkeypatch):
+        record = self.RECORD.with_()
+        parses = []
+        parse = QueryRecord._parse_question
+        monkeypatch.setattr(QueryRecord, "_parse_question",
+                            lambda self: parses.append(self) or parse(self))
+        first = record.question()
+        assert record.question() is first
+        assert parses == [record]
+        assert record.with_(sport=9).question() == first
+        assert len(parses) == 2
+
+    def test_bytes_per_record(self):
+        """144 B a record, as with the dataclass's generated
+        constructor: one object with its attribute values inline and no
+        materialized ``__dict__`` (which would cost 336 B).  The 1 KiB
+        is for allocations that do not grow with the count."""
+        count = 4096
+        wire = self.RECORD.wire
+        slots = [None] * count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(count):
+                slots[index] = QueryRecord(0.5, "10.0.0.1", 40000,
+                                           "10.0.0.2", 53, "udp", wire)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 144 * count + 1024
 
 
 class TestTextFormat:
