@@ -22,8 +22,8 @@ import time
 from conftest import run_once
 
 from repro.replay import (DistributedConfig, ProcessTopology,
-                          RecoveryConfig, UdpEchoServerProcess,
-                          conservation_violations)
+                          RecoveryConfig, conservation_violations)
+from repro.server import LiveDnsServer
 from repro.trace import fixed_interval_trace
 
 DISTRIBUTORS = 2
@@ -43,7 +43,7 @@ def _trace():
 
 def _replay(kill: bool):
     trace = _trace()
-    with UdpEchoServerProcess() as echo:
+    with LiveDnsServer() as echo:
         config = DistributedConfig(
             distributors=DISTRIBUTORS,
             queriers_per_distributor=QUERIERS_PER,

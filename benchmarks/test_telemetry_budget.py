@@ -20,8 +20,8 @@ from conftest import run_once
 from repro.experiments.fig6_timing import wildcard_example_zone
 from repro.experiments.topology import build_evaluation_topology
 from repro.replay import (DistributedConfig, ProcessTopology, ReplayConfig,
-                          SimReplayEngine, UdpEchoServerProcess)
-from repro.server import AuthoritativeServer, HostedDnsServer
+                          SimReplayEngine)
+from repro.server import AuthoritativeServer, HostedDnsServer, LiveDnsServer
 from repro.telemetry import Telemetry, TelemetryConfig, chrome_trace
 from repro.trace import fixed_interval_trace, table1_synthetic
 
@@ -98,7 +98,7 @@ def _replay_processes(telemetry):
     assert len(trace.records) == STREAM_QUERIES
     config = DistributedConfig(distributors=2, queriers_per_distributor=2,
                                settle_time=0.5)
-    with UdpEchoServerProcess() as echo:
+    with LiveDnsServer() as echo:
         topology = ProcessTopology((echo.address, echo.port), config,
                                    telemetry=telemetry)
         started = time.perf_counter()

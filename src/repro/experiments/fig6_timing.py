@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..replay import (DistributedConfig, LiveUdpEchoServer,
-                      ProcessTopology, ReplayConfig, SimReplayEngine,
-                      TimerJitterModel)
-from ..server import AuthoritativeServer, HostedDnsServer
+from ..replay import (DistributedConfig, ProcessTopology, ReplayConfig,
+                      SimReplayEngine, TimerJitterModel)
+from ..server import AuthoritativeServer, HostedDnsServer, LiveDnsServer
 from ..trace import BRootWorkload, Trace, fixed_interval_trace, retarget, \
     QueryMutator
 from ..trace import make_root_zone
@@ -103,7 +102,7 @@ def run(scale: Scale = SMOKE, max_queries: int = 20000,
 
     if include_live:
         live_trace = fixed_interval_trace(0.01, 3.0, name="live-syn")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             live = ProcessTopology(
                 (server.address, server.port),
                 DistributedConfig(distributors=1,

@@ -25,8 +25,8 @@ import time
 from typing import Optional, Tuple
 
 from ..replay import (DistributedConfig, ProcessTopology, ReplayConfig,
-                      SimReplayEngine, UdpEchoServerProcess)
-from ..server import AuthoritativeServer, HostedDnsServer
+                      SimReplayEngine)
+from ..server import AuthoritativeServer, HostedDnsServer, LiveDnsServer
 from ..trace import QueryMutator, burst_trace, fixed_interval_trace, retarget
 from .common import ExperimentOutput, Scale, SMOKE
 from .fig6_timing import wildcard_example_zone
@@ -96,7 +96,7 @@ def _measure_topology(query_count: int, distributors: int,
     the client tree is the bottleneck (§4.3 methodology).
     """
     querier_total = distributors * queriers_per
-    servers = [UdpEchoServerProcess().start() for _ in range(querier_total)]
+    servers = [LiveDnsServer().start() for _ in range(querier_total)]
     try:
         addresses = [(s.address, s.port) for s in servers]
         config = DistributedConfig(

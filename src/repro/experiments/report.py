@@ -58,49 +58,6 @@ def render_failure_counts(result) -> str:
                      for key, value in counts.items())
 
 
-def render_perf_counters(perf) -> str:
-    """A :class:`repro.perf.PerfCounters` snapshot as aligned text rows.
-
-    Derived rates (cache hit rate, events per second) are appended when
-    the underlying counters are present, so experiment reports can show
-    how much of a replay the hot paths absorbed.
-    """
-    snapshot = perf.snapshot()
-    derived = {}
-    hit_rate = perf.hit_rate("server.wire_cache_hits",
-                             "server.wire_cache_misses")
-    if hit_rate is not None:
-        derived["server.wire_cache_hit_rate"] = f"{hit_rate:.3f}"
-    events_per_s = perf.rate("replay.events_processed", "replay.run")
-    if events_per_s is not None:
-        derived["replay.events_per_wall_s"] = f"{events_per_s:.0f}"
-    queries_per_s = perf.rate("replay.queries_scheduled", "replay.run")
-    if queries_per_s is not None:
-        derived["replay.queries_per_wall_s"] = f"{queries_per_s:.0f}"
-    zero_copy = snapshot.get("server.zero_copy_hits")
-    cache_hits = snapshot.get("server.wire_cache_hits")
-    if zero_copy and cache_hits:
-        # Share of wire-cache hits answered without assembling a
-        # response (the PR-7 zero-copy fast path).
-        derived["server.zero_copy_share"] = f"{zero_copy / cache_hits:.3f}"
-    shed = sum(value for key, value in snapshot.items()
-               if isinstance(value, (int, float))
-               and (key.startswith("overload.dropped")
-                    or key in ("overload.shed_servfail", "rrl.dropped",
-                               "rrl.early_drops", "tcp.syn_drops",
-                               "tcp.syn_refused", "tcp.backlog_refusals")))
-    if shed:
-        derived["overload.total_shed"] = str(int(shed))
-    rows = {key: (f"{value:.6f}" if isinstance(value, float) else str(value))
-            for key, value in sorted(snapshot.items())}
-    rows.update(derived)
-    if not rows:
-        return "(no perf counters recorded)"
-    width = max(len(key) for key in rows)
-    return "\n".join(f"{key:<{width}}  {value}"
-                     for key, value in rows.items())
-
-
 def render_telemetry(telemetry, result=None) -> str:
     """A :class:`repro.telemetry.Telemetry` run as aligned text rows.
 

@@ -52,8 +52,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from ..replay.distributed import DistributedConfig
-    from ..replay.multiproc import ProcessTopology, UdpEchoServerProcess
+    from ..replay.multiproc import ProcessTopology
     from ..replay.recovery import RecoveryConfig
+    from ..server import LiveDnsServer
     from ..telemetry import Telemetry, TelemetryConfig
     from ..telemetry.cluster import ClusterConsole
     from ..trace import fixed_interval_trace
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     console_holder = {}
 
-    with UdpEchoServerProcess() as echo:
+    with LiveDnsServer() as echo:
         topology = ProcessTopology((echo.address, echo.port), config,
                                    telemetry=hub)
 

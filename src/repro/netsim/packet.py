@@ -88,9 +88,6 @@ class WireView:
         self.body = body
         self.length = len(header) + len(body)
 
-    def parts(self) -> Tuple[bytes, memoryview]:
-        return (self.header, self.body)
-
     def tobytes(self) -> bytes:
         return self.header + bytes(self.body)
 

@@ -23,9 +23,8 @@ Counters are cheap (one dict add per event) so they can live on the
 per-query path; timings use ``time.perf_counter`` and belong around
 phases, not individual queries.  Components construct a private
 registry when none is passed, so runs never interfere; an experiment
-that wants one merged view passes a single registry (its own or the
-shared :func:`get_counters`) to every component, or calls
-:meth:`PerfCounters.merge` afterwards.
+that wants one merged view passes a single registry to every
+component, or calls :meth:`PerfCounters.merge` afterwards.
 
 Wall-clock measurement never feeds back into simulated behaviour — the
 discrete-event clock stays deterministic; counters only *observe*.
@@ -60,15 +59,3 @@ class PerfCounters(MetricsRegistry):
         return (f"PerfCounters({len(self._counts)} counters, "
                 f"{len(self._timings)} timings, {len(self._gauges)} gauges)")
 
-
-# The shared registry most components default to; experiments read it
-# after a run, tests needing isolation construct their own.
-_GLOBAL = PerfCounters()
-
-
-def get_counters() -> PerfCounters:
-    return _GLOBAL
-
-
-def reset_counters() -> None:
-    _GLOBAL.reset()

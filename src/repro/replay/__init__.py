@@ -14,10 +14,8 @@ from .recovery import (ChaosConfig, ChaosEngine, CheckpointPolicy,
                        conservation_violations, merge_recovered,
                        reconnect_with_backoff)
 from .engine import ReplayConfig, SimReplayEngine
-from .live import LiveUdpEchoServer
 from .multiproc import (ProcessTopology, ShardTopology,
-                        UdpEchoServerProcess, default_shard_scenario,
-                        shard_slice)
+                        default_shard_scenario, shard_slice)
 from .querier import QuerierConfig, SimQuerier
 from .result import ReplayResult, SentQuery
 from .supervision import AimdPacer, PacingConfig
@@ -32,10 +30,10 @@ __all__ = [
     "MessageSocket", "PacingConfig",
     "ProcessTopology", "ProtocolError", "ROLE_DISTRIBUTOR", "ROLE_QUERIER",
     "ROLE_SHARD", "RecoveryConfig", "SendError",
-    "ShardTopology", "connect", "connected_pair", "LiveUdpEchoServer",
+    "ShardTopology", "connect", "connected_pair",
     "QuerierConfig", "ReplayConfig", "ReplayResult",
     "SentQuery", "SimQuerier", "SimReplayEngine", "StickyAssigner",
-    "TimerJitterModel", "TimingController", "UdpEchoServerProcess",
+    "TimerJitterModel", "TimingController",
     "attach_chaos", "conservation_violations", "default_shard_scenario",
     "merge_recovered", "reconnect_with_backoff",
     "shard_slice",

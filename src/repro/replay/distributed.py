@@ -29,13 +29,13 @@ from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..dns import RRClass, WireError
+from ..server.live import grow_receive_buffer
 from ..trace.binfmt import (RECORD_PROTOCOL_OFFSET, RECORD_SOURCE,
                             RECORD_TIME_AND_WIRE_LENGTH, WIRE_OFFSET,
                             iter_record_bodies, record_head, record_source,
                             unpack_record_body)
 from ..trace.record import PROTOCOLS
 from .distributor import StickyAssigner
-from .live import grow_receive_buffer
 from .protocol import (MSG_END, MSG_RECORD, MSG_SHUTDOWN, MSG_TIME_SYNC,
                        Message, MessageSocket, ProtocolError)
 from .querier import MatchKey, match_key

@@ -66,8 +66,6 @@ the actions it returns.
 
 from __future__ import annotations
 
-import importlib
-import multiprocessing
 import os
 import socket
 import threading
@@ -77,6 +75,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..netsim.shard import shard_of
 from ..perf import PerfCounters
+from ..server.live import FactorySpec, _mp_context, _resolve_factory
 from ..telemetry.cluster import (ClusterAggregator, FlightRecorder,
                                  TelemetryStreamer)
 from ..telemetry.core import Telemetry
@@ -100,13 +99,6 @@ from .recovery import (COLLECT_TIMEOUT, HELLO_TIMEOUT, RECONNECT_ATTEMPTS,
 from .result import ReplayResult
 
 _SETUP_TIMEOUT = 30.0
-
-
-def _mp_context(start_method: Optional[str] = None):
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
 
 
 def _streaming(telemetry: Optional[TelemetryConfig]) -> bool:
@@ -464,22 +456,12 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
 # plane the distributor/querier tiers use.
 #
 # Workers *self-source* their slice instead of receiving streamed
-# records: a trace factory spec ``(module, function, kwargs)`` is
-# resolved by import inside the worker, so only a few hundred bytes
+# records: a trace factory spec (a :data:`repro.server.live.FactorySpec`)
+# is resolved by import inside the worker, so only a few hundred bytes
 # cross the process boundary on the way in, not the trace itself.
 # Factories must be importable top-level callables (a requirement under
 # the ``spawn`` start method anyway) and deterministic for fixed kwargs
 # (§2.1 repeatability — every worker regenerates the identical trace).
-
-FactorySpec = Tuple[str, str, dict]
-
-
-def _resolve_factory(spec: FactorySpec):
-    module_name, attribute, _kwargs = spec
-    target = importlib.import_module(module_name)
-    for part in attribute.split("."):
-        target = getattr(target, part)
-    return target
 
 
 def _shard_positions(trace: Trace, shard_index: int,
@@ -570,66 +552,6 @@ def _shard_main(control_addr: Tuple[str, int], shard_index: int,
     perf.set_gauge(f"shard.{shard_index}.qps",
                    len(slice_.records) / wall if wall > 0 else 0.0)
     link.finish(result, perf.to_state, streamer)
-
-
-def _udp_echo_main(conn) -> None:
-    from .live import LiveUdpEchoServer
-    server = LiveUdpEchoServer().start()
-    conn.send((server.address, server.port))
-    try:
-        conn.recv()          # blocks until the parent says stop / EOF
-    except (EOFError, OSError):
-        pass
-    server.stop()
-
-
-class UdpEchoServerProcess:
-    """A :class:`LiveUdpEchoServer` isolated in its own OS process.
-
-    The §4.3 methodology needs the *client* to be the measured
-    bottleneck.  One of these per querier keeps the server side out of
-    the measured processes.
-    """
-
-    def __init__(self, start_method: Optional[str] = None):
-        self._ctx = _mp_context(start_method)
-        self._conn = None
-        self._process = None
-        self.address: Optional[str] = None
-        self.port: Optional[int] = None
-
-    def start(self) -> "UdpEchoServerProcess":
-        self._conn, child_conn = self._ctx.Pipe()
-        self._process = self._ctx.Process(
-            target=_udp_echo_main, args=(child_conn,), daemon=True)
-        self._process.start()
-        child_conn.close()
-        if not self._conn.poll(_SETUP_TIMEOUT):
-            self.stop()
-            raise RuntimeError("echo server process failed to start")
-        self.address, self.port = self._conn.recv()
-        return self
-
-    def stop(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.send("stop")
-            except (BrokenPipeError, OSError):
-                pass
-            self._conn.close()
-            self._conn = None
-        if self._process is not None:
-            self._process.join(timeout=2.0)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout=2.0)
-            self._process = None
-
-    def __enter__(self) -> "UdpEchoServerProcess":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 # ---------------------------------------------------------------------------

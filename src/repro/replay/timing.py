@@ -13,7 +13,7 @@ paper's *measured* behaviour inside the simulation,
 to Figure 6: quartiles around ±2.5 ms at most interarrivals, the ±8 ms
 anomaly at the 0.1 s timescale (the paper blames an application/kernel
 timer interaction), and extremes clamped near ±17 ms.  The live replay
-path (:mod:`repro.replay.live`) measures real OS jitter instead.
+path (:mod:`repro.replay.multiproc`) measures real OS jitter instead.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Bind a DNS engine to a simulated host's UDP/TCP/TLS transports.
+"""One DNS server core, bound to a simulated host's transports.
 
-``HostedDnsServer`` is the deployable unit: it owns the sockets, frames
-stream messages, charges the CPU meter, counts TLS sessions for the
-memory model, and hands decoded queries to an engine (authoritative or
-recursive).  This is the simulated analogue of running ``nsd`` with 16
-processes on the testbed server (§5.2.1).
+``DnsServerCore`` needs no host: an engine, its counters and telemetry,
+and the per-datagram routine.  ``HostedDnsServer`` binds it to a
+simulated host's UDP/TCP/TLS sockets, CPU meter and admission control
+(the analogue of running ``nsd`` with 16 processes on the testbed
+server, §5.2.1); :class:`repro.server.live.LiveDnsServer` runs it on a
+real UDP socket.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from ..perf import PerfCounters
 from ..telemetry import Telemetry
 from .dnsio import FramingError, StreamFramer, frame_message
 from .overload import OverloadConfig, OverloadControl, minimal_wire
-
-# A query engine maps (query, source address, transport) to a response
-# Message, and exposes encode_response; AuthoritativeServer satisfies it.
-QueryEngine = object
 
 
 @dataclass
@@ -49,22 +46,21 @@ class TransportConfig:
 _UNBATCHED = [None]
 
 
-class HostedDnsServer:
-    """A DNS engine attached to a host's port 53 (and 853 for TLS)."""
+class DnsServerCore:
+    """An engine and the routine that serves it a datagram at a time
+    (``_serve_udp`` -> ``_serve`` -> ``_dispatch`` -> ``_deliver``).
 
-    def __init__(self, host: Host, engine, config: Optional[TransportConfig] = None,
-                 resources: Optional[ServerResourceModel] = None,
-                 address: Optional[str] = None,
-                 perf: Optional[PerfCounters] = None,
-                 overload: Optional[OverloadConfig] = None,
+    ``overload`` and the CPU ``_charge`` stay inert here: only the
+    netsim binding has an event loop to queue on and a meter to charge.
+    """
+
+    def __init__(self, engine, perf: Optional[PerfCounters] = None,
                  telemetry: Optional[Telemetry] = None):
-        self.host = host
         self.engine = engine
         self.perf = perf if perf is not None else PerfCounters()
         if getattr(engine, "perf", None) is None and hasattr(engine, "perf"):
             engine.perf = self.perf
-        # Per-query hooks are installed only when the hub records per
-        # query; sampler probes are registered either way (below).
+        # Per-query hooks are installed only when the hub records per query.
         self.telemetry: Optional[Telemetry] = (
             telemetry if telemetry is not None and telemetry.per_query
             else None)
@@ -72,84 +68,23 @@ class HostedDnsServer:
                 and getattr(engine, "telemetry", None) is None \
                 and hasattr(engine, "telemetry"):
             engine.telemetry = self.telemetry
-        self.config = config if config is not None else TransportConfig()
-        self.address = address if address is not None else host.primary_address
-        if host.tcp_stack is None:
-            TcpStack(host)
-        self.tcp_stack = host.tcp_stack
-        if self.tcp_stack.perf is None:
-            self.tcp_stack.perf = self.perf
-        self.resources = resources if resources is not None else \
-            ServerResourceModel(host.network.loop, self.tcp_stack)
-        if self.resources.tcp_stack is None:
-            self.resources.tcp_stack = self.tcp_stack
-        self.overload: Optional[OverloadControl] = (
-            OverloadControl(overload, host.network.loop, self.perf,
-                            telemetry=self.telemetry)
-            if overload is not None and overload.enabled() else None)
-        if telemetry is not None:
-            telemetry.add_probe("server.queue_depth", self._queue_depth)
-            telemetry.add_probe("server.cache_hit_rate",
-                                self._cache_hit_rate)
-            telemetry.add_probe("server.queries",
-                                lambda: self.perf.count("hosting.queries"))
-            if self.overload is not None:
-                # Should sample flat zero; any excursion pinpoints when
-                # the admission pipeline lost track of a query.
-                telemetry.add_probe(
-                    "server.overload_conservation_delta",
-                    lambda: float(self.overload.conservation_delta()))
+        self.overload: Optional[OverloadControl] = None
+        self._charge: Callable[..., None] = lambda kind, units=1: None
         self.decode_errors = 0
-        self.responses_dropped_on_closed = 0
-        self.pipelining_aborts = 0
-        self.stream_overflows = 0
-        self._udp_socket = None
-        self._tls_endpoints: Dict[TcpConnection, TlsEndpoint] = {}
         # Cached counter handles: the per-packet paths below bump these
         # thousands of times per simulated second; a handle is one bound
         # call instead of registry lookup + string hash per event.
-        perf = self.perf
-        self._queries_counter = perf.counter("hosting.queries")
-        self._decodes_counter = perf.counter("hosting.decodes")
-        self._responses_counter = perf.counter("hosting.responses_sent")
-        self._responses_by_transport: Dict[str, object] = {}
+        self._queries_counter = self.perf.counter("hosting.queries")
+        self._decodes_counter = self.perf.counter("hosting.decodes")
+        self._responses_counter = self.perf.counter("hosting.responses_sent")
+        self._responses_by_transport = {
+            transport: self.perf.counter(f"hosting.responses_sent.{transport}")
+            for transport in ("udp", "tcp", "tls")}
         # Decode-free zero-copy serving whenever the engine can answer
         # straight off the query wire and no admission control needs the
         # decoded Message.  Telemetry keys its hooks on wire bytes, so a
         # traced server takes this path too.
-        self._fast_serve = (getattr(engine, "serve_wire_fast", None)
-                            if self.overload is None else None)
-        self._start()
-
-    # -- sampler probes --------------------------------------------------
-
-    def _queue_depth(self) -> float:
-        if self.overload is None or self.overload.queue is None:
-            return 0.0
-        return float(self.overload.queue.depth())
-
-    def _cache_hit_rate(self) -> float:
-        cache = getattr(self.engine, "wire_cache", None)
-        if cache is None:
-            return 0.0
-        rate = cache.hit_rate()
-        return rate if rate is not None else 0.0
-
-    # -- setup ----------------------------------------------------------
-
-    def _start(self) -> None:
-        if self.config.udp:
-            self._udp_socket = self.host.bind_udp(
-                self.address, DNS_PORT, self._on_udp)
-            self._udp_socket.on_datagram_batch = self._on_udp_batch
-        options = TcpOptions(nagle=self.config.nagle,
-                             idle_timeout=self.config.tcp_idle_timeout)
-        if self.config.tcp:
-            self.tcp_stack.listen(self.address, DNS_PORT,
-                                  self._on_tcp_accept, options)
-        if self.config.tls:
-            self.tcp_stack.listen(self.address, DNS_OVER_TLS_PORT,
-                                  self._on_tls_accept, options)
+        self._fast_serve = getattr(engine, "serve_wire_fast", None)
 
     # -- UDP --------------------------------------------------------------
 
@@ -158,11 +93,11 @@ class HostedDnsServer:
             self._book_fast_hits(1)
 
     def _on_udp_batch(self, sock, datagrams) -> None:
-        """Serve a delivered datagram batch; respond through one batch send.
+        """Serve a datagram batch; respond through one batch send.
 
-        Each datagram is served as :meth:`_on_udp` serves it (same
-        verdicts, same response bytes, same send order); the answers
-        produced synchronously leave through one ``sendto_batch``, so a
+        Each datagram is served as a lone one is (same verdicts, same
+        response bytes, same send order); the answers produced
+        synchronously leave through one ``sock.sendto_batch``, so a
         burst of cache hits costs one trip down the send path.
         """
         batch = [[]]
@@ -215,129 +150,9 @@ class HostedDnsServer:
 
     def _book_fast_hits(self, count: int) -> None:
         self._queries_counter.add(count)
-        self.resources.cpu.charge("udp_query", count)
+        self._charge("udp_query", count)
         self._responses_counter.add(count)
-        self._transport_counter("udp").add(count)
-
-    # -- TCP --------------------------------------------------------------
-
-    def _on_tcp_accept(self, conn: TcpConnection) -> None:
-        self.resources.cpu.charge("tcp_handshake")
-        conn.on_data = self._stream_reader(conn, "tcp", conn.send)
-        conn.on_close = lambda cn: cn.close()
-
-    def _stream_reader(self, conn: TcpConnection, transport: str,
-                       write: Callable[[bytes], None]):
-        """The ``on_data`` handler of one TCP or TLS stream: frame the
-        queries, police pipelining, serve each, ``write`` the answers."""
-        framer = StreamFramer(max_buffered=self.config.max_stream_buffer)
-        outstanding = [0]  # queries received but not yet responded to
-
-        def send_response(wire: bytes) -> None:
-            outstanding[0] -= 1
-            try:
-                write(frame_message(wire))
-            except NetworkError:
-                # The idle timer closed this connection while the query
-                # was in flight; a real server's write fails the same
-                # way and the client retries on a fresh connection.
-                self.responses_dropped_on_closed += 1
-                self.perf.incr("hosting.responses_dropped_on_closed")
-
-        def on_data(_endpoint, data: bytes) -> None:
-            if transport == "tcp":
-                self.resources.cpu.charge("tcp_segment")
-            try:
-                queries = framer.feed(data)
-            except FramingError:
-                self._abort_stream(conn, "hosting.stream_overflows")
-                return
-            for wire_query in queries:
-                self.resources.cpu.charge("tcp_query")
-                if transport == "tcp" and self._serve_axfr(wire_query, conn):
-                    continue
-                limit = self.config.max_pipelined
-                if limit is not None and outstanding[0] >= limit:
-                    self._abort_stream(conn, "hosting.pipeline_aborts")
-                    return
-                outstanding[0] += 1
-                self._serve(wire_query, conn.remote_addr, transport,
-                            send_response)
-
-        return on_data
-
-    def _abort_stream(self, conn: TcpConnection, counter: str) -> None:
-        """Push back on an abusive stream with RST instead of queueing."""
-        self.perf.incr(counter)
-        if counter == "hosting.pipeline_aborts":
-            self.pipelining_aborts += 1
-        else:
-            self.stream_overflows += 1
-        conn.abort()
-
-    # -- TLS --------------------------------------------------------------
-
-    def _on_tls_accept(self, conn: TcpConnection) -> None:
-        self.resources.cpu.charge("tcp_handshake")
-        endpoint = TlsEndpoint(conn, "server",
-                               crypto_hook=self._charge_crypto)
-        self._tls_endpoints[conn] = endpoint
-
-        def on_established(_ep: TlsEndpoint) -> None:
-            self.resources.tls_sessions += 1
-
-        def on_close(ep: TlsEndpoint) -> None:
-            if self._tls_endpoints.pop(conn, None) is not None \
-                    and ep.established_at is not None:
-                self.resources.tls_sessions -= 1
-
-        endpoint.on_established = on_established
-        endpoint.on_data = self._stream_reader(conn, "tls", endpoint.send)
-        endpoint.on_close = on_close
-        conn.on_close = lambda cn: (on_close(endpoint), cn.close())
-
-    def _charge_crypto(self, kind: str, units: int) -> None:
-        mapping = {
-            "handshake_private_key": ("tls_handshake_private_key", 1),
-            "handshake_public_key": ("tls_handshake_public_key", 1),
-            "handshake_message": ("tls_handshake_message", 1),
-            "record_encrypt": ("tls_per_byte", units),
-            "record_decrypt": ("tls_per_byte", units),
-        }
-        cost_kind, cost_units = mapping[kind]
-        self.resources.cpu.charge(cost_kind, cost_units)
-
-    def _serve_axfr(self, wire_query: bytes, conn: TcpConnection) -> bool:
-        """Serve an AXFR stream if this is a transfer request."""
-        handle = getattr(self.engine, "handle_axfr", None)
-        if handle is None:
-            return False
-        try:
-            query = Message.from_wire(wire_query)
-        except WireError:
-            return False
-        from .axfr import AXFR
-        if not query.question or query.question[0].rrtype != AXFR:
-            return False
-        messages = handle(query, source=conn.remote_addr)
-        if messages is None:
-            return False
-        try:
-            for message in messages:
-                conn.send(frame_message(message.to_wire()))
-        except NetworkError:
-            self.responses_dropped_on_closed += 1
-            self.perf.incr("hosting.responses_dropped_on_closed")
-        return True
-
-    # -- engine dispatch -------------------------------------------------
-
-    def _transport_counter(self, transport: str):
-        counter = self._responses_by_transport.get(transport)
-        if counter is None:
-            counter = self.perf.counter(f"hosting.responses_sent.{transport}")
-            self._responses_by_transport[transport] = counter
-        return counter
+        self._responses_by_transport["udp"].add(count)
 
     def _serve(self, wire_query: bytes, source: str, transport: str,
                send: Callable[[bytes], None]) -> None:
@@ -347,7 +162,7 @@ class HostedDnsServer:
             query = Message.from_wire(wire_query)
         except WireError:
             if transport == "udp":
-                self.resources.cpu.charge("udp_query")
+                self._charge("udp_query")
             self.decode_errors += 1
             perf.incr("hosting.decode_errors")
             return
@@ -359,20 +174,20 @@ class HostedDnsServer:
 
         if self.overload is None:
             if transport == "udp":
-                self.resources.cpu.charge("udp_query")
+                self._charge("udp_query")
             self._dispatch(query, source, transport, send)
             return
 
         def execute() -> None:
             if transport == "udp":
-                self.resources.cpu.charge("udp_query")
+                self._charge("udp_query")
             self._dispatch(query, source, transport, send)
 
         def charge_shed() -> None:
             # The datagram was received and parsed but never resolved:
             # early-drop and queue drops refund most of the path cost.
             if transport == "udp":
-                self.resources.cpu.charge("udp_shed")
+                self._charge("udp_shed")
 
         def on_drop() -> None:
             charge_shed()
@@ -435,7 +250,190 @@ class HostedDnsServer:
                 return
             wire = filtered
         self._responses_counter.add()
-        self._transport_counter(transport).add()
+        self._responses_by_transport[transport].add()
         if self.telemetry is not None:
             self.telemetry.on_server_response(wire, wire, transport)
         send(wire)
+
+
+class HostedDnsServer(DnsServerCore):
+    """A DNS engine attached to a host's port 53 (and 853 for TLS)."""
+
+    def __init__(self, host: Host, engine, config: Optional[TransportConfig] = None,
+                 resources: Optional[ServerResourceModel] = None,
+                 address: Optional[str] = None,
+                 perf: Optional[PerfCounters] = None,
+                 overload: Optional[OverloadConfig] = None,
+                 telemetry: Optional[Telemetry] = None):
+        super().__init__(engine, perf, telemetry)
+        self.host = host
+        self.config = config if config is not None else TransportConfig()
+        self.address = address if address is not None else host.primary_address
+        if host.tcp_stack is None:
+            TcpStack(host)
+        self.tcp_stack = host.tcp_stack
+        if self.tcp_stack.perf is None:
+            self.tcp_stack.perf = self.perf
+        self.resources = resources if resources is not None else \
+            ServerResourceModel(host.network.loop, self.tcp_stack)
+        if self.resources.tcp_stack is None:
+            self.resources.tcp_stack = self.tcp_stack
+        self._charge = self.resources.cpu.charge
+        if overload is not None and overload.enabled():
+            self.overload = OverloadControl(
+                overload, host.network.loop, self.perf, telemetry=self.telemetry)
+            self._fast_serve = None   # admission needs the decoded query
+        if telemetry is not None:   # probes sample even untraced hubs
+            telemetry.add_probe("server.queue_depth", self._queue_depth)
+            telemetry.add_probe("server.cache_hit_rate",
+                                self._cache_hit_rate)
+            telemetry.add_probe("server.queries",
+                                lambda: self.perf.count("hosting.queries"))
+            if self.overload is not None:
+                # Should sample flat zero; any excursion pinpoints when
+                # the admission pipeline lost track of a query.
+                telemetry.add_probe(
+                    "server.overload_conservation_delta",
+                    lambda: float(self.overload.conservation_delta()))
+        self.responses_dropped_on_closed = 0
+        self.pipelining_aborts = 0
+        self.stream_overflows = 0
+        self._udp_socket = None
+        self._tls_endpoints: Dict[TcpConnection, TlsEndpoint] = {}
+        self._start()
+
+    # -- sampler probes --------------------------------------------------
+
+    def _queue_depth(self) -> float:
+        if self.overload is None or self.overload.queue is None:
+            return 0.0
+        return float(self.overload.queue.depth())
+
+    def _cache_hit_rate(self) -> float:
+        cache = getattr(self.engine, "wire_cache", None)
+        if cache is None:
+            return 0.0
+        rate = cache.hit_rate()
+        return rate if rate is not None else 0.0
+
+    # -- setup ----------------------------------------------------------
+
+    def _start(self) -> None:
+        if self.config.udp:
+            self._udp_socket = self.host.bind_udp(
+                self.address, DNS_PORT, self._on_udp)
+            self._udp_socket.on_datagram_batch = self._on_udp_batch
+        options = TcpOptions(nagle=self.config.nagle,
+                             idle_timeout=self.config.tcp_idle_timeout)
+        if self.config.tcp:
+            self.tcp_stack.listen(self.address, DNS_PORT,
+                                  self._on_tcp_accept, options)
+        if self.config.tls:
+            self.tcp_stack.listen(self.address, DNS_OVER_TLS_PORT,
+                                  self._on_tls_accept, options)
+
+    # -- TCP --------------------------------------------------------------
+
+    def _on_tcp_accept(self, conn: TcpConnection) -> None:
+        self._charge("tcp_handshake")
+        conn.on_data = self._stream_reader(conn, "tcp", conn.send)
+        conn.on_close = lambda cn: cn.close()
+
+    def _stream_reader(self, conn: TcpConnection, transport: str,
+                       write: Callable[[bytes], None]):
+        """The ``on_data`` handler of one TCP or TLS stream: frame the
+        queries, police pipelining, serve each, ``write`` the answers."""
+        framer = StreamFramer(max_buffered=self.config.max_stream_buffer)
+        outstanding = [0]  # queries received but not yet responded to
+
+        def send_response(wire: bytes) -> None:
+            outstanding[0] -= 1
+            try:
+                write(frame_message(wire))
+            except NetworkError:
+                # The idle timer closed this connection while the query
+                # was in flight; a real server's write fails the same
+                # way and the client retries on a fresh connection.
+                self.responses_dropped_on_closed += 1
+                self.perf.incr("hosting.responses_dropped_on_closed")
+
+        def on_data(_endpoint, data: bytes) -> None:
+            if transport == "tcp":
+                self._charge("tcp_segment")
+            try:
+                queries = framer.feed(data)
+            except FramingError:
+                self._abort_stream(conn, "hosting.stream_overflows")
+                return
+            for wire_query in queries:
+                self._charge("tcp_query")
+                if transport == "tcp" and self._serve_axfr(wire_query, conn):
+                    continue
+                limit = self.config.max_pipelined
+                if limit is not None and outstanding[0] >= limit:
+                    self._abort_stream(conn, "hosting.pipeline_aborts")
+                    return
+                outstanding[0] += 1
+                self._serve(wire_query, conn.remote_addr, transport,
+                            send_response)
+
+        return on_data
+
+    def _abort_stream(self, conn: TcpConnection, counter: str) -> None:
+        """Push back on an abusive stream with RST instead of queueing."""
+        self.perf.incr(counter)
+        if counter == "hosting.pipeline_aborts":
+            self.pipelining_aborts += 1
+        else:
+            self.stream_overflows += 1
+        conn.abort()
+
+    # -- TLS --------------------------------------------------------------
+
+    def _on_tls_accept(self, conn: TcpConnection) -> None:
+        self._charge("tcp_handshake")
+        endpoint = TlsEndpoint(conn, "server",
+                               crypto_hook=self._charge_crypto)
+        self._tls_endpoints[conn] = endpoint
+
+        def on_established(_ep: TlsEndpoint) -> None:
+            self.resources.tls_sessions += 1
+
+        def on_close(ep: TlsEndpoint) -> None:
+            if self._tls_endpoints.pop(conn, None) is not None \
+                    and ep.established_at is not None:
+                self.resources.tls_sessions -= 1
+
+        endpoint.on_established = on_established
+        endpoint.on_data = self._stream_reader(conn, "tls", endpoint.send)
+        endpoint.on_close = on_close
+        conn.on_close = lambda cn: (on_close(endpoint), cn.close())
+
+    def _charge_crypto(self, kind: str, units: int) -> None:
+        if kind.startswith("record_"):      # record_encrypt / _decrypt
+            self._charge("tls_per_byte", units)
+        else:                               # a handshake step, once
+            self._charge("tls_" + kind)
+
+    def _serve_axfr(self, wire_query: bytes, conn: TcpConnection) -> bool:
+        """Serve an AXFR stream if this is a transfer request."""
+        handle = getattr(self.engine, "handle_axfr", None)
+        if handle is None:
+            return False
+        try:
+            query = Message.from_wire(wire_query)
+        except WireError:
+            return False
+        from .axfr import AXFR
+        if not query.question or query.question[0].rrtype != AXFR:
+            return False
+        messages = handle(query, source=conn.remote_addr)
+        if messages is None:
+            return False
+        try:
+            for message in messages:
+                conn.send(frame_message(message.to_wire()))
+        except NetworkError:
+            self.responses_dropped_on_closed += 1
+            self.perf.incr("hosting.responses_dropped_on_closed")
+        return True

@@ -298,22 +298,6 @@ class MetricsRegistry:
         return {name: histogram.to_dict()
                 for name, histogram in sorted(self._histograms.items())}
 
-    # -- derived ----------------------------------------------------------
-
-    def hit_rate(self, hits: str, misses: str) -> Optional[float]:
-        """``hits / (hits + misses)`` or None when nothing was counted."""
-        total = self.count(hits) + self.count(misses)
-        if total == 0:
-            return None
-        return self.count(hits) / total
-
-    def rate(self, counter: str, timing: str) -> Optional[float]:
-        """Events per wall-clock second, or None without data."""
-        seconds = self.seconds(timing)
-        if seconds <= 0.0:
-            return None
-        return self.count(counter) / seconds
-
     # -- aggregation -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, float]:

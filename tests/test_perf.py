@@ -1,6 +1,6 @@
 """Tests for the perf-counter registry (repro.perf)."""
 
-from repro.perf import PerfCounters, get_counters, reset_counters
+from repro.perf import PerfCounters
 
 
 class TestCounters:
@@ -53,22 +53,6 @@ class TestGauges:
         assert perf.gauge("qps") == 200.0
 
 
-class TestDerived:
-    def test_hit_rate(self):
-        perf = PerfCounters()
-        assert perf.hit_rate("hits", "misses") is None
-        perf.incr("hits", 9)
-        perf.incr("misses", 1)
-        assert perf.hit_rate("hits", "misses") == 0.9
-
-    def test_rate(self):
-        perf = PerfCounters()
-        assert perf.rate("events", "run") is None
-        perf.incr("events", 100)
-        perf.add_time("run", 2.0)
-        assert perf.rate("events", "run") == 50.0
-
-
 class TestAggregation:
     def test_snapshot_flattens_with_suffix(self):
         perf = PerfCounters()
@@ -96,32 +80,3 @@ class TestAggregation:
         perf.set_gauge("qps", 1.0)
         perf.reset()
         assert perf.snapshot() == {}
-
-
-
-class TestGlobalRegistry:
-    def test_shared_instance(self):
-        reset_counters()
-        try:
-            get_counters().incr("x")
-            assert get_counters().count("x") == 1
-        finally:
-            reset_counters()
-        assert get_counters().count("x") == 0
-
-
-class TestReportRendering:
-    def test_render_perf_counters(self):
-        from repro.experiments.report import render_perf_counters
-        perf = PerfCounters()
-        assert "no perf counters" in render_perf_counters(perf)
-        perf.incr("server.wire_cache_hits", 9)
-        perf.incr("server.wire_cache_misses", 1)
-        perf.incr("replay.events_processed", 100)
-        perf.incr("replay.queries_scheduled", 50)
-        perf.add_time("replay.run", 2.0)
-        text = render_perf_counters(perf)
-        assert "server.wire_cache_hit_rate" in text
-        assert "0.900" in text
-        assert "replay.events_per_wall_s" in text
-        assert "50" in text  # events/sec = 100 / 2.0

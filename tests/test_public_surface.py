@@ -51,10 +51,6 @@ KEPT_DEFINITIONS = {
     "repro.trace.pcap.write_pcap",
     "repro.trace.textfmt.read_text",
     "repro.trace.synthetic.zipf_trace",
-    # repro.perf stays while bench/ imports it; its renderer goes with it
-    "repro.perf.get_counters",
-    "repro.perf.reset_counters",
-    "repro.experiments.report.render_perf_counters",
     # the integrity check test_dnssec holds make_rrsig's output to
     "repro.dns.dnssec.verify_rrsig",
     # the differential harness four test files compare subsystems with,

@@ -8,12 +8,12 @@ import time
 
 import pytest
 
-from repro.replay import (DistributedConfig, LiveUdpEchoServer,
-                          ProcessTopology, UdpEchoServerProcess)
+from repro.replay import DistributedConfig, ProcessTopology
 from repro.replay import protocol
 from repro.replay.multiproc import _WorkerHandle
 from repro.replay.protocol import ROLE_DISTRIBUTOR, ROLE_QUERIER
 from repro.replay.result import ReplayResult
+from repro.server import LiveDnsServer
 from repro.trace import (Trace, burst_trace, fixed_interval_trace,
                          table1_synthetic)
 
@@ -29,7 +29,7 @@ class TestProcessTopology:
     def test_replays_and_answers(self):
         trace = fixed_interval_trace(0.02, 1.0, client_count=16,
                                      name="mp-basic")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port), process_config())
             result = replay.replay(trace)
@@ -39,7 +39,7 @@ class TestProcessTopology:
     def test_source_affinity_across_processes(self):
         trace = fixed_interval_trace(0.01, 1.0, client_count=12,
                                      name="mp-affinity")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port), process_config())
             result = replay.replay(trace)
@@ -52,7 +52,7 @@ class TestProcessTopology:
     def test_merged_indices_unique_and_dense(self):
         trace = fixed_interval_trace(0.02, 1.0, client_count=8,
                                      name="mp-indices")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port), process_config())
             result = replay.replay(trace)
@@ -65,7 +65,7 @@ class TestProcessTopology:
         least one frame per querier, and no more frames were stale than
         were offered."""
         trace = burst_trace(300)
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             topology = ProcessTopology((server.address, server.port),
                                        process_config(distributors=1))
             result = topology.replay(trace)
@@ -85,7 +85,7 @@ class TestProcessTopology:
         no longer fit, a chunk does."""
         monkeypatch.setattr(protocol, "MAX_FRAME", 160 * 1024)
         trace = burst_trace(4000)
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             topology = ProcessTopology(
                 (server.address, server.port),
                 process_config(distributors=1, start_method="fork"))
@@ -98,7 +98,7 @@ class TestProcessTopology:
     def test_cross_process_metrics_merge(self):
         trace = fixed_interval_trace(0.02, 1.0, client_count=8,
                                      name="mp-metrics")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port), process_config())
             # The surface exists before the run.
@@ -124,7 +124,7 @@ class TestProcessTopology:
     @staticmethod
     def _timed_replay():
         trace = fixed_interval_trace(0.02, 1.0, name="mp-timing")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port), process_config())
             return trace, replay.replay(trace)
@@ -132,7 +132,7 @@ class TestProcessTopology:
     @staticmethod
     def _lead_in_replay():
         trace = fixed_interval_trace(0.005, 1.0, name="mp-lead-in")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port),
                 process_config(distributors=1, queriers_per_distributor=1,
@@ -186,7 +186,7 @@ class TestProcessTopology:
         replay's wall."""
         trace = fixed_interval_trace(0.02, 0.2, client_count=4,
                                      name="mp-phases")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             topology = ProcessTopology((server.address, server.port),
                                        process_config(distributors=1))
             started = time.perf_counter()
@@ -212,12 +212,12 @@ class TestProcessTopology:
         tcp_at = 7
         trace.records[tcp_at] = dataclasses.replace(
             trace.records[tcp_at], protocol="tcp")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             topology = ProcessTopology(
                 (server.address, server.port),
                 process_config(distributors=1, queriers_per_distributor=1))
             result = topology.replay(trace)
-            echoed = server.responses_sent
+        echoed = server.counters["hosting.responses_sent"]
         udp = [q for q in result.sent if q.protocol == "udp"]
         [tcp] = [q for q in result.sent if q.protocol != "udp"]
         assert len(udp) == len(trace) - 1
@@ -247,7 +247,7 @@ class TestProcessTopology:
         monkeypatch.setattr(os, "sched_setaffinity", recording)
         trace = fixed_interval_trace(0.02, 0.5, client_count=8,
                                      name="mp-pins")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port),
                 process_config(distributors=1, start_method="fork"))
@@ -265,7 +265,7 @@ class TestDifferentialProcessesVsTrace:
         """The oracle is the input: the tree sends every record of
         syn-1 exactly once, from its own source, and loses nothing."""
         trace = table1_synthetic("syn-1", duration=2.0)
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port), process_config())
             result = replay.replay(trace)
@@ -330,7 +330,7 @@ class TestSupervision:
         trace = fixed_interval_trace(0.01, 2.0, client_count=8,
                                      name="mp-dead")
         config = process_config(distributors=1, queriers_per_distributor=2)
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             topology = ProcessTopology((server.address, server.port), config)
             killer = _kill_first_querier(topology)
             result = topology.replay(trace)
@@ -351,7 +351,7 @@ class TestSupervision:
                                      name="mp-unsupervised")
         config = process_config(distributors=1, queriers_per_distributor=3,
                                 settle_time=0.5)
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             topology = ProcessTopology((server.address, server.port), config)
             killer = _kill_first_querier(topology)
             result = topology.replay(trace)
@@ -382,7 +382,7 @@ class TestSupervision:
                                      name="mp-deadline")
         config = process_config(distributors=1, queriers_per_distributor=2,
                                 deadline=1.0)
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port), config)
             result = replay.replay(trace)
@@ -484,18 +484,3 @@ class TestAwaitReports:
         topology._await_reports(cap=time.monotonic() + self.GRACE,
                                 floor=time.monotonic(), grace=3600.0)
         assert all(h.failed for h in topology._handles())
-
-
-class TestUdpEchoServerProcess:
-    def test_start_echo_stop(self):
-        import socket
-        with UdpEchoServerProcess() as server:
-            assert server.port
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sock.settimeout(2.0)
-            sock.sendto(b"\x12\x34" + b"\x00" * 10,
-                        (server.address, server.port))
-            data, _peer = sock.recvfrom(65535)
-            sock.close()
-            assert data[:2] == b"\x12\x34"
-        assert server._process is None

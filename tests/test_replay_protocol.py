@@ -9,13 +9,14 @@ import time
 
 import pytest
 
-from repro.replay import (DistributedConfig, LiveUdpEchoServer, MAX_FRAME,
+from repro.replay import (DistributedConfig, MAX_FRAME,
                           MSG_CHECKPOINT, MSG_END, MSG_HELLO, MSG_METRICS,
                           MSG_RECORD, MSG_RESULT, MSG_SHUTDOWN,
                           MSG_TELEMETRY, MSG_TIME_SYNC,
                           MessageSocket, ProcessTopology, ProtocolError,
                           ROLE_QUERIER, ReplayResult, SendError, connect,
                           connected_pair, distributed)
+from repro.server import LiveDnsServer
 from repro.trace import burst_trace, fixed_interval_trace, \
     make_query_record
 from repro.trace.binfmt import (TraceFormatError, pack_record_body,
@@ -886,7 +887,7 @@ class TestResponseMatching:
         trace = Trace([make_query_record(index * 0.02, "10.0.0.1", qname,
                                          msg_id=index + 1)
                        for index, qname in enumerate(qnames)])
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port),
                 DistributedConfig(distributors=1,

@@ -4,9 +4,10 @@ import pytest
 
 from repro.dns import Rcode
 from repro.netsim import EventLoop, Network, RetryPolicy
-from repro.replay import (AimdPacer, DistributedConfig, LiveUdpEchoServer,
-                          PacingConfig, ProcessTopology, QuerierConfig,
-                          ReplayConfig, SimReplayEngine)
+from repro.replay import (AimdPacer, DistributedConfig, PacingConfig,
+                          ProcessTopology, QuerierConfig, ReplayConfig,
+                          SimReplayEngine)
+from repro.server import LiveDnsServer
 from repro.trace import fixed_interval_trace, split_shards
 
 
@@ -107,7 +108,7 @@ class TestLiveSupervision:
         # A 5 s trace under a 0.5 s budget: the deadline fires mid-replay
         # and every record not sent is shed, not silently lost.
         trace = fixed_interval_trace(0.05, 5.0, name="deadline-test")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port),
                 DistributedConfig(distributors=1, queriers_per_distributor=2,
@@ -127,7 +128,7 @@ class TestLiveSupervision:
         trace = fixed_interval_trace(0.01, 20.0, name="deadline-shards")
         directory = str(tmp_path / "shards")
         split_shards(iter(trace.records), directory, 1)
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port),
                 DistributedConfig(distributors=1, queriers_per_distributor=2,
@@ -140,7 +141,7 @@ class TestLiveSupervision:
 
     def test_supervision_off_keeps_result_clean(self):
         trace = fixed_interval_trace(0.01, 0.3, name="clean-test")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             replay = ProcessTopology(
                 (server.address, server.port),
                 DistributedConfig(distributors=1,

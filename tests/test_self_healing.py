@@ -21,8 +21,7 @@ import pytest
 
 from repro.replay import (ChaosConfig, ChaosEngine, CheckpointPolicy,
                           CheckpointStore, DistributedConfig,
-                          LiveUdpEchoServer, ProcessTopology,
-                          RecoveryConfig, ShardTopology, UdpEchoServerProcess,
+                          ProcessTopology, RecoveryConfig, ShardTopology,
                           conservation_violations, merge_recovered,
                           reconnect_with_backoff)
 from repro.replay import distributed
@@ -35,6 +34,7 @@ from repro.replay.querier import match_key
 from repro.replay.recovery import SETTLE_S
 from repro.replay.result import (SENT_FIELDS, ReplayResult, SentQuery,
                                  sent_rows)
+from repro.server import LiveDnsServer
 from repro.dns import Name, WireError
 from repro.telemetry import TelemetryConfig
 from repro.trace import (QueryRecord, burst_trace, fixed_interval_trace,
@@ -975,7 +975,7 @@ class TestCrashRecoveryEndToEnd:
         zero respawns, zero redeliveries."""
         trace = fixed_interval_trace(interval=0.002, duration=0.3,
                                      client_count=8)
-        with UdpEchoServerProcess() as echo:
+        with LiveDnsServer() as echo:
             topology = ProcessTopology((echo.address, echo.port),
                                        _recovering_config())
             result = topology.replay(trace)
@@ -991,7 +991,7 @@ class TestCrashRecoveryEndToEnd:
         trace = fixed_interval_trace(interval=1.0, duration=3.0,
                                      client_count=1)
         assert len(trace) == 3
-        with LiveUdpEchoServer() as echo:
+        with LiveDnsServer() as echo:
             topology = ProcessTopology((echo.address, echo.port),
                                        _recovering_config(queriers=1))
             result = topology.replay(trace)
@@ -1007,7 +1007,7 @@ class TestCrashRecoveryEndToEnd:
                                      client_count=8)
         chaos = ChaosConfig(seed=7, crash_rate=1.0, crash_after_frames=30,
                             crash_incarnations=(0,))
-        with UdpEchoServerProcess() as echo:
+        with LiveDnsServer() as echo:
             topology = ProcessTopology((echo.address, echo.port),
                                        _recovering_config(chaos=chaos))
             result = topology.replay(trace)
@@ -1023,11 +1023,11 @@ class TestCrashRecoveryEndToEnd:
         trace = fixed_interval_trace(interval=0.001, duration=1.0,
                                      client_count=16)
         chaos = ChaosConfig(seed=5, drop_rate=0.25, kinds=(MSG_CHECKPOINT,))
-        with LiveUdpEchoServer() as echo:
+        with LiveDnsServer() as echo:
             topology = ProcessTopology((echo.address, echo.port),
                                        _recovering_config(chaos=chaos))
             result = topology.replay(trace)
-            queries_seen = echo.responses_sent
+        queries_seen = echo.counters["hosting.responses_sent"]
         assert conservation_violations(result, len(trace.records)) == []
         assert result.respawns == 0 and result.duplicate_merged == 0
         assert result.redelivered_records > 0
@@ -1041,7 +1041,7 @@ class TestCrashRecoveryEndToEnd:
         SIGKILLed mid-run completes with conserved per-class counts."""
         trace = fixed_interval_trace(interval=0.002, duration=1.2,
                                      client_count=16)
-        with UdpEchoServerProcess() as echo:
+        with LiveDnsServer() as echo:
             topology = ProcessTopology(
                 (echo.address, echo.port),
                 _recovering_config(distributors=2, queriers=2))

@@ -11,13 +11,13 @@ import struct
 
 import pytest
 
-from repro.replay import (DistributedConfig, LiveUdpEchoServer,
-                          ProcessTopology, SimReplayEngine)
+from repro.replay import DistributedConfig, ProcessTopology, SimReplayEngine
 from repro.replay.result import ReplayResult
 from repro.experiments import build_evaluation_topology
 from repro.experiments.fig6_timing import wildcard_example_zone
 from repro.server import (AuthoritativeServer, HostedDnsServer,
-                          TransportConfig)
+                          LiveDnsServer, TransportConfig)
+from repro.server.live import EchoEngine
 from repro.trace import (BRootWorkload, QueryMutator, Trace,
                          fixed_interval_trace, make_query_record,
                          make_root_zone, retarget, scale_time, split_shards)
@@ -91,7 +91,7 @@ class TestShardFileTopology:
     def test_replay_shard_files_end_to_end(self, tmp_path):
         trace = fixed_interval_trace(0.02, 1.0, client_count=16,
                                      name="stream-mp")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             topology = ProcessTopology((server.address, server.port),
                                        streaming_config())
             directory, manifest = shard_directory(tmp_path, trace, 2)
@@ -112,7 +112,7 @@ class TestShardFileTopology:
         # The manifest, not config.distributors, decides the fan-out.
         trace = fixed_interval_trace(0.02, 0.6, client_count=9,
                                      name="stream-shards")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             topology = ProcessTopology(
                 (server.address, server.port),
                 streaming_config(distributors=1))
@@ -128,7 +128,7 @@ class TestShardFileTopology:
         state, and their echoes used to overflow the socket buffer."""
         trace = fixed_interval_trace(0.0005, 1.5, client_count=64,
                                      name="paced-tail")
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             topology = ProcessTopology(
                 (server.address, server.port),
                 streaming_config(distributors=1))
@@ -149,7 +149,7 @@ class TestShardFileTopology:
                                          f"q{index}.example.com.",
                                          msg_id=index + 1)
                        for index, at in enumerate((0.0, 0.5, 3.0, 3.2))])
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             topology = ProcessTopology(
                 (server.address, server.port),
                 streaming_config(distributors=1,
@@ -183,7 +183,7 @@ class TestAggregateTopologies:
         trace = fixed_interval_trace(0.02, 0.8, client_count=8,
                                      name="per-query-vs-aggregate")
         directory, _ = shard_directory(tmp_path, trace, 1)
-        with LiveUdpEchoServer() as server:
+        with LiveDnsServer() as server:
             address = (server.address, server.port)
             per_query = ProcessTopology(
                 address, streaming_config()).replay(trace)
@@ -196,25 +196,30 @@ class TestAggregateTopologies:
             == sum(1 for q in per_query.sent if q.answered_at is not None)
 
 
-class _CapturingEchoServer(LiveUdpEchoServer):
-    """The echo server, keeping every datagram it answered."""
+class _CapturingEcho(EchoEngine):
+    """The echo engine, appending every query it answers to a file the
+    test reads once the server has stopped."""
 
-    class _Tap:
-        def __init__(self, sock, received):
-            self._sock, self._received = sock, received
+    def __init__(self, path):
+        self._file = open(path, "ab", buffering=0)
 
-        def recvfrom(self, size):
-            data, peer = self._sock.recvfrom(size)
-            self._received.append(data)
-            return data, peer
+    def serve_wire_fast(self, wire, source, transport):
+        self._file.write(struct.pack("!H", len(wire)) + wire)
+        return EchoEngine.serve_wire_fast(wire, source, transport)
 
-        def __getattr__(self, name):
-            return getattr(self._sock, name)
 
-    def __init__(self):
-        super().__init__()
-        self.received = []
-        self._socket = self._Tap(self._socket, self.received)
+def _capturing_echo(path):
+    return LiveDnsServer((__name__, _CapturingEcho.__name__,
+                          {"path": str(path)}))
+
+
+def _captured(path):
+    data, received, offset = path.read_bytes(), [], 0
+    while offset < len(data):
+        (size,) = struct.unpack_from("!H", data, offset)
+        received.append(data[offset + 2:offset + 2 + size])
+        offset += 2 + size
+    return received
 
 
 def _extend_bodies(path, extension=b"\xee" * 7):
@@ -241,8 +246,8 @@ class TestRecordBytes:
                 for index in range(30)]
 
     @staticmethod
-    def assert_exact_wires(server, records):
-        assert sorted(data[2:] for data in server.received) \
+    def assert_exact_wires(received, records):
+        assert sorted(data[2:] for data in received) \
             == sorted(record.wire[2:] for record in records)
 
     def test_shard_file_extensions_stay_off_the_wire(self, tmp_path):
@@ -253,14 +258,14 @@ class TestRecordBytes:
         with open(path, "rb") as stream:
             assert [record.wire for record in iter_binary(stream)] \
                 == [record.wire for record in records]
-        with _CapturingEchoServer() as server:
+        with _capturing_echo(tmp_path / "received") as server:
             topology = ProcessTopology(
                 (server.address, server.port),
                 streaming_config(distributors=1,
                                  queriers_per_distributor=1))
             result = topology.replay_shard_files(directory, pace_lead=0.5)
         assert result.sent_count == result.answered_count == len(records)
-        self.assert_exact_wires(server, records)
+        self.assert_exact_wires(_captured(tmp_path / "received"), records)
 
     def test_trace_extensions_stay_off_the_wire(self, tmp_path):
         records = self.records()
@@ -270,13 +275,13 @@ class TestRecordBytes:
         _extend_bodies(path)
         with open(path, "rb") as stream:
             trace = read_binary(stream)
-        with _CapturingEchoServer() as server:
+        with _capturing_echo(tmp_path / "received") as server:
             result = ProcessTopology(
                 (server.address, server.port),
                 streaming_config(distributors=1)).replay(trace)
         assert len(result) == len(records)
         assert all(query.answered_at is not None for query in result.sent)
-        self.assert_exact_wires(server, records)
+        self.assert_exact_wires(_captured(tmp_path / "received"), records)
 
 
 class TestAggregateResultFrames:

@@ -6,9 +6,7 @@ import json
 import pytest
 
 from repro.dns import Edns, Message, Name, RRType
-from repro.experiments.report import (render_failure_counts,
-                                      render_perf_counters,
-                                      render_telemetry)
+from repro.experiments.report import render_failure_counts, render_telemetry
 from repro.netsim import (EventLoop, Network, ResourceMonitor,
                           ServerResourceModel)
 from repro.perf import PerfCounters
@@ -417,15 +415,6 @@ class TestExporters:
         clean = render_telemetry(self._traced_telemetry(), ReplayResult())
         assert "recovery." not in clean
 
-    def test_render_perf_counters_derived_shares(self):
-        perf = PerfCounters()
-        perf.incr("server.wire_cache_hits", 200)
-        perf.incr("server.wire_cache_misses", 50)
-        perf.incr("server.zero_copy_hits", 150)
-        text = render_perf_counters(perf)
-        assert "server.wire_cache_hit_rate  0.800" in text
-        assert "server.zero_copy_share" in text and "0.750" in text
-
 
 class TestZeroQueryReports:
     """Every renderer must stay well-defined on a run that sent nothing."""
@@ -443,7 +432,3 @@ class TestZeroQueryReports:
 
     def test_error_summary_empty(self):
         assert ReplayResult().error_summary() == {}
-
-    def test_perf_render_empty(self):
-        assert render_perf_counters(PerfCounters()) == \
-            "(no perf counters recorded)"

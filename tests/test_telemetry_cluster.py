@@ -19,7 +19,8 @@ import pytest
 
 from repro.replay import (DistributedConfig, ProcessTopology,
                           RecoveryConfig, ROLE_DISTRIBUTOR, ROLE_QUERIER,
-                          UdpEchoServerProcess, conservation_violations)
+                          conservation_violations)
+from repro.server import LiveDnsServer
 from repro.telemetry import MetricsRegistry, Telemetry, TelemetryConfig
 from repro.telemetry.cluster import (ClusterAggregator, ClusterConsole,
                                      FlightRecorder, TelemetryStreamer,
@@ -278,7 +279,7 @@ class TestClusterStreamingEndToEnd:
         trace = fixed_interval_trace(interval=0.004, duration=0.8,
                                      client_count=16)
         hub = Telemetry(TelemetryConfig(trace=True, stream_period=0.1))
-        with UdpEchoServerProcess() as echo:
+        with LiveDnsServer() as echo:
             topology = ProcessTopology((echo.address, echo.port),
                                        streaming_config(), telemetry=hub)
             result = topology.replay(trace)
@@ -317,7 +318,7 @@ class TestClusterStreamingEndToEnd:
         and the cluster view exists exactly when the config streams."""
         trace = fixed_interval_trace(interval=0.004, duration=0.4,
                                      client_count=8)
-        with UdpEchoServerProcess() as echo:
+        with LiveDnsServer() as echo:
             topology = ProcessTopology(
                 (echo.address, echo.port),
                 streaming_config(distributors=1),
@@ -343,7 +344,7 @@ class TestClusterStreamingEndToEnd:
                                      client_count=16)
         hub = Telemetry(TelemetryConfig(trace=True, stream_period=0.05))
         live_snapshots = []
-        with UdpEchoServerProcess() as echo:
+        with LiveDnsServer() as echo:
             topology = ProcessTopology(
                 (echo.address, echo.port),
                 streaming_config(recovery=True), telemetry=hub)

@@ -18,9 +18,8 @@ from repro.experiments.fig6_timing import wildcard_example_zone
 from repro.experiments.topology import build_evaluation_topology
 from repro.netsim import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
 from repro.replay import (DistributedConfig, ProcessTopology, QuerierConfig,
-                          ReplayConfig, SimReplayEngine,
-                          UdpEchoServerProcess)
-from repro.server import AuthoritativeServer, HostedDnsServer
+                          ReplayConfig, SimReplayEngine)
+from repro.server import AuthoritativeServer, HostedDnsServer, LiveDnsServer
 from repro.telemetry import Telemetry, TelemetryConfig, chrome_trace
 from repro.trace import (Trace, fixed_interval_trace, percentile,
                          table1_synthetic)
@@ -266,7 +265,7 @@ def run_process_tree(telemetry=None):
                                  client_count=8)
     config = DistributedConfig(distributors=2, queriers_per_distributor=2,
                                settle_time=0.5)
-    with UdpEchoServerProcess() as echo:
+    with LiveDnsServer() as echo:
         topology = ProcessTopology((echo.address, echo.port), config,
                                    telemetry=telemetry)
         result = topology.replay(trace)
