@@ -20,7 +20,7 @@ from conftest import run_once
 
 from repro.experiments.fig6_timing import wildcard_example_zone
 from repro.experiments.topology import build_evaluation_topology
-from repro.perf import PerfCounters
+from repro.telemetry import MetricsRegistry
 from repro.replay import ReplayConfig, SimReplayEngine
 from repro.server import AuthoritativeServer, HostedDnsServer
 from repro.trace import zipf_trace
@@ -46,7 +46,7 @@ BATCH_WINDOW = 2.5e-4
 def _replay_zipf(cached: bool):
     """One fast-rate Zipf replay; returns wall-clock + counter facts."""
     testbed = build_evaluation_topology()
-    perf = PerfCounters()
+    perf = MetricsRegistry()
     server = AuthoritativeServer.single_view([wildcard_example_zone()])
     if not cached:
         server.wire_cache = None

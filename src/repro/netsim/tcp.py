@@ -544,7 +544,7 @@ class TcpStack:
         # ``refuse_when_full`` pushes back with RST so clients fail fast.
         self.max_connections = max_connections
         self.refuse_when_full = refuse_when_full
-        # Optional PerfCounters registry; HostedDnsServer shares its own.
+        # Optional MetricsRegistry; HostedDnsServer shares its own.
         self.perf = None
         self._listeners: Dict[Tuple[Address, int], TcpListener] = {}
         self._connections: Dict[FlowKey, TcpConnection] = {}

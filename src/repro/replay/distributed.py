@@ -26,29 +26,27 @@ import threading
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from ..dns import RRClass, WireError
 from ..server.live import grow_receive_buffer
 from ..trace.binfmt import (RECORD_PROTOCOL_OFFSET, RECORD_SOURCE,
                             RECORD_TIME_AND_WIRE_LENGTH, WIRE_OFFSET,
-                            iter_record_bodies, record_head, record_source,
-                            unpack_record_body)
+                            iter_record_bodies, record_head, record_source)
 from ..trace.record import PROTOCOLS
 from .distributor import StickyAssigner
 from .protocol import (MSG_END, MSG_RECORD, MSG_SHUTDOWN, MSG_TIME_SYNC,
                        Message, MessageSocket, ProtocolError)
-from .querier import MatchKey, match_key
+from .querier import ResponseTable, match_key, query_qname
 from .recovery import QuerierLedger, RecoveryConfig
 from .result import ReplayResult
 
 ServerAddress = Tuple[str, int]
 
-# Aggregate-mode bound on response-matching state: unanswered sends and
-# answered-key tombstones would otherwise grow with the trace (exactly
-# the per-query memory aggregate accounting exists to avoid).  Evicted
-# pending sends simply stay unanswered — the same fate a lost datagram
-# already has.
+# Aggregate-mode bound on unanswered sends, which would otherwise grow
+# with the trace (exactly the per-query memory aggregate accounting
+# exists to avoid; the answered window bounds itself).  Evicted pending
+# sends simply stay unanswered — the same fate a lost datagram already
+# has.
 _AGGREGATE_PENDING_CAP = 1 << 16
 
 # The querier works a block at a time (DESIGN.md "Live data plane").
@@ -81,43 +79,6 @@ _CATCHUP_WINDOW = 64
 _CATCHUP_PATIENCE = 0.002
 
 _MESSAGE_ID = struct.Struct("!H")
-
-# A list-mode entry's qname is what ``Name.to_text().lower()`` makes of
-# the record's question.  For a plain name — 2 to 255 octets of labels
-# holding only these octets once lowercased, followed on the wire by its
-# qtype and a known qclass — that is the lowercased wire name match_key
-# already cut, dotted; every other wire is parsed.
-_PLAIN_OCTETS = b"abcdefghijklmnopqrstuvwxyz0123456789_-"
-_CLASSES = frozenset(map(int, RRClass))
-
-
-def _plain_qname(name: bytes, wire: bytes) -> Optional[str]:
-    """The qname text of ``wire`` whose match_key name is ``name``, or
-    None when the question is not plain."""
-    end = 12 + len(name)
-    if not 2 <= len(name) <= 255 or len(wire) < end + 4 \
-            or (wire[end + 2] << 8 | wire[end + 3]) not in _CLASSES:
-        return None
-    labels = []
-    offset, length = 0, name[0]
-    while length:
-        label = name[offset + 1:offset + 1 + length]
-        if label.translate(None, _PLAIN_OCTETS):
-            return None
-        labels.append(label)
-        offset += 1 + length
-        length = name[offset]
-    return b".".join(labels).decode("ascii") + "."
-
-
-def _parsed_qname(body: bytes) -> str:
-    """The qname text of any record body: its question parsed."""
-    try:
-        question = unpack_record_body(body).question()
-    except WireError:
-        question = None
-    return question[0].to_text().lower() if question else "-"
-
 
 @dataclass
 class DistributedConfig:
@@ -159,11 +120,12 @@ class _LiveQuerier:
 
     Records stay bytes: the queue holds record bodies, each with its
     global trace index, and a send puts this querier's message id and
-    the body's wire on the socket.  A list-mode entry takes its source
-    from the packed address and its query name from the match key's
-    wire name; only a question that is not plain (:func:`_plain_qname`)
-    is parsed.  Aggregate accounting is folded once per wake, over the
-    wake's sends and over each drain's answers.
+    the body's wire on the socket.  Answers are matched by the sim
+    querier's :class:`ResponseTable`.  A list-mode entry takes its
+    source from the packed address and its query name from
+    :func:`query_qname`, the sim querier's rule.  Aggregate accounting
+    is folded once per wake, over the wake's sends and over each
+    drain's answers.
     """
 
     def __init__(self, querier_id: int, inbound: MessageSocket,
@@ -174,11 +136,10 @@ class _LiveQuerier:
         self.server = server
         self.result = result
         self.lock = lock
-        # List mode retains SentQuery entries; aggregate mode stores
-        # only the sent_at float (enough to compute the latency).
-        self._pending: Dict[MatchKey, List] = {}
+        # Waiters by match_key: SentQuery entries in list mode, only the
+        # sent_at float (enough for the latency) in aggregate mode.
+        self._pending = ResponseTable()
         self._pending_entries = 0
-        self._answered: Set[MatchKey] = set()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         grow_receive_buffer(self._sock)
         self._sock.connect(server)
@@ -458,11 +419,12 @@ class _LiveQuerier:
         self.result.send_failures += 1
         if self.result.aggregate:
             return
+        trace_time, wire_length = RECORD_TIME_AND_WIRE_LENGTH.unpack_from(body)
         entry = self.ledger.sent(
-            index, record_source(body),
-            RECORD_TIME_AND_WIRE_LENGTH.unpack_from(body)[0], scheduled_at,
+            index, record_source(body), trace_time, scheduled_at,
             time.monotonic(), PROTOCOLS[body[RECORD_PROTOCOL_OFFSET]],
-            _parsed_qname(body), self.querier_id)
+            query_qname(body[WIRE_OFFSET:WIRE_OFFSET + wire_length]),
+            self.querier_id)
         entry.gave_up = True
         with self.lock:
             self.result.add(entry)
@@ -481,7 +443,7 @@ class _LiveQuerier:
         if self.result.aggregate:
             # O(1) memory: keep only sent_at; the send is folded into
             # the counters with the rest of this wake's (_send_due).
-            self._pending.setdefault(key, []).append(sent_at)
+            self._pending.file(key, sent_at)
             self._pending_entries += 1
             self._sends.append((trace_time, sent_at))
             if self._pending_entries > _AGGREGATE_PENDING_CAP:
@@ -489,23 +451,18 @@ class _LiveQuerier:
                 # insertion order) in one pass: the dropped sends are
                 # already counted and simply stay unanswered if a late
                 # response does arrive.
-                for evicted in list(islice(self._pending,
-                                           len(self._pending) // 2)):
-                    self._pending_entries -= len(self._pending.pop(evicted))
-            if len(self._answered) > _AGGREGATE_PENDING_CAP:
-                self._answered.clear()
+                waiting = self._pending.waiting
+                for evicted in list(islice(waiting, len(waiting) // 2)):
+                    self._pending_entries -= len(waiting.pop(evicted))
         else:
             entry = self.ledger.sent(
                 index, record_source(body), trace_time, scheduled_at,
-                sent_at, "udp",
-                _plain_qname(key[1], wire) or _parsed_qname(body),
-                self.querier_id)
-            self._pending.setdefault(key, []).append(entry)
+                sent_at, "udp", query_qname(wire), self.querier_id)
+            self._pending.file(key, entry)
             with self.lock:
                 self.result.add(entry)
                 if self.telemetry is not None:
                     self.telemetry.on_send(entry, wire)
-        self._answered.discard(key)
         try:
             self._sock.send(wire)
             self.records_sent += 1
@@ -517,8 +474,7 @@ class _LiveQuerier:
     def _drain_responses(self) -> None:
         """Read the UDP socket dry, crediting each answer to its query."""
         self._unread = 0
-        receive, pending, answered = (self._sock.recv, self._pending,
-                                      self._answered)
+        receive, pending = self._sock.recv, self._pending
         result, lock, clock = self.result, self.lock, time.monotonic
         latencies: List[float] = []     # aggregate mode: folded at the end
         while True:
@@ -529,31 +485,21 @@ class _LiveQuerier:
             if self._ahead:
                 self._ahead -= 1
             key = match_key(data)
-            waiting = pending.get(key)
-            if waiting:
-                entry = waiting.pop(0)
-                answered_at = clock()
-                if not waiting:
-                    del pending[key]
-                    answered.add(key)
-                if result.aggregate:
-                    # ``entry`` is the sent_at float.
-                    self._pending_entries -= 1
-                    latencies.append(answered_at - entry)
-                    continue
-                self.ledger.answered(entry, answered_at)
-                if self.telemetry is not None:
-                    with lock:
-                        self.telemetry.on_answer(entry)
-            elif key in answered:
-                # A duplicated/stale datagram re-answering a completed
-                # query; before full-key matching this could be credited
-                # to a different in-flight query with a colliding id.
+            entry = pending.take(key)
+            if entry is None:
                 with lock:
-                    result.duplicate_responses += 1
-            else:
+                    pending.book_stray(key, result)
+                continue
+            answered_at = clock()
+            if result.aggregate:
+                # ``entry`` is the sent_at float.
+                self._pending_entries -= 1
+                latencies.append(answered_at - entry)
+                continue
+            self.ledger.answered(entry, answered_at)
+            if self.telemetry is not None:
                 with lock:
-                    result.unmatched_responses += 1
+                    self.telemetry.on_answer(entry)
         if latencies:
             result.count_answers(latencies)
 

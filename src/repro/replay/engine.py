@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..netsim import EventLoop, Host, Network
-from ..perf import PerfCounters
-from ..telemetry import Telemetry
+from ..telemetry import MetricsRegistry, Telemetry
 from ..trace import Trace
 from .distributor import Controller, Distributor, DistributionStats
 from .querier import QuerierConfig, SimQuerier
@@ -65,12 +64,12 @@ class SimReplayEngine:
 
     def __init__(self, network: Network,
                  config: Optional[ReplayConfig] = None,
-                 perf: Optional[PerfCounters] = None,
+                 perf: Optional[MetricsRegistry] = None,
                  telemetry: Optional[Telemetry] = None):
         self.network = network
         self.loop: EventLoop = network.loop
         self.config = config if config is not None else ReplayConfig()
-        self.perf = perf if perf is not None else PerfCounters()
+        self.perf = perf if perf is not None else MetricsRegistry()
         self.telemetry = telemetry
         self.stats = DistributionStats()
         self.client_hosts: List[Host] = []

@@ -74,7 +74,6 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..netsim.shard import shard_of
-from ..perf import PerfCounters
 from ..server.live import FactorySpec, _mp_context, _resolve_factory
 from ..telemetry.cluster import (ClusterAggregator, FlightRecorder,
                                  TelemetryStreamer)
@@ -452,7 +451,7 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
 # address hashes to its shard (``shard_of(record.src, n) == index``).
 # Nothing crosses shards mid-run, so the workers are embarrassingly
 # parallel; the controller merges the per-shard ReplayResult and
-# PerfCounters snapshots over the same HELLO/RESULT/METRICS control
+# MetricsRegistry snapshots over the same HELLO/RESULT/METRICS control
 # plane the distributor/querier tiers use.
 #
 # Workers *self-source* their slice instead of receiving streamed
@@ -483,7 +482,7 @@ def shard_slice(trace: Trace, shard_index: int, num_shards: int) -> Trace:
                  name=f"{trace.name}#shard{shard_index}")
 
 
-def default_shard_scenario(perf: Optional[PerfCounters] = None,
+def default_shard_scenario(perf: Optional[MetricsRegistry] = None,
                            fast_replay_rate: float = 200000.0,
                            batch_window: Optional[float] = None,
                            client_instances: int = 2,
@@ -502,7 +501,7 @@ def default_shard_scenario(perf: Optional[PerfCounters] = None,
     from .engine import ReplayConfig, SimReplayEngine
 
     if perf is None:
-        perf = PerfCounters()
+        perf = MetricsRegistry()
     testbed = build_evaluation_topology()
     server = AuthoritativeServer.single_view([wildcard_example_zone()])
     server.perf = perf
@@ -526,7 +525,7 @@ def _shard_main(control_addr: Tuple[str, int], shard_index: int,
     # healed by the controller respawning the whole shard.
     link = _ControlLink(control_addr, ROLE_SHARD, shard_index, incarnation,
                         chaos)
-    perf = PerfCounters()
+    perf = MetricsRegistry()
     streamer: Optional[TelemetryStreamer] = None
     if _streaming(telemetry):
         # Shards never see TIME_SYNC, so no sync_mono: the aggregator

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Rcode
+from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, RRClass, Rcode, WireError
 from ..netsim import (EventLoop, Host, NetworkError, RetryPolicy,
                       TcpConnection, TcpOptions, TcpStack, Timer,
                       TlsEndpoint, UdpSocket)
@@ -28,6 +28,7 @@ from ..netsim.packet import IpPacket, WireView, make_udp_packet
 from ..server.dnsio import StreamFramer, frame_message
 from ..telemetry.tracing import QueryKey, wire_question_key
 from ..trace import QueryRecord
+from ..trace.record import parse_question
 from .result import ReplayResult, SentQuery
 from .supervision import AimdPacer, PacingConfig
 
@@ -43,9 +44,15 @@ MatchKey = QueryKey
 _QNAME_MEMO: Dict[bytes, str] = {}
 _QNAME_MEMO_LIMIT = 4096
 
+# A plain question name — 2 to 255 octets of labels holding only these
+# octets once lowercased, followed on the wire by its qtype and a known
+# qclass — reads as its lowercased wire name, dotted, with no parse.
+_PLAIN_OCTETS = b"abcdefghijklmnopqrstuvwxyz0123456789_-"
+_CLASSES = frozenset(map(int, RRClass))
+
 _SERVFAIL = int(Rcode.SERVFAIL)
 
-# Keys per generation of an _AnsweredWindow.
+# Keys per generation of a ResponseTable's answered window.
 ANSWERED_WINDOW = 4096
 
 
@@ -64,6 +71,46 @@ def match_key(wire: bytes) -> MatchKey:
         or (int.from_bytes(wire[:2], "big"), b"", 0)
 
 
+def query_qname(wire: bytes) -> str:
+    """``SentQuery.qname`` of a query's wire, in every querier: the first
+    question's name in lowercased presentation format, or ``-`` when the
+    wire holds no readable question.
+
+    Memoized on the bytes past the message ID and flags (the question
+    count included), which decide it: replay traces repeat names, and
+    parsing and rendering a name per send was a top hot-path cost.  A
+    plain name (``_PLAIN_OCTETS``) is cut from the wire; only another
+    question is parsed.
+    """
+    tail = wire[4:]
+    qname = _QNAME_MEMO.get(tail)
+    if qname is not None:
+        return qname
+    key = wire_question_key(wire)
+    name = key[1] if key is not None else b""
+    end = 12 + len(name)
+    plain = 2 <= len(name) <= 255 and len(wire) >= end + 4 \
+        and (wire[end + 2] << 8 | wire[end + 3]) in _CLASSES
+    labels, offset = [], 0
+    while plain and name[offset]:
+        label = name[offset + 1:offset + 1 + name[offset]]
+        plain = not label.translate(None, _PLAIN_OCTETS)
+        labels.append(label)
+        offset += 1 + len(label)
+    if plain:
+        qname = b".".join(labels).decode("ascii") + "."
+    else:
+        try:
+            question = parse_question(wire)
+        except WireError:
+            question = None
+        qname = question[0].to_text().lower() if question else "-"
+    if len(_QNAME_MEMO) >= _QNAME_MEMO_LIMIT:
+        _QNAME_MEMO.clear()
+    _QNAME_MEMO[tail] = qname
+    return qname
+
+
 @dataclass
 class QuerierConfig:
     """Client-side transport knobs."""
@@ -80,30 +127,76 @@ class QuerierConfig:
     send_highwater: Optional[int] = None
 
 
-class _AnsweredWindow:
-    """Recently answered keys, which tell a duplicate answer from an
-    unmatched one.  A key goes in when its query is answered and comes
-    out when it is sent again; of two generations of at most
-    :data:`ANSWERED_WINDOW` keys, a full newer one becomes the older
-    one and the previous older one is dropped."""
+class ResponseTable:
+    """One querier's response matching: the queries in flight by key,
+    and the keys answered lately.  The sim UDP table (keyed by socket
+    port and message ID), every sim stream channel and the live querier
+    (both keyed by :func:`match_key`) each hold one.
 
-    __slots__ = ("newer", "older")
+    A key holds a FIFO of waiters, whatever its driver needs back when
+    the answer comes; an answer takes the oldest.  A key whose last
+    waiter is answered joins the answered window, which tells a
+    duplicate answer from an unmatched one: of two generations of at
+    most :data:`ANSWERED_WINDOW` keys, a full newer one becomes the
+    older one and the previous older one is dropped.  A key leaves the
+    window when it is filed again.
+    """
+
+    __slots__ = ("waiting", "newer", "older")
 
     def __init__(self) -> None:
+        self.waiting: Dict[object, list] = {}
         self.newer: Set[object] = set()
         self.older: Set[object] = set()
 
-    def add(self, key: object) -> None:
-        self.newer.add(key)
-        if len(self.newer) >= ANSWERED_WINDOW:
-            self.older, self.newer = self.newer, set()
+    def __len__(self) -> int:
+        """Keys with a query in flight."""
+        return len(self.waiting)
 
-    def discard(self, key: object) -> None:
+    def file(self, key: object, waiter: object) -> None:
+        """A query went out under ``key``."""
+        self.waiting.setdefault(key, []).append(waiter)
         self.newer.discard(key)
         self.older.discard(key)
 
-    def __contains__(self, key: object) -> bool:
-        return key in self.newer or key in self.older
+    def take(self, key: object):
+        """The oldest waiter under ``key``, for its answer; None when no
+        query waits (a stray: see :meth:`book_stray`)."""
+        waiting = self.waiting.get(key)
+        if not waiting:
+            return None
+        waiter = waiting.pop(0)
+        if not waiting:
+            del self.waiting[key]
+            newer = self.newer
+            newer.add(key)
+            if len(newer) >= ANSWERED_WINDOW:
+                self.older, self.newer = newer, set()
+        return waiter
+
+    def drop(self, key: object, waiter: object) -> None:
+        """Stop waiting for one query (given up, or gone to TCP)."""
+        waiting = self.waiting.get(key)
+        if waiting and waiter in waiting:
+            waiting.remove(waiter)
+            if not waiting:
+                del self.waiting[key]
+
+    def drain(self) -> list:
+        """Every waiter, oldest first per key; the table is left empty
+        (a lost stream channel's queries, for re-send)."""
+        drained = [waiter for waiting in self.waiting.values()
+                   for waiter in waiting]
+        self.waiting.clear()
+        return drained
+
+    def book_stray(self, key: object, result: ReplayResult) -> None:
+        """Count an answer :meth:`take` found no query for: a duplicate
+        when ``key`` was answered lately, else unmatched."""
+        if key in self.newer or key in self.older:
+            result.duplicate_responses += 1
+        else:
+            result.unmatched_responses += 1
 
 
 @dataclass(slots=True)
@@ -129,8 +222,8 @@ class _StreamChannel:
         self.dport = dport
         self.protocol = protocol
         self.framer = StreamFramer()
-        self.pending: Dict[MatchKey, List[Tuple[SentQuery, QueryRecord]]] = {}
-        self._answered = _AnsweredWindow()
+        # Waiters are (entry, record) pairs.
+        self.pending = ResponseTable()
         self.open = True
         self.ever_used = False
 
@@ -155,9 +248,7 @@ class _StreamChannel:
 
     def send(self, record: QueryRecord, entry: SentQuery) -> None:
         self.ever_used = True
-        key = match_key(record.wire)
-        self.pending.setdefault(key, []).append((entry, record))
-        self._answered.discard(key)
+        self.pending.file(match_key(record.wire), (entry, record))
         if self.querier.config.send_highwater is not None \
                 and not self.tcp.writable:
             # Backpressure: the connection is not draining; hold the
@@ -185,29 +276,18 @@ class _StreamChannel:
                 break
 
     def _on_bytes(self, data: bytes) -> None:
+        querier = self.querier
         for wire in self.framer.feed(data):
             key = match_key(wire)
-            waiting = self.pending.get(key)
-            if waiting:
-                entry, _record = waiting.pop(0)
-                entry.answered_at = self.querier.loop.now
-                self.querier._note_response(wire)
-                if self.querier.telemetry is not None:
-                    self.querier.telemetry.on_answer(entry)
-                if not waiting:
-                    del self.pending[key]
-                    self._answered.add(key)
-            elif key in self._answered:
-                self.querier.result.duplicate_responses += 1
-            else:
-                self.querier.result.unmatched_responses += 1
-
-    def take_pending(self) -> List[Tuple[SentQuery, QueryRecord]]:
-        """Drain the in-flight queries (for re-send on a new channel)."""
-        stranded = [pair for waiting in self.pending.values()
-                    for pair in waiting]
-        self.pending.clear()
-        return stranded
+            waiter = self.pending.take(key)
+            if waiter is None:
+                self.pending.book_stray(key, querier.result)
+                continue
+            entry, _record = waiter
+            entry.answered_at = querier.loop.now
+            querier._note_response(wire)
+            if querier.telemetry is not None:
+                querier.telemetry.on_answer(entry)
 
     def _on_server_close(self, conn: TcpConnection) -> None:
         self.open = False
@@ -232,8 +312,8 @@ class SimQuerier:
         if host.tcp_stack is None:
             TcpStack(host)
         self._udp_sockets: Dict[str, UdpSocket] = {}
-        self._udp_pending: Dict[Tuple[int, int], List[_PendingUdp]] = {}
-        self._udp_answered = _AnsweredWindow()
+        # Keyed by (socket port, message id); waiters are _PendingUdp.
+        self._udp_pending = ResponseTable()
         self._channels: Dict[Tuple[str, str], _StreamChannel] = {}
         self.queries_sent = 0
         self._pacer = (AimdPacer(self.config.pacing, self.loop.now)
@@ -301,7 +381,8 @@ class SimQuerier:
         # Positional, in field order: a keyword call costs twice as much.
         entry = SentQuery(index, record.src, record.timestamp, scheduled_at,
                           self.loop.now, record.protocol,
-                          self._qname(record), None, False, self.querier_id)
+                          query_qname(record.wire), None, False,
+                          self.querier_id)
         self.result.add(entry)
         self.queries_sent += 1
         if self.telemetry is not None:
@@ -327,23 +408,6 @@ class SimQuerier:
         if self._pacer is not None and self._pacer.on_congestion():
             self.result.pace_rate_cuts += 1
 
-    def _qname(self, record: QueryRecord) -> str:
-        # Memoized on the question-section bytes: replay traces are
-        # heavily skewed (the zipf workloads repeat a few hundred
-        # names), and parse + presentation-format rendering per send was
-        # one of the top hot-path costs.  Records sharing the bytes past
-        # the message ID and flags (the question count included) share
-        # the qname by construction.
-        key = record.wire[4:]
-        qname = _QNAME_MEMO.get(key)
-        if qname is None:
-            question = record.question()
-            qname = question[0].to_text() if question else "-"
-            if len(_QNAME_MEMO) >= _QNAME_MEMO_LIMIT:
-                _QNAME_MEMO.clear()
-            _QNAME_MEMO[key] = qname
-        return qname
-
     # -- UDP with timeout/retry ---------------------------------------------
 
     def _send_udp(self, record: QueryRecord, entry: SentQuery,
@@ -358,8 +422,7 @@ class SimQuerier:
         wire = record.wire
         key = (sock.port, (wire[0] << 8) | wire[1])
         pending = _PendingUdp(entry, record, sock)
-        self._udp_pending.setdefault(key, []).append(pending)
-        self._udp_answered.discard(key)
+        self._udp_pending.file(key, pending)
         if outbox is None:
             sock.sendto(wire, record.dst, record.dport)
         else:
@@ -377,23 +440,17 @@ class SimQuerier:
         if len(head) < 2:
             return
         key = (sock.port, (head[0] << 8) | head[1])
-        waiting = self._udp_pending.get(key)
-        if waiting:
-            pending = waiting.pop(0)
-            pending.entry.answered_at = self.loop.now
-            self._note_response(data)
-            if self.telemetry is not None:
-                self.telemetry.on_answer(pending.entry)
-            if pending.timer is not None:
-                pending.timer.cancel()
-                pending.timer = None
-            if not waiting:
-                del self._udp_pending[key]
-                self._udp_answered.add(key)
-        elif key in self._udp_answered:
-            self.result.duplicate_responses += 1
-        else:
-            self.result.unmatched_responses += 1
+        pending = self._udp_pending.take(key)
+        if pending is None:
+            self._udp_pending.book_stray(key, self.result)
+            return
+        pending.entry.answered_at = self.loop.now
+        self._note_response(data)
+        if self.telemetry is not None:
+            self.telemetry.on_answer(pending.entry)
+        if pending.timer is not None:
+            pending.timer.cancel()
+            pending.timer = None
 
     def _udp_timeout_fire(self, key: Tuple[int, int],
                           pending: _PendingUdp) -> None:
@@ -410,7 +467,7 @@ class SimQuerier:
             telemetry.on_timeout(pending.entry)
         if policy.tcp_fallback_after is not None \
                 and pending.timeouts >= policy.tcp_fallback_after:
-            self._drop_pending(key, pending)
+            self._udp_pending.drop(key, pending)
             pending.entry.tcp_fallback = True
             self.result.tcp_fallbacks += 1
             self.result.retries += 1
@@ -421,7 +478,7 @@ class SimQuerier:
                               protocol="tcp")
             return
         if pending.tries >= policy.max_retries:
-            self._drop_pending(key, pending)
+            self._udp_pending.drop(key, pending)
             pending.entry.gave_up = True
             self.result.gave_up += 1
             if telemetry is not None:
@@ -441,14 +498,6 @@ class SimQuerier:
         pending.timer = self.loop.call_later(
             policy.timeout_for(pending.tries), self._udp_timeout_fire,
             key, pending)
-
-    def _drop_pending(self, key: Tuple[int, int],
-                      pending: _PendingUdp) -> None:
-        waiting = self._udp_pending.get(key)
-        if waiting and pending in waiting:
-            waiting.remove(pending)
-            if not waiting:
-                del self._udp_pending[key]
 
     # -- TCP/TLS with reconnection -------------------------------------------
 
@@ -486,7 +535,7 @@ class SimQuerier:
         policy = self.config.retry
         if policy is None:
             return  # seed behaviour: stranded queries stay stranded
-        stranded = channel.take_pending()
+        stranded = channel.pending.drain()
         if not stranded:
             return
         live = [(entry, record) for entry, record in stranded

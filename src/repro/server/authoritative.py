@@ -24,8 +24,7 @@ from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
 from ..dns import (AnswerKind, Flag, Message, Name, Opcode, Question, RRClass,
                    RRType, RRset, Rcode, UDP_PAYLOAD_LIMIT, Zone)
 from ..netsim.packet import WireView
-from ..perf import PerfCounters
-from ..telemetry.metrics import Counter
+from ..telemetry.metrics import Counter, MetricsRegistry
 from ..dns.zone import NameKey
 from .wirecache import ResponseWireCache, WireCacheEntry
 
@@ -135,13 +134,13 @@ class AuthoritativeServer:
     ``wire_cache`` caches encoded responses for the :meth:`serve_wire`
     fast path; it is on by default and can be disabled by passing
     ``wire_cache=None``.  ``perf`` optionally records cache and encode
-    counters into a :class:`repro.perf.PerfCounters` registry.
+    counters into a :class:`~repro.telemetry.MetricsRegistry`.
     """
 
     def __init__(self, views: Optional[Sequence[View]] = None,
                  minimal_responses: bool = True, dynamic=None,
                  wire_cache=_DEFAULT_CACHE,
-                 perf: Optional[PerfCounters] = None):
+                 perf: Optional[MetricsRegistry] = None):
         self.views: List[View] = list(views) if views is not None else []
         self.minimal_responses = minimal_responses
         self.dynamic = dynamic
@@ -154,11 +153,11 @@ class AuthoritativeServer:
         self.stats = ServerStats()
 
     @property
-    def perf(self) -> Optional[PerfCounters]:
+    def perf(self) -> Optional[MetricsRegistry]:
         return self._perf
 
     @perf.setter
-    def perf(self, perf: Optional[PerfCounters]) -> None:
+    def perf(self, perf: Optional[MetricsRegistry]) -> None:
         # A cache hit books through handles, not string-keyed updates.
         self._perf = perf
         self._hits, self._zero_copy_hits, self._template_hits = (

@@ -17,8 +17,7 @@ from typing import Callable, Dict, Optional
 from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Message, Rcode, WireError
 from ..netsim import (Host, NetworkError, ServerResourceModel,
                       TcpConnection, TcpOptions, TcpStack, TlsEndpoint)
-from ..perf import PerfCounters
-from ..telemetry import Telemetry
+from ..telemetry import MetricsRegistry, Telemetry, wire_question_key
 from .dnsio import FramingError, StreamFramer, frame_message
 from .overload import OverloadConfig, OverloadControl, minimal_wire
 
@@ -54,10 +53,10 @@ class DnsServerCore:
     netsim binding has an event loop to queue on and a meter to charge.
     """
 
-    def __init__(self, engine, perf: Optional[PerfCounters] = None,
+    def __init__(self, engine, perf: Optional[MetricsRegistry] = None,
                  telemetry: Optional[Telemetry] = None):
         self.engine = engine
-        self.perf = perf if perf is not None else PerfCounters()
+        self.perf = perf if perf is not None else MetricsRegistry()
         if getattr(engine, "perf", None) is None and hasattr(engine, "perf"):
             engine.perf = self.perf
         # Per-query hooks are installed only when the hub records per query.
@@ -262,7 +261,7 @@ class HostedDnsServer(DnsServerCore):
     def __init__(self, host: Host, engine, config: Optional[TransportConfig] = None,
                  resources: Optional[ServerResourceModel] = None,
                  address: Optional[str] = None,
-                 perf: Optional[PerfCounters] = None,
+                 perf: Optional[MetricsRegistry] = None,
                  overload: Optional[OverloadConfig] = None,
                  telemetry: Optional[Telemetry] = None):
         super().__init__(engine, perf, telemetry)
@@ -416,15 +415,20 @@ class HostedDnsServer(DnsServerCore):
             self._charge("tls_" + kind)
 
     def _serve_axfr(self, wire_query: bytes, conn: TcpConnection) -> bool:
-        """Serve an AXFR stream if this is a transfer request."""
+        """Serve an AXFR stream if this is a transfer request.  Only a
+        question that reads as AXFR, or does not read plainly, is
+        decoded here: every other query is decoded once, by _serve."""
         handle = getattr(self.engine, "handle_axfr", None)
         if handle is None:
+            return False
+        from .axfr import AXFR
+        probe = wire_question_key(wire_query)
+        if probe is not None and probe[2] != AXFR:
             return False
         try:
             query = Message.from_wire(wire_query)
         except WireError:
             return False
-        from .axfr import AXFR
         if not query.question or query.question[0].rrtype != AXFR:
             return False
         messages = handle(query, source=conn.remote_addr)

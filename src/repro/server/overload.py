@@ -29,7 +29,8 @@ real authoritative operators run:
 Every knob defaults to *off*; a ``HostedDnsServer`` without an
 :class:`OverloadConfig` (or with the default one) produces byte-identical
 responses to the pre-overload code — proven by a differential test.  All
-drop/shed/limit decisions flow through :class:`repro.perf.PerfCounters`
+drop/shed/limit decisions flow through a
+:class:`~repro.telemetry.MetricsRegistry`
 under the ``overload.*`` and ``rrl.*`` namespaces.
 """
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Optional, Tuple
 
 from ..dns import Flag, Message, Rcode
-from ..perf import PerfCounters
+from ..telemetry.metrics import MetricsRegistry
 
 QUEUE_POLICIES = ("drop-oldest", "drop-newest", "servfail-shed")
 RRL_PREFIX_LEN = 24     # RRL's client aggregation prefix
@@ -147,7 +148,7 @@ class ResponseRateLimiter:
     SLIP = "slip"
     LEAK = "leak"
 
-    def __init__(self, config: RrlConfig, perf: PerfCounters):
+    def __init__(self, config: RrlConfig, perf: MetricsRegistry):
         self.config = config
         self.perf = perf
         self._buckets: "OrderedDict[Tuple[str, str, int], TokenBucket]" = \
@@ -229,7 +230,7 @@ class AdmissionQueue:
     """
 
     def __init__(self, loop, limit: Optional[int], policy: str,
-                 service_rate: Optional[float], perf: PerfCounters,
+                 service_rate: Optional[float], perf: MetricsRegistry,
                  telemetry=None):
         self.loop = loop
         self.limit = limit
@@ -311,7 +312,7 @@ class OverloadControl:
     """
 
     def __init__(self, config: OverloadConfig, loop,
-                 perf: PerfCounters, telemetry=None):
+                 perf: MetricsRegistry, telemetry=None):
         config.validate()
         self.config = config
         self.loop = loop

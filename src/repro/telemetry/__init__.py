@@ -5,8 +5,8 @@ One subsystem, three recorders, all driven by one
 
 * :class:`QueryTracer` — per-query lifecycle spans across querier,
   network, and server, exportable as a Chrome ``trace_event`` timeline;
-* :class:`MetricsRegistry` — counters/timings/gauges (the storage
-  behind :class:`repro.perf.PerfCounters`) plus log-bucketed
+* :class:`MetricsRegistry` — counters/timings/gauges, the one
+  registry every component counts into, plus log-bucketed
   :class:`Histogram` distributions with quantile extraction;
 * :class:`TimeSeriesSampler` — periodic load series (qps, queue
   depth, CPU, memory) on the sim clock, with :class:`ResourceTimeline`

@@ -1,13 +1,14 @@
 """Metric primitives: counters, timings, gauges, and log-bucketed histograms.
 
 :class:`MetricsRegistry` is the storage layer behind every measurement
-the pipeline takes.  It keeps the three flat kinds
-:class:`repro.perf.PerfCounters` always had — monotonic **counters**,
-accumulated wall-clock **timings**, last-write-wins **gauges** — and adds
-**histograms**: log-bucketed distributions with quantile extraction, the
-representation Figures 6/15 (timing-error and latency CDFs) actually
-need.  ``PerfCounters`` is now a thin facade over this class, so every
-counter the hot paths already increment lands here unchanged.
+the pipeline takes: monotonic **counters**, accumulated wall-clock
+**timings**, last-write-wins **gauges**, and **histograms**:
+log-bucketed distributions with quantile extraction, the representation
+Figures 6/15 (timing-error and latency CDFs) actually need.  Components
+build a private registry when none is passed, so runs never interfere;
+an experiment that wants one merged view passes one registry to every
+component, or merges them afterwards.  Measurement never feeds back
+into simulated behaviour: the discrete-event clock stays deterministic.
 
 Histogram buckets grow geometrically (default 1.25x from 1 µs), so the
 whole latency range from microseconds to minutes fits in ~100 sparse
@@ -222,11 +223,10 @@ class Counter:
 class MetricsRegistry:
     """Named counters, timings, gauges, and histograms for one run.
 
-    The superset of the old ``PerfCounters`` API: everything that class
-    offered keeps its exact semantics (``snapshot()`` flattens counters,
-    ``_s``-suffixed timings, and gauges; histograms are reported
-    separately via :meth:`histogram_summaries` so existing snapshot
-    consumers see no new keys).
+    ``snapshot()`` flattens counters, ``_s``-suffixed timings and
+    gauges; histograms are reported separately via
+    :meth:`histogram_summaries`, so snapshot consumers see only the
+    flat kinds.
     """
 
     def __init__(self) -> None:

@@ -43,13 +43,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..netsim import EventLoop, Network, TcpOptions, TcpStack, TcpState
-from ..perf import PerfCounters
 from ..replay.recovery import (REDELIVERY_GRACE, REDELIVERY_ROUNDS,
                                CheckpointStore, QuerierLedger,
                                RecoveryLedger, conservation_violations,
                                merge_recovered)
 from ..replay.result import ReplayResult
 from ..server.overload import OverloadConfig, OverloadControl, RrlConfig
+from ..telemetry.metrics import MetricsRegistry
 
 # -- generic engine ---------------------------------------------------------
 
@@ -410,7 +410,7 @@ class AdmissionScenarioModel:
         from ..dns import Message, Name, RRType  # local: keep import light
 
         self.loop = EventLoop()
-        self.perf = PerfCounters()
+        self.perf = MetricsRegistry()
         config = OverloadConfig(
             queue_limit=limit, queue_policy=policy, service_rate=10.0,
             rrl=RrlConfig(responses_per_second=1.0, window=1.0)

@@ -101,6 +101,7 @@ class LoopbackSocket:
         self.clock = clock
         self.delay = delay
         self.sent = 0
+        self.last = None        # the last query sent
         self.empty_reads = 0
         self.peak = 0
         self._echoes = collections.deque()
@@ -110,12 +111,17 @@ class LoopbackSocket:
 
     def send(self, wire):
         self.sent += 1
-        if self.lag is None:
-            return
+        self.last = wire
+        if self.lag is not None:
+            self.echo(wire, self.sent + self.lag)
+
+    def echo(self, wire, after=0):
+        """Queue ``wire`` as an answer (QR set), readable once ``after``
+        queries were sent and ``delay`` has passed: at once by default,
+        whatever ``lag`` is."""
         reply = bytearray(wire)
         reply[2] |= 0x80
-        self._echoes.append((self.sent + self.lag, self._now() + self.delay,
-                             bytes(reply)))
+        self._echoes.append((after, self._now() + self.delay, bytes(reply)))
         self.peak = max(self.peak, len(self._echoes))
 
     def readable_in(self):
@@ -153,6 +159,17 @@ def scripted_select(clock=None, observe=None):
     return types.SimpleNamespace(select=select)
 
 
+def fake_querier(script=(), lag=0, clock=None, delay=0.0, aggregate=False):
+    """A _LiveQuerier on a :class:`ScriptedInbound` link and a
+    :class:`LoopbackSocket`; returns both."""
+    result = ReplayResult("querier-0", aggregate=aggregate)
+    querier = _LiveQuerier(0, ScriptedInbound(script, clock),
+                           ("127.0.0.1", 9), result, threading.Lock())
+    querier._sock.close()
+    querier._sock = wire = LoopbackSocket(lag, clock, delay)
+    return querier, wire
+
+
 def drive_querier(script, policy=None, lag=0, clock=None, delay=0.0,
                   observe=None, aggregate=False):
     """Run a _LiveQuerier over a script; returns it, its fake UDP
@@ -163,11 +180,7 @@ def drive_querier(script, policy=None, lag=0, clock=None, delay=0.0,
         if clock is not None:
             stack.enter_context(
                 mock.patch.object(distributed, "time", clock))
-        result = ReplayResult("querier-0", aggregate=aggregate)
-        querier = _LiveQuerier(0, ScriptedInbound(script, clock),
-                               ("127.0.0.1", 9), result, threading.Lock())
-        querier._sock.close()
-        querier._sock = wire = LoopbackSocket(lag, clock, delay)
+        querier, wire = fake_querier(script, lag, clock, delay, aggregate)
         frames = []
         if policy is not None:
             querier.ledger = QuerierLedger(distributed.time.monotonic(),

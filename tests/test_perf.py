@@ -1,25 +1,25 @@
-"""Tests for the perf-counter registry (repro.perf)."""
+"""Tests for the counter registry (repro.telemetry.MetricsRegistry)."""
 
-from repro.perf import PerfCounters
+from repro.telemetry import MetricsRegistry
 
 
 class TestCounters:
     def test_incr_and_count(self):
-        perf = PerfCounters()
+        perf = MetricsRegistry()
         assert perf.count("x") == 0
         perf.incr("x")
         perf.incr("x", 4)
         assert perf.count("x") == 5
 
     def test_counters_are_independent(self):
-        a, b = PerfCounters(), PerfCounters()
+        a, b = MetricsRegistry(), MetricsRegistry()
         a.incr("x")
         assert b.count("x") == 0
 
 
 class TestTimings:
     def test_timed_accumulates(self):
-        perf = PerfCounters()
+        perf = MetricsRegistry()
         with perf.timed("phase"):
             pass
         first = perf.seconds("phase")
@@ -29,7 +29,7 @@ class TestTimings:
         assert perf.seconds("phase") >= first
 
     def test_timed_records_on_exception(self):
-        perf = PerfCounters()
+        perf = MetricsRegistry()
         try:
             with perf.timed("phase"):
                 raise RuntimeError("boom")
@@ -38,7 +38,7 @@ class TestTimings:
         assert "phase_s" in perf.snapshot()
 
     def test_add_time_direct(self):
-        perf = PerfCounters()
+        perf = MetricsRegistry()
         perf.add_time("run", 1.5)
         perf.add_time("run", 0.5)
         assert perf.seconds("run") == 2.0
@@ -46,7 +46,7 @@ class TestTimings:
 
 class TestGauges:
     def test_set_and_read(self):
-        perf = PerfCounters()
+        perf = MetricsRegistry()
         assert perf.gauge("qps") is None
         perf.set_gauge("qps", 100.0)
         perf.set_gauge("qps", 200.0)  # last write wins
@@ -55,7 +55,7 @@ class TestGauges:
 
 class TestAggregation:
     def test_snapshot_flattens_with_suffix(self):
-        perf = PerfCounters()
+        perf = MetricsRegistry()
         perf.incr("queries", 3)
         perf.add_time("run", 1.0)
         perf.set_gauge("qps", 3.0)
@@ -63,7 +63,7 @@ class TestAggregation:
         assert snap == {"queries": 3, "run_s": 1.0, "qps": 3.0}
 
     def test_merge(self):
-        a, b = PerfCounters(), PerfCounters()
+        a, b = MetricsRegistry(), MetricsRegistry()
         a.incr("x", 1)
         b.incr("x", 2)
         b.add_time("run", 0.5)
@@ -74,7 +74,7 @@ class TestAggregation:
         assert a.gauge("qps") == 7.0
 
     def test_reset(self):
-        perf = PerfCounters()
+        perf = MetricsRegistry()
         perf.incr("x")
         perf.add_time("run", 1.0)
         perf.set_gauge("qps", 1.0)

@@ -957,7 +957,7 @@ class TestCatchUpWindow:
         # 1793, then 207 more.
         assert querier._pending_entries == 257 + 207
         assert querier._pending_entries == sum(
-            len(waiting) for waiting in querier._pending.values())
+            len(waiting) for waiting in querier._pending.waiting.values())
 
     def test_on_schedule_sends_are_never_held(self):
         """80 queries 2**-7 s apart at a server that never answers: more

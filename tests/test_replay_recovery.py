@@ -14,12 +14,16 @@ from repro.netsim import (EventLoop, FaultInjector, FaultPlan, Network,
                           RetryPolicy)
 from repro.replay import (QuerierConfig, ReplayConfig, SimQuerier,
                           SimReplayEngine)
+from repro.replay import querier as querier_module
 from repro.replay.querier import ANSWERED_WINDOW
 from repro.replay.result import ReplayResult
 from repro.server import AuthoritativeServer, HostedDnsServer, \
     TransportConfig
 from repro.server.dnsio import frame_message
 from repro.trace import QueryRecord, Trace
+from repro.trace.binfmt import pack_record_body
+
+from live_fakes import fake_querier
 
 pytestmark = pytest.mark.faults
 
@@ -133,40 +137,66 @@ class TestUdpRetry:
 class _Matcher:
     """One querier's response matching, driven directly.
 
-    Sends go out through :meth:`SimQuerier.send` onto the simulated
-    network, which is never run; an answer is handed to the querier as
-    if it had just arrived on the record's socket (UDP) or connection
-    (TCP).  A copy of the query wire serves as its answer: both match on
-    what the query carries.
+    ``driver`` is ``udp`` or ``tcp`` for a :class:`SimQuerier`, whose
+    sends go onto the simulated network, which is never run; an answer
+    is handed to the querier as if it had just arrived on the record's
+    socket (UDP) or connection (TCP).  ``live-list`` and
+    ``live-aggregate`` are a live querier's ``_send`` onto a
+    :class:`LoopbackSocket` that answers only when told, and its
+    ``_drain_responses``.  A copy of the query wire serves as its
+    answer: every driver matches on what the query carries.
     """
 
-    def __init__(self, protocol):
-        _loop, _network, _server, self.querier, self.result = deploy()
-        self.protocol = protocol
-        self.base = make_record(protocol=protocol)
+    def __init__(self, driver):
+        self.driver = driver
+        self.base = make_record(protocol="tcp" if driver == "tcp" else "udp")
         self.index = 0
+        if driver.startswith("live"):
+            self.querier, self.socket = fake_querier(
+                lag=None, aggregate=driver == "live-aggregate")
+            self.result = self.querier.result
+            self.sent = {}      # test id -> the wire the querier sent
+        else:
+            _loop, _network, _server, self.querier, self.result = deploy()
 
     def record(self, msg_id):
         return replace(self.base,
                        wire=msg_id.to_bytes(2, "big") + self.base.wire[2:])
 
     def send(self, msg_id):
-        self.querier.send(self.index, self.record(msg_id), 0.0)
+        record = self.record(msg_id)
+        if self.driver.startswith("live"):
+            # The live querier numbers its message ids by its send
+            # sequence: pinned, a test id is one key every time it is sent.
+            querier = self.querier
+            querier._sequence = msg_id
+            querier._send(pack_record_body(record), 0.0, self.index)
+            self.result.count_sends("udp", querier._sends)
+            querier._sends.clear()
+            self.sent[msg_id] = self.socket.last
+        else:
+            self.querier.send(self.index, record, 0.0)
         self.index += 1
 
     def answer(self, msg_id):
+        if self.driver.startswith("live"):
+            self.socket.echo(self.sent[msg_id])
+            self.querier._drain_responses()
+            return
         wire = self.record(msg_id).wire
-        if self.protocol == "udp":
+        if self.driver == "udp":
             sock = self.querier._udp_sockets["198.51.100.1"]
             self.querier._on_udp_response(sock, wire, SERVER, DNS_PORT)
         else:
             channel = self.querier._channels[("198.51.100.1", "tcp")]
             channel._on_bytes(frame_message(wire))
 
-    def window(self):
-        if self.protocol == "udp":
-            return self.querier._udp_answered
-        return self.querier._channels[("198.51.100.1", "tcp")]._answered
+    def table(self):
+        if self.driver.startswith("live"):
+            return self.querier._pending
+        if self.driver == "udp":
+            return self.querier._udp_pending
+        return self.querier._channels[("198.51.100.1", "tcp")].pending
 
     def exchange(self, msg_ids):
         for msg_id in msg_ids:
@@ -174,46 +204,62 @@ class _Matcher:
             self.answer(msg_id)
 
 
-@pytest.mark.parametrize("protocol", ["udp", "tcp"])
+@pytest.mark.parametrize("driver",
+                         ["udp", "tcp", "live-list", "live-aggregate"])
 class TestAnsweredWindow:
-    """The bounded window that tells a duplicate from an unmatched answer."""
+    """The bounded window that tells a duplicate from an unmatched
+    answer: one ResponseTable in every querier."""
 
-    def test_duplicate_inside_the_window(self, protocol):
-        matcher = _Matcher(protocol)
+    def test_duplicate_inside_the_window(self, driver):
+        matcher = _Matcher(driver)
         matcher.exchange([1, 2, 3])
         matcher.answer(2)
         assert matcher.result.duplicate_responses == 1
         assert matcher.result.unmatched_responses == 0
         assert matcher.result.unanswered() == 0
 
-    def test_stale_copy_past_two_windows_is_unmatched(self, protocol):
-        matcher = _Matcher(protocol)
+    def test_stale_copy_past_two_windows_is_unmatched(self, driver):
+        matcher = _Matcher(driver)
         matcher.exchange([1])
         matcher.exchange(range(2, 2 * ANSWERED_WINDOW + 3))
         matcher.answer(1)
         assert matcher.result.duplicate_responses == 0
         assert matcher.result.unmatched_responses == 1
 
-    def test_resent_key_matches_its_fresh_answer(self, protocol):
-        matcher = _Matcher(protocol)
+    def test_resent_key_matches_its_fresh_answer(self, driver):
+        matcher = _Matcher(driver)
         matcher.exchange([7])
         matcher.send(7)
         matcher.answer(7)
-        first, second = matcher.result.sent
-        assert first.answered_at is not None
-        assert second.answered_at is not None
+        assert len(matcher.result) == 2
+        assert matcher.result.unanswered() == 0
         assert matcher.result.duplicate_responses == 0
         assert matcher.result.unmatched_responses == 0
         matcher.answer(7)
         assert matcher.result.duplicate_responses == 1
 
-    def test_window_stays_bounded(self, protocol):
-        matcher = _Matcher(protocol)
+    def test_window_stays_bounded(self, driver):
+        matcher = _Matcher(driver)
         matcher.exchange(range(1, 30_001))
         assert matcher.result.unanswered() == 0
-        window = matcher.window()
-        assert len(window.newer) <= ANSWERED_WINDOW
-        assert len(window.older) <= ANSWERED_WINDOW
+        table = matcher.table()
+        assert not table
+        assert len(table.newer) <= ANSWERED_WINDOW
+        assert len(table.older) <= ANSWERED_WINDOW
+
+
+def test_sim_and_live_queriers_agree_on_a_mixed_case_qname():
+    """Both drivers name a sent query by the one rule: the lowercased
+    presentation name of its question."""
+    record = make_record(qname="WwW.ExAmple.COM.")
+    querier_module._QNAME_MEMO.clear()
+    _loop, _network, _server, sim, sim_result = deploy()
+    sim.send(0, record, 0.0)
+    querier_module._QNAME_MEMO.clear()
+    live, _socket = fake_querier(lag=None)
+    live._send(pack_record_body(record), 0.0, 0)
+    assert sim_result.sent[0].qname == live.result.sent[0].qname \
+        == "www.example.com."
 
 
 class TestStreamMatching:

@@ -30,7 +30,7 @@ from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
                                    MSG_RESULT, MSG_SHUTDOWN, MSG_TIME_SYNC,
                                    MessageSocket, ROLE_QUERIER,
                                    validate_checkpoint_payload)
-from repro.replay.querier import match_key
+from repro.replay import querier as querier_module
 from repro.replay.recovery import SETTLE_S
 from repro.replay.result import (SENT_FIELDS, ReplayResult, SentQuery,
                                  sent_rows)
@@ -642,8 +642,7 @@ class TestSyscallBudget:
             return unpack(body)
 
         monkeypatch.setattr(QueryRecord, "__post_init__", counting_post_init)
-        for module in (binfmt, distributed):
-            monkeypatch.setattr(module, "unpack_record_body", counting_unpack)
+        monkeypatch.setattr(binfmt, "unpack_record_body", counting_unpack)
         link = _CountingSocket(FakeClock())
         distributor = _LiveDistributor(
             0, ScriptedInbound([(MSG_TIME_SYNC, 0.0), (MSG_END, None)]),
@@ -904,17 +903,25 @@ class TestSyscallBudget:
                             5300, "192.0.2.1", 53, "udp", wire)
                 for index, wire in enumerate(wires)]
 
-    def test_list_entries_match_the_parsed_record(self):
+    def test_list_entries_match_the_parsed_record(self, monkeypatch):
         """Differential: every list-mode entry's qname, source and trace
         time are what decoding its record body and parsing its question
         give, over hostile wires and the fuzzer's."""
         records = self._hostile_records()
         bodies = [pack_record_body(record) for record in records]
+        parsed_wires = []
+        parse = querier_module.parse_question
+
+        def counting_parse(wire):
+            parsed_wires.append(wire)
+            return parse(wire)
+
+        monkeypatch.setattr(querier_module, "parse_question", counting_parse)
+        querier_module._QNAME_MEMO.clear()
         querier, wire, _frames = drive_querier(
             [(MSG_RECORD, (index, body)) for index, body in enumerate(bodies)]
             + [(MSG_END, None)], lag=None)
         assert wire.sent == len(querier.result.sent) == len(bodies)
-        plain = 0
         for entry in querier.result.sent:
             record = binfmt.unpack_record_body(bodies[entry.index])
             try:
@@ -924,9 +931,8 @@ class TestSyscallBudget:
             qname = parsed[0].to_text().lower() if parsed else "-"
             assert (entry.qname, entry.source, entry.trace_time) \
                 == (qname, record.src, record.timestamp), record.wire
-            plain += distributed._plain_qname(
-                match_key(record.wire)[1], record.wire) is not None
-        assert 8 < plain < len(bodies) - 8    # both paths were taken
+        # Both paths were taken: plain names cut, the others parsed.
+        assert 8 < len(parsed_wires) < len(bodies) - 8
 
     def test_plain_list_replay_builds_no_record_or_name(self, monkeypatch):
         """A list-mode run of plain names builds its entries from bytes:
@@ -946,8 +952,8 @@ class TestSyscallBudget:
             "QueryRecord", QueryRecord.__post_init__))
         monkeypatch.setattr(Name, "__init__", counting(
             "Name", Name.__init__))
-        monkeypatch.setattr(distributed, "unpack_record_body", counting(
-            "unpack_record_body", binfmt.unpack_record_body))
+        monkeypatch.setattr(querier_module, "parse_question", counting(
+            "parse_question", querier_module.parse_question))
         querier, wire, _frames = drive_querier(script, lag=0)
         monkeypatch.undo()
         assert built == {}

@@ -131,6 +131,40 @@ class TestTransfer:
         loop.run(max_time=10)
         assert answers and answers[0].rcode == Rcode.NOERROR
 
+    def test_a_tcp_query_is_decoded_once(self, monkeypatch):
+        """The AXFR probe reads the qtype off the wire: a TCP query that
+        is not a transfer is decoded only where it is served (the
+        parent decoded it twice), and a transfer still streams."""
+        from repro.netsim import TcpOptions, TcpStack
+        from repro.server import StreamFramer, frame_message
+        zone = big_zone(5)
+        loop, client = self.deploy(zone)
+        decoded = []
+        from_wire = Message.from_wire.__func__
+
+        def counting(cls, wire, *args, **kwargs):
+            decoded.append(bytes(wire))
+            return from_wire(cls, wire, *args, **kwargs)
+
+        monkeypatch.setattr(Message, "from_wire", classmethod(counting))
+        framer = StreamFramer()
+        answers = []
+        framer.on_message = answers.append
+        conn = TcpStack(client).connect("10.10.0.3", "10.10.0.2", 53,
+                                        TcpOptions(nagle=False))
+        conn.on_data = lambda _cn, d: framer.feed(d)
+        query = Message.make_query(Name.from_text("h1.xfer.example."),
+                                   RRType.A, msg_id=9).to_wire()
+        conn.send(frame_message(query))
+        loop.run(max_time=10)
+        assert decoded == [query]
+        monkeypatch.undo()
+        assert Message.from_wire(answers[0]).rcode == Rcode.NOERROR
+        got = []
+        axfr_fetch(client, "10.10.0.2", zone.origin, got.append)
+        loop.run(max_time=loop.now + 10)
+        assert got and got[0].record_count() == zone.record_count()
+
 
 class TestReloadInvalidation:
     """AXFR reloads must evict stale response-wire cache entries."""

@@ -5,7 +5,7 @@ import pytest
 from repro.dns import (DNS_PORT, Edns, Flag, Message, Name, RRType, Rcode,
                        read_zone)
 from repro.netsim import EventLoop, Network
-from repro.perf import PerfCounters
+from repro.telemetry import MetricsRegistry
 from repro.server import (AdmissionQueue, AuthoritativeServer,
                           HostedDnsServer, OverloadConfig, OverloadControl,
                           ResponseRateLimiter, RrlConfig, TokenBucket,
@@ -59,7 +59,7 @@ class TestSubnetOf:
 
 class TestResponseRateLimiter:
     def make(self, **kwargs):
-        return ResponseRateLimiter(RrlConfig(**kwargs), PerfCounters())
+        return ResponseRateLimiter(RrlConfig(**kwargs), MetricsRegistry())
 
     def test_allows_under_rate(self):
         rrl = self.make(responses_per_second=5.0, window=2.0)
@@ -132,12 +132,12 @@ class TestAdmissionQueue:
     def make(self, limit, policy, rate=10.0):
         loop = EventLoop()
         return loop, AdmissionQueue(loop, limit, policy, rate,
-                                    PerfCounters())
+                                    MetricsRegistry())
 
     def test_inline_without_service_rate(self):
         loop = EventLoop()
         queue = AdmissionQueue(loop, 5, "drop-oldest", None,
-                               PerfCounters())
+                               MetricsRegistry())
         ran = []
         queue.submit(lambda: ran.append(1), lambda: ran.append("shed"))
         assert ran == [1]
@@ -201,7 +201,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             OverloadControl(OverloadConfig(queue_limit=1,
                                            queue_policy="coin-flip"),
-                            EventLoop(), PerfCounters())
+                            EventLoop(), MetricsRegistry())
 
 
 class TestMinimalWire:
@@ -331,7 +331,7 @@ class TestCounterConservation:
 
     def control(self, config):
         loop = EventLoop()
-        perf = PerfCounters()
+        perf = MetricsRegistry()
         return loop, perf, OverloadControl(config, loop, perf)
 
     def admit_n(self, control, n, execute=None):

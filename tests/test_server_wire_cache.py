@@ -18,7 +18,7 @@ from repro.dns import (Edns, Flag, Message, Name, RRClass, RRType, Rcode,
 from repro.dns import rdata as rd
 from repro.dns.dnssec import sign_zone
 from repro.dns.rrset import RR
-from repro.perf import PerfCounters
+from repro.telemetry import MetricsRegistry
 from repro.server import authoritative
 from repro.server import (AuthoritativeServer, CdnPolicy, DynamicOverlay,
                           ResponseWireCache, View, WireCacheEntry, ZoneSet)
@@ -537,7 +537,7 @@ class TestTemplateInvalidation:
 
 class TestTemplateObservability:
     def test_template_hits_are_counted_mirrored_and_rendered(self):
-        perf = PerfCounters()
+        perf = MetricsRegistry()
         server = AuthoritativeServer.single_view([root_zone()])
         server.perf = perf
         for index in range(10):

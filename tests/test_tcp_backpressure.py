@@ -5,7 +5,7 @@ import pytest
 from repro.dns import DNS_PORT, Message, Name, RRType, read_zone
 from repro.netsim import (EventLoop, Network, TcpFlags, TcpOptions,
                           TcpStack, make_tcp_packet)
-from repro.perf import PerfCounters
+from repro.telemetry import MetricsRegistry
 from repro.server import (AuthoritativeServer, HostedDnsServer,
                           StreamFramer, TransportConfig, frame_message)
 
@@ -35,7 +35,7 @@ class TestAcceptBacklog:
     def flood_syns(self, backlog, count=5):
         loop, network, server_host, client_host = make_pair()
         stack = TcpStack(server_host)
-        stack.perf = PerfCounters()
+        stack.perf = MetricsRegistry()
         listener = stack.listen("10.5.0.2", DNS_PORT, lambda conn: None,
                                 TcpOptions(accept_backlog=backlog))
         # Spoofed SYNs that never complete the handshake: each parks a
@@ -83,7 +83,7 @@ class TestConnectionTableRefusal:
         loop, network, server_host, client_host = make_pair()
         stack = TcpStack(server_host, max_connections=0,
                          refuse_when_full=refuse_when_full)
-        stack.perf = PerfCounters()
+        stack.perf = MetricsRegistry()
         stack.listen("10.5.0.2", DNS_PORT, lambda conn: None,
                      TcpOptions())
         client_host.send_packet(spoofed_syn("203.0.113.1"))

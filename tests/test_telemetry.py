@@ -158,11 +158,10 @@ class TestMetricsRegistry:
         assert restored.mean() is None
 
     def test_perf_counters_is_a_registry(self):
-        # The facade: old call sites keep working, new histogram API
-        # available on the same object, merge accepts either direction.
+        # The old name is the registry itself: histograms on the same
+        # object, and merge takes any registry.
         perf = PerfCounters()
         assert isinstance(perf, MetricsRegistry)
-        assert perf.registry is perf
         perf.incr("hits")
         perf.observe("lat", 0.01)
         assert perf.snapshot() == {"hits": 1}

@@ -14,6 +14,7 @@ from repro.trace import (PcapError, QueryMutator, QueryRecord,
                          iter_binary, line_to_record, make_query_record,
                          read_binary, read_pcap, read_text, record_to_line,
                          write_binary, write_pcap, write_text)
+from repro.trace import record as record_module
 
 
 @pytest.fixture
@@ -116,12 +117,12 @@ class TestRecordContract:
     def test_question_is_parsed_once(self, monkeypatch):
         record = self.RECORD.with_()
         parses = []
-        parse = QueryRecord._parse_question
-        monkeypatch.setattr(QueryRecord, "_parse_question",
-                            lambda self: parses.append(self) or parse(self))
+        parse = record_module.parse_question
+        monkeypatch.setattr(record_module, "parse_question",
+                            lambda wire: parses.append(wire) or parse(wire))
         first = record.question()
         assert record.question() is first
-        assert parses == [record]
+        assert parses == [record.wire]
         assert record.with_(sport=9).question() == first
         assert len(parses) == 2
 
