@@ -20,35 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, RRClass, Rcode, WireError
+from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Rcode
+from ..dns.wire import QueryKey, question_key, read_question
 from ..netsim import (EventLoop, Host, NetworkError, RetryPolicy,
                       TcpConnection, TcpOptions, TcpStack, Timer,
                       TlsEndpoint, UdpSocket)
 from ..netsim.packet import IpPacket, WireView, make_udp_packet
 from ..server.dnsio import StreamFramer, frame_message
-from ..telemetry.tracing import QueryKey, wire_question_key
 from ..trace import QueryRecord
-from ..trace.record import parse_question
 from .result import ReplayResult, SentQuery
 from .supervision import AimdPacer, PacingConfig
-
-# Response-matching key: (message id, qname, qtype).  Matching on the id
-# alone mismatches when two in-flight queries share an id on one
-# connection; the question section disambiguates, as a real stub does.
-MatchKey = QueryKey
-
-# Presentation-format qnames memoized on question-section bytes, shared
-# across queriers (the distributor spreads the same sources over many).
-# Cleared when full, like the server's key memo: a hot trace's names
-# fit, and a miss-heavy trace's single-use names do not pile up.
-_QNAME_MEMO: Dict[bytes, str] = {}
-_QNAME_MEMO_LIMIT = 4096
-
-# A plain question name — 2 to 255 octets of labels holding only these
-# octets once lowercased, followed on the wire by its qtype and a known
-# qclass — reads as its lowercased wire name, dotted, with no parse.
-_PLAIN_OCTETS = b"abcdefghijklmnopqrstuvwxyz0123456789_-"
-_CLASSES = frozenset(map(int, RRClass))
 
 _SERVFAIL = int(Rcode.SERVFAIL)
 
@@ -56,59 +37,31 @@ _SERVFAIL = int(Rcode.SERVFAIL)
 ANSWERED_WINDOW = 4096
 
 
-def match_key(wire: bytes) -> MatchKey:
-    """The key a query is filed under and its response looked up by.
+def match_key(wire: bytes) -> QueryKey:
+    """The key a query is filed under and its response looked up by:
+    ``(message id, qname, qtype)``, from :func:`question_key`.
 
-    The live querier's table and the sim querier's TCP/TLS channels
-    call this, send side and answer side, on the bytes they put on or
-    took off the wire, so the two sides cannot disagree on a name.  A
-    message with no readable question pairs on its id alone (an echo of
-    junk still answers the junk).  The sim querier's UDP table does not
-    use it: it pairs on (socket port, message id), one socket per
-    source.
+    Matching on the id alone mismatches when two in-flight queries share
+    an id on one connection; the question section disambiguates, as a
+    real stub does.  The live querier's table and the sim querier's
+    TCP/TLS channels call this, send side and answer side, on the bytes
+    they put on or took off the wire, so the two sides cannot disagree
+    on a name.  A message with no readable question pairs on its id
+    alone (an echo of junk still answers the junk).  The sim querier's
+    UDP table does not use it: it pairs on (socket port, message id),
+    one socket per source.
     """
-    return wire_question_key(wire) \
-        or (int.from_bytes(wire[:2], "big"), b"", 0)
+    return question_key(wire) or (int.from_bytes(wire[:2], "big"), b"", 0)
 
 
 def query_qname(wire: bytes) -> str:
     """``SentQuery.qname`` of a query's wire, in every querier: the first
     question's name in lowercased presentation format, or ``-`` when the
-    wire holds no readable question.
-
-    Memoized on the bytes past the message ID and flags (the question
-    count included), which decide it: replay traces repeat names, and
-    parsing and rendering a name per send was a top hot-path cost.  A
-    plain name (``_PLAIN_OCTETS``) is cut from the wire; only another
-    question is parsed.
+    wire holds no readable question.  Read through
+    :func:`~repro.dns.wire.read_question`, whose entry the sim server
+    keys its cache from too: traces repeat names.
     """
-    tail = wire[4:]
-    qname = _QNAME_MEMO.get(tail)
-    if qname is not None:
-        return qname
-    key = wire_question_key(wire)
-    name = key[1] if key is not None else b""
-    end = 12 + len(name)
-    plain = 2 <= len(name) <= 255 and len(wire) >= end + 4 \
-        and (wire[end + 2] << 8 | wire[end + 3]) in _CLASSES
-    labels, offset = [], 0
-    while plain and name[offset]:
-        label = name[offset + 1:offset + 1 + name[offset]]
-        plain = not label.translate(None, _PLAIN_OCTETS)
-        labels.append(label)
-        offset += 1 + len(label)
-    if plain:
-        qname = b".".join(labels).decode("ascii") + "."
-    else:
-        try:
-            question = parse_question(wire)
-        except WireError:
-            question = None
-        qname = question[0].to_text().lower() if question else "-"
-    if len(_QNAME_MEMO) >= _QNAME_MEMO_LIMIT:
-        _QNAME_MEMO.clear()
-    _QNAME_MEMO[tail] = qname
-    return qname
+    return read_question(wire).qname
 
 
 @dataclass

@@ -25,6 +25,7 @@ from ..dns import (AnswerKind, Flag, Message, Name, Opcode, Question, RRClass,
                    RRType, RRset, Rcode, UDP_PAYLOAD_LIMIT, Zone)
 from ..netsim.packet import WireView
 from ..telemetry.metrics import Counter, MetricsRegistry
+from ..dns.wire import read_question
 from ..dns.zone import NameKey
 from .wirecache import ResponseWireCache, WireCacheEntry
 
@@ -536,8 +537,8 @@ class AuthoritativeServer:
         """Zero-copy cache probe straight off the encoded query.
 
         The hot-loop complement to :meth:`serve_wire`: the cache key is
-        parsed out of the wire with :func:`_parse_query_key` (memoized
-        on the bytes past the message ID) — no
+        read off the wire by :func:`~repro.dns.wire.read_question`
+        (memoized on the bytes past the message ID) — no
         :meth:`Message.from_wire`, which dominates the per-query cost —
         and an exact-qname hit is served as a :class:`WireView` pairing
         the query's own 2-byte message ID with the entry's shared
@@ -547,12 +548,12 @@ class AuthoritativeServer:
 
         Returns None whenever the full path must run: cache disabled, a
         dynamic overlay installed (its per-name policies are invisible
-        to the wire-level key), a query shape the key parser does not
-        cover, no matching view, or simply a cache miss.  Misses are
+        to the wire-level key), a query shape the question reader does
+        not cover, no matching view, or simply a cache miss.  Misses are
         *not* counted here — the slow path books them — so hit/miss
         accounting stays single-entry.
 
-        Safety: the parser only produces a key after validating the
+        Safety: the reader only produces a key after validating the
         query's complete structure (header counts and RCODE, label
         lengths, EDNS options, exact wire consumption), so a wire the
         hardened decoder would reject is declined here too and falls
@@ -561,7 +562,9 @@ class AuthoritativeServer:
         cache = self.wire_cache
         if cache is None or self.dynamic is not None:
             return None
-        parsed = _query_key(wire_query, transport == "udp")
+        question = read_question(wire_query)
+        parsed = question.udp_key if transport == "udp" \
+            else question.stream_key
         if parsed is None:
             return None
         view = self.view_for(source)
@@ -578,99 +581,3 @@ class AuthoritativeServer:
         self._book_hit(entry, transport, entry.stat_deltas[4],
                        self._zero_copy_hits)
         return WireView(wire_query[:2], entry.body_view)
-
-
-# Parsed keys memoized on the query past its message ID, which the
-# parser never reads, one memo per transport; capped and cleared when
-# full, like the querier's qname memo (a small cap keeps misses lean).
-_QUERY_KEY_MEMOS: Dict[bool, Dict[bytes, Optional[Tuple]]] = {
-    True: {}, False: {}}
-_QUERY_KEY_MEMO_LIMIT = 4096
-
-
-def _query_key(wire: bytes, is_udp: bool) -> Optional[Tuple]:
-    """:func:`_parse_query_key`, memoized on ``wire[2:]``."""
-    memo = _QUERY_KEY_MEMOS[is_udp]
-    try:
-        return memo[wire[2:]]
-    except KeyError:
-        if len(memo) >= _QUERY_KEY_MEMO_LIMIT:
-            memo.clear()
-        parsed = memo[wire[2:]] = _parse_query_key(wire, is_udp)
-        return parsed
-
-
-def _parse_query_key(wire: bytes, is_udp: bool) -> Optional[Tuple]:
-    """Extract the wire-cache key fields from an encoded query.
-
-    Returns ``(labels, qtype, qclass, rd, edns_present, do, limit)`` —
-    exactly the tail of the key :meth:`AuthoritativeServer.serve_wire`
-    builds from a decoded :class:`Message` — or None for any shape the
-    fast path does not handle: responses, non-QUERY opcodes, anything
-    but exactly one question, answer/authority records in a query,
-    compressed or oversized labels, more than a lone well-formed OPT in
-    additional, non-IN classes, an undefined RCODE, ragged EDNS options or
-    trailing bytes.  The decoder rejects the last three, so the fast path
-    must not accept them either: a template hit, unlike an exact-qname
-    hit, needs no earlier decoded query to have vouched for the name.
-    """
-    n = len(wire)
-    if n < 16:  # header + root qname + qtype + qclass
-        return None
-    flags = (wire[2] << 8) | wire[3]
-    if flags & 0xF800 or flags & 0x000F > 5:  # QR, opcode != QUERY, RCODE
-        return None  # (an undefined RCODE fails the decoder's enum)
-    if wire[4] or wire[5] != 1:  # QDCOUNT != 1
-        return None
-    if wire[6] or wire[7] or wire[8] or wire[9]:  # ANCOUNT/NSCOUNT != 0
-        return None
-    if wire[10] or wire[11] > 1:  # ARCOUNT > 1
-        return None
-    pos = 12
-    labels = []
-    name_length = 1
-    while True:
-        length = wire[pos]
-        if length == 0:
-            pos += 1
-            break
-        if length > 63:  # compression pointer or malformed label
-            return None
-        end = pos + 1 + length
-        name_length += length + 1
-        if end >= n or name_length > 255:
-            return None
-        labels.append(wire[pos + 1:end])
-        pos = end
-    if pos + 4 > n:
-        return None
-    qtype = (wire[pos] << 8) | wire[pos + 1]
-    qclass = (wire[pos + 2] << 8) | wire[pos + 3]
-    if qclass != 1:  # IN only, matching the serve_wire cacheable check
-        return None
-    pos += 4
-    edns_present = False
-    dnssec_ok = False
-    payload_size = 0
-    if wire[11]:  # the lone additional record must be a root-owned OPT
-        if pos + 11 > n or wire[pos] != 0:
-            return None
-        if wire[pos + 1] or wire[pos + 2] != 41:  # TYPE != OPT
-            return None
-        edns_present = True
-        payload_size = (wire[pos + 3] << 8) | wire[pos + 4]
-        dnssec_ok = bool(wire[pos + 7] & 0x80)
-        if pos + 11 + ((wire[pos + 9] << 8) | wire[pos + 10]) != n:
-            return None
-        pos += 11
-        while pos + 4 <= n:  # options: the decoder rejects a ragged tail
-            pos += 4 + ((wire[pos + 2] << 8) | wire[pos + 3])
-    if pos != n:  # trailing bytes: the decode path rejects these
-        return None
-    if is_udp:
-        limit = max(payload_size, UDP_PAYLOAD_LIMIT) if edns_present \
-            else UDP_PAYLOAD_LIMIT
-    else:
-        limit = None
-    return (tuple(labels), qtype, qclass, bool(flags & 0x0100),
-            edns_present, dnssec_ok, limit)

@@ -38,12 +38,12 @@ class StreamFramer:
         self.max_buffered = max_buffered
 
     def feed(self, data: bytes) -> List[bytes]:
-        """Feed stream bytes; return (and deliver) completed messages."""
+        """Feed stream bytes; return (and deliver) completed messages.
+
+        Only the bytes left buffered once the complete frames are taken
+        out count against ``max_buffered``: one write may carry many
+        whole queries."""
         self._buffer += data
-        if self.max_buffered is not None \
-                and len(self._buffer) > self.max_buffered:
-            raise FramingError(
-                f"stream buffer exceeded {self.max_buffered} bytes")
         completed = []
         while True:
             if len(self._buffer) < 2:
@@ -57,6 +57,10 @@ class StreamFramer:
             completed.append(wire)
             if self.on_message is not None:
                 self.on_message(wire)
+        if self.max_buffered is not None \
+                and len(self._buffer) > self.max_buffered:
+            raise FramingError(
+                f"stream buffer exceeded {self.max_buffered} bytes")
         return completed
 
     def pending_bytes(self) -> int:

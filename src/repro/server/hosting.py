@@ -17,7 +17,8 @@ from typing import Callable, Dict, Optional
 from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Message, Rcode, WireError
 from ..netsim import (Host, NetworkError, ServerResourceModel,
                       TcpConnection, TcpOptions, TcpStack, TlsEndpoint)
-from ..telemetry import MetricsRegistry, Telemetry, wire_question_key
+from ..dns.wire import read_question
+from ..telemetry import MetricsRegistry, Telemetry
 from .dnsio import FramingError, StreamFramer, frame_message
 from .overload import OverloadConfig, OverloadControl, minimal_wire
 
@@ -422,8 +423,8 @@ class HostedDnsServer(DnsServerCore):
         if handle is None:
             return False
         from .axfr import AXFR
-        probe = wire_question_key(wire_query)
-        if probe is not None and probe[2] != AXFR:
+        qtype = read_question(wire_query).qtype
+        if qtype is not None and qtype != AXFR:
             return False
         try:
             query = Message.from_wire(wire_query)

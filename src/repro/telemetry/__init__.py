@@ -35,7 +35,7 @@ from .export import (chrome_trace, histograms_dict, timeseries_csv,
                      write_timeseries_csv)
 from .metrics import Histogram, MetricsRegistry
 from .timeseries import ResourceTimeline, TimeSeriesSampler
-from .tracing import QueryTracer, TelemetryConfig, wire_question_key
+from .tracing import QueryTracer, TelemetryConfig
 
 __all__ = [
     "Telemetry",
@@ -50,7 +50,6 @@ __all__ = [
     "Histogram",
     "TimeSeriesSampler",
     "ResourceTimeline",
-    "wire_question_key",
     "chrome_trace",
     "write_chrome_trace",
     "histograms_dict",

@@ -33,9 +33,10 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
+from ..dns.wire import question_key
 from .metrics import MetricsRegistry
 from .timeseries import TimeSeriesSampler
-from .tracing import QueryTracer, TelemetryConfig, wire_question_key
+from .tracing import QueryTracer, TelemetryConfig
 
 
 class Telemetry:
@@ -111,7 +112,7 @@ class Telemetry:
         tracer = self.tracer
         if tracer is not None and tracer.sampled(entry.index):
             if wire is not None:
-                tracer.register_key(wire_question_key(wire), entry.index)
+                tracer.register_key(question_key(wire), entry.index)
             tracer.begin(self.now(), entry.index, "query",
                          f"querier-{entry.querier_id}",
                          qname=entry.qname, protocol=entry.protocol,
@@ -143,7 +144,7 @@ class Telemetry:
         if tracer is not None:
             if wire is not None and tracer.sampled(entry.index):
                 # Re-register so late responses to the retry correlate.
-                tracer.register_key(wire_question_key(wire), entry.index)
+                tracer.register_key(question_key(wire), entry.index)
             tracer.instant(self.now(), entry.index, "querier.retry",
                            f"querier-{entry.querier_id}",
                            retries=entry.retries)
@@ -173,7 +174,7 @@ class Telemetry:
         """
         tracer = self.tracer
         if tracer is not None:
-            qid = tracer.qid_for(wire_question_key(wire))
+            qid = tracer.qid_for(question_key(wire))
             if qid is not None:
                 tracer.instant(self.now(), qid, name, "server", **args)
         if self.config.metrics:
@@ -186,7 +187,7 @@ class Telemetry:
             self.metrics.observe("server.response_bytes", float(len(wire)))
         tracer = self.tracer
         if tracer is not None:
-            qid = tracer.qid_for(wire_question_key(key_wire))
+            qid = tracer.qid_for(question_key(key_wire))
             if qid is not None:
                 tracer.instant(self.now(), qid, "server.respond", "server",
                                bytes=len(wire), transport=transport)
@@ -199,7 +200,7 @@ class Telemetry:
         if tracer is None or packet.protocol != "udp":
             return
         data = packet.segment.data
-        qid = tracer.qid_for(wire_question_key(data))
+        qid = tracer.qid_for(question_key(data))
         if qid is None:
             return
         direction = ("response" if len(data) > 2 and data[2] & 0x80
@@ -208,23 +209,18 @@ class Telemetry:
                        "net", bytes=len(data))
 
     def on_net_drop(self, packet, reason: str) -> None:
-        tracer = self.tracer
-        if tracer is None:
-            return
-        qid = None
-        if packet.protocol == "udp":
-            qid = tracer.qid_for(wire_question_key(packet.segment.data))
-        tracer.instant(self.now(), qid, "net.drop", "net", reason=reason)
+        self._net_instant(packet, "net.drop", reason=reason)
 
     def on_fault(self, kind: str, packet) -> None:
         """A fault-injection verdict touched this packet."""
+        self._net_instant(packet, "net.fault", kind=kind)
+
+    def _net_instant(self, packet, name: str, **args) -> None:
         tracer = self.tracer
-        if tracer is None:
-            return
-        qid = None
-        if packet.protocol == "udp":
-            qid = tracer.qid_for(wire_question_key(packet.segment.data))
-        tracer.instant(self.now(), qid, "net.fault", "net", kind=kind)
+        if tracer is not None:
+            qid = tracer.qid_for(question_key(packet.segment.data)) \
+                if packet.protocol == "udp" else None
+            tracer.instant(self.now(), qid, name, "net", **args)
 
     # -- analysis ----------------------------------------------------------
 

@@ -8,11 +8,12 @@ every later layer attaches instant events (transmit, fault verdict,
 admission decision, cache hit, response), and the querier closes the
 span on receive/giveup.
 
-Correlation uses the same key the queriers match responses with:
-``(message id, lowercased qname wire bytes, qtype)``.  The querier
-registers ``key -> qid`` at send time; the server and network derive the
-identical key from the wire they see.  ``qid`` is the trace record
-index, stable across runs of the same trace.
+Correlation uses the same key the queriers match responses with,
+:func:`repro.dns.wire.question_key`: ``(message id, lowercased qname
+wire bytes, qtype)``.  The querier registers ``key -> qid`` at send
+time; the server and network derive the identical key from the wire
+they see.  ``qid`` is the trace record index, stable across runs of
+the same trace.
 
 Sampling keeps the recorder cheap: with ``sample_every == n`` only
 queries whose qid is divisible by ``n`` are recorded, and unsampled
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+from ..dns.wire import QueryKey
 
 
 @dataclass
@@ -65,36 +68,6 @@ class TelemetryConfig:
 # track names the actor lane ("querier:3", "server", "net").
 TraceEvent = Tuple[float, str, Optional[int], str, str, Optional[dict]]
 
-QueryKey = Tuple[int, bytes, int]
-
-
-def wire_question_key(wire: bytes) -> Optional[QueryKey]:
-    """The correlation key straight from wire bytes, without a Message.
-
-    ``(message id, question name, qtype)``, the name as its uncompressed
-    wire bytes lowercased (length octets are below ``A`` and survive
-    ``lower()``): one slice after a walk over the label lengths, so
-    any octet a label may hold compares exactly.  Question names are
-    never compressed; a pointer, a truncated or a question-less packet
-    returns None.
-    """
-    if len(wire) < 12 or not (wire[4] or wire[5]):
-        return None
-    end = 12
-    try:
-        length = wire[end]
-        while length:
-            if length > 63:  # compression pointer: not a plain question
-                return None
-            end += length + 1
-            length = wire[end]
-        end += 1
-        qtype = (wire[end] << 8) | wire[end + 1]
-    except IndexError:
-        return None
-    return ((wire[0] << 8) | wire[1], wire[12:end].lower(), qtype)
-
-
 class QueryTracer:
     """Records sampled per-query span/instant events for later export."""
 
@@ -124,9 +97,7 @@ class QueryTracer:
             self._keys[key] = qid
 
     def qid_for(self, key: Optional[QueryKey]) -> Optional[int]:
-        if key is None:
-            return None
-        return self._keys.get(key)
+        return self._keys.get(key)  # None is never registered
 
     # -- recording --------------------------------------------------------
 

@@ -6,9 +6,8 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Iterable, List, Optional, Tuple
 
-from ..dns import (DNS_PORT, Edns, Message, Name, NameError_, RRClass, RRType,
-                   WireError)
-from ..dns.name import parse_wire_name
+from ..dns import DNS_PORT, Edns, Message, Name, RRClass, RRType
+from ..dns.wire import parse_question
 
 PROTOCOLS = ("udp", "tcp", "tls")
 
@@ -78,28 +77,6 @@ class QueryRecord:
         if changes.keys() - _FIELDS:
             return replace(self, **changes)
         return type(self)(*map(changes.get, _FIELDS, _field_values(self)))
-
-
-def parse_question(wire: bytes) -> Optional[Tuple[Name, RRType, RRClass]]:
-    """The first question of a DNS message's wire as ``(name, type,
-    class)``, or None when it has none; WireError when it is not
-    readable."""
-    if len(wire) < 12:
-        raise WireError("truncated DNS header")
-    if not (wire[4] or wire[5]):  # QDCOUNT == 0
-        return None
-    try:
-        name, end = parse_wire_name(wire, 12)
-    except NameError_ as exc:
-        raise WireError(str(exc)) from exc
-    if end + 4 > len(wire):
-        raise WireError("truncated question section")
-    try:
-        rrtype = RRType.make(int.from_bytes(wire[end:end + 2], "big"))
-        rrclass = RRClass(int.from_bytes(wire[end + 2:end + 4], "big"))
-    except ValueError as exc:
-        raise WireError(str(exc)) from exc
-    return (name, rrtype, rrclass)
 
 
 _FIELDS = tuple(field.name for field in fields(QueryRecord))

@@ -1,6 +1,7 @@
-"""Static guard on the package's surface: no test-only code.
+"""Static guard on the package's surface: no test-only code, and the
+layering DESIGN.md states.
 
-Four ``ast`` walks over ``src/repro``, with no import of the package:
+Five ``ast`` walks over ``src/repro``, with no import of the package:
 
 * a public top-level ``def`` or ``class`` must be referenced by name
   from ``src/``, ``bench/`` or ``examples/``, other than by its own
@@ -13,7 +14,10 @@ Four ``ast`` walks over ``src/repro``, with no import of the package:
   attribute assignment (``tests/`` count here: a knob a test turns is
   a knob);
 * an import must be used by the module that makes it, or be imported
-  from that module by another.
+  from that module by another;
+* ``repro.dns`` and ``repro.netsim`` import nothing else from
+  ``repro``, ``repro.telemetry`` imports only from ``repro.dns``, and
+  no module takes a wire parser from ``repro.telemetry``.
 
 Names are matched as bare identifiers, so a reference through any
 alias or attribute chain counts; the walks can miss dead code that
@@ -322,3 +326,45 @@ def test_every_import_is_used():
                         and bound not in imported_from.get(module, ()):
                     unused.append(f"{module}: {bound}")
     assert unused == [], f"unused imports: {unused}"
+
+
+def _imported(tree: ast.AST, path: Path):
+    """``(module, names)`` for every import in ``tree``, made absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield _absolute(node, path), [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, []
+
+
+def _within(module: str, *packages: str) -> bool:
+    return any(module == package or module.startswith(package + ".")
+               for package in packages)
+
+
+def test_layering():
+    modules = list(_modules())
+    # A wire parser: a name the dns package defines, or one that says
+    # it reads wire bytes or a question.
+    dns_names = {node.name for module, _, tree in modules
+                 if _within(module, "repro.dns") for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    allowed = {"repro.dns": ("repro.dns",),
+               "repro.netsim": ("repro.netsim",),
+               "repro.telemetry": ("repro.telemetry", "repro.dns")}
+    breaches = []
+    for module, path, tree in modules:
+        home = next((package for package in allowed
+                     if _within(module, package)), None)
+        for source, names in _imported(tree, path):
+            if home is not None and _within(source, "repro") \
+                    and not _within(source, *allowed[home]):
+                breaches.append(f"{module} imports {source}")
+            if _within(source, "repro.telemetry") \
+                    and not _within(module, "repro.telemetry"):
+                breaches += [
+                    f"{module} takes {name} from {source}" for name in names
+                    if name in dns_names or "wire" in name.lower()
+                    or "question" in name.lower()]
+    assert breaches == [], f"layering breaches: {breaches}"

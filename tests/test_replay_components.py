@@ -105,7 +105,7 @@ class TestQnameMemo:
         from repro.dns import Message, Name, RRType
         from repro.netsim import EventLoop, Network
         from repro.replay import SimQuerier
-        from repro.replay import querier as querier_module
+        from repro.dns import wire as wire_module
         from repro.replay.result import ReplayResult
         from repro.trace import QueryRecord
 
@@ -116,7 +116,7 @@ class TestQnameMemo:
                                "udp", body) for body in (wire, empty)]
         if not real_first:
             records.reverse()
-        querier_module._QNAME_MEMO.clear()
+        wire_module._QUESTIONS.clear()
         network = Network(EventLoop())
         result = ReplayResult()
         querier = SimQuerier(0, network.add_host("client", "10.0.0.1"),

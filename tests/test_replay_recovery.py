@@ -14,7 +14,7 @@ from repro.netsim import (EventLoop, FaultInjector, FaultPlan, Network,
                           RetryPolicy)
 from repro.replay import (QuerierConfig, ReplayConfig, SimQuerier,
                           SimReplayEngine)
-from repro.replay import querier as querier_module
+from repro.dns import wire as wire_module
 from repro.replay.querier import ANSWERED_WINDOW
 from repro.replay.result import ReplayResult
 from repro.server import AuthoritativeServer, HostedDnsServer, \
@@ -252,10 +252,10 @@ def test_sim_and_live_queriers_agree_on_a_mixed_case_qname():
     """Both drivers name a sent query by the one rule: the lowercased
     presentation name of its question."""
     record = make_record(qname="WwW.ExAmple.COM.")
-    querier_module._QNAME_MEMO.clear()
+    wire_module._QUESTIONS.clear()
     _loop, _network, _server, sim, sim_result = deploy()
     sim.send(0, record, 0.0)
-    querier_module._QNAME_MEMO.clear()
+    wire_module._QUESTIONS.clear()
     live, _socket = fake_querier(lag=None)
     live._send(pack_record_body(record), 0.0, 0)
     assert sim_result.sent[0].qname == live.result.sent[0].qname \

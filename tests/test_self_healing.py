@@ -30,7 +30,7 @@ from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
                                    MSG_RESULT, MSG_SHUTDOWN, MSG_TIME_SYNC,
                                    MessageSocket, ROLE_QUERIER,
                                    validate_checkpoint_payload)
-from repro.replay import querier as querier_module
+from repro.dns import wire as wire_module
 from repro.replay.recovery import SETTLE_S
 from repro.replay.result import (SENT_FIELDS, ReplayResult, SentQuery,
                                  sent_rows)
@@ -910,14 +910,14 @@ class TestSyscallBudget:
         records = self._hostile_records()
         bodies = [pack_record_body(record) for record in records]
         parsed_wires = []
-        parse = querier_module.parse_question
+        parse = wire_module.parse_question
 
         def counting_parse(wire):
             parsed_wires.append(wire)
             return parse(wire)
 
-        monkeypatch.setattr(querier_module, "parse_question", counting_parse)
-        querier_module._QNAME_MEMO.clear()
+        monkeypatch.setattr(wire_module, "parse_question", counting_parse)
+        wire_module._QUESTIONS.clear()
         querier, wire, _frames = drive_querier(
             [(MSG_RECORD, (index, body)) for index, body in enumerate(bodies)]
             + [(MSG_END, None)], lag=None)
@@ -952,8 +952,8 @@ class TestSyscallBudget:
             "QueryRecord", QueryRecord.__post_init__))
         monkeypatch.setattr(Name, "__init__", counting(
             "Name", Name.__init__))
-        monkeypatch.setattr(querier_module, "parse_question", counting(
-            "parse_question", querier_module.parse_question))
+        monkeypatch.setattr(wire_module, "parse_question", counting(
+            "parse_question", wire_module.parse_question))
         querier, wire, _frames = drive_querier(script, lag=0)
         monkeypatch.undo()
         assert built == {}

@@ -18,11 +18,17 @@ from repro.dns import (Edns, Flag, Message, Name, RRClass, RRType, Rcode,
 from repro.dns import rdata as rd
 from repro.dns.dnssec import sign_zone
 from repro.dns.rrset import RR
+from repro.dns import wire as wire_module
+from repro.dns.wire import WireError, parse_question
+from repro.experiments.topology import build_evaluation_topology
+from repro.replay import ReplayConfig, SimReplayEngine
+from repro.replay.querier import match_key
 from repro.telemetry import MetricsRegistry
-from repro.server import authoritative
 from repro.server import (AuthoritativeServer, CdnPolicy, DynamicOverlay,
-                          ResponseWireCache, View, WireCacheEntry, ZoneSet)
-from repro.trace import make_hierarchy_zones, make_root_zone, zipf_trace
+                          HostedDnsServer, ResponseWireCache, View,
+                          WireCacheEntry, ZoneSet)
+from repro.trace import (BRootWorkload, QueryMutator, make_hierarchy_zones,
+                         make_root_zone, retarget, zipf_trace)
 from repro.verify import Observation, Oracle, generators, zero_msg_id
 
 ZONE_TEXT = """
@@ -565,31 +571,45 @@ def _poke(wire, at, byte):
     return wire[:at] + bytes([byte]) + wire[at + 1:]
 
 
-# Well-formed queries, each with one byte overwritten, and raw bytes:
-# every shape the key parser accepts or rejects.
+# Well-formed queries, each with one byte overwritten, raw bytes and the
+# wire fuzzer's stream: every shape the question reader accepts or
+# rejects.
 memo_wires = st.one_of(
     st.sampled_from(MEMO_WIRES),
     st.builds(_poke, st.sampled_from(MEMO_WIRES), st.integers(0, 511),
               st.integers(0, 255)),
-    st.binary(max_size=64))
+    st.binary(max_size=64),
+    st.sampled_from(list(generators.hostile_wires(46, 400))))
 
 
 class TestQueryKeyMemo:
-    """``serve_wire_fast`` parses through a memo keyed past the ID."""
+    """Querier and server read a question through one memo keyed past
+    the ID, and every reader agrees with the decoder."""
 
     def setup_method(self):
-        for memo in authoritative._QUERY_KEY_MEMOS.values():
-            memo.clear()
+        wire_module._QUESTIONS.clear()
 
     @given(memo_wires, st.binary(min_size=2, max_size=2))
     @settings(max_examples=400, deadline=None)
     def test_memo_hit_is_what_parsing_returns(self, wire, ident):
-        for is_udp in (True, False):
-            first = authoritative._query_key(wire, is_udp)
-            assert first == authoritative._parse_query_key(wire, is_udp)
-            other = ident + wire[2:]
-            assert authoritative._query_key(other, is_udp) \
-                == authoritative._parse_query_key(other, is_udp)
+        first = wire_module.read_question(wire)
+        assert first == wire_module._question_entry(wire)
+        other = ident + wire[2:]
+        assert wire_module.read_question(other) \
+            == wire_module._question_entry(other)
+        try:
+            question = parse_question(wire)
+        except WireError:
+            question = None
+        assert first.qname == (question[0].to_text().lower()
+                               if question else "-")
+        if question and wire_module.scan_question(wire) is not None:
+            assert match_key(wire) == (
+                int.from_bytes(wire[:2], "big"),
+                question[0].to_wire().lower(), int(question[1]))
+        for key in (first.udp_key, first.stream_key):
+            if key is not None:
+                assert Message.from_wire(wire).question[0].rrtype == key[1]
 
     def test_serve_wire_fast_parses_through_the_memo(self):
         server = AuthoritativeServer.single_view([example_zone()])
@@ -601,12 +621,10 @@ class TestQueryKeyMemo:
                 response = server.serve_wire_fast(ident + wire[2:],
                                                   transport=transport)
                 assert response is not None and response[:2] == ident
-        assert [list(memo) for memo
-                in authoritative._QUERY_KEY_MEMOS.values()] \
-            == [[wire[2:]], [wire[2:]]]
+        assert list(wire_module._QUESTIONS) == [wire[2:]]
         rejected = _poke(wire, 5, 2)                        # QDCOUNT 2
         assert server.serve_wire_fast(rejected) is None
-        assert authoritative._QUERY_KEY_MEMOS[True][rejected[2:]] is None
+        assert wire_module._QUESTIONS[rejected[2:]].udp_key is None
 
     def test_memo_stays_under_its_cap(self):
         server = AuthoritativeServer.single_view([example_zone()])
@@ -614,5 +632,29 @@ class TestQueryKeyMemo:
             for transport in ("udp", "tcp"):
                 server.serve_wire_fast(wire_for(f"n{index}.example.com."),
                                        transport=transport)
-        for memo in authoritative._QUERY_KEY_MEMOS.values():
-            assert 0 < len(memo) <= authoritative._QUERY_KEY_MEMO_LIMIT
+        assert 0 < len(wire_module._QUESTIONS) \
+            <= wire_module._QUESTIONS_LIMIT
+
+    def test_a_sim_replay_walks_each_question_once(self, monkeypatch):
+        """The sim querier's send fills the entry the server keys its
+        cache with: an untraced UDP replay of a B-Root-shaped trace
+        walks each distinct question section once, not once per side."""
+        records = [record.with_(protocol="udp", dport=53)
+                   for record in QueryMutator([retarget("10.0.0.2")]).stream(
+                       BRootWorkload(mean_rate=2000.0, duration=1.5,
+                                     seed=1).generate_stream())]
+        distinct = {record.wire[2:] for record in records}
+        assert len(distinct) < wire_module._QUESTIONS_LIMIT
+        scanned = []
+        walk = wire_module._name_end
+        monkeypatch.setattr(
+            wire_module, "_name_end",
+            lambda wire, labels=None: scanned.append(wire[2:])
+            or walk(wire, labels))
+        testbed = build_evaluation_topology()
+        HostedDnsServer(testbed.server_host,
+                        AuthoritativeServer.single_view([make_root_zone()]))
+        result = SimReplayEngine(testbed.network, ReplayConfig()) \
+            .replay_stream(records)
+        assert len(result) == len(records) and result.unanswered() == 0
+        assert len(scanned) == len(distinct) and set(scanned) == distinct

@@ -216,3 +216,23 @@ class TestHostedStreamLimits:
         assert server.stream_overflows == 1
         assert server.perf.snapshot()["hosting.stream_overflows"] == 1
         assert resets
+
+    def test_complete_frames_are_not_overflow(self):
+        # Two whole 35-byte queries in one 70-byte write: the bound
+        # polices what stays buffered, not frames that are complete.
+        loop, server, client = self.deploy(max_stream_buffer=64)
+        stack = TcpStack(client)
+        framer = StreamFramer()
+        answers = []
+        framer.on_message = answers.append
+        conn = stack.connect("10.5.0.1", "10.5.0.2", DNS_PORT,
+                             TcpOptions(nagle=False))
+        conn.on_data = lambda cn, d: framer.feed(d)
+        data = b"".join(frame_message(self.query_wire(msg_id))
+                        for msg_id in (1, 2))
+        assert len(data) == 70
+        conn.send(data)
+        loop.run(max_time=2.0)
+        assert sorted(Message.from_wire(wire).msg_id
+                      for wire in answers) == [1, 2]
+        assert server.stream_overflows == 0

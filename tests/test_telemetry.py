@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.dns import Edns, Message, Name, RRType
+from repro.dns.wire import question_key
 from repro.experiments.report import render_failure_counts, render_telemetry
 from repro.netsim import (EventLoop, Network, ResourceMonitor,
                           ServerResourceModel)
@@ -13,14 +14,13 @@ from repro.perf import PerfCounters
 from repro.replay import ReplayResult
 from repro.telemetry import (Histogram, MetricsRegistry, QueryTracer,
                              ResourceTimeline, Telemetry, TelemetryConfig,
-                             TimeSeriesSampler, chrome_trace, timeseries_csv,
-                             wire_question_key)
+                             TimeSeriesSampler, chrome_trace, timeseries_csv)
 from repro.trace import percentile, quartile_summary
 
 
 def message_key(message):
     """The correlation key of a decoded Message: the reference that
-    :func:`wire_question_key` must match on the message's wire."""
+    :func:`question_key` must match on the message's wire."""
     if not message.question:
         return None
     question = message.question[0]
@@ -185,7 +185,7 @@ class TestQueryKeys:
         message = Message.make_query(Name.from_text(qname), qtype,
                                      msg_id=77, edns=Edns())
         wire = message.to_wire()
-        key = wire_question_key(wire)
+        key = question_key(wire)
         assert key == message_key(Message.from_wire(wire))
         assert key == (77, Name.from_text(qname.lower()).to_wire(),
                        int(qtype))
@@ -196,18 +196,18 @@ class TestQueryKeys:
             Name.from_text("SVC.example.com."), RRType.A,
             msg_id=0x4142).to_wire())
         wire[12 + 17:12 + 19] = b"\x00\x41"
-        assert wire_question_key(bytes(wire)) == (
+        assert question_key(bytes(wire)) == (
             0x4142, b"\x03svc\x07example\x03com\x00", 65)
 
     def test_malformed_wire(self):
-        assert wire_question_key(b"") is None
-        assert wire_question_key(b"\x00" * 12) is None  # qdcount 0
-        assert wire_question_key(b"\x00" * 11) is None  # short header
+        assert question_key(b"") is None
+        assert question_key(b"\x00" * 12) is None  # qdcount 0
+        assert question_key(b"\x00" * 11) is None  # short header
         query = Message.make_query(Name.from_text("a.test."),
                                    RRType.A).to_wire()
-        assert wire_question_key(query[:17]) is None    # name cut short
-        assert wire_question_key(query[:21]) is None    # half a qtype
-        assert wire_question_key(
+        assert question_key(query[:17]) is None    # name cut short
+        assert question_key(query[:21]) is None    # half a qtype
+        assert question_key(
             query[:12] + b"\xc0\x0c" + query[20:]) is None  # pointer
 
     def test_questionless_message(self):
