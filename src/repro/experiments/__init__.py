@@ -16,11 +16,11 @@ Module map (see DESIGN.md for the full index):
 =============  ==========================================================
 """
 
+from ..netsim import LAN_RTT, Testbed, build_evaluation_topology
 from .common import (FULL, QUICK, SCALES, SMOKE, ExperimentOutput, Scale,
                      format_table, gib)
 from .rootserver import (RootRunConfig, RootRunOutput, build_workload,
                          make_signed_root, run_root_replay)
-from .topology import LAN_RTT, Testbed, build_evaluation_topology
 
 __all__ = [
     "ExperimentOutput", "FULL", "LAN_RTT", "QUICK", "RootRunConfig",

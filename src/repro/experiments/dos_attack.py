@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 from ..dns import DNS_PORT, Edns, Message, Name, RRType
 from ..netsim import (IpPacket, TcpFlags, UdpSegment,
-                      make_tcp_packet)
+                      build_evaluation_topology, make_tcp_packet)
 from ..replay import ReplayConfig, SimReplayEngine
 from ..server import (AuthoritativeServer, HostedDnsServer, OverloadConfig,
                       TransportConfig)
@@ -36,7 +36,6 @@ from .rootserver import SERVER_CORES, build_workload, make_signed_root, \
     RootRunConfig
 from ..netsim import ServerResourceModel
 from ..telemetry import ResourceTimeline, TimeSeriesSampler
-from .topology import build_evaluation_topology
 
 ATTACKER_ADDRESS = "10.66.6.6"
 

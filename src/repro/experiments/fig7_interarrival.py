@@ -13,9 +13,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
-from ..trace import BRootWorkload, fixed_interval_trace, percentile
+from ..trace import percentile
 from .common import ExperimentOutput, Scale, SMOKE
-from .fig6_timing import replay_one
+from .fig6_timing import replayed_cases
 
 
 def ks_distance(sample_a: Sequence[float],
@@ -47,24 +47,9 @@ def run(scale: Scale = SMOKE, max_queries: int = 20000) -> ExperimentOutput:
             "B-Root": "divergence only at the smallest interarrivals",
         })
 
-    cases = []
-    for interval in (1.0, 0.1, 0.01, 0.001, 0.0001):
-        duration = min(scale.duration, max_queries * interval)
-        duration = max(duration, interval * 50, 6.0)
-        cases.append((f"{interval:g} s",
-                      fixed_interval_trace(interval, duration,
-                                           name=f"syn-{interval}"),
-                      interval))
-    cases.append(("B-Root",
-                  BRootWorkload(duration=scale.duration,
-                                mean_rate=scale.rate,
-                                client_count=scale.clients).generate(),
-                  None))
-
-    for label, trace, hint in cases:
+    for label, trace, result in replayed_cases(scale, max_queries):
         original = [b.timestamp - a.timestamp
                     for a, b in zip(trace.records, trace.records[1:])]
-        result = replay_one(trace, hint)
         replayed = result.interarrivals()
         if not original or not replayed:
             continue

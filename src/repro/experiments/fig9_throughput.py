@@ -24,13 +24,13 @@ import os
 import time
 from typing import Optional, Tuple
 
+from ..netsim import build_evaluation_topology
 from ..replay import (DistributedConfig, ProcessTopology, ReplayConfig,
                       SimReplayEngine)
 from ..server import AuthoritativeServer, HostedDnsServer, LiveDnsServer
-from ..trace import QueryMutator, burst_trace, fixed_interval_trace, retarget
+from ..trace import (QueryMutator, burst_trace, fixed_interval_trace,
+                     retarget, wildcard_example_zone)
 from .common import ExperimentOutput, Scale, SMOKE
-from .fig6_timing import wildcard_example_zone
-from .topology import build_evaluation_topology
 
 PAPER_QPS = 87000.0
 ROOT_TYPICAL_QPS = 38000.0

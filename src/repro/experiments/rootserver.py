@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..dns import Zone, dnssec
-from ..netsim import ServerResourceModel
+from ..netsim import LAN_RTT, ServerResourceModel, build_evaluation_topology
 from ..replay import (QuerierConfig, ReplayConfig, ReplayResult,
                       SimReplayEngine, TimerJitterModel)
 from ..server import AuthoritativeServer, HostedDnsServer, TransportConfig
@@ -22,7 +22,6 @@ from ..telemetry import ResourceTimeline, Telemetry, TelemetryConfig
 from ..trace import (BRootWorkload, QueryMutator, Trace, all_protocol,
                      make_root_zone, retarget, set_dnssec_fraction)
 from .common import Scale, SMOKE
-from .topology import LAN_RTT, build_evaluation_topology
 
 SERVER_CORES = 48  # 24-core/48-thread Xeon (§5.2.1)
 

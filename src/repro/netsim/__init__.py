@@ -17,6 +17,7 @@ from .packet import (Address, IpPacket, TcpFlags, TcpSegment, UdpSegment,
 from .shard import shard_of
 from .resources import (CostModel, CpuMeter, ResourceMonitor, ResourceSample,
                         ServerResourceModel)
+from .testbed import LAN_RTT, Testbed, build_evaluation_topology
 from .tcp import (TcpConnection, TcpListener, TcpOptions, TcpStack, TcpState,
                   DELAYED_ACK_TIMEOUT, MSS, TIME_WAIT_DURATION)
 from .tls import SessionCache, TlsEndpoint, TlsState
@@ -25,12 +26,13 @@ __all__ = [
     "Address", "CostModel", "CpuMeter",
     "DELAYED_ACK_TIMEOUT", "EventLoop",
     "FaultInjector", "FaultPlan", "FaultSpec", "FilterRule", "Host",
-    "IpPacket", "LatencyModel", "MSS", "Netfilter",
+    "IpPacket", "LAN_RTT", "LatencyModel", "MSS", "Netfilter",
     "Network", "NetworkError", "ResourceMonitor", "ResourceSample",
     "RetryPolicy", "ServerResourceModel", "SessionCache", "SimulationError",
     "TcpConnection",
     "TcpFlags", "TcpListener", "TcpOptions", "TcpSegment", "TcpStack",
-    "TcpState", "TIME_WAIT_DURATION", "Timer", "TlsEndpoint", "TlsState",
-    "TrafficMeter", "TunDevice", "UdpSegment", "UdpSocket", "WireView",
-    "make_tcp_packet", "make_udp_packet", "packet_checksum", "shard_of",
+    "TcpState", "Testbed", "TIME_WAIT_DURATION", "Timer", "TlsEndpoint",
+    "TlsState", "TrafficMeter", "TunDevice", "UdpSegment", "UdpSocket",
+    "WireView", "build_evaluation_topology", "make_tcp_packet",
+    "make_udp_packet", "packet_checksum", "shard_of",
 ]

@@ -501,7 +501,8 @@ class _LiveQuerier:
                 with lock:
                     self.telemetry.on_answer(entry)
         if latencies:
-            result.count_answers(latencies)
+            with lock:      # a telemetry snapshot reads the histogram
+                result.count_answers(latencies)
 
 
 class _LiveDistributor:

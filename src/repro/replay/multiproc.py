@@ -78,7 +78,7 @@ from ..server.live import FactorySpec, _mp_context, _resolve_factory
 from ..telemetry.cluster import (ClusterAggregator, FlightRecorder,
                                  TelemetryStreamer)
 from ..telemetry.core import Telemetry
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..telemetry.tracing import TelemetryConfig
 from ..trace import Trace
 from ..trace.binfmt import pack_record_body
@@ -394,14 +394,17 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
         if querier.redundant_records:
             registry.incr("replay.redundant_records",
                           querier.redundant_records)
-        # Aggregate mode never retains per-query entries: the latency
-        # distribution travels in the RESULT frame's histogram instead.
-        if not result.aggregate:
-            with querier.lock:
-                latencies = [entry.latency for entry in result.sent]
-            for latency in latencies:
-                if latency is not None:
-                    registry.observe("query.latency_s", latency)
+        # The latency distribution in either accounting mode: folded in
+        # an aggregate result, kept entry by entry in a list-mode one.
+        latency = Histogram()
+        with querier.lock:
+            if result.aggregate:
+                latency.merge(result.latency)
+            else:
+                latency.observe_many([entry.latency for entry in result.sent
+                                      if entry.answered_at is not None])
+        if latency.count:
+            registry.histogram("query.latency_s").merge(latency)
         return registry.to_state()
 
     streamer: Optional[TelemetryStreamer] = None
@@ -495,8 +498,8 @@ def default_shard_scenario(perf: Optional[MetricsRegistry] = None,
     :class:`~repro.replay.engine.SimReplayEngine` ready for
     ``engine.replay(trace)``.
     """
-    from ..experiments.fig6_timing import wildcard_example_zone
-    from ..experiments.topology import build_evaluation_topology
+    from ..netsim import build_evaluation_topology
+    from ..trace import wildcard_example_zone
     from ..server import AuthoritativeServer, HostedDnsServer
     from .engine import ReplayConfig, SimReplayEngine
 

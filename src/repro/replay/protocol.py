@@ -20,7 +20,7 @@ multi-process deployment need:
             | CHECKPOINT  (JSON delta of a result shard, seq-numbered)
             | TELEMETRY   (JSON streamed metrics/health/span window)
     shard  := {name, start_clock, trace_start, counters,
-               sent: table | aggregate: accumulators}
+               sent: table | aggregate: folds}
     table  := {column: [value, ...], ...}   (one column per SentQuery
               field, all of one length; an optional column all at its
               default may be left out)
@@ -146,23 +146,16 @@ _SENT_COLUMNS = {**_SENT_REQUIRED, **_SENT_OPTIONAL}
 
 _HISTOGRAM_FIELDS = {
     "growth": _NUMBER, "min_value": _NUMBER, "count": int,
-    "total": _NUMBER, "min": _OPTIONAL_NUMBER, "max": _OPTIONAL_NUMBER,
-    "buckets": dict,
+    "total": _NUMBER, "sumsq": _NUMBER, "min": _OPTIONAL_NUMBER,
+    "max": _OPTIONAL_NUMBER, "buckets": dict,
 }
 
 # Aggregate-mode RESULT frames (constant-memory streaming replay) carry
-# accumulators instead of per-query entries; histogram/bucket maps are
-# str(int) -> int as JSON requires.
-_AGGREGATE_FIELDS = {
-    "sent_count": int, "answered_count": int,
-    "latency_sum": _NUMBER, "latency_min": _OPTIONAL_NUMBER,
-    "latency_max": _OPTIONAL_NUMBER, "latency_hist": dict,
-    "error_count": int, "error_sum": _NUMBER, "error_sumsq": _NUMBER,
-    "error_min": _OPTIONAL_NUMBER, "error_max": _OPTIONAL_NUMBER,
-    "protocol_counts": dict, "fresh_connections": int,
-    "first_sent_at": _OPTIONAL_NUMBER, "last_sent_at": _OPTIONAL_NUMBER,
-    "rate_buckets": dict,
-}
+# the four folds of repro.replay.result instead of per-query entries:
+# sends per protocol, sends per clock second (str(int) keys, as JSON
+# requires) and the latency and send-error histogram states.
+_AGGREGATE_FIELDS = {"protocol_counts": dict, "rate_buckets": dict,
+                     "latency": dict, "send_error": dict}
 
 
 def _require(condition: bool, what: str) -> None:
@@ -219,7 +212,7 @@ def validate_result_payload(payload: object) -> dict:
 
     A shard is either list-mode (``sent`` is the per-query table of
     :mod:`repro.replay.result`) or aggregate-mode (``aggregate`` holds
-    O(1) accumulators); exactly one of the two keys must be present.
+    its four O(1) folds); exactly one of the two keys must be present.
     """
     _require(isinstance(payload, dict), "RESULT payload must be an object")
     _require(("sent" in payload) != ("aggregate" in payload),
@@ -236,17 +229,18 @@ def validate_result_payload(payload: object) -> dict:
         _check_sent_table(payload["sent"], "RESULT")
     aggregate = payload.get("aggregate")
     if aggregate is not None:
-        _check_fields(aggregate, {}, _AGGREGATE_FIELDS, "RESULT aggregate")
-        for section in ("latency_hist", "rate_buckets"):
-            for key, count in aggregate.get(section, {}).items():
-                _require(isinstance(key, str) and _is_int_key(key)
-                         and isinstance(count, int),
-                         f"RESULT aggregate {section} entry {key!r} "
-                         f"must map int-keyed str -> int")
-        for protocol, count in aggregate.get("protocol_counts", {}).items():
+        _check_fields(aggregate, _AGGREGATE_FIELDS, {}, "RESULT aggregate")
+        for key, count in aggregate["rate_buckets"].items():
+            _require(isinstance(key, str) and _is_int_key(key)
+                     and isinstance(count, int),
+                     f"RESULT aggregate rate_buckets entry {key!r} "
+                     f"must map int-keyed str -> int")
+        for protocol, count in aggregate["protocol_counts"].items():
             _require(isinstance(protocol, str) and isinstance(count, int),
                      f"RESULT aggregate protocol_counts entry "
                      f"{protocol!r} must map str -> int")
+        for name in ("latency", "send_error"):
+            _check_histogram(aggregate[name], f"RESULT aggregate {name}")
     return payload
 
 
@@ -263,13 +257,7 @@ def validate_metrics_payload(payload: object) -> dict:
             _require(isinstance(name, str) and isinstance(value, types),
                      f"METRICS {section} entry {name!r} has bad type")
     for name, state in payload.get("histograms", {}).items():
-        _check_fields(state, _HISTOGRAM_FIELDS, {},
-                      f"METRICS histogram {name!r}")
-        for index, count in state["buckets"].items():
-            _require(isinstance(index, str) and _is_int_key(index)
-                     and isinstance(count, int),
-                     f"METRICS histogram {name!r} bucket {index!r} "
-                     f"must map int-keyed str -> int")
+        _check_histogram(state, f"METRICS histogram {name!r}")
     return payload
 
 
@@ -377,6 +365,16 @@ def _is_int_key(text: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _check_histogram(state: object, label: str) -> None:
+    """A :meth:`Histogram.to_state` document, as METRICS and aggregate
+    RESULT frames carry it."""
+    _check_fields(state, _HISTOGRAM_FIELDS, {}, label)
+    for index, count in state["buckets"].items():
+        _require(isinstance(index, str) and _is_int_key(index)
+                 and isinstance(count, int),
+                 f"{label} bucket {index!r} must map int-keyed str -> int")
 
 
 class MessageSocket:

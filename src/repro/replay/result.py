@@ -5,17 +5,22 @@ Two accounting modes share one class:
 * **list mode** (default): every send is a :class:`SentQuery` kept in
   :attr:`ReplayResult.sent` — exact §4.2 quartiles, per-query forensics,
   O(queries) memory.  Right for experiments up to ~10⁶ queries.
-* **aggregate mode** (``ReplayResult(aggregate=True)``): sends fold
-  into counters, log-spaced latency/error histograms, and per-second
-  rate buckets the moment they happen — O(1) per query, O(run seconds)
-  total.  This is what lets a 10⁸-query streamed replay keep RSS flat:
-  neither the workers nor the controller ever hold per-query state, and
-  RESULT frames stay a few KB regardless of shard size.
+* **aggregate mode** (``ReplayResult(aggregate=True)``): each send and
+  answer folds the moment it happens into four folds: sends per
+  protocol (``protocol_counts``), sends per clock second
+  (``rate_buckets``), and two :class:`~repro.telemetry.metrics.Histogram`
+  s, answered latencies (``latency``) and §4.2 send-time errors
+  (``send_error``) — O(1) per query, O(run seconds) total.  This is
+  what lets a 10⁸-query streamed replay keep RSS flat: neither the
+  workers nor the controller ever hold per-query state, and RESULT
+  frames stay a few KB regardless of shard size.  Its latency
+  percentiles are histogram quantiles, good to one 1.25× bucket; its
+  counts, means, extremes and standard deviations are exact.
 
 Results merge commutatively — list entries upsert by global trace
-index, aggregate accumulators fold by counter sums, histogram-bin sums
-and min/max — so the controller's one merge takes workers' reports in
-any order, and an index reported twice is kept once.
+index, aggregate folds by count sums and histogram merges — so the
+controller's one merge takes workers' reports in any order, and an
+index reported twice is kept once.
 
 On the wire (:meth:`ReplayResult.to_dict`, the RESULT and CHECKPOINT
 frames) a list-mode result's entries are the ``sent`` **table**: one
@@ -31,13 +36,13 @@ and to decode (one ``zip``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, fields
 from itertools import repeat, starmap
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
     Sequence, Tuple
 
+from ..telemetry.metrics import Histogram
 from ..trace.stats import quartile_summary
 
 
@@ -120,15 +125,6 @@ _COUNTER_FIELDS = (
 )
 
 
-# Log-spaced histogram bins: bin k covers [2**k, 2**(k+1)) microseconds.
-# ~40 bins span 1 µs to 20 minutes — plenty for latency or |time error|.
-def _log_bin(seconds: float) -> int:
-    micros = seconds * 1e6
-    if micros < 1.0:
-        return 0
-    return min(int(math.log2(micros)) + 1, 40)
-
-
 class ReplayResult:
     """Accumulates sent queries; computes the §4 accuracy metrics."""
 
@@ -138,23 +134,11 @@ class ReplayResult:
         self.sent: List[SentQuery] = []
         self.start_clock: Optional[float] = None
         self.trace_start: Optional[float] = None
-        # Aggregate-mode accumulators (all O(1) or O(run seconds)).
-        self.sent_count = 0
-        self.answered_count = 0
-        self.latency_hist: Dict[int, int] = {}
-        self.latency_sum = 0.0
-        self.latency_min: Optional[float] = None
-        self.latency_max: Optional[float] = None
-        self.error_count = 0
-        self.error_sum = 0.0
-        self.error_sumsq = 0.0
-        self.error_min: Optional[float] = None
-        self.error_max: Optional[float] = None
+        # The aggregate-mode folds (all O(1) or O(run seconds)).
         self.protocol_counts: Dict[str, int] = {}
-        self.fresh_connections = 0
-        self.first_sent_at: Optional[float] = None
-        self.last_sent_at: Optional[float] = None
-        self.rate_buckets: Dict[int, int] = {}
+        self.rate_buckets: Dict[int, int] = {}   # sends per clock second
+        self.latency = Histogram()      # answered latencies
+        self.send_error = Histogram()   # §4.2 send-time errors
         self.unmatched_responses = 0
         self.send_failures = 0
         # Failure/recovery event counters (fault injection & recovery).
@@ -183,8 +167,7 @@ class ReplayResult:
             # engines should prefer count_send/count_answer (a send's
             # answer arrives later); add() here serves offline folds of
             # already-final entries.
-            self.count_send(query.protocol, query.trace_time,
-                            query.sent_at, query.fresh_connection)
+            self.count_send(query.protocol, query.trace_time, query.sent_at)
             if query.answered_at is not None and query.latency is not None:
                 self.count_answer(query.latency)
             return
@@ -192,76 +175,51 @@ class ReplayResult:
 
     # -- aggregate-mode accounting -----------------------------------------
 
-    def count_send(self, protocol: str, trace_time: float, sent_at: float,
-                   fresh_connection: bool = False) -> None:
+    @property
+    def sent_count(self) -> int:
+        """Sends an aggregate result has folded."""
+        return self.send_error.count
+
+    @property
+    def answered_count(self) -> int:
+        """Answers an aggregate result has folded."""
+        return self.latency.count
+
+    def count_send(self, protocol: str, trace_time: float,
+                   sent_at: float) -> None:
         """O(1) send accounting for aggregate mode: a one-send fold."""
-        self.count_sends(protocol, ((trace_time, sent_at),),
-                         int(fresh_connection))
+        self.count_sends(protocol, ((trace_time, sent_at),))
 
     def count_answer(self, latency: float) -> None:
         """O(1) response accounting for aggregate mode: a one-answer fold."""
         self.count_answers((latency,))
 
     def count_sends(self, protocol: str,
-                    sends: Sequence[Tuple[float, float]],
-                    fresh_connections: int = 0) -> None:
+                    sends: Sequence[Tuple[float, float]]) -> None:
         """Fold a block of ``(trace_time, sent_at)`` sends, in order.
 
-        The one send accumulator: every field ends where one call per
+        The one send accumulator: every fold ends where one call per
         send, in the same order, would leave it.
         """
         if not sends:
             return
-        count = len(sends)
-        self.sent_count += count
         self.protocol_counts[protocol] = \
-            self.protocol_counts.get(protocol, 0) + count
-        self.fresh_connections += fresh_connections
+            self.protocol_counts.get(protocol, 0) + len(sends)
         start_clock, trace_start = self.start_clock, self.trace_start
-        first, last = self.first_sent_at, self.last_sent_at
-        low, high = self.error_min, self.error_max
-        total, squares = self.error_sum, self.error_sumsq
-        buckets = self.rate_buckets
+        buckets, errors = self.rate_buckets, []
+        append = errors.append
         for trace_time, sent_at in sends:
-            if first is None or sent_at < first:
-                first = sent_at
-            if last is None or sent_at > last:
-                last = sent_at
             bucket = int(sent_at)
             buckets[bucket] = buckets.get(bucket, 0) + 1
-            error = (
+            append(
                 (sent_at - (sent_at if start_clock is None else start_clock))
                 - (trace_time
                    - (trace_time if trace_start is None else trace_start)))
-            total += error
-            squares += error * error
-            if low is None or error < low:
-                low = error
-            if high is None or error > high:
-                high = error
-        self.first_sent_at, self.last_sent_at = first, last
-        self.error_count += count
-        self.error_sum, self.error_sumsq = total, squares
-        self.error_min, self.error_max = low, high
+        self.send_error.observe_many(errors)
 
     def count_answers(self, latencies: Sequence[float]) -> None:
         """Fold a block of answer latencies, in order (see count_sends)."""
-        if not latencies:
-            return
-        self.answered_count += len(latencies)
-        total = self.latency_sum
-        low, high = self.latency_min, self.latency_max
-        hist = self.latency_hist
-        for latency in latencies:
-            total += latency
-            bin_ = _log_bin(latency)
-            hist[bin_] = hist.get(bin_, 0) + 1
-            if low is None or latency < low:
-                low = latency
-            if high is None or latency > high:
-                high = latency
-        self.latency_sum = total
-        self.latency_min, self.latency_max = low, high
+        self.latency.observe_many(latencies)
 
     # -- §4.2 metrics ------------------------------------------------------
 
@@ -334,8 +292,8 @@ class ReplayResult:
         """Latency stats that work in both modes.
 
         Aggregate mode reports exact count/mean/min/max plus histogram
-        percentiles (each within its power-of-two bin); list mode
-        computes them exactly.
+        percentiles (each within its 1.25× bucket); list mode computes
+        them exactly.
         """
         if not self.aggregate:
             values = self.latencies()
@@ -345,25 +303,14 @@ class ReplayResult:
             summary["count"] = float(len(values))
             summary["mean"] = sum(values) / len(values)
             return summary
-        if not self.answered_count:
+        latency = self.latency
+        if not latency.count:
             return {}
-        summary = {
-            "count": float(self.answered_count),
-            "mean": self.latency_sum / self.answered_count,
-            "min": self.latency_min, "max": self.latency_max,
-        }
-        # Percentiles from the histogram: the upper edge of the bin
-        # the rank falls in (conservative to within the bin width).
-        targets = {"p25": 0.25, "median": 0.50, "p75": 0.75, "p99": 0.99}
-        ranks = {key: fraction * self.answered_count
-                 for key, fraction in targets.items()}
-        seen = 0
-        for bin_ in sorted(self.latency_hist):
-            seen += self.latency_hist[bin_]
-            for key, rank in list(ranks.items()):
-                if seen >= rank:
-                    summary[key] = (2.0 ** bin_) * 1e-6
-                    del ranks[key]
+        summary = {"count": float(latency.count), "mean": latency.mean(),
+                   "min": latency.min, "max": latency.max}
+        for key, fraction in (("p25", 0.25), ("median", 0.50),
+                              ("p75", 0.75), ("p99", 0.99)):
+            summary[key] = latency.quantile(fraction)
         return summary
 
     def unanswered_queries(self) -> List[SentQuery]:
@@ -412,8 +359,8 @@ class ReplayResult:
         Entries upsert by their global trace index: where both hold an
         index the copy of lower :func:`merge_rank` stays and the
         collision counts in ``duplicate_merged``, so ``sent`` lists each
-        index once, in index order.  Aggregate accumulators and event
-        counters are summed; clocks keep the earliest non-None value so
+        index once, in index order.  Aggregate folds and event counters
+        are summed; clocks keep the earliest non-None value so
         §4.2 offsets stay anchored to the run's true start.  The fold
         commutes, so reports merge to one result in any order.  Returns
         self for chaining.
@@ -450,44 +397,24 @@ class ReplayResult:
 
     def _merge_aggregate(self, other: "ReplayResult") -> None:
         if not other.aggregate:
-            # Fold a list-mode shard into aggregate accumulators —
+            # Fold a list-mode shard into the aggregate folds —
             # workers may run classic accounting while the controller
             # aggregates.
             for query in other.sent:
                 self.add(query)
             return
-        self.sent_count += other.sent_count
-        self.answered_count += other.answered_count
-        self.latency_sum += other.latency_sum
-        for bin_, count in other.latency_hist.items():
-            self.latency_hist[bin_] = self.latency_hist.get(bin_, 0) + count
-        self.error_count += other.error_count
-        self.error_sum += other.error_sum
-        self.error_sumsq += other.error_sumsq
-        for protocol, count in other.protocol_counts.items():
-            self.protocol_counts[protocol] = \
-                self.protocol_counts.get(protocol, 0) + count
-        self.fresh_connections += other.fresh_connections
-        for bucket, count in other.rate_buckets.items():
-            self.rate_buckets[bucket] = \
-                self.rate_buckets.get(bucket, 0) + count
-        for mine, theirs, fold in (
-                ("latency_min", other.latency_min, min),
-                ("latency_max", other.latency_max, max),
-                ("error_min", other.error_min, min),
-                ("error_max", other.error_max, max),
-                ("first_sent_at", other.first_sent_at, min),
-                ("last_sent_at", other.last_sent_at, max)):
-            if theirs is not None:
-                current = getattr(self, mine)
-                setattr(self, mine,
-                        theirs if current is None else fold(current, theirs))
+        for mine, theirs in ((self.protocol_counts, other.protocol_counts),
+                             (self.rate_buckets, other.rate_buckets)):
+            for key, count in theirs.items():
+                mine[key] = mine.get(key, 0) + count
+        self.latency.merge(other.latency)
+        self.send_error.merge(other.send_error)
 
     def to_dict(self, entries: Optional[Iterable[SentQuery]] = None
                 ) -> Dict:
         """A JSON-safe mapping (the inter-process RESULT frame).
 
-        An aggregate result serializes its accumulators — a few KB no
+        An aggregate result serializes its four folds — a few KB no
         matter how many queries it covers — where a list-mode result's
         ``sent`` table grows with every sent entry.  ``entries``
         restricts a list-mode frame to those entries under the same
@@ -503,24 +430,11 @@ class ReplayResult:
         }
         if self.aggregate:
             data["aggregate"] = {
-                "sent_count": self.sent_count,
-                "answered_count": self.answered_count,
-                "latency_sum": self.latency_sum,
-                "latency_min": self.latency_min,
-                "latency_max": self.latency_max,
-                "latency_hist": {str(bin_): count for bin_, count
-                                 in self.latency_hist.items()},
-                "error_count": self.error_count,
-                "error_sum": self.error_sum,
-                "error_sumsq": self.error_sumsq,
-                "error_min": self.error_min,
-                "error_max": self.error_max,
                 "protocol_counts": dict(self.protocol_counts),
-                "fresh_connections": self.fresh_connections,
-                "first_sent_at": self.first_sent_at,
-                "last_sent_at": self.last_sent_at,
                 "rate_buckets": {str(bucket): count for bucket, count
                                  in self.rate_buckets.items()},
+                "latency": self.latency.to_state(),
+                "send_error": self.send_error.to_state(),
             }
         else:
             data["sent"] = sent_table(map(
@@ -538,19 +452,11 @@ class ReplayResult:
             if name in _COUNTER_FIELDS:
                 setattr(result, name, value)
         if aggregate is not None:
-            for key in ("sent_count", "answered_count", "latency_sum",
-                        "latency_min", "latency_max", "error_count",
-                        "error_sum", "error_sumsq", "error_min",
-                        "error_max", "fresh_connections", "first_sent_at",
-                        "last_sent_at"):
-                if key in aggregate:
-                    setattr(result, key, aggregate[key])
-            result.latency_hist = {int(bin_): count for bin_, count in
-                                   aggregate.get("latency_hist", {}).items()}
-            result.protocol_counts = dict(
-                aggregate.get("protocol_counts", {}))
+            result.protocol_counts = dict(aggregate["protocol_counts"])
             result.rate_buckets = {int(bucket): count for bucket, count in
-                                   aggregate.get("rate_buckets", {}).items()}
+                                   aggregate["rate_buckets"].items()}
+            result.latency = Histogram.from_state(aggregate["latency"])
+            result.send_error = Histogram.from_state(aggregate["send_error"])
         if "sent" in data:
             result.sent = list(starmap(SentQuery, sent_rows(data["sent"])))
         return result
@@ -566,14 +472,12 @@ class ReplayResult:
         if self.aggregate:
             # skip_seconds needs per-query times; aggregate mode folds
             # every send, so the summary covers the whole run.
-            if not self.error_count:
+            error = self.send_error
+            if not error.count:
                 return {}
-            mean = self.error_sum / self.error_count
-            variance = max(0.0,
-                           self.error_sumsq / self.error_count - mean * mean)
-            return {"count": float(self.error_count), "mean": mean,
-                    "min": self.error_min, "max": self.error_max,
-                    "stddev": math.sqrt(variance)}
+            return {"count": float(error.count), "mean": error.mean(),
+                    "min": error.min, "max": error.max,
+                    "stddev": error.stddev()}
         errors = self.send_time_errors(skip_seconds)
         if not errors:
             return {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class Histogram:
@@ -29,13 +29,14 @@ class Histogram:
 
     Values at or below ``min_value`` share bucket 0 (``[0, min_value]``);
     bucket ``i > 0`` covers ``(min_value * growth**(i-1),
-    min_value * growth**i]``.  Exact count/sum/min/max are tracked on
-    the side, so means are exact and quantiles are only ever off by the
-    width of the bucket they land in.
+    min_value * growth**i]``.  Exact count/sum/sum of squares/min/max
+    are tracked on the side, so means and standard deviations are exact
+    and quantiles are only ever off by the width of the bucket they land
+    in.
     """
 
     __slots__ = ("growth", "min_value", "_log_growth", "_buckets",
-                 "count", "total", "min", "max")
+                 "count", "total", "sumsq", "min", "max")
 
     def __init__(self, growth: float = 1.25, min_value: float = 1e-6):
         if growth <= 1.0:
@@ -48,27 +49,35 @@ class Histogram:
         self._buckets: Dict[int, int] = {}
         self.count = 0
         self.total = 0.0
+        self.sumsq = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
     # -- recording --------------------------------------------------------
 
     def observe(self, value: float) -> None:
-        index = self._index(value)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        self.observe_many((value,))
 
-    def _index(self, value: float) -> int:
-        if value <= self.min_value:
-            return 0
-        # ceil() keeps the bucket's upper bound >= value.
-        return max(1, math.ceil(
-            math.log(value / self.min_value) / self._log_growth - 1e-9))
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Fold ``values`` in order: the state one :meth:`observe` per
+        value leaves, buckets and floating-point sums included."""
+        buckets, min_value = self._buckets, self.min_value
+        log_growth, log, ceil = self._log_growth, math.log, math.ceil
+        total, squares, low, high = self.total, self.sumsq, self.min, self.max
+        for value in values:
+            # ceil() keeps the bucket's upper bound >= value; a value
+            # just above min_value goes to bucket 1, not 0.
+            index = 0 if value <= min_value else ceil(
+                log(value / min_value) / log_growth - 1e-9) or 1
+            buckets[index] = buckets.get(index, 0) + 1
+            total += value
+            squares += value * value
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+        self.count += len(values)
+        self.total, self.sumsq, self.min, self.max = total, squares, low, high
 
     def bucket_bounds(self, index: int) -> Tuple[float, float]:
         """``(low, high]`` value range of bucket ``index``."""
@@ -83,6 +92,13 @@ class Histogram:
         if self.count == 0:
             return None
         return self.total / self.count
+
+    def stddev(self) -> Optional[float]:
+        """Population standard deviation, from the exact sums."""
+        if self.count == 0:
+            return None
+        mean = self.total / self.count
+        return math.sqrt(max(0.0, self.sumsq / self.count - mean * mean))
 
     def quantile(self, q: float) -> Optional[float]:
         """The value at quantile ``q`` (0..1), to one bucket's precision."""
@@ -134,6 +150,7 @@ class Histogram:
             self._buckets[index] = self._buckets.get(index, 0) + count
         self.count += other.count
         self.total += other.total
+        self.sumsq += other.sumsq
         if other.min is not None and (self.min is None
                                       or other.min < self.min):
             self.min = other.min
@@ -154,6 +171,7 @@ class Histogram:
             "min_value": self.min_value,
             "count": self.count,
             "total": self.total,
+            "sumsq": self.sumsq,
             "min": self.min,
             "max": self.max,
             # JSON keys are strings; bucket indices round-trip via int().
@@ -167,6 +185,7 @@ class Histogram:
                         min_value=state["min_value"])
         histogram.count = state["count"]
         histogram.total = state["total"]
+        histogram.sumsq = state["sumsq"]
         histogram.min = state["min"]
         histogram.max = state["max"]
         histogram._buckets = {int(index): count

@@ -17,7 +17,8 @@ from .stream import (ShardSetWriter, iter_shard_file, read_manifest,
 from .synthetic import (BRootWorkload, ClientClassSpec, RecursiveWorkload,
                         SYNTHETIC_SPECS, burst_trace, fixed_interval_trace,
                         make_hierarchy_zones, make_root_zone, scale_stream,
-                        table1_synthetic, zipf_trace)
+                        table1_synthetic, wildcard_example_zone,
+                        zipf_trace)
 from .textfmt import (TextFormatError, line_to_record, read_text,
                       record_to_line, write_text)
 
@@ -35,6 +36,6 @@ __all__ = [
     "read_text", "record_to_line", "retarget", "sample_clients",
     "scale_stream", "scale_time", "set_dnssec_fraction", "shard_path",
     "shift_time", "split_shards", "stddev", "summarize", "table1_synthetic",
-    "top_client_share", "write_binary", "write_binary_stream", "write_pcap",
-    "write_text", "zipf_trace",
+    "top_client_share", "wildcard_example_zone", "write_binary",
+    "write_binary_stream", "write_pcap", "write_text", "zipf_trace",
 ]

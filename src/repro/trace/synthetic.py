@@ -16,8 +16,9 @@ synthetic traces (Table 1).  The real captures are proprietary
   NXDOMAIN);
 * :class:`RecursiveWorkload` — Rec-17-like: ~91 clients, ~20 k queries
   per hour, names spread over ~549 zones;
-* :func:`make_root_zone` / :func:`make_hierarchy_zones` — matching zone
-  data so generated queries are answerable.
+* :func:`make_root_zone` / :func:`make_hierarchy_zones` /
+  :func:`wildcard_example_zone` — matching zone data so generated
+  queries are answerable.
 
 Everything is seeded and deterministic: replaying the same spec twice,
 in any process, yields byte-identical traces (§2.1 repeatability).
@@ -89,6 +90,19 @@ def make_root_zone(tld_count: int = 40,
             address = _address_block("192.16.0.0",
                                      index * servers_per_tld + server)
             zone.add_rr(RR(ns_name, 172800, RRClass.IN, rd.A(address)))
+    return zone
+
+
+def wildcard_example_zone() -> Zone:
+    """example.com with wildcards, so every unique name is answerable."""
+    origin = Name.from_text("example.com.")
+    zone = Zone(origin)
+    zone.add_rr(make_soa(origin))
+    ns = Name.from_text("ns1.example.com.")
+    zone.add_rr(RR(origin, 3600, RRClass.IN, rd.NS(ns)))
+    zone.add_rr(RR(ns, 3600, RRClass.IN, rd.A("10.0.0.2")))
+    zone.add_rr(RR(Name.from_text("*.example.com."), 300, RRClass.IN,
+                   rd.A("192.0.2.1")))
     return zone
 
 

@@ -296,12 +296,10 @@ www 300 IN A 192.0.2.80
 
 def _run_fault_replay(seed: int) -> None:
     import random
-    from ..netsim import FaultInjector
+    from ..netsim import FaultInjector, build_evaluation_topology
     from ..replay import ReplayConfig, SimReplayEngine
-    from ..experiments.topology import build_evaluation_topology
-    from ..experiments.fig6_timing import wildcard_example_zone
     from ..server import AuthoritativeServer, HostedDnsServer
-    from ..trace import table1_synthetic
+    from ..trace import table1_synthetic, wildcard_example_zone
 
     testbed = build_evaluation_topology()
     server = AuthoritativeServer.single_view([wildcard_example_zone()])

@@ -15,9 +15,8 @@ Five ``ast`` walks over ``src/repro``, with no import of the package:
   a knob);
 * an import must be used by the module that makes it, or be imported
   from that module by another;
-* ``repro.dns`` and ``repro.netsim`` import nothing else from
-  ``repro``, ``repro.telemetry`` imports only from ``repro.dns``, and
-  no module takes a wire parser from ``repro.telemetry``.
+* each package imports only what DESIGN.md § Layering's table lets
+  it, and no module takes a wire parser from ``repro.telemetry``.
 
 Names are matched as bare identifiers, so a reference through any
 alias or attribute chain counts; the walks can miss dead code that
@@ -343,6 +342,22 @@ def _within(module: str, *packages: str) -> bool:
                for package in packages)
 
 
+def _layering_table() -> dict[str, tuple[str, ...]]:
+    """DESIGN.md § Layering's table: each package and the packages it
+    may import from, itself included (``experiments``: all of repro)."""
+    section = (ROOT / "DESIGN.md").read_text().split("\n## Layering\n")[1]
+    table = {}
+    for line in section.split("\n## ")[0].splitlines():
+        if not line.startswith("| `"):
+            continue
+        package, sources = map(str.strip, line.strip("|").split("|"))
+        package = "repro." + package.strip("`")
+        names = [name.strip(" `") for name in sources.split(",")]
+        table[package] = ("repro",) if sources == "every package" else (
+            package, *("repro." + name for name in names if name != "—"))
+    return table
+
+
 def test_layering():
     modules = list(_modules())
     # A wire parser: a name the dns package defines, or one that says
@@ -350,15 +365,20 @@ def test_layering():
     dns_names = {node.name for module, _, tree in modules
                  if _within(module, "repro.dns") for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    allowed = {"repro.dns": ("repro.dns",),
-               "repro.netsim": ("repro.netsim",),
-               "repro.telemetry": ("repro.telemetry", "repro.dns")}
+    allowed = {**_layering_table(), "repro.perf": ("repro.telemetry",)}
+    assert {"repro.dns", "repro.netsim", "repro.telemetry", "repro.replay",
+            "repro.experiments"} <= set(allowed)
     breaches = []
     for module, path, tree in modules:
+        if module == "repro":
+            continue        # the package root imports every package
         home = next((package for package in allowed
                      if _within(module, package)), None)
+        if home is None:
+            breaches.append(f"{module} has no row in DESIGN § Layering")
+            continue
         for source, names in _imported(tree, path):
-            if home is not None and _within(source, "repro") \
+            if _within(source, "repro") \
                     and not _within(source, *allowed[home]):
                 breaches.append(f"{module} imports {source}")
             if _within(source, "repro.telemetry") \

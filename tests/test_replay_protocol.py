@@ -620,6 +620,23 @@ class TestSchemaValidation:
         with pytest.raises(ProtocolError, match=match):
             self.roundtrip(lambda s: s.send_result(payload))
 
+    @pytest.mark.parametrize("mangle,match", [
+        (lambda a: a["latency"].pop("sumsq"),
+         "aggregate latency missing field 'sumsq'"),
+        (lambda a: a["send_error"]["buckets"].update({"xx": 1}),
+         "aggregate send_error bucket 'xx'"),
+        (lambda a: a.pop("send_error"), "missing field 'send_error'"),
+        (lambda a: a.update(error_sum=0.0), "unknown field 'error_sum'"),
+    ], ids=["no-sumsq", "bucket-key", "no-send-error", "old-field"])
+    def test_bad_aggregate_result_rejected(self, mangle, match):
+        result = ReplayResult("querier-1", aggregate=True)
+        result.count_send("udp", 0.0, 100.0)
+        result.count_answer(0.002)
+        payload = result.to_dict()
+        mangle(payload["aggregate"])
+        with pytest.raises(ProtocolError, match=match):
+            self.roundtrip(lambda s: s.send_result(payload))
+
     def test_result_must_be_object(self):
         with pytest.raises(ProtocolError, match="must be an object"):
             self.roundtrip(lambda s: s.send_result([1, 2, 3]))

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.replay import ReplayResult, SentQuery
-from repro.replay.result import _log_bin
 from repro.dns.wire import WireError, WireReader, WireWriter
 
 
@@ -138,20 +137,21 @@ class TestMergeAndSerialization:
         merge-summed — a counter added later but left out of
         _COUNTER_FIELDS would silently vanish in process mode.
 
-        Aggregate-mode accumulators are merged by _merge_aggregate
-        (sum/min/max/histogram folds) rather than the counter sweep;
+        The aggregate folds are merged by _merge_aggregate (count sums
+        and histogram merges) rather than the counter sweep;
         test_aggregate_merge_commutes covers those.
         """
         from repro.replay.result import _COUNTER_FIELDS
-        aggregate_attrs = {"aggregate", "sent_count", "answered_count",
-                           "error_count", "fresh_connections"}
+        from repro.telemetry.metrics import Histogram
         fresh = ReplayResult()
         int_attrs = {name for name, value in vars(fresh).items()
                      if isinstance(value, int)}
-        assert int_attrs - aggregate_attrs == set(_COUNTER_FIELDS)
-        # Any new aggregate accumulator must be wired into
-        # _merge_aggregate and to_dict/from_dict, not silently added.
-        assert aggregate_attrs <= set(vars(fresh))
+        assert int_attrs - {"aggregate"} == set(_COUNTER_FIELDS)
+        # Any new aggregate fold must be wired into _merge_aggregate
+        # and to_dict/from_dict, not silently added.
+        folds = {name for name, value in vars(fresh).items()
+                 if isinstance(value, (dict, Histogram))}
+        assert folds == set(_FOLDS)
 
     def test_dict_roundtrip_exact(self):
         import json
@@ -238,13 +238,8 @@ class TestAggregateMode:
         a2, b2 = self.fold("a", 0, 7, 2), self.fold("b", 100, 5, 3)
         ab = a1.merge(b1)
         ba = b2.merge(a2)
-        for field in ("sent_count", "answered_count", "latency_sum",
-                      "latency_min", "latency_max", "latency_hist",
-                      "error_count", "error_sum", "error_sumsq",
-                      "protocol_counts", "rate_buckets",
-                      "fresh_connections", "first_sent_at",
-                      "last_sent_at"):
-            assert getattr(ab, field) == getattr(ba, field), field
+        assert ab.sent_count == 12 and ab.answered_count == 6
+        assert _folds(ab) == _folds(ba)
 
     def test_dict_roundtrip(self):
         import json
@@ -255,8 +250,7 @@ class TestAggregateMode:
         assert restored.aggregate
         assert restored.sent_count == 9
         assert restored.answered_count == result.answered_count
-        assert restored.latency_hist == result.latency_hist
-        assert restored.rate_buckets == result.rate_buckets
+        assert _folds(restored) == _folds(result)
         assert restored.udp_timeouts == 4
         assert restored.latency_summary() == result.latency_summary()
 
@@ -323,45 +317,33 @@ def test_sent_table_roundtrip(entries, picks):
 
 
 def _reference_send(result, trace_time, sent_at):
-    """One send folded field by field, as the accumulator did before
-    blocks: the reference the block fold is held to."""
-    result.sent_count += 1
+    """One send folded fold by fold: the reference the block fold is
+    held to."""
     result.protocol_counts["udp"] = result.protocol_counts.get("udp", 0) + 1
-    result.first_sent_at = sent_at if result.first_sent_at is None \
-        else min(result.first_sent_at, sent_at)
-    result.last_sent_at = sent_at if result.last_sent_at is None \
-        else max(result.last_sent_at, sent_at)
     bucket = int(sent_at)
     result.rate_buckets[bucket] = result.rate_buckets.get(bucket, 0) + 1
     base_clock = sent_at if result.start_clock is None else result.start_clock
     base_trace = trace_time if result.trace_start is None \
         else result.trace_start
-    error = (sent_at - base_clock) - (trace_time - base_trace)
-    result.error_count += 1
-    result.error_sum += error
-    result.error_sumsq += error * error
-    result.error_min = error if result.error_min is None \
-        else min(result.error_min, error)
-    result.error_max = error if result.error_max is None \
-        else max(result.error_max, error)
+    result.send_error.observe((sent_at - base_clock)
+                              - (trace_time - base_trace))
 
 
 def _reference_answer(result, latency):
-    result.answered_count += 1
-    result.latency_sum += latency
-    bin_ = _log_bin(latency)
-    result.latency_hist[bin_] = result.latency_hist.get(bin_, 0) + 1
-    result.latency_min = latency if result.latency_min is None \
-        else min(result.latency_min, latency)
-    result.latency_max = latency if result.latency_max is None \
-        else max(result.latency_max, latency)
+    result.latency.observe(latency)
 
 
-_FOLD_FIELDS = ("sent_count", "answered_count", "protocol_counts",
-                "fresh_connections", "first_sent_at", "last_sent_at",
-                "rate_buckets", "error_count", "error_sum", "error_sumsq",
-                "error_min", "error_max", "latency_sum", "latency_min",
-                "latency_max", "latency_hist")
+# The four folds an aggregate result keeps.
+_FOLDS = ("protocol_counts", "rate_buckets", "latency", "send_error")
+
+
+def _folds(result):
+    """The four folds, histograms as their exact states."""
+    return {name: getattr(result, name).to_state()
+            if hasattr(getattr(result, name), "to_state")
+            else getattr(result, name) for name in _FOLDS}
+
+
 _TIMES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
@@ -373,7 +355,7 @@ _TIMES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 def test_block_fold_equals_per_call_fold(sends, latencies, cuts, anchored):
     """A querier folds a wake's sends and a drain's answers in one call;
     ``count_send`` / ``count_answer`` are the one-element case.  Bit for
-    bit, every field equals one fold per event in the same order."""
+    bit, every fold equals one fold per event in the same order."""
     per_call, blocked, reference = (ReplayResult(aggregate=True)
                                     for _ in range(3))
     for result in (per_call, blocked, reference):
@@ -392,10 +374,9 @@ def test_block_fold_equals_per_call_fold(sends, latencies, cuts, anchored):
         edges = [0] + [b for b in bounds if b < len(events)] + [len(events)]
         for start, end in zip(edges, edges[1:]):
             fold(events[start:end])
-    for field in _FOLD_FIELDS:
-        want = getattr(reference, field)
-        assert getattr(per_call, field) == want, field
-        assert getattr(blocked, field) == want, field
+    want = _folds(reference)
+    assert _folds(per_call) == want
+    assert _folds(blocked) == want
 
 
 class TestWireReaderWriter:

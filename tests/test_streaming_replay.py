@@ -108,6 +108,22 @@ class TestShardFileTopology:
         assert summary["count"] == result.answered_count
         assert result.error_summary()["count"] == float(result.sent_count)
 
+    def test_metrics_carry_the_aggregate_latency(self, tmp_path):
+        """An aggregate querier's METRICS frame carries its latency
+        histogram as ``query.latency_s``, as a list-mode one's does."""
+        trace = fixed_interval_trace(0.02, 0.4, client_count=4,
+                                     name="stream-latency")
+        with LiveDnsServer() as server:
+            topology = ProcessTopology(
+                (server.address, server.port),
+                streaming_config(distributors=1))
+            directory, _ = shard_directory(tmp_path, trace, 1)
+            result = topology.replay_shard_files(directory, pace_lead=5.0)
+        assert result.answered_count > 0
+        latency = topology.metrics.to_state()["histograms"]["query.latency_s"]
+        assert latency["count"] == result.answered_count
+        assert latency["max"] == result.latency.max
+
     def test_one_distributor_per_shard(self, tmp_path):
         # The manifest, not config.distributors, decides the fan-out.
         trace = fixed_interval_trace(0.02, 0.6, client_count=9,
@@ -157,7 +173,7 @@ class TestShardFileTopology:
             directory, _ = shard_directory(tmp_path, trace, 1)
             result = topology.replay_shard_files(directory, pace_lead=2.0)
         assert result.sent_count == result.answered_count == 4
-        assert result.error_max < 0.25      # parent: 0.50
+        assert result.send_error.max < 0.25      # parent: 0.50
 
     def test_recovery_mode_rejected(self, tmp_path):
         from repro.replay.recovery import RecoveryConfig

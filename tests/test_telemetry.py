@@ -2,8 +2,11 @@
 exporters) and the zero-query report-renderer regressions."""
 
 import json
+import math
+import statistics
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.dns import Edns, Message, Name, RRType
 from repro.dns.wire import question_key
@@ -93,6 +96,38 @@ class TestHistogram:
             Histogram(growth=1.0)
         with pytest.raises(ValueError):
             Histogram(min_value=0.0)
+
+    @given(values=st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                           max_size=80),
+           cuts=st.lists(st.integers(min_value=0, max_value=80),
+                         max_size=6))
+    def test_observe_many_is_repeated_observe(self, values, cuts):
+        """A fold of blocks leaves exactly the state one ``observe`` per
+        value leaves, buckets and floating-point sums included; each
+        value lands in a bucket whose bounds hold it (to the index's
+        1e-9 rounding slack), and ``stddev()`` is the population
+        standard deviation."""
+        one_by_one, blocked = Histogram(), Histogram()
+        for value in values:
+            one_by_one.observe(value)
+        edges = [0] + sorted(cut for cut in set(cuts)
+                             if cut < len(values)) + [len(values)]
+        for start, end in zip(edges, edges[1:]):
+            blocked.observe_many(values[start:end])
+        assert blocked.to_state() == one_by_one.to_state()
+        for value in values:
+            single = Histogram()
+            single.observe(value)
+            [(low, high, count)] = single.buckets()
+            assert count == 1
+            assert value <= high * (1 + 1e-9)
+            assert low == 0.0 or value > low * (1 - 1e-9)
+        if values:
+            assert math.isclose(
+                blocked.stddev(), statistics.pstdev(values),
+                abs_tol=1e-6 * (1 + max(map(abs, values))))
+        else:
+            assert blocked.stddev() is None
 
 
 class TestMetricsRegistry:
