@@ -13,8 +13,6 @@ Each test removes one design element and shows the paper's choice wins:
 import io
 import time
 
-from conftest import run_once
-
 from repro.experiments import build_evaluation_topology
 from repro.experiments.fig6_timing import wildcard_example_zone
 from repro.hierarchy import HierarchyEmulation, SimulatedInternet, \
@@ -32,7 +30,7 @@ from repro.trace import (BRootWorkload, QueryMutator, all_protocol,
 class TestInputFormatAblation:
     """§2.5: binary beats text and pcap on the replay input path."""
 
-    def test_binary_input_fastest(self, benchmark):
+    def test_binary_input_fastest(self):
         trace = fixed_interval_trace(0.001, 20.0, name="fmt-bench")
 
         binary_buffer = io.BytesIO()
@@ -61,7 +59,7 @@ class TestInputFormatAblation:
             assert count_binary == count_text == count_pcap == len(trace)
             return timings
 
-        timings = benchmark.pedantic(parse_all, rounds=1, iterations=1)
+        timings = parse_all()
         rate = {fmt: len(trace) / seconds
                 for fmt, seconds in timings.items()}
         print(f"\nparse rates (records/s): "
@@ -74,7 +72,7 @@ class TestInputFormatAblation:
 class TestInputWindowAblation:
     """§3: the Reader pre-loads a window to avoid falling behind."""
 
-    def test_window_prevents_lateness(self, benchmark):
+    def test_window_prevents_lateness(self):
         def run_with(window):
             testbed = build_evaluation_topology()
             HostedDnsServer(testbed.server_host,
@@ -89,11 +87,7 @@ class TestInputWindowAblation:
             errors = result.send_time_errors()
             return max(errors)
 
-        def both():
-            return run_with(window=5000), run_with(window=1)
-
-        windowed, unwindowed = benchmark.pedantic(both, rounds=1,
-                                                  iterations=1)
+        windowed, unwindowed = run_with(window=5000), run_with(window=1)
         print(f"\nmax lateness: window=5000 -> {windowed * 1e3:.1f} ms, "
               f"window=1 -> {unwindowed * 1e3:.1f} ms")
         assert windowed < 0.005
@@ -103,7 +97,7 @@ class TestInputWindowAblation:
 class TestAffinityAblation:
     """§2.6: sticky source routing is what enables connection reuse."""
 
-    def test_reuse_drops_without_affinity(self, benchmark):
+    def test_reuse_drops_without_affinity(self):
         def run_with(affinity):
             testbed = build_evaluation_topology()
             HostedDnsServer(
@@ -120,11 +114,8 @@ class TestAffinityAblation:
             return result.reuse_fraction(), \
                 testbed.server_host.tcp_stack.total_accepted
 
-        def both():
-            return run_with(True), run_with(False)
-
         (sticky_reuse, sticky_conns), (random_reuse, random_conns) = \
-            benchmark.pedantic(both, rounds=1, iterations=1)
+            run_with(True), run_with(False)
         print(f"\nreuse: sticky={sticky_reuse:.2f} ({sticky_conns} conns), "
               f"random={random_reuse:.2f} ({random_conns} conns)")
         assert sticky_reuse > random_reuse
@@ -134,7 +125,7 @@ class TestAffinityAblation:
 class TestTimingCorrectionAblation:
     """§2.6: ΔT = Δt̄ − Δt absorbs processing delay; naive senders drift."""
 
-    def test_naive_sender_drifts(self, benchmark):
+    def test_naive_sender_drifts(self):
         def compare():
             trace = fixed_interval_trace(0.001, 5.0)
             per_record_cost = 0.0002  # 0.2 ms of processing per query
@@ -158,8 +149,7 @@ class TestTimingCorrectionAblation:
                 corrected_errors.append(corrected_clock - record.timestamp)
             return max(naive_errors), max(corrected_errors)
 
-        naive_drift, corrected_drift = benchmark.pedantic(
-            compare, rounds=1, iterations=1)
+        naive_drift, corrected_drift = compare()
         print(f"\nmax drift: naive={naive_drift:.3f}s, "
               f"corrected={corrected_drift * 1e3:.3f}ms")
         assert naive_drift > 0.5       # 5000 queries x 0.2 ms accumulates
@@ -169,18 +159,13 @@ class TestTimingCorrectionAblation:
 class TestDeploymentAblation:
     """§2.4: the meta-server collapses the per-zone host fleet."""
 
-    def test_host_count_collapse(self, benchmark):
+    def test_host_count_collapse(self):
         zones = make_hierarchy_zones(5, 8)
 
-        def deploy_both():
-            loop_a = EventLoop()
-            internet = SimulatedInternet(Network(loop_a), zones)
-            loop_b = EventLoop()
-            emulation = HierarchyEmulation(Network(loop_b), zones)
-            return internet.server_count(), 1, emulation.view_count()
-
-        naive_hosts, meta_hosts, views = benchmark.pedantic(
-            deploy_both, rounds=1, iterations=1)
+        internet = SimulatedInternet(Network(EventLoop()), zones)
+        emulation = HierarchyEmulation(Network(EventLoop()), zones)
+        naive_hosts, meta_hosts, views = \
+            internet.server_count(), 1, emulation.view_count()
         print(f"\nnaive hosts={naive_hosts}, meta hosts={meta_hosts}, "
               f"views={views}")
         assert naive_hosts == len(address_to_zones(zones))
@@ -192,7 +177,7 @@ class TestDeploymentAblation:
 class TestNagleAblation:
     """§5.2: disabling Nagle at the client removes send stalls."""
 
-    def test_client_nagle_increases_latency(self, benchmark):
+    def test_client_nagle_increases_latency(self):
         def run_with(nagle):
             testbed = build_evaluation_topology(client_rtt=0.040)
             HostedDnsServer(
@@ -209,11 +194,7 @@ class TestNagleAblation:
             latencies = sorted(result.latencies())
             return latencies[len(latencies) * 3 // 4]  # p75
 
-        def both():
-            return run_with(False), run_with(True)
-
-        nodelay_p75, nagle_p75 = benchmark.pedantic(both, rounds=1,
-                                                    iterations=1)
+        nodelay_p75, nagle_p75 = run_with(False), run_with(True)
         print(f"\np75 latency: nodelay={nodelay_p75 * 1e3:.1f} ms, "
               f"nagle={nagle_p75 * 1e3:.1f} ms")
         assert nagle_p75 >= nodelay_p75

@@ -1,15 +1,13 @@
-"""Application benches: DoS study and sharded hierarchy (paper §1/§2.2
+"""Application checks: DoS study and sharded hierarchy (paper §1/§2.2
 applications and stated future work)."""
-
-from conftest import run_once
 
 from repro.experiments import Scale, dos_attack
 
 DOS_SCALE = Scale("dos-bench", rate=60.0, duration=30.0, monitor_period=10.0)
 
 
-def test_dos_attack_study(benchmark):
-    output = run_once(benchmark, dos_attack.run, DOS_SCALE)
+def test_dos_attack_study():
+    output = dos_attack.run(DOS_SCALE)
     print()
     print(output.render())
     rows = {row[0]: row for row in output.rows}
@@ -30,7 +28,7 @@ def test_dos_attack_study(benchmark):
     assert syn20[6] < baseline[6] - 0.1  # legit answered fraction falls
 
 
-def test_sharded_hierarchy_scales_out(benchmark):
+def test_sharded_hierarchy_scales_out():
     from repro.dns import DNS_PORT, Message, Name, RRType
     from repro.hierarchy import ShardedHierarchyEmulation
     from repro.netsim import EventLoop, Network
@@ -62,8 +60,7 @@ def test_sharded_hierarchy_scales_out(benchmark):
         loop.run(max_time=120)
         return emulation, results, questions
 
-    emulation, results, questions = benchmark.pedantic(
-        run_sharded, rounds=1, iterations=1)
+    emulation, results, questions = run_sharded()
     per_shard = emulation.queries_per_shard()
     print(f"\nshards={emulation.shards}, per-shard queries={per_shard}, "
           f"answered={len(results)}/{len(questions)}")

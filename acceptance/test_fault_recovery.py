@@ -1,4 +1,4 @@
-"""Fault recovery benchmark: syn-1 through loss and a server outage.
+"""Fault recovery acceptance check: syn-1 through loss and a server outage.
 
 The acceptance bar for the fault-injection subsystem: replaying a
 Table 1 synthetic trace under 5 % packet loss plus one 2 s server
@@ -7,8 +7,6 @@ crash/restart, the retry/reconnect machinery must still complete
 """
 
 import pytest
-
-from conftest import run_once
 
 from repro.experiments.fig6_timing import wildcard_example_zone
 from repro.experiments.topology import build_evaluation_topology
@@ -42,8 +40,8 @@ def replay_syn1_with_faults(duration=60.0):
     return trace, injector, result
 
 
-def test_syn1_recovers_from_loss_and_outage(benchmark):
-    trace, injector, result = run_once(benchmark, replay_syn1_with_faults)
+def test_syn1_recovers_from_loss_and_outage():
+    trace, injector, result = replay_syn1_with_faults()
     counts = result.failure_counts()
     print()
     print(f"{len(result)} queries, injector: {injector.counters()}")

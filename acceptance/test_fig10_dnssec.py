@@ -1,12 +1,10 @@
 """Figure 10: response bandwidth vs ZSK size and DO-bit fraction."""
 
-from conftest import run_once
-
 from repro.experiments import fig10_dnssec
 
 
-def test_fig10_dnssec_bandwidth(benchmark, bench_scale):
-    output = run_once(benchmark, fig10_dnssec.run, bench_scale)
+def test_fig10_dnssec_bandwidth(bench_scale):
+    output = fig10_dnssec.run(bench_scale)
     print()
     print(output.render())
     rows = {(row[0], row[1], row[2]): row[3] for row in output.rows}

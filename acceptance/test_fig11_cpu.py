@@ -1,13 +1,10 @@
 """Figure 11: server CPU usage vs TCP timeout, per protocol."""
 
-from conftest import run_once
-
 from repro.experiments import fig11_cpu
 
 
-def test_fig11_cpu_usage(benchmark, bench_scale):
-    output = run_once(benchmark, fig11_cpu.run, bench_scale,
-                      timeouts=(5.0, 10.0, 20.0, 40.0))
+def test_fig11_cpu_usage(bench_scale):
+    output = fig11_cpu.run(bench_scale, timeouts=(5.0, 10.0, 20.0, 40.0))
     print()
     print(output.render())
     rows = {(row[0], row[1]): row[2] for row in output.rows}

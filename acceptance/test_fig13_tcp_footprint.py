@@ -1,13 +1,11 @@
 """Figure 13: all-TCP server memory and connection footprint."""
 
-from conftest import run_once
-
 from repro.experiments import fig13_14_footprint
 
 
-def test_fig13_tcp_footprint(benchmark, bench_scale_long):
-    output = run_once(benchmark, fig13_14_footprint.run, "tcp",
-                      bench_scale_long, timeouts=(5.0, 10.0, 20.0, 40.0))
+def test_fig13_tcp_footprint(bench_scale_long):
+    output = fig13_14_footprint.run("tcp", bench_scale_long,
+                                    timeouts=(5.0, 10.0, 20.0, 40.0))
     print()
     print(output.render())
     rows = {row[0]: row for row in output.rows}

@@ -1,13 +1,11 @@
 """Figure 14: all-TLS server memory and connection footprint."""
 
-from conftest import run_once
-
 from repro.experiments import fig13_14_footprint
 
 
-def test_fig14_tls_footprint(benchmark, bench_scale_long):
-    output = run_once(benchmark, fig13_14_footprint.run, "tls",
-                      bench_scale_long, timeouts=(5.0, 20.0, 40.0))
+def test_fig14_tls_footprint(bench_scale_long):
+    output = fig13_14_footprint.run("tls", bench_scale_long,
+                                    timeouts=(5.0, 20.0, 40.0))
     print()
     print(output.render())
     rows = {row[0]: row for row in output.rows}
@@ -26,17 +24,11 @@ def test_fig14_tls_footprint(benchmark, bench_scale_long):
     assert rows["original/20"][2] < rows[20.0][2]
 
 
-def test_fig14_tls_exceeds_tcp_memory(benchmark, bench_scale_long):
-    def both():
-        tcp = fig13_14_footprint.run("tcp", bench_scale_long,
-                                     timeouts=(20.0,),
-                                     include_baseline=False)
-        tls = fig13_14_footprint.run("tls", bench_scale_long,
-                                     timeouts=(20.0,),
-                                     include_baseline=False)
-        return tcp, tls
-
-    tcp_output, tls_output = benchmark.pedantic(both, rounds=1, iterations=1)
+def test_fig14_tls_exceeds_tcp_memory(bench_scale_long):
+    tcp_output, tls_output = (
+        fig13_14_footprint.run(protocol, bench_scale_long, timeouts=(20.0,),
+                               include_baseline=False)
+        for protocol in ("tcp", "tls"))
     tcp_mem = tcp_output.rows[0][1]
     tls_mem = tls_output.rows[0][1]
     print(f"\nTCP 20s: {tcp_mem:.1f} GiB, TLS 20s: {tls_mem:.1f} GiB "

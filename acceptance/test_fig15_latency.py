@@ -1,7 +1,5 @@
 """Figure 15: query latency vs client-server RTT."""
 
-from conftest import run_once
-
 from repro.experiments import fig15_latency
 
 
@@ -13,9 +11,9 @@ def find(points, protocol, rtt, group):
     raise AssertionError(f"missing point {protocol}/{rtt}/{group}")
 
 
-def test_fig15_latency_vs_rtt(benchmark, bench_scale):
-    points = run_once(benchmark, fig15_latency.measure, bench_scale,
-                      rtts_ms=(20.0, 80.0, 160.0))
+def test_fig15_latency_vs_rtt(bench_scale):
+    points = fig15_latency.measure(bench_scale,
+                                   rtts_ms=(20.0, 80.0, 160.0))
     for point in points:
         print(f"{point.protocol:9s} rtt={point.rtt_ms:5.0f}ms "
               f"{point.group:8s} median={point.stats['median'] * 1e3:7.1f}ms "
@@ -46,12 +44,12 @@ def test_fig15_latency_vs_rtt(benchmark, bench_scale):
     assert tls_high.stats["p95"] > 4.0 * 0.160
 
 
-def test_fig15c_client_load_skew(benchmark, bench_scale):
+def test_fig15c_client_load_skew(bench_scale):
     from repro.experiments.rootserver import RootRunConfig, run_root_replay
     from repro.trace import inactive_client_fraction, top_client_share
 
-    output = run_once(benchmark, run_root_replay,
-                      RootRunConfig(scale=bench_scale, protocol="original"))
+    output = run_root_replay(RootRunConfig(scale=bench_scale,
+                                           protocol="original"))
     share = top_client_share(output.trace, 0.01)
     inactive = inactive_client_fraction(output.trace, 10)
     print(f"\nfig15c: top-1% share={share:.2f} (paper ~0.75), "

@@ -1,13 +1,11 @@
 """Figure 6: replay send-time error quartiles."""
 
-from conftest import run_once
-
 from repro.experiments import fig6_timing
 
 
-def test_fig6_query_timing_error(benchmark, bench_scale):
-    output = run_once(benchmark, fig6_timing.run, bench_scale,
-                      max_queries=8000, include_live=True)
+def test_fig6_query_timing_error(bench_scale):
+    output = fig6_timing.run(bench_scale, max_queries=8000,
+                             include_live=True)
     print()
     print(output.render())
     by_trace = {row[0]: row for row in output.rows}

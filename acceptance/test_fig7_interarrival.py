@@ -1,13 +1,10 @@
 """Figure 7: inter-arrival CDFs, original vs replayed."""
 
-from conftest import run_once
-
 from repro.experiments import fig7_interarrival
 
 
-def test_fig7_interarrival_cdfs(benchmark, bench_scale):
-    output = run_once(benchmark, fig7_interarrival.run, bench_scale,
-                      max_queries=8000)
+def test_fig7_interarrival_cdfs(bench_scale):
+    output = fig7_interarrival.run(bench_scale, max_queries=8000)
     print()
     print(output.render())
     by_trace = {row[0]: row for row in output.rows}

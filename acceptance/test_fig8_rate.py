@@ -1,12 +1,10 @@
 """Figure 8: per-second rate difference between replay and original."""
 
-from conftest import run_once
-
 from repro.experiments import fig8_rate
 
 
-def test_fig8_query_rate_accuracy(benchmark, bench_scale):
-    output = run_once(benchmark, fig8_rate.run, bench_scale, trials=5)
+def test_fig8_query_rate_accuracy(bench_scale):
+    output = fig8_rate.run(bench_scale, trials=5)
     print()
     print(output.render())
     assert len(output.rows) == 5

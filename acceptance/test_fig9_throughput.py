@@ -1,13 +1,11 @@
 """Figure 9: single-host fast-replay throughput."""
 
-from conftest import run_once
-
 from repro.experiments import fig9_throughput
 
 
-def test_fig9_single_host_throughput(benchmark, bench_scale):
-    output = run_once(benchmark, fig9_throughput.run, bench_scale,
-                      live_queries=20000, sim_queries=30000)
+def test_fig9_single_host_throughput(bench_scale):
+    output = fig9_throughput.run(bench_scale, live_queries=20000,
+                                 sim_queries=30000)
     print()
     print(output.render())
     rows = {row[0]: row for row in output.rows}

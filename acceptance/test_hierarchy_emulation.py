@@ -1,13 +1,10 @@
-"""§2.4/§4 validation bench: hierarchy emulation correctness at scale."""
-
-from conftest import run_once
+"""§2.4/§4 validation check: hierarchy emulation correctness at scale."""
 
 from repro.experiments import hierarchy_validation
 
 
-def test_hierarchy_emulation_correctness(benchmark, bench_scale):
-    output = run_once(benchmark, hierarchy_validation.run, bench_scale,
-                      max_questions=80)
+def test_hierarchy_emulation_correctness(bench_scale):
+    output = hierarchy_validation.run(bench_scale, max_questions=80)
     print()
     print(output.render())
     rows = {row[0]: row for row in output.rows}

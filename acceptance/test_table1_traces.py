@@ -1,12 +1,10 @@
 """Table 1: regenerate the trace inventory."""
 
-from conftest import run_once
-
 from repro.experiments import table1
 
 
-def test_table1_trace_inventory(benchmark, bench_scale):
-    output = run_once(benchmark, table1.run, bench_scale)
+def test_table1_trace_inventory(bench_scale):
+    output = table1.run(bench_scale)
     print()
     print(output.render())
     names = {row[0] for row in output.rows}

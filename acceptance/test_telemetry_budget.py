@@ -3,19 +3,14 @@
 Replays the syn-1 synthetic trace (Table 1) through the simulated
 pipeline three times — telemetry absent, an all-defaults hub attached,
 and the full observability stack (lifecycle tracing + histograms +
-sampler) — and records the wall-clock cost of each into the
-``--bench-json`` report.  The budget assertions gate the PR: an
-attached-but-idle hub must be within noise of no hub at all, and full
-tracing must cost less than 2x the untraced wall time.
+sampler) — and compares their wall-clock costs.  An attached-but-idle
+hub must be within noise of no hub at all, and full tracing must cost
+less than 2x the untraced wall time.
 """
 
 from __future__ import annotations
 
 import time
-
-import pytest
-
-from conftest import run_once
 
 from repro.experiments.fig6_timing import wildcard_example_zone
 from repro.experiments.topology import build_evaluation_topology
@@ -48,9 +43,8 @@ def _replay_syn1(telemetry):
     return {"wall_s": wall, "qps": QUERY_COUNT / wall, "result": result}
 
 
-@pytest.mark.benchmark
-def test_telemetry_budget(benchmark, bench_json_record):
-    off = run_once(benchmark, _replay_syn1, None)
+def test_telemetry_budget():
+    off = _replay_syn1(None)
     idle_hub = _replay_syn1(Telemetry())  # defaults: records nothing
     full = Telemetry(TelemetryConfig(trace=True, metrics=True,
                                      timeseries_period=10.0))
@@ -65,18 +59,6 @@ def test_telemetry_budget(benchmark, bench_json_record):
           f"{idle_hub['qps']:.0f} q/s idle hub (x{ratio_idle:.2f}), "
           f"{traced['qps']:.0f} q/s traced (x{ratio_traced:.2f}, "
           f"{events} events, coverage {coverage:.3f})")
-
-    bench_json_record(
-        "telemetry_budget_syn1",
-        queries=QUERY_COUNT,
-        off_qps=round(off["qps"], 1),
-        idle_hub_qps=round(idle_hub["qps"], 1),
-        traced_qps=round(traced["qps"], 1),
-        idle_hub_ratio=round(ratio_idle, 3),
-        traced_ratio=round(ratio_traced, 3),
-        trace_events=events,
-        span_coverage=round(coverage, 4),
-    )
 
     # Budget gates: full tracing under 2x, an idle hub within noise.
     assert ratio_traced < 2.0
@@ -109,13 +91,12 @@ def _replay_processes(telemetry):
             "topology": topology}
 
 
-@pytest.mark.benchmark
-def test_streamed_telemetry_budget(benchmark, bench_json_record):
+def test_streamed_telemetry_budget():
     """ISSUE 9 budget: streaming live telemetry out of every worker of a
     process topology costs < 1.5x the wall time of the same replay with
     streaming off.  The replay is wall-clock paced, so the streamer's
     cost can only surface as added overhead around it."""
-    off = run_once(benchmark, _replay_processes, None)
+    off = _replay_processes(None)
     hub = Telemetry(TelemetryConfig(trace=True, stream_period=0.1))
     on = _replay_processes(hub)
 
@@ -127,16 +108,6 @@ def test_streamed_telemetry_budget(benchmark, bench_json_record):
     print(f"process tree x{STREAM_QUERIES}: {off['qps']:.0f} q/s off, "
           f"{on['qps']:.0f} q/s streaming (x{ratio:.2f}, "
           f"{frames} frames from {workers} workers)")
-
-    bench_json_record(
-        "telemetry_stream_cluster",
-        queries=STREAM_QUERIES,
-        stream_off_qps=round(off["qps"], 1),
-        stream_on_qps=round(on["qps"], 1),
-        stream_ratio=round(ratio, 3),
-        telemetry_frames=frames,
-        workers=workers,
-    )
 
     assert ratio < 1.5
     # The run actually streamed: several frames from every worker, and

@@ -7,7 +7,7 @@ Examples::
     ldplayer fig13 --scale full
     ldplayer all --scale smoke
     ldplayer top --kill    # live cluster telemetry + crash artifacts
-    ldplayer scale --queries 1e8 --json BENCH_scale.json --assert-flat
+    ldplayer scale --queries 1e8 --json scale.json --assert-flat
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ what makes a 10⁸-query run practical to check on one box.
 Usage::
 
     ldplayer scale --queries 1e6
-    ldplayer scale --queries 1e8 --json BENCH_scale.json --assert-flat
+    ldplayer scale --queries 1e8 --json scale.json --assert-flat
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..replay.result import ReplayResult
 from ..telemetry.cluster import rss_kilobytes
@@ -46,6 +46,30 @@ MODE = ("streaming-drain: generate -> mutate -> shard write -> lazy "
         "shard read -> aggregate accounting in one process; no sockets, "
         "no pacing -- measures trace-path memory and throughput, not "
         "server performance")
+
+
+# Most sends one count_sends call folds.
+DRAIN_BLOCK = 4096
+
+
+def fold_sends(result: ReplayResult, records: Iterable, trace_start: float,
+               tick: Callable[[], None]) -> int:
+    """Account ``records`` as sent at their §2.6 targets (the drain has
+    no pacing), ``tick`` once each, and return how many.  Each run of
+    same-protocol records goes through ``count_sends`` in blocks, in
+    order, so the fold ends where one ``count_send`` per record would."""
+    block, protocol, folded = [], None, 0
+    append = block.append
+    for record in records:
+        if record.protocol != protocol or len(block) >= DRAIN_BLOCK:
+            result.count_sends(protocol, block)
+            block.clear()
+            protocol = record.protocol
+        append((record.timestamp, record.timestamp - trace_start))
+        folded += 1
+        tick()
+    result.count_sends(protocol, block)
+    return folded
 
 
 class _RssSampler:
@@ -102,7 +126,7 @@ def run(query_count: int, shard_count: int = 4,
         seed: int = 42, workdir: Optional[str] = None,
         sample_every: Optional[int] = None,
         keep_shards: bool = False) -> Dict:
-    """Run the streaming benchmark; returns one BENCH record dict."""
+    """Run the streaming benchmark; returns its record as a dict."""
     if client_count is None:
         # Proportional to trace length, as a real capture slice would
         # be: client-keyed bounded state (interning caches, sticky
@@ -142,13 +166,9 @@ def run(query_count: int, shard_count: int = 4,
         drain_started = time.monotonic()
         for index in range(manifest["num_shards"]):
             path = shard_path(directory, index, manifest)
-            for record in iter_shard_file(path, read_ahead=read_ahead):
-                # Zero-error clock: the drain has no pacing, so the
-                # accounted send time is the §2.6 target itself.
-                result.count_send(record.protocol, record.timestamp,
-                                  record.timestamp - trace_start)
-                drained += 1
-                sampler.tick()
+            drained += fold_sends(
+                result, iter_shard_file(path, read_ahead=read_ahead),
+                trace_start, sampler.tick)
         drain_seconds = time.monotonic() - drain_started
         sampler.force()
     finally:
@@ -206,8 +226,8 @@ def main(argv=None) -> int:
                         help="where shard files live during the run "
                              "(default: system temp)")
     parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write the record as a BENCH-style "
-                             "document to PATH")
+                        help="write the record as a JSON document "
+                             "to PATH")
     parser.add_argument("--assert-flat", action="store_true",
                         help="exit 1 unless peak RSS is within "
                              f"{FLATNESS_LIMIT:.0%}".replace("%", "%%")

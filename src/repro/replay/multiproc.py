@@ -1390,7 +1390,6 @@ class ShardTopology(_Controller):
                          self.telemetry_config, start_method)
         self.shard_handles: List[_WorkerHandle] = []
         self._tiers = {ROLE_SHARD: self.shard_handles}
-        self.wall_s: Optional[float] = None     # controller wall clock
         self.shard_walls: List[Optional[float]] = []
         self.lost_shards = 0
         self.respawns = 0
@@ -1403,10 +1402,8 @@ class ShardTopology(_Controller):
             incarnation, self.telemetry_config)
 
     def replay(self) -> ReplayResult:
-        started = time.perf_counter()
         self._spawn_tree([(ROLE_SHARD, self.num_shards)])
         self._await_reports(time.monotonic(), self.collect_timeout)
-        self.wall_s = time.perf_counter() - started
         self.lost_shards = self._merge("multiproc.shards")
         self.respawns = self._ledger.respawns
         self.shard_walls = [
@@ -1415,13 +1412,3 @@ class ShardTopology(_Controller):
             for handle in self.shard_handles]
         self._teardown()
         return self.result
-
-    def aggregate_qps(self) -> Optional[float]:
-        """Aggregate queries/second over the controller's wall clock.
-
-        Conservative: the denominator includes process spawn, trace
-        regeneration, and collection, not just the replay loops.
-        """
-        if not self.wall_s or not self.result.sent:
-            return None
-        return len(self.result.sent) / self.wall_s

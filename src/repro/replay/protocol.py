@@ -145,9 +145,8 @@ _SENT_OPTIONAL = {
 _SENT_COLUMNS = {**_SENT_REQUIRED, **_SENT_OPTIONAL}
 
 _HISTOGRAM_FIELDS = {
-    "growth": _NUMBER, "min_value": _NUMBER, "count": int,
-    "total": _NUMBER, "sumsq": _NUMBER, "min": _OPTIONAL_NUMBER,
-    "max": _OPTIONAL_NUMBER, "buckets": dict,
+    "count": int, "total": _NUMBER, "sumsq": _NUMBER,
+    "min": _OPTIONAL_NUMBER, "max": _OPTIONAL_NUMBER, "buckets": dict,
 }
 
 # Aggregate-mode RESULT frames (constant-memory streaming replay) carry

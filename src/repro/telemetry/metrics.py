@@ -10,7 +10,7 @@ an experiment that wants one merged view passes one registry to every
 component, or merges them afterwards.  Measurement never feeds back
 into simulated behaviour: the discrete-event clock stays deterministic.
 
-Histogram buckets grow geometrically (default 1.25x from 1 µs), so the
+Every histogram's buckets grow 1.25x from 1 µs (so any two merge): the
 whole latency range from microseconds to minutes fits in ~100 sparse
 buckets and any quantile is recovered to within one bucket width —
 the resolution the acceptance tests assert against exact percentiles.
@@ -23,29 +23,25 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+# The one bucket layout: bucket 0 is ``[0, MIN_VALUE]``, bucket ``i > 0``
+# is ``(MIN_VALUE * GROWTH**(i-1), MIN_VALUE * GROWTH**i]``.
+GROWTH = 1.25
+MIN_VALUE = 1e-6
+_LOG_GROWTH = math.log(GROWTH)
+
 
 class Histogram:
     """A log-bucketed value distribution with quantile extraction.
 
-    Values at or below ``min_value`` share bucket 0 (``[0, min_value]``);
-    bucket ``i > 0`` covers ``(min_value * growth**(i-1),
-    min_value * growth**i]``.  Exact count/sum/sum of squares/min/max
-    are tracked on the side, so means and standard deviations are exact
-    and quantiles are only ever off by the width of the bucket they land
-    in.
+    Values fall into the :data:`GROWTH` / :data:`MIN_VALUE` buckets.
+    Exact count/sum/sum of squares/min/max are tracked on the side, so
+    means and standard deviations are exact and quantiles are only ever
+    off by the width of the bucket they land in.
     """
 
-    __slots__ = ("growth", "min_value", "_log_growth", "_buckets",
-                 "count", "total", "sumsq", "min", "max")
+    __slots__ = ("_buckets", "count", "total", "sumsq", "min", "max")
 
-    def __init__(self, growth: float = 1.25, min_value: float = 1e-6):
-        if growth <= 1.0:
-            raise ValueError("histogram growth factor must be > 1")
-        if min_value <= 0.0:
-            raise ValueError("histogram min_value must be > 0")
-        self.growth = growth
-        self.min_value = min_value
-        self._log_growth = math.log(growth)
+    def __init__(self):
         self._buckets: Dict[int, int] = {}
         self.count = 0
         self.total = 0.0
@@ -61,12 +57,12 @@ class Histogram:
     def observe_many(self, values: Sequence[float]) -> None:
         """Fold ``values`` in order: the state one :meth:`observe` per
         value leaves, buckets and floating-point sums included."""
-        buckets, min_value = self._buckets, self.min_value
-        log_growth, log, ceil = self._log_growth, math.log, math.ceil
+        buckets, min_value = self._buckets, MIN_VALUE
+        log_growth, log, ceil = _LOG_GROWTH, math.log, math.ceil
         total, squares, low, high = self.total, self.sumsq, self.min, self.max
         for value in values:
             # ceil() keeps the bucket's upper bound >= value; a value
-            # just above min_value goes to bucket 1, not 0.
+            # just above MIN_VALUE goes to bucket 1, not 0.
             index = 0 if value <= min_value else ceil(
                 log(value / min_value) / log_growth - 1e-9) or 1
             buckets[index] = buckets.get(index, 0) + 1
@@ -82,9 +78,8 @@ class Histogram:
     def bucket_bounds(self, index: int) -> Tuple[float, float]:
         """``(low, high]`` value range of bucket ``index``."""
         if index <= 0:
-            return (0.0, self.min_value)
-        return (self.min_value * self.growth ** (index - 1),
-                self.min_value * self.growth ** index)
+            return (0.0, MIN_VALUE)
+        return (MIN_VALUE * GROWTH ** (index - 1), MIN_VALUE * GROWTH ** index)
 
     # -- analysis ---------------------------------------------------------
 
@@ -124,7 +119,7 @@ class Histogram:
             cumulative += self._buckets[index]
             if cumulative > rank:
                 low, high = self.bucket_bounds(index)
-                representative = math.sqrt(max(low, high / self.growth)
+                representative = math.sqrt(max(low, high / GROWTH)
                                            * high) if index > 0 \
                     else high / 2.0
                 if self.min is not None:
@@ -142,10 +137,6 @@ class Histogram:
     # -- aggregation ------------------------------------------------------
 
     def merge(self, other: "Histogram") -> None:
-        if (other.growth != self.growth
-                or other.min_value != self.min_value):
-            raise ValueError("cannot merge histograms with different "
-                             "bucket layouts")
         for index, count in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + count
         self.count += other.count
@@ -167,8 +158,6 @@ class Histogram:
         them without losing bucket resolution.
         """
         return {
-            "growth": self.growth,
-            "min_value": self.min_value,
             "count": self.count,
             "total": self.total,
             "sumsq": self.sumsq,
@@ -181,8 +170,7 @@ class Histogram:
 
     @classmethod
     def from_state(cls, state: Dict) -> "Histogram":
-        histogram = cls(growth=state["growth"],
-                        min_value=state["min_value"])
+        histogram = cls()
         histogram.count = state["count"]
         histogram.total = state["total"]
         histogram.sumsq = state["sumsq"]
@@ -301,12 +289,11 @@ class MetricsRegistry:
             self._histograms[name] = histogram
         histogram.observe(value)
 
-    def histogram(self, name: str, growth: float = 1.25,
-                  min_value: float = 1e-6) -> Histogram:
-        """The named histogram, created with this layout if missing."""
+    def histogram(self, name: str) -> Histogram:
+        """The named histogram, created empty if missing."""
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = Histogram(growth=growth, min_value=min_value)
+            histogram = Histogram()
             self._histograms[name] = histogram
         return histogram
 
@@ -336,8 +323,7 @@ class MetricsRegistry:
         for name, histogram in other._histograms.items():
             mine = self._histograms.get(name)
             if mine is None:
-                mine = Histogram(growth=histogram.growth,
-                                 min_value=histogram.min_value)
+                mine = Histogram()
                 self._histograms[name] = mine
             mine.merge(histogram)
 

@@ -468,14 +468,15 @@ def scale_stream(query_count: int, mean_rate: float = 100_000.0,
     """B-Root-*shaped* query stream built for 10⁸-record benchmarks.
 
     :meth:`BRootWorkload.generate_stream` is the faithful model, but it
-    builds a fresh DNS message per record (~17 µs each — hours at
-    10⁸).  Scale benchmarks need the stream's *mechanical* properties —
-    monotonic timestamps at ``mean_rate``, a heavy-tailed sticky client
-    population, realistic wire sizes, a TCP share — not per-record
-    payload novelty.  This generator pre-builds ``wire_pool`` distinct
-    query wires once and then stamps each record by patching the
-    message ID (a 2-byte splice), which keeps generation around 2 µs a
-    record so a 10⁸-query run is minutes, not hours.
+    runs for a ``duration``, not a record count, and draws every
+    record's qname, qtype and burst: 4.9 µs a record against 2.2 µs
+    here (2·10⁵ records, 2 000 clients, a 2-vCPU Xeon guest).  Scale
+    benchmarks need the stream's *mechanical* properties — exactly
+    ``query_count`` records, monotonic timestamps at ``mean_rate``, a
+    heavy-tailed sticky client population, realistic wire sizes, a TCP
+    share — not per-record payload novelty.  This generator pre-builds
+    ``wire_pool`` distinct query wires once and then stamps each record
+    by patching the message ID (a 2-byte splice).
 
     ``skew`` shapes the client pick (``u**skew`` of the population
     index): 4.0 sends ≈75 % of queries from ≈1 % of clients, matching

@@ -116,6 +116,33 @@ class TestCli:
         assert not any(p.name.startswith("scale-bench-")
                        for p in tmp_path.iterdir() if p.is_dir())
 
+    @pytest.mark.parametrize("block", [4096, 7])
+    def test_scale_block_fold_matches_per_record(self, monkeypatch, block):
+        """The drain's block fold leaves exactly the folds one
+        ``count_send`` per record leaves, float sums included, whether
+        blocks end at a protocol change or at the block bound."""
+        from repro.experiments import scale_bench
+        from repro.replay.result import ReplayResult
+        from repro.trace import scale_stream
+        monkeypatch.setattr(scale_bench, "DRAIN_BLOCK", block)
+        records = list(scale_stream(3000, client_count=200, seed=5))
+        trace_start = records[0].timestamp
+        one_by_one, blocked = (ReplayResult("scale", aggregate=True)
+                               for _ in range(2))
+        for result in (one_by_one, blocked):
+            result.trace_start, result.start_clock = trace_start, 0.0
+        for record in records:
+            one_by_one.count_send(record.protocol, record.timestamp,
+                                  record.timestamp - trace_start)
+        ticks = []
+        assert scale_bench.fold_sends(blocked, iter(records), trace_start,
+                                      lambda: ticks.append(1)) == 3000
+        assert len(ticks) == 3000
+        assert blocked.protocol_counts == one_by_one.protocol_counts
+        assert blocked.rate_buckets == one_by_one.rate_buckets
+        assert blocked.send_error.to_state() \
+            == one_by_one.send_error.to_state()
+
 
 class TestReport:
     def _fake_registry(self):

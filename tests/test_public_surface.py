@@ -31,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 CALLERS = [ROOT / "src", ROOT / "bench", ROOT / "examples"]
-SETTERS = CALLERS + [ROOT / "tests", ROOT / "benchmarks"]
+SETTERS = CALLERS + [ROOT / "tests", ROOT / "acceptance"]
 
 #: Public definitions only tests reach, each kept for a stated reason.
 #: An entry that gains a caller, or goes away, must leave this list.
@@ -61,7 +61,7 @@ KEPT_DEFINITIONS = {
     "repro.verify.oracles.Oracle",
     "repro.verify.oracles.zero_msg_id",
     # the only simulated path that uses more than one core:
-    # benchmarks/test_sharded_replay.py and test_self_healing's shard
+    # acceptance/test_sharded_replay.py and test_self_healing's shard
     # respawn run it, and a sim-sharded benchmark workload would call it
     "repro.replay.multiproc.ShardTopology",
     # tested capabilities; deleting a capability is a change of its own:
@@ -103,11 +103,9 @@ KEPT_METHODS = {
     "repro.replay.result.ReplayResult.degradation":
         "the overload counters, compared whole by the supervision and "
         "telemetry differentials",
-    # the figures a benchmark reads
-    "repro.replay.multiproc.ShardTopology.aggregate_qps":
-        "benchmarks/test_sharded_replay.py's q/s across shards",
+    # the figure an acceptance check reads
     "repro.replay.result.ReplayResult.reuse_fraction":
-        "benchmarks/test_ablations.py's connection-reuse share",
+        "acceptance/test_ablations.py's connection-reuse share",
     # a safety self-check
     "repro.server.overload.OverloadControl.check_conservation":
         "publishes the conservation gauge and fails on drift",

@@ -660,6 +660,23 @@ class TestSchemaValidation:
         with pytest.raises(ProtocolError, match=match):
             self.roundtrip(lambda s: s.send_metrics(payload))
 
+    def test_histogram_layout_field_refused(self):
+        """Every histogram has one bucket layout, so a state that names
+        one (another layout could not merge) is refused at the
+        boundary, in METRICS and in an aggregate RESULT alike."""
+        from repro.replay.protocol import (validate_metrics_payload,
+                                           validate_result_payload)
+        metrics = self.good_metrics()
+        metrics["histograms"]["query.latency_s"]["growth"] = 2.0
+        with pytest.raises(ProtocolError, match="unknown field 'growth'"):
+            validate_metrics_payload(metrics)
+        result = ReplayResult("querier-1", aggregate=True)
+        result.count_send("udp", 0.0, 100.0)
+        payload = result.to_dict()
+        payload["aggregate"]["send_error"]["growth"] = 2.0
+        with pytest.raises(ProtocolError, match="unknown field 'growth'"):
+            validate_result_payload(payload)
+
     def test_bad_hello_role_rejected(self):
         sender, receiver = connected_pair()
         sender._socket.sendall(
