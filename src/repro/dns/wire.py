@@ -4,7 +4,8 @@ the one reader of a query's question straight off its bytes."""
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
 from .constants import UDP_PAYLOAD_LIMIT, RRClass, RRType
 from .name import CompressionContext, Name, NameError_, parse_wire_name
@@ -191,8 +192,9 @@ def parse_question(wire: bytes) -> Optional[Tuple[Name, RRType, RRClass]]:
     return (name, rrtype, rrclass)
 
 
-class QuestionEntry(NamedTuple):
-    """What a query's bytes past its message ID say about its question.
+class QuestionEntry:
+    """What a query's bytes past its message ID say about its question:
+    one :func:`scan_question` walk, each half rendered on its first read.
 
     ``qname``, the name every querier files a send under, is the first
     question's name in lowercased presentation format, or ``-``;
@@ -201,12 +203,46 @@ class QuestionEntry(NamedTuple):
     wire-cache key, ``(labels, qtype, qclass, rd, edns_present, do,
     limit)`` as ``AuthoritativeServer.serve_wire`` builds it from a
     decoded Message, or None for a shape the fast path does not serve.
+    A live querier reads only the name and a live server only the keys,
+    so neither renders the other's half.
     """
 
-    qname: str
-    qtype: Optional[int]
-    udp_key: Optional[tuple]
-    stream_key: Optional[tuple]
+    __slots__ = ("wire", "labels", "scan", "qtype", "_qname", "_keys")
+
+    def __init__(self, wire: bytes) -> None:
+        self.wire, self.labels = wire, []
+        self.scan = scan_question(wire, self.labels)
+        self.qtype = None if self.scan is None else self.scan[3]
+        self._qname = self._keys = None
+
+    @property
+    def qname(self) -> str:
+        qname = self._qname
+        if qname is None:
+            qname = self._qname = _render_qname(self.wire, self.scan,
+                                                self.labels)
+        return qname
+
+    @property
+    def udp_key(self) -> Optional[tuple]:
+        return (self._keys or self._render_keys())[0]
+
+    @property
+    def stream_key(self) -> Optional[tuple]:
+        return (self._keys or self._render_keys())[1]
+
+    def _render_keys(self) -> Tuple[Optional[tuple], Optional[tuple]]:
+        key = self.scan and _udp_cache_key(self.wire, self.scan,
+                                           self.labels)
+        self._keys = (key, key and key[:-1] + (None,))
+        return self._keys
+
+    def __eq__(self, other) -> bool:
+        fields = attrgetter("qname", "qtype", "udp_key", "stream_key")
+        return isinstance(other, QuestionEntry) \
+            and fields(self) == fields(other)
+
+    __hash__ = None
 
 
 # QuestionEntry memoized on the query past its message ID for every
@@ -231,31 +267,24 @@ def read_question(wire: bytes) -> QuestionEntry:
     if entry is None:
         if len(_QUESTIONS) >= _QUESTIONS_LIMIT:
             _QUESTIONS.clear()
-        entry = _QUESTIONS[tail] = _question_entry(wire)
+        entry = _QUESTIONS[tail] = QuestionEntry(wire)
     return entry
 
 
-def _question_entry(wire: bytes) -> QuestionEntry:
-    """:func:`read_question` without the memo."""
-    labels: List[bytes] = []
-    scan = scan_question(wire, labels)
+def _render_qname(wire: bytes, scan: Optional[tuple],
+                  labels: List[bytes]) -> str:
+    """:class:`QuestionEntry`'s ``qname``, from its scan."""
     dotted = b".".join(labels).lower()
     if scan is not None and 2 <= len(scan[2]) <= 255 \
             and scan[4] in _CLASSES \
             and not dotted.translate(None, _PLAIN_OCTETS) \
             and dotted.count(b".") == len(labels) - 1:
-        qname = dotted.decode("ascii") + "."
-    else:
-        try:
-            question = parse_question(wire)
-        except WireError:
-            question = None
-        qname = question[0].to_text().lower() if question else "-"
-    if scan is None:
-        return QuestionEntry(qname, None, None, None)
-    key = _udp_cache_key(wire, scan, labels)
-    return QuestionEntry(qname, scan[3], key,
-                         key and key[:-1] + (None,))
+        return dotted.decode("ascii") + "."
+    try:
+        question = parse_question(wire)
+    except WireError:
+        question = None
+    return question[0].to_text().lower() if question else "-"
 
 
 def _udp_cache_key(wire: bytes, scan: tuple, labels: List[bytes]

@@ -121,9 +121,8 @@ def main(argv=None) -> int:
     with open(os.path.join(out, "cluster_top.txt"), "w") as handle:
         handle.write("\n\n".join(frames) + "\n")
 
-    answered = sum(1 for entry in result.sent
-                   if entry.answered_at is not None)
-    print(f"replayed {len(result.sent)} queries ({answered} answered), "
+    print(f"replayed {len(result)} queries "
+          f"({result.answered_count} answered), "
           f"{cluster.frames_ingested} telemetry frames from "
           f"{len(cluster.workers())} worker incarnations, "
           f"{len(cluster.crash_reports())} crash(es)")

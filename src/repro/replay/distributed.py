@@ -121,7 +121,7 @@ class _LiveQuerier:
     Records stay bytes: the queue holds record bodies, each with its
     global trace index, and a send puts this querier's message id and
     the body's wire on the socket.  Answers are matched by the sim
-    querier's :class:`ResponseTable`.  A list-mode entry takes its
+    querier's :class:`ResponseTable`.  A list-mode row takes its
     source from the packed address and its query name from
     :func:`query_qname`, the sim querier's rule.  Aggregate accounting
     is folded once per wake, over the wake's sends and over each
@@ -136,7 +136,7 @@ class _LiveQuerier:
         self.server = server
         self.result = result
         self.lock = lock
-        # Waiters by match_key: SentQuery entries in list mode, only the
+        # Waiters by match_key: result rows in list mode, only the
         # sent_at float (enough for the latency) in aggregate mode.
         self._pending = ResponseTable()
         self._pending_entries = 0
@@ -420,14 +420,13 @@ class _LiveQuerier:
         if self.result.aggregate:
             return
         trace_time, wire_length = RECORD_TIME_AND_WIRE_LENGTH.unpack_from(body)
-        entry = self.ledger.sent(
-            index, record_source(body), trace_time, scheduled_at,
-            time.monotonic(), PROTOCOLS[body[RECORD_PROTOCOL_OFFSET]],
-            query_qname(body[WIRE_OFFSET:WIRE_OFFSET + wire_length]),
-            self.querier_id)
-        entry.gave_up = True
         with self.lock:
-            self.result.add(entry)
+            row = self.result.sent.book(
+                index, record_source(body), trace_time, scheduled_at,
+                time.monotonic(), PROTOCOLS[body[RECORD_PROTOCOL_OFFSET]],
+                query_qname(body[WIRE_OFFSET:WIRE_OFFSET + wire_length]),
+                querier_id=self.querier_id, gave_up=True)
+        self.ledger.sent(index, row)
 
     def _send(self, body: bytes, scheduled_at: float, index: int) -> float:
         """Put one query on the wire; returns the instant it left."""
@@ -455,14 +454,16 @@ class _LiveQuerier:
                 for evicted in list(islice(waiting, len(waiting) // 2)):
                     self._pending_entries -= len(waiting.pop(evicted))
         else:
-            entry = self.ledger.sent(
-                index, record_source(body), trace_time, scheduled_at,
-                sent_at, "udp", query_qname(wire), self.querier_id)
-            self._pending.file(key, entry)
             with self.lock:
-                self.result.add(entry)
+                sent = self.result.sent
+                row = sent.book(index, record_source(body), trace_time,
+                                scheduled_at, sent_at, "udp",
+                                query_qname(wire), None, False,
+                                self.querier_id)
                 if self.telemetry is not None:
-                    self.telemetry.on_send(entry, wire)
+                    self.telemetry.on_send(sent[row], wire)
+            self.ledger.sent(index, row)
+            self._pending.file(key, row)
         try:
             self._sock.send(wire)
             self.records_sent += 1
@@ -485,21 +486,22 @@ class _LiveQuerier:
             if self._ahead:
                 self._ahead -= 1
             key = match_key(data)
-            entry = pending.take(key)
-            if entry is None:
+            waiter = pending.take(key)
+            if waiter is None:
                 with lock:
                     pending.book_stray(key, result)
                 continue
             answered_at = clock()
             if result.aggregate:
-                # ``entry`` is the sent_at float.
+                # ``waiter`` is the sent_at float.
                 self._pending_entries -= 1
-                latencies.append(answered_at - entry)
+                latencies.append(answered_at - waiter)
                 continue
-            self.ledger.answered(entry, answered_at)
+            result.sent.answer(waiter, answered_at)
+            self.ledger.answered(waiter)
             if self.telemetry is not None:
                 with lock:
-                    self.telemetry.on_answer(entry)
+                    self.telemetry.on_answer(result.sent[waiter])
         if latencies:
             with lock:      # a telemetry snapshot reads the histogram
                 result.count_answers(latencies)

@@ -85,9 +85,7 @@ class SimReplayEngine:
             telemetry.add_probe(
                 "replay.queries_sent", lambda: len(self.result.sent))
             telemetry.add_probe(
-                "replay.answered",
-                lambda: sum(1 for e in self.result.sent
-                            if e.answered_at is not None))
+                "replay.answered", lambda: self.result.answered_count)
             telemetry.add_probe(
                 "loop.events_processed",
                 lambda: self.loop.events_processed)
@@ -129,29 +127,40 @@ class SimReplayEngine:
 
     # -- dispatch ---------------------------------------------------------
 
-    def _dispatch_instant(self, groups: Dict[Host, Dict[SimQuerier, List]]
-                          ) -> None:
+    def _dispatch_instant(self, instant: List[tuple]) -> None:
         """Send every record due at one instant: one handoff per host.
 
-        ``groups`` maps each client host, in first-seen order, to its
-        queriers' items, in first-seen order.  A live host's queriers
-        append their UDP packets to one outbox, which leaves through
-        one ``Host.send_packet_batch``.  Hosts come first so that
-        queriers sending one by one (per-query tracing) put datagrams
-        on the wire in the order the batches do.  A crashed host's
-        records fail over one at a time through :meth:`_dispatch_send`;
-        hosts send one after another, so no other host has packets
-        waiting in an outbox when they do.
+        ``instant`` holds the instant's ``(querier, index, record,
+        send_at)`` sends in trace order.  They go grouped by client
+        host, hosts in first-seen order, then by querier, likewise.  A
+        live host's queriers append their UDP packets to one outbox,
+        which leaves through one ``Host.send_packet_batch``.  Hosts come
+        first so that queriers sending one by one (per-query tracing)
+        put datagrams on the wire in the order the batches do.  A
+        crashed host's records fail over one at a time through
+        :meth:`_dispatch_send`; hosts send one after another, so no
+        other host has packets waiting in an outbox when they do.  The
+        result rows of the records an unpaced live querier sends now
+        are reserved in trace order, so the hosts' order leaves none to
+        sort.
         """
+        groups: Dict[Host, Dict[SimQuerier, List[tuple]]] = {}
+        for send in instant:
+            groups.setdefault(send[0].host, {}).setdefault(
+                send[0], []).append(send)
+        indices = [index for querier, index, _, _ in instant
+                   if not querier.host.down and querier.config.pacing is None]
+        first = self.result.sent.reserve(len(indices))
+        rows = dict(zip(indices, range(first, first + len(indices))))
         for host, queriers in groups.items():
             if host.down:
-                for querier, items in queriers.items():
-                    for index, record, send_at in items:
-                        self._dispatch_send(querier, index, record, send_at)
+                for items in queriers.values():
+                    for send in items:
+                        self._dispatch_send(*send)
                 continue
             outbox: List = []
             for querier, items in queriers.items():
-                querier.send_batch(items, outbox)
+                querier.send_batch(items, outbox, rows)
             if outbox:
                 host.send_packet_batch(outbox)
 
@@ -218,8 +227,7 @@ class SimReplayEngine:
         of that artifact — the streamed and in-memory paths then
         produce literally identical results.
         """
-        if not self.result.aggregate:
-            self.result.sent.sort(key=lambda entry: entry.index)
+        self.result.sent.sort_by_index()
 
     def replay_stream(self, records, extra_time: float = 10.0,
                       chunk_records: int = 4096) -> ReplayResult:
@@ -369,12 +377,8 @@ class _StreamScheduler:
             self.batch.append((self.group_at, self.engine._dispatch_send,
                                instant[0]))
         elif instant:
-            groups: Dict[Host, Dict[SimQuerier, List]] = {}
-            for querier, index, record, send_at in instant:
-                groups.setdefault(querier.host, {}).setdefault(
-                    querier, []).append((index, record, send_at))
             self.batch.append((self.group_at, self.engine._dispatch_instant,
-                               (groups,)))
+                               (instant,)))
         self.instant = []
 
     def flush(self) -> None:

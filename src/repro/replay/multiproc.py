@@ -195,11 +195,11 @@ class _ControlLink:
         of its entries but the last ``_REPORT_CHUNK``, then the RESULT
         with the header and those.  The store folds them as it folds any
         deltas under a final header."""
-        sent = result.sent
-        last = (len(sent) - 1) // _REPORT_CHUNK * _REPORT_CHUNK
-        self(result.to_dict(sent[:last]))
+        rows = range(len(result.sent))
+        last = (len(rows) - 1) // _REPORT_CHUNK * _REPORT_CHUNK
+        self(result.to_dict(rows[:last]))
         self._deliver(lambda: self.control.send_result(
-            result.to_dict(sent[last:])))
+            result.to_dict(rows[last:])))
 
     def send_telemetry(self, report: dict) -> None:
         # A re-dial may have replaced the socket; resolve the live one
@@ -401,8 +401,7 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
             if result.aggregate:
                 latency.merge(result.latency)
             else:
-                latency.observe_many([entry.latency for entry in result.sent
-                                      if entry.answered_at is not None])
+                latency.observe_many(result.latencies())
         if latency.count:
             registry.histogram("query.latency_s").merge(latency)
         return registry.to_state()

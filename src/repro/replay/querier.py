@@ -28,7 +28,7 @@ from ..netsim import (EventLoop, Host, NetworkError, RetryPolicy,
 from ..netsim.packet import IpPacket, WireView, make_udp_packet
 from ..server.dnsio import StreamFramer, frame_message
 from ..trace import QueryRecord
-from .result import ReplayResult, SentQuery
+from .result import ReplayResult
 from .supervision import AimdPacer, PacingConfig
 
 _SERVFAIL = int(Rcode.SERVFAIL)
@@ -156,7 +156,7 @@ class ResponseTable:
 class _PendingUdp:
     """One in-flight UDP query awaiting its response (or timeout)."""
 
-    entry: SentQuery
+    row: int                # its row in the querier's result
     record: QueryRecord
     sock: UdpSocket
     tries: int = 0          # re-sends performed so far
@@ -175,7 +175,7 @@ class _StreamChannel:
         self.dport = dport
         self.protocol = protocol
         self.framer = StreamFramer()
-        # Waiters are (entry, record) pairs.
+        # Waiters are (result row, record) pairs.
         self.pending = ResponseTable()
         self.open = True
         self.ever_used = False
@@ -199,9 +199,9 @@ class _StreamChannel:
         self.tcp.on_close = lambda cn: self._on_server_close(cn)
         self.tcp.on_reset = lambda _cn: self._on_closed()
 
-    def send(self, record: QueryRecord, entry: SentQuery) -> None:
+    def send(self, record: QueryRecord, row: int) -> None:
         self.ever_used = True
-        self.pending.file(match_key(record.wire), (entry, record))
+        self.pending.file(match_key(record.wire), (row, record))
         if self.querier.config.send_highwater is not None \
                 and not self.tcp.writable:
             # Backpressure: the connection is not draining; hold the
@@ -236,11 +236,11 @@ class _StreamChannel:
             if waiter is None:
                 self.pending.book_stray(key, querier.result)
                 continue
-            entry, _record = waiter
-            entry.answered_at = querier.loop.now
+            sent = querier.result.sent
+            sent.answer(waiter[0], querier.loop.now)
             querier._note_response(wire)
             if querier.telemetry is not None:
-                querier.telemetry.on_answer(entry)
+                querier.telemetry.on_answer(sent[waiter[0]])
 
     def _on_server_close(self, conn: TcpConnection) -> None:
         self.open = False
@@ -265,7 +265,8 @@ class SimQuerier:
         if host.tcp_stack is None:
             TcpStack(host)
         self._udp_sockets: Dict[str, UdpSocket] = {}
-        # Keyed by (socket port, message id); waiters are _PendingUdp.
+        # Keyed by socket port and message id, packed in one int (no
+        # tuple for the collector to walk); waiters are _PendingUdp.
         self._udp_pending = ResponseTable()
         self._channels: Dict[Tuple[str, str], _StreamChannel] = {}
         self.queries_sent = 0
@@ -289,9 +290,13 @@ class SimQuerier:
                 return
         self._send_now(index, record, scheduled_at)
 
-    def send_batch(self, items: List[Tuple[int, QueryRecord, float]],
-                   outbox: List[IpPacket]) -> None:
-        """Send several records due at the same instant, in order.
+    def send_batch(self, items: List[Tuple["SimQuerier", int, QueryRecord,
+                                           float]],
+                   outbox: List[IpPacket],
+                   rows: Optional[Dict[int, int]] = None) -> None:
+        """Send several records due at the same instant, in order:
+        ``items`` are this querier's ``(querier, index, record,
+        scheduled_at)`` sends.
 
         Per-record semantics match :meth:`send` exactly.  UDP packets
         are appended to ``outbox``, the instant's packets of this
@@ -300,20 +305,22 @@ class SimQuerier:
         instant has added its own.  A record that leaves by another
         path — a TCP/TLS record, or any record of a paced querier
         (pacing reshapes per-query timing) — first flushes the outbox,
-        so the host's packets keep record order.
+        so the host's packets keep record order.  ``rows`` maps a
+        record's index to the result row reserved for it, if any.
         """
         if self._pacer is not None:
             self._flush(outbox)
-            for index, record, scheduled_at in items:
+            for _, index, record, scheduled_at in items:
                 self.send(index, record, scheduled_at)
             return
-        for index, record, scheduled_at in items:
-            entry = self._book(index, record, scheduled_at)
+        for _, index, record, scheduled_at in items:
+            row = self._book(index, record, scheduled_at,
+                             rows[index] if rows else None)
             if record.protocol == "udp":
-                self._send_udp(record, entry, outbox)
+                self._send_udp(record, row, outbox)
             else:
                 self._flush(outbox)
-                self._send_stream(record, entry)
+                self._send_stream(record, row)
 
     def _flush(self, outbox: List[IpPacket]) -> None:
         if outbox:
@@ -322,25 +329,26 @@ class SimQuerier:
 
     def _send_now(self, index: int, record: QueryRecord,
                   scheduled_at: float) -> None:
-        entry = self._book(index, record, scheduled_at)
+        row = self._book(index, record, scheduled_at)
         if record.protocol == "udp":
-            self._send_udp(record, entry)
+            self._send_udp(record, row)
         else:
-            self._send_stream(record, entry)
+            self._send_stream(record, row)
 
-    def _book(self, index: int, record: QueryRecord,
-              scheduled_at: float) -> SentQuery:
-        """File one send, at this instant, in the result and the hub."""
+    def _book(self, index: int, record: QueryRecord, scheduled_at: float,
+              row: Optional[int] = None) -> int:
+        """File one send, at this instant, in the result (in ``row``, if
+        reserved) and the hub: its row."""
         # Positional, in field order: a keyword call costs twice as much.
-        entry = SentQuery(index, record.src, record.timestamp, scheduled_at,
-                          self.loop.now, record.protocol,
-                          query_qname(record.wire), None, False,
-                          self.querier_id)
-        self.result.add(entry)
+        sent = self.result.sent
+        row = sent.book(index, record.src, record.timestamp, scheduled_at,
+                        self.loop.now, record.protocol,
+                        query_qname(record.wire), None, False,
+                        self.querier_id, row=row)
         self.queries_sent += 1
         if self.telemetry is not None:
-            self.telemetry.on_send(entry, record.wire)
-        return entry
+            self.telemetry.on_send(sent[row], record.wire)
+        return row
 
     # -- overload cooperation ------------------------------------------------
 
@@ -363,7 +371,7 @@ class SimQuerier:
 
     # -- UDP with timeout/retry ---------------------------------------------
 
-    def _send_udp(self, record: QueryRecord, entry: SentQuery,
+    def _send_udp(self, record: QueryRecord, row: int,
                   outbox: Optional[List[IpPacket]] = None) -> None:
         """Send one UDP query: through ``sendto``, or onto ``outbox``
         for the caller's batch handoff."""
@@ -373,8 +381,8 @@ class SimQuerier:
                                       self._on_udp_response)
             self._udp_sockets[record.src] = sock
         wire = record.wire
-        key = (sock.port, (wire[0] << 8) | wire[1])
-        pending = _PendingUdp(entry, record, sock)
+        key = (sock.port << 16) | (wire[0] << 8) | wire[1]
+        pending = _PendingUdp(row, record, sock)
         self._udp_pending.file(key, pending)
         if outbox is None:
             sock.sendto(wire, record.dst, record.dport)
@@ -392,56 +400,57 @@ class SimQuerier:
         head = data.header if type(data) is WireView else data
         if len(head) < 2:
             return
-        key = (sock.port, (head[0] << 8) | head[1])
+        key = (sock.port << 16) | (head[0] << 8) | head[1]
         pending = self._udp_pending.take(key)
         if pending is None:
             self._udp_pending.book_stray(key, self.result)
             return
-        pending.entry.answered_at = self.loop.now
+        sent = self.result.sent
+        sent.answer(pending.row, self.loop.now)
         self._note_response(data)
         if self.telemetry is not None:
-            self.telemetry.on_answer(pending.entry)
+            self.telemetry.on_answer(sent[pending.row])
         if pending.timer is not None:
             pending.timer.cancel()
             pending.timer = None
 
-    def _udp_timeout_fire(self, key: Tuple[int, int],
+    def _udp_timeout_fire(self, key: int,
                           pending: _PendingUdp) -> None:
         pending.timer = None
-        if pending.entry.answered_at is not None:
+        entry = self.result.sent[pending.row]
+        if entry.answered_at is not None:
             return
         policy = self.config.retry
         pending.timeouts += 1
-        pending.entry.timeouts += 1
+        entry.timeouts += 1
         self.result.udp_timeouts += 1
         self._congestion()
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.on_timeout(pending.entry)
+            telemetry.on_timeout(entry)
         if policy.tcp_fallback_after is not None \
                 and pending.timeouts >= policy.tcp_fallback_after:
             self._udp_pending.drop(key, pending)
-            pending.entry.tcp_fallback = True
+            entry.tcp_fallback = True
             self.result.tcp_fallbacks += 1
             self.result.retries += 1
-            pending.entry.retries += 1
+            entry.retries += 1
             if telemetry is not None:
-                telemetry.on_tcp_fallback(pending.entry)
-            self._send_stream(pending.record, pending.entry,
-                              protocol="tcp")
+                telemetry.on_tcp_fallback(entry)
+            self._send_stream(pending.record, pending.row, protocol="tcp")
             return
         if pending.tries >= policy.max_retries:
             self._udp_pending.drop(key, pending)
-            pending.entry.gave_up = True
+            entry.gave_up = True
             self.result.gave_up += 1
             if telemetry is not None:
-                telemetry.on_giveup(pending.entry)
+                telemetry.on_giveup(entry)
             return
         pending.tries += 1
-        pending.entry.retries += 1
+        entry.retries += 1
         self.result.retries += 1
         if telemetry is not None:
-            telemetry.on_retry(pending.entry, pending.record.wire)
+            telemetry.on_retry(entry, pending.record.wire)
         try:
             pending.sock.sendto(pending.record.wire, pending.record.dst,
                                 pending.record.dport)
@@ -454,7 +463,7 @@ class SimQuerier:
 
     # -- TCP/TLS with reconnection -------------------------------------------
 
-    def _send_stream(self, record: QueryRecord, entry: SentQuery,
+    def _send_stream(self, record: QueryRecord, row: int,
                      protocol: Optional[str] = None) -> None:
         protocol = protocol if protocol is not None else record.protocol
         dport = record.dport
@@ -466,17 +475,17 @@ class SimQuerier:
             channel = _StreamChannel(self, record.src, record.dst, dport,
                                      protocol)
             self._channels[key] = channel
-            entry.fresh_connection = True
+            self.result.sent[row].fresh_connection = True
         try:
-            channel.send(record, entry)
+            channel.send(record, row)
         except NetworkError:
             # The server's idle close raced with this send: retry once
             # on a fresh connection, as a real stub/resolver would.
             channel = _StreamChannel(self, record.src, record.dst, dport,
                                      protocol)
             self._channels[key] = channel
-            entry.fresh_connection = True
-            channel.send(record, entry)
+            self.result.sent[row].fresh_connection = True
+            channel.send(record, row)
 
     def _channel_lost(self, channel: _StreamChannel) -> None:
         """Re-send a dead channel's in-flight queries on a new one.
@@ -491,10 +500,11 @@ class SimQuerier:
         stranded = channel.pending.drain()
         if not stranded:
             return
-        live = [(entry, record) for entry, record in stranded
-                if entry.answered_at is None]
+        live = [(self.result.sent[row], record) for row, record in stranded]
         retryable = []
         for entry, record in live:
+            if entry.answered_at is not None:
+                continue
             if entry.retries >= policy.max_retries:
                 if not entry.gave_up:
                     entry.gave_up = True
@@ -515,7 +525,7 @@ class SimQuerier:
             entry.fresh_connection = True
             if self.telemetry is not None:
                 self.telemetry.on_retry(entry, record.wire)
-            replacement.send(record, entry)
+            replacement.send(record, entry.row)
 
     # -- statistics ----------------------------------------------------------
 

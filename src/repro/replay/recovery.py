@@ -48,14 +48,14 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import repeat, takewhile
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, \
     Set, Tuple
 
 from .protocol import MSG_CHECKPOINT, MSG_METRICS, MSG_RECORD, \
     MSG_RESULT, MessageSocket
-from .result import (SENT_FIELDS, ReplayResult, SentQuery, merge_rank,
-                     sent_rows, sent_table)
+from .result import (SENT_DEFAULTS, SENT_FIELDS, ReplayResult, SentTable,
+                     merge_rank, sent_table)
 
 # Exit status a chaos-crashed worker dies with; distinguishable from a
 # clean exit (0) and a Python traceback (1) in the respawn logs.
@@ -64,7 +64,14 @@ CHAOS_DELAY_S = 0.002       # how long a chaos-delayed frame is held
 
 StoreKey = Tuple[Hashable, int]     # (worker key, incarnation)
 
-_ANSWERED_AT = SENT_FIELDS.index("answered_at")
+_ANSWERED_AT, _SENT_AT, _QUERIER_ID = (
+    SENT_FIELDS.index(name)
+    for name in ("answered_at", "sent_at", "querier_id"))
+
+
+def _rank(row: tuple) -> Tuple[int, float, int]:
+    """:func:`merge_rank` of a ``sent`` table row."""
+    return merge_rank(row[_ANSWERED_AT], row[_SENT_AT], row[_QUERIER_ID])
 
 
 # -- the mechanism's sizes ---------------------------------------------------
@@ -281,12 +288,14 @@ class CheckpointStore:
                                          if name != "sent"})
         entries = self._entries.setdefault(key, {})
         sent, unanswered = self._sent, self._unanswered
-        rows = sent_rows(result["sent"]) if "sent" in result else ()
-        for row in rows:
+        table = result.get("sent")
+        for row in zip(*(table[name] if name in table
+                         else repeat(SENT_DEFAULTS[name])
+                         for name in SENT_FIELDS)) if table else ():
             self.entries_offered += 1
             index = row[0]                  # the first column
             current = entries.get(index)
-            if current is not None and merge_rank(row) >= merge_rank(current):
+            if current is not None and _rank(row) >= _rank(current):
                 continue
             entries[index] = row
             advanced = True
@@ -519,9 +528,10 @@ class QuerierLedger:
     def __init__(self, now: float,
                  policy: CheckpointPolicy = CheckpointPolicy()):
         self.policy = policy
-        # By index: None while the record is queued, its entry once sent.
-        self._seen: Dict[int, Optional[SentQuery]] = {}
-        self._news: Dict[int, SentQuery] = {}
+        # By index: None while the record is queued, its result row once
+        # sent.  The news is rows, in the order they became news.
+        self._seen: Dict[int, Optional[int]] = {}
+        self._news: Dict[int, None] = {}
         self._last = now                    # when the last delta left
         self._settle_until: Optional[float] = None
 
@@ -536,24 +546,20 @@ class QuerierLedger:
         if index not in self._seen:
             self._seen[index] = None
             return True
-        entry = self._seen[index]
-        if entry is not None:
-            self._news[index] = entry
+        row = self._seen[index]
+        if row is not None:
+            self._news[row] = None
         return False
 
-    def sent(self, index: int, source: str, trace_time: float,
-             scheduled_at: float, sent_at: float, protocol: str,
-             qname: str, querier_id: int) -> SentQuery:
-        """Record ``index`` left as a query: its entry, which is news."""
-        entry = SentQuery(index, source, trace_time, scheduled_at, sent_at,
-                          protocol, qname, querier_id=querier_id)
-        self._seen[index] = self._news[index] = entry
-        return entry
+    def sent(self, index: int, row: int) -> None:
+        """Record ``index`` left as a query, booked as result ``row``:
+        news."""
+        self._seen[index] = row
+        self._news[row] = None
 
-    def answered(self, entry: SentQuery, at: float) -> None:
-        """The answer to ``entry`` came in at ``at``: news again."""
-        entry.answered_at = at
-        self._news[entry.index] = entry
+    def answered(self, row: int) -> None:
+        """Result ``row`` was just answered: news again."""
+        self._news[row] = None
 
     def due(self, now: float, queued: bool) -> bool:
         """Whether a delta leaves now; ``queued`` is whether any record
@@ -561,11 +567,11 @@ class QuerierLedger:
         return bool(self._news) and (
             not queued or self.policy.due(len(self._news), now - self._last))
 
-    def delta(self, now: float) -> List[SentQuery]:
-        """Take the news: the entries of the delta that leaves now."""
+    def delta(self, now: float) -> List[int]:
+        """Take the news: the rows of the delta that leaves now."""
         news, self._news = self._news, {}
         self._last = now
-        return list(news.values())
+        return list(news)
 
     def wake(self) -> Optional[float]:
         """When the cadence makes the news due, if there is any."""
@@ -581,14 +587,15 @@ class QuerierLedger:
             return self._settle_until
         return None
 
-    def fingerprint(self) -> tuple:
-        """Hashable digest of the ledger (part of the explorer's state)."""
-        def fates(entries):     # None: queued; else whether answered
-            return tuple(sorted(
-                (index, None if entry is None
-                 else entry.answered_at is not None)
-                for index, entry in entries.items()))
-        return (fates(self._seen), fates(self._news),
+    def fingerprint(self, sent: SentTable) -> tuple:
+        """Hashable digest of the ledger over ``sent``, the rows it
+        names (part of the explorer's state)."""
+        def fate(row):          # None: queued; else whether answered
+            return None if row is None else sent[row].answered_at is not None
+        return (tuple(sorted((index, fate(row))
+                             for index, row in self._seen.items())),
+                tuple(sorted((sent[row].index, fate(row))
+                             for row in self._news)),
                 self.wake(), self._settle_until)
 
 
@@ -616,7 +623,7 @@ def conservation_violations(result: ReplayResult,
                             expected: int) -> List[str]:
     """Check exactly-once accounting: indices dense, unique, complete."""
     problems: List[str] = []
-    indices = [query.index for query in result.sent]
+    indices = result.sent.columns[0]        # the index column
     unique = set(indices)
     if len(indices) != len(unique):
         problems.append(f"{len(indices) - len(unique)} duplicate indices "

@@ -2,9 +2,19 @@
 
 Two accounting modes share one class:
 
-* **list mode** (default): every send is a :class:`SentQuery` kept in
-  :attr:`ReplayResult.sent` — exact §4.2 quartiles, per-query forensics,
-  O(queries) memory.  Right for experiments up to ~10⁶ queries.
+* **list mode** (default): every send is one row of
+  :attr:`ReplayResult.sent`, a :class:`SentTable` holding one typed
+  column per :class:`SentQuery` field — ``array('d')`` for the four
+  times (NaN for an unanswered ``answered_at``), integer arrays for the
+  index, querier id, retry and timeout counts and the three flags, and
+  ids into small intern tables for source, protocol and query name.  A
+  querier books a send as its row number and writes an answer, retry,
+  timeout, fallback or give-up into the columns; ``sent[i]``, slices
+  and iteration give on-demand views that read as a :class:`SentQuery`
+  and write through.  No column is an object the garbage collector
+  walks, so exact §4.2 quartiles and per-query forensics cost 56 bytes
+  a kept send (67 once one of the five rarely set columns is written).
+  Right for experiments up to ~10⁷ queries.
 * **aggregate mode** (``ReplayResult(aggregate=True)``): each send and
   answer folds the moment it happens into four folds: sends per
   protocol (``protocol_counts``), sends per clock second
@@ -17,30 +27,32 @@ Two accounting modes share one class:
   percentiles are histogram quantiles, good to one 1.25× bucket; its
   counts, means, extremes and standard deviations are exact.
 
-Results merge commutatively — list entries upsert by global trace
-index, aggregate folds by count sums and histogram merges — so the
+Results merge commutatively — list rows upsert by global trace index,
+aggregate folds by count sums and histogram merges — so the
 controller's one merge takes workers' reports in any order, and an
 index reported twice is kept once.
 
 On the wire (:meth:`ReplayResult.to_dict`, the RESULT and CHECKPOINT
-frames) a list-mode result's entries are the ``sent`` **table**: one
-JSON list per :class:`SentQuery` field, all of one length, row ``i`` of
-every column being entry ``i``.  The required columns (index, source,
+frames) a list-mode result's rows are the ``sent`` **table**: one JSON
+list per :class:`SentQuery` field, all of one length, row ``i`` of
+every column being row ``i``.  The required columns (index, source,
 trace_time, scheduled_at, sent_at, protocol, qname) are always there;
 an optional column is left out exactly when every value in it is the
-field's default.  A table costs a fraction of the per-entry objects it
-replaces to encode, to check (one type test per column, not per field
-of every entry; :func:`repro.replay.protocol.validate_result_payload`)
-and to decode (one ``zip``).
+field's default.  Columns move straight between the table and the
+arrays, one conversion per column, and are checked one type test per
+column (:func:`repro.replay.protocol.validate_result_payload`).
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
-from itertools import repeat, starmap
-from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
-    Sequence, Tuple
+from functools import partial
+from itertools import islice
+from operator import attrgetter, eq, itemgetter, le
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, \
+    Tuple
 
 from ..telemetry.metrics import Histogram
 from ..trace.stats import quartile_summary
@@ -79,15 +91,27 @@ SENT_FIELDS = tuple(field.name for field in fields(SentQuery))
 # An optional column is left out when every value in it is this default.
 SENT_DEFAULTS = {field.name: field.default for field in fields(SentQuery)
                  if field.default is not MISSING}
-sent_row = attrgetter(*SENT_FIELDS)     # SentQuery -> row
-_ANSWERED_AT, _SENT_AT, _QUERIER_ID = (
-    SENT_FIELDS.index(name)
-    for name in ("answered_at", "sent_at", "querier_id"))
+sent_row = attrgetter(*SENT_FIELDS)     # SentQuery (or a view) -> row
+(_INDEX, _SOURCE, _TRACE_TIME, _SCHEDULED_AT, _SENT_AT, _PROTOCOL, _QNAME,
+ _ANSWERED_AT, _FRESH, _QUERIER_ID, _RETRIES, _TIMEOUTS, _FALLBACK,
+ _GAVE_UP) = range(len(SENT_FIELDS))
+# Each field's column: its array typecode.  A named field's column holds
+# ids into its intern table; a flag's holds 0 or 1.
+_TYPECODES = "qIdddIIdBiiiBB"
+_NAMED = (_SOURCE, _PROTOCOL, _QNAME)
+_FLAGS = (_FRESH, _FALLBACK, _GAVE_UP)
+# Columns a send rarely sets: they grow to the row count only when read
+# or written, so a booking appends to the other nine alone.
+_RARE = (_FRESH, _RETRIES, _TIMEOUTS, _FALLBACK, _GAVE_UP)
+_NAN = float("nan")
+_BLANK = {code: array(code, [0]) for code in _TYPECODES if code != "d"}
+_BLANK["d"] = array("d", [_NAN])
 
 
 def sent_table(rows: Iterable[tuple]) -> Dict[str, list]:
-    """The ``sent`` table of ``rows``: every required column, and each
-    optional column holding a value other than its default."""
+    """The ``sent`` table of ``rows`` (tuples in field order): every
+    required column, and each optional column holding a value other
+    than its default."""
     columns = list(zip(*rows)) or [()] * len(SENT_FIELDS)
     return {name: list(column)
             for name, column in zip(SENT_FIELDS, columns)
@@ -95,22 +119,303 @@ def sent_table(rows: Iterable[tuple]) -> Dict[str, list]:
             or column.count(SENT_DEFAULTS[name]) != len(column)}
 
 
-def sent_rows(table: Mapping[str, list]) -> Iterator[tuple]:
-    """The rows of a (validated) ``sent`` table, in table order; an
-    absent optional column reads as its default."""
-    return zip(*(table[name] if name in table
-                 else repeat(SENT_DEFAULTS[name])
-                 for name in SENT_FIELDS))
+def _picker(rows: Sequence[int]):
+    """A function from a sequence to its items at ``rows``, in order."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    return lambda values: [values[row] for row in rows]
 
 
-def merge_rank(row: tuple) -> Tuple[int, float, int]:
+def merge_rank(answered_at: Optional[float], sent_at: float,
+               querier_id: int) -> Tuple[int, float, int]:
     """Which of two copies of one trace index a merge keeps: the lower
     rank — answered before unanswered, then the earliest send, then the
-    lowest querier id.  ``row`` is a ``sent`` table row.  A total order
-    on what a copy reports, so the choice does not depend on the order
-    the copies arrive in."""
-    return (0 if row[_ANSWERED_AT] is not None else 1, row[_SENT_AT],
-            row[_QUERIER_ID])
+    lowest querier id.  A total order on what a copy reports, so the
+    choice does not depend on the order the copies arrive in."""
+    return (0 if answered_at is not None else 1, sent_at, querier_id)
+
+
+class _Names(dict):
+    """An intern table: each distinct value's id, in first-seen order;
+    ``values[id]`` is the value."""
+
+    __slots__ = ("values",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.values: List[str] = []
+
+    def __missing__(self, value: str) -> int:
+        self[value] = ident = len(self.values)
+        self.values.append(value)
+        return ident
+
+    def ids(self, values: Sequence[str]) -> List[int]:
+        """The ids of ``values``, the new ones interned in one pass."""
+        known = self.values
+        new = [value for value in dict.fromkeys(values) if value not in self]
+        self.update(zip(new, range(len(known), len(known) + len(new))))
+        known.extend(new)
+        return list(map(self.__getitem__, values))
+
+
+class SentTable:
+    """A list-mode result's rows: one typed column per
+    :class:`SentQuery` field, in field order; a send is its row number.
+
+    A sequence of on-demand views (``len``, ``[i]``, slices, iteration,
+    ``==``): a view reads as the :class:`SentQuery` it records, and an
+    attribute set on it is written into the columns.  ``answered``
+    counts the rows with an answer.
+    """
+
+    __slots__ = ("_columns", "names", "answered")
+
+    def __init__(self) -> None:
+        self._columns = [array(code) for code in _TYPECODES]
+        self.names = [_Names() if position in _NAMED else None
+                      for position in range(len(_TYPECODES))]
+        self.answered = 0
+
+    @property
+    def columns(self) -> List[array]:
+        """Every column, each as long as the table."""
+        columns = self._columns
+        length = len(columns[_INDEX])
+        for position in _RARE:
+            short = length - len(columns[position])
+            if short:
+                columns[position].extend(_BLANK[_TYPECODES[position]]
+                                         * short)
+        return columns
+
+    def _bulk(self) -> List[array]:
+        """The columns a whole-table operation moves: :attr:`columns`,
+        but a rarely set column never written stays empty (all default)
+        while the others are."""
+        columns = self._columns
+        return self.columns if any(columns[position]
+                                   for position in _RARE) else columns
+
+    def book(self, index: int, source: str, trace_time: float,
+             scheduled_at: float, sent_at: float, protocol: str,
+             qname: str, answered_at: Optional[float] = None,
+             fresh_connection: bool = False, querier_id: int = -1,
+             retries: int = 0, timeouts: int = 0, tcp_fallback: bool = False,
+             gave_up: bool = False, row: Optional[int] = None) -> int:
+        """Append one row, its values in field order, or fill ``row``,
+        one :meth:`reserve` left blank; its row number."""
+        names = self.names
+        (index_, source_, trace_time_, scheduled_at_, sent_at_, protocol_,
+         qname_, answered_at_, _, querier_id_, _, _, _, _) = self._columns
+        if answered_at is None:
+            answered_at = _NAN
+        else:
+            self.answered += 1
+        if row is None:
+            row = len(index_)
+            index_.append(index)
+            source_.append(names[_SOURCE][source])
+            trace_time_.append(trace_time)
+            scheduled_at_.append(scheduled_at)
+            sent_at_.append(sent_at)
+            protocol_.append(names[_PROTOCOL][protocol])
+            qname_.append(names[_QNAME][qname])
+            answered_at_.append(answered_at)
+            querier_id_.append(querier_id)
+        else:
+            index_[row] = index
+            source_[row] = names[_SOURCE][source]
+            trace_time_[row] = trace_time
+            scheduled_at_[row] = scheduled_at
+            sent_at_[row] = sent_at
+            protocol_[row] = names[_PROTOCOL][protocol]
+            qname_[row] = names[_QNAME][qname]
+            answered_at_[row] = answered_at
+            querier_id_[row] = querier_id
+        if fresh_connection or retries or timeouts or tcp_fallback \
+                or gave_up:
+            for position, value in zip(_RARE, (fresh_connection, retries,
+                                               timeouts, tcp_fallback,
+                                               gave_up)):
+                self.columns[position][row] = value
+        return row
+
+    def reserve(self, count: int) -> int:
+        """Append ``count`` blank rows for :meth:`book` to fill; the
+        first one's number."""
+        first = len(self)
+        for position, column in enumerate(self._columns):
+            if position not in _RARE:
+                column.extend(_BLANK[column.typecode] * count)
+        return first
+
+    def answer(self, row: int, at: Optional[float]) -> None:
+        """Set ``row``'s ``answered_at`` (None: unanswered)."""
+        column = self._columns[_ANSWERED_AT]
+        was = column[row]
+        self.answered += (at is not None) - (was == was)
+        column[row] = _NAN if at is None else at
+
+    def get(self, row: int, position: int):
+        """The value of field ``position`` in ``row``."""
+        column = self._columns[position]
+        # A rare column short of ``row`` holds its default there.
+        value = 0 if row >= len(column) and position in _RARE \
+            else column[row]
+        if position in _NAMED:
+            return self.names[position].values[value]
+        if position in _FLAGS:
+            return bool(value)
+        return None if value != value and position == _ANSWERED_AT \
+            else value
+
+    def put(self, row: int, position: int, value) -> None:
+        """Write field ``position`` of ``row``."""
+        if position == _ANSWERED_AT:
+            self.answer(row, value)
+        else:
+            self.columns[position][row] = self.names[position][value] \
+                if position in _NAMED else value
+
+    def encode(self, rows: Optional[Sequence[int]] = None
+               ) -> Dict[str, list]:
+        """The ``sent`` wire table of ``rows`` (row numbers, every row
+        by default), laid out as :func:`sent_table` lays it out."""
+        table, pick = {}, rows is not None and _picker(rows)
+        for position, (name, column) in enumerate(zip(SENT_FIELDS,
+                                                      self._bulk())):
+            if not column and position in _RARE:
+                continue
+            values = list(pick(column)) if pick else column.tolist()
+            if position in _NAMED:
+                values = list(map(self.names[position].values.__getitem__,
+                                  values))
+            elif position in _FLAGS:
+                values = list(map(bool, values))
+            elif position == _ANSWERED_AT:
+                values = [None if at != at else at for at in values]
+            if name not in SENT_DEFAULTS \
+                    or values.count(SENT_DEFAULTS[name]) != len(values):
+                table[name] = values
+        return table
+
+    @classmethod
+    def decode(cls, table: Mapping[str, list]) -> "SentTable":
+        """The rows of a (validated) ``sent`` table; an absent optional
+        column reads as its default."""
+        rows, length = cls(), len(table["index"])
+        for position, name in enumerate(SENT_FIELDS):
+            values = table.get(name)
+            if values is None:
+                if position in _RARE:
+                    continue
+                values = [SENT_DEFAULTS[name]] * length
+            if position in _NAMED:
+                values = rows.names[position].ids(values)
+            elif position == _ANSWERED_AT:
+                rows.answered = length - values.count(None)
+                values = [_NAN if at is None else at for at in values]
+            rows._columns[position] = array(_TYPECODES[position], values)
+        return rows
+
+    def extend(self, other: "SentTable") -> None:
+        """Append ``other``'s rows, in order."""
+        if not len(self):       # a copy: this table's ids are other's
+            self._columns = [array(column.typecode, column)
+                             for column in other._columns]
+            for position in _NAMED:
+                self.names[position] = names = _Names()
+                names.update(other.names[position])
+                names.values = list(other.names[position].values)
+            self.answered = other.answered
+            return
+        mine, theirs = self._columns, other._bulk()
+        if any(theirs[position] for position in _RARE):
+            mine = self.columns
+        for position, column in enumerate(theirs):
+            if not column and position in _RARE:
+                continue
+            if position in _NAMED:
+                ids = self.names[position].ids(other.names[position].values)
+                column = map(ids.__getitem__, column)
+            mine[position].extend(column)
+        self.answered += other.answered
+
+    def keep(self, rows: Sequence[int]) -> None:
+        """Keep ``rows`` alone, in that order."""
+        columns, pick, dropped = self._bulk(), _picker(rows), \
+            len(rows) != len(self)
+        for position, column in enumerate(columns):
+            if column or position not in _RARE:
+                columns[position] = array(column.typecode,
+                                          pick(column.tolist()))
+        if dropped:
+            self.answered = sum(1 for at in columns[_ANSWERED_AT]
+                                if at == at)
+
+    def sort_by_index(self) -> None:
+        """Order the rows by trace index, ties in row order."""
+        index = self._columns[_INDEX]
+        if not all(map(le, index, islice(index, 1, None))):
+            self.keep(sorted(range(len(index)), key=index.__getitem__))
+
+    def __len__(self) -> int:
+        return len(self._columns[_INDEX])
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return list(map(partial(_SentView, self),
+                            range(*key.indices(len(self)))))
+        return _SentView(self, range(len(self))[key])
+
+    def __iter__(self):
+        return map(partial(_SentView, self), range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        try:
+            return len(self) == len(other) and all(map(eq, self, other))
+        except TypeError:
+            return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class _SentView:
+    """Row ``row`` of a :class:`SentTable`, read and written as the
+    :class:`SentQuery` it records."""
+
+    __slots__ = ("table", "row")
+
+    def __init__(self, table: SentTable, row: int) -> None:
+        self.table, self.row = table, row
+
+    latency = SentQuery.latency
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (SentQuery, _SentView)):
+            return sent_row(self) == sent_row(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "SentQuery(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(SENT_FIELDS, sent_row(self))) + ")"
+
+
+def _view_field(position: int) -> property:
+    return property(lambda view: view.table.get(view.row, position),
+                    lambda view, value: view.table.put(view.row, position,
+                                                       value))
+
+
+for _position, _name in enumerate(SENT_FIELDS):
+    setattr(_SentView, _name, _view_field(_position))
 
 
 # Every integer event counter a ReplayResult carries; merge() sums
@@ -131,7 +436,7 @@ class ReplayResult:
     def __init__(self, name: str = "replay", aggregate: bool = False):
         self.name = name
         self.aggregate = aggregate
-        self.sent: List[SentQuery] = []
+        self.sent = SentTable()         # list mode's rows
         self.start_clock: Optional[float] = None
         self.trace_start: Optional[float] = None
         # The aggregate-mode folds (all O(1) or O(run seconds)).
@@ -171,19 +476,19 @@ class ReplayResult:
             if query.answered_at is not None and query.latency is not None:
                 self.count_answer(query.latency)
             return
-        self.sent.append(query)
+        self.sent.book(*sent_row(query))
 
     # -- aggregate-mode accounting -----------------------------------------
 
     @property
     def sent_count(self) -> int:
-        """Sends an aggregate result has folded."""
-        return self.send_error.count
+        """Sends the result holds: rows, or sends folded."""
+        return self.send_error.count if self.aggregate else len(self.sent)
 
     @property
     def answered_count(self) -> int:
-        """Answers an aggregate result has folded."""
-        return self.latency.count
+        """Answers the result holds: answered rows, or answers folded."""
+        return self.latency.count if self.aggregate else self.sent.answered
 
     def count_send(self, protocol: str, trace_time: float,
                    sent_at: float) -> None:
@@ -229,22 +534,20 @@ class ReplayResult:
         The paper ignores the first 20 s of replay to avoid startup
         transients; pass ``skip_seconds`` for the same effect.
         """
-        if not self.sent:
+        columns = self.sent.columns
+        trace_times, sent_ats = columns[_TRACE_TIME], columns[_SENT_AT]
+        if not sent_ats:
             return []
         base_clock = self.start_clock if self.start_clock is not None \
-            else self.sent[0].sent_at
+            else sent_ats[0]
         base_trace = self.trace_start if self.trace_start is not None \
-            else self.sent[0].trace_time
-        errors = []
-        for query in self.sent:
-            if query.trace_time - base_trace < skip_seconds:
-                continue
-            errors.append((query.sent_at - base_clock)
-                          - (query.trace_time - base_trace))
-        return errors
+            else trace_times[0]
+        return [(sent_at - base_clock) - (trace_time - base_trace)
+                for trace_time, sent_at in zip(trace_times, sent_ats)
+                if not trace_time - base_trace < skip_seconds]
 
     def interarrivals(self) -> List[float]:
-        times = sorted(q.sent_at for q in self.sent)
+        times = sorted(self.sent.columns[_SENT_AT])
         return [b - a for a, b in zip(times, times[1:])]
 
     def per_second_rates(self) -> List[Tuple[int, int]]:
@@ -254,29 +557,26 @@ class ReplayResult:
             base = min(self.rate_buckets)
             return sorted((bucket - base, count)
                           for bucket, count in self.rate_buckets.items())
-        if not self.sent:
+        sent_ats = self.sent.columns[_SENT_AT]
+        if not sent_ats:
             return []
-        base = min(q.sent_at for q in self.sent)
-        buckets: Dict[int, int] = {}
-        for query in self.sent:
-            bucket = int(query.sent_at - base)
-            buckets[bucket] = buckets.get(bucket, 0) + 1
-        return sorted(buckets.items())
+        base = min(sent_ats)
+        return sorted(Counter(int(sent_at - base)
+                              for sent_at in sent_ats).items())
 
     def latencies(self, sources: Optional[set] = None) -> List[float]:
-        return [q.latency for q in self.sent
-                if q.latency is not None
-                and (sources is None or q.source in sources)]
+        columns = self.sent.columns
+        pairs = zip(columns[_ANSWERED_AT], columns[_SENT_AT])
+        if sources is None:
+            return [at - sent_at for at, sent_at in pairs if at == at]
+        names = self.sent.names[_SOURCE].values
+        return [at - sent_at
+                for (at, sent_at), source in zip(pairs, columns[_SOURCE])
+                if at == at and names[source] in sources]
 
     def answered_fraction(self) -> float:
-        if self.aggregate:
-            if not self.sent_count:
-                return 0.0
-            return self.answered_count / self.sent_count
-        if not self.sent:
-            return 0.0
-        return sum(1 for q in self.sent
-                   if q.answered_at is not None) / len(self.sent)
+        sent = self.sent_count
+        return self.answered_count / sent if sent else 0.0
 
     def unanswered(self) -> int:
         """Queries sent but never answered (checked at drain time).
@@ -284,9 +584,7 @@ class ReplayResult:
         A lossy run cannot masquerade as complete: any stranded query
         shows up here even when no retry policy was configured.
         """
-        if self.aggregate:
-            return self.sent_count - self.answered_count
-        return sum(1 for q in self.sent if q.answered_at is None)
+        return self.sent_count - self.answered_count
 
     def latency_summary(self) -> Dict[str, float]:
         """Latency stats that work in both modes.
@@ -313,8 +611,9 @@ class ReplayResult:
             summary[key] = latency.quantile(fraction)
         return summary
 
-    def unanswered_queries(self) -> List[SentQuery]:
-        return [q for q in self.sent if q.answered_at is None]
+    def unanswered_queries(self) -> List[_SentView]:
+        return [self.sent[row] for row, at
+                in enumerate(self.sent.columns[_ANSWERED_AT]) if at != at]
 
     def failure_counts(self) -> Dict[str, int]:
         """Every failure/recovery event counter, for reports."""
@@ -356,7 +655,7 @@ class ReplayResult:
     def merge(self, other: "ReplayResult") -> "ReplayResult":
         """Fold another result (a worker's report) into this one.
 
-        Entries upsert by their global trace index: where both hold an
+        Rows upsert by their global trace index: where both hold an
         index the copy of lower :func:`merge_rank` stays and the
         collision counts in ``duplicate_merged``, so ``sent`` lists each
         index once, in index order.  Aggregate folds and event counters
@@ -372,17 +671,8 @@ class ReplayResult:
                 "cannot merge an aggregate result into a list-mode "
                 "result (per-query entries were never recorded); "
                 "merge in the other direction")
-        elif other.sent:
-            best = {query.index: query for query in self.sent}
-            for query in other.sent:
-                current = best.get(query.index)
-                if current is not None:
-                    self.duplicate_merged += 1
-                    if merge_rank(sent_row(query)) \
-                            >= merge_rank(sent_row(current)):
-                        continue
-                best[query.index] = query
-            self.sent = [best[index] for index in sorted(best)]
+        elif len(other.sent):
+            self._merge_rows(other.sent)
         for name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         if other.start_clock is not None:
@@ -394,6 +684,37 @@ class ReplayResult:
                 if self.trace_start is None \
                 else min(self.trace_start, other.trace_start)
         return self
+
+    def _merge_rows(self, other: SentTable) -> None:
+        """Upsert ``other``'s rows: this table's own copies of one index
+        collapse to the last, uncounted; each of ``other``'s that meets
+        a held copy is a collision."""
+        table = self.sent
+        base = len(table)
+        table.extend(other)
+        index, answered, sent_at, querier_id = (
+            table.columns[position]
+            for position in (_INDEX, _ANSWERED_AT, _SENT_AT, _QUERIER_ID))
+
+        def rank(row: int) -> Tuple[int, float, int]:
+            at = answered[row]
+            return merge_rank(None if at != at else at, sent_at[row],
+                              querier_id[row])
+
+        if len(set(index)) == len(index):   # no index held twice
+            order = sorted(range(len(index)), key=index.__getitem__)
+        else:
+            best = dict(zip(islice(index, base), range(base)))
+            for row in range(base, len(index)):
+                current = best.get(index[row])
+                if current is not None:
+                    self.duplicate_merged += 1
+                    if rank(row) >= rank(current):
+                        continue
+                best[index[row]] = row
+            order = [best[key] for key in sorted(best)]
+        if order != list(range(len(index))):
+            table.keep(order)
 
     def _merge_aggregate(self, other: "ReplayResult") -> None:
         if not other.aggregate:
@@ -410,14 +731,13 @@ class ReplayResult:
         self.latency.merge(other.latency)
         self.send_error.merge(other.send_error)
 
-    def to_dict(self, entries: Optional[Iterable[SentQuery]] = None
-                ) -> Dict:
+    def to_dict(self, rows: Optional[Sequence[int]] = None) -> Dict:
         """A JSON-safe mapping (the inter-process RESULT frame).
 
         An aggregate result serializes its four folds — a few KB no
         matter how many queries it covers — where a list-mode result's
-        ``sent`` table grows with every sent entry.  ``entries``
-        restricts a list-mode frame to those entries under the same
+        ``sent`` table grows with every row.  ``rows`` (row numbers)
+        restricts a list-mode frame to those rows under the same
         cumulative header (counters, clocks): the shape of a delta
         CHECKPOINT, and of each chunk of a report too big for one frame.
         """
@@ -437,8 +757,7 @@ class ReplayResult:
                 "send_error": self.send_error.to_state(),
             }
         else:
-            data["sent"] = sent_table(map(
-                sent_row, self.sent if entries is None else entries))
+            data["sent"] = self.sent.encode(rows)
         return data
 
     @classmethod
@@ -458,15 +777,19 @@ class ReplayResult:
             result.latency = Histogram.from_state(aggregate["latency"])
             result.send_error = Histogram.from_state(aggregate["send_error"])
         if "sent" in data:
-            result.sent = list(starmap(SentQuery, sent_rows(data["sent"])))
+            result.sent = SentTable.decode(data["sent"])
         return result
 
     def reuse_fraction(self) -> float:
         """Share of TCP/TLS queries that reused an open connection."""
-        stream = [q for q in self.sent if q.protocol in ("tcp", "tls")]
-        if not stream:
-            return 0.0
-        return sum(1 for q in stream if not q.fresh_connection) / len(stream)
+        table = self.sent
+        stream = {ident for ident, protocol
+                  in enumerate(table.names[_PROTOCOL].values)
+                  if protocol in ("tcp", "tls")}
+        fresh = [flag for protocol, flag
+                 in zip(table.columns[_PROTOCOL], table.columns[_FRESH])
+                 if protocol in stream]
+        return fresh.count(0) / len(fresh) if fresh else 0.0
 
     def error_summary(self, skip_seconds: float = 0.0) -> Dict[str, float]:
         if self.aggregate:
@@ -484,6 +807,4 @@ class ReplayResult:
         return quartile_summary(errors)
 
     def __len__(self) -> int:
-        if self.aggregate:
-            return self.sent_count
-        return len(self.sent)
+        return self.sent_count

@@ -228,9 +228,7 @@ class Telemetry:
         """Span coverage of a ReplayResult's answered queries."""
         if self.tracer is None:
             return 0.0
-        answered = sum(1 for entry in result.sent
-                       if entry.answered_at is not None)
-        return self.tracer.coverage(answered)
+        return self.tracer.coverage(result.answered_count)
 
     def __repr__(self) -> str:
         parts = []

@@ -526,6 +526,11 @@ class _Querier:
         # instant, None for finish.
         self.until: Optional[float] = None
 
+    def answer(self, row: int, now: float) -> None:
+        """Result ``row``'s answer comes in."""
+        self.result.sent.answer(row, now)
+        self.ledger.answered(row)
+
 
 class RecoveryScenarioModel:
     """The recovering tree under explorer-chosen schedules, on the
@@ -610,18 +615,19 @@ class RecoveryScenarioModel:
                 return worker
         return None
 
-    def _emit(self, worker: int, entries: Optional[List] = None) -> None:
-        """A frame of ``entries`` goes in flight (None: the final), with
-        its digest: (index, answered?) of each entry."""
+    def _emit(self, worker: int, rows: Optional[List[int]] = None) -> None:
+        """A frame of result ``rows`` goes in flight (None: the final),
+        with its digest: (index, answered?) of each row."""
         querier = self.queriers[worker]
         querier.seq += 1
+        sent = querier.result.sent
         self.pending.append((worker, {
             "worker": worker, "incarnation": querier.number,
-            "seq": querier.seq, "final": entries is None,
-            "result": querier.result.to_dict(entries)}, tuple(
+            "seq": querier.seq, "final": rows is None,
+            "result": querier.result.to_dict(rows)}, tuple(
                 (entry.index, entry.answered_at is not None)
-                for entry in (querier.result.sent if entries is None
-                              else entries))))
+                for entry in (sent if rows is None
+                              else map(sent.__getitem__, rows)))))
 
     def _working(self) -> List[int]:
         return [worker for worker in range(self.workers)
@@ -749,20 +755,21 @@ class RecoveryScenarioModel:
         elif action == "exec":
             record = self._due_now(worker)
             querier.queue.remove(record)
-            entry = querier.ledger.sent(
+            row = querier.result.sent.book(
                 record, f"c{record % self.workers}", self.due[record],
-                self.due[record], self.now, "udp", "q.example.com.", worker)
-            querier.result.add(entry)
+                self.due[record], self.now, "udp", "q.example.com.",
+                querier_id=worker)
+            querier.ledger.sent(record, row)
             if record not in self.late:
-                querier.ledger.answered(entry, self.now)
+                querier.answer(row, self.now)
         elif action == "ckpt":
             delta = querier.ledger.delta(self.now)
             self._emit(worker, delta)
-            # Answers to entries that left unanswered land now: their
+            # Answers to rows that left unanswered land now: their
             # fate changed after shipping, so they are news again.
-            for entry in delta:
-                if entry.answered_at is None:
-                    querier.ledger.answered(entry, self.now)
+            for row in delta:
+                if querier.result.sent[row].answered_at is None:
+                    querier.answer(row, self.now)
         elif action == "final":
             self._emit(worker)
             self.finalized[worker] = True
@@ -836,7 +843,7 @@ class RecoveryScenarioModel:
         # The merge must never invent records or duplicate an index, at
         # *every* intermediate state, not just at quiescence.
         merged = merge_recovered(self.store.snapshots())
-        indices = [query.index for query in merged.sent]
+        indices = merged.sent.columns[0]        # the index column
         if len(indices) != len(set(indices)):
             bad.append(("merge-duplicates",
                         f"duplicate indices in {sorted(indices)}"))
@@ -887,7 +894,7 @@ class RecoveryScenarioModel:
             for worker, payload, fates in self.pending))
         workers = repr((self.dead, self.finalized, self.crash_budget,
                         [(querier.number, querier.queue, querier.shed,
-                          querier.ledger.fingerprint())
+                          querier.ledger.fingerprint(querier.result.sent))
                          for querier in self.queriers]))
         return (self.now, self.wait_until, self.stopped, self.crashes_left,
                 self.dups_left, self.drops_left, self.losses, workers,

@@ -444,23 +444,26 @@ def checkpoint_emission_history(rng: random.Random, workers: int = 2,
         result = ReplayResult(f"querier-{worker}")
         seq = 0
 
-        def emit(entries, final: bool = False) -> None:
+        def emit(rows, final: bool = False) -> None:
             nonlocal seq
             seq += 1
             frames.append({"worker": worker, "incarnation": 0, "seq": seq,
-                           "final": final,
-                           "result": result.to_dict(entries)})
+                           "final": final, "result": result.to_dict(rows)})
+
+        def answer(row: int, at: float) -> None:
+            result.sent.answer(row, at)
+            ledger.answered(row)
 
         for index in range(total):
             if assignment[index] != worker:
                 continue
             ledger.arrived(index)
-            entry = ledger.sent(index, f"c{index % 4}", float(index),
-                                float(index), float(index), "udp",
-                                "q.example.com.", worker)
-            result.add(entry)
+            row = result.sent.book(index, f"c{index % 4}", float(index),
+                                   float(index), float(index), "udp",
+                                   "q.example.com.", querier_id=worker)
+            ledger.sent(index, row)
             if rng.random() < 0.5:
-                ledger.answered(entry, index + 0.5)
+                answer(row, index + 0.5)
             # A stray datagram now and then: the cumulative header
             # differs from frame to frame.
             if rng.random() < 0.3:
@@ -469,7 +472,7 @@ def checkpoint_emission_history(rng: random.Random, workers: int = 2,
                 emit(ledger.delta(float(index)))
                 for late in result.unanswered_queries():
                     if rng.random() < 0.6:
-                        ledger.answered(late, late.index + 0.5)
+                        answer(late.row, late.index + 0.5)
         if ledger.due(float(total), False):
             emit(ledger.delta(float(total)))
         emit(None, final=True)

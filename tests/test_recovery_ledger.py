@@ -14,13 +14,14 @@ LIVE = [(("q", 0), 0)]      # one live querier incarnation
 
 def _report(store, indices, answered=True, incarnation=0, seq=1):
     """Querier 0 reports ``indices`` sent in one checkpoint frame."""
-    sent = [SentQuery(index, "c0", float(index), float(index), float(index),
-                      "udp", "q.example.com.", querier_id=0,
-                      answered_at=float(index) + 0.5 if answered else None)
-            for index in indices]
+    shard = ReplayResult()
+    for index in indices:
+        shard.add(SentQuery(index, "c0", float(index), float(index),
+                            float(index), "udp", "q.example.com.",
+                            querier_id=0, answered_at=float(index) + 0.5
+                            if answered else None))
     store.offer(("q", 0), incarnation, seq,
-                {"name": "querier-0",
-                 "sent": ReplayResult().to_dict(sent)["sent"]})
+                {"name": "querier-0", "sent": shard.to_dict()["sent"]})
 
 
 def _ledger(dues=(0.0, 0.0, 0.0)):

@@ -1,10 +1,20 @@
 """Tests for ReplayResult analysis and the wire reader/writer edges."""
 
-import pytest
-from hypothesis import given, strategies as st
+import dataclasses
+import gc
+import json
 
-from repro.replay import ReplayResult, SentQuery
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.replay import ReplayConfig, ReplayResult, SentQuery, \
+    SimReplayEngine
+from repro.replay.result import SENT_DEFAULTS, SENT_FIELDS, sent_row
 from repro.dns.wire import WireError, WireReader, WireWriter
+from repro.netsim.testbed import build_evaluation_topology
+from repro.server import AuthoritativeServer, HostedDnsServer
+from repro.telemetry import Telemetry, TelemetryConfig
+from repro.trace.synthetic import wildcard_example_zone, zipf_trace
 
 
 def query(index, source, trace_time, sent_at, answered_at=None,
@@ -300,16 +310,17 @@ _ENTRIES = st.lists(st.builds(
 def test_sent_table_roundtrip(entries, picks):
     """to_dict -> JSON -> from_dict gives back every entry field by
     field (``repr`` tells True from 1 and -0.0 from 0.0), whole and in
-    the delta form ``to_dict(entries)`` of a CHECKPOINT; both pass the
+    the delta form ``to_dict(rows)`` of a CHECKPOINT; both pass the
     protocol's table check."""
     import json
     from repro.replay.protocol import validate_result_payload
     shard = ReplayResult("querier-0")
     for entry in entries:
         shard.add(entry)
-    delta = [entries[pick] for pick in picks if pick < len(entries)]
+    rows = [pick for pick in picks if pick < len(entries)]
+    delta = [entries[row] for row in rows]
     for subset, payload in ((entries, shard.to_dict()),
-                            (delta, shard.to_dict(delta))):
+                            (delta, shard.to_dict(rows))):
         payload = validate_result_payload(json.loads(json.dumps(payload)))
         restored = ReplayResult.from_dict(payload).sent
         assert [repr(query) for query in restored] \
@@ -417,3 +428,155 @@ class TestWireReaderWriter:
         assert writer.tell() == 0
         writer.write_bytes(b"12345")
         assert writer.tell() == 5
+
+
+# -- the column shape ---------------------------------------------------------
+
+_FIELD_VALUES = st.builds(
+    SentQuery,
+    index=st.integers(min_value=0, max_value=12),
+    source=st.sampled_from(("10.0.0.1", "10.0.0.2", "")),
+    trace_time=st.floats(allow_nan=False, allow_infinity=False),
+    scheduled_at=st.floats(allow_nan=False, allow_infinity=False),
+    sent_at=st.floats(min_value=-2.0, max_value=2.0),
+    protocol=st.sampled_from(("udp", "tcp", "tls")),
+    qname=st.text(max_size=6),
+    answered_at=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    fresh_connection=st.booleans(),
+    querier_id=st.integers(min_value=-1, max_value=3),
+    retries=st.integers(min_value=0, max_value=3),
+    timeouts=st.integers(min_value=0, max_value=3),
+    tcp_fallback=st.booleans(), gave_up=st.booleans())
+
+_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 1), _FIELD_VALUES),
+    st.tuples(st.just("write"), st.integers(0, 1),
+              st.tuples(st.integers(0, 40), st.sampled_from(SENT_FIELDS),
+                        _FIELD_VALUES)),
+    st.tuples(st.just("merge"), st.integers(0, 1), st.none()),
+    st.tuples(st.just("wire"), st.integers(0, 1), st.none())),
+    max_size=30)
+
+
+class _ListResult:
+    """The reference: a list-mode result as a list of SentQuery
+    objects, merged by the upsert rule results have always used."""
+
+    def __init__(self):
+        self.sent = []
+        self.duplicate_merged = 0
+
+    def merge(self, other):
+        def rank(query):
+            return (0 if query.answered_at is not None else 1,
+                    query.sent_at, query.querier_id)
+        if other.sent:
+            best = {query.index: query for query in self.sent}
+            for query in other.sent:
+                current = best.get(query.index)
+                if current is not None:
+                    self.duplicate_merged += 1
+                    if rank(query) >= rank(current):
+                        continue
+                best[query.index] = dataclasses.replace(query)
+            self.sent = [best[index] for index in sorted(best)]
+        self.duplicate_merged += other.duplicate_merged
+
+    def table(self):
+        table = {name: [getattr(query, name) for query in self.sent]
+                 for name in SENT_FIELDS}
+        return {name: column for name, column in table.items()
+                if name not in SENT_DEFAULTS
+                or column.count(SENT_DEFAULTS[name]) != len(column)}
+
+
+@given(operations=_OPERATIONS)
+@settings(max_examples=300, deadline=None)
+def test_columns_match_a_list_of_entries(operations):
+    """Adds, writes through views, merges either way round and JSON
+    round trips leave the columns holding what a list of SentQuery
+    objects would: the same rows and reprs (None, False and -1 exactly),
+    the same wire table and the same duplicate count."""
+    real = [ReplayResult("a"), ReplayResult("b")]
+    model = [_ListResult(), _ListResult()]
+    for operation, side, argument in operations:
+        if operation == "add":
+            real[side].add(argument)
+            model[side].sent.append(dataclasses.replace(argument))
+        elif operation == "write" and model[side].sent:
+            row, name, donor = argument
+            row %= len(model[side].sent)
+            setattr(real[side].sent[row], name, getattr(donor, name))
+            setattr(model[side].sent[row], name, getattr(donor, name))
+        elif operation == "merge":
+            real[side].merge(real[1 - side])
+            model[side].merge(model[1 - side])
+        elif operation == "wire":
+            real[side] = ReplayResult.from_dict(
+                json.loads(json.dumps(real[side].to_dict())))
+        for result, reference in zip(real, model):
+            assert [sent_row(view) for view in result.sent] \
+                == [sent_row(query) for query in reference.sent]
+            assert [repr(view) for view in result.sent] \
+                == [repr(query) for query in reference.sent]
+            assert repr(list(map(sent_row, result.sent))) \
+                == repr(list(map(sent_row, reference.sent)))
+            assert json.dumps(result.to_dict()["sent"]) \
+                == json.dumps(reference.table())
+            assert result.duplicate_merged == reference.duplicate_merged
+            assert result.answered_count == sum(
+                query.answered_at is not None for query in reference.sent)
+
+
+def test_a_replayed_result_keeps_no_entry_objects():
+    """A 20 000-record Zipf-hot fast replay keeps its rows as columns:
+    once it is done, no SentQuery object is alive."""
+    testbed = build_evaluation_topology()
+    HostedDnsServer(testbed.server_host,
+                    AuthoritativeServer.single_view([wildcard_example_zone()]))
+    engine = SimReplayEngine(testbed.network, ReplayConfig(
+        track_timing=False, fast_replay_rate=2e5, batch_window=2.5e-4))
+    result = engine.replay_stream(zipf_trace(20_000, server="10.0.0.2"))
+    assert len(result) == 20_000 and result.unanswered() == 0
+    gc.collect()
+    assert not [obj for obj in gc.get_objects()
+                if isinstance(obj, SentQuery)]
+
+
+def test_from_dict_builds_no_entry_objects(monkeypatch):
+    """A 1 000-row table moves into the columns, and is read back
+    through views, without one SentQuery being constructed."""
+    shard = ReplayResult("querier-0")
+    for index in range(1000):
+        shard.add(query(index, f"10.0.{index % 7}.1", float(index),
+                        100.0 + index, answered_at=100.5 + index,
+                        protocol=("udp", "tcp")[index % 2]))
+    table = json.loads(json.dumps(shard.to_dict()))
+    built = []
+    init = SentQuery.__init__
+    monkeypatch.setattr(SentQuery, "__init__",
+                        lambda self, *args, **kwargs: built.append(1)
+                        or init(self, *args, **kwargs))
+    restored = ReplayResult.from_dict(table)
+    assert len(restored) == 1000 and restored.answered_count == 1000
+    assert [sent_row(view) for view in restored.sent] \
+        == [sent_row(view) for view in shard.sent]
+    assert restored.latencies() == shard.latencies()
+    assert built == []
+
+
+def test_answered_probe_reads_the_count():
+    """The engine's ``replay.answered`` probe reads a count, not a walk
+    of the rows: its last sample equals the answered rows."""
+    testbed = build_evaluation_topology()
+    HostedDnsServer(testbed.server_host,
+                    AuthoritativeServer.single_view([wildcard_example_zone()]))
+    telemetry = Telemetry(TelemetryConfig(timeseries_period=0.5))
+    engine = SimReplayEngine(testbed.network, ReplayConfig(),
+                             telemetry=telemetry)
+    result = engine.replay(zipf_trace(2_000, server="10.0.0.2"))
+    telemetry.stop()
+    answered = sum(1 for view in result.sent if view.answered_at is not None)
+    assert answered == len(result) == 2_000
+    assert telemetry.sampler.series("replay.answered")[-1][1] == answered
+    assert result.answered_count == answered

@@ -33,7 +33,7 @@ from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
 from repro.dns import wire as wire_module
 from repro.replay.recovery import SETTLE_S
 from repro.replay.result import (SENT_FIELDS, ReplayResult, SentQuery,
-                                 sent_rows)
+                                 sent_row)
 from repro.server import LiveDnsServer
 from repro.dns import Name, WireError
 from repro.telemetry import TelemetryConfig
@@ -50,19 +50,21 @@ from live_fakes import (FakeClock, LoopbackSocket, ScriptedInbound,
 
 
 def _result_dict(worker, indices, answered=True, sent_at=None):
-    sent = [SentQuery(index, f"c{index % 4}", float(index), float(index),
-                      float(index) if sent_at is None else sent_at,
-                      "udp", "q.example.com.",
-                      answered_at=(float(index) + 0.5) if answered else None,
-                      querier_id=worker)
-            for index in indices]
-    return {"name": f"querier-{worker}",
-            "sent": ReplayResult().to_dict(sent)["sent"]}
+    shard = ReplayResult()
+    for index in indices:
+        shard.add(SentQuery(
+            index, f"c{index % 4}", float(index), float(index),
+            float(index) if sent_at is None else sent_at, "udp",
+            "q.example.com.",
+            answered_at=(float(index) + 0.5) if answered else None,
+            querier_id=worker))
+    return {"name": f"querier-{worker}", "sent": shard.to_dict()["sent"]}
 
 
 def _rows(table):
     """The entries of a ``sent`` table, one dict per row."""
-    return [dict(zip(SENT_FIELDS, row)) for row in sent_rows(table)]
+    return [dict(zip(SENT_FIELDS, sent_row(view)))
+            for view in ReplayResult.from_dict({"sent": table}).sent]
 
 
 class TestCheckpointStore:

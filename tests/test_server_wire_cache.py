@@ -22,7 +22,7 @@ from repro.dns import wire as wire_module
 from repro.dns.wire import WireError, parse_question
 from repro.experiments.topology import build_evaluation_topology
 from repro.replay import ReplayConfig, SimReplayEngine
-from repro.replay.querier import match_key
+from repro.replay.querier import match_key, query_qname
 from repro.telemetry import MetricsRegistry
 from repro.server import (AuthoritativeServer, CdnPolicy, DynamicOverlay,
                           HostedDnsServer, ResponseWireCache, View,
@@ -593,10 +593,10 @@ class TestQueryKeyMemo:
     @settings(max_examples=400, deadline=None)
     def test_memo_hit_is_what_parsing_returns(self, wire, ident):
         first = wire_module.read_question(wire)
-        assert first == wire_module._question_entry(wire)
+        assert first == wire_module.QuestionEntry(wire)
         other = ident + wire[2:]
         assert wire_module.read_question(other) \
-            == wire_module._question_entry(other)
+            == wire_module.QuestionEntry(other)
         try:
             question = parse_question(wire)
         except WireError:
@@ -634,6 +634,33 @@ class TestQueryKeyMemo:
                                        transport=transport)
         assert 0 < len(wire_module._QUESTIONS) \
             <= wire_module._QUESTIONS_LIMIT
+
+    def test_each_reader_renders_only_its_half(self, monkeypatch):
+        """The entry keeps one scan and renders each half on its first
+        read: a querier's name read computes no wire-cache key, and the
+        server's key read renders no name."""
+        calls = {"key": 0, "qname": 0}
+
+        def counted(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(wire_module, "_udp_cache_key", counted(
+            "key", wire_module._udp_cache_key))
+        monkeypatch.setattr(wire_module, "_render_qname", counted(
+            "qname", wire_module._render_qname))
+        assert query_qname(wire_for("www.example.com.")) \
+            == "www.example.com."
+        assert calls == {"key": 0, "qname": 1}
+        server = AuthoritativeServer.single_view([example_zone()])
+        wire = wire_for("mail.example.com.", edns=DO)
+        server.serve_wire(Message.from_wire(wire))
+        calls.update(key=0, qname=0)
+        wire_module._QUESTIONS.clear()
+        assert server.serve_wire_fast(wire) is not None
+        assert calls == {"key": 1, "qname": 0}
 
     def test_a_sim_replay_walks_each_question_once(self, monkeypatch):
         """The sim querier's send fills the entry the server keys its
