@@ -162,7 +162,7 @@ class _LiveQuerier:
         self.catchup_forgiven = 0       # windows written off unanswered
         # The recovery rules, fed in list mode only (an aggregate
         # querier keeps no per-record state).
-        self.ledger = QuerierLedger(time.monotonic())
+        self.ledger = QuerierLedger(result.sent, time.monotonic())
         self.redundant_records = 0          # redelivered dups dropped here
         # Recovery hooks, installed by the worker main: the sink of the
         # ledger's deltas in list mode only, the re-dial always.
@@ -421,12 +421,11 @@ class _LiveQuerier:
             return
         trace_time, wire_length = RECORD_TIME_AND_WIRE_LENGTH.unpack_from(body)
         with self.lock:
-            row = self.result.sent.book(
+            self.ledger.sent(
                 index, record_source(body), trace_time, scheduled_at,
                 time.monotonic(), PROTOCOLS[body[RECORD_PROTOCOL_OFFSET]],
                 query_qname(body[WIRE_OFFSET:WIRE_OFFSET + wire_length]),
-                querier_id=self.querier_id, gave_up=True)
-        self.ledger.sent(index, row)
+                self.querier_id, gave_up=True)
 
     def _send(self, body: bytes, scheduled_at: float, index: int) -> float:
         """Put one query on the wire; returns the instant it left."""
@@ -455,14 +454,11 @@ class _LiveQuerier:
                     self._pending_entries -= len(waiting.pop(evicted))
         else:
             with self.lock:
-                sent = self.result.sent
-                row = sent.book(index, record_source(body), trace_time,
-                                scheduled_at, sent_at, "udp",
-                                query_qname(wire), None, False,
-                                self.querier_id)
+                row = self.ledger.sent(
+                    index, record_source(body), trace_time, scheduled_at,
+                    sent_at, "udp", query_qname(wire), self.querier_id)
                 if self.telemetry is not None:
-                    self.telemetry.on_send(sent[row], wire)
-            self.ledger.sent(index, row)
+                    self.telemetry.on_send(self.result.sent[row], wire)
             self._pending.file(key, row)
         try:
             self._sock.send(wire)
@@ -497,8 +493,7 @@ class _LiveQuerier:
                 self._pending_entries -= 1
                 latencies.append(answered_at - waiter)
                 continue
-            result.sent.answer(waiter, answered_at)
-            self.ledger.answered(waiter)
+            self.ledger.answered(waiter, answered_at)
             if self.telemetry is not None:
                 with lock:
                     self.telemetry.on_answer(result.sent[waiter])

@@ -131,36 +131,34 @@ class SimReplayEngine:
         """Send every record due at one instant: one handoff per host.
 
         ``instant`` holds the instant's ``(querier, index, record,
-        send_at)`` sends in trace order.  They go grouped by client
-        host, hosts in first-seen order, then by querier, likewise.  A
-        live host's queriers append their UDP packets to one outbox,
-        which leaves through one ``Host.send_packet_batch``.  Hosts come
+        send_at)`` sends in trace order.  A live host's sends are booked
+        in that order (:meth:`SimQuerier.book_now`), so the result's
+        rows need no sorting, and then leave grouped by client host,
+        hosts in first-seen order, then by querier, likewise.  A live
+        host's queriers append their UDP packets to one outbox, which
+        leaves through one ``Host.send_packet_batch``.  Hosts come
         first so that queriers sending one by one (per-query tracing)
         put datagrams on the wire in the order the batches do.  A
         crashed host's records fail over one at a time through
         :meth:`_dispatch_send`; hosts send one after another, so no
-        other host has packets waiting in an outbox when they do.  The
-        result rows of the records an unpaced live querier sends now
-        are reserved in trace order, so the hosts' order leaves none to
-        sort.
+        other host has packets waiting in an outbox when they do.
         """
         groups: Dict[Host, Dict[SimQuerier, List[tuple]]] = {}
-        for send in instant:
-            groups.setdefault(send[0].host, {}).setdefault(
-                send[0], []).append(send)
-        indices = [index for querier, index, _, _ in instant
-                   if not querier.host.down and querier.config.pacing is None]
-        first = self.result.sent.reserve(len(indices))
-        rows = dict(zip(indices, range(first, first + len(indices))))
+        for querier, index, record, send_at in instant:
+            host = querier.host
+            row = None if host.down \
+                else querier.book_now(index, record, send_at)
+            groups.setdefault(host, {}).setdefault(querier, []).append(
+                (index, record, send_at, row))
         for host, queriers in groups.items():
             if host.down:
-                for items in queriers.values():
-                    for send in items:
-                        self._dispatch_send(*send)
+                for querier, items in queriers.items():
+                    for index, record, send_at, _ in items:
+                        self._dispatch_send(querier, index, record, send_at)
                 continue
             outbox: List = []
             for querier, items in queriers.items():
-                querier.send_batch(items, outbox, rows)
+                querier.send_batch(items, outbox)
             if outbox:
                 host.send_packet_batch(outbox)
 

@@ -290,13 +290,21 @@ class SimQuerier:
                 return
         self._send_now(index, record, scheduled_at)
 
-    def send_batch(self, items: List[Tuple["SimQuerier", int, QueryRecord,
-                                           float]],
-                   outbox: List[IpPacket],
-                   rows: Optional[Dict[int, int]] = None) -> None:
+    def book_now(self, index: int, record: QueryRecord,
+                 scheduled_at: float) -> Optional[int]:
+        """Book a send due at this instant ahead of :meth:`send_batch`:
+        its row, or None for a paced querier, whose sends book
+        themselves when they leave (see :meth:`send`)."""
+        if self._pacer is not None:
+            return None
+        return self._book(index, record, scheduled_at)
+
+    def send_batch(self, items: List[Tuple[int, QueryRecord, float,
+                                           Optional[int]]],
+                   outbox: List[IpPacket]) -> None:
         """Send several records due at the same instant, in order:
-        ``items`` are this querier's ``(querier, index, record,
-        scheduled_at)`` sends.
+        ``items`` are ``(index, record, scheduled_at, row)``, ``row``
+        what :meth:`book_now` returned for the record.
 
         Per-record semantics match :meth:`send` exactly.  UDP packets
         are appended to ``outbox``, the instant's packets of this
@@ -305,18 +313,13 @@ class SimQuerier:
         instant has added its own.  A record that leaves by another
         path — a TCP/TLS record, or any record of a paced querier
         (pacing reshapes per-query timing) — first flushes the outbox,
-        so the host's packets keep record order.  ``rows`` maps a
-        record's index to the result row reserved for it, if any.
+        so the host's packets keep record order.
         """
-        if self._pacer is not None:
-            self._flush(outbox)
-            for _, index, record, scheduled_at in items:
+        for index, record, scheduled_at, row in items:
+            if row is None:
+                self._flush(outbox)
                 self.send(index, record, scheduled_at)
-            return
-        for _, index, record, scheduled_at in items:
-            row = self._book(index, record, scheduled_at,
-                             rows[index] if rows else None)
-            if record.protocol == "udp":
+            elif record.protocol == "udp":
                 self._send_udp(record, row, outbox)
             else:
                 self._flush(outbox)
@@ -335,19 +338,17 @@ class SimQuerier:
         else:
             self._send_stream(record, row)
 
-    def _book(self, index: int, record: QueryRecord, scheduled_at: float,
-              row: Optional[int] = None) -> int:
-        """File one send, at this instant, in the result (in ``row``, if
-        reserved) and the hub: its row."""
-        # Positional, in field order: a keyword call costs twice as much.
-        sent = self.result.sent
-        row = sent.book(index, record.src, record.timestamp, scheduled_at,
-                        self.loop.now, record.protocol,
-                        query_qname(record.wire), None, False,
-                        self.querier_id, row=row)
+    def _book(self, index: int, record: QueryRecord,
+              scheduled_at: float) -> int:
+        """File one send, at this instant, in the result and the hub:
+        its row."""
+        row = self.result.add((index, record.src, record.timestamp,
+                               scheduled_at, self.loop.now, record.protocol,
+                               query_qname(record.wire), None, False,
+                               self.querier_id))
         self.queries_sent += 1
         if self.telemetry is not None:
-            self.telemetry.on_send(sent[row], record.wire)
+            self.telemetry.on_send(self.result.sent[row], record.wire)
         return row
 
     # -- overload cooperation ------------------------------------------------

@@ -48,14 +48,14 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
-from itertools import repeat, takewhile
+from itertools import takewhile
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, \
     Set, Tuple
 
 from .protocol import MSG_CHECKPOINT, MSG_METRICS, MSG_RECORD, \
     MSG_RESULT, MessageSocket
-from .result import (SENT_DEFAULTS, SENT_FIELDS, ReplayResult, SentTable,
-                     merge_rank, sent_table)
+from .result import (SENT_FIELDS, ReplayResult, SentTable, merge_rank,
+                     sent_rows, sent_table)
 
 # Exit status a chaos-crashed worker dies with; distinguishable from a
 # clean exit (0) and a Python traceback (1) in the respawn logs.
@@ -64,14 +64,7 @@ CHAOS_DELAY_S = 0.002       # how long a chaos-delayed frame is held
 
 StoreKey = Tuple[Hashable, int]     # (worker key, incarnation)
 
-_ANSWERED_AT, _SENT_AT, _QUERIER_ID = (
-    SENT_FIELDS.index(name)
-    for name in ("answered_at", "sent_at", "querier_id"))
-
-
-def _rank(row: tuple) -> Tuple[int, float, int]:
-    """:func:`merge_rank` of a ``sent`` table row."""
-    return merge_rank(row[_ANSWERED_AT], row[_SENT_AT], row[_QUERIER_ID])
+_ANSWERED_AT = SENT_FIELDS.index("answered_at")
 
 
 # -- the mechanism's sizes ---------------------------------------------------
@@ -288,14 +281,12 @@ class CheckpointStore:
                                          if name != "sent"})
         entries = self._entries.setdefault(key, {})
         sent, unanswered = self._sent, self._unanswered
-        table = result.get("sent")
-        for row in zip(*(table[name] if name in table
-                         else repeat(SENT_DEFAULTS[name])
-                         for name in SENT_FIELDS)) if table else ():
+        rows = sent_rows(result["sent"]) if "sent" in result else ()
+        for row in rows:
             self.entries_offered += 1
             index = row[0]                  # the first column
             current = entries.get(index)
-            if current is not None and _rank(row) >= _rank(current):
+            if current is not None and merge_rank(row) >= merge_rank(current):
                 continue
             entries[index] = row
             advanced = True
@@ -525,11 +516,12 @@ class QuerierLedger:
       which keeps no per-record state, asks only this.
     """
 
-    def __init__(self, now: float,
+    def __init__(self, rows: SentTable, now: float,
                  policy: CheckpointPolicy = CheckpointPolicy()):
+        self.rows = rows        # the result's rows, where sends are booked
         self.policy = policy
-        # By index: None while the record is queued, its result row once
-        # sent.  The news is rows, in the order they became news.
+        # By index: None while the record is queued, its row once sent.
+        # The news is rows, in the order they became news.
         self._seen: Dict[int, Optional[int]] = {}
         self._news: Dict[int, None] = {}
         self._last = now                    # when the last delta left
@@ -551,14 +543,20 @@ class QuerierLedger:
             self._news[row] = None
         return False
 
-    def sent(self, index: int, row: int) -> None:
-        """Record ``index`` left as a query, booked as result ``row``:
-        news."""
+    def sent(self, index: int, source: str, trace_time: float,
+             scheduled_at: float, sent_at: float, protocol: str,
+             qname: str, querier_id: int, gave_up: bool = False) -> int:
+        """Record ``index`` left as a query: its row, which is news."""
+        row = self.rows.book(index, source, trace_time, scheduled_at,
+                             sent_at, protocol, qname, None, False,
+                             querier_id, 0, 0, False, gave_up)
         self._seen[index] = row
         self._news[row] = None
+        return row
 
-    def answered(self, row: int) -> None:
-        """Result ``row`` was just answered: news again."""
+    def answered(self, row: int, at: float) -> None:
+        """The answer to ``row`` came in at ``at``: news again."""
+        self.rows.answer(row, at)
         self._news[row] = None
 
     def due(self, now: float, queued: bool) -> bool:
@@ -587,14 +585,15 @@ class QuerierLedger:
             return self._settle_until
         return None
 
-    def fingerprint(self, sent: SentTable) -> tuple:
-        """Hashable digest of the ledger over ``sent``, the rows it
-        names (part of the explorer's state)."""
+    def fingerprint(self) -> tuple:
+        """Hashable digest of the ledger (part of the explorer's state)."""
+        rows = self.rows
+
         def fate(row):          # None: queued; else whether answered
-            return None if row is None else sent[row].answered_at is not None
+            return None if row is None else rows[row].answered_at is not None
         return (tuple(sorted((index, fate(row))
                              for index, row in self._seen.items())),
-                tuple(sorted((sent[row].index, fate(row))
+                tuple(sorted((rows[row].index, fate(row))
                              for row in self._news)),
                 self.wake(), self._settle_until)
 

@@ -12,8 +12,8 @@ Two accounting modes share one class:
   timeout, fallback or give-up into the columns; ``sent[i]``, slices
   and iteration give on-demand views that read as a :class:`SentQuery`
   and write through.  No column is an object the garbage collector
-  walks, so exact §4.2 quartiles and per-query forensics cost 56 bytes
-  a kept send (67 once one of the five rarely set columns is written).
+  walks, so exact §4.2 quartiles and per-query forensics cost 67 bytes
+  a kept send.
   Right for experiments up to ~10⁷ queries.
 * **aggregate mode** (``ReplayResult(aggregate=True)``): each send and
   answer folds the moment it happens into four folds: sends per
@@ -49,10 +49,10 @@ from array import array
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from itertools import islice
-from operator import attrgetter, eq, itemgetter, le
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, \
-    Tuple
+from itertools import islice, repeat
+from operator import attrgetter, eq, le
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
+    Sequence, Tuple
 
 from ..telemetry.metrics import Histogram
 from ..trace.stats import quartile_summary
@@ -100,39 +100,40 @@ sent_row = attrgetter(*SENT_FIELDS)     # SentQuery (or a view) -> row
 _TYPECODES = "qIdddIIdBiiiBB"
 _NAMED = (_SOURCE, _PROTOCOL, _QNAME)
 _FLAGS = (_FRESH, _FALLBACK, _GAVE_UP)
-# Columns a send rarely sets: they grow to the row count only when read
-# or written, so a booking appends to the other nine alone.
-_RARE = (_FRESH, _RETRIES, _TIMEOUTS, _FALLBACK, _GAVE_UP)
 _NAN = float("nan")
-_BLANK = {code: array(code, [0]) for code in _TYPECODES if code != "d"}
-_BLANK["d"] = array("d", [_NAN])
 
 
-def sent_table(rows: Iterable[tuple]) -> Dict[str, list]:
-    """The ``sent`` table of ``rows`` (tuples in field order): every
-    required column, and each optional column holding a value other
-    than its default."""
-    columns = list(zip(*rows)) or [()] * len(SENT_FIELDS)
-    return {name: list(column)
-            for name, column in zip(SENT_FIELDS, columns)
+def sent_columns(columns: Sequence[list]) -> Dict[str, list]:
+    """The ``sent`` table of ``columns`` (one list per field, in field
+    order): every required column, and each optional column holding a
+    value other than its default."""
+    return {name: column for name, column in zip(SENT_FIELDS, columns)
             if name not in SENT_DEFAULTS
             or column.count(SENT_DEFAULTS[name]) != len(column)}
 
 
-def _picker(rows: Sequence[int]):
-    """A function from a sequence to its items at ``rows``, in order."""
-    if len(rows) > 1:
-        return itemgetter(*rows)
-    return lambda values: [values[row] for row in rows]
+def sent_table(rows: Iterable[tuple]) -> Dict[str, list]:
+    """The ``sent`` table of ``rows`` (tuples in field order)."""
+    return sent_columns(list(map(list, zip(*rows)))
+                        or [[]] * len(SENT_FIELDS))
 
 
-def merge_rank(answered_at: Optional[float], sent_at: float,
-               querier_id: int) -> Tuple[int, float, int]:
+def sent_rows(table: Mapping[str, list]) -> Iterator[tuple]:
+    """The rows of a (validated) ``sent`` table, in table order; an
+    absent optional column reads as its default."""
+    return zip(*(table[name] if name in table
+                 else repeat(SENT_DEFAULTS[name])
+                 for name in SENT_FIELDS))
+
+
+def merge_rank(row: tuple) -> Tuple[int, float, int]:
     """Which of two copies of one trace index a merge keeps: the lower
     rank — answered before unanswered, then the earliest send, then the
-    lowest querier id.  A total order on what a copy reports, so the
-    choice does not depend on the order the copies arrive in."""
-    return (0 if answered_at is not None else 1, sent_at, querier_id)
+    lowest querier id.  ``row`` is a ``sent`` table row.  A total order
+    on what a copy reports, so the choice does not depend on the order
+    the copies arrive in."""
+    return (0 if row[_ANSWERED_AT] is not None else 1, row[_SENT_AT],
+            row[_QUERIER_ID])
 
 
 class _Names(dict):
@@ -150,14 +151,6 @@ class _Names(dict):
         self.values.append(value)
         return ident
 
-    def ids(self, values: Sequence[str]) -> List[int]:
-        """The ids of ``values``, the new ones interned in one pass."""
-        known = self.values
-        new = [value for value in dict.fromkeys(values) if value not in self]
-        self.update(zip(new, range(len(known), len(known) + len(new))))
-        known.extend(new)
-        return list(map(self.__getitem__, values))
-
 
 class SentTable:
     """A list-mode result's rows: one typed column per
@@ -169,100 +162,55 @@ class SentTable:
     counts the rows with an answer.
     """
 
-    __slots__ = ("_columns", "names", "answered")
+    __slots__ = ("columns", "names", "answered")
 
     def __init__(self) -> None:
-        self._columns = [array(code) for code in _TYPECODES]
+        self.columns = [array(code) for code in _TYPECODES]
         self.names = [_Names() if position in _NAMED else None
                       for position in range(len(_TYPECODES))]
         self.answered = 0
-
-    @property
-    def columns(self) -> List[array]:
-        """Every column, each as long as the table."""
-        columns = self._columns
-        length = len(columns[_INDEX])
-        for position in _RARE:
-            short = length - len(columns[position])
-            if short:
-                columns[position].extend(_BLANK[_TYPECODES[position]]
-                                         * short)
-        return columns
-
-    def _bulk(self) -> List[array]:
-        """The columns a whole-table operation moves: :attr:`columns`,
-        but a rarely set column never written stays empty (all default)
-        while the others are."""
-        columns = self._columns
-        return self.columns if any(columns[position]
-                                   for position in _RARE) else columns
 
     def book(self, index: int, source: str, trace_time: float,
              scheduled_at: float, sent_at: float, protocol: str,
              qname: str, answered_at: Optional[float] = None,
              fresh_connection: bool = False, querier_id: int = -1,
              retries: int = 0, timeouts: int = 0, tcp_fallback: bool = False,
-             gave_up: bool = False, row: Optional[int] = None) -> int:
-        """Append one row, its values in field order, or fill ``row``,
-        one :meth:`reserve` left blank; its row number."""
+             gave_up: bool = False) -> int:
+        """Append one row, its values in field order; its row number."""
         names = self.names
         (index_, source_, trace_time_, scheduled_at_, sent_at_, protocol_,
-         qname_, answered_at_, _, querier_id_, _, _, _, _) = self._columns
+         qname_, answered_at_, fresh_, querier_id_, retries_, timeouts_,
+         fallback_, gave_up_) = self.columns
         if answered_at is None:
             answered_at = _NAN
         else:
             self.answered += 1
-        if row is None:
-            row = len(index_)
-            index_.append(index)
-            source_.append(names[_SOURCE][source])
-            trace_time_.append(trace_time)
-            scheduled_at_.append(scheduled_at)
-            sent_at_.append(sent_at)
-            protocol_.append(names[_PROTOCOL][protocol])
-            qname_.append(names[_QNAME][qname])
-            answered_at_.append(answered_at)
-            querier_id_.append(querier_id)
-        else:
-            index_[row] = index
-            source_[row] = names[_SOURCE][source]
-            trace_time_[row] = trace_time
-            scheduled_at_[row] = scheduled_at
-            sent_at_[row] = sent_at
-            protocol_[row] = names[_PROTOCOL][protocol]
-            qname_[row] = names[_QNAME][qname]
-            answered_at_[row] = answered_at
-            querier_id_[row] = querier_id
-        if fresh_connection or retries or timeouts or tcp_fallback \
-                or gave_up:
-            for position, value in zip(_RARE, (fresh_connection, retries,
-                                               timeouts, tcp_fallback,
-                                               gave_up)):
-                self.columns[position][row] = value
-        return row
-
-    def reserve(self, count: int) -> int:
-        """Append ``count`` blank rows for :meth:`book` to fill; the
-        first one's number."""
-        first = len(self)
-        for position, column in enumerate(self._columns):
-            if position not in _RARE:
-                column.extend(_BLANK[column.typecode] * count)
-        return first
+        index_.append(index)
+        source_.append(names[_SOURCE][source])
+        trace_time_.append(trace_time)
+        scheduled_at_.append(scheduled_at)
+        sent_at_.append(sent_at)
+        protocol_.append(names[_PROTOCOL][protocol])
+        qname_.append(names[_QNAME][qname])
+        answered_at_.append(answered_at)
+        fresh_.append(fresh_connection)
+        querier_id_.append(querier_id)
+        retries_.append(retries)
+        timeouts_.append(timeouts)
+        fallback_.append(tcp_fallback)
+        gave_up_.append(gave_up)
+        return len(index_) - 1
 
     def answer(self, row: int, at: Optional[float]) -> None:
         """Set ``row``'s ``answered_at`` (None: unanswered)."""
-        column = self._columns[_ANSWERED_AT]
+        column = self.columns[_ANSWERED_AT]
         was = column[row]
         self.answered += (at is not None) - (was == was)
         column[row] = _NAN if at is None else at
 
     def get(self, row: int, position: int):
         """The value of field ``position`` in ``row``."""
-        column = self._columns[position]
-        # A rare column short of ``row`` holds its default there.
-        value = 0 if row >= len(column) and position in _RARE \
-            else column[row]
+        value = self.columns[position][row]
         if position in _NAMED:
             return self.names[position].values[value]
         if position in _FLAGS:
@@ -281,13 +229,11 @@ class SentTable:
     def encode(self, rows: Optional[Sequence[int]] = None
                ) -> Dict[str, list]:
         """The ``sent`` wire table of ``rows`` (row numbers, every row
-        by default), laid out as :func:`sent_table` lays it out."""
-        table, pick = {}, rows is not None and _picker(rows)
-        for position, (name, column) in enumerate(zip(SENT_FIELDS,
-                                                      self._bulk())):
-            if not column and position in _RARE:
-                continue
-            values = list(pick(column)) if pick else column.tolist()
+        by default)."""
+        columns = []
+        for position, column in enumerate(self.columns):
+            values = column.tolist() if rows is None \
+                else list(map(column.__getitem__, rows))
             if position in _NAMED:
                 values = list(map(self.names[position].values.__getitem__,
                                   values))
@@ -295,10 +241,8 @@ class SentTable:
                 values = list(map(bool, values))
             elif position == _ANSWERED_AT:
                 values = [None if at != at else at for at in values]
-            if name not in SENT_DEFAULTS \
-                    or values.count(SENT_DEFAULTS[name]) != len(values):
-                table[name] = values
-        return table
+            columns.append(values)
+        return sent_columns(columns)
 
     @classmethod
     def decode(cls, table: Mapping[str, list]) -> "SentTable":
@@ -308,60 +252,44 @@ class SentTable:
         for position, name in enumerate(SENT_FIELDS):
             values = table.get(name)
             if values is None:
-                if position in _RARE:
-                    continue
                 values = [SENT_DEFAULTS[name]] * length
             if position in _NAMED:
-                values = rows.names[position].ids(values)
+                values = map(rows.names[position].__getitem__, values)
             elif position == _ANSWERED_AT:
                 rows.answered = length - values.count(None)
                 values = [_NAN if at is None else at for at in values]
-            rows._columns[position] = array(_TYPECODES[position], values)
+            rows.columns[position] = array(_TYPECODES[position], values)
         return rows
 
     def extend(self, other: "SentTable") -> None:
         """Append ``other``'s rows, in order."""
-        if not len(self):       # a copy: this table's ids are other's
-            self._columns = [array(column.typecode, column)
-                             for column in other._columns]
-            for position in _NAMED:
-                self.names[position] = names = _Names()
-                names.update(other.names[position])
-                names.values = list(other.names[position].values)
-            self.answered = other.answered
-            return
-        mine, theirs = self._columns, other._bulk()
-        if any(theirs[position] for position in _RARE):
-            mine = self.columns
-        for position, column in enumerate(theirs):
-            if not column and position in _RARE:
-                continue
+        for position, (mine, theirs) in enumerate(zip(self.columns,
+                                                      other.columns)):
             if position in _NAMED:
-                ids = self.names[position].ids(other.names[position].values)
-                column = map(ids.__getitem__, column)
-            mine[position].extend(column)
+                ids = list(map(self.names[position].__getitem__,
+                               other.names[position].values))
+                theirs = map(ids.__getitem__, theirs)
+            mine.extend(theirs)
         self.answered += other.answered
 
     def keep(self, rows: Sequence[int]) -> None:
         """Keep ``rows`` alone, in that order."""
-        columns, pick, dropped = self._bulk(), _picker(rows), \
-            len(rows) != len(self)
-        for position, column in enumerate(columns):
-            if column or position not in _RARE:
-                columns[position] = array(column.typecode,
-                                          pick(column.tolist()))
+        dropped = len(rows) != len(self)
+        self.columns = columns = [
+            array(column.typecode, map(column.__getitem__, rows))
+            for column in self.columns]
         if dropped:
             self.answered = sum(1 for at in columns[_ANSWERED_AT]
                                 if at == at)
 
     def sort_by_index(self) -> None:
         """Order the rows by trace index, ties in row order."""
-        index = self._columns[_INDEX]
+        index = self.columns[_INDEX]
         if not all(map(le, index, islice(index, 1, None))):
             self.keep(sorted(range(len(index)), key=index.__getitem__))
 
     def __len__(self) -> int:
-        return len(self._columns[_INDEX])
+        return len(self.columns[_INDEX])
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -466,17 +394,23 @@ class ReplayResult:
         self.redelivered_records = 0   # trace records re-streamed after loss
         self.duplicate_merged = 0      # duplicate sends dropped by the merge
 
-    def add(self, query: SentQuery) -> None:
-        if self.aggregate:
-            # Fold and forget: the query object is not retained.  Live
-            # engines should prefer count_send/count_answer (a send's
-            # answer arrives later); add() here serves offline folds of
-            # already-final entries.
-            self.count_send(query.protocol, query.trace_time, query.sent_at)
-            if query.answered_at is not None and query.latency is not None:
-                self.count_answer(query.latency)
-            return
-        self.sent.book(*sent_row(query))
+    def add(self, query) -> Optional[int]:
+        """Book one send: a :class:`SentQuery` (or a view of one), or a
+        row, its field values in field order (the trailing defaults may
+        be left off).  Its row number in list mode."""
+        if not self.aggregate:
+            return self.sent.book(*(query if type(query) is tuple
+                                    else sent_row(query)))
+        if type(query) is tuple:
+            query = SentQuery(*query)
+        # Fold and forget: the query is not retained.  Live engines
+        # should prefer count_send/count_answer (a send's answer arrives
+        # later); add() here serves offline folds of already-final
+        # entries.
+        self.count_send(query.protocol, query.trace_time, query.sent_at)
+        if query.answered_at is not None and query.latency is not None:
+            self.count_answer(query.latency)
+        return None
 
     # -- aggregate-mode accounting -----------------------------------------
 
@@ -692,14 +626,10 @@ class ReplayResult:
         table = self.sent
         base = len(table)
         table.extend(other)
-        index, answered, sent_at, querier_id = (
-            table.columns[position]
-            for position in (_INDEX, _ANSWERED_AT, _SENT_AT, _QUERIER_ID))
+        index = table.columns[_INDEX]
 
         def rank(row: int) -> Tuple[int, float, int]:
-            at = answered[row]
-            return merge_rank(None if at != at else at, sent_at[row],
-                              querier_id[row])
+            return merge_rank(sent_row(table[row]))
 
         if len(set(index)) == len(index):   # no index held twice
             order = sorted(range(len(index)), key=index.__getitem__)

@@ -518,18 +518,13 @@ class _Querier:
     def __init__(self, worker: int, number: int, now: float,
                  ledger: Callable[..., QuerierLedger]):
         self.number, self.seq = number, 0
-        self.ledger = ledger(now)
         self.result = ReplayResult(f"querier-{worker}")
+        self.ledger = ledger(self.result.sent, now)
         self.queue: List[int] = []
         self.shed: List[int] = []
         # Once END is in and the queue is dry: the ledger's settle
         # instant, None for finish.
         self.until: Optional[float] = None
-
-    def answer(self, row: int, now: float) -> None:
-        """Result ``row``'s answer comes in."""
-        self.result.sent.answer(row, now)
-        self.ledger.answered(row)
 
 
 class RecoveryScenarioModel:
@@ -755,13 +750,11 @@ class RecoveryScenarioModel:
         elif action == "exec":
             record = self._due_now(worker)
             querier.queue.remove(record)
-            row = querier.result.sent.book(
+            row = querier.ledger.sent(
                 record, f"c{record % self.workers}", self.due[record],
-                self.due[record], self.now, "udp", "q.example.com.",
-                querier_id=worker)
-            querier.ledger.sent(record, row)
+                self.due[record], self.now, "udp", "q.example.com.", worker)
             if record not in self.late:
-                querier.answer(row, self.now)
+                querier.ledger.answered(row, self.now)
         elif action == "ckpt":
             delta = querier.ledger.delta(self.now)
             self._emit(worker, delta)
@@ -769,7 +762,7 @@ class RecoveryScenarioModel:
             # fate changed after shipping, so they are news again.
             for row in delta:
                 if querier.result.sent[row].answered_at is None:
-                    querier.answer(row, self.now)
+                    querier.ledger.answered(row, self.now)
         elif action == "final":
             self._emit(worker)
             self.finalized[worker] = True
@@ -894,7 +887,7 @@ class RecoveryScenarioModel:
             for worker, payload, fates in self.pending))
         workers = repr((self.dead, self.finalized, self.crash_budget,
                         [(querier.number, querier.queue, querier.shed,
-                          querier.ledger.fingerprint(querier.result.sent))
+                          querier.ledger.fingerprint())
                          for querier in self.queriers]))
         return (self.now, self.wait_until, self.stopped, self.crashes_left,
                 self.dups_left, self.drops_left, self.losses, workers,

@@ -440,8 +440,8 @@ def checkpoint_emission_history(rng: random.Random, workers: int = 2,
     assignment = [rng.randrange(workers) for _ in range(total)]
     frames: List[dict] = []
     for worker in range(workers):
-        ledger = QuerierLedger(0.0)
         result = ReplayResult(f"querier-{worker}")
+        ledger = QuerierLedger(result.sent, 0.0)
         seq = 0
 
         def emit(rows, final: bool = False) -> None:
@@ -450,20 +450,15 @@ def checkpoint_emission_history(rng: random.Random, workers: int = 2,
             frames.append({"worker": worker, "incarnation": 0, "seq": seq,
                            "final": final, "result": result.to_dict(rows)})
 
-        def answer(row: int, at: float) -> None:
-            result.sent.answer(row, at)
-            ledger.answered(row)
-
         for index in range(total):
             if assignment[index] != worker:
                 continue
             ledger.arrived(index)
-            row = result.sent.book(index, f"c{index % 4}", float(index),
-                                   float(index), float(index), "udp",
-                                   "q.example.com.", querier_id=worker)
-            ledger.sent(index, row)
+            row = ledger.sent(index, f"c{index % 4}", float(index),
+                              float(index), float(index), "udp",
+                              "q.example.com.", worker)
             if rng.random() < 0.5:
-                answer(row, index + 0.5)
+                ledger.answered(row, index + 0.5)
             # A stray datagram now and then: the cumulative header
             # differs from frame to frame.
             if rng.random() < 0.3:
@@ -472,7 +467,7 @@ def checkpoint_emission_history(rng: random.Random, workers: int = 2,
                 emit(ledger.delta(float(index)))
                 for late in result.unanswered_queries():
                     if rng.random() < 0.6:
-                        answer(late.row, late.index + 0.5)
+                        ledger.answered(late.row, late.index + 0.5)
         if ledger.due(float(total), False):
             emit(ledger.delta(float(total)))
         emit(None, final=True)

@@ -183,7 +183,8 @@ def drive_querier(script, policy=None, lag=0, clock=None, delay=0.0,
         querier, wire = fake_querier(script, lag, clock, delay, aggregate)
         frames = []
         if policy is not None:
-            querier.ledger = QuerierLedger(distributed.time.monotonic(),
+            querier.ledger = QuerierLedger(querier.result.sent,
+                                           distributed.time.monotonic(),
                                            policy)
             querier.checkpoint_sink = frames.append
         stack.enter_context(mock.patch.object(

@@ -7,9 +7,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.replay import ReplayConfig, ReplayResult, SentQuery, \
-    SimReplayEngine
-from repro.replay.result import SENT_DEFAULTS, SENT_FIELDS, sent_row
+from repro.replay import PacingConfig, QuerierConfig, ReplayConfig, \
+    ReplayResult, SentQuery, SimReplayEngine
+from repro.replay.result import SENT_DEFAULTS, SENT_FIELDS, SentTable, \
+    sent_row
 from repro.dns.wire import WireError, WireReader, WireWriter
 from repro.netsim.testbed import build_evaluation_topology
 from repro.server import AuthoritativeServer, HostedDnsServer
@@ -541,6 +542,32 @@ def test_a_replayed_result_keeps_no_entry_objects():
     gc.collect()
     assert not [obj for obj in gc.get_objects()
                 if isinstance(obj, SentQuery)]
+
+
+@pytest.mark.parametrize("pacing", [None, PacingConfig(initial_rate=50.0)])
+def test_a_batched_replay_books_rows_in_trace_order(monkeypatch, pacing):
+    """Same-instant batches book their sends in trace order before they
+    leave host by host, so an unpaced replay ends with no row to
+    reorder (a sort of every row adds its transient lists to the peak).
+    A paced querier books each send when it leaves: every record is
+    still one row, in index order once the replay is done."""
+    reorders = []
+    keep = SentTable.keep
+    monkeypatch.setattr(SentTable, "keep", lambda table, rows: (
+        reorders.append(len(rows)), keep(table, rows)))
+    testbed = build_evaluation_topology()
+    HostedDnsServer(testbed.server_host,
+                    AuthoritativeServer.single_view([wildcard_example_zone()]))
+    engine = SimReplayEngine(testbed.network, ReplayConfig(
+        track_timing=False, fast_replay_rate=2e5, batch_window=2.5e-4,
+        querier=QuerierConfig(pacing=pacing)))
+    result = engine.replay_stream(zipf_trace(2_000, server="10.0.0.2"))
+    assert list(result.sent.columns[0]) == list(range(2_000))
+    assert result.unanswered() == 0
+    assert all(view.qname for view in result.sent)
+    assert (result.paced_queries > 0) == (pacing is not None)
+    if pacing is None:
+        assert reorders == []
 
 
 def test_from_dict_builds_no_entry_objects(monkeypatch):

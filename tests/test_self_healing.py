@@ -33,7 +33,7 @@ from repro.replay.protocol import (MSG_CHECKPOINT, MSG_END, MSG_RECORD,
 from repro.dns import wire as wire_module
 from repro.replay.recovery import SETTLE_S
 from repro.replay.result import (SENT_FIELDS, ReplayResult, SentQuery,
-                                 sent_row)
+                                 sent_rows)
 from repro.server import LiveDnsServer
 from repro.dns import Name, WireError
 from repro.telemetry import TelemetryConfig
@@ -63,8 +63,7 @@ def _result_dict(worker, indices, answered=True, sent_at=None):
 
 def _rows(table):
     """The entries of a ``sent`` table, one dict per row."""
-    return [dict(zip(SENT_FIELDS, sent_row(view)))
-            for view in ReplayResult.from_dict({"sent": table}).sent]
+    return [dict(zip(SENT_FIELDS, row)) for row in sent_rows(table)]
 
 
 class TestCheckpointStore:
